@@ -18,7 +18,7 @@
 //! percent.
 //!
 //! Results land in `BENCH_obs.json` at the repo root (validated in CI by
-//! `tools/check_bench_json.py`); full mode asserts the relative overhead
+//! `tools/check_bench.py`); full mode asserts the relative overhead
 //! stays under 5 %.
 //!
 //! `--test` runs a down-scaled smoke configuration for CI. Single-core

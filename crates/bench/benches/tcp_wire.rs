@@ -11,7 +11,7 @@
 //!    built for. Reports the frames-per-syscall coalescing ratio.
 //!
 //! Results are printed as a table and written to `BENCH_tcp.json` at the
-//! repo root (validated in CI by `tools/check_bench_json.py`).
+//! repo root (validated in CI by `tools/check_bench.py`).
 //!
 //! `--test` runs a down-scaled smoke configuration for CI.
 

@@ -12,7 +12,7 @@
 //! register a *collector* callback which mirrors their atomics into plain
 //! registry counters right before every exposition.
 
-use scalla_util::{bucket_value, NBUCKETS};
+use scalla_util::{bucket_cumulative, bucket_quantile, NBUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -236,18 +236,7 @@ impl HistSnapshot {
     /// Approximate quantile `q` in `[0, 1]` (bucket lower-bound estimate,
     /// clamped to the observed min/max like `Histogram::quantile`).
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target.max(1) {
-                return bucket_value(i).clamp(self.min, self.max);
-            }
-        }
-        self.max
+        bucket_quantile(&self.buckets, self.count, self.min, self.max, q)
     }
 
     /// Arithmetic mean, 0 if empty.
@@ -258,15 +247,7 @@ impl HistSnapshot {
     /// Cumulative `(upper_bound, count)` points over non-empty buckets, for
     /// Prometheus-style `le` exposition.
     pub fn cumulative(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut acc = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n != 0 {
-                acc += n;
-                out.push((bucket_value(i), acc));
-            }
-        }
-        out
+        bucket_cumulative(&self.buckets).collect()
     }
 }
 

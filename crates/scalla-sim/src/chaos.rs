@@ -485,7 +485,7 @@ impl FaultGates {
         let dup = self.inner.dup_permille.load(Ordering::Relaxed);
         if loss > 0 || dup > 0 {
             let n = self.inner.rolls.fetch_add(1, Ordering::Relaxed);
-            let mut r = SplitMix64::new(self.inner.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut r = SplitMix64::new(self.inner.seed ^ n.wrapping_mul(SplitMix64::GAMMA));
             if loss > 0 && r.next_below(1000) < loss {
                 self.inner.dropped.fetch_add(1, Ordering::Relaxed);
                 return GateVerdict::Drop;

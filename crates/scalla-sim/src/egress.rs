@@ -26,6 +26,7 @@
 //! * **Deterministic shutdown** — dropping the queue's sender wakes the
 //!   writer out of `recv`; the stop flag breaks any in-flight stall loop.
 
+use crate::metrics::EgressCounters;
 use bytes::BytesMut;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::RwLock;
@@ -116,6 +117,21 @@ impl EgressShared {
             stats: EgressStats::default(),
             tuning: RwLock::new(EgressTuning::default()),
             obs: RwLock::new(Obs::disabled()),
+        }
+    }
+
+    /// Snapshot of the cumulative counters, pool included.
+    pub fn counters(&self) -> EgressCounters {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        EgressCounters {
+            frames: load(&self.stats.frames),
+            writes: load(&self.stats.writes),
+            queue_drops: load(&self.stats.queue_drops),
+            conn_drops: load(&self.stats.conn_drops),
+            pool_hits: self.pool.hits(),
+            pool_misses: self.pool.misses(),
+            peer_deaths: load(&self.stats.peer_deaths),
+            peer_reconnects: load(&self.stats.peer_reconnects),
         }
     }
 

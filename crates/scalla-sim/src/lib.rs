@@ -11,7 +11,9 @@
 //!   crossbeam channels as links, real wall-clock timers. The very same
 //!   [`Node`](scalla_simnet::Node) state machines run here, exercising the
 //!   real locking and queueing code paths under true concurrency.
-//! * [`tcp`] — the real-socket runtime: the same nodes again, but every
+//! * [`tcp`] — the real-socket runtime: the same nodes on the same
+//!   threaded core (mailboxes, event loop, chaos gates and lifecycle are
+//!   one private `runtime` module; only the transport differs), but every
 //!   message crosses a localhost `TcpStream` through the binary wire
 //!   codec and frame decoder. Sends never block the protocol thread:
 //!   each peer gets a bounded egress queue drained by a writer thread
@@ -39,8 +41,8 @@ pub mod cluster;
 mod egress;
 pub mod live;
 pub mod metrics;
+mod runtime;
 pub mod tcp;
-pub mod trace;
 pub mod workload;
 
 pub use admin::scrape;

@@ -19,37 +19,19 @@
 //! frames land in a bounded mailbox; overflow drops are counted per node
 //! and surfaced through [`TcpNet::counters`].
 
-use crate::admin::AdminServer;
-use crate::chaos::{FaultGates, GateVerdict};
 use crate::egress::{EgressLink, EgressShared, EgressTuning};
-use crate::metrics::{EgressCounters, NetCounters};
+use crate::metrics::NetCounters;
+use crate::runtime::{lifecycle_api, net_counters, Mailbox, Outbox, Runtime};
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use scalla_obs::Obs;
 use scalla_proto::{encode_frame, encode_frame_traced_pooled, Addr, FrameDecoder, Msg};
 use scalla_simnet::{NetCtx, Node};
-use scalla_util::{Clock, Nanos, SystemClock};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-enum Envelope {
-    Deliver {
-        from: Addr,
-        msg: Msg,
-        trace: u64,
-    },
-    /// Re-runs the node's `on_start` after a chaos revive (timers are
-    /// cleared first — the node re-arms its own schedule, exactly as a
-    /// restarted process would).
-    Restart,
-    Stop,
-}
-
-type PendingTcpNode = (Box<dyn Node>, Receiver<Envelope>, TcpListener);
 
 /// Placeholder returned from [`TcpNet::shutdown`] for address slots
 /// registered with [`TcpNet::add_external`], keeping the returned vector
@@ -59,132 +41,71 @@ impl Node for ExternalPeer {
     fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, _: Msg) {}
 }
 
-struct TcpCtx<'a> {
+/// The socket transport: one lazily spawned egress link per peer.
+struct SocketOutbox {
     me: Addr,
-    clock: &'a Arc<SystemClock>,
-    peers: &'a [SocketAddr],
-    links: &'a mut HashMap<Addr, EgressLink>,
-    shared: &'a Arc<EgressShared>,
-    timers: &'a mut BinaryHeap<std::cmp::Reverse<(Nanos, u64)>>,
-    rng_state: &'a mut u64,
-    gates: &'a FaultGates,
-    /// Ambient request trace id for this callback: seeded from the inbound
-    /// frame's envelope and stamped onto every frame sent from it, so a
-    /// trace follows the request across cmsd→supervisor→server hops
-    /// without touching the `Node` trait.
-    trace: u64,
+    peers: Arc<[SocketAddr]>,
+    links: HashMap<Addr, EgressLink>,
+    shared: Arc<EgressShared>,
 }
 
-impl TcpCtx<'_> {
-    fn link(&mut self, to: Addr) -> Option<&EgressLink> {
-        if !self.links.contains_key(&to) {
-            let peer = *self.peers.get(to.0 as usize)?;
-            self.links.insert(to, EgressLink::spawn(self.me, peer, self.shared.clone()));
-        }
-        self.links.get(&to)
-    }
-}
-
-impl NetCtx for TcpCtx<'_> {
-    fn now(&self) -> Nanos {
-        self.clock.now()
-    }
-    fn me(&self) -> Addr {
-        self.me
-    }
-    fn send(&mut self, to: Addr, msg: Msg) {
-        // Chaos gate first: a crashed sender, crashed target, partitioned
-        // pair, or loss roll silently eats the message before encoding.
-        let copies = match self.gates.verdict(self.me, to) {
-            GateVerdict::Drop => return,
-            GateVerdict::Deliver => 1,
-            GateVerdict::Duplicate => 2,
+impl Outbox for SocketOutbox {
+    fn post(&mut self, to: Addr, msg: Msg, trace: u64) {
+        let link = match self.links.entry(to) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let Some(&peer) = self.peers.get(to.0 as usize) else {
+                    // Address outside the net: same silent-drop semantics
+                    // as a dead peer, but accounted.
+                    self.shared.stats.conn_drops.fetch_add(1, Ordering::Relaxed);
+                    return;
+                };
+                e.insert(EgressLink::spawn(self.me, peer, self.shared.clone()))
+            }
         };
         // Encode into a pooled buffer and queue it; the writer thread owns
         // every socket interaction. This path must never block.
-        let shared = self.shared.clone();
-        for _ in 0..copies {
-            let frame = encode_frame_traced_pooled(&msg, self.trace, &self.shared.pool);
-            match self.link(to) {
-                Some(link) => link.send(frame, &shared),
-                None => {
-                    // Address outside the net: same silent-drop semantics
-                    // as a dead peer, but accounted.
-                    shared.stats.conn_drops.fetch_add(1, Ordering::Relaxed);
-                    shared.pool.put(frame);
-                }
-            }
+        let frame = encode_frame_traced_pooled(&msg, trace, &self.shared.pool);
+        link.send(frame, &self.shared);
+    }
+}
+
+impl Drop for SocketOutbox {
+    /// Runs as the protocol thread exits: dropping each queue sender wakes
+    /// its writer; join them all so no writer outlives the net.
+    fn drop(&mut self) {
+        for (_, link) in self.links.drain() {
+            link.close();
         }
-    }
-    fn set_timer(&mut self, delay: Nanos, token: u64) {
-        self.timers.push(std::cmp::Reverse((self.clock.now() + delay, token)));
-    }
-    fn rand_u64(&mut self) -> u64 {
-        *self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn set_trace(&mut self, trace: u64) {
-        self.trace = trace;
-    }
-    fn trace(&self) -> u64 {
-        self.trace
     }
 }
 
 /// The TCP runtime.
 pub struct TcpNet {
-    clock: Arc<SystemClock>,
+    rt: Runtime,
     peers: Vec<SocketAddr>,
-    mailboxes: Vec<Sender<Envelope>>,
-    mailbox_drops: Vec<Arc<AtomicU64>>,
-    pending: Vec<Option<PendingTcpNode>>,
-    node_handles: Vec<Option<JoinHandle<Box<dyn Node>>>>,
-    acceptor_handles: Vec<Option<JoinHandle<()>>>,
+    /// Bound at `add_node`, handed to the acceptors at `start`.
+    listeners: Vec<(Addr, TcpListener)>,
+    acceptors: Vec<(Addr, JoinHandle<()>)>,
     /// Clones of accepted inbound streams, shut down at teardown so reader
     /// threads blocked in `read` wake deterministically.
     inbound: Arc<Mutex<Vec<TcpStream>>>,
+    /// Egress state; its `stop` flag is the net-wide one the acceptors
+    /// watch too.
     shared: Arc<EgressShared>,
-    stop: Arc<AtomicBool>,
-    started: bool,
-    admin: Option<AdminServer>,
-    gates: FaultGates,
 }
 
 impl TcpNet {
     /// Creates an empty TCP network.
     pub fn new() -> std::io::Result<TcpNet> {
-        let stop = Arc::new(AtomicBool::new(false));
         Ok(TcpNet {
-            clock: Arc::new(SystemClock::new()),
+            rt: Runtime::default(),
             peers: Vec::new(),
-            mailboxes: Vec::new(),
-            mailbox_drops: Vec::new(),
-            pending: Vec::new(),
-            node_handles: Vec::new(),
-            acceptor_handles: Vec::new(),
+            listeners: Vec::new(),
+            acceptors: Vec::new(),
             inbound: Arc::new(Mutex::new(Vec::new())),
-            shared: Arc::new(EgressShared::new(stop.clone())),
-            stop,
-            started: false,
-            admin: None,
-            gates: FaultGates::new(0),
+            shared: Arc::new(EgressShared::new(Arc::new(AtomicBool::new(false)))),
         })
-    }
-
-    /// The chaos gates governing this net's message flow. Cloning shares
-    /// state, so a harness can drive faults while the net runs.
-    pub fn gates(&self) -> FaultGates {
-        self.gates.clone()
-    }
-
-    /// Replaces the chaos gates (call before [`TcpNet::start`] to pick a
-    /// fault seed).
-    pub fn set_gates(&mut self, gates: FaultGates) {
-        assert!(!self.started, "set_gates before start");
-        self.gates = gates;
     }
 
     /// Overrides the egress writer timeouts and dead-peer probe schedule.
@@ -199,39 +120,12 @@ impl TcpNet {
         *self.shared.obs.write() = obs;
     }
 
-    /// Gates a node down: its inbound and outbound messages drop until
-    /// [`TcpNet::revive`]. The OS process and threads stay up — this
-    /// models the *peer-visible* effect of a crash.
-    pub fn kill(&self, addr: Addr) {
-        self.gates.kill(addr);
-    }
-
-    /// Clears the down gate and restarts the node's state machine
-    /// (`on_start` re-runs on its protocol thread; pending timers are
-    /// discarded first).
-    pub fn revive(&self, addr: Addr) {
-        self.gates.revive(addr);
-        let _ = self.mailboxes[addr.0 as usize].try_send(Envelope::Restart);
-    }
-
-    /// The shared clock.
-    pub fn clock(&self) -> Arc<SystemClock> {
-        self.clock.clone()
-    }
-
     /// Registers a node; it gets a listener on an ephemeral localhost port.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> std::io::Result<Addr> {
-        assert!(!self.started, "add_node before start");
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let local = listener.local_addr()?;
-        let (tx, rx) = bounded::<Envelope>(65_536);
-        let addr = Addr(self.peers.len() as u64);
-        self.peers.push(local);
-        self.mailboxes.push(tx);
-        self.mailbox_drops.push(Arc::new(AtomicU64::new(0)));
-        self.pending.push(Some((node, rx, listener)));
-        self.node_handles.push(None);
-        self.acceptor_handles.push(None);
+        self.peers.push(listener.local_addr()?);
+        let addr = self.rt.add_slot(Some(node));
+        self.listeners.push((addr, listener));
         Ok(addr)
     }
 
@@ -242,33 +136,13 @@ impl TcpNet {
     /// read back. [`TcpNet::shutdown`] returns a placeholder node for the
     /// slot so address alignment is preserved.
     pub fn add_external(&mut self, peer: SocketAddr) -> Addr {
-        assert!(!self.started, "add_external before start");
-        let addr = Addr(self.peers.len() as u64);
         self.peers.push(peer);
-        // Dummy mailbox: the receiver is dropped immediately, so sends to
-        // it error out harmlessly.
-        let (tx, _rx) = bounded::<Envelope>(1);
-        self.mailboxes.push(tx);
-        self.mailbox_drops.push(Arc::new(AtomicU64::new(0)));
-        self.pending.push(None);
-        self.node_handles.push(None);
-        self.acceptor_handles.push(None);
-        addr
+        self.rt.add_slot(None)
     }
 
     /// The socket address a node listens on (diagnostics).
     pub fn socket_of(&self, addr: Addr) -> SocketAddr {
         self.peers[addr.0 as usize]
-    }
-
-    /// Starts the admin endpoint for this net: one listener thread serving
-    /// line-oriented `/metrics`, `/stats`, and `/flight` requests against
-    /// `obs` (see [`crate::admin`]). The net's own wire counters are
-    /// mirrored into the registry at every scrape; call this after the
-    /// last [`TcpNet::add_node`] so every mailbox is covered. Returns the
-    /// endpoint's socket address.
-    pub fn serve_admin(&mut self, obs: Obs) -> std::io::Result<SocketAddr> {
-        self.serve_admin_with(obs, None)
     }
 
     /// Like [`TcpNet::serve_admin`], but additionally serves `/cluster`
@@ -278,210 +152,41 @@ impl TcpNet {
         obs: Obs,
         view: Option<Arc<scalla_monitor::ClusterView>>,
     ) -> std::io::Result<SocketAddr> {
-        assert!(obs.is_enabled(), "serve_admin needs an enabled Obs handle");
-        assert!(self.admin.is_none(), "serve_admin once per net");
         self.set_obs(obs.clone());
         let shared = self.shared.clone();
-        let drops: Vec<Arc<AtomicU64>> = self.mailbox_drops.clone();
-        obs.registry().add_collector(Box::new(move |reg| {
-            let stats = &shared.stats;
-            let counters = NetCounters {
-                mailbox_drops: drops.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                egress: EgressCounters {
-                    frames: stats.frames.load(Ordering::Relaxed),
-                    writes: stats.writes.load(Ordering::Relaxed),
-                    queue_drops: stats.queue_drops.load(Ordering::Relaxed),
-                    conn_drops: stats.conn_drops.load(Ordering::Relaxed),
-                    pool_hits: shared.pool.hits(),
-                    pool_misses: shared.pool.misses(),
-                    peer_deaths: stats.peer_deaths.load(Ordering::Relaxed),
-                    peer_reconnects: stats.peer_reconnects.load(Ordering::Relaxed),
-                },
-            };
-            counters.export_into(reg);
-        }));
-        let server = AdminServer::spawn_with(obs, view)?;
-        let addr = server.addr();
-        self.admin = Some(server);
-        Ok(addr)
+        self.rt.serve_admin_with(obs, view, move || shared.counters())
     }
 
     /// Wire and queue counters accumulated so far (callable any time).
     pub fn counters(&self) -> NetCounters {
-        let stats = &self.shared.stats;
-        NetCounters {
-            mailbox_drops: self.mailbox_drops.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            egress: EgressCounters {
-                frames: stats.frames.load(Ordering::Relaxed),
-                writes: stats.writes.load(Ordering::Relaxed),
-                queue_drops: stats.queue_drops.load(Ordering::Relaxed),
-                conn_drops: stats.conn_drops.load(Ordering::Relaxed),
-                pool_hits: self.shared.pool.hits(),
-                pool_misses: self.shared.pool.misses(),
-                peer_deaths: stats.peer_deaths.load(Ordering::Relaxed),
-                peer_reconnects: stats.peer_reconnects.load(Ordering::Relaxed),
-            },
-        }
+        net_counters(&self.rt.mailboxes, self.shared.counters())
     }
 
     /// Spawns every node (protocol thread + acceptor + per-connection
     /// readers) and runs `on_start`.
     pub fn start(&mut self) {
-        assert!(!self.started, "start once");
-        self.started = true;
-        let peers = self.peers.clone();
-        for i in 0..self.pending.len() {
-            let Some((mut node, rx, listener)) = self.pending[i].take() else {
-                continue; // external slot: no acceptor, no protocol thread
-            };
-            let me = Addr(i as u64);
-            let clock = self.clock.clone();
-            let peers = peers.clone();
-            let stop = self.stop.clone();
-            let mailbox = self.mailboxes[i].clone();
-            let drops = self.mailbox_drops[i].clone();
+        // Acceptors: blocking accept, one reader thread per inbound
+        // connection decoding frames into the node's mailbox. Woken at
+        // shutdown by a throwaway connection; each joins its readers
+        // (woken by the inbound-registry shutdown) before exiting.
+        for (addr, listener) in self.listeners.drain(..) {
+            let mailbox = self.rt.mailboxes[addr.0 as usize].clone();
+            let stop = self.shared.stop.clone();
             let inbound = self.inbound.clone();
-            let shared = self.shared.clone();
-            let gates = self.gates.clone();
-
-            // Acceptor: blocking accept, one reader thread per inbound
-            // connection decoding frames into the node's mailbox. Woken at
-            // shutdown by a throwaway connection; joins its readers (woken
-            // by the inbound-registry shutdown) before exiting.
             let acceptor = std::thread::Builder::new()
-                .name(format!("scalla-tcp-accept-{i}"))
-                .spawn(move || {
-                    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-                    while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if stop.load(Ordering::Relaxed) {
-                                    break; // the shutdown wake-up call
-                                }
-                                if let Ok(clone) = stream.try_clone() {
-                                    inbound.lock().expect("inbound registry").push(clone);
-                                }
-                                let mailbox = mailbox.clone();
-                                let drops = drops.clone();
-                                readers.push(std::thread::spawn(move || {
-                                    reader_loop(stream, mailbox, drops)
-                                }));
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(_) => break,
-                        }
-                    }
-                    for r in readers {
-                        let _ = r.join();
-                    }
-                })
+                .name(format!("scalla-tcp-accept-{}", addr.0))
+                .spawn(move || accept_loop(listener, mailbox, stop, inbound))
                 .expect("spawn acceptor");
-            self.acceptor_handles[i] = Some(acceptor);
-
-            // Protocol thread: identical event loop to LiveNet, but sends
-            // go out through the egress pipeline.
-            let handle = std::thread::Builder::new()
-                .name(format!("scalla-tcp-node-{i}"))
-                .spawn(move || {
-                    let mut timers: BinaryHeap<std::cmp::Reverse<(Nanos, u64)>> = BinaryHeap::new();
-                    let mut links: HashMap<Addr, EgressLink> = HashMap::new();
-                    let mut rng_state = 0x7C9_0000 ^ me.0;
-                    {
-                        let mut ctx = TcpCtx {
-                            me,
-                            clock: &clock,
-                            peers: &peers,
-                            links: &mut links,
-                            shared: &shared,
-                            timers: &mut timers,
-                            rng_state: &mut rng_state,
-                            gates: &gates,
-                            trace: 0,
-                        };
-                        node.on_start(&mut ctx);
-                    }
-                    loop {
-                        let now = clock.now();
-                        let mut due = Vec::new();
-                        while let Some(&std::cmp::Reverse((at, token))) = timers.peek() {
-                            if at <= now {
-                                timers.pop();
-                                due.push(token);
-                            } else {
-                                break;
-                            }
-                        }
-                        for token in due {
-                            if gates.is_down(me) {
-                                continue; // a crashed node's timers don't fire
-                            }
-                            let mut ctx = TcpCtx {
-                                me,
-                                clock: &clock,
-                                peers: &peers,
-                                links: &mut links,
-                                shared: &shared,
-                                timers: &mut timers,
-                                rng_state: &mut rng_state,
-                                gates: &gates,
-                                trace: 0,
-                            };
-                            node.on_timer(&mut ctx, token);
-                        }
-                        let wait = timers
-                            .peek()
-                            .map(|&std::cmp::Reverse((at, _))| {
-                                std::time::Duration::from_nanos(at.since(clock.now()).0)
-                            })
-                            .unwrap_or(std::time::Duration::from_millis(50));
-                        match rx.recv_timeout(wait) {
-                            Ok(Envelope::Deliver { from, msg, trace }) => {
-                                if gates.is_down(me) {
-                                    continue; // a crashed node hears nothing
-                                }
-                                let mut ctx = TcpCtx {
-                                    me,
-                                    clock: &clock,
-                                    peers: &peers,
-                                    links: &mut links,
-                                    shared: &shared,
-                                    timers: &mut timers,
-                                    rng_state: &mut rng_state,
-                                    gates: &gates,
-                                    trace,
-                                };
-                                node.on_message(&mut ctx, from, msg);
-                            }
-                            Ok(Envelope::Restart) => {
-                                timers.clear();
-                                let mut ctx = TcpCtx {
-                                    me,
-                                    clock: &clock,
-                                    peers: &peers,
-                                    links: &mut links,
-                                    shared: &shared,
-                                    timers: &mut timers,
-                                    rng_state: &mut rng_state,
-                                    gates: &gates,
-                                    trace: 0,
-                                };
-                                node.on_start(&mut ctx);
-                            }
-                            Ok(Envelope::Stop) => break,
-                            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                    // Dropping each queue sender wakes its writer; join
-                    // them all so no writer outlives the net.
-                    for (_, link) in links.drain() {
-                        link.close();
-                    }
-                    node
-                })
-                .expect("spawn node thread");
-            self.node_handles[i] = Some(handle);
+            self.acceptors.push((addr, acceptor));
         }
+        let peers: Arc<[SocketAddr]> = self.peers.as_slice().into();
+        let shared = self.shared.clone();
+        self.rt.start(|me| SocketOutbox {
+            me,
+            peers: peers.clone(),
+            links: HashMap::new(),
+            shared: shared.clone(),
+        });
     }
 
     /// Stops every node and returns them in address order (placeholder
@@ -490,23 +195,10 @@ impl TcpNet {
     /// sockets are shut down to wake blocked readers, and each acceptor is
     /// woken by a throwaway connection and joins its readers.
     pub fn shutdown(mut self) -> Vec<Box<dyn Node>> {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(admin) = self.admin.take() {
-            admin.shutdown();
-        }
-        for tx in &self.mailboxes {
-            let _ = tx.send(Envelope::Stop);
-        }
+        self.shared.stop.store(true, Ordering::Relaxed);
         // 1. Protocol threads (each joins its writer threads on the way
         //    out, which closes all outgoing connections).
-        let nodes: Vec<Box<dyn Node>> = self
-            .node_handles
-            .iter_mut()
-            .map(|h| match h.take() {
-                Some(h) => h.join().expect("node thread panicked"),
-                None => Box::new(ExternalPeer) as Box<dyn Node>,
-            })
-            .collect();
+        let nodes = self.rt.stop();
         // 2. Wake any reader still blocked in `read` (streams whose peer
         //    did not close: injected or external connections).
         for stream in self.inbound.lock().expect("inbound registry").drain(..) {
@@ -514,14 +206,14 @@ impl TcpNet {
         }
         // 3. Wake each acceptor out of `accept` and join it (it joins its
         //    readers first).
-        for (i, slot) in self.acceptor_handles.iter_mut().enumerate() {
-            if let Some(handle) = slot.take() {
-                let _ =
-                    TcpStream::connect_timeout(&self.peers[i], std::time::Duration::from_secs(1));
-                let _ = handle.join();
-            }
+        for (addr, acceptor) in self.acceptors.drain(..) {
+            let _ = TcpStream::connect_timeout(
+                &self.peers[addr.0 as usize],
+                std::time::Duration::from_secs(1),
+            );
+            let _ = acceptor.join();
         }
-        nodes
+        nodes.into_iter().map(|n| n.unwrap_or_else(|| Box::new(ExternalPeer))).collect()
     }
 
     /// Injects a message from a synthetic external address over a real
@@ -541,10 +233,41 @@ impl TcpNet {
     }
 }
 
+lifecycle_api!(TcpNet);
+
+/// Per-node accept loop; see [`TcpNet::start`] for the wake protocol.
+fn accept_loop(
+    listener: TcpListener,
+    mailbox: Mailbox,
+    stop: Arc<AtomicBool>,
+    inbound: Arc<Mutex<Vec<TcpStream>>>,
+) {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    while !stop.load(Ordering::Relaxed) {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if stop.load(Ordering::Relaxed) {
+                    break; // the shutdown wake-up call
+                }
+                if let Ok(clone) = stream.try_clone() {
+                    inbound.lock().expect("inbound registry").push(clone);
+                }
+                let mailbox = mailbox.clone();
+                readers.push(std::thread::spawn(move || reader_loop(stream, mailbox)));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    for r in readers {
+        let _ = r.join();
+    }
+}
+
 /// Per-connection inbound loop: preamble, then frames into the mailbox.
 /// Blocking reads; woken at shutdown by the inbound-registry `shutdown`
 /// (or naturally by peer EOF). Mailbox overflow drops are counted.
-fn reader_loop(mut stream: TcpStream, mailbox: Sender<Envelope>, drops: Arc<AtomicU64>) {
+fn reader_loop(mut stream: TcpStream, mailbox: Mailbox) {
     stream.set_nodelay(true).ok();
     let mut pre = [0u8; 8];
     if stream.read_exact(&mut pre).is_err() {
@@ -561,12 +284,8 @@ fn reader_loop(mut stream: TcpStream, mailbox: Sender<Envelope>, drops: Arc<Atom
                 loop {
                     match dec.next_traced() {
                         Ok(Some((trace, msg))) => {
-                            match mailbox.try_send(Envelope::Deliver { from, msg, trace }) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full(_)) => {
-                                    drops.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(TrySendError::Disconnected(_)) => return,
+                            if !mailbox.deliver(from, msg, trace) {
+                                return; // the node's thread is gone
                             }
                         }
                         Ok(None) => break,
@@ -584,42 +303,18 @@ fn reader_loop(mut stream: TcpStream, mailbox: Sender<Envelope>, drops: Arc<Atom
 mod tests {
     use super::*;
     use crate::chaos::assert_poll;
-    use scalla_proto::{ClientMsg, ServerMsg};
+    use crate::runtime::tests::{Counter, Echo};
+    use scalla_proto::ServerMsg;
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
-
-    struct Echo;
-    impl Node for Echo {
-        fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
-            if matches!(msg, Msg::Client(ClientMsg::Open { .. })) {
-                ctx.send(from, ServerMsg::OpenOk { handle: 42 }.into());
-            }
-        }
-    }
-
-    struct Counter(Arc<AtomicU64>);
-    impl Node for Counter {
-        fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, msg: Msg) {
-            if matches!(msg, Msg::Server(ServerMsg::OpenOk { handle: 42 })) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        fn on_start(&mut self, ctx: &mut dyn NetCtx) {
-            // Kick the exchange from inside the net: ask the echo node.
-            ctx.send(
-                Addr(0),
-                ClientMsg::Open { path: "/t".into(), write: false, refresh: false, avoid: None }
-                    .into(),
-            );
-        }
-    }
 
     #[test]
     fn frames_cross_real_sockets() {
         let mut net = TcpNet::new().unwrap();
         let count = Arc::new(AtomicU64::new(0));
         let _echo = net.add_node(Box::new(Echo)).unwrap();
-        let _counter = net.add_node(Box::new(Counter(count.clone()))).unwrap();
+        let _counter =
+            net.add_node(Box::new(Counter { seen: count.clone(), kick: Some(Addr(0)) })).unwrap();
         net.start();
         assert_poll(Duration::from_secs(10), "echo round trip over TCP", || {
             count.load(Ordering::SeqCst) == 1
@@ -655,7 +350,8 @@ mod tests {
         let mut net = TcpNet::new().unwrap();
         let count = Arc::new(AtomicU64::new(0));
         let _echo = net.add_node(Box::new(Echo)).unwrap();
-        let _counter = net.add_node(Box::new(Counter(count.clone()))).unwrap();
+        let _counter =
+            net.add_node(Box::new(Counter { seen: count.clone(), kick: Some(Addr(0)) })).unwrap();
         net.start();
         assert_poll(Duration::from_secs(10), "round trip before shutdown", || {
             count.load(Ordering::SeqCst) == 1
@@ -677,7 +373,8 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         let _echo = net.add_node(Box::new(Echo)).unwrap();
         let hole = net.add_external(peer);
-        let counter = net.add_node(Box::new(Counter(count.clone()))).unwrap();
+        let counter =
+            net.add_node(Box::new(Counter { seen: count.clone(), kick: Some(Addr(0)) })).unwrap();
         assert_eq!(hole, Addr(1));
         assert_eq!(counter, Addr(2));
         net.start();

@@ -41,6 +41,30 @@ pub fn bucket_value(index: usize) -> u64 {
     }
 }
 
+/// Running `(bucket lower bound, samples in this bucket and below)` over the
+/// non-empty buckets: the one walk behind every quantile and every `le`
+/// exposition of this layout.
+pub fn bucket_cumulative(buckets: &[u64; NBUCKETS]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let mut seen = 0u64;
+    buckets.iter().enumerate().filter(|&(_, &n)| n != 0).map(move |(i, &n)| {
+        seen += n;
+        (bucket_value(i), seen)
+    })
+}
+
+/// Approximate quantile `q` in `[0, 1]` of `count` samples spread over
+/// `buckets`: the lower bound of the bucket holding the target rank,
+/// clamped to the observed `min`/`max`. Zero when empty.
+pub fn bucket_quantile(buckets: &[u64; NBUCKETS], count: u64, min: u64, max: u64, q: f64) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let target = (((count as f64) * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
+    bucket_cumulative(buckets)
+        .find(|&(_, seen)| seen >= target)
+        .map_or(max, |(value, _)| value.clamp(min, max))
+}
+
 /// A histogram of `Nanos` samples with ~12 % relative bucket resolution.
 ///
 /// ```
@@ -117,18 +141,7 @@ impl Histogram {
 
     /// Approximate quantile `q` in `[0, 1]` (bucket lower-bound estimate).
     pub fn quantile(&self, q: f64) -> Nanos {
-        if self.count == 0 {
-            return Nanos::ZERO;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target.max(1) {
-                return Nanos(bucket_value(i).clamp(self.min, self.max));
-            }
-        }
-        self.max()
+        Nanos(bucket_quantile(&self.buckets, self.count, self.min, self.max, q))
     }
 
     /// Median (50th percentile).

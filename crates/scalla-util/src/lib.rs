@@ -35,6 +35,6 @@ pub mod server_set;
 pub use clock::{Clock, Nanos, SystemClock, VirtualClock};
 pub use crc32::crc32;
 pub use fib::{fib_at_least, is_fibonacci, FIBONACCI};
-pub use hist::{bucket_of, bucket_value, Histogram, NBUCKETS};
+pub use hist::{bucket_cumulative, bucket_of, bucket_quantile, bucket_value, Histogram, NBUCKETS};
 pub use rng::SplitMix64;
 pub use server_set::{ServerId, ServerSet, MAX_SERVERS};

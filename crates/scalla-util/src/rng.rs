@@ -12,6 +12,10 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
+    /// The stream's Weyl increment (2^64 / golden ratio); also a sound odd
+    /// multiplier for spreading sequential keys before seeding.
+    pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// Creates a generator from a seed. Equal seeds give equal streams.
     #[inline]
     pub fn new(seed: u64) -> SplitMix64 {
@@ -21,7 +25,7 @@ impl SplitMix64 {
     /// Next 64 uniform random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(Self::GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -1,5 +1,5 @@
 //! Seeded chaos soak with recovery-time measurement, emitting
-//! `BENCH_chaos.json` for `tools/check_chaos.py`.
+//! `BENCH_chaos.json` for `tools/check_bench.py chaos`.
 //!
 //! Each plan builds a fresh simulated cluster, injects a randomized fault
 //! plan (crash/restart, partition/heal, loss bursts — all derived from the

@@ -1,7 +1,7 @@
 //! Edge-location-cache benchmark: warm-open latency with leases versus
 //! the uncached redirector walk, Zipf-workload hit rate, and staleness
 //! accounting under CrashRestart chaos, emitting `BENCH_lcache.json` for
-//! `tools/check_lcache.py`.
+//! `tools/check_bench.py lcache`.
 //!
 //! Three phases on the simulated cluster:
 //!

@@ -1,6 +1,6 @@
 //! Cluster-monitoring benchmark: collector overhead, aggregation lag,
 //! and span-tree completeness, emitting `BENCH_monitor.json` for
-//! `tools/check_monitor.py`.
+//! `tools/check_bench.py monitor`.
 //!
 //! Three questions, one run each:
 //!

@@ -1,5 +1,5 @@
 //! Overload-protection benchmark, emitting `BENCH_overload.json` for
-//! `tools/check_overload.py`.
+//! `tools/check_bench.py overload`.
 //!
 //! Two experiments:
 //!

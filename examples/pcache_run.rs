@@ -1,5 +1,5 @@
 //! Proxy-cache benchmark: hit-rate convergence and cached-vs-origin read
-//! latency, emitting `BENCH_pcache.json` for `tools/check_pcache.py`.
+//! latency, emitting `BENCH_pcache.json` for `tools/check_bench.py pcache`.
 //!
 //! A simulated cluster is built with one block-caching proxy in front of
 //! it. Each round, a fresh scripted client reads every file through the
