@@ -115,7 +115,7 @@ pub struct NameCache {
     respq: Mutex<RespQueue>,
     clock: Arc<dyn Clock>,
     config: CacheConfig,
-    /// Shared so observability collectors can read the counters while the
+    /// Shared so an obs registry can read the counters in place while the
     /// node owns the cache.
     stats: Arc<CacheStats>,
     /// Stage-latency probes; a disabled handle costs one branch per probe.
@@ -159,8 +159,8 @@ impl NameCache {
         &self.stats
     }
 
-    /// Shared handle to the statistics counters, for registry collectors
-    /// that outlive the borrow of the cache.
+    /// Shared handle to the statistics counters, to attach to an obs
+    /// registry that outlives the borrow of the cache.
     pub fn stats_arc(&self) -> Arc<CacheStats> {
         self.stats.clone()
     }

@@ -12,48 +12,50 @@
 //! update the same counter concurrently; `Relaxed` ordering is sufficient
 //! because nothing synchronizes *through* a statistic.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic event counters. All loads/stores are `Relaxed`; the counters
-/// are advisory, not synchronization.
-#[derive(Default, Debug)]
-pub struct CacheStats {
+scalla_obs::counter_set! {
+    /// Monotonic event counters. All loads/stores are `Relaxed`; the counters
+    /// are advisory, not synchronization. Attach to an obs registry under a
+    /// per-node label (`[("node", "3")]`) so several cmsds can share one.
+    pub struct CacheStats;
+    /// Plain-value copy of [`CacheStats`] for monitoring pipelines.
+    pub struct StatsSnapshot;
     /// Total `resolve` calls.
-    pub lookups: AtomicU64,
+    lookups: "scalla_cache_lookups_total",
     /// Resolutions satisfied from cache with an immediate redirect.
-    pub hits: AtomicU64,
+    hits: "scalla_cache_hits_total",
     /// Resolutions that created a new location object.
-    pub misses: AtomicU64,
+    misses: "scalla_cache_misses_total",
     /// Location objects created (misses plus server-response backfills).
-    pub creates: AtomicU64,
+    creates: "scalla_cache_creates_total",
     /// Objects hidden by window expiry.
-    pub evictions: AtomicU64,
+    evictions: "scalla_cache_evictions_total",
     /// Objects physically removed by background collection.
-    pub collected: AtomicU64,
+    collected: "scalla_cache_collected_total",
     /// Entries moved between window chains by the deferred re-chaining
     /// sweep.
-    pub rechained: AtomicU64,
+    rechained: "scalla_cache_rechained_total",
     /// Fetch-time corrections where `C_n == N_c` (no work).
-    pub corrections_clean: AtomicU64,
+    corrections_clean: "scalla_cache_corrections_clean_total",
     /// Corrections satisfied from the per-window `V_wc` memo.
-    pub corrections_memo: AtomicU64,
+    corrections_memo: "scalla_cache_corrections_memo_total",
     /// Corrections that had to scan `C[]`.
-    pub corrections_computed: AtomicU64,
+    corrections_computed: "scalla_cache_corrections_computed_total",
     /// Hash-table growths.
-    pub resizes: AtomicU64,
+    resizes: "scalla_cache_resizes_total",
     /// Waiters enqueued on the fast response queue.
-    pub queued_waiters: AtomicU64,
+    queued_waiters: "scalla_cache_queued_waiters_total",
     /// Waiters released early by a server response (the fast path).
-    pub fast_releases: AtomicU64,
+    fast_releases: "scalla_cache_fast_releases_total",
     /// Waiters timed out of the fast queue (full delay imposed).
-    pub queue_timeouts: AtomicU64,
+    queue_timeouts: "scalla_cache_queue_timeouts_total",
     /// Resolutions rejected because the fast queue was full.
-    pub queue_full: AtomicU64,
+    queue_full: "scalla_cache_queue_full_total",
     /// Stale `LocRef` uses detected by the authenticator.
-    pub stale_refs: AtomicU64,
+    stale_refs: "scalla_cache_stale_refs_total",
     /// Refresh requests processed.
-    pub refreshes: AtomicU64,
+    refreshes: "scalla_cache_refreshes_total",
 }
 
 impl CacheStats {
@@ -73,147 +75,22 @@ impl CacheStats {
         counter.load(Ordering::Relaxed)
     }
 
-    /// Takes a coherent-enough point-in-time copy of every counter (each
-    /// load is atomic; the set is advisory).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let g = CacheStats::get;
-        StatsSnapshot {
-            lookups: g(&self.lookups),
-            hits: g(&self.hits),
-            misses: g(&self.misses),
-            creates: g(&self.creates),
-            evictions: g(&self.evictions),
-            collected: g(&self.collected),
-            rechained: g(&self.rechained),
-            corrections_clean: g(&self.corrections_clean),
-            corrections_memo: g(&self.corrections_memo),
-            corrections_computed: g(&self.corrections_computed),
-            resizes: g(&self.resizes),
-            queued_waiters: g(&self.queued_waiters),
-            fast_releases: g(&self.fast_releases),
-            queue_timeouts: g(&self.queue_timeouts),
-            queue_full: g(&self.queue_full),
-            stale_refs: g(&self.stale_refs),
-            refreshes: g(&self.refreshes),
-        }
-    }
-
-    /// Mirrors every counter into an observability registry under the
-    /// given label set (e.g. `[("node", "3")]` so multiple cmsds can share
-    /// one registry). `Counter::set` keeps re-exports idempotent.
-    pub fn export_into(&self, reg: &scalla_obs::Registry, labels: &[(&str, &str)]) {
-        let snap = self.snapshot();
-        for (name, value) in snap.fields() {
-            reg.counter(name, labels).set(value);
-        }
-    }
-
-    /// Human-readable multi-line dump for experiment logs.
+    /// Human-readable one-line `field=value ...` dump for experiment logs.
     pub fn report(&self) -> String {
-        let g = CacheStats::get;
-        format!(
-            "lookups={} hits={} misses={} creates={} evictions={} collected={} \
-             rechained={} corr_clean={} corr_memo={} corr_computed={} resizes={} \
-             queued={} fast_releases={} timeouts={} queue_full={} stale_refs={} refreshes={}",
-            g(&self.lookups),
-            g(&self.hits),
-            g(&self.misses),
-            g(&self.creates),
-            g(&self.evictions),
-            g(&self.collected),
-            g(&self.rechained),
-            g(&self.corrections_clean),
-            g(&self.corrections_memo),
-            g(&self.corrections_computed),
-            g(&self.resizes),
-            g(&self.queued_waiters),
-            g(&self.fast_releases),
-            g(&self.queue_timeouts),
-            g(&self.queue_full),
-            g(&self.stale_refs),
-            g(&self.refreshes),
-        )
+        let fields = self.snapshot().series().map(|(decl, v)| format!("{}={v}", decl.field));
+        fields.collect::<Vec<_>>().join(" ")
     }
-}
-
-/// Plain-value copy of [`CacheStats`], serializable for monitoring
-/// pipelines.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct StatsSnapshot {
-    /// See [`CacheStats::lookups`].
-    pub lookups: u64,
-    /// See [`CacheStats::hits`].
-    pub hits: u64,
-    /// See [`CacheStats::misses`].
-    pub misses: u64,
-    /// See [`CacheStats::creates`].
-    pub creates: u64,
-    /// See [`CacheStats::evictions`].
-    pub evictions: u64,
-    /// See [`CacheStats::collected`].
-    pub collected: u64,
-    /// See [`CacheStats::rechained`].
-    pub rechained: u64,
-    /// See [`CacheStats::corrections_clean`].
-    pub corrections_clean: u64,
-    /// See [`CacheStats::corrections_memo`].
-    pub corrections_memo: u64,
-    /// See [`CacheStats::corrections_computed`].
-    pub corrections_computed: u64,
-    /// See [`CacheStats::resizes`].
-    pub resizes: u64,
-    /// See [`CacheStats::queued_waiters`].
-    pub queued_waiters: u64,
-    /// See [`CacheStats::fast_releases`].
-    pub fast_releases: u64,
-    /// See [`CacheStats::queue_timeouts`].
-    pub queue_timeouts: u64,
-    /// See [`CacheStats::queue_full`].
-    pub queue_full: u64,
-    /// See [`CacheStats::stale_refs`].
-    pub stale_refs: u64,
-    /// See [`CacheStats::refreshes`].
-    pub refreshes: u64,
 }
 
 impl StatsSnapshot {
-    /// Every counter as a `(stable metric name, value)` pair — the single
-    /// source of truth for both JSON and registry export, so a new counter
-    /// added here automatically reaches every sink.
-    pub fn fields(&self) -> [(&'static str, u64); 17] {
-        [
-            ("scalla_cache_lookups_total", self.lookups),
-            ("scalla_cache_hits_total", self.hits),
-            ("scalla_cache_misses_total", self.misses),
-            ("scalla_cache_creates_total", self.creates),
-            ("scalla_cache_evictions_total", self.evictions),
-            ("scalla_cache_collected_total", self.collected),
-            ("scalla_cache_rechained_total", self.rechained),
-            ("scalla_cache_corrections_clean_total", self.corrections_clean),
-            ("scalla_cache_corrections_memo_total", self.corrections_memo),
-            ("scalla_cache_corrections_computed_total", self.corrections_computed),
-            ("scalla_cache_resizes_total", self.resizes),
-            ("scalla_cache_queued_waiters_total", self.queued_waiters),
-            ("scalla_cache_fast_releases_total", self.fast_releases),
-            ("scalla_cache_queue_timeouts_total", self.queue_timeouts),
-            ("scalla_cache_queue_full_total", self.queue_full),
-            ("scalla_cache_stale_refs_total", self.stale_refs),
-            ("scalla_cache_refreshes_total", self.refreshes),
-        ]
-    }
-
     /// Serializes the snapshot as a flat JSON object (the serde shim is a
-    /// no-op, so the monitoring format is rendered by hand). Keys use the
-    /// short field names, plus the two derived ratios.
+    /// no-op, so the monitoring format is rendered by hand). Keys are the
+    /// field names, plus the two derived ratios.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
         out.push('{');
-        for (name, value) in self.fields() {
-            let key = name
-                .strip_prefix("scalla_cache_")
-                .and_then(|k| k.strip_suffix("_total"))
-                .expect("metric names share the scalla_cache_*_total shape");
-            out.push_str(&format!("\"{key}\": {value}, "));
+        for (decl, value) in self.series() {
+            out.push_str(&format!("\"{}\": {value}, ", decl.field));
         }
         out.push_str(&format!(
             "\"hit_ratio\": {:.6}, \"correction_memo_ratio\": {:.6}}}",
@@ -253,7 +130,8 @@ mod tests {
         CacheStats::bump(&s.lookups);
         CacheStats::add(&s.lookups, 4);
         assert_eq!(CacheStats::get(&s.lookups), 5);
-        assert!(s.report().contains("lookups=5"));
+        assert!(s.report().starts_with("lookups=5 hits=0 misses=0 "), "{}", s.report());
+        assert!(s.report().ends_with(" stale_refs=0 refreshes=0"), "{}", s.report());
     }
 
     /// No increment may be lost under concurrent updates from many
@@ -330,16 +208,23 @@ mod tests {
         assert_eq!(json.matches('{').count(), 1, "{json}");
     }
 
+    /// Every field is one `scalla_cache_<field>_total` counter with no
+    /// labels of its own, and a scrape reads the live field.
     #[test]
-    fn export_mirrors_counters_into_registry() {
-        let s = CacheStats::default();
+    fn source_emits_one_counter_per_field_read_in_place() {
+        for decl in StatsSnapshot::SERIES {
+            assert_eq!(decl.family, format!("scalla_cache_{}_total", decl.field));
+            assert_eq!((decl.labels, decl.kind), (&[][..], scalla_obs::Kind::Counter));
+        }
+        let s = std::sync::Arc::new(CacheStats::default());
         CacheStats::add(&s.lookups, 7);
         let reg = scalla_obs::Registry::new();
-        s.export_into(&reg, &[("node", "3")]);
-        CacheStats::add(&s.lookups, 1);
-        s.export_into(&reg, &[("node", "3")]); // set(): latest snapshot wins
+        reg.attach(&[("node", "3")], s.clone());
+        CacheStats::add(&s.lookups, 1); // no copy: the scrape sees the later bump
         let text = reg.prometheus_text();
         assert!(text.contains("scalla_cache_lookups_total{node=\"3\"} 8"), "{text}");
         assert!(text.contains("scalla_cache_stale_refs_total{node=\"3\"} 0"), "{text}");
+        assert_eq!(text.matches("# TYPE scalla_cache_").count(), 17, "{text}");
+        assert_eq!(text.matches(" counter\n").count(), 17, "every family is a counter: {text}");
     }
 }

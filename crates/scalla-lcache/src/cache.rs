@@ -88,7 +88,7 @@ struct Inner {
 }
 
 /// The client/proxy-side location cache. Clone-cheap via `Arc`; interior
-/// lock, so one instance can be shared by a driver and its obs collector.
+/// lock, so one instance can be shared by a driver and an obs registry.
 pub struct LocationCache {
     cfg: LcacheConfig,
     inner: Mutex<Inner>,
@@ -336,7 +336,7 @@ impl LocationCache {
         self.inner.lock().epoch
     }
 
-    /// The statistics block (shared; for registry collectors).
+    /// The statistics block (shared; to attach to an obs registry).
     pub fn stats_arc(&self) -> Arc<LcacheStats> {
         self.stats.clone()
     }

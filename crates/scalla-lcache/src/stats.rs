@@ -1,31 +1,35 @@
 //! Edge-cache statistics counters.
 //!
 //! Same discipline as the cmsd cache's `CacheStats`: relaxed atomics,
-//! shared behind an `Arc` so a registry collector can mirror them at every
-//! scrape without touching the cache lock.
+//! shared behind an `Arc` so an obs registry the stats are attached to
+//! reads them at every scrape without touching the cache lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic event counters for one [`crate::LocationCache`].
-#[derive(Default, Debug)]
-pub struct LcacheStats {
+scalla_obs::counter_set! {
+    /// Monotonic event counters for one [`crate::LocationCache`]. Attach to
+    /// an obs registry under e.g. `[("node", "client-3")]`; outcome/reason
+    /// breakdowns are labelled series of one family each, as at the cmsd.
+    pub struct LcacheStats;
+    /// Plain-value copy of [`LcacheStats`].
+    pub struct LcacheSnapshot;
     /// Lookups answered from a live lease.
-    pub hits: AtomicU64,
+    hits: "scalla_lcache_lookups_total" {outcome = "hit"},
     /// Lookups for paths not in the table.
-    pub misses: AtomicU64,
+    misses: "scalla_lcache_lookups_total" {outcome = "miss"},
     /// Lookups that found the entry but past its lease deadline.
-    pub expired: AtomicU64,
+    expired: "scalla_lcache_lookups_total" {outcome = "expired"},
     /// Entries written (new or refreshed in place).
-    pub inserts: AtomicU64,
+    inserts: "scalla_lcache_inserts_total",
     /// Live entries displaced by clock eviction inside a full probe window.
-    pub evictions: AtomicU64,
+    evictions: "scalla_lcache_evictions_total",
     /// Wholesale flushes triggered by observing a newer cluster epoch.
-    pub epoch_flushes: AtomicU64,
+    epoch_flushes: "scalla_lcache_epoch_flushes_total",
     /// Entries purged because a direct open against them failed.
-    pub purges_stale: AtomicU64,
+    purges_stale: "scalla_lcache_purges_total" {reason = "stale"},
     /// Entries purged by recovery machinery (peer death, requery,
     /// manager failover).
-    pub purges_recovery: AtomicU64,
+    purges_recovery: "scalla_lcache_purges_total" {reason = "recovery"},
 }
 
 impl LcacheStats {
@@ -44,69 +48,6 @@ impl LcacheStats {
     pub fn get(counter: &AtomicU64) -> u64 {
         counter.load(Ordering::Relaxed)
     }
-
-    /// Point-in-time copy (each load atomic, the set advisory).
-    pub fn snapshot(&self) -> LcacheSnapshot {
-        let g = LcacheStats::get;
-        LcacheSnapshot {
-            hits: g(&self.hits),
-            misses: g(&self.misses),
-            expired: g(&self.expired),
-            inserts: g(&self.inserts),
-            evictions: g(&self.evictions),
-            epoch_flushes: g(&self.epoch_flushes),
-            purges_stale: g(&self.purges_stale),
-            purges_recovery: g(&self.purges_recovery),
-        }
-    }
-
-    /// Mirrors the counters into an observability registry under the given
-    /// base label set (e.g. `[("node", "client-3")]`). `Counter::set`
-    /// keeps re-exports idempotent; outcome/reason breakdowns become
-    /// labelled series of one family each, matching the cmsd convention.
-    pub fn export_into(&self, reg: &scalla_obs::Registry, labels: &[(&str, &str)]) {
-        let snap = self.snapshot();
-        fn with<'a>(
-            labels: &[(&'a str, &'a str)],
-            extra: (&'a str, &'a str),
-        ) -> Vec<(&'a str, &'a str)> {
-            let mut l = labels.to_vec();
-            l.push(extra);
-            l
-        }
-        let with = |extra| with(labels, extra);
-        reg.counter("scalla_lcache_lookups_total", &with(("outcome", "hit"))).set(snap.hits);
-        reg.counter("scalla_lcache_lookups_total", &with(("outcome", "miss"))).set(snap.misses);
-        reg.counter("scalla_lcache_lookups_total", &with(("outcome", "expired"))).set(snap.expired);
-        reg.counter("scalla_lcache_inserts_total", labels).set(snap.inserts);
-        reg.counter("scalla_lcache_evictions_total", labels).set(snap.evictions);
-        reg.counter("scalla_lcache_epoch_flushes_total", labels).set(snap.epoch_flushes);
-        reg.counter("scalla_lcache_purges_total", &with(("reason", "stale")))
-            .set(snap.purges_stale);
-        reg.counter("scalla_lcache_purges_total", &with(("reason", "recovery")))
-            .set(snap.purges_recovery);
-    }
-}
-
-/// Plain-value copy of [`LcacheStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LcacheSnapshot {
-    /// See [`LcacheStats::hits`].
-    pub hits: u64,
-    /// See [`LcacheStats::misses`].
-    pub misses: u64,
-    /// See [`LcacheStats::expired`].
-    pub expired: u64,
-    /// See [`LcacheStats::inserts`].
-    pub inserts: u64,
-    /// See [`LcacheStats::evictions`].
-    pub evictions: u64,
-    /// See [`LcacheStats::epoch_flushes`].
-    pub epoch_flushes: u64,
-    /// See [`LcacheStats::purges_stale`].
-    pub purges_stale: u64,
-    /// See [`LcacheStats::purges_recovery`].
-    pub purges_recovery: u64,
 }
 
 impl LcacheSnapshot {
@@ -126,29 +67,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn export_mirrors_labelled_families() {
-        let s = LcacheStats::default();
+    fn source_emits_labelled_families_read_in_place() {
+        let s = std::sync::Arc::new(LcacheStats::default());
         LcacheStats::add(&s.hits, 7);
         LcacheStats::add(&s.misses, 3);
         LcacheStats::bump(&s.purges_stale);
         let reg = scalla_obs::Registry::new();
-        s.export_into(&reg, &[("node", "c0")]);
-        LcacheStats::bump(&s.hits);
-        s.export_into(&reg, &[("node", "c0")]); // set(): latest snapshot wins
-        let text = reg.prometheus_text();
-        assert!(
-            text.contains("scalla_lcache_lookups_total{node=\"c0\",outcome=\"hit\"} 8"),
-            "{text}"
+        reg.attach(&[("node", "c0")], s.clone());
+        LcacheStats::bump(&s.hits); // no copy: the scrape sees the later bump
+        assert_eq!(
+            reg.prometheus_text(),
+            "# TYPE scalla_lcache_lookups_total counter\n\
+             scalla_lcache_lookups_total{node=\"c0\",outcome=\"hit\"} 8\n\
+             scalla_lcache_lookups_total{node=\"c0\",outcome=\"miss\"} 3\n\
+             scalla_lcache_lookups_total{node=\"c0\",outcome=\"expired\"} 0\n\
+             # TYPE scalla_lcache_inserts_total counter\n\
+             scalla_lcache_inserts_total{node=\"c0\"} 0\n\
+             # TYPE scalla_lcache_evictions_total counter\n\
+             scalla_lcache_evictions_total{node=\"c0\"} 0\n\
+             # TYPE scalla_lcache_epoch_flushes_total counter\n\
+             scalla_lcache_epoch_flushes_total{node=\"c0\"} 0\n\
+             # TYPE scalla_lcache_purges_total counter\n\
+             scalla_lcache_purges_total{node=\"c0\",reason=\"stale\"} 1\n\
+             scalla_lcache_purges_total{node=\"c0\",reason=\"recovery\"} 0\n"
         );
-        assert!(
-            text.contains("scalla_lcache_lookups_total{node=\"c0\",outcome=\"miss\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("scalla_lcache_purges_total{node=\"c0\",reason=\"stale\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("scalla_lcache_inserts_total{node=\"c0\"} 0"), "{text}");
     }
 
     #[test]

@@ -175,19 +175,12 @@ impl CmsdNode {
 
     /// Attaches an observability handle: the cache samples stage latencies
     /// into it, resolution decisions become flight-recorder spans, and the
-    /// cache counters are mirrored into its registry at every scrape.
+    /// cache and admission counters are attached to its registry.
     pub fn set_obs(&mut self, obs: Obs) {
         if obs.is_enabled() {
-            let stats = self.cache.stats_arc();
-            let node = self.cfg.name.clone();
-            obs.registry().add_collector(Box::new(move |reg| {
-                stats.export_into(reg, &[("node", node.as_str())]);
-            }));
-            let adm = self.admission.stats();
-            let node = self.cfg.name.clone();
-            obs.registry().add_collector(Box::new(move |reg| {
-                adm.export_into(reg, node.as_str());
-            }));
+            let node = [("node", self.cfg.name.as_str())];
+            obs.registry().attach(&node, self.cache.stats_arc());
+            obs.registry().attach(&node, self.admission.stats());
         }
         self.cache.set_obs(obs.clone());
         self.obs = obs;

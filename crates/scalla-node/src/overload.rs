@@ -22,13 +22,13 @@
 //! The node owning an [`Admission`] reports its overloaded bit upward on
 //! the existing `LoadReport` path so selection avoids it (hysteresis is
 //! applied here, at the reporter), and exports verdict counters through a
-//! shared [`AdmissionStats`] that observability collectors scrape.
+//! shared [`AdmissionStats`] that an obs registry reads in place.
 //!
 //! [`ErrCode::Overloaded`]: scalla_proto::ErrCode::Overloaded
 
 use scalla_util::Nanos;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Overload-protection tuning for one node. `limit == 0` disables
@@ -106,44 +106,25 @@ pub enum Verdict {
     Shed,
 }
 
-/// Shared admission counters, scrape-time exportable. All relaxed atomics:
-/// the counts feed dashboards and test assertions, not control flow.
-#[derive(Debug, Default)]
-pub struct AdmissionStats {
+scalla_obs::counter_set! {
+    /// Shared admission counters. All relaxed atomics: the counts feed
+    /// dashboards and test assertions, not control flow. Every series is on
+    /// every scrape (zeros included) so checkers can rely on presence.
+    pub struct AdmissionStats;
+    /// Plain-value copy of [`AdmissionStats`].
+    pub struct AdmissionSnapshot;
     /// Requests admitted.
-    pub admitted: AtomicU64,
+    admitted: "scalla_admission_total" {verdict = "admit"},
     /// Requests deferred with an adaptive `Wait`.
-    pub waited: AtomicU64,
+    waited: "scalla_admission_total" {verdict = "wait"},
     /// Requests refused at the hard limit.
-    pub shed: AtomicU64,
+    shed: "scalla_admission_total" {verdict = "shed"},
     /// Normal → overloaded transitions.
-    pub enters: AtomicU64,
+    enters: "scalla_admission_transitions_total" {dir = "enter"},
     /// Overloaded → normal transitions.
-    pub exits: AtomicU64,
-    /// Current overloaded bit (0/1), mirrored for scrapers.
-    pub overloaded: AtomicU64,
-}
-
-impl AdmissionStats {
-    fn get(v: &AtomicU64) -> u64 {
-        v.load(Ordering::Relaxed)
-    }
-
-    /// Mirrors the counters into an obs registry. Every series is written
-    /// on every scrape (zeros included) so checkers can rely on presence.
-    pub fn export_into(&self, reg: &scalla_obs::Registry, node: &str) {
-        let g = AdmissionStats::get;
-        for (verdict, v) in
-            [("admit", g(&self.admitted)), ("wait", g(&self.waited)), ("shed", g(&self.shed))]
-        {
-            reg.counter("scalla_admission_total", &[("node", node), ("verdict", verdict)]).set(v);
-        }
-        for (dir, v) in [("enter", g(&self.enters)), ("exit", g(&self.exits))] {
-            reg.counter("scalla_admission_transitions_total", &[("node", node), ("dir", dir)])
-                .set(v);
-        }
-        reg.gauge("scalla_admission_overloaded", &[("node", node)]).set(g(&self.overloaded));
-    }
+    exits: "scalla_admission_transitions_total" {dir = "exit"},
+    /// Current overloaded bit (0/1), for scrapers.
+    overloaded: gauge "scalla_admission_overloaded",
 }
 
 /// The admission state machine for one node. Not thread-safe by design —
@@ -177,7 +158,7 @@ impl Admission {
         &self.cfg
     }
 
-    /// Shared handle to the verdict counters (for obs collectors).
+    /// Shared handle to the verdict counters (to attach to an obs registry).
     pub fn stats(&self) -> Arc<AdmissionStats> {
         self.stats.clone()
     }
@@ -319,7 +300,7 @@ mod tests {
             assert_eq!(a.check(i, usize::MAX, Nanos::ZERO), Verdict::Admit);
         }
         assert!(!a.is_overloaded());
-        assert_eq!(a.stats().admitted.load(Ordering::Relaxed), 100);
+        assert_eq!(a.stats().snapshot().admitted, 100);
     }
 
     #[test]
@@ -336,17 +317,30 @@ mod tests {
         // ...until occupancy falls to the low watermark.
         assert_eq!(a.check(3, 50, Nanos::ZERO), Verdict::Admit);
         assert!(!a.is_overloaded());
-        let stats = a.stats();
-        assert_eq!(stats.enters.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.exits.load(Ordering::Relaxed), 1);
+        let stats = a.stats().snapshot();
+        assert_eq!((stats.enters, stats.exits), (1, 1));
     }
 
     #[test]
     fn hard_limit_sheds() {
         let mut a = Admission::new(cfg(100));
+        let reg = scalla_obs::Registry::new();
+        reg.attach(&[("node", "mgr")], a.stats());
         assert_eq!(a.check(1, 100, Nanos::ZERO), Verdict::Shed);
         assert_eq!(a.check(1, 150, Nanos::ZERO), Verdict::Shed);
-        assert_eq!(a.stats().shed.load(Ordering::Relaxed), 2);
+        // The attached stats expose every series, zeros included.
+        assert_eq!(
+            reg.prometheus_text(),
+            "# TYPE scalla_admission_total counter\n\
+             scalla_admission_total{node=\"mgr\",verdict=\"admit\"} 0\n\
+             scalla_admission_total{node=\"mgr\",verdict=\"wait\"} 0\n\
+             scalla_admission_total{node=\"mgr\",verdict=\"shed\"} 2\n\
+             # TYPE scalla_admission_transitions_total counter\n\
+             scalla_admission_transitions_total{node=\"mgr\",dir=\"enter\"} 1\n\
+             scalla_admission_transitions_total{node=\"mgr\",dir=\"exit\"} 0\n\
+             # TYPE scalla_admission_overloaded gauge\n\
+             scalla_admission_overloaded{node=\"mgr\"} 1\n"
+        );
     }
 
     #[test]
@@ -447,22 +441,5 @@ mod tests {
         // Load drained: everyone admits immediately, no stale turn order.
         assert_eq!(a.check(2, 10, Nanos::ZERO), Verdict::Admit);
         assert_eq!(a.check(1, 10, Nanos::ZERO), Verdict::Admit);
-    }
-
-    #[test]
-    fn stats_export_writes_every_series() {
-        let a = Admission::new(cfg(10));
-        let reg = scalla_obs::Registry::new();
-        a.stats().export_into(&reg, "mgr");
-        let text = reg.prometheus_text();
-        for needle in [
-            "scalla_admission_total{node=\"mgr\",verdict=\"admit\"} 0",
-            "scalla_admission_total{node=\"mgr\",verdict=\"wait\"} 0",
-            "scalla_admission_total{node=\"mgr\",verdict=\"shed\"} 0",
-            "scalla_admission_transitions_total{node=\"mgr\",dir=\"enter\"} 0",
-            "scalla_admission_overloaded{node=\"mgr\"} 0",
-        ] {
-            assert!(text.contains(needle), "missing {needle} in:\n{text}");
-        }
     }
 }

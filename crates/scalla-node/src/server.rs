@@ -130,11 +130,7 @@ impl ServerNode {
     /// flight-recorder spans carrying the request's trace id.
     pub fn set_obs(&mut self, obs: Obs) {
         if obs.is_enabled() {
-            let adm = self.admission.stats();
-            let node = self.cfg.name.clone();
-            obs.registry().add_collector(Box::new(move |reg| {
-                adm.export_into(reg, node.as_str());
-            }));
+            obs.registry().attach(&[("node", self.cfg.name.as_str())], self.admission.stats());
         }
         self.obs = obs;
     }

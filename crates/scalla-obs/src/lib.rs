@@ -11,8 +11,9 @@
 //! * [`metrics`] — a lock-free [`Registry`] of atomic counters, gauges, and
 //!   fixed-bucket histograms (sharing the bucket layout of
 //!   [`scalla_util::Histogram`]), exposable as Prometheus text or a JSON
-//!   snapshot. Counter islands elsewhere in the workspace mirror themselves
-//!   into the registry via collector callbacks at scrape time.
+//!   snapshot. Components that count on their own hot paths declare their
+//!   counters once with [`counter_set!`] and [`Registry::attach`] them; the
+//!   expositions read those fields in place.
 //! * [`trace`] — request-scoped tracing: a compact [`TraceId`] minted at
 //!   the client, carried through the wire protocol across
 //!   cmsd→supervisor→server hops, with per-hop [`SpanEvent`]s recorded into
@@ -28,7 +29,10 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{AtomicHistogram, Counter, ExportValue, Gauge, HistSnapshot, Registry};
+pub use metrics::{
+    AtomicHistogram, Counter, Emit, ExportValue, Gauge, HistSnapshot, Kind, Registry, SeriesDecl,
+    Source,
+};
 pub use trace::{FlightRecorder, SpanEvent, TraceId};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,9 +83,9 @@ struct ObsInner {
     stage_hists: [Arc<AtomicHistogram>; 5],
     /// Per-stage sampling counters; an event is timed when
     /// `ctr & sample_mask == 0`, so the *first* event of every stage is
-    /// always recorded. Separately `Arc`'d so the dropped-samples scrape
-    /// collector can hold a clone without creating an
-    /// `ObsInner → Registry → collector → ObsInner` reference cycle.
+    /// always recorded. Separately `Arc`'d so the [`TimerDrops`] source can
+    /// hold a clone without creating an
+    /// `ObsInner → Registry → source → ObsInner` reference cycle.
     stage_ctrs: Arc<[AtomicU64; 5]>,
     sample_mask: u64,
 }
@@ -107,6 +111,24 @@ impl Default for ObsConfig {
         ObsConfig {
             timer_sample_shift: DEFAULT_SAMPLE_EVERY.trailing_zeros(),
             flight_cap: DEFAULT_FLIGHT_CAP,
+        }
+    }
+}
+
+/// `scalla_obs_timer_samples_dropped_total{stage}`: events seen minus
+/// events actually timed, computed when scraped, never on the hot path.
+struct TimerDrops {
+    seen: Arc<[AtomicU64; 5]>,
+    timed: [Arc<AtomicHistogram>; 5],
+}
+
+impl Source for TimerDrops {
+    fn series(&self, emit: &mut Emit<'_>) {
+        for s in Stage::ALL {
+            let seen = self.seen[s as usize].load(Ordering::Relaxed);
+            let dropped = seen.saturating_sub(self.timed[s as usize].count());
+            let stage = [("stage", s.label())];
+            emit("scalla_obs_timer_samples_dropped_total", &stage, Kind::Counter, dropped);
         }
     }
 }
@@ -155,19 +177,8 @@ impl Obs {
             Stage::ALL.map(|s| registry.histogram("scalla_stage_ns", &[("stage", s.label())]));
         let mask = (1u64 << cfg.timer_sample_shift.min(63)).wrapping_sub(1);
         let stage_ctrs: Arc<[AtomicU64; 5]> = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
-        // Dropped-sample accounting runs at scrape time, not on the hot
-        // path: dropped = events seen − events actually timed. The
-        // collector captures clones of the hist/counter Arcs (never
-        // ObsInner itself) so Registry → collector → ObsInner can't cycle.
-        let (ctrs, hists) = (stage_ctrs.clone(), stage_hists.clone());
-        registry.add_collector(Box::new(move |r| {
-            for s in Stage::ALL {
-                let seen = ctrs[s as usize].load(Ordering::Relaxed);
-                let timed = hists[s as usize].snapshot().count;
-                r.counter("scalla_obs_timer_samples_dropped_total", &[("stage", s.label())])
-                    .set(seen.saturating_sub(timed));
-            }
-        }));
+        let drops = TimerDrops { seen: stage_ctrs.clone(), timed: stage_hists.clone() };
+        registry.attach(&[], Arc::new(drops));
         Obs {
             inner: Some(Arc::new(ObsInner {
                 registry,
@@ -310,6 +321,8 @@ mod tests {
             text.contains("scalla_obs_timer_samples_dropped_total{stage=\"resolve\"} 6"),
             "{text}"
         );
+        assert!(text.contains("# TYPE scalla_obs_timer_samples_dropped_total counter\n"), "{text}");
+        assert_eq!(text.matches("_dropped_total{stage=").count(), Stage::ALL.len(), "{text}");
         // Shift 0 drops nothing.
         let all = Obs::with_obs_config(ObsConfig { timer_sample_shift: 0, flight_cap: 8 });
         for _ in 0..5 {

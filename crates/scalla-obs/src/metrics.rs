@@ -7,10 +7,13 @@
 //! relative resolution) so sim-side and live-side distributions are
 //! directly comparable.
 //!
-//! Counter islands that predate the registry (`CacheStats`,
-//! `EgressCounters`, `NetCounters`) are absorbed at scrape time: they
-//! register a *collector* callback which mirrors their atomics into plain
-//! registry counters right before every exposition.
+//! A component that counts on its own hot path (`CacheStats`, the block
+//! store, the egress pipeline, ...) keeps inline `AtomicU64` fields and
+//! declares them once with [`counter_set!`](crate::counter_set), which
+//! derives the struct, its plain-`u64` snapshot and an [`impl
+//! Source`](Source); [`Registry::attach`] exposes the live fields in place
+//! — a scrape reads the atomics the component bumps. Adding a counter is
+//! adding its line to the declaration and bumping the field.
 
 use scalla_util::{bucket_cumulative, bucket_quantile, NBUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,13 +34,6 @@ impl Counter {
     #[inline]
     pub fn inc(&self) {
         self.add(1);
-    }
-
-    /// Overwrites the value — used by collectors mirroring an external
-    /// atomic counter into the registry.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -251,9 +247,119 @@ impl HistSnapshot {
     }
 }
 
-/// A collector mirrors an external counter island into the registry; all
-/// collectors run right before every exposition.
-pub type Collector = Box<dyn Fn(&Registry) + Send + Sync>;
+/// Whether a [`Source`] series only grows or can move both ways.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotonically increasing.
+    Counter,
+    /// Moves both ways.
+    Gauge,
+}
+
+/// A component's own counters, read where they live: every exposition
+/// calls `series`, which reports `(family, extra labels, kind, value)`
+/// once per series. Implemented by [`counter_set!`](crate::counter_set)
+/// for declared sets and by hand for the few derived values (ratios,
+/// sums, occupancy gauges).
+pub trait Source: Send + Sync {
+    /// Emits every series this source owns, with its current value.
+    fn series(&self, emit: &mut Emit<'_>);
+}
+
+/// Where a [`Source`] reports `(family, extra labels, kind, value)`.
+pub type Emit<'a> = dyn FnMut(&'static str, &[(&str, &str)], Kind, u64) + 'a;
+
+/// One line of a [`counter_set!`](crate::counter_set) declaration.
+pub struct SeriesDecl {
+    /// The struct field holding the value.
+    pub field: &'static str,
+    /// Metric family name.
+    pub family: &'static str,
+    /// Labels telling this series from its family's other members.
+    pub labels: &'static [(&'static str, &'static str)],
+    /// Counter or gauge.
+    pub kind: Kind,
+}
+
+/// Declares a set of counters once: each `field: [gauge] "family"
+/// {label = "value"}*` line becomes an inline `AtomicU64` of the first
+/// struct (bumped with a relaxed `fetch_add`, as ever), a `u64` of the
+/// second (its snapshot), one entry of the snapshot's `SERIES` table and
+/// one series of the first struct's [`Source`](crate::Source) impl.
+///
+/// ```
+/// scalla_obs::counter_set! {
+///     /// Live counters (docs go on the structs and on each line).
+///     pub struct DoorStats;
+///     pub struct DoorSnapshot;
+///     admitted: "door_total" {verdict = "admit"},
+///     refused: "door_total" {verdict = "refuse"},
+///     inside: gauge "door_inside",
+/// }
+/// let s = DoorStats::default();
+/// s.admitted.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+/// assert_eq!(s.snapshot().admitted, 2);
+/// ```
+#[macro_export]
+macro_rules! counter_set {
+    (@kind) => { $crate::Kind::Counter };
+    (@kind gauge) => { $crate::Kind::Gauge };
+    (
+        $(#[$smeta:meta])* $svis:vis struct $stats:ident;
+        $(#[$pmeta:meta])* $pvis:vis struct $snap:ident;
+        $(
+            $(#[$fmeta:meta])*
+            $field:ident : $($kind:ident)? $family:literal $({ $lk:ident = $lv:literal })*
+        ),+ $(,)?
+    ) => {
+        $(#[$smeta])*
+        #[derive(Default, Debug)]
+        $svis struct $stats {
+            $( $(#[$fmeta])* pub $field: ::std::sync::atomic::AtomicU64, )+
+        }
+
+        $(#[$pmeta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        $pvis struct $snap {
+            $( $(#[$fmeta])* pub $field: u64, )+
+        }
+
+        impl $stats {
+            /// Point-in-time copy of every field (each load atomic and
+            /// relaxed; the set is advisory).
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )+
+                }
+            }
+        }
+
+        impl $snap {
+            /// The declaration, one entry per field in field order.
+            pub const SERIES: &'static [$crate::SeriesDecl] = &[
+                $( $crate::SeriesDecl {
+                    field: stringify!($field),
+                    family: $family,
+                    labels: &[$( (stringify!($lk), $lv) ),*],
+                    kind: $crate::counter_set!(@kind $($kind)?),
+                }, )+
+            ];
+
+            /// Every declared series beside its value, in field order.
+            pub fn series(&self) -> impl Iterator<Item = (&'static $crate::SeriesDecl, u64)> {
+                Self::SERIES.iter().zip([$( self.$field ),+])
+            }
+        }
+
+        impl $crate::Source for $stats {
+            fn series(&self, emit: &mut $crate::Emit<'_>) {
+                for (decl, value) in self.snapshot().series() {
+                    emit(decl.family, decl.labels, decl.kind, value);
+                }
+            }
+        }
+    };
+}
 
 /// One exported metric value, as returned by [`Registry::export`].
 pub enum ExportValue {
@@ -278,19 +384,43 @@ struct Entry {
     metric: Metric,
 }
 
-/// The metrics registry: named handles, scraped as one page.
+/// An attached [`Source`] and the labels every one of its series carries.
+struct Attached {
+    base: Vec<(String, String)>,
+    source: Arc<dyn Source>,
+}
+
+/// The metrics registry: named handles and attached sources, scraped as
+/// one page.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,
-    collectors: Mutex<Vec<Collector>>,
+    sources: Mutex<Vec<Attached>>,
 }
 
-fn render_labels(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
+/// Renders `base` then `extra` as `{k="v",...}` (empty when both are),
+/// escaping `\`, `"` and newline in values as the text exposition format
+/// requires. The one place a series' label set is put together.
+fn render_labels(base: &[(&str, &str)], extra: &[(&str, &str)]) -> String {
+    let mut out = String::new();
+    for (k, v) in base.iter().chain(extra) {
+        out.push(if out.is_empty() { '{' } else { ',' });
+        out.push_str(k);
+        out.push_str("=\"");
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
     }
-    let body = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect::<Vec<_>>().join(",");
-    format!("{{{body}}}")
+    if !out.is_empty() {
+        out.push('}');
+    }
+    out
 }
 
 impl Registry {
@@ -306,7 +436,7 @@ impl Registry {
         make: F,
         pick: P,
     ) -> Arc<T> {
-        let rendered = render_labels(labels);
+        let rendered = render_labels(labels, &[]);
         let mut entries = self.entries.lock().unwrap();
         for e in entries.iter() {
             if e.name == name && e.labels == rendered {
@@ -359,41 +489,49 @@ impl Registry {
         )
     }
 
-    /// Registers a collector to run before every exposition.
-    pub fn add_collector(&self, c: Collector) {
-        self.collectors.lock().unwrap().push(c);
+    /// Exposes `source` in place: from now on every exposition reads its
+    /// series where they live and reports them under `base` followed by
+    /// each series' own labels. Sources are never merged — attaching the
+    /// same source twice, or two sources that emit the same family under
+    /// equal labels, puts that series on the page twice; give each source
+    /// its own base labels (`node`, `proxy`, ...).
+    pub fn attach(&self, base: &[(&str, &str)], source: Arc<dyn Source>) {
+        let base = base.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        self.sources.lock().expect("a Source panicked mid-scrape").push(Attached { base, source });
     }
 
-    fn run_collectors(&self) {
-        // Clone the boxes out? They're not cloneable — run under the lock;
-        // collectors only touch atomics and the entries mutex (not the
-        // collectors mutex), so this cannot deadlock.
-        let collectors = self.collectors.lock().unwrap();
-        for c in collectors.iter() {
-            c(self);
+    /// The one series walk behind every exposition: registered handles
+    /// first, then each attached source, as `(name, "{labels}", value)`.
+    fn walk(&self, visit: &mut dyn FnMut(&'static str, &str, ExportValue)) {
+        for e in self.entries.lock().expect("registry entries lock").iter() {
+            let value = match &e.metric {
+                Metric::Counter(c) => ExportValue::Counter(c.get()),
+                Metric::Gauge(g) => ExportValue::Gauge(g.get()),
+                Metric::Histogram(h) => ExportValue::Histogram(h.snapshot()),
+            };
+            visit(e.name, &e.labels, value);
+        }
+        for a in self.sources.lock().expect("a Source panicked mid-scrape").iter() {
+            let base: Vec<(&str, &str)> =
+                a.base.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+            a.source.series(&mut |family, extra, kind, value| {
+                let value = match kind {
+                    Kind::Counter => ExportValue::Counter(value),
+                    Kind::Gauge => ExportValue::Gauge(value),
+                };
+                visit(family, &render_labels(&base, extra), value);
+            });
         }
     }
 
-    /// Enumerates every registered series as `("name{labels}", value)`
-    /// pairs, running collectors first so mirrored islands are current.
-    /// This is the summary-stream emitter's snapshot primitive: the key
-    /// string is exactly the series identity used by the expositions, so
-    /// a collector node can merge and re-expose without re-parsing labels.
+    /// Enumerates every series as `("name{labels}", value)` pairs. This is
+    /// the summary-stream emitter's snapshot primitive: the key string is
+    /// exactly the series identity used by the expositions, so a collector
+    /// node can merge and re-expose without re-parsing labels.
     pub fn export(&self) -> Vec<(String, ExportValue)> {
-        self.run_collectors();
-        let entries = self.entries.lock().unwrap();
-        entries
-            .iter()
-            .map(|e| {
-                let key = format!("{}{}", e.name, e.labels);
-                let value = match &e.metric {
-                    Metric::Counter(c) => ExportValue::Counter(c.get()),
-                    Metric::Gauge(g) => ExportValue::Gauge(g.get()),
-                    Metric::Histogram(h) => ExportValue::Histogram(h.snapshot()),
-                };
-                (key, value)
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.walk(&mut |name, labels, value| out.push((format!("{name}{labels}"), value)));
+        out
     }
 
     /// Prometheus text exposition. Histograms are exported in summary form
@@ -401,91 +539,66 @@ impl Registry {
     /// cumulative buckets, keeping the page compact while remaining
     /// parseable by standard exposition-format parsers.
     pub fn prometheus_text(&self) -> String {
-        self.run_collectors();
-        let entries = self.entries.lock().unwrap();
         let mut out = String::new();
         let mut typed: Vec<&'static str> = Vec::new();
-        for e in entries.iter() {
-            match &e.metric {
-                Metric::Counter(c) => {
-                    if !typed.contains(&e.name) {
-                        typed.push(e.name);
-                        out.push_str(&format!("# TYPE {} counter\n", e.name));
-                    }
-                    out.push_str(&format!("{}{} {}\n", e.name, e.labels, c.get()));
+        self.walk(&mut |name, labels, value| {
+            let kind = match &value {
+                ExportValue::Counter(_) => "counter",
+                ExportValue::Gauge(_) => "gauge",
+                ExportValue::Histogram(_) => "histogram",
+            };
+            if !typed.contains(&name) {
+                typed.push(name);
+                out.push_str(&format!("# TYPE {name} {kind}\n"));
+            }
+            match value {
+                ExportValue::Counter(v) | ExportValue::Gauge(v) => {
+                    out.push_str(&format!("{name}{labels} {v}\n"));
                 }
-                Metric::Gauge(g) => {
-                    if !typed.contains(&e.name) {
-                        typed.push(e.name);
-                        out.push_str(&format!("# TYPE {} gauge\n", e.name));
-                    }
-                    out.push_str(&format!("{}{} {}\n", e.name, e.labels, g.get()));
-                }
-                Metric::Histogram(h) => {
-                    if !typed.contains(&e.name) {
-                        typed.push(e.name);
-                        out.push_str(&format!("# TYPE {} histogram\n", e.name));
-                    }
-                    let snap = h.snapshot();
-                    let base = e.labels.trim_start_matches('{').trim_end_matches('}');
-                    let with = |extra: String| {
-                        if base.is_empty() {
-                            format!("{{{extra}}}")
-                        } else {
-                            format!("{{{base},{extra}}}")
-                        }
+                ExportValue::Histogram(snap) => {
+                    let base = labels.strip_prefix('{').and_then(|l| l.strip_suffix('}'));
+                    let with = |extra: String| match base {
+                        Some(base) => format!("{{{base},{extra}}}"),
+                        None => format!("{{{extra}}}"),
                     };
                     for (le, cum) in snap.cumulative() {
-                        out.push_str(&format!(
-                            "{}_bucket{} {}\n",
-                            e.name,
-                            with(format!("le=\"{le}\"")),
-                            cum
-                        ));
+                        let le = with(format!("le=\"{le}\""));
+                        out.push_str(&format!("{name}_bucket{le} {cum}\n"));
                     }
-                    out.push_str(&format!(
-                        "{}_bucket{} {}\n",
-                        e.name,
-                        with("le=\"+Inf\"".to_string()),
-                        snap.count
-                    ));
-                    out.push_str(&format!("{}_sum{} {}\n", e.name, e.labels, snap.sum));
-                    out.push_str(&format!("{}_count{} {}\n", e.name, e.labels, snap.count));
+                    let inf = with("le=\"+Inf\"".to_string());
+                    out.push_str(&format!("{name}_bucket{inf} {}\n", snap.count));
+                    out.push_str(&format!("{name}_sum{labels} {}\n", snap.sum));
+                    out.push_str(&format!("{name}_count{labels} {}\n", snap.count));
                 }
             }
-        }
+        });
         out
     }
 
     /// JSON snapshot (hand-rolled; the vendored serde shim is a no-op).
     pub fn json_snapshot(&self) -> String {
-        self.run_collectors();
-        let entries = self.entries.lock().unwrap();
         let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut hists = Vec::new();
-        for e in entries.iter() {
-            let key = esc(&format!("{}{}", e.name, e.labels));
-            match &e.metric {
-                Metric::Counter(c) => counters.push(format!("\"{key}\": {}", c.get())),
-                Metric::Gauge(g) => gauges.push(format!("\"{key}\": {}", g.get())),
-                Metric::Histogram(h) => {
-                    let s = h.snapshot();
-                    hists.push(format!(
-                        "\"{key}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                         \"mean\": {}, \"p50\": {}, \"p99\": {}}}",
-                        s.count,
-                        s.sum,
-                        s.min,
-                        s.max,
-                        s.mean(),
-                        s.quantile(0.5),
-                        s.quantile(0.99),
-                    ))
-                }
+        self.walk(&mut |name, labels, value| {
+            let key = esc(&format!("{name}{labels}"));
+            match value {
+                ExportValue::Counter(v) => counters.push(format!("\"{key}\": {v}")),
+                ExportValue::Gauge(v) => gauges.push(format!("\"{key}\": {v}")),
+                ExportValue::Histogram(s) => hists.push(format!(
+                    "\"{key}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
+                     \"mean\": {}, \"p50\": {}, \"p99\": {}}}",
+                    s.count,
+                    s.sum,
+                    s.min,
+                    s.max,
+                    s.mean(),
+                    s.quantile(0.5),
+                    s.quantile(0.99),
+                )),
             }
-        }
+        });
         format!(
             "{{\"counters\": {{{}}}, \"gauges\": {{{}}}, \"histograms\": {{{}}}}}",
             counters.join(", "),
@@ -548,6 +661,9 @@ mod tests {
         reg.counter("scalla_ops_total", &[("op", "open")]).add(3);
         reg.gauge("scalla_queue_depth", &[]).set(7);
         reg.histogram("scalla_lat_ns", &[("stage", "resolve")]).record(100);
+        // Label values are escaped, on handles and on attached sources.
+        reg.counter("scalla_escaped_total", &[("node", "a\"b\\c"), ("note", "x\ny")]).inc();
+        reg.attach(&[("node", "a\"b\\c")], Arc::new(ShapeStats::default()));
         let text = reg.prometheus_text();
         assert!(text.contains("# TYPE scalla_ops_total counter"), "{text}");
         assert!(text.contains("scalla_ops_total{op=\"open\"} 3"), "{text}");
@@ -555,27 +671,54 @@ mod tests {
         assert!(text.contains("# TYPE scalla_lat_ns histogram"), "{text}");
         assert!(text.contains("scalla_lat_ns_count{stage=\"resolve\"} 1"), "{text}");
         assert!(text.contains("le=\"+Inf\""), "{text}");
-        // Every non-comment line is `name_or_name{labels} value`.
+        assert!(text.contains(r#"scalla_escaped_total{node="a\"b\\c",note="x\ny"} 1"#), "{text}");
+        assert!(text.contains(r#"scalla_shape_level{node="a\"b\\c"} 0"#), "{text}");
+        // Every non-comment line is `name_or_name{labels} value`, as
+        // tools/check_metrics.py's SAMPLE_RE wants it: one line per sample
+        // and no `}` inside the labels.
         for line in text.lines() {
             if line.starts_with('#') || line.is_empty() {
                 continue;
             }
             let (name, value) = line.rsplit_once(' ').expect("sample line");
             assert!(!name.is_empty() && value.parse::<f64>().is_ok(), "bad line: {line}");
+            assert!(name.find('}').is_none_or(|i| i == name.len() - 1), "bad line: {line}");
         }
+        // The JSON keys escape the escaped form once more and stay valid.
+        assert!(reg.json_snapshot().contains(r#"scalla_shape_level{node=\"a\\\"b\\\\c\"}"#));
+    }
+
+    crate::counter_set! {
+        /// Every shape: plain counter, family split by label(s), gauge.
+        struct ShapeStats;
+        struct ShapeSnapshot;
+        plain: "scalla_shape_plain_total",
+        left: "scalla_shape_split_total" {side = "left"},
+        right: "scalla_shape_split_total" {side = "right"} {far = "yes"},
+        level: gauge "scalla_shape_level",
     }
 
     #[test]
-    fn collectors_run_at_scrape_time() {
+    fn attached_source_is_read_in_place_by_every_exposition() {
         let reg = Registry::new();
-        let src = Arc::new(AtomicU64::new(41));
-        let src2 = src.clone();
-        reg.add_collector(Box::new(move |r| {
-            r.counter("scalla_mirrored_total", &[]).set(src2.load(Ordering::Relaxed));
-        }));
-        src.store(42, Ordering::Relaxed);
-        assert!(reg.prometheus_text().contains("scalla_mirrored_total 42"));
-        assert!(reg.json_snapshot().contains("\"scalla_mirrored_total\": 42"));
+        let stats = Arc::new(ShapeStats::default());
+        reg.attach(&[("node", "n0")], stats.clone());
+        stats.left.fetch_add(41, Ordering::Relaxed);
+        let left = "scalla_shape_split_total{node=\"n0\",side=\"left\"}";
+        assert!(reg.prometheus_text().contains(&format!("{left} 41\n")));
+        // No copy was taken: the next scrape sees the next bump.
+        stats.left.fetch_add(1, Ordering::Relaxed);
+        stats.level.store(7, Ordering::Relaxed);
+        assert!(reg.prometheus_text().contains(&format!("{left} 42\n")));
+        let json = reg.json_snapshot();
+        assert!(
+            json.contains("\"gauges\": {\"scalla_shape_level{node=\\\"n0\\\"}\": 7}"),
+            "{json}"
+        );
+        let exported = reg.export();
+        assert_eq!(exported.len(), ShapeSnapshot::SERIES.len());
+        assert!(matches!(&exported[1], (key, ExportValue::Counter(42)) if key == left));
+        assert!(matches!(exported[3], (_, ExportValue::Gauge(7))));
     }
 
     #[test]
@@ -622,6 +765,41 @@ mod tests {
     use proptest::prelude::*;
 
     proptest::proptest! {
+        /// After arbitrary bumps `snapshot()`, its `series()` and the text
+        /// exposition agree on every field, as its declaration line put it.
+        #[test]
+        fn snapshot_and_exposition_agree_field_by_field(
+            bumps in proptest::collection::vec((0usize..4, 0u64..1_000_000), 0..40),
+        ) {
+            let stats = Arc::new(ShapeStats::default());
+            let mut want = [0u64; 4];
+            for &(i, n) in &bumps {
+                [&stats.plain, &stats.left, &stats.right, &stats.level][i]
+                    .fetch_add(n, Ordering::Relaxed);
+                want[i] += n;
+            }
+            let snap = stats.snapshot();
+            prop_assert_eq!([snap.plain, snap.left, snap.right, snap.level], want);
+            let reg = Registry::new();
+            reg.attach(&[("p", "0")], stats);
+            let text = reg.prometheus_text();
+            let declared = [
+                ("plain", "scalla_shape_plain_total{p=\"0\"}", "counter"),
+                ("left", "scalla_shape_split_total{p=\"0\",side=\"left\"}", "counter"),
+                ("right", "scalla_shape_split_total{p=\"0\",side=\"right\",far=\"yes\"}", "counter"),
+                ("level", "scalla_shape_level{p=\"0\"}", "gauge"),
+            ];
+            for (((field, series, kind), want), (decl, got)) in
+                declared.into_iter().zip(want).zip(snap.series())
+            {
+                prop_assert_eq!((decl.field, got), (field, want));
+                prop_assert!(text.contains(&format!("{series} {want}\n")), "{series} in {text}");
+                let header = format!("# TYPE {} {kind}\n", decl.family);
+                prop_assert!(text.contains(&header), "{header} in {text}");
+            }
+            prop_assert_eq!(text.lines().count(), 4 + 3, "one line per series, one per family");
+        }
+
         /// merge(a, b).count == a.count + b.count, merged quantiles are
         /// monotone in p, and the merged p99 lands within one bucket
         /// (~12 % relative) of the exact pooled-sample value.

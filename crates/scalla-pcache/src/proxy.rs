@@ -265,8 +265,8 @@ impl ProxyNode {
     }
 
     /// Attaches an observability handle: registers served/filled byte
-    /// counters, the fill-latency histogram, and a scrape-time collector
-    /// mirroring the block store's internals.
+    /// counters and the fill-latency histogram, and attaches the block
+    /// store (and the private lcache, if any) to be read in place.
     pub fn set_obs(&mut self, obs: Obs) {
         if obs.is_enabled() {
             let reg = obs.registry();
@@ -305,13 +305,9 @@ impl ProxyNode {
                 ),
             });
             if let Some(lc) = &self.cfg.lcache {
-                let stats = lc.stats_arc();
-                let node = self.cfg.name.clone();
-                reg.add_collector(Box::new(move |reg| {
-                    stats.export_into(reg, &[("node", node.as_str())]);
-                }));
+                reg.attach(&[("node", n)], lc.stats_arc());
             }
-            BlockStore::register_collector(self.store.clone(), &obs, n);
+            reg.attach(&[("proxy", n)], self.store.clone());
         }
         self.obs = obs;
     }

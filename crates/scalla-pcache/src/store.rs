@@ -14,6 +14,7 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
+use scalla_obs::{Emit, Kind, Source};
 use scalla_util::crc32;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -139,21 +140,23 @@ impl ShardInner {
     }
 }
 
-/// Point-in-time copy of the store's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PcacheStats {
+scalla_obs::counter_set! {
+    /// The store's live counters.
+    struct StatCells;
+    /// Point-in-time copy of the store's counters.
+    pub struct PcacheStats;
     /// Block look-ups served from cache.
-    pub hits: u64,
+    hits: "scalla_pcache_block_hits_total",
     /// Block look-ups that missed.
-    pub misses: u64,
+    misses: "scalla_pcache_block_misses_total",
     /// Blocks discarded by watermark eviction.
-    pub evictions: u64,
+    evictions: "scalla_pcache_evictions_total",
     /// Blocks inserted (fills completed).
-    pub inserts: u64,
+    inserts: "scalla_pcache_fills_total",
     /// Bytes inserted by fills.
-    pub bytes_inserted: u64,
+    bytes_inserted: "scalla_pcache_bytes_filled_total",
     /// Bytes discarded by eviction.
-    pub bytes_evicted: u64,
+    bytes_evicted: "scalla_pcache_bytes_evicted_total",
 }
 
 impl PcacheStats {
@@ -166,16 +169,6 @@ impl PcacheStats {
             self.hits as f64 / total as f64
         }
     }
-}
-
-#[derive(Default)]
-struct StatCells {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    inserts: AtomicU64,
-    bytes_inserted: AtomicU64,
-    bytes_evicted: AtomicU64,
 }
 
 /// The sharded, byte-accounted block cache.
@@ -343,36 +336,18 @@ impl BlockStore {
 
     /// Counter snapshot.
     pub fn stats(&self) -> PcacheStats {
-        PcacheStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            inserts: self.stats.inserts.load(Ordering::Relaxed),
-            bytes_inserted: self.stats.bytes_inserted.load(Ordering::Relaxed),
-            bytes_evicted: self.stats.bytes_evicted.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
+}
 
-    /// Registers a scrape-time collector mirroring this store's counters
-    /// into `obs`'s registry, labelled with the owning proxy's name.
-    pub fn register_collector(store: Arc<BlockStore>, obs: &scalla_obs::Obs, proxy: &str) {
-        if !obs.is_enabled() {
-            return;
-        }
-        let proxy = proxy.to_string();
-        obs.registry().add_collector(Box::new(move |reg| {
-            let labels = [("proxy", proxy.as_str())];
-            let s = store.stats();
-            reg.counter("scalla_pcache_block_hits_total", &labels).set(s.hits);
-            reg.counter("scalla_pcache_block_misses_total", &labels).set(s.misses);
-            reg.counter("scalla_pcache_evictions_total", &labels).set(s.evictions);
-            reg.counter("scalla_pcache_fills_total", &labels).set(s.inserts);
-            reg.counter("scalla_pcache_bytes_filled_total", &labels).set(s.bytes_inserted);
-            reg.counter("scalla_pcache_bytes_evicted_total", &labels).set(s.bytes_evicted);
-            reg.gauge("scalla_pcache_used_bytes", &labels).set(store.used_bytes());
-            reg.gauge("scalla_pcache_capacity_bytes", &labels).set(store.config().capacity);
-            reg.gauge("scalla_pcache_blocks", &labels).set(store.block_count() as u64);
-        }));
+/// The store's counters plus its occupancy gauges; attach under the owning
+/// proxy's name (`[("proxy", name)]`).
+impl Source for BlockStore {
+    fn series(&self, emit: &mut Emit<'_>) {
+        self.stats.series(emit);
+        emit("scalla_pcache_used_bytes", &[], Kind::Gauge, self.used_bytes());
+        emit("scalla_pcache_capacity_bytes", &[], Kind::Gauge, self.cfg.capacity);
+        emit("scalla_pcache_blocks", &[], Kind::Gauge, self.block_count() as u64);
     }
 }
 
@@ -390,7 +365,9 @@ mod tests {
 
     #[test]
     fn hit_miss_and_accounting() {
-        let s = BlockStore::new(cfg(1 << 20));
+        let s = Arc::new(BlockStore::new(cfg(1 << 20)));
+        let reg = scalla_obs::Registry::new();
+        reg.attach(&[("proxy", "px0")], s.clone());
         let k = BlockKey::new("/f", 0);
         assert!(s.get(&k).is_none());
         s.insert(k.clone(), block(1024));
@@ -398,6 +375,28 @@ mod tests {
         assert_eq!(s.used_bytes(), 1024);
         let st = s.stats();
         assert_eq!((st.hits, st.misses, st.inserts), (1, 1, 1));
+        // The attached store reports the same counters, then its occupancy.
+        assert_eq!(
+            reg.prometheus_text(),
+            "# TYPE scalla_pcache_block_hits_total counter\n\
+             scalla_pcache_block_hits_total{proxy=\"px0\"} 1\n\
+             # TYPE scalla_pcache_block_misses_total counter\n\
+             scalla_pcache_block_misses_total{proxy=\"px0\"} 1\n\
+             # TYPE scalla_pcache_evictions_total counter\n\
+             scalla_pcache_evictions_total{proxy=\"px0\"} 0\n\
+             # TYPE scalla_pcache_fills_total counter\n\
+             scalla_pcache_fills_total{proxy=\"px0\"} 1\n\
+             # TYPE scalla_pcache_bytes_filled_total counter\n\
+             scalla_pcache_bytes_filled_total{proxy=\"px0\"} 1024\n\
+             # TYPE scalla_pcache_bytes_evicted_total counter\n\
+             scalla_pcache_bytes_evicted_total{proxy=\"px0\"} 0\n\
+             # TYPE scalla_pcache_used_bytes gauge\n\
+             scalla_pcache_used_bytes{proxy=\"px0\"} 1024\n\
+             # TYPE scalla_pcache_capacity_bytes gauge\n\
+             scalla_pcache_capacity_bytes{proxy=\"px0\"} 1048576\n\
+             # TYPE scalla_pcache_blocks gauge\n\
+             scalla_pcache_blocks{proxy=\"px0\"} 1\n"
+        );
     }
 
     #[test]

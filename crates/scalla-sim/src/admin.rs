@@ -13,9 +13,9 @@
 //! |                 | net hosts a monitoring collector                 |
 //! | `/cluster.json` | the same merged view as JSON                     |
 //!
-//! Registry collectors run at every scrape, so counter islands mirrored
-//! into the registry (cache stats, wire counters) are current at read
-//! time. Teardown follows the runtime's deterministic wake protocol: set
+//! Sources attached to the registry (cache stats, wire counters) are
+//! read in place at every scrape, so they are current at read time.
+//! Teardown follows the runtime's deterministic wake protocol: set
 //! the stop flag, then a throwaway connection unblocks `accept`.
 
 use scalla_monitor::ClusterView;

@@ -322,15 +322,12 @@ impl SimCluster {
             proxies.push(addr);
         }
 
-        // Mirror the shared client cache's counters into the cluster
-        // registry at every scrape (proxies export their private caches
-        // through their own `set_obs`).
+        // Attach the shared client cache's counters to the cluster
+        // registry (proxies attach their private caches through their own
+        // `set_obs`).
         if let Some(lc) = &cfg.lcache {
             if cfg.obs.is_enabled() {
-                let stats = lc.stats_arc();
-                cfg.obs.registry().add_collector(Box::new(move |reg| {
-                    stats.export_into(reg, &[("node", "clients")]);
-                }));
+                cfg.obs.registry().attach(&[("node", "clients")], lc.stats_arc());
             }
         }
 

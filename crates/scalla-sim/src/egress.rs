@@ -30,12 +30,12 @@ use crate::metrics::EgressCounters;
 use bytes::BytesMut;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::RwLock;
-use scalla_obs::Obs;
+use scalla_obs::{Emit, Kind, Obs, Source};
 use scalla_proto::{Addr, BufferPool};
 use scalla_util::SplitMix64;
 use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,22 +77,24 @@ impl Default for EgressTuning {
     }
 }
 
-/// Cumulative egress counters, shared by every link of a net.
-#[derive(Default)]
-pub(crate) struct EgressStats {
+scalla_obs::counter_set! {
+    /// Cumulative egress counters, shared by every link of a net.
+    pub(crate) struct EgressStats;
+    /// Plain-value copy of [`EgressStats`].
+    pub(crate) struct EgressSnapshot;
     /// Frames fully written to a socket.
-    pub frames: AtomicU64,
+    frames: "scalla_egress_frames_total",
     /// Vectored write syscalls issued (frames / writes = coalescing ratio).
-    pub writes: AtomicU64,
+    writes: "scalla_egress_writes_total",
     /// Frames dropped because a peer queue was full.
-    pub queue_drops: AtomicU64,
+    queue_drops: "scalla_egress_queue_drops_total",
     /// Frames dropped because the peer was unreachable, stalled past the
     /// budget, or the connection broke mid-batch.
-    pub conn_drops: AtomicU64,
+    conn_drops: "scalla_egress_conn_drops_total",
     /// Alive→dead transitions across all links.
-    pub peer_deaths: AtomicU64,
+    peer_deaths: "scalla_egress_peer_deaths_total",
     /// Dead→alive transitions (successful probes) across all links.
-    pub peer_reconnects: AtomicU64,
+    peer_reconnects: "scalla_egress_peer_reconnects_total",
 }
 
 /// State shared between protocol threads and all writer threads of a net.
@@ -122,16 +124,16 @@ impl EgressShared {
 
     /// Snapshot of the cumulative counters, pool included.
     pub fn counters(&self) -> EgressCounters {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let s = self.stats.snapshot();
         EgressCounters {
-            frames: load(&self.stats.frames),
-            writes: load(&self.stats.writes),
-            queue_drops: load(&self.stats.queue_drops),
-            conn_drops: load(&self.stats.conn_drops),
+            frames: s.frames,
+            writes: s.writes,
+            queue_drops: s.queue_drops,
+            conn_drops: s.conn_drops,
             pool_hits: self.pool.hits(),
             pool_misses: self.pool.misses(),
-            peer_deaths: load(&self.stats.peer_deaths),
-            peer_reconnects: load(&self.stats.peer_reconnects),
+            peer_deaths: s.peer_deaths,
+            peer_reconnects: s.peer_reconnects,
         }
     }
 
@@ -139,6 +141,18 @@ impl EgressShared {
         let obs = self.obs.read().clone();
         obs.incident(event);
         obs.count("scalla_recovery_events_total", &[("event", event)], 1);
+    }
+}
+
+/// The link counters, then the buffer pool's hit/miss totals and hit rate.
+impl Source for EgressShared {
+    fn series(&self, emit: &mut Emit<'_>) {
+        self.stats.series(emit);
+        let c = self.counters();
+        emit("scalla_egress_pool_hits_total", &[], Kind::Counter, c.pool_hits);
+        emit("scalla_egress_pool_misses_total", &[], Kind::Counter, c.pool_misses);
+        let permille = (c.pool_hit_rate() * 1000.0) as u64;
+        emit("scalla_egress_pool_hit_rate_permille", &[], Kind::Gauge, permille);
     }
 }
 
@@ -403,6 +417,37 @@ mod tests {
         assert_eq!(reader.join().unwrap(), b"aaaabbcccccc");
         assert_eq!(sh.stats.frames.load(Ordering::Relaxed), 3);
         assert_eq!(sh.stats.queue_drops.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn source_emits_link_counters_then_pool_totals_and_hit_rate() {
+        let sh = shared();
+        sh.stats.frames.fetch_add(40, Ordering::Relaxed);
+        let reg = scalla_obs::Registry::new();
+        reg.attach(&[], sh.clone());
+        sh.stats.frames.fetch_add(10, Ordering::Relaxed); // no copy: read at scrape
+        (0..4).for_each(|_| sh.pool.put(sh.pool.get())); // one allocation, three reuses
+        assert_eq!(
+            reg.prometheus_text(),
+            "# TYPE scalla_egress_frames_total counter\n\
+             scalla_egress_frames_total 50\n\
+             # TYPE scalla_egress_writes_total counter\n\
+             scalla_egress_writes_total 0\n\
+             # TYPE scalla_egress_queue_drops_total counter\n\
+             scalla_egress_queue_drops_total 0\n\
+             # TYPE scalla_egress_conn_drops_total counter\n\
+             scalla_egress_conn_drops_total 0\n\
+             # TYPE scalla_egress_peer_deaths_total counter\n\
+             scalla_egress_peer_deaths_total 0\n\
+             # TYPE scalla_egress_peer_reconnects_total counter\n\
+             scalla_egress_peer_reconnects_total 0\n\
+             # TYPE scalla_egress_pool_hits_total counter\n\
+             scalla_egress_pool_hits_total 3\n\
+             # TYPE scalla_egress_pool_misses_total counter\n\
+             scalla_egress_pool_misses_total 1\n\
+             # TYPE scalla_egress_pool_hit_rate_permille gauge\n\
+             scalla_egress_pool_hit_rate_permille 750\n"
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! Message latency is whatever the channel costs (microseconds), which is
 //! exactly the regime the paper's cmsd operates in on a LAN.
 
+use crate::egress::EgressShared;
 use crate::metrics::NetCounters;
 use crate::runtime::{lifecycle_api, net_counters, Mailbox, Outbox, Runtime};
 use scalla_obs::Obs;
@@ -54,7 +55,9 @@ impl LiveNet {
         obs: Obs,
         view: Option<Arc<scalla_monitor::ClusterView>>,
     ) -> std::io::Result<std::net::SocketAddr> {
-        self.rt.serve_admin_with(obs, view, Default::default)
+        // No wire: an idle egress keeps the page's families the same as
+        // a TcpNet's, all zero.
+        self.rt.serve_admin_with(obs, view, Arc::new(EgressShared::new(Arc::default())))
     }
 
     /// Registers a node before [`LiveNet::start`].

@@ -89,28 +89,6 @@ impl NetCounters {
             self.egress.peer_reconnects,
         )
     }
-
-    /// Mirrors these counters into an observability [`Registry`]: absolute
-    /// values go through `Counter::set`, so re-exporting a fresh snapshot
-    /// at every scrape stays idempotent.
-    pub fn export_into(&self, reg: &scalla_obs::Registry) {
-        let e = &self.egress;
-        for (name, value) in [
-            ("scalla_egress_frames_total", e.frames),
-            ("scalla_egress_writes_total", e.writes),
-            ("scalla_egress_queue_drops_total", e.queue_drops),
-            ("scalla_egress_conn_drops_total", e.conn_drops),
-            ("scalla_egress_pool_hits_total", e.pool_hits),
-            ("scalla_egress_pool_misses_total", e.pool_misses),
-            ("scalla_egress_peer_deaths_total", e.peer_deaths),
-            ("scalla_egress_peer_reconnects_total", e.peer_reconnects),
-            ("scalla_mailbox_drops_total", self.total_mailbox_drops()),
-        ] {
-            reg.counter(name, &[]).set(value);
-        }
-        reg.gauge("scalla_egress_pool_hit_rate_permille", &[])
-            .set((e.pool_hit_rate() * 1000.0) as u64);
-    }
 }
 
 /// A latency distribution plus outcome counts.
@@ -269,28 +247,6 @@ mod tests {
         let row = c.row();
         assert!(row.contains("pool_hit_rate=0.00"), "{row}");
         assert!(row.contains("frames=10"), "{row}");
-    }
-
-    #[test]
-    fn export_into_mirrors_and_is_idempotent() {
-        let reg = scalla_obs::Registry::new();
-        let mut c = NetCounters {
-            mailbox_drops: vec![1, 2],
-            egress: EgressCounters {
-                frames: 40,
-                writes: 10,
-                pool_hits: 3,
-                pool_misses: 1,
-                ..Default::default()
-            },
-        };
-        c.export_into(&reg);
-        c.egress.frames = 50;
-        c.export_into(&reg); // set() semantics: latest snapshot wins
-        let text = reg.prometheus_text();
-        assert!(text.contains("scalla_egress_frames_total 50"), "{text}");
-        assert!(text.contains("scalla_mailbox_drops_total 3"), "{text}");
-        assert!(text.contains("scalla_egress_pool_hit_rate_permille 750"), "{text}");
     }
 
     #[test]

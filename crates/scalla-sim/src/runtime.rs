@@ -14,7 +14,7 @@ use crate::admin::AdminServer;
 use crate::chaos::{FaultGates, GateVerdict};
 use crate::metrics::{EgressCounters, NetCounters};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use scalla_obs::Obs;
+use scalla_obs::{Emit, Kind, Obs, Source};
 use scalla_proto::{Addr, Msg};
 use scalla_simnet::{NetCtx, Node};
 use scalla_util::{Clock, Nanos, SplitMix64, SystemClock};
@@ -177,11 +177,21 @@ enum Slot {
 }
 
 /// Delivery counters: the mailboxes' overflow drops beside the transport's
-/// egress totals. The one source behind `counters()` and the admin mirror.
+/// egress totals, as `counters()` reports them.
 pub(crate) fn net_counters(mailboxes: &[Mailbox], egress: EgressCounters) -> NetCounters {
     NetCounters {
         mailbox_drops: mailboxes.iter().map(|m| m.drops.load(Ordering::Relaxed)).collect(),
         egress,
+    }
+}
+
+/// `scalla_mailbox_drops_total`: inbound overflow summed over every node.
+struct MailboxDrops(Vec<Mailbox>);
+
+impl Source for MailboxDrops {
+    fn series(&self, emit: &mut Emit<'_>) {
+        let drops = self.0.iter().map(|m| m.drops.load(Ordering::Relaxed)).sum();
+        emit("scalla_mailbox_drops_total", &[], Kind::Counter, drops);
     }
 }
 
@@ -254,21 +264,19 @@ impl Runtime {
         }
     }
 
-    /// Starts the admin endpoint, mirroring [`net_counters`] into the
-    /// registry at every scrape (the mirror snapshots the node set, so
-    /// call after the last `add_slot`).
+    /// Starts the admin endpoint, attaching the transport's `egress` series
+    /// and the mailboxes' overflow total to the registry (the latter covers
+    /// the node set as of now, so call after the last `add_slot`).
     pub(crate) fn serve_admin_with(
         &mut self,
         obs: Obs,
         view: Option<Arc<scalla_monitor::ClusterView>>,
-        egress: impl Fn() -> EgressCounters + Send + Sync + 'static,
+        egress: Arc<dyn Source>,
     ) -> std::io::Result<std::net::SocketAddr> {
         assert!(obs.is_enabled(), "serve_admin needs an enabled Obs");
         assert!(self.admin.is_none(), "serve_admin once per net");
-        let mailboxes = self.mailboxes.clone();
-        obs.registry().add_collector(Box::new(move |reg| {
-            net_counters(&mailboxes, egress()).export_into(reg);
-        }));
+        obs.registry().attach(&[], egress);
+        obs.registry().attach(&[], Arc::new(MailboxDrops(self.mailboxes.clone())));
         let server = AdminServer::spawn_with(obs, view)?;
         let addr = server.addr();
         self.admin = Some(server);
@@ -335,9 +343,9 @@ macro_rules! lifecycle_api {
             /// Starts the admin endpoint for this net: one listener thread
             /// serving line-oriented `/metrics`, `/stats` and `/flight`
             /// requests against `obs` (see [`crate::admin`]), with the
-            /// net's delivery counters mirrored into the registry at every
-            /// scrape. Call at most once, after the last `add_node` (the
-            /// mirror snapshots the node set). Returns the endpoint's
+            /// net's delivery counters attached to the registry. Call at
+            /// most once, after the last `add_node` (the mailbox-drop total
+            /// covers the node set as of the call). Returns the endpoint's
             /// socket address.
             pub fn serve_admin(
                 &mut self,
@@ -540,6 +548,15 @@ pub(crate) mod tests {
         fn on_message(&mut self, ctx: &mut dyn NetCtx, _: Addr, _: Msg) {
             self.reply_trace.store(ctx.trace(), Ordering::SeqCst);
         }
+    }
+
+    #[test]
+    fn mailbox_drops_source_sums_every_node() {
+        let mailbox = |drops| Mailbox { tx: bounded(1).0, drops: Arc::new(AtomicU64::new(drops)) };
+        let reg = scalla_obs::Registry::new();
+        reg.attach(&[], Arc::new(MailboxDrops(vec![mailbox(1), mailbox(2)])));
+        let want = "# TYPE scalla_mailbox_drops_total counter\nscalla_mailbox_drops_total 3\n";
+        assert_eq!(reg.prometheus_text(), want);
     }
 
     #[test]

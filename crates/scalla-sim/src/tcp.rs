@@ -153,8 +153,7 @@ impl TcpNet {
         view: Option<Arc<scalla_monitor::ClusterView>>,
     ) -> std::io::Result<SocketAddr> {
         self.set_obs(obs.clone());
-        let shared = self.shared.clone();
-        self.rt.serve_admin_with(obs, view, move || shared.counters())
+        self.rt.serve_admin_with(obs, view, self.shared.clone())
     }
 
     /// Wire and queue counters accumulated so far (callable any time).

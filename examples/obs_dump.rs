@@ -69,12 +69,7 @@ fn main() {
     ccfg.start_delay = Nanos::from_millis(800);
     let lcache = LocationCache::shared(LcacheConfig::default());
     ccfg.lcache = Some(lcache.clone());
-    {
-        let stats = lcache.stats_arc();
-        obs.registry().add_collector(Box::new(move |reg| {
-            stats.export_into(reg, &[("node", "client")]);
-        }));
-    }
+    obs.registry().attach(&[("node", "client")], lcache.stats_arc());
     let mut client = ClientNode::new(ccfg);
     client.set_obs(obs.clone());
     let client = net.add_node(Box::new(client)).unwrap();

@@ -4,7 +4,8 @@ and validates the `/metrics` section as Prometheus text exposition:
 
 * every comment line is `# HELP` or `# TYPE`;
 * every sample line is `name[{labels}] value` with a finite numeric
-  value and a well-formed metric name;
+  value and a well-formed metric name, and no series appears twice (in
+  `/metrics` or in `/cluster`);
 * every histogram sample (`_bucket`/`_sum`/`_count`) belongs to a family
   announced by a `# TYPE ... histogram` line;
 * the per-stage latency histograms are present and the resolve and
@@ -80,6 +81,8 @@ def check_metrics(text: str) -> dict:
             if 'le="' not in (m.group("labels") or ""):
                 fail(f"histogram bucket without le label: {line!r}")
         series = name + (m.group("labels") or "")
+        if series in samples:
+            fail(f"duplicate series {series!r} (a source attached twice?)")
         samples[series] = value
     return samples
 
@@ -102,7 +105,10 @@ def check_cluster(text: str) -> dict:
         value = float(m.group("value"))
         if math.isnan(value):
             fail(f"/cluster NaN value: {line!r}")
-        samples[m.group("name") + (m.group("labels") or "")] = value
+        series = m.group("name") + (m.group("labels") or "")
+        if series in samples:
+            fail(f"/cluster duplicate series {series!r}")
+        samples[series] = value
 
     nodes = {k: v for k, v in samples.items() if k.startswith("scalla_cluster_nodes{")}
     if not nodes or sum(nodes.values()) < 1:
