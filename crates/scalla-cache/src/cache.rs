@@ -95,6 +95,19 @@ pub struct ResolveOutcome {
     pub locref: LocRef,
 }
 
+/// What a server's positive response did to the cache.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HaveOutcome {
+    /// The released waiters, each paired with the responding server.
+    pub released: Vec<(Waiter, ServerId)>,
+    /// Whether the object became more available than it was: nobody held
+    /// it and now someone is staging it or has it online, or it was only
+    /// being staged and is now online. A supervisor tells its parents
+    /// exactly then — one upward `Have` per rise, however many children
+    /// answer.
+    pub rose: bool,
+}
+
 /// One independently locked slice of the cache interior.
 struct Shard {
     slab: LocSlab,
@@ -213,7 +226,7 @@ impl NameCache {
         mode: AccessMode,
         waiter: Waiter,
     ) -> ResolveOutcome {
-        self.resolve_full(path, vm, ServerSet::EMPTY, mode, waiter, ServerSet::EMPTY, false)
+        self.resolve_full(path, vm, ServerSet::EMPTY, mode, Some(waiter), ServerSet::EMPTY, false)
     }
 
     /// Full-control resolution.
@@ -222,6 +235,11 @@ impl NameCache {
     ///   passed to the cache look-up method" (§III-A4).
     /// * `offline` — servers currently disconnected but not yet dropped;
     ///   holders among them are moved to `V_q` (§III-A4).
+    /// * `waiter` — who to park on the fast response queue while queries
+    ///   are outstanding. `None` floods exactly the same but takes no
+    ///   anchor: a requester that is told by other means (a supervisor's
+    ///   parent hears the upward `Have`) or not at all (a background
+    ///   look-up). The queue is for clients (§III-B).
     /// * `avoid` — servers the client must not be vectored to (refresh
     ///   recovery, §III-C1).
     /// * `refresh` — treat as a new un-cached request without the re-add
@@ -233,7 +251,7 @@ impl NameCache {
         vm: ServerSet,
         offline: ServerSet,
         mode: AccessMode,
-        waiter: Waiter,
+        waiter: Option<Waiter>,
         avoid: ServerSet,
         refresh: bool,
     ) -> ResolveOutcome {
@@ -255,7 +273,7 @@ impl NameCache {
         vm: ServerSet,
         offline: ServerSet,
         mode: AccessMode,
-        waiter: Waiter,
+        waiter: Option<Waiter>,
         avoid: ServerSet,
         refresh: bool,
     ) -> ResolveOutcome {
@@ -398,9 +416,12 @@ impl NameCache {
         shard: &mut Shard,
         slot: u32,
         mode: AccessMode,
-        waiter: Waiter,
+        waiter: Option<Waiter>,
         now: Nanos,
     ) -> Resolution {
+        let Some(waiter) = waiter else {
+            return Resolution::Queued; // answer outstanding, nobody parked
+        };
         let existing = match mode {
             AccessMode::Read => shard.slab.get(slot).rref,
             AccessMode::Write => shard.slab.get(slot).wref,
@@ -441,18 +462,19 @@ impl NameCache {
         server: ServerId,
         staging: bool,
     ) -> Vec<(Waiter, ServerId)> {
-        self.update_have_hashed(path, crc32(path.as_bytes()), server, staging)
+        self.update_have_hashed(path, crc32(path.as_bytes()), server, staging).released
     }
 
     /// [`NameCache::update_have`] with a precomputed hash — "this
-    /// eliminates the need to generate the hash key for each response".
+    /// eliminates the need to generate the hash key for each response" —
+    /// additionally reporting whether the object's availability rose.
     pub fn update_have_hashed(
         &self,
         path: &str,
         hash: u32,
         server: ServerId,
         staging: bool,
-    ) -> Vec<(Waiter, ServerId)> {
+    ) -> HaveOutcome {
         let mut shard = self.shards[self.shard_for(hash)].lock();
         let slot = match shard.table.lookup(&shard.slab, path, hash) {
             Some(slot) => slot,
@@ -481,7 +503,10 @@ impl NameCache {
                 slot
             }
         };
-        shard.slab.get_mut(slot).state.record_have(server, staging);
+        let state = &mut shard.slab.get_mut(slot).state;
+        let before = state.availability();
+        state.record_have(server, staging);
+        let rose = state.availability() > before;
 
         // Release waiters: both access modes are acceptable targets once a
         // server holds the file (selection among modes is the node's
@@ -518,7 +543,7 @@ impl NameCache {
             }
         }
         CacheStats::add(&self.stats.fast_releases, released.len() as u64);
-        released
+        HaveOutcome { released, rose }
     }
 
     /// Puts servers that could not be queried back into the object's `V_q`
@@ -866,7 +891,7 @@ mod tests {
             VM4,
             ServerSet::EMPTY,
             AccessMode::Read,
-            Waiter::new(2, 0),
+            Some(Waiter::new(2, 0)),
             ServerSet::single(1),
             false,
         );
@@ -888,7 +913,7 @@ mod tests {
             VM4,
             ServerSet::single(1),
             AccessMode::Read,
-            Waiter::new(2, 0),
+            Some(Waiter::new(2, 0)),
             ServerSet::EMPTY,
             false,
         );
@@ -928,7 +953,7 @@ mod tests {
             VM4,
             ServerSet::EMPTY,
             AccessMode::Read,
-            Waiter::new(2, 0),
+            Some(Waiter::new(2, 0)),
             ServerSet::single(1),
             true,
         );

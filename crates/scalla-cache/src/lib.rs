@@ -66,7 +66,7 @@ pub mod stats;
 pub mod table;
 pub mod window;
 
-pub use cache::{NameCache, Resolution, ResolveOutcome};
+pub use cache::{HaveOutcome, NameCache, Resolution, ResolveOutcome};
 pub use config::CacheConfig;
 pub use correct::{ConnectLog, CorrectionMemo};
 pub use loc::{AccessMode, LocState};

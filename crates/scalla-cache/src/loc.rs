@@ -72,6 +72,18 @@ impl LocState {
         debug_assert!(self.invariant_holds());
     }
 
+    /// How available the object is, as an ordered level: 0 — nobody is
+    /// known to hold it, 1 — some server is staging it (`V_p`), 2 — some
+    /// server has it online (`V_h`).
+    #[inline]
+    pub fn availability(&self) -> u8 {
+        if !self.vh.is_empty() {
+            2
+        } else {
+            u8::from(!self.vp.is_empty())
+        }
+    }
+
     /// A staging server finished: promote from `V_p` to `V_h`.
     #[inline]
     pub fn promote_staged(&mut self, server: ServerId) {

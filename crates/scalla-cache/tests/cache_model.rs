@@ -138,7 +138,7 @@ proptest! {
                     serial += 1;
                     let out = cache.resolve_full(
                         &path_name(path), vm, ServerSet::EMPTY, AccessMode::Read,
-                        Waiter::new(1, serial), ServerSet::EMPTY, true,
+                        Some(Waiter::new(1, serial)), ServerSet::EMPTY, true,
                     );
                     // A refresh floods everything eligible again.
                     prop_assert_eq!(out.query, vm);
@@ -247,7 +247,7 @@ proptest! {
                         serial += 1;
                         let out = cache.resolve_full(
                             &path_name(path), vm, ServerSet::EMPTY, AccessMode::Read,
-                            Waiter::new(1, serial), ServerSet::EMPTY, true,
+                            Some(Waiter::new(1, serial)), ServerSet::EMPTY, true,
                         );
                         log.push(Observed::Resolved(out.resolution, out.query));
                     }

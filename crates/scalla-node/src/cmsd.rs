@@ -238,9 +238,11 @@ impl CmsdNode {
 
     /// Core resolution driver shared by client `Open` and parent `Locate`.
     ///
-    /// For a parent requester the positive answer is an upward `Have`
-    /// (compressed across children) and every negative outcome is silence;
-    /// for a client the answers are `Redirect`/`Wait`/`Error`.
+    /// For a parent requester the positive answer is an upward `Have` —
+    /// at once when a holder is cached, otherwise from `handle_have` when a
+    /// child's answer raises the file's availability — and every negative
+    /// outcome is silence; for a client the answers are
+    /// `Redirect`/`Wait`/`Error`.
     #[allow(clippy::too_many_arguments)]
     fn handle_resolution(
         &mut self,
@@ -296,7 +298,10 @@ impl CmsdNode {
             .map(ServerSet::single)
             .unwrap_or(ServerSet::EMPTY);
         let mode = if write { AccessMode::Write } else { AccessMode::Read };
-        let waiter = Waiter::new(requester.0, tag);
+        // The response queue is for clients (§III-B). A parent hears the
+        // upward `Have` when a child answers and silence otherwise, and a
+        // background look-up wants no answer: both flood without an anchor.
+        let waiter = (!from_parent && !silent).then(|| Waiter::new(requester.0, tag));
 
         let t0 = self.obs.is_enabled().then(std::time::Instant::now);
         let out =
@@ -441,35 +446,33 @@ impl CmsdNode {
         };
         self.last_heard[slot as usize] = ctx.now();
         self.note_alive(slot);
-        let released = self.cache.update_have_hashed(&path, hash, slot, staging);
+        let have = self.cache.update_have_hashed(&path, hash, slot, staging);
         if self.obs.is_enabled() {
             self.obs.span(
                 SpanEvent::new(TraceId(ctx.trace()), ctx.me().0, "cms_have")
                     .verdict(if staging { "staging" } else { "online" })
-                    .depth(released.len() as u64)
+                    .depth(have.released.len() as u64)
                     .at(ctx.now().0),
             );
         }
-        for (waiter, srv_slot) in released {
-            if waiter.client == NO_CLIENT.0 {
-                continue; // background prepare look-up
-            }
-            let who = Addr(waiter.client);
-            if self.is_parent(who) {
-                // Compress: one upward Have per outstanding parent request.
+        if have.rose {
+            // Compress across children: the parents hear once per rise in
+            // availability, however many children hold the file.
+            for &parent in &self.cfg.parents {
                 ctx.send(
-                    who,
-                    CmsMsg::Have { reqid: waiter.tag, path: path.clone(), hash, staging }.into(),
+                    parent,
+                    CmsMsg::Have { reqid: 0, path: path.clone(), hash, staging }.into(),
                 );
-            } else {
-                self.admission.release(waiter.client);
-                self.members.note_selected(srv_slot);
-                let host = self.child_name[srv_slot as usize]
-                    .clone()
-                    .unwrap_or_else(|| format!("slot-{srv_slot}"));
-                let lease = self.grant_lease();
-                ctx.send(who, ServerMsg::Redirect { host, lease }.into());
             }
+        }
+        for (waiter, srv_slot) in have.released {
+            self.admission.release(waiter.client);
+            self.members.note_selected(srv_slot);
+            let host = self.child_name[srv_slot as usize]
+                .clone()
+                .unwrap_or_else(|| format!("slot-{srv_slot}"));
+            let lease = self.grant_lease();
+            ctx.send(Addr(waiter.client), ServerMsg::Redirect { host, lease }.into());
         }
     }
 
@@ -733,19 +736,13 @@ impl Node for CmsdNode {
             tokens::SWEEP => {
                 let full = self.cache.config().full_delay;
                 for w in self.cache.sweep() {
-                    if w.client == NO_CLIENT.0 {
-                        continue;
-                    }
-                    let who = Addr(w.client);
-                    if !self.is_parent(who) {
-                        self.admission.release(w.client);
-                        let millis = if self.admission.is_overloaded() {
-                            self.admission.hint_millis(self.cache.busy_anchors())
-                        } else {
-                            full.as_millis()
-                        };
-                        ctx.send(who, ServerMsg::Wait { millis }.into());
-                    }
+                    self.admission.release(w.client);
+                    let millis = if self.admission.is_overloaded() {
+                        self.admission.hint_millis(self.cache.busy_anchors())
+                    } else {
+                        full.as_millis()
+                    };
+                    ctx.send(Addr(w.client), ServerMsg::Wait { millis }.into());
                 }
                 ctx.set_timer(self.cfg.cache.fast_window, tokens::SWEEP);
             }
@@ -937,13 +934,31 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn supervisor_compresses_child_responses_upward() {
-        let clock = Arc::new(VirtualClock::new());
-        let parent = Addr(1);
+    fn mk_supervisor(parent: Addr, clock: Arc<VirtualClock>) -> CmsdNode {
         let mut cfg = CmsdConfig::supervisor("sup-0", parent);
         cfg.cache = CacheConfig::for_tests();
-        let mut node = CmsdNode::new(cfg, clock);
+        CmsdNode::new(cfg, clock)
+    }
+
+    fn have(path: &str, staging: bool) -> Msg {
+        CmsMsg::Have { reqid: 5, path: path.into(), hash: crc32(path.as_bytes()), staging }.into()
+    }
+
+    /// The `staging` flag of every `Have` sent to `parent` so far.
+    fn upward_haves(ctx: &MockCtx, parent: Addr) -> Vec<bool> {
+        ctx.sends
+            .iter()
+            .filter_map(|(to, m)| match m {
+                Msg::Cms(CmsMsg::Have { staging, .. }) if *to == parent => Some(*staging),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn supervisor_compresses_child_responses_upward() {
+        let parent = Addr(1);
+        let mut node = mk_supervisor(parent, Arc::new(VirtualClock::new()));
         let mut ctx = MockCtx::new();
         let addrs = login_servers(&mut node, &mut ctx, 3);
         ctx.sends.clear();
@@ -958,27 +973,56 @@ mod tests {
             ctx.sends.iter().filter(|(_, m)| matches!(m, Msg::Cms(CmsMsg::Locate { .. }))).count(),
             3
         );
+        assert_eq!(node.cache().busy_anchors(), 0, "a parent's locate parks nothing");
         ctx.sends.clear();
         // Two children respond; only ONE upward Have must result.
         for &a in &addrs[..2] {
-            node.on_message(
-                &mut ctx,
-                a,
-                CmsMsg::Have { reqid: 5, path: "/data/f".into(), hash, staging: false }.into(),
-            );
+            node.on_message(&mut ctx, a, have("/data/f", false));
         }
-        let ups: Vec<&Msg> = ctx
-            .sends
-            .iter()
-            .filter_map(|(to, m)| {
-                (*to == parent && matches!(m, Msg::Cms(CmsMsg::Have { .. }))).then_some(m)
-            })
-            .collect();
-        assert_eq!(ups.len(), 1, "responses must be compressed (§II-B2)");
-        match ups[0] {
-            Msg::Cms(CmsMsg::Have { reqid, .. }) => assert_eq!(*reqid, 99, "parent's reqid echoed"),
-            _ => unreachable!(),
+        assert_eq!(upward_haves(&ctx, parent), [false], "responses are compressed (§II-B2)");
+    }
+
+    #[test]
+    fn parent_locate_is_answered_with_every_anchor_busy() {
+        let parent = Addr(1);
+        let mut node = mk_supervisor(parent, Arc::new(VirtualClock::new()));
+        let mut ctx = MockCtx::new();
+        let addrs = login_servers(&mut node, &mut ctx, 2);
+        // Clients of this supervisor hold every anchor of the response queue.
+        let anchors = node.cache().config().response_anchors;
+        for i in 0..anchors {
+            node.on_message(&mut ctx, Addr(50 + i as u64), open(&format!("/data/ghost{i}")));
         }
+        assert_eq!(node.cache().busy_anchors(), anchors);
+        ctx.sends.clear();
+        let hash = crc32(b"/data/f");
+        node.on_message(
+            &mut ctx,
+            parent,
+            CmsMsg::Locate { reqid: 7, path: "/data/f".into(), hash, write: false }.into(),
+        );
+        node.on_message(&mut ctx, addrs[1], have("/data/f", false));
+        assert_eq!(upward_haves(&ctx, parent), [false], "the parent's file is found");
+        assert_eq!(node.cache().stats().snapshot().queue_full, 0);
+    }
+
+    #[test]
+    fn upward_have_follows_rises_in_availability() {
+        let parent = Addr(1);
+        let mut node = mk_supervisor(parent, Arc::new(VirtualClock::new()));
+        let mut ctx = MockCtx::new();
+        let addrs = login_servers(&mut node, &mut ctx, 3);
+        ctx.sends.clear();
+        // Nobody → preparing → online: the parent hears of each rise, asked
+        // or not, so it promotes the file out of staging too.
+        node.on_message(&mut ctx, addrs[0], have("/mss/f", true));
+        assert_eq!(upward_haves(&ctx, parent), [true]);
+        node.on_message(&mut ctx, addrs[1], have("/mss/f", true));
+        assert_eq!(upward_haves(&ctx, parent), [true], "a second stager changes nothing");
+        node.on_message(&mut ctx, addrs[0], have("/mss/f", false));
+        assert_eq!(upward_haves(&ctx, parent), [true, false]);
+        node.on_message(&mut ctx, addrs[2], have("/mss/f", false));
+        assert_eq!(upward_haves(&ctx, parent), [true, false], "nor does a second holder");
     }
 
     #[test]

@@ -320,3 +320,45 @@ fn least_load_policy_steers_around_busy_server() {
         assert_eq!(x.server.as_deref(), Some("srv-1"), "{r:?}");
     }
 }
+
+#[test]
+fn cold_open_burst_inside_one_fast_window_never_fills_a_supervisor_queue() {
+    // mgr -> 2 supervisors -> 4 servers. Every cold open floods both
+    // supervisors, and the one that does not hold the file never answers
+    // its parent. If that silence held a response-queue anchor until the
+    // sweep, 2 400 opens inside one 133 ms window would fill the 1 024
+    // anchors and existing files would start reading "not here".
+    const CLIENTS: usize = 12;
+    const OPENS: usize = 200;
+    let mut cfg = fixed_cfg(4);
+    cfg.fanout = 2;
+    let mut c = SimCluster::build(cfg);
+    assert_eq!((c.supervisors.len(), c.spec.depth()), (2, 2));
+    let path = |k: usize, i: usize| format!("/data/c{k}/f{i}");
+    for k in 0..CLIENTS {
+        for i in 0..OPENS {
+            c.seed_file((k + i) % 4, &path(k, i), 1, true);
+        }
+    }
+    c.settle(Nanos::from_secs(2));
+    let start = c.net.now();
+    let clients: Vec<Addr> = (0..CLIENTS)
+        .map(|k| {
+            let ops = (0..OPENS).map(|i| ClientOp::Open { path: path(k, i), write: false });
+            c.add_client(ops.collect(), Nanos::ZERO)
+        })
+        .collect();
+    clients.iter().for_each(|&client| c.start_node(client));
+    c.net.run_for(Nanos::from_secs(10));
+    for &client in &clients {
+        let results = c.client_results(client);
+        assert_eq!(results.len(), OPENS);
+        for r in results {
+            assert_eq!(r.outcome, OpOutcome::Ok, "{r:?}");
+            assert!(r.end.since(start) < Nanos::from_millis(133), "inside one window: {r:?}");
+        }
+    }
+    for sup in c.supervisors.clone() {
+        assert_eq!(c.with_cmsd(sup, |n| n.cache().stats().snapshot().queue_full), 0);
+    }
+}
