@@ -82,9 +82,11 @@ impl RespQueue {
         RespQueue { anchors, free, fast_window }
     }
 
-    /// Number of busy anchors (diagnostics).
+    /// Number of busy anchors: every anchor is either busy or on the free
+    /// list, so no scan is needed (admission reads this on every client
+    /// resolve).
     pub fn busy_anchors(&self) -> usize {
-        self.anchors.iter().filter(|a| a.busy).count()
+        self.anchors.len() - self.free.len()
     }
 
     /// Whether no requests are outstanding — the notification condition for
@@ -176,6 +178,12 @@ mod tests {
         RespQueue::new(4, Nanos::from_millis(133))
     }
 
+    /// `busy_anchors`, checked against a scan of the anchors.
+    fn busy(q: &RespQueue) -> usize {
+        debug_assert_eq!(q.busy_anchors(), q.anchors.iter().filter(|a| a.busy).count());
+        q.busy_anchors()
+    }
+
     #[test]
     fn open_append_satisfy_roundtrip() {
         let mut q = q();
@@ -203,7 +211,7 @@ mod tests {
             q.open(i, AccessMode::Read, Waiter::new(i as u64, 0), Nanos::ZERO).unwrap();
         }
         assert_eq!(q.open(9, AccessMode::Write, Waiter::new(9, 0), Nanos::ZERO), Err(QueueFull));
-        assert_eq!(q.busy_anchors(), 4);
+        assert_eq!(busy(&q), 4);
     }
 
     #[test]
@@ -213,10 +221,13 @@ mod tests {
         let t1 = Nanos::from_millis(100);
         let young = q.open(2, AccessMode::Read, Waiter::new(2, 0), t1).unwrap();
         // At 140 ms, only the first anchor has exceeded 133 ms.
+        assert_eq!(busy(&q), 2);
         let timed_out = q.sweep(Nanos::from_millis(140));
         assert_eq!(timed_out, vec![Waiter::new(1, 0)]);
+        assert_eq!(busy(&q), 1, "the sweep frees what it times out");
         assert!(q.satisfy(old, 1).is_none(), "swept association is severed");
         assert!(q.satisfy(young, 2).is_some(), "young association survives");
+        assert_eq!(busy(&q), 0);
     }
 
     #[test]

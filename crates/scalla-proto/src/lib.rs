@@ -28,7 +28,7 @@ pub use msg::{
     Addr, ClientMsg, CmsMsg, ErrCode, HistDelta, Lease, MonMsg, MonSpan, Msg, NodeRoleTag,
     ServerMsg, NO_CLIENT,
 };
-pub use pool::{encode_frame_pooled, encode_frame_traced_pooled, BufferPool};
+pub use pool::BufferPool;
 pub use wire::{
     decode_msg, decode_msg_traced, encode_frame, encode_frame_traced, encode_msg,
     encode_msg_traced, FrameDecoder, WireError, TRACE_ENVELOPE_TAG,

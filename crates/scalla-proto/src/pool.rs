@@ -5,11 +5,10 @@
 //! on the metadata path the paper works so hard to keep flat (§VI: "compact
 //! data structures", "constant time algorithms in all high-use paths").
 //! [`BufferPool`] recycles encode buffers instead: the steady-state send
-//! path pops a warm buffer, encodes into it, ships it to a writer thread,
-//! and the writer returns it — zero allocations once the pool is primed.
+//! path pops a warm buffer, encodes a batch of frames into it, and whoever
+//! writes the batch to the socket returns it — zero allocations once the
+//! pool is primed.
 
-use crate::msg::Msg;
-use crate::wire::encode_frame;
 use bytes::BytesMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -41,7 +40,23 @@ impl BufferPool {
         }
     }
 
-    /// Takes an empty buffer, reusing a pooled one when available.
+    /// Takes an empty buffer, reusing a pooled one when available. Hand it
+    /// back with [`BufferPool::put`] once its bytes are on the wire.
+    ///
+    /// ```
+    /// use scalla_proto::{encode_frame, BufferPool, CmsMsg, Msg};
+    ///
+    /// let pool = BufferPool::new(8);
+    /// let msg: Msg = CmsMsg::Locate { reqid: 1, path: "/f".into(), hash: 9, write: false }.into();
+    /// let mut frame = pool.get();
+    /// encode_frame(&msg, &mut frame);
+    /// assert!(frame.len() > 4, "length prefix plus payload");
+    /// pool.put(frame);
+    /// let again = pool.get();
+    /// assert_eq!(pool.hits(), 1, "the second get reuses the first buffer");
+    /// assert!(again.is_empty(), "cleared, capacity kept");
+    /// pool.put(again);
+    /// ```
     pub fn get(&self) -> BytesMut {
         if let Some(buf) = self.free.lock().expect("pool lock").pop() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -77,48 +92,18 @@ impl BufferPool {
     }
 }
 
-/// Encodes `msg` as a length-prefixed frame into a pooled buffer.
-///
-/// The returned buffer holds exactly one frame; hand it back with
-/// [`BufferPool::put`] once the bytes are on the wire.
-///
-/// ```
-/// use scalla_proto::{encode_frame_pooled, BufferPool, CmsMsg, Msg};
-///
-/// let pool = BufferPool::new(8);
-/// let msg: Msg = CmsMsg::Locate { reqid: 1, path: "/f".into(), hash: 9, write: false }.into();
-/// let frame = encode_frame_pooled(&msg, &pool);
-/// assert!(frame.len() > 4, "length prefix plus payload");
-/// pool.put(frame);
-/// let again = encode_frame_pooled(&msg, &pool);
-/// assert_eq!(pool.hits(), 1, "second encode reuses the first buffer");
-/// pool.put(again);
-/// ```
-pub fn encode_frame_pooled(msg: &Msg, pool: &BufferPool) -> BytesMut {
-    let mut buf = pool.get();
-    encode_frame(msg, &mut buf);
-    buf
-}
-
-/// [`encode_frame_pooled`] with a trace envelope; a zero `trace` id emits
-/// a plain frame (see `wire::encode_frame_traced`).
-pub fn encode_frame_traced_pooled(msg: &Msg, trace: u64, pool: &BufferPool) -> BytesMut {
-    let mut buf = pool.get();
-    crate::wire::encode_frame_traced(msg, trace, &mut buf);
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::ServerMsg;
-    use crate::wire::FrameDecoder;
+    use crate::msg::{Msg, ServerMsg};
+    use crate::wire::{encode_frame, FrameDecoder};
 
     #[test]
     fn pooled_frames_decode_identically() {
         let pool = BufferPool::new(4);
         let msg: Msg = ServerMsg::Redirect { host: "sup-1".into(), lease: None }.into();
-        let frame = encode_frame_pooled(&msg, &pool);
+        let mut frame = pool.get();
+        encode_frame(&msg, &mut frame);
         let mut dec = FrameDecoder::new();
         dec.feed(&frame);
         assert_eq!(dec.next().unwrap(), Some(msg));
@@ -143,8 +128,8 @@ mod tests {
     #[test]
     fn returned_buffers_come_back_empty() {
         let pool = BufferPool::new(2);
-        let msg: Msg = ServerMsg::CloseOk.into();
-        let frame = encode_frame_pooled(&msg, &pool);
+        let mut frame = pool.get();
+        encode_frame(&ServerMsg::CloseOk.into(), &mut frame);
         assert!(!frame.is_empty());
         pool.put(frame);
         assert!(pool.get().is_empty());

@@ -1,19 +1,39 @@
-//! Non-blocking batched egress for the TCP runtime.
+//! Batched egress for the TCP runtime: the protocol thread writes its own
+//! frames, a writer thread does whatever would block.
 //!
-//! The protocol thread must never touch a peer socket: one hung peer would
-//! otherwise stall a node's entire event loop (connects, writes, and their
-//! syscalls all block). Instead every outgoing link is a bounded frame
-//! queue drained by a dedicated writer thread:
+//! The protocol thread must never *block* on a peer socket: one hung peer
+//! would otherwise stall a node's entire event loop. It may well write to
+//! one — a wake-up of another thread per hop is most of what a hop costs —
+//! so every outgoing link is split in two halves around one non-blocking
+//! socket:
 //!
-//! * **Non-blocking send** — the protocol thread encodes into a pooled
-//!   buffer and `try_send`s it; a full queue drops the frame with explicit
-//!   accounting (the same loss semantics a dead peer already has).
-//! * **Coalescing** — the writer drains everything queued (up to
-//!   [`MAX_BATCH`]) and ships the batch in a single `write_vectored`
-//!   syscall, so bursts cost one syscall for many frames.
-//! * **Bounded blocking** — connects happen on the writer thread with a
-//!   timeout, writes carry a write timeout, and a peer that stays wedged
-//!   past the stall budget is declared **dead**.
+//! * **Batch** — [`EgressLink::post`] encodes a frame onto the link's
+//!   pending batch: one pooled buffer, frames back to back. Nothing is
+//!   sent until [`EgressLink::flush`], which the event loop calls wherever
+//!   it could otherwise sleep on unsent bytes (see `runtime::run_node`).
+//! * **Inline write** — `flush` does *one* non-blocking `write` of the
+//!   batch from the protocol thread when the link is connected and its
+//!   writer holds nothing. A burst costs one syscall for many frames and
+//!   the common hop wakes nobody on the sending side.
+//! * **The writer is the blocking half** — whatever that one `write` could
+//!   not do is handed to the link's writer thread through a bounded queue:
+//!   the connect (with a timeout, then the sender-address preamble), the
+//!   unwritten tail of a short write, a batch that met `WouldBlock` or an
+//!   error. Writes there carry a write timeout, and a peer that stays
+//!   wedged past the stall budget is declared **dead**. A queue holding
+//!   [`QUEUE_CAP`] frames drops the next batch with explicit accounting
+//!   (the same loss semantics a dead peer already has).
+//! * **Who may touch the socket** — `O_NONBLOCK` lives on the open file
+//!   description, so a `try_clone` would share it: there is one stream per
+//!   link, in a slot both threads can reach, and `in_writer` (the frames
+//!   handed to the writer and not yet disposed of) decides whose turn it
+//!   is. Only the protocol thread increments it, and writes inline only at
+//!   zero; the writer takes the stream out of the slot, blocks on it with
+//!   no lock held, puts it back non-blocking and only then decrements
+//!   (`Release`, paired with the protocol thread's `Acquire` load). So once
+//!   anything is handed over — a tail goes first, into an empty queue —
+//!   everything queues behind it until the writer is idle again: frames
+//!   leave a link in the order they were posted.
 //! * **Dead → probing → alive** — a dead peer is *not* dead forever (the
 //!   paper's clusters treat node restart as steady state, §II-A). The
 //!   writer drops frames instantly while a capped exponential backoff
@@ -25,24 +45,30 @@
 //!   assert matched dead/reconnected pairs.
 //! * **Deterministic shutdown** — dropping the queue's sender wakes the
 //!   writer out of `recv`; the stop flag breaks any in-flight stall loop.
+//!
+//! Counters stay per *frame*: a batch of k frames written, dropped or
+//! refused by a full queue moves `frames`, `conn_drops` or `queue_drops`
+//! by k. A batch is accounted whole — one that breaks half way counts
+//! every frame as a `conn_drop`.
 
 use crate::metrics::EgressCounters;
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use scalla_obs::{Emit, Kind, Obs, Source};
-use scalla_proto::{Addr, BufferPool};
+use scalla_proto::{encode_frame_traced, Addr, BufferPool, Msg};
 use scalla_util::SplitMix64;
 use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Frames a single peer queue can hold before overflow drops begin.
 pub(crate) const QUEUE_CAP: usize = 4096;
-/// Most frames one vectored write will carry.
+/// Most frames a link's pending batch holds before it is flushed, and most
+/// batches one vectored write of the writer will carry.
 const MAX_BATCH: usize = 64;
 
 /// Writer-thread timeouts and the dead-peer probing schedule.
@@ -84,7 +110,8 @@ scalla_obs::counter_set! {
     pub(crate) struct EgressSnapshot;
     /// Frames fully written to a socket.
     frames: "scalla_egress_frames_total",
-    /// Vectored write syscalls issued (frames / writes = coalescing ratio).
+    /// Write syscalls that moved bytes, inline or by a writer thread
+    /// (frames / writes = coalescing ratio).
     writes: "scalla_egress_writes_total",
     /// Frames dropped because a peer queue was full.
     queue_drops: "scalla_egress_queue_drops_total",
@@ -156,42 +183,117 @@ impl Source for EgressShared {
     }
 }
 
-/// One outgoing link: a bounded frame queue plus its writer thread.
+/// Frames on their way out of one link: `frames` of them encoded back to
+/// back into a pooled buffer. What a short write already put on the wire
+/// is consumed from the buffer's front, so `buf` is always what is left
+/// to write.
+struct Batch {
+    buf: BytesMut,
+    frames: usize,
+}
+
+/// What a link's two threads share.
+struct LinkState {
+    /// The link's one connection, non-blocking whenever it sits here. The
+    /// lock is never held across a blocking call: the writer takes the
+    /// stream out before it blocks on it.
+    stream: Mutex<Option<TcpStream>>,
+    /// Frames handed to the writer and not yet written or dropped. Nonzero
+    /// means the stream is the writer's and every batch queues behind it.
+    in_writer: AtomicUsize,
+}
+
+/// One outgoing link, owned by the sending node's protocol thread: the
+/// pending batch, the queue to the writer thread, and the state the two
+/// share.
 pub(crate) struct EgressLink {
-    tx: Sender<BytesMut>,
+    pending: Option<Batch>,
+    state: Arc<LinkState>,
+    tx: Sender<Batch>,
     handle: JoinHandle<()>,
 }
 
 impl EgressLink {
     /// Spawns the writer thread for `me → peer`. Nothing connects yet;
-    /// the first queued frame triggers the (writer-side) connect.
+    /// the first flushed batch triggers the (writer-side) connect.
     pub fn spawn(me: Addr, peer: SocketAddr, shared: Arc<EgressShared>) -> EgressLink {
-        let (tx, rx) = bounded::<BytesMut>(QUEUE_CAP);
+        let (tx, rx) = bounded::<Batch>(QUEUE_CAP);
+        let state =
+            Arc::new(LinkState { stream: Mutex::new(None), in_writer: AtomicUsize::new(0) });
+        let writer_state = state.clone();
         let handle = std::thread::Builder::new()
             .name(format!("scalla-tcp-writer-{}-{}", me.0, peer.port()))
-            .spawn(move || writer_loop(me, peer, rx, shared))
+            .spawn(move || writer_loop(me, peer, rx, writer_state, shared))
             .expect("spawn egress writer");
-        EgressLink { tx, handle }
+        EgressLink { pending: None, state, tx, handle }
     }
 
-    /// Queues one encoded frame without blocking. Overflow (or a link
-    /// already torn down) drops the frame, counts it, and recycles the
-    /// buffer.
-    pub fn send(&self, frame: BytesMut, shared: &EgressShared) {
-        match self.tx.try_send(frame) {
-            Ok(()) => {}
-            Err(TrySendError::Full(f)) | Err(TrySendError::Disconnected(f)) => {
-                shared.stats.queue_drops.fetch_add(1, Ordering::Relaxed);
-                shared.pool.put(f);
+    /// Encodes one frame onto the pending batch, touching no socket unless
+    /// that makes [`MAX_BATCH`] frames, which are flushed at once. Returns
+    /// whether the frame opened a batch: the caller owes the link one
+    /// [`EgressLink::flush`] before it sleeps.
+    pub fn post(&mut self, msg: &Msg, trace: u64, shared: &EgressShared) -> bool {
+        let batch = self.pending.get_or_insert_with(|| Batch { buf: shared.pool.get(), frames: 0 });
+        encode_frame_traced(msg, trace, &mut batch.buf);
+        batch.frames += 1;
+        let frames = batch.frames;
+        if frames == MAX_BATCH {
+            self.flush(shared);
+        }
+        frames == 1
+    }
+
+    /// Sends the pending batch without blocking: one non-blocking `write`
+    /// from this thread when the link is connected and the writer holds
+    /// nothing, and the writer's queue for anything that write left over.
+    pub fn flush(&mut self, shared: &EgressShared) {
+        let Some(mut batch) = self.pending.take() else {
+            return;
+        };
+        // Acquire pairs with the writer's Release decrement: at zero the
+        // stream is back in the slot, non-blocking, and the writer is
+        // parked in `recv` until this thread hands it something.
+        if self.state.in_writer.load(Ordering::Acquire) == 0 {
+            if let Some(mut stream) = self.state.stream.lock().as_ref() {
+                // Any outcome but a complete write is the writer's to deal
+                // with: it retries on the same stream and sees for itself
+                // whatever error this call saw.
+                if let Ok(n) = stream.write(&batch.buf) {
+                    shared.stats.writes.fetch_add(1, Ordering::Relaxed);
+                    batch.buf.advance(n);
+                }
             }
         }
+        if batch.buf.is_empty() {
+            shared.stats.frames.fetch_add(batch.frames as u64, Ordering::Relaxed);
+            shared.pool.put(batch.buf);
+            return;
+        }
+        // Hand over, unless the writer already holds QUEUE_CAP frames. A
+        // tail lands in an empty queue (the inline write ran only because
+        // the writer held nothing), so only whole batches are ever refused
+        // and the stream never loses half a frame.
+        let frames = batch.frames;
+        if self.state.in_writer.load(Ordering::Relaxed) + frames <= QUEUE_CAP {
+            self.state.in_writer.fetch_add(frames, Ordering::Relaxed);
+            match self.tx.try_send(batch) {
+                Ok(()) => return,
+                Err(TrySendError::Full(b)) | Err(TrySendError::Disconnected(b)) => {
+                    self.state.in_writer.fetch_sub(frames, Ordering::Relaxed);
+                    batch = b;
+                }
+            }
+        }
+        shared.stats.queue_drops.fetch_add(frames as u64, Ordering::Relaxed);
+        shared.pool.put(batch.buf);
     }
 
-    /// Closes the queue and joins the writer. The dropped sender wakes the
-    /// writer deterministically; it drains what is already queued (stop
-    /// flag permitting) and exits.
-    pub fn close(self) {
-        let EgressLink { tx, handle } = self;
+    /// Flushes, closes the queue and joins the writer. The dropped sender
+    /// wakes the writer deterministically; it drains what is already
+    /// queued (stop flag permitting) and exits.
+    pub fn close(mut self, shared: &EgressShared) {
+        self.flush(shared);
+        let EgressLink { tx, handle, .. } = self;
         drop(tx);
         let _ = handle.join();
     }
@@ -237,31 +339,43 @@ fn mark_dead(
     }
 }
 
-fn writer_loop(me: Addr, peer: SocketAddr, rx: Receiver<BytesMut>, shared: Arc<EgressShared>) {
-    let mut conn: Option<TcpStream> = None;
+/// The blocking half of a link: connects, and writes what the protocol
+/// thread's one non-blocking `write` could not.
+fn writer_loop(
+    me: Addr,
+    peer: SocketAddr,
+    rx: Receiver<Batch>,
+    state: Arc<LinkState>,
+    shared: Arc<EgressShared>,
+) {
     let mut dead: Option<DeadPeer> = None;
     let mut rng = SplitMix64::new(me.0 ^ ((peer.port() as u64) << 32));
-    let mut batch: Vec<BytesMut> = Vec::with_capacity(MAX_BATCH);
-    // Block for the next frame; a dropped sender ends the link.
+    let mut round: Vec<Batch> = Vec::with_capacity(MAX_BATCH);
+    // Block for the next batch; a dropped sender ends the link.
     while let Ok(first) = rx.recv() {
-        batch.push(first);
+        round.push(first);
         // Coalesce everything else already queued.
-        while batch.len() < MAX_BATCH {
+        while round.len() < MAX_BATCH {
             match rx.try_recv() {
-                Some(f) => batch.push(f),
+                Some(b) => round.push(b),
                 None => break,
             }
         }
-        if shared.stop.load(Ordering::Relaxed) {
-            // Shutting down: don't start connects or writes, just account.
-            shared.stats.conn_drops.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        } else if dead.as_ref().is_some_and(|d| Instant::now() < d.next_probe) {
-            // Dead and not yet due for a probe: drop instantly instead of
-            // paying a full connect timeout per batch.
-            shared.stats.conn_drops.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        // `in_writer` is nonzero until the end of this round, so the
+        // stream (connected or not) is this thread's alone meanwhile.
+        // Shutting down, start no connect or write; dead and not yet due
+        // for a probe, pay no connect timeout per round: just account.
+        let skip = shared.stop.load(Ordering::Relaxed)
+            || dead.as_ref().is_some_and(|d| Instant::now() < d.next_probe);
+        let written = if skip {
+            0
         } else {
             let tuning = *shared.tuning.read();
-            if conn.is_none() {
+            let mut conn = state.stream.lock().take();
+            if let Some(stream) = &conn {
+                // Blocking, so the write timeout set at connect applies.
+                stream.set_nonblocking(false).ok();
+            } else {
                 conn = connect(me, peer, &tuning, &shared);
                 match &conn {
                     Some(_) => {
@@ -274,25 +388,35 @@ fn writer_loop(me: Addr, peer: SocketAddr, rx: Receiver<BytesMut>, shared: Arc<E
                     None => mark_dead(&mut dead, &tuning, &mut rng, &shared),
                 }
             }
-            let delivered = match conn.as_mut() {
-                Some(stream) => write_batch(stream, &batch, &tuning, &shared),
+            let written = match conn.as_mut() {
+                Some(stream) => write_round(stream, &round, &tuning, &shared),
                 None => 0,
             };
-            if delivered < batch.len() {
-                shared
-                    .stats
-                    .conn_drops
-                    .fetch_add((batch.len() - delivered) as u64, Ordering::Relaxed);
+            if written < round.len() {
                 if conn.take().is_some() {
                     // An established connection broke or wedged: back to
-                    // dead so probing (not every batch) pays the timeout.
+                    // dead so probing (not every round) pays the timeout.
                     mark_dead(&mut dead, &tuning, &mut rng, &shared);
                 }
+            } else if let Some(stream) = conn {
+                // Back to the slot, non-blocking first: the protocol
+                // thread writes to whatever it finds there.
+                if stream.set_nonblocking(true).is_ok() {
+                    *state.stream.lock() = Some(stream);
+                }
             }
+            written
+        };
+        let mut held = 0;
+        for (i, batch) in round.drain(..).enumerate() {
+            held += batch.frames;
+            let outcome = if i < written { &shared.stats.frames } else { &shared.stats.conn_drops };
+            outcome.fetch_add(batch.frames as u64, Ordering::Relaxed);
+            shared.pool.put(batch.buf);
         }
-        for buf in batch.drain(..) {
-            shared.pool.put(buf);
-        }
+        // Release pairs with the Acquire load in `EgressLink::flush`: the
+        // stream is in its slot before the protocol thread may look.
+        state.in_writer.fetch_sub(held, Ordering::Release);
     }
 }
 
@@ -329,35 +453,35 @@ fn connect(
     Some(stream)
 }
 
-/// Writes the whole batch with vectored syscalls, handling partial writes
-/// across frame boundaries. Returns the number of frames fully written.
-fn write_batch(
+/// Writes the round's batches with vectored syscalls, handling partial
+/// writes across batch boundaries. Returns the number of batches fully
+/// written.
+fn write_round(
     stream: &mut TcpStream,
-    batch: &[BytesMut],
+    round: &[Batch],
     tuning: &EgressTuning,
     shared: &EgressShared,
 ) -> usize {
-    let mut idx = 0; // first frame not yet fully written
-    let mut off = 0; // bytes of frame `idx` already written
+    let mut idx = 0; // first batch not yet fully written
+    let mut off = 0; // bytes of batch `idx` already written
     let mut stalls = 0u32;
-    while idx < batch.len() {
-        let mut slices = Vec::with_capacity(batch.len() - idx);
-        slices.push(IoSlice::new(&batch[idx][off..]));
-        for frame in &batch[idx + 1..] {
-            slices.push(IoSlice::new(frame));
+    while idx < round.len() {
+        let mut slices = Vec::with_capacity(round.len() - idx);
+        slices.push(IoSlice::new(&round[idx].buf[off..]));
+        for batch in &round[idx + 1..] {
+            slices.push(IoSlice::new(&batch.buf));
         }
         match stream.write_vectored(&slices) {
             Ok(0) => return idx,
             Ok(mut n) => {
                 shared.stats.writes.fetch_add(1, Ordering::Relaxed);
                 stalls = 0;
-                while n > 0 && idx < batch.len() {
-                    let remaining = batch[idx].len() - off;
+                while n > 0 && idx < round.len() {
+                    let remaining = round[idx].buf.len() - off;
                     if n >= remaining {
                         n -= remaining;
                         off = 0;
                         idx += 1;
-                        shared.stats.frames.fetch_add(1, Ordering::Relaxed);
                     } else {
                         off += n;
                         n = 0;
@@ -380,43 +504,127 @@ fn write_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::poll_until;
+    use crate::chaos::{assert_poll, poll_until};
+    use bytes::Bytes;
+    use scalla_proto::{encode_frame, ClientMsg, FrameDecoder};
     use std::io::Read;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    const PATIENCE: Duration = Duration::from_secs(10);
 
     fn shared() -> Arc<EgressShared> {
         Arc::new(EgressShared::new(Arc::new(AtomicBool::new(false))))
     }
 
-    fn frame(bytes: &[u8], shared: &EgressShared) -> BytesMut {
-        let mut b = shared.pool.get();
-        b.extend_from_slice(bytes);
-        b
+    fn stat(counter: &std::sync::atomic::AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
     }
 
-    /// Reads everything after the 8-byte preamble until EOF.
-    fn drain_after_preamble(listener: std::net::TcpListener) -> Vec<u8> {
+    impl EgressLink {
+        fn in_writer(&self) -> usize {
+            self.state.in_writer.load(Ordering::Acquire)
+        }
+
+        fn post_flush(&mut self, msg: &Msg, shared: &EgressShared) {
+            self.post(msg, 0, shared);
+            self.flush(shared);
+        }
+    }
+
+    /// Frame number `i`, `payload` bytes long.
+    fn numbered(i: u64, payload: usize) -> Msg {
+        ClientMsg::Write { handle: i, offset: 0, data: Bytes::from(vec![0xAB; payload]) }.into()
+    }
+
+    /// Accepts one connection and reads its preamble and everything after
+    /// it until EOF.
+    fn drain_after_preamble(listener: TcpListener) -> (Addr, Vec<u8>) {
         let (mut s, _) = listener.accept().unwrap();
         let mut pre = [0u8; 8];
         s.read_exact(&mut pre).unwrap();
         let mut out = Vec::new();
         s.read_to_end(&mut out).unwrap();
-        out
+        (Addr(u64::from_le_bytes(pre)), out)
+    }
+
+    /// A peer that accepts one connection, reads the preamble, then reads
+    /// nothing until told to; from then on it decodes frames until EOF and
+    /// returns their numbers in arrival order.
+    fn stalling_reader(listener: TcpListener) -> (mpsc::Sender<()>, JoinHandle<Vec<u64>>) {
+        let (go, stalled) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut pre = [0u8; 8];
+            s.read_exact(&mut pre).unwrap();
+            let _ = stalled.recv();
+            let mut dec = FrameDecoder::new();
+            let mut buf = vec![0u8; 64 * 1024];
+            let mut seen = Vec::new();
+            loop {
+                let n = s.read(&mut buf).unwrap();
+                if n == 0 {
+                    return seen;
+                }
+                dec.feed(&buf[..n]);
+                while let Some(msg) = dec.next().unwrap() {
+                    match msg {
+                        Msg::Client(ClientMsg::Write { handle, .. }) => seen.push(handle),
+                        other => panic!("{other:?}"),
+                    }
+                }
+            }
+        });
+        (go, reader)
+    }
+
+    /// A link to a [`stalling_reader`], connected: frame 0 went through the
+    /// writer's connect and the stream is back in its slot.
+    fn connected_to_stalling_reader(
+        sh: &Arc<EgressShared>,
+    ) -> (EgressLink, mpsc::Sender<()>, JoinHandle<Vec<u64>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut link = EgressLink::spawn(Addr(5), listener.local_addr().unwrap(), sh.clone());
+        let (go, reader) = stalling_reader(listener);
+        link.post_flush(&numbered(0, 16), sh);
+        assert_poll(PATIENCE, "the writer connects and goes idle", || link.in_writer() == 0);
+        assert_eq!(stat(&sh.stats.frames), 1);
+        (link, go, reader)
+    }
+
+    /// Wedges a connected link: one batch far larger than the socket
+    /// buffers of a peer that is not reading, so the inline write is short
+    /// and the tail sits in the writer. Returns the next frame number.
+    fn wedge(link: &mut EgressLink, sh: &EgressShared) -> u64 {
+        const BIG: usize = 16;
+        for i in 0..BIG {
+            link.post(&numbered(1 + i as u64, 1 << 20), 0, sh);
+        }
+        link.flush(sh);
+        assert_eq!(link.in_writer(), BIG, "the tail is the writer's, whole batch outstanding");
+        assert_eq!(stat(&sh.stats.frames), 1, "a half-written batch counts no frame yet");
+        1 + BIG as u64
     }
 
     #[test]
     fn frames_arrive_in_order_with_preamble() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = listener.local_addr().unwrap();
         let reader = std::thread::spawn(move || drain_after_preamble(listener));
         let sh = shared();
-        let link = EgressLink::spawn(Addr(3), peer, sh.clone());
-        for chunk in [b"aaaa".as_slice(), b"bb", b"cccccc"] {
-            link.send(frame(chunk, &sh), &sh);
+        let mut link = EgressLink::spawn(Addr(3), peer, sh.clone());
+        let mut want = BytesMut::new();
+        for (i, len) in [4, 2, 6].into_iter().enumerate() {
+            let msg = numbered(i as u64, len);
+            encode_frame(&msg, &mut want);
+            link.post(&msg, 0, &sh);
         }
-        link.close();
-        assert_eq!(reader.join().unwrap(), b"aaaabbcccccc");
-        assert_eq!(sh.stats.frames.load(Ordering::Relaxed), 3);
-        assert_eq!(sh.stats.queue_drops.load(Ordering::Relaxed), 0);
+        link.close(&sh);
+        let (from, got) = reader.join().unwrap();
+        assert_eq!(from, Addr(3), "the preamble names the sender");
+        assert_eq!(got, want.to_vec(), "then the frames, back to back in post order");
+        assert_eq!(stat(&sh.stats.frames), 3);
+        assert_eq!(stat(&sh.stats.queue_drops), 0);
     }
 
     #[test]
@@ -454,45 +662,172 @@ mod tests {
     fn unreachable_peer_counts_conn_drops_without_blocking_sender() {
         // A bound-then-dropped listener: connects are refused instantly.
         let peer = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
         let sh = shared();
-        let link = EgressLink::spawn(Addr(0), peer, sh.clone());
+        let mut link = EgressLink::spawn(Addr(0), peer, sh.clone());
         let t0 = std::time::Instant::now();
-        for _ in 0..10 {
-            link.send(frame(b"x", &sh), &sh);
+        // Four batches of three frames: drops are counted per frame.
+        for i in 0..12 {
+            link.post(&numbered(i, 1), 0, &sh);
+            if i % 3 == 2 {
+                link.flush(&sh);
+            }
         }
-        assert!(t0.elapsed() < Duration::from_millis(100), "send must not block");
-        link.close();
-        assert_eq!(
-            sh.stats.conn_drops.load(Ordering::Relaxed)
-                + sh.stats.queue_drops.load(Ordering::Relaxed),
-            10
-        );
-        assert_eq!(sh.stats.frames.load(Ordering::Relaxed), 0);
-        assert_eq!(sh.stats.peer_deaths.load(Ordering::Relaxed), 1, "one death transition");
-        assert_eq!(sh.stats.peer_reconnects.load(Ordering::Relaxed), 0);
+        assert!(t0.elapsed() < Duration::from_millis(100), "post and flush must not block");
+        link.close(&sh);
+        assert_eq!(stat(&sh.stats.conn_drops) + stat(&sh.stats.queue_drops), 12);
+        assert_eq!(stat(&sh.stats.frames), 0);
+        assert_eq!(stat(&sh.stats.peer_deaths), 1, "one death transition");
+        assert_eq!(stat(&sh.stats.peer_reconnects), 0);
     }
 
     #[test]
     fn bursts_coalesce_into_fewer_syscalls() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = listener.local_addr().unwrap();
         let reader = std::thread::spawn(move || drain_after_preamble(listener));
         let sh = shared();
-        let link = EgressLink::spawn(Addr(1), peer, sh.clone());
+        let mut link = EgressLink::spawn(Addr(1), peer, sh.clone());
         let n = 512u64;
+        let msg = numbered(7, 10);
+        let mut one = BytesMut::new();
+        encode_frame(&msg, &mut one);
+        // No flush but the one `post` does itself at every MAX_BATCH frames.
         for _ in 0..n {
-            link.send(frame(b"0123456789", &sh), &sh);
+            link.post(&msg, 0, &sh);
         }
-        link.close();
-        let got = reader.join().unwrap();
-        assert_eq!(got.len(), 10 * n as usize, "no frame lost below queue capacity");
-        let frames = sh.stats.frames.load(Ordering::Relaxed);
-        let writes = sh.stats.writes.load(Ordering::Relaxed);
+        link.close(&sh);
+        let (_, got) = reader.join().unwrap();
+        assert_eq!(got.len(), one.len() * n as usize, "no frame lost below queue capacity");
+        let frames = stat(&sh.stats.frames);
+        let writes = stat(&sh.stats.writes);
         assert_eq!(frames, n);
         assert!(writes <= frames, "coalescing can never need more syscalls than frames");
+        assert!(writes <= n / 8, "a batch of 64 small frames is about one write, not {writes}");
+    }
+
+    #[test]
+    fn a_batch_moves_the_counters_by_its_frames() {
+        let sh = shared();
+        let (mut link, go, reader) = connected_to_stalling_reader(&sh);
+        let (writes, hits) = (stat(&sh.stats.writes), sh.pool.hits());
+        // Written inline: five frames, one syscall, one pooled buffer.
+        for i in 1..=5 {
+            link.post(&numbered(i, 16), 0, &sh);
+        }
+        assert_eq!(stat(&sh.stats.frames), 1, "nothing leaves before the flush");
+        link.flush(&sh);
+        assert_eq!(stat(&sh.stats.frames), 6);
+        assert_eq!(stat(&sh.stats.writes), writes + 1);
+        assert_eq!(sh.pool.hits(), hits + 1, "the batch reused the buffer frame 0 gave back");
+        assert_eq!(link.in_writer(), 0, "and woke nobody");
+        go.send(()).unwrap();
+        link.close(&sh);
+        assert_eq!(reader.join().unwrap(), (0..=5).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn short_write_tail_goes_first_and_a_full_queue_refuses_whole_batches() {
+        let sh = shared();
+        let (mut link, go, reader) = connected_to_stalling_reader(&sh);
+        let mut next = wedge(&mut link, &sh);
+        // Everything posted now queues behind the tail, in batches of five,
+        // until the writer holds QUEUE_CAP frames; then batches are refused
+        // whole.
+        let mut accepted = next;
+        while stat(&sh.stats.queue_drops) == 0 {
+            for _ in 0..5 {
+                link.post(&numbered(next, 16), 0, &sh);
+                next += 1;
+            }
+            link.flush(&sh);
+            if stat(&sh.stats.queue_drops) == 0 {
+                accepted = next;
+            }
+        }
+        assert_eq!(stat(&sh.stats.queue_drops), 5, "the refused batch's frames");
+        assert!(link.in_writer() <= QUEUE_CAP && link.in_writer() + 5 > QUEUE_CAP);
+        assert_eq!(link.in_writer() as u64, accepted - 1, "all but frame 0 wait in the writer");
+        // The peer drains: the wedged batch's tail arrives before anything
+        // posted after it, and nothing the queue accepted is lost.
+        go.send(()).unwrap();
+        link.close(&sh);
+        assert_eq!(reader.join().unwrap(), (0..accepted).collect::<Vec<u64>>());
+        assert_eq!(stat(&sh.stats.frames), accepted);
+        assert_eq!(stat(&sh.stats.conn_drops), 0);
+    }
+
+    #[test]
+    fn order_survives_the_hand_over_to_the_writer_and_back() {
+        const FRAMES: u64 = 10_000;
+        let sh = shared();
+        let (mut link, go, reader) = connected_to_stalling_reader(&sh);
+        let mut handed_over = false;
+        for i in 1..FRAMES {
+            // Below the queue bound nothing may be dropped: pace the posts.
+            while link.in_writer() > QUEUE_CAP / 2 {
+                std::thread::yield_now();
+            }
+            link.post(&numbered(i, 4096), 0, &sh);
+            if i % 5 == 0 {
+                link.flush(&sh);
+            }
+            if !handed_over && link.in_writer() > 0 {
+                // The socket filled up under inline writes: let the peer
+                // drain, so later batches meet an idle writer again.
+                handed_over = true;
+                go.send(()).unwrap();
+            }
+        }
+        assert!(handed_over, "40 MB into a stalled peer must overflow to the writer");
+        link.close(&sh);
+        assert_eq!(reader.join().unwrap(), (0..FRAMES).collect::<Vec<u64>>());
+        assert_eq!(stat(&sh.stats.frames), FRAMES);
+        assert_eq!(stat(&sh.stats.queue_drops) + stat(&sh.stats.conn_drops), 0);
+        assert!(stat(&sh.stats.writes) < FRAMES, "{} writes", stat(&sh.stats.writes));
+    }
+
+    #[test]
+    fn peer_closing_mid_stream_drops_whole_batches_and_dies_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = listener.local_addr().unwrap();
+        let sh = shared();
+        let obs = Obs::enabled();
+        *sh.obs.write() = obs.clone();
+        let mut link = EgressLink::spawn(Addr(4), peer, sh.clone());
+        // The peer reads the preamble, then hangs up and stops listening.
+        let reader = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            s.read_exact(&mut [0u8; 8]).unwrap();
+        });
+        link.post_flush(&numbered(0, 16), &sh);
+        reader.join().unwrap();
+        assert_poll(PATIENCE, "frame 0 is written", || stat(&sh.stats.frames) == 1);
+        // Batches of three until the break is noticed (the first write after
+        // a close can still succeed), and a few more while the peer is dead.
+        let mut posted = 1;
+        let mut after_death = 0;
+        while after_death < 3 {
+            for _ in 0..3 {
+                link.post(&numbered(posted, 16), 0, &sh);
+                posted += 1;
+            }
+            link.flush(&sh);
+            assert_poll(PATIENCE, "the batch is disposed of", || link.in_writer() == 0);
+            after_death += u64::from(stat(&sh.stats.peer_deaths) == 1);
+        }
+        link.close(&sh);
+        let (frames, drops) = (stat(&sh.stats.frames), stat(&sh.stats.conn_drops));
+        assert_eq!(frames + drops, posted, "every frame is accounted for");
+        assert_eq!((frames - 1) % 3, 0, "batches are written or dropped whole");
+        assert!(drops >= 9 && drops % 3 == 0, "{drops} conn drops");
+        assert_eq!(stat(&sh.stats.queue_drops), 0);
+        assert_eq!(stat(&sh.stats.peer_deaths), 1, "failed probes double the backoff, no more");
+        assert_eq!(stat(&sh.stats.peer_reconnects), 0);
+        let text = obs.registry().prometheus_text();
+        assert!(text.contains("scalla_recovery_events_total{event=\"peer_dead\"} 1"), "{text}");
     }
 
     #[test]
@@ -500,7 +835,7 @@ mod tests {
         // Reserve a port, then free it: connects are refused (the peer is
         // "down") until the listener is rebound on the same port.
         let peer = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
         let sh = shared();
@@ -511,34 +846,33 @@ mod tests {
         };
         let obs = Obs::enabled();
         *sh.obs.write() = obs.clone();
-        let link = EgressLink::spawn(Addr(7), peer, sh.clone());
+        let mut link = EgressLink::spawn(Addr(7), peer, sh.clone());
 
-        link.send(frame(b"lost", &sh), &sh);
+        link.post_flush(&numbered(0, 4), &sh);
         assert!(
-            poll_until(Duration::from_secs(5), || sh.stats.peer_deaths.load(Ordering::Relaxed)
-                == 1),
+            poll_until(Duration::from_secs(5), || stat(&sh.stats.peer_deaths) == 1),
             "refused connect must mark the peer dead"
         );
 
         // While the backoff runs down, frames drop without connect cost.
-        link.send(frame(b"lost2", &sh), &sh);
+        link.post_flush(&numbered(1, 4), &sh);
 
         // "Restart" the peer on the very same port; keep feeding frames so
         // a probe fires once the backoff expires.
-        let listener = std::net::TcpListener::bind(peer).unwrap();
-        let reader = std::thread::spawn(move || drain_after_preamble(listener));
+        let (go, reader) = stalling_reader(TcpListener::bind(peer).unwrap());
+        go.send(()).unwrap();
         assert!(
             poll_until(Duration::from_secs(5), || {
-                link.send(frame(b"hello", &sh), &sh);
+                link.post_flush(&numbered(9, 4), &sh);
                 std::thread::sleep(Duration::from_millis(5));
-                sh.stats.peer_reconnects.load(Ordering::Relaxed) == 1
+                stat(&sh.stats.peer_reconnects) == 1
             }),
             "probe must rejoin the restarted peer"
         );
-        link.close();
+        link.close(&sh);
         let got = reader.join().unwrap();
-        assert!(got.windows(5).any(|w| w == b"hello"), "traffic resumed after rejoin");
-        assert_eq!(sh.stats.peer_deaths.load(Ordering::Relaxed), 1);
+        assert!(got.contains(&9), "traffic resumed after rejoin");
+        assert_eq!(stat(&sh.stats.peer_deaths), 1);
         let text = obs.registry().prometheus_text();
         assert!(text.contains("scalla_recovery_events_total{event=\"peer_dead\"} 1"), "{text}");
         assert!(

@@ -16,9 +16,10 @@
 //!   one private `runtime` module; only the transport differs), but every
 //!   message crosses a localhost `TcpStream` through the binary wire
 //!   codec and frame decoder. Sends never block the protocol thread:
-//!   each peer gets a bounded egress queue drained by a writer thread
-//!   that coalesces bursts into single vectored writes (see DESIGN.md
-//!   §4, "Runtime tiers"); drops at any layer are counted and surfaced
+//!   it batches frames per peer and writes each batch itself with one
+//!   non-blocking `write` before it sleeps, and a per-peer writer thread
+//!   takes over whatever would block (see DESIGN.md §4, "Runtime
+//!   tiers"); drops at any layer are counted and surfaced
 //!   via [`NetCounters`](metrics::NetCounters).
 //! * [`workload`] — synthetic workload generators shaped like the paper's
 //!   motivating load: BaBar/ROOT analysis jobs performing "several

@@ -6,14 +6,14 @@ use scalla_util::{Histogram, Nanos};
 
 /// Egress-pipeline counters for a real-socket runtime.
 ///
-/// `frames / writes` is the coalescing ratio: how many frames the writer
-/// threads shipped per vectored-write syscall. Drops are explicit — the
+/// `frames / writes` is the coalescing ratio: how many frames went out per
+/// `write` syscall, whichever thread made it. Drops are explicit — the
 /// runtime never blocks a protocol thread to avoid them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EgressCounters {
     /// Frames fully written to a socket.
     pub frames: u64,
-    /// Vectored write syscalls issued.
+    /// Write syscalls issued (inline or by a writer thread).
     pub writes: u64,
     /// Frames dropped because a peer's outbound queue was full.
     pub queue_drops: u64,

@@ -29,6 +29,9 @@ use std::time::Duration;
 const MAILBOX_CAP: usize = 65_536;
 /// Longest a protocol thread sleeps with no message and no timer armed.
 const IDLE_WAIT: Duration = Duration::from_millis(50);
+/// Most callbacks a protocol thread runs between two outbox flushes, so a
+/// node that never runs out of messages cannot sit on a posted frame.
+const FLUSH_EVERY: usize = 64;
 
 enum Envelope {
     Deliver {
@@ -69,8 +72,12 @@ impl Mailbox {
 /// dropping it (when the thread exits) releases the transport's resources.
 pub(crate) trait Outbox: Send + 'static {
     /// Ships `msg` towards `to` without blocking; unknown or unreachable
-    /// targets drop it.
+    /// targets drop it. A transport may hold it back until `flush`.
     fn post(&mut self, to: Addr, msg: Msg, trace: u64);
+
+    /// Sends, without blocking, whatever `post` held back. The event loop
+    /// calls it wherever it could otherwise sleep on an unsent message.
+    fn flush(&mut self) {}
 }
 
 /// The [`NetCtx`] of one protocol thread. It lives as long as the thread;
@@ -86,6 +93,23 @@ struct Ctx<O> {
     /// stamped onto every send made while handling it, so a trace follows
     /// the causal chain across hops without any node knowing about tracing.
     trace: u64,
+    /// Callbacks run since the outbox was last flushed.
+    since_flush: usize,
+}
+
+impl<O: Outbox> Ctx<O> {
+    fn flush(&mut self) {
+        self.outbox.flush();
+        self.since_flush = 0;
+    }
+
+    /// Counts one finished callback towards the [`FLUSH_EVERY`] bound.
+    fn ran_callback(&mut self) {
+        self.since_flush += 1;
+        if self.since_flush >= FLUSH_EVERY {
+            self.flush();
+        }
+    }
 }
 
 impl<O: Outbox> NetCtx for Ctx<O> {
@@ -122,12 +146,18 @@ impl<O: Outbox> NetCtx for Ctx<O> {
 /// The protocol-thread event loop: fire due timers, then wait for the next
 /// message or timer deadline. A node gated down keeps its thread but hears
 /// nothing and fires nothing.
+///
+/// The outbox is flushed wherever the thread could otherwise sleep on what
+/// a callback posted: after `on_start`, before every park (and only then —
+/// while the mailbox has more, the posts of several callbacks share one
+/// flush), and every [`FLUSH_EVERY`] callbacks when it never parks.
 fn run_node<O: Outbox>(
     mut node: Box<dyn Node>,
     rx: Receiver<Envelope>,
     mut ctx: Ctx<O>,
 ) -> Box<dyn Node> {
     node.on_start(&mut ctx);
+    ctx.flush();
     loop {
         let now = ctx.clock.now();
         let mut due = Vec::new();
@@ -144,23 +174,33 @@ fn run_node<O: Outbox>(
             }
             ctx.trace = 0;
             node.on_timer(&mut ctx, token);
+            ctx.ran_callback();
         }
-        let wait = match ctx.timers.peek() {
-            Some(&Reverse((at, _))) => Duration::from_nanos(at.since(ctx.clock.now()).0),
-            None => IDLE_WAIT,
+        let next = match rx.try_recv() {
+            Some(envelope) => Ok(envelope),
+            None => {
+                ctx.flush();
+                let wait = match ctx.timers.peek() {
+                    Some(&Reverse((at, _))) => Duration::from_nanos(at.since(ctx.clock.now()).0),
+                    None => IDLE_WAIT,
+                };
+                rx.recv_timeout(wait)
+            }
         };
-        match rx.recv_timeout(wait) {
+        match next {
             Ok(Envelope::Deliver { from, msg, trace }) => {
                 if ctx.gates.is_down(ctx.me) {
                     continue; // a crashed node hears nothing
                 }
                 ctx.trace = trace;
                 node.on_message(&mut ctx, from, msg);
+                ctx.ran_callback();
             }
             Ok(Envelope::Restart) => {
                 ctx.timers.clear();
                 ctx.trace = 0;
                 node.on_start(&mut ctx);
+                ctx.flush();
             }
             Ok(Envelope::Stop) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {}
@@ -255,6 +295,7 @@ impl Runtime {
                 rng: SplitMix64::new(0x7C9_0000 ^ me.0),
                 outbox: outbox_for(me),
                 trace: 0,
+                since_flush: 0,
             };
             let handle = std::thread::Builder::new()
                 .name(format!("scalla-node-{i}"))
@@ -495,6 +536,94 @@ pub(crate) mod tests {
             assert_poll(PATIENCE, "timer fires", || fired.load(Ordering::SeqCst) == 1);
             net.shutdown();
         });
+    }
+
+    const HOUR: Nanos = Nanos::from_secs(3600);
+
+    /// The node inside, with a timer an hour out: its thread parks for that
+    /// long, not for the idle wait.
+    struct Sleepy<N>(N);
+    impl<N: Node> Node for Sleepy<N> {
+        fn on_start(&mut self, ctx: &mut dyn NetCtx) {
+            self.0.on_start(ctx);
+            ctx.set_timer(HOUR, 1);
+        }
+        fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
+            self.0.on_message(ctx, from, msg);
+        }
+    }
+
+    #[test]
+    fn a_send_waits_for_no_later_event() {
+        // One frame from `on_start`, one from `on_message`, then both nodes
+        // sleep for an hour: no further message, timer or idle wake-up will
+        // push out anything a callback left behind.
+        on_both(|mut net| {
+            let seen = Arc::new(AtomicU64::new(0));
+            let echo = net.add(Box::new(Sleepy(Echo)));
+            net.add(Box::new(Sleepy(Counter { seen: seen.clone(), kick: Some(echo) })));
+            net.start();
+            assert_poll(PATIENCE, "request and reply are heard", || {
+                seen.load(Ordering::SeqCst) == 1
+            });
+            net.shutdown();
+        });
+    }
+
+    /// What an outbox was asked to do, and after how many `on_message`s.
+    #[derive(Debug, PartialEq)]
+    enum Asked {
+        Post(u64),
+        Flush(u64),
+    }
+
+    struct RecordingOutbox {
+        heard: Arc<AtomicU64>,
+        asked: Arc<std::sync::Mutex<Vec<Asked>>>,
+    }
+    impl Outbox for RecordingOutbox {
+        fn post(&mut self, _: Addr, _: Msg, _: u64) {
+            self.asked.lock().unwrap().push(Asked::Post(self.heard.load(Ordering::SeqCst)));
+        }
+        fn flush(&mut self) {
+            self.asked.lock().unwrap().push(Asked::Flush(self.heard.load(Ordering::SeqCst)));
+        }
+    }
+
+    /// Sends one message while handling its first, then only listens.
+    struct SendsOnce(Arc<AtomicU64>);
+    impl Node for SendsOnce {
+        fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, _: Msg) {
+            if self.0.load(Ordering::SeqCst) == 0 {
+                ctx.send(from, ServerMsg::CloseOk.into());
+            }
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_mailbox_that_never_empties_still_gets_its_outbox_flushed() {
+        const QUEUED: u64 = 1000;
+        let heard = Arc::new(AtomicU64::new(0));
+        let asked = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut rt = Runtime::default();
+        let a = rt.add_slot(Some(Box::new(SendsOnce(heard.clone()))));
+        // The mailbox is full of work before the thread starts and ends in
+        // a Stop: the loop never finds it empty, so it never parks.
+        let mailbox = &rt.mailboxes[a.0 as usize];
+        for _ in 0..QUEUED {
+            assert!(mailbox.deliver(Addr(9), ServerMsg::CloseOk.into(), 0));
+        }
+        assert!(mailbox.tx.send(Envelope::Stop).is_ok());
+        rt.start(|_| RecordingOutbox { heard: heard.clone(), asked: asked.clone() });
+        assert_eq!(rt.stop().len(), 1);
+        assert_eq!(heard.load(Ordering::SeqCst), QUEUED);
+        let asked = asked.lock().unwrap();
+        let every = FLUSH_EVERY as u64;
+        let flushes = (1..=QUEUED / every).map(|k| Asked::Flush(k * every));
+        let want: Vec<Asked> =
+            [Asked::Flush(0), Asked::Post(0)].into_iter().chain(flushes).collect();
+        assert_eq!(*asked, want, "after on_start, then every {FLUSH_EVERY} callbacks");
     }
 
     /// Parks its protocol thread in `on_start` until released, so nothing

@@ -13,18 +13,21 @@
 //! a broken pipe and the message is dropped — exactly the loss semantics
 //! of the other runtimes.
 //!
-//! Sends never block the protocol thread: each outgoing link is a bounded
-//! queue drained by a writer thread that coalesces queued frames into
-//! vectored writes (see [`egress`](crate::egress) internals). Inbound
-//! frames land in a bounded mailbox; overflow drops are counted per node
-//! and surfaced through [`TcpNet::counters`].
+//! Sends never *block* the protocol thread, but it does write: `send`
+//! encodes onto the link's pending batch, and the event loop flushes each
+//! batch with one non-blocking `write` before it can sleep. Whatever that
+//! write cannot do — the connect, a short write's tail, a full socket —
+//! goes to the link's writer thread, the blocking half (see
+//! [`egress`](crate::egress) internals). Inbound frames land in a bounded
+//! mailbox; overflow drops are counted per node and surfaced through
+//! [`TcpNet::counters`].
 
 use crate::egress::{EgressLink, EgressShared, EgressTuning};
 use crate::metrics::NetCounters;
 use crate::runtime::{lifecycle_api, net_counters, Mailbox, Outbox, Runtime};
 use bytes::BytesMut;
 use scalla_obs::Obs;
-use scalla_proto::{encode_frame, encode_frame_traced_pooled, Addr, FrameDecoder, Msg};
+use scalla_proto::{encode_frame, Addr, FrameDecoder, Msg};
 use scalla_simnet::{NetCtx, Node};
 use std::collections::hash_map::{Entry, HashMap};
 use std::io::{Read, Write};
@@ -46,6 +49,9 @@ struct SocketOutbox {
     me: Addr,
     peers: Arc<[SocketAddr]>,
     links: HashMap<Addr, EgressLink>,
+    /// Links holding frames since the last flush, so a flush walks those
+    /// and not the whole map.
+    unflushed: Vec<Addr>,
     shared: Arc<EgressShared>,
 }
 
@@ -63,21 +69,40 @@ impl Outbox for SocketOutbox {
                 e.insert(EgressLink::spawn(self.me, peer, self.shared.clone()))
             }
         };
-        // Encode into a pooled buffer and queue it; the writer thread owns
-        // every socket interaction. This path must never block.
-        let frame = encode_frame_traced_pooled(&msg, trace, &self.shared.pool);
-        link.send(frame, &self.shared);
+        // Encode onto the link's batch; the event loop flushes before it
+        // can sleep.
+        if link.post(&msg, trace, &self.shared) {
+            self.unflushed.push(to);
+        }
+    }
+
+    fn flush(&mut self) {
+        for to in self.unflushed.drain(..) {
+            if let Some(link) = self.links.get_mut(&to) {
+                link.flush(&self.shared);
+            }
+        }
     }
 }
 
 impl Drop for SocketOutbox {
-    /// Runs as the protocol thread exits: dropping each queue sender wakes
-    /// its writer; join them all so no writer outlives the net.
+    /// Runs as the protocol thread exits: each link flushes what is
+    /// pending, and dropping its queue sender wakes its writer; join them
+    /// all so no writer outlives the net.
     fn drop(&mut self) {
         for (_, link) in self.links.drain() {
-            link.close();
+            link.close(&self.shared);
         }
     }
+}
+
+/// The inbound-stream registry: a clone of every accepted stream, from
+/// accept until its reader exits.
+#[derive(Default)]
+struct Inbound {
+    accepted: u64,
+    /// By accept number.
+    open: HashMap<u64, TcpStream>,
 }
 
 /// The TCP runtime.
@@ -87,9 +112,9 @@ pub struct TcpNet {
     /// Bound at `add_node`, handed to the acceptors at `start`.
     listeners: Vec<(Addr, TcpListener)>,
     acceptors: Vec<(Addr, JoinHandle<()>)>,
-    /// Clones of accepted inbound streams, shut down at teardown so reader
-    /// threads blocked in `read` wake deterministically.
-    inbound: Arc<Mutex<Vec<TcpStream>>>,
+    /// Clones of the inbound streams still open, shut down at teardown so
+    /// reader threads blocked in `read` wake deterministically.
+    inbound: Arc<Mutex<Inbound>>,
     /// Egress state; its `stop` flag is the net-wide one the acceptors
     /// watch too.
     shared: Arc<EgressShared>,
@@ -103,7 +128,7 @@ impl TcpNet {
             peers: Vec::new(),
             listeners: Vec::new(),
             acceptors: Vec::new(),
-            inbound: Arc::new(Mutex::new(Vec::new())),
+            inbound: Arc::default(),
             shared: Arc::new(EgressShared::new(Arc::new(AtomicBool::new(false)))),
         })
     }
@@ -184,6 +209,7 @@ impl TcpNet {
             me,
             peers: peers.clone(),
             links: HashMap::new(),
+            unflushed: Vec::new(),
             shared: shared.clone(),
         });
     }
@@ -200,7 +226,7 @@ impl TcpNet {
         let nodes = self.rt.stop();
         // 2. Wake any reader still blocked in `read` (streams whose peer
         //    did not close: injected or external connections).
-        for stream in self.inbound.lock().expect("inbound registry").drain(..) {
+        for stream in self.inbound.lock().expect("inbound registry").open.values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         // 3. Wake each acceptor out of `accept` and join it (it joins its
@@ -239,7 +265,7 @@ fn accept_loop(
     listener: TcpListener,
     mailbox: Mailbox,
     stop: Arc<AtomicBool>,
-    inbound: Arc<Mutex<Vec<TcpStream>>>,
+    inbound: Arc<Mutex<Inbound>>,
 ) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
@@ -248,11 +274,28 @@ fn accept_loop(
                 if stop.load(Ordering::Relaxed) {
                     break; // the shutdown wake-up call
                 }
-                if let Ok(clone) = stream.try_clone() {
-                    inbound.lock().expect("inbound registry").push(clone);
+                // A closed connection gives back everything it held: its
+                // reader dropped its registry entry on the way out, and its
+                // handle is reaped here.
+                let (done, live) = readers.into_iter().partition(JoinHandle::is_finished);
+                readers = live;
+                for reader in done {
+                    let _ = reader.join();
                 }
-                let mailbox = mailbox.clone();
-                readers.push(std::thread::spawn(move || reader_loop(stream, mailbox)));
+                let id = {
+                    let mut inbound = inbound.lock().expect("inbound registry");
+                    inbound.accepted += 1;
+                    let id = inbound.accepted;
+                    if let Ok(clone) = stream.try_clone() {
+                        inbound.open.insert(id, clone);
+                    }
+                    id
+                };
+                let (mailbox, inbound) = (mailbox.clone(), inbound.clone());
+                readers.push(std::thread::spawn(move || {
+                    reader_loop(stream, mailbox);
+                    inbound.lock().expect("inbound registry").open.remove(&id);
+                }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => break,

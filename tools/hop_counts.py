@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Voluntary context switches per operation for one benchmark workload.
+
+usage: hop_counts.py WORKLOAD [--seed N] [--seconds S] [--max SWITCHES_PER_OP]
+
+Runs the built ledger binary (benchmark/target/release/scalla-benchmark,
+untraced) for one workload, reads `attempted` from its last stdout line and
+`ru_nvcsw` from getrusage(RUSAGE_CHILDREN), and prints their ratio. Every
+thread wake-up on a hop — egress writer, socket reader, protocol thread — is
+one voluntary switch, so this is a count of hand-offs, not a time: it moves
+when the transport's shape moves and hardly at all with the host's load.
+The ratio includes cluster set-up and the untimed warm phase of each
+repetition, the same on every commit. With --max, exits 1 above the bound.
+"""
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BINARY = os.path.join(ROOT, "benchmark", "target", "release", "scalla-benchmark")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("workload")
+    ap.add_argument("--seed", default="20120521")
+    ap.add_argument("--seconds", default="10")
+    ap.add_argument("--max", type=float, help="fail when switches per op exceed this")
+    args = ap.parse_args()
+
+    cmd = [BINARY, "--workload", args.workload, "--seed", args.seed,
+           "--seconds", args.seconds, "--trace", "0"]
+    run = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                         text=True, check=True)
+    switches = resource.getrusage(resource.RUSAGE_CHILDREN).ru_nvcsw
+    last = json.loads(run.stdout.strip().splitlines()[-1])
+    if not last["correct"] or last["failed"]:
+        sys.exit(f"hop_counts: {args.workload} did not validate: {last}")
+    per_op = switches / last["attempted"]
+    print(f"{args.workload}: {switches} voluntary context switches / "
+          f"{last['attempted']} ops = {per_op:.1f} per op")
+    if args.max is not None and per_op > args.max:
+        sys.exit(f"hop_counts: {per_op:.1f} switches per op is above the bound {args.max:g}")
+
+
+if __name__ == "__main__":
+    main()
