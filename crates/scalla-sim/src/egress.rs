@@ -1,18 +1,18 @@
-//! Batched egress for the TCP runtime: the protocol thread writes its own
-//! frames, a writer thread does whatever would block.
+//! Batched egress for the TCP runtime: the thread that runs a node writes
+//! its frames, a writer thread does whatever would block.
 //!
-//! The protocol thread must never *block* on a peer socket: one hung peer
-//! would otherwise stall a node's entire event loop. It may well write to
-//! one — a wake-up of another thread per hop is most of what a hop costs —
-//! so every outgoing link is split in two halves around one non-blocking
-//! socket:
+//! Whoever runs a node — its protocol thread or a socket reader, under the
+//! node's lock — must never *block* on a peer socket: one hung peer would
+//! otherwise stall the whole node. It may well write to one — a wake-up of
+//! another thread per hop is most of what a hop costs — so every outgoing
+//! link is split in two halves around one non-blocking socket:
 //!
 //! * **Batch** — [`EgressLink::post`] encodes a frame onto the link's
 //!   pending batch: one pooled buffer, frames back to back. Nothing is
-//!   sent until [`EgressLink::flush`], which the event loop calls wherever
-//!   it could otherwise sleep on unsent bytes (see `runtime::run_node`).
+//!   sent until [`EgressLink::flush`], which the lock holder calls before
+//!   it lets go of the node (see `runtime::run_node`, `NodeCell::hear`).
 //! * **Inline write** — `flush` does *one* non-blocking `write` of the
-//!   batch from the protocol thread when the link is connected and its
+//!   batch from the calling thread when the link is connected and its
 //!   writer holds nothing. A burst costs one syscall for many frames and
 //!   the common hop wakes nobody on the sending side.
 //! * **The writer is the blocking half** — whatever that one `write` could
@@ -27,13 +27,13 @@
 //!   description, so a `try_clone` would share it: there is one stream per
 //!   link, in a slot both threads can reach, and `in_writer` (the frames
 //!   handed to the writer and not yet disposed of) decides whose turn it
-//!   is. Only the protocol thread increments it, and writes inline only at
-//!   zero; the writer takes the stream out of the slot, blocks on it with
-//!   no lock held, puts it back non-blocking and only then decrements
-//!   (`Release`, paired with the protocol thread's `Acquire` load). So once
-//!   anything is handed over — a tail goes first, into an empty queue —
-//!   everything queues behind it until the writer is idle again: frames
-//!   leave a link in the order they were posted.
+//!   is. Only the holder of the node's lock increments it, and writes
+//!   inline only at zero; the writer takes the stream out of the slot,
+//!   blocks on it with no lock held, puts it back non-blocking and only
+//!   then decrements (`Release`, paired with the holder's `Acquire` load).
+//!   So once anything is handed over — a tail goes first, into an empty
+//!   queue — everything queues behind it until the writer is idle again:
+//!   frames leave a link in the order they were posted.
 //! * **Dead → probing → alive** — a dead peer is *not* dead forever (the
 //!   paper's clusters treat node restart as steady state, §II-A). The
 //!   writer drops frames instantly while a capped exponential backoff
@@ -203,9 +203,9 @@ struct LinkState {
     in_writer: AtomicUsize,
 }
 
-/// One outgoing link, owned by the sending node's protocol thread: the
-/// pending batch, the queue to the writer thread, and the state the two
-/// share.
+/// One outgoing link, owned by the sending node and used under its lock:
+/// the pending batch, the queue to the writer thread, and the state the
+/// two share.
 pub(crate) struct EgressLink {
     pending: Option<Batch>,
     state: Arc<LinkState>,
@@ -415,7 +415,7 @@ fn writer_loop(
             shared.pool.put(batch.buf);
         }
         // Release pairs with the Acquire load in `EgressLink::flush`: the
-        // stream is in its slot before the protocol thread may look.
+        // stream is in its slot before the node's lock holder may look.
         state.in_writer.fetch_sub(held, Ordering::Release);
     }
 }

@@ -15,11 +15,12 @@
 //!   threaded core (mailboxes, event loop, chaos gates and lifecycle are
 //!   one private `runtime` module; only the transport differs), but every
 //!   message crosses a localhost `TcpStream` through the binary wire
-//!   codec and frame decoder. Sends never block the protocol thread:
-//!   it batches frames per peer and writes each batch itself with one
-//!   non-blocking `write` before it sleeps, and a per-peer writer thread
-//!   takes over whatever would block (see DESIGN.md §4, "Runtime
-//!   tiers"); drops at any layer are counted and surfaced
+//!   codec and frame decoder. A connection's reader thread runs the
+//!   node on what it reads, and sends never block it: frames are batched
+//!   per peer and each batch written with one non-blocking `write`
+//!   before the node is let go, and a per-peer writer thread takes over
+//!   whatever would block (see DESIGN.md §4, "Runtime tiers"); drops at
+//!   any layer are counted and surfaced
 //!   via [`NetCounters`](metrics::NetCounters).
 //! * [`workload`] — synthetic workload generators shaped like the paper's
 //!   motivating load: BaBar/ROOT analysis jobs performing "several

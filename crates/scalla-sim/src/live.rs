@@ -11,7 +11,7 @@
 
 use crate::egress::EgressShared;
 use crate::metrics::NetCounters;
-use crate::runtime::{lifecycle_api, net_counters, Mailbox, Outbox, Runtime};
+use crate::runtime::{lifecycle_api, net_counters, Mailbox, Outbox, Runtime, MAILBOX_CAP};
 use scalla_obs::Obs;
 use scalla_proto::{Addr, Msg};
 use scalla_simnet::Node;
@@ -45,7 +45,7 @@ pub struct LiveNet {
 impl LiveNet {
     /// Creates an empty live network.
     pub fn new() -> LiveNet {
-        LiveNet { rt: Runtime::default() }
+        LiveNet { rt: Runtime::new(MAILBOX_CAP) }
     }
 
     /// Like [`LiveNet::serve_admin`], but additionally serves `/cluster`

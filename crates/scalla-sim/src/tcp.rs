@@ -13,18 +13,24 @@
 //! a broken pipe and the message is dropped — exactly the loss semantics
 //! of the other runtimes.
 //!
-//! Sends never *block* the protocol thread, but it does write: `send`
-//! encodes onto the link's pending batch, and the event loop flushes each
-//! batch with one non-blocking `write` before it can sleep. Whatever that
-//! write cannot do — the connect, a short write's tail, a full socket —
-//! goes to the link's writer thread, the blocking half (see
-//! [`egress`](crate::egress) internals). Inbound frames land in a bounded
-//! mailbox; overflow drops are counted per node and surfaced through
-//! [`TcpNet::counters`].
+//! Sends never *block* a callback, but they do write: `send` encodes onto
+//! the link's pending batch, and whoever holds the node's lock flushes
+//! each batch with one non-blocking `write` before it lets go. Whatever
+//! that write cannot do — the connect, a short write's tail, a full socket
+//! — goes to the link's writer thread, the blocking half (see
+//! [`egress`](crate::egress) internals).
+//!
+//! Inbound, the socket reader runs the node: `reader_loop` decodes every
+//! frame of one `read`, takes the node's lock, runs `on_message` for each
+//! on its own thread, fires the timers that are due, flushes, and goes
+//! back to `read` — one thread wake-up per hop. The bound on what a node
+//! has not heard yet is the socket; its mailbox carries control only
+//! (`Stop`, and a poke after a `revive` or an early timer), and the
+//! protocol thread is left with timers and restarts.
 
 use crate::egress::{EgressLink, EgressShared, EgressTuning};
 use crate::metrics::NetCounters;
-use crate::runtime::{lifecycle_api, net_counters, Mailbox, Outbox, Runtime};
+use crate::runtime::{lifecycle_api, net_counters, NodeCell, Outbox, Runtime};
 use bytes::BytesMut;
 use scalla_obs::Obs;
 use scalla_proto::{encode_frame, Addr, FrameDecoder, Msg};
@@ -43,6 +49,10 @@ struct ExternalPeer;
 impl Node for ExternalPeer {
     fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, _: Msg) {}
 }
+
+/// Envelopes a node's mailbox holds. No message goes through it: a `Stop`,
+/// and at most one poke per park of the protocol thread or per `revive`.
+const CONTROL_CAP: usize = 32;
 
 /// The socket transport: one lazily spawned egress link per peer.
 struct SocketOutbox {
@@ -69,8 +79,8 @@ impl Outbox for SocketOutbox {
                 e.insert(EgressLink::spawn(self.me, peer, self.shared.clone()))
             }
         };
-        // Encode onto the link's batch; the event loop flushes before it
-        // can sleep.
+        // Encode onto the link's batch; the lock holder flushes before it
+        // lets go.
         if link.post(&msg, trace, &self.shared) {
             self.unflushed.push(to);
         }
@@ -124,7 +134,7 @@ impl TcpNet {
     /// Creates an empty TCP network.
     pub fn new() -> std::io::Result<TcpNet> {
         Ok(TcpNet {
-            rt: Runtime::default(),
+            rt: Runtime::new(CONTROL_CAP),
             peers: Vec::new(),
             listeners: Vec::new(),
             acceptors: Vec::new(),
@@ -189,29 +199,32 @@ impl TcpNet {
     /// Spawns every node (protocol thread + acceptor + per-connection
     /// readers) and runs `on_start`.
     pub fn start(&mut self) {
-        // Acceptors: blocking accept, one reader thread per inbound
-        // connection decoding frames into the node's mailbox. Woken at
-        // shutdown by a throwaway connection; each joins its readers
-        // (woken by the inbound-registry shutdown) before exiting.
-        for (addr, listener) in self.listeners.drain(..) {
-            let mailbox = self.rt.mailboxes[addr.0 as usize].clone();
-            let stop = self.shared.stop.clone();
-            let inbound = self.inbound.clone();
-            let acceptor = std::thread::Builder::new()
-                .name(format!("scalla-tcp-accept-{}", addr.0))
-                .spawn(move || accept_loop(listener, mailbox, stop, inbound))
-                .expect("spawn acceptor");
-            self.acceptors.push((addr, acceptor));
-        }
         let peers: Arc<[SocketAddr]> = self.peers.as_slice().into();
         let shared = self.shared.clone();
-        self.rt.start(|me| SocketOutbox {
+        // The cells exist before anything can accept; a peer that is
+        // quicker connects into the backlog of a listener bound since
+        // `add_node`.
+        let cells = self.rt.start(|me| SocketOutbox {
             me,
             peers: peers.clone(),
             links: HashMap::new(),
             unflushed: Vec::new(),
             shared: shared.clone(),
         });
+        // Acceptors: blocking accept, one reader thread per inbound
+        // connection decoding frames and running the node on them. Woken
+        // at shutdown by a throwaway connection; each joins its readers
+        // (woken by the inbound-registry shutdown) before exiting.
+        for (addr, listener) in self.listeners.drain(..) {
+            let cell = cells[addr.0 as usize].clone().expect("a listener's node is hosted");
+            let stop = self.shared.stop.clone();
+            let inbound = self.inbound.clone();
+            let acceptor = std::thread::Builder::new()
+                .name(format!("scalla-tcp-accept-{}", addr.0))
+                .spawn(move || accept_loop(listener, cell, stop, inbound))
+                .expect("spawn acceptor");
+            self.acceptors.push((addr, acceptor));
+        }
     }
 
     /// Stops every node and returns them in address order (placeholder
@@ -236,25 +249,26 @@ impl TcpNet {
                 &self.peers[addr.0 as usize],
                 std::time::Duration::from_secs(1),
             );
-            let _ = acceptor.join();
+            acceptor.join().expect("a node panicked on a reader thread");
         }
         nodes.into_iter().map(|n| n.unwrap_or_else(|| Box::new(ExternalPeer))).collect()
     }
 
     /// Injects a message from a synthetic external address over a real
-    /// socket (opens a short-lived connection). Connect and writes are
+    /// socket (opens a short-lived connection). Connect and write are
     /// bounded so a hung target cannot wedge the caller.
     pub fn inject(&self, from: Addr, to: Addr, msg: Msg) -> std::io::Result<()> {
         let peer = self.peers[to.0 as usize];
         let mut stream = TcpStream::connect_timeout(&peer, std::time::Duration::from_secs(1))?;
         stream.set_write_timeout(Some(std::time::Duration::from_secs(1)))?;
-        stream.write_all(&from.0.to_le_bytes())?;
+        stream.set_nodelay(true)?;
+        // Preamble and frame in one segment: a second small write would
+        // wait out the receiver's delayed ACK (40 ms).
         let mut buf = BytesMut::new();
+        buf.extend_from_slice(&from.0.to_le_bytes());
         encode_frame(&msg, &mut buf);
-        stream.write_all(&buf)?;
-        // Linger long enough for delivery; the reader sees EOF after.
-        stream.flush()?;
-        Ok(())
+        // The reader sees EOF after the bytes, when the stream drops.
+        stream.write_all(&buf)
     }
 }
 
@@ -263,7 +277,7 @@ lifecycle_api!(TcpNet);
 /// Per-node accept loop; see [`TcpNet::start`] for the wake protocol.
 fn accept_loop(
     listener: TcpListener,
-    mailbox: Mailbox,
+    cell: Arc<NodeCell<SocketOutbox>>,
     stop: Arc<AtomicBool>,
     inbound: Arc<Mutex<Inbound>>,
 ) {
@@ -279,9 +293,7 @@ fn accept_loop(
                 // handle is reaped here.
                 let (done, live) = readers.into_iter().partition(JoinHandle::is_finished);
                 readers = live;
-                for reader in done {
-                    let _ = reader.join();
-                }
+                done.into_iter().for_each(reap);
                 let id = {
                     let mut inbound = inbound.lock().expect("inbound registry");
                     inbound.accepted += 1;
@@ -291,9 +303,9 @@ fn accept_loop(
                     }
                     id
                 };
-                let (mailbox, inbound) = (mailbox.clone(), inbound.clone());
+                let (cell, inbound) = (cell.clone(), inbound.clone());
                 readers.push(std::thread::spawn(move || {
-                    reader_loop(stream, mailbox);
+                    reader_loop(stream, &cell);
                     inbound.lock().expect("inbound registry").open.remove(&id);
                 }));
             }
@@ -301,15 +313,24 @@ fn accept_loop(
             Err(_) => break,
         }
     }
-    for r in readers {
-        let _ = r.join();
+    readers.into_iter().for_each(reap);
+}
+
+/// Joins a reader. It ran the node, so a panic in it was the node's: it
+/// goes on to whoever joins the acceptor, as one on the protocol thread
+/// goes to whoever joins that.
+fn reap(reader: JoinHandle<()>) {
+    if let Err(panic) = reader.join() {
+        std::panic::resume_unwind(panic);
     }
 }
 
-/// Per-connection inbound loop: preamble, then frames into the mailbox.
-/// Blocking reads; woken at shutdown by the inbound-registry `shutdown`
-/// (or naturally by peer EOF). Mailbox overflow drops are counted.
-fn reader_loop(mut stream: TcpStream, mailbox: Mailbox) {
+/// Per-connection inbound loop: preamble, then every `read`'s frames
+/// decoded with no lock held and handed to the node in one go, in decode
+/// order — a connection's frames are heard first in, first out. Blocking
+/// reads; woken at shutdown by the inbound-registry `shutdown` (or
+/// naturally by peer EOF).
+fn reader_loop(mut stream: TcpStream, cell: &NodeCell<SocketOutbox>) {
     stream.set_nodelay(true).ok();
     let mut pre = [0u8; 8];
     if stream.read_exact(&mut pre).is_err() {
@@ -318,21 +339,25 @@ fn reader_loop(mut stream: TcpStream, mailbox: Mailbox) {
     let from = Addr(u64::from_le_bytes(pre));
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
+    let mut frames = Vec::new();
     loop {
         match stream.read(&mut buf) {
             Ok(0) => return, // peer closed
             Ok(n) => {
                 dec.feed(&buf[..n]);
-                loop {
+                let garbage = loop {
                     match dec.next_traced() {
-                        Ok(Some((trace, msg))) => {
-                            if !mailbox.deliver(from, msg, trace) {
-                                return; // the node's thread is gone
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => return, // garbage stream
+                        Ok(Some(frame)) => frames.push(frame),
+                        Ok(None) => break false,
+                        Err(_) => break true,
                     }
+                };
+                // A read that completed no frame takes no lock.
+                if !frames.is_empty() && !cell.hear(from, &mut frames) {
+                    return; // the node is gone
+                }
+                if garbage {
+                    return;
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -345,10 +370,11 @@ fn reader_loop(mut stream: TcpStream, mailbox: Mailbox) {
 mod tests {
     use super::*;
     use crate::chaos::assert_poll;
-    use crate::runtime::tests::{Counter, Echo};
+    use crate::runtime::tests::{connect_as, encoded, numbered, open, Counter, Echo, PATIENCE};
     use scalla_proto::ServerMsg;
+    use scalla_util::Nanos;
     use std::sync::atomic::AtomicU64;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn frames_cross_real_sockets() {
@@ -425,5 +451,177 @@ mod tests {
         });
         let nodes = net.shutdown();
         assert_eq!(nodes.len(), 3, "external slot yields a placeholder");
+    }
+
+    #[test]
+    fn inject_is_heard_without_waiting_out_a_delayed_ack() {
+        let mut net = TcpNet::new().unwrap();
+        let count = Arc::new(AtomicU64::new(0));
+        let sink = net.add_node(Box::new(Counter { seen: count.clone(), kick: None })).unwrap();
+        net.start();
+        let mut took: Vec<Duration> = (1..=10)
+            .map(|n| {
+                let t0 = Instant::now();
+                net.inject(Addr(9999), sink, ServerMsg::OpenOk { handle: 42 }.into()).unwrap();
+                while count.load(Ordering::SeqCst) < n {
+                    assert!(t0.elapsed() < PATIENCE, "inject {n} was never heard");
+                    std::thread::yield_now();
+                }
+                t0.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[5] < Duration::from_millis(20), "send → heard, sorted: {took:?}");
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_node_that_panics_on_a_reader_thread_fails_the_shutdown() {
+        struct Brittle(Arc<AtomicU64>);
+        impl Node for Brittle {
+            fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, _: Msg) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                panic!("as a node's failed assertion would");
+            }
+        }
+        let mut net = TcpNet::new().unwrap();
+        let heard = Arc::new(AtomicU64::new(0));
+        let a = net.add_node(Box::new(Brittle(heard.clone()))).unwrap();
+        net.start();
+        net.inject(Addr(99), a, ServerMsg::CloseOk.into()).unwrap();
+        assert_poll(PATIENCE, "the frame is handled", || heard.load(Ordering::SeqCst) == 1);
+        let shutdown = std::panic::AssertUnwindSafe(|| net.shutdown());
+        assert!(std::panic::catch_unwind(shutdown).is_err(), "the panic is not swallowed");
+    }
+
+    /// Counts messages in a plain field, and the [`numbered`] frames of
+    /// each sender that arrive out of turn.
+    struct Tally {
+        count: u64,
+        next: HashMap<Addr, u64>,
+        seen: Arc<AtomicU64>,
+        misordered: Arc<AtomicU64>,
+    }
+    impl Node for Tally {
+        fn on_message(&mut self, _: &mut dyn NetCtx, from: Addr, msg: Msg) {
+            let next = self.next.entry(from).or_default();
+            if msg != numbered(*next) {
+                self.misordered.fetch_add(1, Ordering::SeqCst);
+            }
+            *next += 1;
+            self.count += 1;
+            self.seen.store(self.count, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn two_connections_into_one_node_take_turns() {
+        const EACH: u64 = 10_000;
+        let mut net = TcpNet::new().unwrap();
+        let seen = Arc::new(AtomicU64::new(0));
+        let misordered = Arc::new(AtomicU64::new(0));
+        let tally = Tally {
+            count: 0,
+            next: HashMap::new(),
+            seen: seen.clone(),
+            misordered: misordered.clone(),
+        };
+        let a = net.add_node(Box::new(tally)).unwrap();
+        net.start();
+        let go = Arc::new(std::sync::Barrier::new(2));
+        let senders: Vec<_> = [Addr(100), Addr(101)]
+            .into_iter()
+            .map(|from| {
+                let (mut stream, go) = (connect_as(from, &net, a), go.clone());
+                std::thread::spawn(move || {
+                    let bytes = encoded(0..EACH);
+                    go.wait();
+                    stream.write_all(&bytes).unwrap();
+                    stream // open until every frame is heard
+                })
+            })
+            .collect();
+        assert_poll(PATIENCE, "one callback at a time: no count is lost", || {
+            seen.load(Ordering::SeqCst) == 2 * EACH
+        });
+        assert_eq!(misordered.load(Ordering::SeqCst), 0, "each connection's order is kept");
+        senders.into_iter().for_each(|s| drop(s.join().unwrap()));
+        net.shutdown();
+    }
+
+    /// Answers every `Open` and counts the ticks of a 5 ms timer it re-arms.
+    struct EchoTicker(Arc<AtomicU64>);
+    impl Node for EchoTicker {
+        fn on_start(&mut self, ctx: &mut dyn NetCtx) {
+            ctx.set_timer(Nanos::from_millis(5), 0);
+        }
+        fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
+            Echo.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut dyn NetCtx, _: u64) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            ctx.set_timer(Nanos::from_millis(5), 0);
+        }
+    }
+
+    /// Keeps 32 `Open`s outstanding at `peer`: a connection that never idles.
+    struct Flooder {
+        peer: Addr,
+    }
+    impl Node for Flooder {
+        fn on_start(&mut self, ctx: &mut dyn NetCtx) {
+            (0..32).for_each(|_| ctx.send(self.peer, open()));
+        }
+        fn on_message(&mut self, ctx: &mut dyn NetCtx, _: Addr, _: Msg) {
+            ctx.send(self.peer, open());
+        }
+    }
+
+    #[test]
+    fn timers_keep_firing_under_an_inbound_flood() {
+        let mut net = TcpNet::new().unwrap();
+        let ticks = Arc::new(AtomicU64::new(0));
+        let ticker = net.add_node(Box::new(EchoTicker(ticks.clone()))).unwrap();
+        for _ in 0..3 {
+            net.add_node(Box::new(Flooder { peer: ticker })).unwrap();
+        }
+        net.start();
+        let (t0, frames0) = (ticks.load(Ordering::SeqCst), net.counters().egress.frames);
+        std::thread::sleep(Duration::from_secs(3));
+        let fired = ticks.load(Ordering::SeqCst) - t0;
+        let frames = net.counters().egress.frames - frames0;
+        net.shutdown();
+        assert!(frames > 30_000, "the flood must be one: {frames} frames in 3 s");
+        // The count, not the tail: how late the latest tick was is the
+        // host's doing as much as ours. (Three connections and no timers
+        // fired by the readers read 571–582 here; with them, 592–597.)
+        assert!(fired >= 570, "{fired} of ~600 ticks fired under {frames} frames");
+    }
+
+    #[test]
+    fn shutdown_mid_flood_is_prompt_and_leaves_no_reader() {
+        let mut net = TcpNet::new().unwrap();
+        let count = Arc::new(AtomicU64::new(0));
+        let sink = net.add_node(Box::new(Counter { seen: count.clone(), kick: None })).unwrap();
+        net.add_node(Box::new(Echo)).unwrap();
+        net.start();
+        let floods: Vec<_> = [Addr(100), Addr(101)]
+            .into_iter()
+            .map(|from| {
+                let mut stream = connect_as(from, &net, sink);
+                std::thread::spawn(move || {
+                    let bytes = encoded(42..43);
+                    while stream.write_all(&bytes).is_ok() {}
+                })
+            })
+            .collect();
+        assert_poll(PATIENCE, "both readers are busy", || count.load(Ordering::SeqCst) > 10_000);
+        let t0 = Instant::now();
+        let nodes = net.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(2), "took {:?}", t0.elapsed());
+        assert_eq!(nodes.len(), 2, "every node comes back");
+        // A reader that outlived the shutdown would keep its socket open
+        // and these writes going.
+        floods.into_iter().for_each(|f| f.join().unwrap());
     }
 }

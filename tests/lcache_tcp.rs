@@ -98,6 +98,12 @@ fn tcp_warm_open_makes_zero_manager_round_trips() {
     assert_eq!(metric(&text, "scalla_client_direct_open_total", "outcome=\"hit\""), 1, "{text}");
     assert_eq!(metric(&text, "scalla_client_stale_served_total", ""), 0, "{text}");
 
+    // The hit is counted at `OpenOk`; the op is finished one close
+    // round-trip later, and a shutdown in between would cut it short.
+    assert_poll(Duration::from_secs(10), "both ops have finished", || {
+        let text = scrape(admin, "/metrics").unwrap_or_default();
+        metric(&text, "scalla_client_redirect_hops_count", "") >= 2
+    });
     let mut nodes = net.shutdown();
     for &client in &clients {
         let results = nodes[client.0 as usize]

@@ -6,9 +6,11 @@ usage: hop_counts.py WORKLOAD [--seed N] [--seconds S] [--max SWITCHES_PER_OP]
 Runs the built ledger binary (benchmark/target/release/scalla-benchmark,
 untraced) for one workload, reads `attempted` from its last stdout line and
 `ru_nvcsw` from getrusage(RUSAGE_CHILDREN), and prints their ratio. Every
-thread wake-up on a hop — egress writer, socket reader, protocol thread — is
-one voluntary switch, so this is a count of hand-offs, not a time: it moves
-when the transport's shape moves and hardly at all with the host's load.
+thread wake-up on a hop is one voluntary switch — today a hop is one wake-up,
+the socket reader, which runs the node and writes its replies; a mailbox hop
+to the protocol thread or a hand-off to an egress writer would each add one —
+so this is a count of hand-offs, not a time: it moves when the transport's
+shape moves and hardly at all with the host's load.
 The ratio includes cluster set-up and the untimed warm phase of each
 repetition, the same on every commit. With --max, exits 1 above the bound.
 """
