@@ -21,6 +21,11 @@
 //! its one blind spot — duplicated frames desynchronising the position
 //! — is called out in DESIGN.md (real xrootd carries stream ids).
 //!
+//! A fill is one `Read` per run of consecutive missing blocks, capped at
+//! [`MAX_RUN_BYTES`]; the reply is sliced back into blocks, each landing
+//! on its own. A cold read therefore costs one origin round trip per
+//! run, not one per block.
+//!
 //! ## Failure handling
 //!
 //! Origin errors and timeouts run the client's §III-C1 recovery on the
@@ -50,6 +55,10 @@ pub mod tokens {
     /// Wait/Retry-parked requests use `RETRY_BASE + id`.
     pub const RETRY_BASE: u64 = 1 << 41;
 }
+
+/// Largest origin `Read` one fill run may ask for, so a reply stays a
+/// bounded frame. A run always holds at least one block.
+const MAX_RUN_BYTES: u64 = 1 << 20;
 
 /// Proxy node configuration.
 #[derive(Clone)]
@@ -117,8 +126,8 @@ enum ReqKind {
     Resolve,
     /// Stat at the origin server to learn the file size.
     Stat,
-    /// Block fetch (`Read`) of the given block index.
-    Fill { index: u64 },
+    /// One `Read` covering `count` consecutive blocks from `first`.
+    Fill { first: u64, count: u64 },
     /// Courtesy close of the origin handle once fully cached.
     CloseOrigin,
 }
@@ -481,6 +490,10 @@ impl ProxyNode {
                     }
                 }
                 None => {
+                    // We answer `Locate` only for files held in full: an
+                    // evicted block withdraws the file until
+                    // `check_fully_cached` announces it again.
+                    file.advertised = false;
                     missing.insert(idx);
                     origin_bytes += hi - lo;
                     // Single-flight: Pinned means we own the fetch; any
@@ -608,23 +621,31 @@ impl ProxyNode {
                 file.fills.iter().filter(|(_, f)| !f.requested).map(|(&i, _)| i).collect();
             todo.sort_unstable();
             let bs = cache.block_size as u64;
-            let mut reqs = Vec::with_capacity(todo.len());
+            // One `Read` per run of consecutive block indices, cut at the cap:
+            // (first, count, bytes).
+            let mut runs: Vec<(u64, u64, u64)> = Vec::new();
             for idx in todo {
                 file.fills.get_mut(&idx).expect("just listed").requested = true;
-                reqs.push(OriginReq {
+                let block = cache.block_len(size, idx);
+                match runs.last_mut() {
+                    Some((first, count, len))
+                        if idx == *first + *count && *len + block <= MAX_RUN_BYTES =>
+                    {
+                        *count += 1;
+                        *len += block;
+                    }
+                    _ => runs.push((idx, 1, block)),
+                }
+            }
+            runs.into_iter()
+                .map(|(first, count, len)| OriginReq {
                     to: origin,
                     path: path.to_string(),
-                    kind: ReqKind::Fill { index: idx },
-                    msg: ClientMsg::Read {
-                        handle,
-                        offset: idx * bs,
-                        len: cache.block_len(size, idx) as u32,
-                    }
-                    .into(),
+                    kind: ReqKind::Fill { first, count },
+                    msg: ClientMsg::Read { handle, offset: first * bs, len: len as u32 }.into(),
                     trace,
-                });
-            }
-            reqs
+                })
+                .collect::<Vec<_>>()
         };
         for req in reqs {
             self.enqueue(ctx, req);
@@ -895,6 +916,12 @@ impl ProxyNode {
                     lc.insert(&req.path, &host, l.ttl_millis, l.epoch, ctx.now());
                 }
                 match self.cfg.directory.addr_of(&host) {
+                    // Sent to ourselves (a stale `V_h` entry for a file we
+                    // no longer fully hold): never open at our own pin;
+                    // re-resolve avoiding us instead.
+                    Some(addr) if addr == ctx.me() => {
+                        self.recover_file(ctx, &req.path, Some(addr));
+                    }
                     Some(addr) => self.enqueue(
                         ctx,
                         OriginReq {
@@ -955,8 +982,15 @@ impl ProxyNode {
                     self.file_ready(ctx, &req.path);
                 }
             }
-            (ReqKind::Fill { index }, ServerMsg::Data { data }) => {
-                self.fill_done(ctx, &req.path, index, data);
+            (ReqKind::Fill { first, count }, ServerMsg::Data { data }) => {
+                // Slice the run back into blocks: each gets what its own
+                // block `Read` would have returned, even from a short reply.
+                let bs = self.cfg.cache.block_size as usize;
+                for k in 0..count as usize {
+                    let lo = (k * bs).min(data.len());
+                    let hi = (lo + bs).min(data.len());
+                    self.fill_done(ctx, &req.path, first + k as u64, data.slice(lo..hi));
+                }
             }
             (_, ServerMsg::Wait { millis }) => self.park_retry(ctx, req, millis),
             (_, ServerMsg::Error { code: ErrCode::Retry, .. }) => self.park_retry(ctx, req, 50),
@@ -1194,12 +1228,18 @@ mod tests {
     const CLIENT2: Addr = Addr(11);
 
     fn proxy(block_size: u32) -> ProxyNode {
+        proxy_with(block_size, |_| {})
+    }
+
+    /// [`proxy`] with the block cache tuned further by `tune`.
+    fn proxy_with(block_size: u32, tune: impl FnOnce(&mut PcacheConfig)) -> ProxyNode {
         let dir = Arc::new(Directory::new());
         dir.register("mgr-0", MGR);
         dir.register("srv-0", SRV);
         let mut cfg = ProxyConfig::new("pxy-0", MGR, dir);
         cfg.cache.block_size = block_size;
         cfg.cache.prefetch = 0;
+        tune(&mut cfg.cache);
         ProxyNode::new(cfg)
     }
 
@@ -1255,21 +1295,22 @@ mod tests {
         let mut p = proxy(1024);
         let mut ctx = MockCtx::new();
         let h = resolve(&mut p, &mut ctx, "/d/f", 2048);
-        // Read both blocks: misses, so fills go out — window of one.
+        // Read both blocks: misses, so the run of two goes out as one Read.
         p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 2048 }.into());
         let sends = ctx.take_sends();
-        assert_eq!(sends.len(), 1, "strict per-link window: {sends:?}");
+        assert_eq!(sends.len(), 1, "one origin Read for the run: {sends:?}");
         assert!(matches!(
             &sends[0],
-            (a, Msg::Client(ClientMsg::Read { handle: 77, offset: 0, len: 1024 })) if *a == SRV
+            (a, Msg::Client(ClientMsg::Read { handle: 77, offset: 0, len: 2048 })) if *a == SRV
         ));
-        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::Data { data: vec![1u8; 1024].into() }));
-        let sends = ctx.take_sends();
-        assert!(matches!(
-            &sends[0],
-            (_, Msg::Client(ClientMsg::Read { offset: 1024, len: 1024, .. }))
-        ));
-        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::Data { data: vec![2u8; 1024].into() }));
+        let mut run = vec![1u8; 1024];
+        run.extend_from_slice(&[2u8; 1024]);
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::Data { data: run.into() }));
+        // The reply is split byte-exactly into its two blocks.
+        for (idx, byte) in [(0, 1u8), (1, 2u8)] {
+            let block = p.store().peek_block(&BlockKey::new("/d/f", idx)).expect("filled");
+            assert_eq!(&block[..], &[byte; 1024][..], "block {idx}");
+        }
         let sends = ctx.take_sends();
         // Client gets the assembled read, the parent gets the V_h advert,
         // and the origin handle is released.
@@ -1309,6 +1350,238 @@ mod tests {
         let stats = p.store().stats();
         assert_eq!(stats.inserts, 2);
         assert!(stats.hits >= 2, "warm read hit both blocks: {stats:?}");
+    }
+
+    /// Every origin `Read` in `sends`, as `(offset, len)`.
+    fn origin_reads(sends: &[(Addr, Msg)]) -> Vec<(u64, u32)> {
+        sends
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Msg::Client(ClientMsg::Read { offset, len, .. }) => Some((*offset, *len)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn data(bytes: Vec<u8>) -> Msg {
+        Msg::Server(ServerMsg::Data { data: bytes.into() })
+    }
+
+    #[test]
+    fn a_cached_block_inside_the_read_splits_the_fills_into_two_runs() {
+        let mut p = proxy(1024);
+        let mut ctx = MockCtx::new();
+        let h = resolve(&mut p, &mut ctx, "/d/f", 5120);
+        p.store().insert(BlockKey::new("/d/f", 2), vec![5u8; 1024].into());
+
+        // Blocks 0-1 and 3-4 are missing, block 2 is cached: two runs,
+        // sent one at a time through the window.
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 5120 }.into());
+        assert_eq!(origin_reads(&ctx.take_sends()), [(0, 2048)]);
+        p.on_message(&mut ctx, SRV, data(vec![4u8; 2048]));
+        assert_eq!(origin_reads(&ctx.take_sends()), [(3072, 2048)]);
+        p.on_message(&mut ctx, SRV, data(vec![6u8; 2048]));
+        let sends = ctx.take_sends();
+        let reply = sends
+            .iter()
+            .find_map(|(a, m)| match m {
+                Msg::Server(ServerMsg::Data { data }) if *a == CLIENT => Some(data.clone()),
+                _ => None,
+            })
+            .expect("client reply");
+        assert_eq!(&reply[..2048], &[4u8; 2048][..]);
+        assert_eq!(&reply[2048..3072], &[5u8; 1024][..]);
+        assert_eq!(&reply[3072..], &[6u8; 2048][..]);
+    }
+
+    #[test]
+    fn a_read_longer_than_the_cap_becomes_capped_runs() {
+        const BS: u32 = 128 << 10;
+        let size = MAX_RUN_BYTES * 5 / 2;
+        let mut p = proxy(BS);
+        let mut ctx = MockCtx::new();
+        let h = resolve(&mut p, &mut ctx, "/d/f", size);
+        p.on_message(
+            &mut ctx,
+            CLIENT,
+            ClientMsg::Read { handle: h, offset: 0, len: size as u32 }.into(),
+        );
+        // The window sends one run at a time; answer each in full.
+        let mut runs = origin_reads(&ctx.take_sends());
+        let mut answered = 0;
+        while answered < runs.len() {
+            p.on_message(&mut ctx, SRV, data(vec![0u8; runs[answered].1 as usize]));
+            runs.extend(origin_reads(&ctx.take_sends()));
+            answered += 1;
+        }
+        let cap = MAX_RUN_BYTES as u32;
+        assert_eq!(runs, [(0, cap), (MAX_RUN_BYTES, cap), (2 * MAX_RUN_BYTES, cap / 2)]);
+        assert_eq!(runs.len() as u64, size.div_ceil(MAX_RUN_BYTES));
+        assert_eq!(p.store().block_count() as u64, size / BS as u64, "every block landed");
+    }
+
+    #[test]
+    fn a_short_reply_gives_each_block_what_its_own_read_would_have() {
+        let mut p = proxy_with(1024, |c| c.prefetch = 2);
+        let mut ctx = MockCtx::new();
+        let h = resolve(&mut p, &mut ctx, "/d/f", 3000);
+        // Block 0 on demand, blocks 1 and 2 prefetched: one run of 3000.
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 1024 }.into());
+        assert_eq!(origin_reads(&ctx.take_sends()), [(0, 3000)]);
+        // The file shrank to 1500 bytes at the origin since the stat.
+        p.on_message(&mut ctx, SRV, data((0..1500).map(|i| i as u8).collect()));
+        let block = |i: u64| p.store().peek_block(&BlockKey::new("/d/f", i)).expect("landed");
+        assert_eq!(&block(0)[..], &(0..1024).map(|i| i as u8).collect::<Vec<_>>()[..]);
+        assert_eq!(&block(1)[..], &(1024..1500).map(|i| i as u8).collect::<Vec<_>>()[..]);
+        assert!(block(2).is_empty(), "past the short reply's end, as a Read past EOF");
+        let sends = ctx.take_sends();
+        assert!(
+            sends.iter().any(|(a, m)| *a == CLIENT
+                && matches!(m, Msg::Server(ServerMsg::Data { data }) if data.len() == 1024)),
+            "{sends:?}"
+        );
+    }
+
+    /// After `fail` breaks the outstanding run, the proxy re-resolves with
+    /// refresh + avoid and re-issues the whole run as one `Read`.
+    fn run_is_reissued_whole_after(fail: impl FnOnce(&mut ProxyNode, &mut MockCtx)) {
+        const SRV1: Addr = Addr(2);
+        let mut p = proxy(1024);
+        p.cfg.directory.register("srv-1", SRV1);
+        let mut ctx = MockCtx::new();
+        let h = resolve(&mut p, &mut ctx, "/d/f", 4096);
+        ctx.timers.clear();
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 4096 }.into());
+        assert_eq!(origin_reads(&ctx.take_sends()), [(0, 4096)]);
+        fail(&mut p, &mut ctx);
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[..], [(a, Msg::Client(ClientMsg::Open { refresh: true, avoid: Some(av), .. }))]
+                if *a == MGR && av == "srv-0"),
+            "{sends:?}"
+        );
+        p.on_message(
+            &mut ctx,
+            MGR,
+            Msg::Server(ServerMsg::Redirect { host: "srv-1".into(), lease: None }),
+        );
+        ctx.take_sends();
+        p.on_message(&mut ctx, SRV1, Msg::Server(ServerMsg::OpenOk { handle: 78 }));
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[..], [(a, Msg::Client(ClientMsg::Read { handle: 78, offset: 0, len: 4096 }))]
+                if *a == SRV1),
+            "{sends:?}"
+        );
+    }
+
+    #[test]
+    fn an_error_on_a_run_reresolves_then_reissues_the_run() {
+        run_is_reissued_whole_after(|p, ctx| {
+            let lost = ServerMsg::Error { code: ErrCode::IoError, detail: "lost".into() };
+            p.on_message(ctx, SRV, Msg::Server(lost));
+        });
+    }
+
+    #[test]
+    fn a_timeout_on_a_run_reresolves_then_reissues_the_run() {
+        run_is_reissued_whole_after(|p, ctx| {
+            let &(_, token) = ctx.timers.last().expect("the run armed a timeout");
+            p.on_timer(ctx, token);
+        });
+    }
+
+    #[test]
+    fn an_overlapping_second_reader_adds_no_origin_read() {
+        let mut p = proxy(1024);
+        let mut ctx = MockCtx::new();
+        let h1 = resolve(&mut p, &mut ctx, "/d/f", 4096);
+        p.on_message(&mut ctx, CLIENT2, open("/d/f", false));
+        let h2 = match &ctx.take_sends()[0] {
+            (_, Msg::Server(ServerMsg::OpenOk { handle })) => *handle,
+            other => panic!("{other:?}"),
+        };
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h1, offset: 0, len: 3072 }.into());
+        p.on_message(
+            &mut ctx,
+            CLIENT2,
+            ClientMsg::Read { handle: h2, offset: 512, len: 2048 }.into(),
+        );
+        assert_eq!(origin_reads(&ctx.take_sends()), [(0, 3072)], "single-flight");
+        p.on_message(&mut ctx, SRV, data(vec![3u8; 3072]));
+        let sends = ctx.take_sends();
+        assert!(origin_reads(&sends).is_empty(), "{sends:?}");
+        for (client, len) in [(CLIENT, 3072), (CLIENT2, 2048)] {
+            assert!(
+                sends.iter().any(|(a, m)| *a == client
+                    && matches!(m, Msg::Server(ServerMsg::Data { data }) if data.len() == len)),
+                "{sends:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_read_that_finds_a_block_evicted_unadvertises_the_file() {
+        let mut p = proxy_with(1024, |c| {
+            c.capacity = 4096;
+            c.shards = 1;
+        });
+        let mut ctx = MockCtx::new();
+        let locate: Msg =
+            CmsMsg::Locate { reqid: 4, path: "/d/f".into(), hash: crc32(b"/d/f"), write: false }
+                .into();
+        let h = resolve(&mut p, &mut ctx, "/d/f", 1024);
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 1024 }.into());
+        p.on_message(&mut ctx, SRV, data(vec![1u8; 1024]));
+        assert!(p.is_advertised("/d/f"));
+        // Fully cached: the origin handle was released.
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::CloseOk));
+        // Other traffic pushes the file's only block out of the store.
+        for i in 0..4 {
+            p.store().insert(BlockKey::new("/d/g", i), vec![0u8; 1024].into());
+        }
+        assert!(!p.store().contains(&BlockKey::new("/d/f", 0)), "evicted");
+        ctx.take_sends();
+
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 1024 }.into());
+        assert!(!p.is_advertised("/d/f"));
+        ctx.take_sends();
+        p.on_message(&mut ctx, MGR, locate.clone());
+        assert!(ctx.take_sends().is_empty(), "a partly evicted file gets silence");
+
+        // The refill re-advertises it.
+        p.on_message(
+            &mut ctx,
+            MGR,
+            Msg::Server(ServerMsg::Redirect { host: "srv-0".into(), lease: None }),
+        );
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::OpenOk { handle: 79 }));
+        p.on_message(&mut ctx, SRV, data(vec![1u8; 1024]));
+        assert!(p.is_advertised("/d/f"));
+        ctx.take_sends();
+        p.on_message(&mut ctx, MGR, locate);
+        assert!(matches!(&ctx.sends[..], [(_, Msg::Cms(CmsMsg::Have { reqid: 4, .. }))]));
+    }
+
+    #[test]
+    fn a_redirect_to_ourselves_reresolves_avoiding_us() {
+        let mut p = proxy(1024);
+        let mut ctx = MockCtx::new();
+        p.cfg.directory.register("pxy-0", ctx.me());
+        p.on_message(&mut ctx, CLIENT, open("/d/f", false));
+        ctx.take_sends();
+        p.on_message(
+            &mut ctx,
+            MGR,
+            Msg::Server(ServerMsg::Redirect { host: "pxy-0".into(), lease: None }),
+        );
+        let sends = ctx.take_sends();
+        assert!(sends.iter().all(|(a, _)| *a != ctx.me()), "never opens at itself: {sends:?}");
+        assert!(
+            matches!(&sends[..], [(a, Msg::Client(ClientMsg::Open { refresh: true, avoid: Some(av), .. }))]
+                if *a == MGR && av == "pxy-0"),
+            "{sends:?}"
+        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The proxy cache tier in full clusters: cold fills, warm hits, V_h
 //! advertisement redirecting other clients to the proxy, read-only
-//! write handling, survival of origin death, the same flow on the live
-//! threaded runtime, and a chaos soak with a proxy in the membership.
+//! write handling, survival of origin death, a working set larger than
+//! the store, the same flow on the live threaded runtime, and a chaos
+//! soak with a proxy in the membership.
 
 use scalla::client::{ClientConfig, ClientNode};
 use scalla::prelude::*;
-use scalla::sim::LiveNet;
+use scalla::sim::{LiveNet, ZipfSampler};
 use std::sync::Arc;
 
 const FILE: &str = "/d/big";
@@ -80,6 +81,45 @@ fn cold_read_fills_warm_read_hits_and_file_is_advertised() {
     assert_eq!(metric(&text, "scalla_pcache_origin_fetches_total", "pxy-0"), blocks);
     assert!(metric(&text, "scalla_pcache_fill_latency_ns_count", "pxy-0") >= blocks);
     assert_eq!(metric(&text, "scalla_pcache_advertised_files_total", "pxy-0"), 1);
+}
+
+/// A working set twice the store: blocks are evicted all the time, yet no
+/// read waits out the proxy's origin timeout. A file that lost a block is
+/// no longer advertised, and a resolve the manager still answers with the
+/// proxy itself is re-resolved avoiding it, never opened at its own pin.
+#[test]
+fn eviction_regime_never_waits_out_the_origin_timeout() {
+    const FILES: usize = 64;
+    const OPS: usize = 600;
+    let mut cfg = proxy_cfg(4);
+    cfg.pcache.capacity = FILES as u64 * SIZE / 2;
+    let mut c = SimCluster::build(cfg);
+    let paths: Vec<String> = (0..FILES).map(|f| format!("/d/e{f}")).collect();
+    for (f, path) in paths.iter().enumerate() {
+        c.seed_file(f % 4, path, SIZE, true);
+    }
+    c.settle(Nanos::from_secs(2));
+
+    let mut zipf = ZipfSampler::new(FILES, 0.9, 1);
+    let ops = (0..OPS)
+        .map(|_| ClientOp::OpenRead { path: paths[zipf.sample()].clone(), len: SIZE as u32 })
+        .collect();
+    let client = c.add_proxy_client(0, ops, Nanos::ZERO);
+    c.start_node(client);
+    let cap = c.net.now() + Nanos::from_secs(600);
+    while c.net.now() < cap && !c.client_done(client) {
+        c.net.run_for(Nanos::from_secs(5));
+    }
+
+    let results = c.client_results(client);
+    assert_eq!(results.len(), OPS, "every read finished");
+    assert!(results.iter().all(|r| r.outcome == OpOutcome::Ok), "{results:?}");
+    let evictions = c.with_proxy(0, |p| p.store().stats().evictions);
+    assert!(evictions > 0, "the store must be in its eviction regime");
+    let timeout =
+        ProxyConfig::new("pxy", c.managers[0], Arc::new(Directory::new())).request_timeout;
+    let slowest = results.iter().map(|r| r.latency()).max().expect("ops ran");
+    assert!(slowest < timeout, "a read took {slowest:?}, {evictions} evictions");
 }
 
 #[test]

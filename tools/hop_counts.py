@@ -10,7 +10,9 @@ thread wake-up on a hop is one voluntary switch — today a hop is one wake-up,
 the socket reader, which runs the node and writes its replies; a mailbox hop
 to the protocol thread or a hand-off to an egress writer would each add one —
 so this is a count of hand-offs, not a time: it moves when the transport's
-shape moves and hardly at all with the host's load.
+shape moves, or when a workload's protocol takes more or fewer hops per op
+(a proxy's origin round trips on proxy_cold, redirects on warm_open), and
+hardly at all with the host's load.
 The ratio includes cluster set-up and the untimed warm phase of each
 repetition, the same on every commit. With --max, exits 1 above the bound.
 """
