@@ -279,7 +279,7 @@ impl NameCache {
     ) -> ResolveOutcome {
         let now = self.clock.now();
         let hash = crc32(path.as_bytes());
-        CacheStats::bump(&self.stats.lookups);
+        scalla_obs::bump(&self.stats.lookups);
 
         let mut shard = self.shards[self.shard_for(hash)].lock();
         let found = shard.table.lookup(&shard.slab, path, hash);
@@ -288,7 +288,7 @@ impl NameCache {
             Some(slot) if refresh => {
                 // §III-C1: logically a new un-cached request; fresh V_q,
                 // updated T_a (re-chaining deferred), new deadline.
-                CacheStats::bump(&self.stats.refreshes);
+                scalla_obs::bump(&self.stats.refreshes);
                 let nc = self.connects.read().nc();
                 let tw = shard.windows.current();
                 let e = shard.slab.get_mut(slot);
@@ -305,10 +305,10 @@ impl NameCache {
             Some(slot) => slot,
             None => {
                 // Miss (or refresh of an expired entry): create.
-                CacheStats::bump(&self.stats.misses);
-                CacheStats::bump(&self.stats.creates);
+                scalla_obs::bump(&self.stats.misses);
+                scalla_obs::bump(&self.stats.creates);
                 if refresh {
-                    CacheStats::bump(&self.stats.refreshes);
+                    scalla_obs::bump(&self.stats.refreshes);
                 }
                 let resizes_before = shard.table.resizes();
                 let slot = shard.slab.alloc(path, hash);
@@ -322,7 +322,7 @@ impl NameCache {
                 let Shard { slab, windows, table, .. } = &mut *shard;
                 windows.chain_now(slab, slot);
                 table.insert(slab, slot);
-                CacheStats::add(&self.stats.resizes, shard.table.resizes() - resizes_before);
+                scalla_obs::add(&self.stats.resizes, shard.table.resizes() - resizes_before);
 
                 let locref = shard.slab.make_ref(slot);
                 // Step 5/6: caller queries every reachable eligible server;
@@ -357,9 +357,9 @@ impl NameCache {
             kind
         };
         match correction {
-            CorrectionKind::Clean => CacheStats::bump(&self.stats.corrections_clean),
-            CorrectionKind::MemoHit => CacheStats::bump(&self.stats.corrections_memo),
-            CorrectionKind::Computed => CacheStats::bump(&self.stats.corrections_computed),
+            CorrectionKind::Clean => scalla_obs::bump(&self.stats.corrections_clean),
+            CorrectionKind::MemoHit => scalla_obs::bump(&self.stats.corrections_memo),
+            CorrectionKind::Computed => scalla_obs::bump(&self.stats.corrections_computed),
         }
 
         // Offline holders are re-queried on a later look-up (§III-A4).
@@ -381,7 +381,7 @@ impl NameCache {
         }
 
         let resolution = if !online.is_empty() || !preparing.is_empty() {
-            CacheStats::bump(&self.stats.hits);
+            scalla_obs::bump(&self.stats.hits);
             Resolution::Redirect { online, preparing }
         } else if !state.vq.is_empty() || !query.is_empty() {
             // Step 4: queries outstanding (ours or another thread's).
@@ -429,7 +429,7 @@ impl NameCache {
         let mut respq = self.respq.lock();
         // A severed association (swept anchor) falls through to a new one.
         if existing.is_some() && respq.append(existing, slot, waiter) {
-            CacheStats::bump(&self.stats.queued_waiters);
+            scalla_obs::bump(&self.stats.queued_waiters);
             return Resolution::Queued;
         }
         match respq.open(slot, mode, waiter, now) {
@@ -439,11 +439,11 @@ impl NameCache {
                     AccessMode::Read => e.rref = r,
                     AccessMode::Write => e.wref = r,
                 }
-                CacheStats::bump(&self.stats.queued_waiters);
+                scalla_obs::bump(&self.stats.queued_waiters);
                 Resolution::Queued
             }
             Err(_) => {
-                CacheStats::bump(&self.stats.queue_full);
+                scalla_obs::bump(&self.stats.queue_full);
                 Resolution::WaitRetry { delay: self.config.full_delay }
             }
         }
@@ -486,7 +486,7 @@ impl NameCache {
                 // log knows) except the responder, forcing a fresh flood
                 // before any negative verdict can be reached. Fetch-time
                 // `V_m` clipping scopes the set to the path (§III-A4).
-                CacheStats::bump(&self.stats.creates);
+                scalla_obs::bump(&self.stats.creates);
                 let slot = shard.slab.alloc(path, hash);
                 let (everyone, nc) = {
                     let log = self.connects.read();
@@ -542,7 +542,7 @@ impl NameCache {
                 }
             }
         }
-        CacheStats::add(&self.stats.fast_releases, released.len() as u64);
+        scalla_obs::add(&self.stats.fast_releases, released.len() as u64);
         HaveOutcome { released, rose }
     }
 
@@ -565,7 +565,7 @@ impl NameCache {
         // Stale (or foreign) reference: re-hash and look the name up in its
         // owning shard. The fast-path guard above is released by now, so
         // re-locking the same shard cannot deadlock.
-        CacheStats::bump(&self.stats.stale_refs);
+        scalla_obs::bump(&self.stats.stale_refs);
         self.obs.incident("stale_ref");
         let hash = crc32(path.as_bytes());
         let mut shard = self.shards[self.shard_for(hash)].lock();
@@ -693,7 +693,7 @@ impl NameCache {
     pub fn sweep(&self) -> Vec<Waiter> {
         let now = self.clock.now();
         let timed_out = self.respq.lock().sweep(now);
-        CacheStats::add(&self.stats.queue_timeouts, timed_out.len() as u64);
+        scalla_obs::add(&self.stats.queue_timeouts, timed_out.len() as u64);
         timed_out
     }
 
@@ -723,8 +723,8 @@ impl NameCache {
             merged.scanned += out.scanned;
             merged.new_window = out.new_window;
         }
-        CacheStats::add(&self.stats.evictions, merged.expired.len() as u64);
-        CacheStats::add(&self.stats.rechained, merged.rechained as u64);
+        scalla_obs::add(&self.stats.evictions, merged.expired.len() as u64);
+        scalla_obs::add(&self.stats.rechained, merged.rechained as u64);
         if let Some(t0) = tick_timer {
             self.obs.record_stage(Stage::WindowTick, t0.elapsed().as_nanos() as u64);
         }
@@ -751,7 +751,7 @@ impl NameCache {
             }
             collected += n;
         }
-        CacheStats::add(&self.stats.collected, collected as u64);
+        scalla_obs::add(&self.stats.collected, collected as u64);
         collected
     }
 
@@ -824,7 +824,7 @@ mod tests {
             }
             other => panic!("expected redirect, got {other:?}"),
         }
-        assert_eq!(CacheStats::get(&cache.stats().hits), 1);
+        assert_eq!(scalla_obs::get(&cache.stats().hits), 1);
     }
 
     #[test]
@@ -959,7 +959,7 @@ mod tests {
         );
         assert_eq!(out.resolution, Resolution::Queued);
         assert_eq!(out.query, VM4, "refresh floods all relevant servers");
-        assert_eq!(CacheStats::get(&cache.stats().refreshes), 1);
+        assert_eq!(scalla_obs::get(&cache.stats().refreshes), 1);
     }
 
     #[test]
@@ -1021,7 +1021,7 @@ mod tests {
         // The stale ref must not corrupt the new entry silently: fallback
         // lookup finds the new entry and applies the requeue there.
         cache.requeue("/f", out.locref, ServerSet::single(3));
-        assert_eq!(CacheStats::get(&cache.stats().stale_refs), 1);
+        assert_eq!(scalla_obs::get(&cache.stats().stale_refs), 1);
         assert!(cache.peek("/f").unwrap().vq.contains(3));
     }
 
@@ -1054,7 +1054,7 @@ mod tests {
         let (_, locref, _) = &refloods[0];
         cache.requeue("/f", *locref, ServerSet::single(2));
         assert!(cache.peek("/f").unwrap().vq.contains(2));
-        assert_eq!(CacheStats::get(&cache.stats().stale_refs), 0);
+        assert_eq!(scalla_obs::get(&cache.stats().stale_refs), 0);
     }
 
     #[test]
@@ -1188,7 +1188,7 @@ mod shard_tests {
             cache.requeue(p, out.locref, ServerSet::single(3));
             assert!(cache.peek(p).unwrap().vq.contains(3));
         }
-        assert_eq!(CacheStats::get(&cache.stats().stale_refs), 0);
+        assert_eq!(scalla_obs::get(&cache.stats().stale_refs), 0);
     }
 
     #[test]
@@ -1200,7 +1200,7 @@ mod shard_tests {
         // the right object.
         let forged = LocRef { shard: 9999, ..out.locref };
         cache.requeue("/f", forged, ServerSet::single(2));
-        assert_eq!(CacheStats::get(&cache.stats().stale_refs), 1);
+        assert_eq!(scalla_obs::get(&cache.stats().stale_refs), 1);
         assert!(cache.peek("/f").unwrap().vq.contains(2));
     }
 

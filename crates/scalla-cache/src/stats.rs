@@ -12,8 +12,6 @@
 //! update the same counter concurrently; `Relaxed` ordering is sufficient
 //! because nothing synchronizes *through* a statistic.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 scalla_obs::counter_set! {
     /// Monotonic event counters. All loads/stores are `Relaxed`; the counters
     /// are advisory, not synchronization. Attach to an obs registry under a
@@ -59,22 +57,6 @@ scalla_obs::counter_set! {
 }
 
 impl CacheStats {
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Snapshot of a counter.
-    #[inline]
-    pub fn get(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-
     /// Human-readable one-line `field=value ...` dump for experiment logs.
     pub fn report(&self) -> String {
         let fields = self.snapshot().series().map(|(decl, v)| format!("{}={v}", decl.field));
@@ -127,9 +109,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = CacheStats::default();
-        CacheStats::bump(&s.lookups);
-        CacheStats::add(&s.lookups, 4);
-        assert_eq!(CacheStats::get(&s.lookups), 5);
+        scalla_obs::bump(&s.lookups);
+        scalla_obs::add(&s.lookups, 4);
+        assert_eq!(scalla_obs::get(&s.lookups), 5);
         assert!(s.report().starts_with("lookups=5 hits=0 misses=0 "), "{}", s.report());
         assert!(s.report().ends_with(" stale_refs=0 refreshes=0"), "{}", s.report());
     }
@@ -149,11 +131,11 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut last = 0;
                     for i in 0..PER_THREAD {
-                        CacheStats::bump(&s.lookups);
+                        scalla_obs::bump(&s.lookups);
                         if i % 2 == t % 2 {
-                            CacheStats::bump(&s.hits);
+                            scalla_obs::bump(&s.hits);
                         }
-                        CacheStats::add(&s.fast_releases, 3);
+                        scalla_obs::add(&s.fast_releases, 3);
                         // Concurrent readers must never observe torn or
                         // decreasing values (per-location coherence is the
                         // only cross-thread guarantee Relaxed gives, and
@@ -168,18 +150,18 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(CacheStats::get(&s.lookups), THREADS * PER_THREAD);
-        assert_eq!(CacheStats::get(&s.hits), THREADS * PER_THREAD / 2);
-        assert_eq!(CacheStats::get(&s.fast_releases), 3 * THREADS * PER_THREAD);
+        assert_eq!(scalla_obs::get(&s.lookups), THREADS * PER_THREAD);
+        assert_eq!(scalla_obs::get(&s.hits), THREADS * PER_THREAD / 2);
+        assert_eq!(scalla_obs::get(&s.fast_releases), 3 * THREADS * PER_THREAD);
     }
 
     #[test]
     fn snapshot_copies_everything() {
         let s = CacheStats::default();
-        CacheStats::add(&s.lookups, 10);
-        CacheStats::add(&s.hits, 4);
-        CacheStats::add(&s.corrections_memo, 3);
-        CacheStats::add(&s.corrections_computed, 1);
+        scalla_obs::add(&s.lookups, 10);
+        scalla_obs::add(&s.hits, 4);
+        scalla_obs::add(&s.corrections_memo, 3);
+        scalla_obs::add(&s.corrections_computed, 1);
         let snap = s.snapshot();
         assert_eq!(snap.lookups, 10);
         assert_eq!(snap.hits, 4);
@@ -194,9 +176,9 @@ mod tests {
     #[test]
     fn snapshot_json_carries_every_counter() {
         let s = CacheStats::default();
-        CacheStats::add(&s.lookups, 10);
-        CacheStats::add(&s.hits, 4);
-        CacheStats::add(&s.stale_refs, 2);
+        scalla_obs::add(&s.lookups, 10);
+        scalla_obs::add(&s.hits, 4);
+        scalla_obs::add(&s.stale_refs, 2);
         let json = s.snapshot().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"lookups\": 10"), "{json}");
@@ -217,10 +199,10 @@ mod tests {
             assert_eq!((decl.labels, decl.kind), (&[][..], scalla_obs::Kind::Counter));
         }
         let s = std::sync::Arc::new(CacheStats::default());
-        CacheStats::add(&s.lookups, 7);
+        scalla_obs::add(&s.lookups, 7);
         let reg = scalla_obs::Registry::new();
         reg.attach(&[("node", "3")], s.clone());
-        CacheStats::add(&s.lookups, 1); // no copy: the scrape sees the later bump
+        scalla_obs::add(&s.lookups, 1); // no copy: the scrape sees the later bump
         let text = reg.prometheus_text();
         assert!(text.contains("scalla_cache_lookups_total{node=\"3\"} 8"), "{text}");
         assert!(text.contains("scalla_cache_stale_refs_total{node=\"3\"} 0"), "{text}");

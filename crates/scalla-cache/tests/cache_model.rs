@@ -182,7 +182,7 @@ proptest! {
         // live count never exceeds creates.
         cache.collect(usize::MAX);
         let stats = cache.stats();
-        let creates = scalla_cache::CacheStats::get(&stats.creates);
+        let creates = scalla_obs::get(&stats.creates);
         prop_assert!(cache.len() as u64 <= creates);
     }
 }

@@ -4,7 +4,7 @@
 //! (cache → response queue) and the loose coupling the paper relies on —
 //! any deadlock hangs the test, any unsoundness trips an assert.
 
-use scalla_cache::{AccessMode, CacheConfig, CacheStats, NameCache, Resolution, Waiter};
+use scalla_cache::{AccessMode, CacheConfig, NameCache, Resolution, Waiter};
 use scalla_util::{Nanos, ServerSet, SystemClock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -137,7 +137,7 @@ fn shard_crossing_resolutions_keep_invariants() {
     // Held references that went stale were counted, not silently mis-applied.
     let stats = cache.stats();
     assert!(
-        CacheStats::get(&stats.stale_refs) < CacheStats::get(&stats.lookups),
+        scalla_obs::get(&stats.stale_refs) < scalla_obs::get(&stats.lookups),
         "stale-ref fallback must be the exception, not the rule"
     );
 }
@@ -238,11 +238,11 @@ fn concurrent_resolvers_responders_and_maintenance() {
     assert!(redirects.load(Ordering::Relaxed) > 1_000, "resolvers starved");
     assert!(released.load(Ordering::Relaxed) > 0, "responders never released");
     let stats = cache.stats();
-    use scalla_cache::CacheStats as S;
-    assert!(S::get(&stats.evictions) > 0, "churn must evict under 10 ms windows");
+    use scalla_obs::get;
+    assert!(get(&stats.evictions) > 0, "churn must evict under 10 ms windows");
     // Collect everything and verify accounting closes.
     while cache.collect(usize::MAX) > 0 {}
-    assert!(cache.len() as u64 <= S::get(&stats.creates));
+    assert!(cache.len() as u64 <= get(&stats.creates));
 }
 
 #[test]

@@ -150,15 +150,15 @@ impl LocationCache {
             if e.deadline <= now {
                 inner.entries[idx] = Entry::default();
                 inner.len -= 1;
-                LcacheStats::bump(&self.stats.expired);
+                scalla_obs::bump(&self.stats.expired);
                 return None;
             }
             inner.entries[idx].referenced = true;
             let host = inner.hosts[e.host as usize].clone();
-            LcacheStats::bump(&self.stats.hits);
+            scalla_obs::bump(&self.stats.hits);
             return Some(LeaseHit { host, deadline: e.deadline });
         }
-        LcacheStats::bump(&self.stats.misses);
+        scalla_obs::bump(&self.stats.misses);
         None
     }
 
@@ -177,7 +177,7 @@ impl LocationCache {
         if epoch > inner.epoch {
             if inner.len > 0 {
                 Self::wipe(&mut inner);
-                LcacheStats::bump(&self.stats.epoch_flushes);
+                scalla_obs::bump(&self.stats.epoch_flushes);
             }
             inner.epoch = epoch;
         }
@@ -201,7 +201,7 @@ impl LocationCache {
             if e.hash == hash {
                 inner.entries[idx] =
                     Entry { hash, deadline, host: host_id, referenced: e.referenced };
-                LcacheStats::bump(&self.stats.inserts);
+                scalla_obs::bump(&self.stats.inserts);
                 return;
             }
             if e.hash == 0 && free.is_none() {
@@ -228,12 +228,12 @@ impl LocationCache {
                         break;
                     }
                 }
-                LcacheStats::bump(&self.stats.evictions);
+                scalla_obs::bump(&self.stats.evictions);
                 victim
             }
         };
         inner.entries[idx] = Entry { hash, deadline, host: host_id, referenced: false };
-        LcacheStats::bump(&self.stats.inserts);
+        scalla_obs::bump(&self.stats.inserts);
     }
 
     /// Notes an epoch observed on a reply without inserting. A newer epoch
@@ -244,7 +244,7 @@ impl LocationCache {
         if epoch > inner.epoch {
             if inner.len > 0 {
                 Self::wipe(&mut inner);
-                LcacheStats::bump(&self.stats.epoch_flushes);
+                scalla_obs::bump(&self.stats.epoch_flushes);
             }
             inner.epoch = epoch;
         }
@@ -311,8 +311,8 @@ impl LocationCache {
             return;
         }
         match reason {
-            PurgeReason::Stale => LcacheStats::add(&self.stats.purges_stale, n),
-            PurgeReason::Recovery => LcacheStats::add(&self.stats.purges_recovery, n),
+            PurgeReason::Stale => scalla_obs::add(&self.stats.purges_stale, n),
+            PurgeReason::Recovery => scalla_obs::add(&self.stats.purges_recovery, n),
         }
     }
 

@@ -4,8 +4,6 @@
 //! shared behind an `Arc` so an obs registry the stats are attached to
 //! reads them at every scrape without touching the cache lock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 scalla_obs::counter_set! {
     /// Monotonic event counters for one [`crate::LocationCache`]. Attach to
     /// an obs registry under e.g. `[("node", "client-3")]`; outcome/reason
@@ -32,24 +30,6 @@ scalla_obs::counter_set! {
     purges_recovery: "scalla_lcache_purges_total" {reason = "recovery"},
 }
 
-impl LcacheStats {
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Snapshot of a counter.
-    #[inline]
-    pub fn get(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-}
-
 impl LcacheSnapshot {
     /// Hit ratio over all lookups, in `[0, 1]`.
     pub fn hit_ratio(&self) -> f64 {
@@ -69,12 +49,12 @@ mod tests {
     #[test]
     fn source_emits_labelled_families_read_in_place() {
         let s = std::sync::Arc::new(LcacheStats::default());
-        LcacheStats::add(&s.hits, 7);
-        LcacheStats::add(&s.misses, 3);
-        LcacheStats::bump(&s.purges_stale);
+        scalla_obs::add(&s.hits, 7);
+        scalla_obs::add(&s.misses, 3);
+        scalla_obs::bump(&s.purges_stale);
         let reg = scalla_obs::Registry::new();
         reg.attach(&[("node", "c0")], s.clone());
-        LcacheStats::bump(&s.hits); // no copy: the scrape sees the later bump
+        scalla_obs::bump(&s.hits); // no copy: the scrape sees the later bump
         assert_eq!(
             reg.prometheus_text(),
             "# TYPE scalla_lcache_lookups_total counter\n\
@@ -97,8 +77,8 @@ mod tests {
     fn hit_ratio_degrades_gracefully() {
         assert_eq!(LcacheSnapshot::default().hit_ratio(), 0.0);
         let s = LcacheStats::default();
-        LcacheStats::add(&s.hits, 1);
-        LcacheStats::add(&s.misses, 1);
+        scalla_obs::add(&s.hits, 1);
+        scalla_obs::add(&s.misses, 1);
         assert!((s.snapshot().hit_ratio() - 0.5).abs() < 1e-12);
     }
 }

@@ -1,10 +1,10 @@
 //! The per-node summary-stream emitter.
 
-use scalla_obs::{HistSnapshot, Obs};
+use scalla_obs::{ExportValue, Obs};
 use scalla_proto::msg::{HistDelta, MonMsg, MonSpan};
 use scalla_proto::{Addr, Msg};
 use scalla_simnet::NetCtx;
-use scalla_util::Nanos;
+use scalla_util::{Histogram, Nanos};
 use std::collections::{HashMap, VecDeque};
 
 /// The emitter's private timer token. Lives above every node-local token
@@ -44,7 +44,7 @@ pub struct MonitorEmitter {
     ticks_since_full: u64,
     force_full: bool,
     prev_counters: HashMap<String, u64>,
-    prev_hists: HashMap<String, HistSnapshot>,
+    prev_hists: HashMap<String, Histogram>,
     spans_mark: u64,
     replay: VecDeque<MonMsg>,
 }
@@ -149,7 +149,7 @@ impl MonitorEmitter {
         let mut hists = Vec::new();
         for (key, value) in self.obs.registry().export() {
             match value {
-                scalla_obs::metrics::ExportValue::Counter(v) => {
+                ExportValue::Counter(v) => {
                     let prev = self.prev_counters.get(&key).copied().unwrap_or(0);
                     if full {
                         counters.push((key.clone(), v));
@@ -158,24 +158,23 @@ impl MonitorEmitter {
                     }
                     self.prev_counters.insert(key, v);
                 }
-                scalla_obs::metrics::ExportValue::Gauge(v) => {
+                ExportValue::Gauge(v) => {
                     // Gauges are always shipped absolute.
                     gauges.push((key, v));
                 }
-                scalla_obs::metrics::ExportValue::Histogram(snap) => {
-                    let prev = self.prev_hists.get(&key).cloned();
-                    let buckets = match (&prev, full) {
-                        (Some(p), false) => snap.sparse_diff(p),
-                        _ => snap.sparse_diff(&HistSnapshot::empty()),
+                ExportValue::Histogram(snap) => {
+                    let buckets = match self.prev_hists.get(&key).filter(|_| !full) {
+                        Some(prev) => snap.sparse_diff(prev),
+                        None => snap.sparse_diff(&Histogram::new()),
                     };
                     if full || !buckets.is_empty() {
                         hists.push(HistDelta {
                             key: key.clone(),
                             buckets,
-                            count: snap.count,
-                            sum: snap.sum,
-                            min: snap.min,
-                            max: snap.max,
+                            count: snap.count(),
+                            sum: snap.sum(),
+                            min: snap.min().0,
+                            max: snap.max().0,
                         });
                     }
                     self.prev_hists.insert(key, snap);

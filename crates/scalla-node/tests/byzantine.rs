@@ -110,8 +110,8 @@ proptest! {
         }
         // Counters stay coherent.
         let s = node.cache().stats();
-        use scalla_cache::CacheStats as S;
-        prop_assert!(S::get(&s.hits) + S::get(&s.misses) <= S::get(&s.lookups) + S::get(&s.refreshes));
+        use scalla_obs::get;
+        prop_assert!(get(&s.hits) + get(&s.misses) <= get(&s.lookups) + get(&s.refreshes));
     }
 
     #[test]

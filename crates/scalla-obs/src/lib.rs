@@ -9,11 +9,12 @@
 //! running node. This crate provides the three missing pieces:
 //!
 //! * [`metrics`] — a lock-free [`Registry`] of atomic counters, gauges, and
-//!   fixed-bucket histograms (sharing the bucket layout of
-//!   [`scalla_util::Histogram`]), exposable as Prometheus text or a JSON
-//!   snapshot. Components that count on their own hot paths declare their
-//!   counters once with [`counter_set!`] and [`Registry::attach`] them; the
-//!   expositions read those fields in place.
+//!   fixed-bucket histograms (each an [`AtomicHistogram`] whose snapshot is
+//!   a plain [`scalla_util::Histogram`]), exposable as Prometheus text or a
+//!   JSON snapshot. Components that count on their own hot paths declare
+//!   their counters once with [`counter_set!`], bump them with [`bump`] and
+//!   [`add`], and [`Registry::attach`] them; the expositions read those
+//!   fields in place.
 //! * [`trace`] — request-scoped tracing: a compact [`TraceId`] minted at
 //!   the client, carried through the wire protocol across
 //!   cmsd→supervisor→server hops, with per-hop [`SpanEvent`]s recorded into
@@ -30,7 +31,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    AtomicHistogram, Counter, Emit, ExportValue, Gauge, HistSnapshot, Kind, Registry, SeriesDecl,
+    add, bump, get, AtomicHistogram, Counter, Emit, ExportValue, Gauge, Kind, Registry, SeriesDecl,
     Source,
 };
 pub use trace::{FlightRecorder, SpanEvent, TraceId};

@@ -1176,7 +1176,6 @@ impl Node for ProxyNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalla_lcache::LcacheStats;
     use scalla_proto::Lease;
 
     struct MockCtx {
@@ -1885,7 +1884,7 @@ mod tests {
             "{sends:?}"
         );
         assert!(lc.lookup("/d/f", ctx.now()).is_none(), "stale lease purged");
-        assert_eq!(LcacheStats::get(&lc.stats().purges_stale), 1);
+        assert_eq!(scalla_obs::get(&lc.stats().purges_stale), 1);
     }
 
     #[test]

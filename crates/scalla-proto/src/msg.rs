@@ -262,18 +262,20 @@ pub enum CmsMsg {
     },
 }
 
-/// A per-histogram delta shipped inside a [`MonMsg::Summary`]: sparse
-/// non-empty bucket increments plus the summary fields, all additive over
-/// the reporting interval (absolute when the summary is `full`).
+/// A per-histogram record shipped inside a [`MonMsg::Summary`]: sparse
+/// bucket increments over the reporting interval (every non-empty bucket
+/// when the summary is `full`), plus the node's cumulative summary fields.
+/// Only `buckets` is interval-local.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct HistDelta {
     /// Series key: `name{labels}` exactly as the registry renders it.
     pub key: String,
     /// `(bucket index, increment)` pairs for buckets that changed.
     pub buckets: Vec<(u32, u64)>,
-    /// Sample-count increment.
+    /// Samples recorded over the node's lifetime (cumulative in every
+    /// record, delta or full).
     pub count: u64,
-    /// Sum increment (saturating).
+    /// Sum of those samples (cumulative, like `count`).
     pub sum: u64,
     /// Smallest sample seen over the node's lifetime (not interval-local:
     /// min/max don't delta, so the cumulative values ride every record).

@@ -1,9 +1,11 @@
-//! Log-bucketed latency histogram for the experiment harness.
+//! Log-bucketed latency histogram: the one plain histogram of the tree.
 //!
-//! The experiments report latency distributions (mean, median, P99) across
-//! many samples. A fixed array of power-of-two-ish buckets keeps recording
-//! allocation-free and O(1), which matters because the harness records a
-//! sample per simulated request.
+//! It answers every histogram question: the experiment harness's latency
+//! distributions (mean, median, P99), the point-in-time snapshots of the
+//! observability layer's lock-free recorders, and the monitoring
+//! collector's cross-node merges. A fixed array of power-of-two-ish buckets
+//! keeps recording allocation-free and O(1), and lets any two histograms
+//! merge losslessly at the bucket level.
 
 use crate::clock::Nanos;
 
@@ -41,30 +43,6 @@ pub fn bucket_value(index: usize) -> u64 {
     }
 }
 
-/// Running `(bucket lower bound, samples in this bucket and below)` over the
-/// non-empty buckets: the one walk behind every quantile and every `le`
-/// exposition of this layout.
-pub fn bucket_cumulative(buckets: &[u64; NBUCKETS]) -> impl Iterator<Item = (u64, u64)> + '_ {
-    let mut seen = 0u64;
-    buckets.iter().enumerate().filter(|&(_, &n)| n != 0).map(move |(i, &n)| {
-        seen += n;
-        (bucket_value(i), seen)
-    })
-}
-
-/// Approximate quantile `q` in `[0, 1]` of `count` samples spread over
-/// `buckets`: the lower bound of the bucket holding the target rank,
-/// clamped to the observed `min`/`max`. Zero when empty.
-pub fn bucket_quantile(buckets: &[u64; NBUCKETS], count: u64, min: u64, max: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let target = (((count as f64) * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
-    bucket_cumulative(buckets)
-        .find(|&(_, seen)| seen >= target)
-        .map_or(max, |(value, _)| value.clamp(min, max))
-}
-
 /// A histogram of `Nanos` samples with ~12 % relative bucket resolution.
 ///
 /// ```
@@ -78,7 +56,7 @@ pub fn bucket_quantile(buckets: &[u64; NBUCKETS], count: u64, min: u64, max: u64
 /// assert!(h.median() < Nanos::from_micros(200));
 /// assert_eq!(h.max(), Nanos::from_micros(5_000_000));
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Histogram {
     buckets: Box<[u64; NBUCKETS]>,
     count: u64,
@@ -139,9 +117,57 @@ impl Histogram {
         Nanos(self.max)
     }
 
-    /// Approximate quantile `q` in `[0, 1]` (bucket lower-bound estimate).
+    /// Sum of all samples, saturating at the `u64` the monitoring wire
+    /// carries.
+    pub fn sum(&self) -> u64 {
+        u64::try_from(self.sum).unwrap_or(u64::MAX)
+    }
+
+    /// Approximate quantile `q` in `[0, 1]`: the lower bound of the bucket
+    /// holding the target rank, clamped to the observed min/max. Zero if
+    /// empty.
     pub fn quantile(&self, q: f64) -> Nanos {
-        Nanos(bucket_quantile(&self.buckets, self.count, self.min, self.max, q))
+        if self.count == 0 {
+            return Nanos::ZERO;
+        }
+        let target = (((self.count as f64) * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
+        let at = self.cumulative().find(|&(_, seen)| seen >= target);
+        Nanos(at.map_or(self.max, |(value, _)| value.max(self.min).min(self.max)))
+    }
+
+    /// Running `(bucket lower bound, samples in this bucket and below)` over
+    /// the non-empty buckets: the walk behind every quantile and every `le`
+    /// exposition.
+    pub fn cumulative(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut seen = 0u64;
+        self.buckets.iter().enumerate().filter(|&(_, &n)| n != 0).map(move |(i, &n)| {
+            seen = seen.saturating_add(n);
+            (bucket_value(i), seen)
+        })
+    }
+
+    /// Sparse `(bucket index, increment)` pairs for the buckets that grew
+    /// since `prev`; against an empty `prev`, every non-empty bucket.
+    pub fn sparse_diff(&self, prev: &Histogram) -> Vec<(u32, u64)> {
+        let grown =
+            self.buckets.iter().zip(prev.buckets.iter()).map(|(&n, &was)| n.saturating_sub(was));
+        grown.enumerate().filter(|&(_, d)| d != 0).map(|(i, d)| (i as u32, d)).collect()
+    }
+
+    /// The inverse of [`Histogram::sparse_diff`]: adds `(bucket index,
+    /// increment)` pairs (saturating; out-of-range indices are ignored) and
+    /// takes `count`/`sum`/`min`/`max` as given, since the monitoring wire
+    /// carries those cumulative while its buckets are interval-local.
+    pub fn add_sparse(&mut self, buckets: &[(u32, u64)], count: u64, sum: u64, min: u64, max: u64) {
+        for &(i, n) in buckets {
+            if let Some(slot) = self.buckets.get_mut(i as usize) {
+                *slot = slot.saturating_add(n);
+            }
+        }
+        self.count = count;
+        self.sum = sum.into();
+        self.min = if count == 0 { u64::MAX } else { min };
+        self.max = max;
     }
 
     /// Median (50th percentile).
@@ -154,13 +180,19 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Merges another histogram into this one.
+    /// Folds `other` into `self`: bucket-wise addition, summed counts and
+    /// pooled min/max, every sum saturating (merged counts may come off the
+    /// wire). Any quantile of the merge is exactly that of one histogram fed
+    /// both sample sets.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
+        if other.count == 0 {
+            return;
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        for (a, &b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *a = a.saturating_add(b);
+        }
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -237,5 +269,82 @@ mod tests {
         h.record(Nanos(u64::MAX));
         assert_eq!(h.count(), 2);
         assert!(h.quantile(1.0) <= h.max());
+    }
+
+    fn fed(samples: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        for &v in samples {
+            h.record(Nanos(v));
+        }
+        h
+    }
+
+    #[test]
+    fn merge_identity_and_sparse_roundtrip() {
+        let a = fed(&[10, 100, 1_000, 50_000]);
+        // empty ∪ a == a, and a ∪ empty == a.
+        let mut merged = Histogram::new();
+        merged.merge(&a);
+        assert_eq!(merged, a);
+        merged.merge(&Histogram::new());
+        assert_eq!(merged, a);
+        // sparse_diff against empty re-encodes the whole histogram ...
+        let mut rebuilt = Histogram::new();
+        rebuilt.add_sparse(
+            &a.sparse_diff(&Histogram::new()),
+            a.count(),
+            a.sum(),
+            a.min().0,
+            50_000,
+        );
+        assert_eq!(rebuilt, a);
+        // ... and a delta added onto its baseline gives the later histogram.
+        let later = fed(&[10, 100, 1_000, 50_000, 7, 50_000]);
+        rebuilt.add_sparse(&later.sparse_diff(&a), later.count(), later.sum(), 7, 50_000);
+        assert_eq!(rebuilt, later);
+        // Out-of-range indices are ignored, not panicked on.
+        let mut odd = Histogram::new();
+        odd.add_sparse(&[(u32::MAX, 5)], 0, 0, 0, 0);
+        assert_eq!(odd, Histogram::new());
+        assert!(odd.cumulative().next().is_none());
+    }
+
+    proptest::proptest! {
+        /// merge(a, b) is one histogram fed both sample sets: counts and sums
+        /// add, min/max pool, quantiles are monotone in p, and the merged p99
+        /// lands within one bucket (~12 % relative) of the exact pooled
+        /// order statistic.
+        #[test]
+        fn merge_matches_pooled_samples(
+            xs in proptest::collection::vec(1u64..50_000_000, 1..300),
+            ys in proptest::collection::vec(1u64..50_000_000, 1..300),
+        ) {
+            let (a, b) = (fed(&xs), fed(&ys));
+            let mut merged = a.clone();
+            merged.merge(&b);
+            proptest::prop_assert_eq!(merged.count(), a.count() + b.count());
+            proptest::prop_assert_eq!(merged.sum(), a.sum() + b.sum());
+            proptest::prop_assert_eq!(merged.min(), a.min().min(b.min()));
+            proptest::prop_assert_eq!(merged.max(), a.max().max(b.max()));
+            let qs = [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0];
+            for w in qs.windows(2) {
+                proptest::prop_assert!(
+                    merged.quantile(w[0]) <= merged.quantile(w[1]),
+                    "quantile not monotone at {:?}", w
+                );
+            }
+            let mut all: Vec<u64> = xs.iter().chain(&ys).copied().collect();
+            proptest::prop_assert_eq!(&merged, &fed(&all));
+            all.sort_unstable();
+            let rank = (((all.len() as f64) * 0.99).ceil() as usize).clamp(1, all.len());
+            let exact = all[rank - 1] as f64;
+            let est = merged.quantile(0.99).0 as f64;
+            // One bucket of slack each way: bucket width is <= 1/8 octave
+            // (~12 %), and the estimate reports bucket lower bounds.
+            proptest::prop_assert!(
+                est <= exact * 1.125 + 1.0 && est >= exact / 1.125 - 1.0,
+                "merged p99 {} vs exact pooled {}", est, exact
+            );
+        }
     }
 }

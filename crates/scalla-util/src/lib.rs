@@ -14,8 +14,8 @@
 //! * [`clock`] — a time abstraction so the same cache and protocol code runs
 //!   under a deterministic virtual clock (discrete-event experiments) or the
 //!   real system clock (live threaded runtime).
-//! * [`hist`] — a log-bucketed latency histogram used by the experiment
-//!   harness.
+//! * [`hist`] — the one log-bucketed latency histogram: experiment
+//!   distributions, observability snapshots and cross-node merges.
 //! * [`rng`] — a tiny deterministic SplitMix64 generator for places where a
 //!   seeded, allocation-free stream is wanted without pulling `rand` into a
 //!   core crate.
@@ -35,6 +35,6 @@ pub mod server_set;
 pub use clock::{Clock, Nanos, SystemClock, VirtualClock};
 pub use crc32::crc32;
 pub use fib::{fib_at_least, is_fibonacci, FIBONACCI};
-pub use hist::{bucket_cumulative, bucket_of, bucket_quantile, bucket_value, Histogram, NBUCKETS};
+pub use hist::{bucket_of, bucket_value, Histogram, NBUCKETS};
 pub use rng::SplitMix64;
 pub use server_set::{ServerId, ServerSet, MAX_SERVERS};

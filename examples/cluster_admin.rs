@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example cluster_admin`
 
-use scalla::cache::CacheStats;
+use scalla::obs::get;
 use scalla::prelude::*;
 use scalla::sim::{workload, ClusterConfig, WorkloadConfig};
 
@@ -59,9 +59,9 @@ fn main() {
                     n.members().offline().len(),
                     n.cache().len(),
                     n.cache().bucket_count(),
-                    CacheStats::get(&s.hits),
-                    CacheStats::get(&s.lookups),
-                    CacheStats::get(&s.evictions),
+                    get(&s.hits),
+                    get(&s.lookups),
+                    get(&s.evictions),
                 )
             });
         let hit_pct = if lookups > 0 { 100.0 * hits as f64 / lookups as f64 } else { 0.0 };
@@ -92,7 +92,7 @@ fn main() {
     // Dashboard sanity: everyone up, traffic recorded, namespace populated.
     let mgr = cluster.managers[0];
     assert_eq!(cluster.with_cmsd(mgr, |n| n.members().active()).len(), 3);
-    let lookups = cluster.with_cmsd(mgr, |n| CacheStats::get(&n.cache().stats().lookups));
+    let lookups = cluster.with_cmsd(mgr, |n| get(&n.cache().stats().lookups));
     assert!(lookups > 0);
     println!("\ncluster_admin OK");
 }

@@ -19,7 +19,7 @@
 //!
 //! Run with: `cargo run --release --example lcache_run [-- --smoke]`
 
-use scalla::lcache::LcacheStats;
+use scalla::obs::get;
 use scalla::prelude::*;
 use scalla::sim::ClusterConfig;
 
@@ -129,9 +129,8 @@ fn main() {
     // popularity proportional to 1/k, the shape that makes an edge cache
     // pay off (hot files stay leased, the tail walks the redirector).
     let lc = leased.config().lcache.clone().expect("leased cluster has the cache");
-    let before_hits = LcacheStats::get(&lc.stats().hits);
-    let before_lookups =
-        before_hits + LcacheStats::get(&lc.stats().misses) + LcacheStats::get(&lc.stats().expired);
+    let before_hits = get(&lc.stats().hits);
+    let before_lookups = before_hits + get(&lc.stats().misses) + get(&lc.stats().expired);
     let harmonic: f64 = (1..=n_files).map(|k| 1.0 / k as f64).sum();
     let mut rng: u64 = 0x5ca11a;
     let mut ops = Vec::with_capacity(zipf_opens);
@@ -155,11 +154,9 @@ fn main() {
     assert!(leased.client_done(zipf_client), "zipf pass must finish");
     let zipf_ok =
         leased.client_results(zipf_client).iter().filter(|r| r.outcome == OpOutcome::Ok).count();
-    let hits = LcacheStats::get(&lc.stats().hits) - before_hits;
-    let lookups = LcacheStats::get(&lc.stats().hits)
-        + LcacheStats::get(&lc.stats().misses)
-        + LcacheStats::get(&lc.stats().expired)
-        - before_lookups;
+    let hits = get(&lc.stats().hits) - before_hits;
+    let lookups =
+        get(&lc.stats().hits) + get(&lc.stats().misses) + get(&lc.stats().expired) - before_lookups;
     let zipf_hit_rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
     eprintln!("phase 2: zipf {zipf_opens} opens, hit rate {zipf_hit_rate:.3} ({hits}/{lookups})");
 

@@ -6,7 +6,7 @@
 //! §III invariant audit.
 
 use proptest::prelude::*;
-use scalla::lcache::LcacheStats;
+use scalla::obs::get;
 use scalla::prelude::*;
 use scalla::sim::ClusterConfig;
 
@@ -47,7 +47,7 @@ fn warm_open_skips_the_manager_entirely() {
     let r = c.client_results(cold);
     assert_eq!(r[0].outcome, OpOutcome::Ok);
     assert_eq!(r[0].redirects, 1, "cold open pays the hop: {r:?}");
-    assert_eq!(LcacheStats::get(&lc.stats().inserts), 1, "leased redirect cached");
+    assert_eq!(get(&lc.stats().inserts), 1, "leased redirect cached");
 
     let resolves_cold =
         metric(&obs.registry().prometheus_text(), "scalla_stage_ns_count", "stage=\"resolve\"");
@@ -115,8 +115,7 @@ fn stale_lease_recovers_through_the_redirector() {
         "{text}"
     );
     assert_eq!(metric(&text, "scalla_client_stale_served_total", ""), 0, "{text}");
-    let purged =
-        LcacheStats::get(&lc.stats().purges_stale) + LcacheStats::get(&lc.stats().purges_recovery);
+    let purged = get(&lc.stats().purges_stale) + get(&lc.stats().purges_recovery);
     assert!(purged >= 1, "the dead holder's lease was purged");
 }
 

@@ -175,8 +175,8 @@ fn live_eviction_ticks_in_real_time() {
     let mgr_node =
         nodes[manager.0 as usize].as_any_mut().unwrap().downcast_ref::<CmsdNode>().unwrap();
     let stats = mgr_node.cache().stats();
-    use scalla::cache::CacheStats as S;
-    assert!(S::get(&stats.evictions) >= 1, "entry must expire in real time");
-    assert!(S::get(&stats.collected) >= 1, "background collection must run");
+    use scalla::obs::get;
+    assert!(get(&stats.evictions) >= 1, "entry must expire in real time");
+    assert!(get(&stats.collected) >= 1, "background collection must run");
     assert_eq!(mgr_node.cache().len(), 0, "cache empty after a lifetime");
 }

@@ -110,10 +110,7 @@ fn late_joining_server_found_via_connect_correction() {
     // And the manager's stats show a computed (or memoized) correction.
     let (computed, memo) = c.with_cmsd(mgr, |n| {
         let s = n.cache().stats();
-        (
-            scalla::cache::CacheStats::get(&s.corrections_computed),
-            scalla::cache::CacheStats::get(&s.corrections_memo),
-        )
+        (scalla::obs::get(&s.corrections_computed), scalla::obs::get(&s.corrections_memo))
     });
     assert!(computed + memo > 0, "a correction must have been applied");
 }

@@ -271,8 +271,8 @@ fn concurrent_cold_opens_share_one_query_flood() {
     let mgr = c.managers[0];
     let (creates, misses, queued, fast) = c.with_cmsd(mgr, |n| {
         let s = n.cache().stats();
-        use scalla::cache::CacheStats as S;
-        (S::get(&s.creates), S::get(&s.misses), S::get(&s.queued_waiters), S::get(&s.fast_releases))
+        use scalla::obs::get;
+        (get(&s.creates), get(&s.misses), get(&s.queued_waiters), get(&s.fast_releases))
     });
     assert_eq!(creates, 1, "one location object for the shared file");
     assert_eq!(misses, 1, "only the first racer misses");

@@ -7,7 +7,9 @@ and validates the `/metrics` section as Prometheus text exposition:
   value and a well-formed metric name, and no series appears twice (in
   `/metrics` or in `/cluster`);
 * every histogram sample (`_bucket`/`_sum`/`_count`) belongs to a family
-  announced by a `# TYPE ... histogram` line;
+  announced by a `# TYPE ... histogram` line, each histogram series'
+  `_bucket` values never decrease in `le` order, and its `+Inf` bucket
+  equals its `_count`;
 * the per-stage latency histograms are present and the resolve and
   redirect-hop stages recorded at least one sample;
 * the manager's admission-control families are exported: every cold
@@ -23,7 +25,9 @@ and validates the `/metrics` section as Prometheus text exposition:
   series name, so their `# TYPE scalla_cluster_counter` header covers
   the whole family rather than each sample name — a dedicated check
   instead of the generic one above);
-* the `/cluster.json` section carries the merged rollups.
+* the `/cluster.json` section carries the merged rollups;
+* in `/cluster` and `/cluster.json`, every stage's merged quantiles are
+  ordered: p50 <= p99 <= p999.
 
 Usage: cargo run --example obs_dump | python3 tools/check_metrics.py
 """
@@ -35,6 +39,7 @@ import sys
 NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 SAMPLE_RE = re.compile(r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?P<labels>\{[^}]*\})? (?P<value>\S+)$")
 SPAN_RE = re.compile(r"^trace=[0-9a-f]{16} node=\d+ stage=\S+")
+LABEL_RE = re.compile(r'([a-zA-Z_]\w*)="((?:[^"\\]|\\.)*)"')
 
 
 def fail(msg: str) -> None:
@@ -84,7 +89,45 @@ def check_metrics(text: str) -> dict:
         if series in samples:
             fail(f"duplicate series {series!r} (a source attached twice?)")
         samples[series] = value
+    check_buckets(typed, samples)
     return samples
+
+
+def without(label: str, series: str) -> tuple:
+    """Splits `name{..., label="v", ...}` into (the series without that
+    label, v)."""
+    name, _, labels = series.partition("{")
+    pairs = LABEL_RE.findall(labels)
+    rest = ",".join(f'{k}="{v}"' for k, v in pairs if k != label)
+    value = next((v for k, v in pairs if k == label), None)
+    return name + (f"{{{rest}}}" if rest else ""), value
+
+
+def check_buckets(typed: dict, samples: dict) -> None:
+    """Each histogram series: cumulative buckets never decrease in `le`
+    order, and the `+Inf` bucket counts every sample (`_count`)."""
+    series = {}
+    for key, value in samples.items():
+        name = key.split("{", 1)[0]
+        if not name.endswith("_bucket") or typed.get(name[: -len("_bucket")]) != "histogram":
+            continue
+        rest, le = without("le", key)
+        series.setdefault(rest, []).append((float(le), value))
+    for rest, buckets in series.items():
+        buckets.sort()
+        for (le0, v0), (le1, v1) in zip(buckets, buckets[1:]):
+            if v1 < v0:
+                fail(f"{rest}: bucket le={le1:g} holds {v1:g} < {v0:g} at le={le0:g}")
+        count = rest.replace("_bucket", "_count", 1)
+        if buckets[-1][0] != math.inf or samples.get(count) != buckets[-1][1]:
+            fail(f"{rest}: +Inf bucket {buckets[-1][1]:g} != {count} {samples.get(count)}")
+
+
+def check_stage_order(where: str, stages: dict) -> None:
+    """Every stage's merged quantiles are ordered: p50 <= p99 <= p999."""
+    for stage, q in stages.items():
+        if not q.get("0.5", 0) <= q.get("0.99", 0) <= q.get("0.999", 0):
+            fail(f"{where} stage {stage!r} quantiles out of order: {q}")
 
 
 def check_cluster(text: str) -> dict:
@@ -123,6 +166,12 @@ def check_cluster(text: str) -> dict:
         fail("/cluster shows unhealed sequence gaps on a lossless network")
     if not any(k.startswith("scalla_cluster_counter_") for k in samples):
         fail("/cluster carries no merged counters")
+    stages = {}
+    for key, value in samples.items():
+        if key.startswith("scalla_cluster_stage_ns{"):
+            stage, q = without("quantile", key)
+            stages.setdefault(stage, {})[q] = value
+    check_stage_order("/cluster", stages)
     for stage in ("resolve", "redirect_hop"):
         q99 = f'scalla_cluster_stage_ns{{stage="{stage}",quantile="0.99"}}'
         cnt = f'scalla_cluster_stage_ns_count{{stage="{stage}"}}'
@@ -147,6 +196,10 @@ def check_cluster_json(text: str) -> dict:
     for name, node in view["nodes"].items():
         if node.get("health") not in ("live", "stale"):
             fail(f"/cluster.json node {name!r} has health {node.get('health')!r}")
+    check_stage_order("/cluster.json", {
+        key: {"0.5": q["p50"], "0.99": q["p99"], "0.999": q["p999"]}
+        for key, q in view["stage_quantiles"].items()
+    })
     return view
 
 
