@@ -7,12 +7,8 @@ use scalla_util::{crc32, Nanos, ServerSet, VirtualClock};
 use std::sync::Arc;
 
 fn warm_cache(n: usize) -> (Arc<VirtualClock>, NameCache, Vec<String>) {
-    warm_cache_shards(n, CacheConfig::default().shards)
-}
-
-fn warm_cache_shards(n: usize, shards: usize) -> (Arc<VirtualClock>, NameCache, Vec<String>) {
     let clock = Arc::new(VirtualClock::new());
-    let cache = NameCache::new(CacheConfig::default().with_shards(shards), clock.clone());
+    let cache = NameCache::new(CacheConfig::default(), clock.clone());
     let vm = ServerSet::first_n(64);
     let paths: Vec<String> = (0..n).map(|i| format!("/store/run{}/f{i}.root", i % 101)).collect();
     for (i, p) in paths.iter().enumerate() {
@@ -34,17 +30,6 @@ fn bench_hit(c: &mut Criterion) {
     let vm = ServerSet::first_n(64);
     let mut i = 0usize;
     c.bench_function("resolve/warm hit (100k entries)", |b| {
-        b.iter(|| {
-            i = (i + 7919) % paths.len();
-            cache.resolve(&paths[i], vm, AccessMode::Read, Waiter::new(2, i as u64))
-        })
-    });
-    // Single-lock regression guard: the sharded interior at shards=1 must
-    // cost the same as the original design (the shard indirection and the
-    // connect-log read lock are the only additions to this path).
-    let (_clock, cache, paths) = warm_cache_shards(100_000, 1);
-    let mut i = 0usize;
-    c.bench_function("resolve/warm hit (100k entries, 1 shard)", |b| {
         b.iter(|| {
             i = (i + 7919) % paths.len();
             cache.resolve(&paths[i], vm, AccessMode::Read, Waiter::new(2, i as u64))

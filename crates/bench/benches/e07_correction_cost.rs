@@ -11,26 +11,25 @@
 
 use bench::table;
 use scalla_cache::correct::CorrectionKind;
-use scalla_cache::{ConnectLog, CorrectionMemo, LocState};
+use scalla_cache::{ConnectLog, LocState};
 use scalla_util::ServerSet;
 use std::time::Instant;
 
 const ITERS: usize = 2_000_000;
 
-fn bench_case(name: &str, log: ConnectLog, cns: &[u64], expect: CorrectionKind) -> Vec<String> {
+fn bench_case(name: &str, mut log: ConnectLog, cns: &[u64], expect: CorrectionKind) -> Vec<String> {
     let vm = ServerSet::first_n(48);
-    let mut memo = CorrectionMemo::new();
     let mut state = LocState { vh: ServerSet::first_n(8), ..LocState::default() };
     // Warm one pass so the memo (if applicable) exists.
     let mut cn = cns[0];
-    log.correct(&mut memo, &mut state, &mut cn, 7, vm);
+    log.correct(&mut state, &mut cn, 7, vm);
 
     let t0 = Instant::now();
     let mut counts = [0u64; 3];
     for i in 0..ITERS {
         let mut state = LocState { vh: ServerSet::first_n(8), ..LocState::default() };
         let mut cn = cns[i % cns.len()];
-        match log.correct(&mut memo, &mut state, &mut cn, 7, vm) {
+        match log.correct(&mut state, &mut cn, 7, vm) {
             CorrectionKind::Clean => counts[0] += 1,
             CorrectionKind::MemoHit => counts[1] += 1,
             CorrectionKind::Computed => counts[2] += 1,

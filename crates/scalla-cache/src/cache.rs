@@ -20,37 +20,27 @@
 //!
 //! # Locking
 //!
-//! The cache interior is split into [`CacheConfig::shards`] independently
-//! locked shards. Each shard owns a complete interior — slab, hash table,
-//! window ring, correction memo, and pending-removal list — and a look-up
-//! locks exactly one shard, selected from the high bits of the name's
-//! CRC-32 key, so resolutions for different shards never contend. Two
-//! structures are shared across shards:
+//! One lock guards the whole interior — slab, hash table, window ring,
+//! connect log with its correction memo, and pending-removal list — as the
+//! paper's single cache latch does. Each cmsd owns its cache and runs on
+//! one thread at a time, so the lock is uncontended in the cluster; it
+//! stays because the cache is `Sync` and real threads may share one
+//! (experiment E3, the concurrency tests).
 //!
-//! * the connect log (`C[]`, `N_c`) sits behind a read-mostly `RwLock` —
-//!   corrections take the read side; only `note_connect` (login time)
-//!   writes. The per-window correction memo lives *per shard*, mutated
-//!   under the shard lock, and self-validates against the log's `N_c`.
-//! * the fast response queue keeps its own independent lock, exactly as in
-//!   the paper's loose coupling; the lock order is always *shard →
-//!   response queue*, and every cross-reference is validated on use so
-//!   neither side ever needs the other's lock to make progress. No code
-//!   path ever holds two shard locks at once.
-//!
-//! A [`LocRef`] carries its shard index, so authenticator-validated
-//! follow-ups ([`NameCache::requeue`]) go straight to the owning shard in
-//! O(1) without re-hashing the name. `shards = 1` reproduces the original
-//! single-lock layout bit for bit.
+//! The fast response queue keeps its own independent lock, exactly as in
+//! the paper's loose coupling: the lock order is always *interior →
+//! response queue*, and every cross-reference is validated on use so
+//! neither side ever needs the other's lock to make progress.
 
-use crate::config::{CacheConfig, MAX_SHARDS};
-use crate::correct::{ConnectLog, CorrectionKind, CorrectionMemo};
+use crate::config::CacheConfig;
+use crate::correct::{ConnectLog, CorrectionKind};
 use crate::loc::{AccessMode, LocState};
 use crate::respq::{RespQueue, Waiter};
 use crate::slab::{LocRef, LocSlab, RespRef};
 use crate::stats::CacheStats;
 use crate::table::HashTable;
 use crate::window::{TickOutcome, WindowRing};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use scalla_obs::{Obs, Stage};
 use scalla_util::{crc32, Clock, Nanos, ServerId, ServerSet};
 use std::sync::Arc;
@@ -108,23 +98,20 @@ pub struct HaveOutcome {
     pub rose: bool,
 }
 
-/// One independently locked slice of the cache interior.
-struct Shard {
+/// Everything the cache lock guards.
+struct Interior {
     slab: LocSlab,
     table: HashTable,
     windows: WindowRing,
-    /// Per-shard window memo for fetch-time corrections; validates itself
-    /// against the shared connect log's `N_c`.
-    memo: CorrectionMemo,
+    /// `C[]`, `N_c` and the per-window correction memo.
+    connects: ConnectLog,
     /// Hidden entries awaiting background physical removal.
     pending_removal: Vec<u32>,
 }
 
 /// The cmsd file-location cache.
 pub struct NameCache {
-    shards: Box<[Mutex<Shard>]>,
-    /// Shared read-mostly connect log (`C[]`, `N_c`).
-    connects: RwLock<ConnectLog>,
+    inner: Mutex<Interior>,
     respq: Mutex<RespQueue>,
     clock: Arc<dyn Clock>,
     config: CacheConfig,
@@ -138,22 +125,14 @@ pub struct NameCache {
 impl NameCache {
     /// Creates a cache with the given configuration and time source.
     pub fn new(config: CacheConfig, clock: Arc<dyn Clock>) -> NameCache {
-        let n = config.shards.clamp(1, MAX_SHARDS);
-        let shards = (0..n)
-            .map(|i| {
-                Mutex::new(Shard {
-                    slab: LocSlab::for_shard(i as u16),
-                    table: HashTable::new(config.initial_table_size, config.max_load_percent),
-                    windows: WindowRing::new(),
-                    memo: CorrectionMemo::new(),
-                    pending_removal: Vec::new(),
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         NameCache {
-            shards,
-            connects: RwLock::new(ConnectLog::new()),
+            inner: Mutex::new(Interior {
+                slab: LocSlab::new(),
+                table: HashTable::new(config.initial_table_size, config.max_load_percent),
+                windows: WindowRing::new(),
+                connects: ConnectLog::new(),
+                pending_removal: Vec::new(),
+            }),
             respq: Mutex::new(RespQueue::new(config.response_anchors, config.fast_window)),
             clock,
             config,
@@ -185,36 +164,15 @@ impl NameCache {
         self.obs = obs;
     }
 
-    /// Number of shards actually in use (the configured value, clamped).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard `path` maps to — the high bits of its CRC-32 key,
-    /// generalized to any shard count by a multiply-shift. Diagnostics and
-    /// tests; the resolution paths compute this inline.
-    pub fn shard_of(&self, path: &str) -> usize {
-        self.shard_for(crc32(path.as_bytes()))
-    }
-
-    #[inline]
-    fn shard_for(&self, hash: u32) -> usize {
-        // High-bits selection: for a power-of-two count n this is exactly
-        // `hash >> (32 - log2 n)`; the multiply-shift form works for any n.
-        // The hash table chains on the low bits (modulo a Fibonacci bucket
-        // count), so shard and bucket selection stay uncorrelated.
-        ((u64::from(hash) * self.shards.len() as u64) >> 32) as usize
-    }
-
     /// Records a server (re)connect in the connect log (`N_c += 1`,
     /// `C[id] := N_c`). Membership calls this at login time.
     pub fn note_connect(&self, id: ServerId) -> u64 {
-        self.connects.write().note_connect(id)
+        self.inner.lock().connects.note_connect(id)
     }
 
     /// Current master connect counter `N_c`.
     pub fn nc(&self) -> u64 {
-        self.connects.read().nc()
+        self.inner.lock().connects.nc()
     }
 
     /// Resolves with default options: no offline servers, nothing avoided,
@@ -281,25 +239,25 @@ impl NameCache {
         let hash = crc32(path.as_bytes());
         scalla_obs::bump(&self.stats.lookups);
 
-        let mut shard = self.shards[self.shard_for(hash)].lock();
-        let found = shard.table.lookup(&shard.slab, path, hash);
+        let mut inner = self.inner.lock();
+        let found = inner.table.lookup(&inner.slab, path, hash);
 
         let slot = match found {
             Some(slot) if refresh => {
                 // §III-C1: logically a new un-cached request; fresh V_q,
                 // updated T_a (re-chaining deferred), new deadline.
                 scalla_obs::bump(&self.stats.refreshes);
-                let nc = self.connects.read().nc();
-                let tw = shard.windows.current();
-                let e = shard.slab.get_mut(slot);
+                let nc = inner.connects.nc();
+                let tw = inner.windows.current();
+                let e = inner.slab.get_mut(slot);
                 e.state = LocState::all_unknown(vm);
                 e.cn = nc;
                 e.ta = tw;
                 e.deadline = now + self.config.full_delay;
-                let locref = shard.slab.make_ref(slot);
+                let locref = inner.slab.make_ref(slot);
                 let query = vm - offline;
-                shard.slab.get_mut(slot).state.vq = vm & offline; // unreachable now, ask next time
-                let resolution = self.enqueue(&mut shard, slot, mode, waiter, now);
+                inner.slab.get_mut(slot).state.vq = vm & offline; // unreachable now, ask next time
+                let resolution = self.enqueue(&mut inner, slot, mode, waiter, now);
                 return ResolveOutcome { resolution, query, locref };
             }
             Some(slot) => slot,
@@ -310,47 +268,46 @@ impl NameCache {
                 if refresh {
                     scalla_obs::bump(&self.stats.refreshes);
                 }
-                let resizes_before = shard.table.resizes();
-                let slot = shard.slab.alloc(path, hash);
-                let nc = self.connects.read().nc();
+                let resizes_before = inner.table.resizes();
+                let slot = inner.slab.alloc(path, hash);
+                let nc = inner.connects.nc();
                 {
-                    let e = shard.slab.get_mut(slot);
+                    let e = inner.slab.get_mut(slot);
                     e.state = LocState::all_unknown(vm);
                     e.cn = nc;
                     e.deadline = now + self.config.full_delay;
                 }
-                let Shard { slab, windows, table, .. } = &mut *shard;
+                let Interior { slab, windows, table, .. } = &mut *inner;
                 windows.chain_now(slab, slot);
                 table.insert(slab, slot);
-                scalla_obs::add(&self.stats.resizes, shard.table.resizes() - resizes_before);
+                scalla_obs::add(&self.stats.resizes, inner.table.resizes() - resizes_before);
 
-                let locref = shard.slab.make_ref(slot);
+                let locref = inner.slab.make_ref(slot);
                 // Step 5/6: caller queries every reachable eligible server;
                 // unreachable (offline) ones stay in V_q for next time.
                 let query = vm - offline;
-                shard.slab.get_mut(slot).state.vq = vm & offline;
-                let resolution = self.enqueue(&mut shard, slot, mode, waiter, now);
+                inner.slab.get_mut(slot).state.vq = vm & offline;
+                let resolution = self.enqueue(&mut inner, slot, mode, waiter, now);
                 return ResolveOutcome { resolution, query, locref };
             }
         };
 
         // ---- Hit path ----
-        let locref = shard.slab.make_ref(slot);
+        let locref = inner.slab.make_ref(slot);
         let (mut state, mut cn, ta, old_deadline) = {
-            let e = shard.slab.get(slot);
+            let e = inner.slab.get(slot);
             (e.state, e.cn, e.ta, e.deadline)
         };
 
-        // Fetch-time corrections (§III-A4): shared log read-locked, this
-        // shard's memo mutated under the shard lock. Only a stale entry
-        // (connects happened since it was cached) does correction work, so
-        // only that case is probed — the steady-state hit path pays
-        // nothing and the histogram measures real applications only.
+        // Fetch-time corrections (§III-A4). Only a stale entry (connects
+        // happened since it was cached) does correction work, so only that
+        // case is probed — the steady-state hit path pays nothing and the
+        // histogram measures real applications only.
         let correction = {
-            let log = self.connects.read();
+            let log = &mut inner.connects;
             let timer = (cn != log.nc() && self.obs.stage_sample(Stage::CorrectionApply))
                 .then(std::time::Instant::now);
-            let kind = log.correct(&mut shard.memo, &mut state, &mut cn, ta, vm);
+            let kind = log.correct(&mut state, &mut cn, ta, vm);
             if let Some(t0) = timer {
                 self.obs.record_stage(Stage::CorrectionApply, t0.elapsed().as_nanos() as u64);
             }
@@ -395,25 +352,25 @@ impl NameCache {
 
         // Write back the corrected state.
         {
-            let e = shard.slab.get_mut(slot);
+            let e = inner.slab.get_mut(slot);
             e.state = state;
             e.cn = cn;
             e.deadline = deadline;
         }
 
         let resolution = match resolution {
-            Resolution::Queued => self.enqueue(&mut shard, slot, mode, waiter, now),
+            Resolution::Queued => self.enqueue(&mut inner, slot, mode, waiter, now),
             other => other,
         };
         ResolveOutcome { resolution, query, locref }
     }
 
     /// Parks `waiter` on the fast response queue for `slot` (§III-B step 4).
-    /// Must be called with the owning shard's lock held; takes the
-    /// response-queue lock (lock order: shard → respq).
+    /// Must be called with the interior lock held; takes the
+    /// response-queue lock (lock order: interior → respq).
     fn enqueue(
         &self,
-        shard: &mut Shard,
+        inner: &mut Interior,
         slot: u32,
         mode: AccessMode,
         waiter: Option<Waiter>,
@@ -423,8 +380,8 @@ impl NameCache {
             return Resolution::Queued; // answer outstanding, nobody parked
         };
         let existing = match mode {
-            AccessMode::Read => shard.slab.get(slot).rref,
-            AccessMode::Write => shard.slab.get(slot).wref,
+            AccessMode::Read => inner.slab.get(slot).rref,
+            AccessMode::Write => inner.slab.get(slot).wref,
         };
         let mut respq = self.respq.lock();
         // A severed association (swept anchor) falls through to a new one.
@@ -434,7 +391,7 @@ impl NameCache {
         }
         match respq.open(slot, mode, waiter, now) {
             Ok(r) => {
-                let e = shard.slab.get_mut(slot);
+                let e = inner.slab.get_mut(slot);
                 match mode {
                     AccessMode::Read => e.rref = r,
                     AccessMode::Write => e.wref = r,
@@ -475,8 +432,8 @@ impl NameCache {
         server: ServerId,
         staging: bool,
     ) -> HaveOutcome {
-        let mut shard = self.shards[self.shard_for(hash)].lock();
-        let slot = match shard.table.lookup(&shard.slab, path, hash) {
+        let mut inner = self.inner.lock();
+        let slot = match inner.table.lookup(&inner.slab, path, hash) {
             Some(slot) => slot,
             None => {
                 // Entry expired between query and response: re-cache the
@@ -487,23 +444,17 @@ impl NameCache {
                 // before any negative verdict can be reached. Fetch-time
                 // `V_m` clipping scopes the set to the path (§III-A4).
                 scalla_obs::bump(&self.stats.creates);
-                let slot = shard.slab.alloc(path, hash);
-                let (everyone, nc) = {
-                    let log = self.connects.read();
-                    (log.vc_since(0), log.nc())
-                };
-                {
-                    let e = shard.slab.get_mut(slot);
-                    e.state.vq = everyone;
-                    e.cn = nc;
-                }
-                let Shard { slab, windows, table, .. } = &mut *shard;
+                let Interior { slab, windows, table, connects, .. } = &mut *inner;
+                let slot = slab.alloc(path, hash);
+                let e = slab.get_mut(slot);
+                e.state.vq = connects.vc_since(0);
+                e.cn = connects.nc();
                 windows.chain_now(slab, slot);
                 table.insert(slab, slot);
                 slot
             }
         };
-        let state = &mut shard.slab.get_mut(slot).state;
+        let state = &mut inner.slab.get_mut(slot).state;
         let before = state.availability();
         state.record_have(server, staging);
         let rose = state.availability() > before;
@@ -513,7 +464,7 @@ impl NameCache {
         // concern). Writers are only released by an online holder.
         let mut released = Vec::new();
         let refs: Vec<(AccessMode, RespRef)> = {
-            let e = shard.slab.get(slot);
+            let e = inner.slab.get(slot);
             let mut v = Vec::with_capacity(2);
             if e.rref.is_some() {
                 v.push((AccessMode::Read, e.rref));
@@ -535,7 +486,7 @@ impl NameCache {
                     }
                     released.extend(waiters.into_iter().map(|w| (w, server)));
                 }
-                let e = shard.slab.get_mut(slot);
+                let e = inner.slab.get_mut(slot);
                 match mode {
                     AccessMode::Read => e.rref = RespRef::NONE,
                     AccessMode::Write => e.wref = RespRef::NONE,
@@ -547,30 +498,27 @@ impl NameCache {
     }
 
     /// Puts servers that could not be queried back into the object's `V_q`
-    /// (§III-B1 step 6). The reference's shard index routes straight to the
-    /// owning shard and the authenticator validates the object in O(1); a
-    /// stale reference falls back to a full look-up, and a vanished entry
-    /// is simply dropped (the client will retry).
+    /// (§III-B1 step 6). The authenticator validates the referenced object
+    /// in O(1); a stale reference falls back to a full look-up, and a
+    /// vanished entry is simply dropped (the client will retry).
     pub fn requeue(&self, path: &str, locref: LocRef, servers: ServerSet) {
         if servers.is_empty() {
             return;
         }
-        if (locref.shard as usize) < self.shards.len() {
-            let mut shard = self.shards[locref.shard as usize].lock();
-            if shard.slab.is_valid(locref) && shard.slab.get(locref.slot).is_visible() {
-                shard.slab.get_mut(locref.slot).state.requery(servers);
-                return;
-            }
+        let mut inner = self.inner.lock();
+        let live = inner.slab.is_valid(locref) && inner.slab.get(locref.slot).is_visible();
+        let slot = if live {
+            Some(locref.slot)
+        } else {
+            inner.table.lookup(&inner.slab, path, crc32(path.as_bytes()))
+        };
+        if let Some(slot) = slot {
+            inner.slab.get_mut(slot).state.requery(servers);
         }
-        // Stale (or foreign) reference: re-hash and look the name up in its
-        // owning shard. The fast-path guard above is released by now, so
-        // re-locking the same shard cannot deadlock.
-        scalla_obs::bump(&self.stats.stale_refs);
-        self.obs.incident("stale_ref");
-        let hash = crc32(path.as_bytes());
-        let mut shard = self.shards[self.shard_for(hash)].lock();
-        if let Some(slot) = shard.table.lookup(&shard.slab, path, hash) {
-            shard.slab.get_mut(slot).state.requery(servers);
+        drop(inner);
+        if !live {
+            scalla_obs::bump(&self.stats.stale_refs);
+            self.obs.incident("stale_ref");
         }
     }
 
@@ -594,30 +542,27 @@ impl NameCache {
         let dead = ServerSet::single(server);
         let unreachable = dead | offline;
         let mut refloods = Vec::new();
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            for slot in 0..shard.slab.capacity() as u32 {
-                let e = shard.slab.get(slot);
-                if !e.in_use || !e.is_visible() {
-                    continue;
-                }
-                let held = (e.state.vh | e.state.vp).contains(server);
-                if !held && !e.state.vq.contains(server) {
-                    continue;
-                }
-                let path = e.key().to_string();
-                let locref = shard.slab.make_ref(slot);
-                let e = shard.slab.get_mut(slot);
-                e.state.requery(dead);
-                let ask = e.state.vq - unreachable;
-                if held && !ask.is_empty() {
-                    // The survivors are queried *now*; the dead server (and
-                    // anything else offline) stays queued for a future
-                    // look-up.
-                    e.state.vq &= unreachable;
-                    e.deadline = now + self.config.full_delay;
-                    refloods.push((path, locref, ask));
-                }
+        let mut inner = self.inner.lock();
+        for slot in 0..inner.slab.capacity() as u32 {
+            let e = inner.slab.get(slot);
+            if !e.is_visible() {
+                continue;
+            }
+            let held = (e.state.vh | e.state.vp).contains(server);
+            if !held && !e.state.vq.contains(server) {
+                continue;
+            }
+            let path = e.key().to_string();
+            let locref = inner.slab.make_ref(slot);
+            let e = inner.slab.get_mut(slot);
+            e.state.requery(dead);
+            let ask = e.state.vq - unreachable;
+            if held && !ask.is_empty() {
+                // The survivors are queried *now*; the dead server (and
+                // anything else offline) stays queued for a future look-up.
+                e.state.vq &= unreachable;
+                e.deadline = now + self.config.full_delay;
+                refloods.push((path, locref, ask));
             }
         }
         refloods
@@ -635,22 +580,16 @@ impl NameCache {
     pub fn purge_server(&self, server: ServerId) -> usize {
         let dead = ServerSet::single(server);
         let mut purged = 0;
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            for slot in 0..shard.slab.capacity() as u32 {
-                let e = shard.slab.get(slot);
-                if !e.in_use || !e.is_visible() {
-                    continue;
-                }
-                if !((e.state.vh | e.state.vp | e.state.vq).contains(server)) {
-                    continue;
-                }
-                let e = shard.slab.get_mut(slot);
-                e.state.vh = e.state.vh - dead;
-                e.state.vp = e.state.vp - dead;
-                e.state.vq = e.state.vq - dead;
-                purged += 1;
+        let mut inner = self.inner.lock();
+        for slot in 0..inner.slab.capacity() as u32 {
+            let e = inner.slab.get_mut(slot);
+            if !e.is_visible() || !(e.state.vh | e.state.vp | e.state.vq).contains(server) {
+                continue;
             }
+            e.state.vh = e.state.vh - dead;
+            e.state.vp = e.state.vp - dead;
+            e.state.vq = e.state.vq - dead;
+            purged += 1;
         }
         purged
     }
@@ -661,19 +600,13 @@ impl NameCache {
     /// harnesses assert the second component is zero after every
     /// convergence window.
     pub fn invariant_violations(&self) -> (usize, usize) {
-        let mut checked = 0;
-        let mut violations = 0;
-        for shard in self.shards.iter() {
-            let shard = shard.lock();
-            for slot in 0..shard.slab.capacity() as u32 {
-                let e = shard.slab.get(slot);
-                if !e.in_use || !e.is_visible() {
-                    continue;
-                }
+        let inner = self.inner.lock();
+        let (mut checked, mut violations) = (0, 0);
+        for slot in 0..inner.slab.capacity() as u32 {
+            let e = inner.slab.get(slot);
+            if e.is_visible() {
                 checked += 1;
-                if !e.state.invariant_holds() {
-                    violations += 1;
-                }
+                violations += usize::from(!e.state.invariant_holds());
             }
         }
         (checked, violations)
@@ -681,10 +614,9 @@ impl NameCache {
 
     /// Reads the current location state of `path`, if cached and visible.
     pub fn peek(&self, path: &str) -> Option<LocState> {
-        let hash = crc32(path.as_bytes());
-        let shard = self.shards[self.shard_for(hash)].lock();
-        let slot = shard.table.lookup(&shard.slab, path, hash)?;
-        Some(shard.slab.get(slot).state)
+        let inner = self.inner.lock();
+        let slot = inner.table.lookup(&inner.slab, path, crc32(path.as_bytes()))?;
+        Some(inner.slab.get(slot).state)
     }
 
     /// The fast-response sweep (the 133 ms thread body). Returns waiters
@@ -699,65 +631,51 @@ impl NameCache {
 
     /// Fast-response-queue occupancy: anchors currently holding parked
     /// waiters. The admission layer reads this as the cmsd's
-    /// pending-resolution depth; one response-queue lock, no shard locks.
+    /// pending-resolution depth; takes only the response-queue lock.
     pub fn busy_anchors(&self) -> usize {
         self.respq.lock().busy_anchors()
     }
 
     /// Advances the window clock (`L_t/64` tick thread body): hides the
     /// expiring window, performs deferred re-chaining, queues hidden
-    /// entries for background collection. Every shard's ring is ticked,
-    /// one shard lock at a time; the returned outcome aggregates all
-    /// shards (`expired` slot indices are shard-local, so treat them as a
-    /// count, not as addresses).
+    /// entries for background collection. `expired` holds the slots the
+    /// tick hid.
     pub fn tick(&self) -> TickOutcome {
         let tick_timer = self.obs.stage_sample(Stage::WindowTick).then(std::time::Instant::now);
-        let mut merged = TickOutcome::default();
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            let Shard { slab, windows, pending_removal, .. } = &mut *shard;
+        let out = {
+            let mut inner = self.inner.lock();
+            let Interior { slab, windows, pending_removal, .. } = &mut *inner;
             let out = windows.tick(slab);
             pending_removal.extend_from_slice(&out.expired);
-            merged.expired.extend_from_slice(&out.expired);
-            merged.rechained += out.rechained;
-            merged.scanned += out.scanned;
-            merged.new_window = out.new_window;
-        }
-        scalla_obs::add(&self.stats.evictions, merged.expired.len() as u64);
-        scalla_obs::add(&self.stats.rechained, merged.rechained as u64);
+            out
+        };
+        scalla_obs::add(&self.stats.evictions, out.expired.len() as u64);
+        scalla_obs::add(&self.stats.rechained, out.rechained as u64);
         if let Some(t0) = tick_timer {
             self.obs.record_stage(Stage::WindowTick, t0.elapsed().as_nanos() as u64);
         }
-        merged
+        out
     }
 
     /// Background physical removal: unlinks and releases up to `max`
-    /// hidden entries across all shards. Returns how many were collected.
+    /// hidden entries. Returns how many were collected.
     pub fn collect(&self, max: usize) -> usize {
-        let mut collected = 0;
-        for shard in self.shards.iter() {
-            if collected >= max {
-                break;
+        let mut inner = self.inner.lock();
+        let Interior { slab, table, pending_removal, .. } = &mut *inner;
+        let n = pending_removal.len().min(max);
+        for slot in pending_removal.drain(pending_removal.len() - n..).rev() {
+            if slab.get(slot).in_use {
+                table.remove(slab, slot);
+                slab.release(slot);
             }
-            let mut shard = shard.lock();
-            let n = shard.pending_removal.len().min(max - collected);
-            for _ in 0..n {
-                let slot = shard.pending_removal.pop().expect("counted above");
-                if shard.slab.get(slot).in_use {
-                    let Shard { slab, table, .. } = &mut *shard;
-                    table.remove(slab, slot);
-                    slab.release(slot);
-                }
-            }
-            collected += n;
         }
-        scalla_obs::add(&self.stats.collected, collected as u64);
-        collected
+        scalla_obs::add(&self.stats.collected, n as u64);
+        n
     }
 
     /// Live location objects (visible + hidden-awaiting-collection).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().slab.live()).sum()
+        self.inner.lock().slab.live()
     }
 
     /// Whether the cache holds no live objects.
@@ -767,29 +685,19 @@ impl NameCache {
 
     /// Approximate memory footprint (experiment E12).
     pub fn approx_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock();
-                shard.slab.approx_bytes() + shard.table.bucket_count() * std::mem::size_of::<u32>()
-            })
-            .sum()
+        let inner = self.inner.lock();
+        inner.slab.approx_bytes() + inner.table.bucket_count() * std::mem::size_of::<u32>()
     }
 
-    /// Total hash-table bucket count across shards (each shard's table is
-    /// always Fibonacci-sized).
+    /// Hash-table bucket count (always a Fibonacci number).
     pub fn bucket_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().table.bucket_count()).sum()
+        self.inner.lock().table.bucket_count()
     }
 
-    /// Per-bucket chain lengths, all shards concatenated (experiment E4).
+    /// Chain length of every non-empty bucket (experiment E4).
     pub fn chain_lengths(&self) -> Vec<usize> {
-        let mut lengths = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock();
-            lengths.extend(shard.table.chain_lengths(&shard.slab));
-        }
-        lengths
+        let inner = self.inner.lock();
+        inner.table.chain_lengths(&inner.slab)
     }
 }
 
@@ -1082,153 +990,65 @@ mod tests {
         assert!(released.is_empty());
         assert!(cache.peek("/f").unwrap().vh.contains(2));
     }
-}
 
-#[cfg(test)]
-mod shard_tests {
-    use super::*;
-    use scalla_util::VirtualClock;
-
-    const VM4: ServerSet = ServerSet(0b1111);
-
-    fn cache_with_shards(n: usize) -> (Arc<VirtualClock>, NameCache) {
-        let clock = Arc::new(VirtualClock::new());
-        let cache = NameCache::new(CacheConfig::for_tests().with_shards(n), clock.clone());
-        (clock, cache)
-    }
-
-    /// Enough distinct paths to populate every shard of a small cache.
-    fn paths_covering_all_shards(cache: &NameCache) -> Vec<String> {
-        let mut hit = vec![false; cache.shard_count()];
-        let mut paths = Vec::new();
-        for i in 0.. {
-            let p = format!("/shard/f{i}");
-            hit[cache.shard_of(&p)] = true;
-            paths.push(p);
-            if hit.iter().all(|h| *h) {
-                break;
-            }
-        }
+    /// Resolves `/agg/f0` .. `/agg/f{n-1}`, enough to grow the table.
+    fn populate(cache: &NameCache, n: u64) -> Vec<(String, LocRef)> {
+        let paths = (0..n).map(|i| format!("/agg/f{i}"));
         paths
+            .map(|p| {
+                let out = cache.resolve(&p, VM4, AccessMode::Read, Waiter::new(1, 0));
+                (p, out.locref)
+            })
+            .collect()
     }
 
     #[test]
-    fn shard_selection_uses_high_bits_and_is_stable() {
-        let (_clock, cache) = cache_with_shards(16);
-        assert_eq!(cache.shard_count(), 16);
-        for p in ["/a", "/b/c", "/long/path/name.root"] {
-            let expect = (crc32(p.as_bytes()) >> 28) as usize;
-            assert_eq!(cache.shard_of(p), expect, "power-of-two count = top bits");
-        }
-        let (_c1, one) = cache_with_shards(1);
-        assert_eq!(one.shard_of("/anything"), 0);
-    }
-
-    #[test]
-    fn shard_count_clamped_to_at_least_one() {
-        let (_clock, cache) = cache_with_shards(0);
-        assert_eq!(cache.shard_count(), 1);
-        cache.resolve("/f", VM4, AccessMode::Read, Waiter::new(1, 0));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn aggregates_span_all_shards() {
-        let (_clock, cache) = cache_with_shards(4);
-        let paths = paths_covering_all_shards(&cache);
-        for (i, p) in paths.iter().enumerate() {
-            cache.resolve(p, VM4, AccessMode::Read, Waiter::new(i as u64, 0));
-            cache.update_have(p, (i % 4) as u8, false);
-        }
-        assert_eq!(cache.len(), paths.len());
+    fn aggregates_see_every_entry() {
+        let (_clock, cache) = setup();
+        let entries = populate(&cache, 24);
+        assert_eq!(cache.len(), entries.len());
         assert!(cache.approx_bytes() > 0);
-        assert_eq!(
-            cache.chain_lengths().iter().sum::<usize>(),
-            paths.len(),
-            "every entry visible in exactly one shard's table"
-        );
-        for p in &paths {
-            assert!(cache.peek(p).is_some());
-        }
+        assert_eq!(cache.chain_lengths().iter().sum::<usize>(), entries.len());
+        assert!(entries.iter().all(|(p, _)| cache.peek(p).is_some()));
     }
 
     #[test]
-    fn expiry_collects_across_shards() {
-        let (clock, cache) = cache_with_shards(4);
-        let paths = paths_covering_all_shards(&cache);
-        for (i, p) in paths.iter().enumerate() {
-            cache.resolve(p, VM4, AccessMode::Read, Waiter::new(i as u64, 0));
-        }
-        for _ in 0..64 {
-            clock.advance(Nanos::from_secs(1));
-            cache.tick();
-        }
-        assert_eq!(cache.collect(usize::MAX), paths.len());
-        assert_eq!(cache.len(), 0);
-        // Partial collection respects the budget across shard boundaries.
-        for (i, p) in paths.iter().enumerate() {
-            cache.resolve(p, VM4, AccessMode::Read, Waiter::new(i as u64, 0));
-        }
+    fn partial_collection_respects_the_budget() {
+        let (clock, cache) = setup();
+        let n = populate(&cache, 24).len();
         for _ in 0..64 {
             clock.advance(Nanos::from_secs(1));
             cache.tick();
         }
         assert_eq!(cache.collect(1), 1);
-        assert_eq!(cache.collect(usize::MAX), paths.len() - 1);
+        assert_eq!(cache.len(), n - 1);
+        assert_eq!(cache.collect(usize::MAX), n - 1);
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
-    fn locref_carries_owning_shard() {
-        let (_clock, cache) = cache_with_shards(4);
-        let paths = paths_covering_all_shards(&cache);
-        for (i, p) in paths.iter().enumerate() {
-            let out = cache.resolve(p, VM4, AccessMode::Read, Waiter::new(i as u64, 0));
-            assert_eq!(out.locref.shard as usize, cache.shard_of(p));
-            // The shard-routed fast path must land on the right object.
-            cache.requeue(p, out.locref, ServerSet::single(3));
-            assert!(cache.peek(p).unwrap().vq.contains(3));
+    fn fresh_locref_lands_on_its_object() {
+        let (_clock, cache) = setup();
+        for (p, locref) in populate(&cache, 24) {
+            cache.requeue(&p, locref, ServerSet::single(3));
+            assert!(cache.peek(&p).unwrap().vq.contains(3), "{p}");
         }
         assert_eq!(scalla_obs::get(&cache.stats().stale_refs), 0);
     }
 
     #[test]
-    fn requeue_with_foreign_shard_index_is_safe() {
-        let (_clock, cache) = cache_with_shards(4);
-        let out = cache.resolve("/f", VM4, AccessMode::Read, Waiter::new(1, 0));
-        // A reference forged with an absurd shard index must neither panic
-        // nor corrupt another shard: fallback lookup by name applies it to
-        // the right object.
-        let forged = LocRef { shard: 9999, ..out.locref };
-        cache.requeue("/f", forged, ServerSet::single(2));
-        assert_eq!(scalla_obs::get(&cache.stats().stale_refs), 1);
-        assert!(cache.peek("/f").unwrap().vq.contains(2));
-    }
-
-    /// The same single-threaded op sequence must produce identical
-    /// observable resolutions at any shard count (the model test in
-    /// `tests/cache_model.rs` exercises this far harder).
-    #[test]
-    fn shard_count_does_not_change_observables() {
-        let run = |shards: usize| {
-            let (clock, cache) = cache_with_shards(shards);
-            let mut log = Vec::new();
-            for round in 0..3 {
-                for i in 0..24 {
-                    let p = format!("/obs/f{i}");
-                    let out = cache.resolve(p.as_str(), VM4, AccessMode::Read, Waiter::new(i, 0));
-                    log.push((out.resolution, out.query));
-                    if i % 3 == round {
-                        cache.update_have(&p, (i % 4) as u8, false);
-                    }
-                }
-                clock.advance(Nanos::from_secs(2));
-                cache.tick();
-                cache.sweep();
-            }
-            log
-        };
-        assert_eq!(run(1), run(4));
-        assert_eq!(run(1), run(16));
+    fn requeue_with_forged_ref_falls_back_by_name() {
+        let (_clock, cache) = setup();
+        let entries = populate(&cache, 2);
+        let (f, real) = &entries[0];
+        // A wrong authenticator and a slot the slab never issued: neither
+        // may panic or touch another object; the by-name fallback applies
+        // both to `f`.
+        cache.requeue(f, LocRef { auth: real.auth + 1, ..*real }, ServerSet::single(0));
+        cache.requeue(f, LocRef { slot: 999, ..*real }, ServerSet::single(1));
+        assert_eq!(scalla_obs::get(&cache.stats().stale_refs), 2);
+        assert_eq!(cache.peek(f).unwrap().vq, ServerSet(0b11));
+        assert!(cache.peek(&entries[1].0).unwrap().vq.is_empty());
     }
 }
 

@@ -29,17 +29,7 @@ pub struct CacheConfig {
     /// Load-factor percentage at which the table grows to the next
     /// Fibonacci size. 80 % in the paper (§III-A1).
     pub max_load_percent: u8,
-    /// Number of independently locked cache shards. Each shard owns its own
-    /// slab, hash table, window ring, and pending-removal list; a look-up
-    /// locks exactly one shard, selected from the high bits of the CRC-32
-    /// key. `1` reproduces the original single-lock interior. Values are
-    /// clamped to `1..=MAX_SHARDS`.
-    pub shards: usize,
 }
-
-/// Upper bound on [`CacheConfig::shards`] (the shard index must fit the 16
-/// bits [`crate::slab::LocRef`] carries).
-pub const MAX_SHARDS: usize = 1 << 16;
 
 impl Default for CacheConfig {
     fn default() -> CacheConfig {
@@ -50,7 +40,6 @@ impl Default for CacheConfig {
             response_anchors: 1024,
             initial_table_size: 89,
             max_load_percent: 80,
-            shards: 16,
         }
     }
 }
@@ -72,15 +61,7 @@ impl CacheConfig {
             response_anchors: 8,
             initial_table_size: 5,
             max_load_percent: 80,
-            shards: 4,
         }
-    }
-
-    /// The same configuration with a different shard count (benchmarks and
-    /// sharding-equivalence tests).
-    pub fn with_shards(mut self, shards: usize) -> CacheConfig {
-        self.shards = shards;
-        self
     }
 }
 
@@ -96,14 +77,7 @@ mod tests {
         assert_eq!(c.fast_window, Nanos::from_millis(133));
         assert_eq!(c.response_anchors, 1024);
         assert_eq!(c.max_load_percent, 80);
-        assert_eq!(c.shards, 16);
         // 8h / 64 = 7.5 minutes, the example in §III-A3.
         assert_eq!(c.window_period(), Nanos::from_secs(450));
-    }
-
-    #[test]
-    fn with_shards_overrides() {
-        assert_eq!(CacheConfig::for_tests().with_shards(1).shards, 1);
-        assert_eq!(CacheConfig::default().with_shards(8).shards, 8);
     }
 }

@@ -45,45 +45,22 @@ struct WindowMemo {
     valid: bool,
 }
 
-/// The per-window correction memo (`V_wc`, `C_wn`).
+/// The connect-order log: `C[]` and `N_c`, plus the per-window
+/// correction memo (`V_wc`, `C_wn`) that makes most dirty fetches free.
 ///
-/// Kept separate from [`ConnectLog`] so a sharded cache can share one
-/// read-mostly log across all shards while each shard owns (and mutates)
-/// its own memo under its own lock. Memo entries validate themselves
-/// against the log's current `N_c`, so per-shard memos stay correct no
-/// matter how corrections interleave across shards.
-#[derive(Clone)]
-pub struct CorrectionMemo {
-    memo: [WindowMemo; WINDOW_COUNT],
-}
-
-impl CorrectionMemo {
-    /// Creates an empty (all-invalid) memo.
-    pub fn new() -> CorrectionMemo {
-        CorrectionMemo { memo: [WindowMemo::default(); WINDOW_COUNT] }
-    }
-}
-
-impl Default for CorrectionMemo {
-    fn default() -> CorrectionMemo {
-        CorrectionMemo::new()
-    }
-}
-
-/// The connect-order log: `C[]` and `N_c`.
-///
-/// Read-mostly: `note_connect` (rare, at login) is the only mutation;
-/// corrections only read `C[]`/`N_c` and write the caller-owned
-/// [`CorrectionMemo`].
+/// `note_connect` (rare, at login) is the only change to `C[]`/`N_c`;
+/// corrections read them and refresh the memo. A memo entry records the
+/// `N_c` it was computed at, so a later connect invalidates it by itself.
 pub struct ConnectLog {
     c: [u64; MAX_SERVERS],
     nc: u64,
+    memo: [WindowMemo; WINDOW_COUNT],
 }
 
 impl ConnectLog {
     /// Creates an empty log (`N_c = 0`, no servers ever connected).
     pub fn new() -> ConnectLog {
-        ConnectLog { c: [0; MAX_SERVERS], nc: 0 }
+        ConnectLog { c: [0; MAX_SERVERS], nc: 0, memo: [WindowMemo::default(); WINDOW_COUNT] }
     }
 
     /// Records that server `id` (re)connected: `N_c` is increased by one
@@ -113,12 +90,10 @@ impl ConnectLog {
     }
 
     /// Applies the Figure 3 correction to `state` if needed, using the
-    /// caller's window memo when applicable, and updates `*cn` to the
-    /// current `N_c` (Figure 3 eq. 4). `window` is the object's add window
-    /// `T_a`.
+    /// window memo when applicable, and updates `*cn` to the current `N_c`
+    /// (Figure 3 eq. 4). `window` is the object's add window `T_a`.
     pub fn correct(
-        &self,
-        memo: &mut CorrectionMemo,
+        &mut self,
         state: &mut LocState,
         cn: &mut u64,
         window: u8,
@@ -133,13 +108,13 @@ impl ConnectLog {
             return CorrectionKind::Clean;
         }
         let w = window as usize % WINDOW_COUNT;
-        let m = memo.memo[w];
+        let m = self.memo[w];
         let kind = if m.valid && m.cwn == *cn && m.at_nc == self.nc {
             state.apply_correction(m.vwc, vm);
             CorrectionKind::MemoHit
         } else {
             let vc = self.vc_since(*cn);
-            memo.memo[w] = WindowMemo { cwn: *cn, at_nc: self.nc, vwc: vc, valid: true };
+            self.memo[w] = WindowMemo { cwn: *cn, at_nc: self.nc, vwc: vc, valid: true };
             state.apply_correction(vc, vm);
             CorrectionKind::Computed
         };
@@ -173,14 +148,13 @@ mod tests {
     #[test]
     fn clean_fetch_costs_nothing_but_clips_vm() {
         let mut log = ConnectLog::new();
-        let mut memo = CorrectionMemo::new();
         log.note_connect(0);
         log.note_connect(1);
         let mut state = LocState { vh: ServerSet::first_n(2), ..LocState::default() };
         let mut cn = log.nc();
         // Server 1 has since been dropped: V_m lost its bit.
         let vm = ServerSet::single(0);
-        let kind = log.correct(&mut memo, &mut state, &mut cn, 0, vm);
+        let kind = log.correct(&mut state, &mut cn, 0, vm);
         assert_eq!(kind, CorrectionKind::Clean);
         assert_eq!(state.vh, ServerSet::single(0));
     }
@@ -188,26 +162,24 @@ mod tests {
     #[test]
     fn dirty_fetch_requeries_new_servers() {
         let mut log = ConnectLog::new();
-        let mut memo = CorrectionMemo::new();
         log.note_connect(0);
         let mut state = LocState { vh: ServerSet::single(0), ..LocState::default() };
         let mut cn = log.nc();
         // Server 1 connects after the object was cached.
         log.note_connect(1);
         let vm = ServerSet::first_n(2);
-        let kind = log.correct(&mut memo, &mut state, &mut cn, 5, vm);
+        let kind = log.correct(&mut state, &mut cn, 5, vm);
         assert_eq!(kind, CorrectionKind::Computed);
         assert_eq!(state.vq, ServerSet::single(1));
         assert_eq!(state.vh, ServerSet::single(0));
         assert_eq!(cn, log.nc(), "eq. 4: C_n := N_c after correction");
         // A second fetch is clean.
-        assert_eq!(log.correct(&mut memo, &mut state, &mut cn, 5, vm), CorrectionKind::Clean);
+        assert_eq!(log.correct(&mut state, &mut cn, 5, vm), CorrectionKind::Clean);
     }
 
     #[test]
     fn window_memo_reused_within_window() {
         let mut log = ConnectLog::new();
-        let mut memo = CorrectionMemo::new();
         log.note_connect(0);
         let cn0 = log.nc();
         log.note_connect(1); // cluster change
@@ -217,34 +189,32 @@ mod tests {
         let mut s1 = LocState { vh: ServerSet::single(0), ..LocState::default() };
         let mut s2 = s1;
         let (mut c1, mut c2) = (cn0, cn0);
-        assert_eq!(log.correct(&mut memo, &mut s1, &mut c1, 9, vm), CorrectionKind::Computed);
-        assert_eq!(log.correct(&mut memo, &mut s2, &mut c2, 9, vm), CorrectionKind::MemoHit);
+        assert_eq!(log.correct(&mut s1, &mut c1, 9, vm), CorrectionKind::Computed);
+        assert_eq!(log.correct(&mut s2, &mut c2, 9, vm), CorrectionKind::MemoHit);
         assert_eq!(s1, s2);
     }
 
     #[test]
     fn memo_invalidated_by_new_connect() {
         let mut log = ConnectLog::new();
-        let mut memo = CorrectionMemo::new();
         log.note_connect(0);
         let cn0 = log.nc();
         log.note_connect(1);
         let vm = ServerSet::first_n(3);
         let mut s1 = LocState::default();
         let mut c1 = cn0;
-        log.correct(&mut memo, &mut s1, &mut c1, 2, vm);
+        log.correct(&mut s1, &mut c1, 2, vm);
         // Another connect makes the window memo stale for objects still at cn0.
         log.note_connect(2);
         let mut s2 = LocState::default();
         let mut c2 = cn0;
-        assert_eq!(log.correct(&mut memo, &mut s2, &mut c2, 2, vm), CorrectionKind::Computed);
+        assert_eq!(log.correct(&mut s2, &mut c2, 2, vm), CorrectionKind::Computed);
         assert!(s2.vq.contains(2));
     }
 
     #[test]
     fn memo_not_used_for_different_cn() {
         let mut log = ConnectLog::new();
-        let mut memo = CorrectionMemo::new();
         log.note_connect(0);
         let cn_a = log.nc();
         log.note_connect(1);
@@ -253,9 +223,9 @@ mod tests {
         let vm = ServerSet::first_n(3);
         let (mut sa, mut sb) = (LocState::default(), LocState::default());
         let (mut ca, mut cb) = (cn_a, cn_b);
-        assert_eq!(log.correct(&mut memo, &mut sa, &mut ca, 1, vm), CorrectionKind::Computed);
+        assert_eq!(log.correct(&mut sa, &mut ca, 1, vm), CorrectionKind::Computed);
         // Object with a different C_n in the same window must not reuse it.
-        assert_eq!(log.correct(&mut memo, &mut sb, &mut cb, 1, vm), CorrectionKind::Computed);
+        assert_eq!(log.correct(&mut sb, &mut cb, 1, vm), CorrectionKind::Computed);
         assert_eq!(sa.vq, ServerSet::single(1).with(2));
         assert_eq!(sb.vq, ServerSet::single(2));
     }
@@ -268,7 +238,6 @@ mod tests {
             vh0: u64, vm: u64, window in 0u8..64,
         ) {
             let mut log = ConnectLog::new();
-        let mut memo = CorrectionMemo::new();
             for &id in &connects {
                 log.note_connect(id);
             }
@@ -283,8 +252,8 @@ mod tests {
             // produce identical states.
             let (mut s1, mut s2) = (mk(), mk());
             let (mut c1, mut c2) = (cn0, cn0);
-            let k1 = log.correct(&mut memo, &mut s1, &mut c1, window, vm);
-            let k2 = log.correct(&mut memo, &mut s2, &mut c2, window, vm);
+            let k1 = log.correct(&mut s1, &mut c1, window, vm);
+            let k2 = log.correct(&mut s2, &mut c2, window, vm);
             prop_assert_eq!(k1, CorrectionKind::Computed);
             prop_assert_eq!(k2, CorrectionKind::MemoHit);
             prop_assert_eq!(s1, s2);

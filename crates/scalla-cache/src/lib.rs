@@ -68,7 +68,7 @@ pub mod window;
 
 pub use cache::{HaveOutcome, NameCache, Resolution, ResolveOutcome};
 pub use config::CacheConfig;
-pub use correct::{ConnectLog, CorrectionMemo};
+pub use correct::ConnectLog;
 pub use loc::{AccessMode, LocState};
 pub use respq::{QueueFull, Waiter};
 pub use slab::LocRef;

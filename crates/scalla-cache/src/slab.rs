@@ -133,18 +133,14 @@ impl LocEntry {
     }
 }
 
-/// A validated-on-use reference to a location object: shard index, slot
-/// index within that shard's slab, plus the authenticator observed when the
-/// reference was created. Carrying the shard keeps the authenticator fast
-/// path O(1) in a sharded cache — the holder goes straight to the owning
-/// shard without re-hashing the name. Still 16 bytes (the shard index
-/// occupies what used to be padding).
+/// A validated-on-use reference to a location object: slab slot plus the
+/// authenticator observed when the reference was created. A follow-up
+/// goes straight to the slot and validates it in O(1), without re-hashing
+/// the name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LocRef {
     /// Slab slot of the object.
     pub slot: u32,
-    /// Index of the shard whose slab issued this reference.
-    pub shard: u16,
     /// Authenticator value at reference-creation time.
     pub auth: u64,
 }
@@ -154,20 +150,12 @@ pub struct LocSlab {
     entries: Vec<LocEntry>,
     free_head: u32,
     live: usize,
-    /// Stamped into every [`LocRef`] this slab issues; references carrying
-    /// a different shard index never validate here.
-    shard: u16,
 }
 
 impl LocSlab {
-    /// Creates an empty slab for shard 0 (the unsharded layout).
+    /// Creates an empty slab.
     pub fn new() -> LocSlab {
-        LocSlab::for_shard(0)
-    }
-
-    /// Creates an empty slab issuing references stamped with `shard`.
-    pub fn for_shard(shard: u16) -> LocSlab {
-        LocSlab { entries: Vec::new(), free_head: NIL, live: 0, shard }
+        LocSlab { entries: Vec::new(), free_head: NIL, live: 0 }
     }
 
     /// Number of live (in-use) objects.
@@ -246,18 +234,16 @@ impl LocSlab {
     /// Creates a reference for the object currently in `slot`.
     #[inline]
     pub fn make_ref(&self, slot: u32) -> LocRef {
-        LocRef { slot, shard: self.shard, auth: self.entries[slot as usize].auth }
+        LocRef { slot, auth: self.entries[slot as usize].auth }
     }
 
     /// The paper's reference check: "a reference is valid if its
     /// authenticator equals the current counter value in the object it
-    /// points to" — and the object must still be live. References from
-    /// another shard's slab (or with a slot this slab never issued) are
-    /// simply invalid, never a panic.
+    /// points to" — and the object must still be live. A reference with a
+    /// slot this slab never issued is simply invalid, never a panic.
     #[inline]
     pub fn is_valid(&self, r: LocRef) -> bool {
-        r.shard == self.shard
-            && self.entries.get(r.slot as usize).is_some_and(|e| e.in_use && e.auth == r.auth)
+        self.entries.get(r.slot as usize).is_some_and(|e| e.in_use && e.auth == r.auth)
     }
 
     /// Approximate total memory footprint for the E12 experiment.
@@ -330,21 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn refs_do_not_validate_across_shards() {
-        let mut a = LocSlab::for_shard(0);
-        let mut b = LocSlab::for_shard(1);
-        let sa = a.alloc("/x", 1);
-        let sb = b.alloc("/x", 1);
-        let ra = a.make_ref(sa);
-        let rb = b.make_ref(sb);
-        assert_eq!(ra.shard, 0);
-        assert_eq!(rb.shard, 1);
-        assert!(a.is_valid(ra) && b.is_valid(rb));
-        assert!(!a.is_valid(rb), "foreign shard ref must not validate");
-        assert!(!b.is_valid(ra), "foreign shard ref must not validate");
-        // Out-of-range slots are invalid, not a panic.
-        let bogus = LocRef { slot: 999, shard: 0, auth: 0 };
-        assert!(!a.is_valid(bogus));
+    fn unissued_slots_are_invalid_not_a_panic() {
+        let mut s = LocSlab::new();
+        let slot = s.alloc("/x", 1);
+        let r = s.make_ref(slot);
+        assert!(s.is_valid(r));
+        assert!(!s.is_valid(LocRef { slot: 999, ..r }), "slot past the slab");
+        assert!(!s.is_valid(LocRef { slot: NIL, ..r }), "the chain sentinel");
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! behaviour, eviction load, fast-queue effectiveness — is counted here with
 //! relaxed atomics so reading them never perturbs the hot paths.
 //!
-//! The counters are deliberately lock-free: one `CacheStats` is shared by
-//! every shard of the sharded [`crate::NameCache`], so a counter mutex (or
-//! per-counter `Cell` behind the shard locks) would re-introduce exactly
-//! the cross-shard contention point the sharding removed. `fetch_add`
-//! guarantees no increment is ever lost, regardless of how many shards
-//! update the same counter concurrently; `Relaxed` ordering is sufficient
-//! because nothing synchronizes *through* a statistic.
+//! The counters are deliberately lock-free: an obs scrape reads them in
+//! place from another thread, so they cannot live behind the
+//! [`crate::NameCache`] lock without the scrape taking it. `fetch_add`
+//! guarantees no increment is ever lost, however many threads update the
+//! same counter; `Relaxed` ordering is sufficient because nothing
+//! synchronizes *through* a statistic.
 
 scalla_obs::counter_set! {
     /// Monotonic event counters. All loads/stores are `Relaxed`; the counters
@@ -117,7 +116,7 @@ mod tests {
     }
 
     /// No increment may be lost under concurrent updates from many
-    /// threads (the shards all share one `CacheStats`). `fetch_add` makes
+    /// threads (threads sharing one cache share its `CacheStats`). `fetch_add` makes
     /// lost updates impossible; this pins that property against any future
     /// "optimization" towards plain loads/stores.
     #[test]

@@ -186,112 +186,3 @@ proptest! {
         prop_assert!(cache.len() as u64 <= creates);
     }
 }
-
-/// Everything a caller can observe from one operation, for the sharding
-/// equivalence test below. Deliberately excludes `LocRef` (its shard field
-/// differs across shard counts by design) and statistics (memo-hit vs
-/// computed corrections may differ — per-shard memos are a cache of a
-/// cache — while producing identical states).
-#[derive(Debug, PartialEq)]
-enum Observed {
-    Resolved(Resolution, ServerSet),
-    Released(Vec<(u64, u64, u8)>),
-    Swept(Vec<(u64, u64)>),
-    Ticked { expired: usize, rechained: usize, scanned: usize },
-    Collected(usize),
-    Peeked(u8, Option<scalla_cache::LocState>),
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The shard count is a pure concurrency knob: the same operation
-    /// sequence, applied single-threaded, must produce identical
-    /// observable behaviour at 1 shard (the original single-lock interior)
-    /// and at 8. Any divergence means sharding changed semantics, not just
-    /// locking.
-    #[test]
-    fn shard_count_is_observably_transparent(
-        ops in proptest::collection::vec(op_strategy(), 1..200),
-    ) {
-        let run = |shards: usize| -> Vec<Observed> {
-            let clock = Arc::new(VirtualClock::new());
-            let mut cfg = CacheConfig::for_tests().with_shards(shards);
-            cfg.lifetime = Nanos::from_secs(64);
-            cfg.response_anchors = 64;
-            let cache = NameCache::new(cfg, clock.clone());
-            for s in 0..SERVERS {
-                cache.note_connect(s);
-            }
-            let mut vm = ServerSet::first_n(SERVERS as usize);
-            let mut serial = 0u64;
-            let mut log = Vec::new();
-            for op in &ops {
-                match *op {
-                    Op::Resolve { path, write } => {
-                        serial += 1;
-                        let mode = if write { AccessMode::Write } else { AccessMode::Read };
-                        let out = cache.resolve(&path_name(path), vm, mode, Waiter::new(1, serial));
-                        log.push(Observed::Resolved(out.resolution, out.query));
-                        log.push(Observed::Peeked(path, cache.peek(&path_name(path))));
-                    }
-                    Op::Have { path, server, staging } => {
-                        let released = cache
-                            .update_have(&path_name(path), server, staging)
-                            .into_iter()
-                            .map(|(w, s)| (w.client, w.tag, s))
-                            .collect();
-                        log.push(Observed::Released(released));
-                    }
-                    Op::Refresh { path } => {
-                        serial += 1;
-                        let out = cache.resolve_full(
-                            &path_name(path), vm, ServerSet::EMPTY, AccessMode::Read,
-                            Some(Waiter::new(1, serial)), ServerSet::EMPTY, true,
-                        );
-                        log.push(Observed::Resolved(out.resolution, out.query));
-                    }
-                    Op::Connect { server } => {
-                        cache.note_connect(server);
-                        vm.insert(server);
-                    }
-                    Op::DropFromVm { server } => {
-                        vm.remove(server);
-                    }
-                    Op::Advance { millis } => {
-                        clock.advance(Nanos::from_millis(u64::from(millis)));
-                    }
-                    Op::Tick => {
-                        let out = cache.tick();
-                        log.push(Observed::Ticked {
-                            expired: out.expired.len(),
-                            rechained: out.rechained,
-                            scanned: out.scanned,
-                        });
-                    }
-                    Op::Collect => {
-                        log.push(Observed::Collected(cache.collect(usize::MAX)));
-                    }
-                    Op::Sweep => {
-                        log.push(Observed::Swept(
-                            cache.sweep().into_iter().map(|w| (w.client, w.tag)).collect(),
-                        ));
-                    }
-                }
-            }
-            cache.collect(usize::MAX);
-            for p in 0..PATHS {
-                log.push(Observed::Peeked(p, cache.peek(&path_name(p))));
-            }
-            log.push(Observed::Collected(cache.len()));
-            log
-        };
-
-        let single = run(1);
-        let sharded = run(8);
-        prop_assert_eq!(single.len(), sharded.len());
-        for (i, (a, b)) in single.iter().zip(sharded.iter()).enumerate() {
-            prop_assert_eq!(a, b, "observation {i} diverged between 1 and 8 shards");
-        }
-    }
-}

@@ -10,18 +10,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Worker threads resolving disjoint *and* overlapping path sets across
-/// every shard while a ticker churns tick/collect/sweep. Checks the two
-/// properties sharding must not break:
+/// Worker threads resolving disjoint *and* overlapping path sets while a
+/// ticker churns tick/collect/sweep. Checks two properties real threads
+/// must not break:
 ///
 /// * the paper's state invariant `V_q ∩ (V_h ∪ V_p) = ∅` on every state
 ///   observed through `peek`, and
 /// * reference-authenticator validation: a [`scalla_cache::LocRef`] saved
-///   across churn either lands on the live object (its shard index routes
-///   it) or is rejected and falls back to a by-name look-up — never a
-///   panic, never a write to the wrong object.
+///   across churn either lands on the live object or is rejected and falls
+///   back to a by-name look-up — never a panic, never a write to the wrong
+///   object.
 #[test]
-fn shard_crossing_resolutions_keep_invariants() {
+fn overlapping_resolutions_keep_invariants() {
     let clock = Arc::new(SystemClock::new());
     let cfg = CacheConfig {
         lifetime: Nanos::from_millis(1280), // 20 ms windows: steady churn
@@ -30,20 +30,15 @@ fn shard_crossing_resolutions_keep_invariants() {
         response_anchors: 1024,
         initial_table_size: 89,
         max_load_percent: 80,
-        shards: 8,
     };
     let cache = Arc::new(NameCache::new(cfg, clock));
-    assert_eq!(cache.shard_count(), 8);
     let vm = ServerSet::first_n(16);
     let stop = Arc::new(AtomicBool::new(false));
     let checked = Arc::new(AtomicU64::new(0));
 
-    // The shared set deliberately spans every shard so overlapping
-    // resolutions contend on the same shard locks from all threads.
+    // Every thread resolves the shared set, so the same names are hit
+    // from all threads at once.
     let shared: Vec<String> = (0..128).map(|i| format!("/shared/f{i}")).collect();
-    let covered: std::collections::HashSet<usize> =
-        shared.iter().map(|p| cache.shard_of(p)).collect();
-    assert_eq!(covered.len(), 8, "shared paths must cover all shards");
 
     let mut handles = Vec::new();
     for t in 0..4u64 {
@@ -58,11 +53,6 @@ fn shard_crossing_resolutions_keep_invariants() {
                 // Disjoint set: only this thread ever touches /t{t}/...
                 let own = format!("/t{t}/f{}", i % 96);
                 let out = cache.resolve(&own, vm, AccessMode::Read, Waiter::new(t, i));
-                assert_eq!(
-                    out.locref.shard as usize,
-                    cache.shard_of(&own),
-                    "a fresh reference must carry its owning shard"
-                );
                 refs.push((own, out.locref));
                 // Overlapping set: everyone hammers the same names.
                 let them = &shared[((i * 13 + t * 29) % 128) as usize];
@@ -152,7 +142,6 @@ fn concurrent_resolvers_responders_and_maintenance() {
         response_anchors: 1024,
         initial_table_size: 89,
         max_load_percent: 80,
-        shards: 8,
     };
     let cache = Arc::new(NameCache::new(cfg, clock));
     let vm = ServerSet::first_n(32);

@@ -6,8 +6,8 @@
 //! storage cache ("XCache"). This crate reproduces that tier on top of
 //! the existing control plane:
 //!
-//! * [`BlockStore`] — a sharded, byte-accounted block cache with
-//!   high/low-watermark LRU eviction and single-flight fill pins.
+//! * [`BlockStore`] — a byte-accounted block cache with high/low-watermark
+//!   eviction in one exact LRU order, and single-flight fill pins.
 //! * [`ProxyNode`] — a [`scalla_simnet::Node`] that joins a cmsd as an
 //!   ordinary data server, serves `Open`/`Read`/`Close` from the block
 //!   store, fetches misses from the owning origin server, and

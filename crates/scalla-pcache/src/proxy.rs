@@ -6,7 +6,7 @@
 //! positively (and only positively) for files it has *fully* cached —
 //! so the ordinary V_h machinery redirects other clients to the proxy
 //! with no new protocol. Toward clients it speaks the normal
-//! `Open`/`Read`/`Close` data path, serving reads from the sharded
+//! `Open`/`Read`/`Close` data path, serving reads from the
 //! [`BlockStore`] and fetching missing blocks from the owning data
 //! server on demand (resolve via the origin redirector, open, stat,
 //! block reads).
@@ -59,6 +59,26 @@ pub mod tokens {
 /// Largest origin `Read` one fill run may ask for, so a reply stays a
 /// bounded frame. A run always holds at least one block.
 const MAX_RUN_BYTES: u64 = 1 << 20;
+
+/// The part of block `idx` of a `size`-byte file that falls in
+/// `[start, end)`, clamped to the bytes the block holds, and whether the
+/// block is short. Origin bytes are outside input: a file that shrank
+/// since its `Stat` leaves blocks shorter than `block_len`, and a short
+/// block ends a read there, as a short origin `Read` would.
+fn block_part(
+    cache: &PcacheConfig,
+    size: u64,
+    idx: u64,
+    data: &Bytes,
+    start: u64,
+    end: u64,
+) -> (Bytes, bool) {
+    let base = idx * cache.block_size as u64;
+    let held = data.len() as u64;
+    let lo = (start.max(base) - base).min(held);
+    let hi = (end - base).min(cache.block_size as u64).min(held);
+    (data.slice(lo as usize..hi as usize), held < cache.block_len(size, idx))
+}
 
 /// Proxy node configuration.
 #[derive(Clone)]
@@ -479,17 +499,20 @@ impl ProxyNode {
         let mut missing: HashSet<u64> = HashSet::new();
         let mut origin_bytes = 0u64;
         let mut parts: Vec<Bytes> = Vec::new();
+        let mut short = false;
         for idx in first..=last {
             let key = BlockKey::new(path.as_str(), idx);
-            let lo = start.max(idx * bs);
-            let hi = end.min(idx * bs + cache.block_len(size, idx));
             match store.get(&key) {
                 Some(data) => {
-                    if missing.is_empty() {
-                        parts.push(data.slice((lo - idx * bs) as usize..(hi - idx * bs) as usize));
+                    if missing.is_empty() && !short {
+                        let (part, cut) = block_part(&cache, size, idx, &data, start, end);
+                        parts.push(part);
+                        short = cut;
                     }
                 }
                 None => {
+                    let lo = start.max(idx * bs);
+                    let hi = end.min(idx * bs + cache.block_len(size, idx));
                     // We answer `Locate` only for files held in full: an
                     // evicted block withdraws the file until
                     // `check_fully_cached` announces it again.
@@ -517,17 +540,15 @@ impl ProxyNode {
             for p in parts {
                 buf.extend_from_slice(&p);
             }
+            if let Some(m) = &self.m {
+                m.bytes_cache.add(buf.len() as u64);
+            }
             ctx.send(from, ServerMsg::Data { data: Bytes::from(buf) }.into());
         } else {
             file.reads.push(PendingRead { client: from, start, end, missing, origin_bytes });
         }
         let phase = file.phase;
         let has_fills = !file.fills.is_empty();
-        if all_hit {
-            if let Some(m) = &self.m {
-                m.bytes_cache.add(end - start);
-            }
-        }
         match phase {
             OriginPhase::Ready => self.issue_fills(ctx, &path),
             // Origin released after full caching (or never contacted):
@@ -710,18 +731,20 @@ impl ProxyNode {
                 for idx in first..=last {
                     match store.peek_block(&BlockKey::new(path, idx)) {
                         Some(data) => {
-                            let lo = r.start.max(idx * bs);
-                            let hi = r.end.min(idx * bs + cache.block_len(size, idx));
-                            buf.extend_from_slice(
-                                &data[(lo - idx * bs) as usize..(hi - idx * bs) as usize],
-                            );
+                            let (part, short) =
+                                block_part(&cache, size, idx, &data, r.start, r.end);
+                            buf.extend_from_slice(&part);
+                            if short {
+                                break;
+                            }
                         }
                         None => evicted.push(idx),
                     }
                 }
                 if evicted.is_empty() {
-                    let cached = (r.end - r.start) - r.origin_bytes;
-                    done.push((r.client, Bytes::from(buf), cached, r.origin_bytes));
+                    let served = buf.len() as u64;
+                    let origin = r.origin_bytes.min(served);
+                    done.push((r.client, Bytes::from(buf), served - origin, origin));
                     reads.swap_remove(i);
                 } else {
                     // Evicted between fill and assembly (tiny cache under
@@ -1419,6 +1442,17 @@ mod tests {
         assert_eq!(p.store().block_count() as u64, size / BS as u64, "every block landed");
     }
 
+    /// Every `Data` reply sent to [`CLIENT`] in `sends`, in order.
+    fn client_replies(sends: &[(Addr, Msg)]) -> Vec<Bytes> {
+        sends
+            .iter()
+            .filter_map(|(a, m)| match m {
+                Msg::Server(ServerMsg::Data { data }) if *a == CLIENT => Some(data.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn a_short_reply_gives_each_block_what_its_own_read_would_have() {
         let mut p = proxy_with(1024, |c| c.prefetch = 2);
@@ -1427,18 +1461,22 @@ mod tests {
         // Block 0 on demand, blocks 1 and 2 prefetched: one run of 3000.
         p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 1024 }.into());
         assert_eq!(origin_reads(&ctx.take_sends()), [(0, 3000)]);
+        // A read of the whole file waits on the same run.
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 3000 }.into());
+        assert!(origin_reads(&ctx.take_sends()).is_empty(), "coalesced onto the run");
         // The file shrank to 1500 bytes at the origin since the stat.
-        p.on_message(&mut ctx, SRV, data((0..1500).map(|i| i as u8).collect()));
+        let shrunk: Vec<u8> = (0..1500).map(|i| i as u8).collect();
+        p.on_message(&mut ctx, SRV, data(shrunk.clone()));
         let block = |i: u64| p.store().peek_block(&BlockKey::new("/d/f", i)).expect("landed");
-        assert_eq!(&block(0)[..], &(0..1024).map(|i| i as u8).collect::<Vec<_>>()[..]);
-        assert_eq!(&block(1)[..], &(1024..1500).map(|i| i as u8).collect::<Vec<_>>()[..]);
+        assert_eq!(&block(0)[..], &shrunk[..1024]);
+        assert_eq!(&block(1)[..], &shrunk[1024..]);
         assert!(block(2).is_empty(), "past the short reply's end, as a Read past EOF");
-        let sends = ctx.take_sends();
-        assert!(
-            sends.iter().any(|(a, m)| *a == CLIENT
-                && matches!(m, Msg::Server(ServerMsg::Data { data }) if data.len() == 1024)),
-            "{sends:?}"
-        );
+        // Each read gets the bytes its blocks hold, up to the first short
+        // block: a short read, as the origin would give.
+        assert_eq!(client_replies(&ctx.take_sends()), [&shrunk[..1024], &shrunk[..]]);
+        // A read of the whole file made afterwards hits the same blocks.
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 3000 }.into());
+        assert_eq!(client_replies(&ctx.take_sends()), [&shrunk[..]]);
     }
 
     /// After `fail` breaks the outstanding run, the proxy re-resolves with
@@ -1521,10 +1559,7 @@ mod tests {
 
     #[test]
     fn a_read_that_finds_a_block_evicted_unadvertises_the_file() {
-        let mut p = proxy_with(1024, |c| {
-            c.capacity = 4096;
-            c.shards = 1;
-        });
+        let mut p = proxy_with(1024, |c| c.capacity = 4096);
         let mut ctx = MockCtx::new();
         let locate: Msg =
             CmsMsg::Locate { reqid: 4, path: "/d/f".into(), hash: crc32(b"/d/f"), write: false }

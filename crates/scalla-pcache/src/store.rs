@@ -1,23 +1,21 @@
-//! The sharded block store behind a proxy node.
+//! The block store behind a proxy node.
 //!
 //! Files are cached at block granularity (configurable, 64 KiB by
-//! default). Each block lives in one of N independently locked shards,
-//! selected by a hash of `(path, block index)`; byte accounting is a
-//! single atomic shared by all shards so watermark decisions see the
-//! whole store. Eviction is LRU per shard with a round-robin sweep
-//! across shards: once `used > high watermark`, least-recently-used
-//! blocks are discarded until `used <= low watermark`. Blocks whose
-//! fill is still in flight are *pinned* placeholders — they hold no
-//! bytes and are never eviction victims, which is what makes
-//! single-flight coalescing safe (the fill's ticket cannot be evicted
-//! from under the waiters).
+//! default). One lock guards the block map, the LRU queue and the byte
+//! count: the owning proxy runs on one thread at a time, and the lock
+//! stays only so an obs scrape can read the store from another thread.
+//! Eviction is exact LRU over the whole store: once `used > high
+//! watermark`, least-recently-used blocks are discarded until `used <=
+//! low watermark`. Blocks whose fill is still in flight are *pinned*
+//! placeholders — they hold no bytes and are never eviction victims,
+//! which is what makes single-flight coalescing safe (the fill's ticket
+//! cannot be evicted from under the waiters).
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scalla_obs::{Emit, Kind, Source};
-use scalla_util::crc32;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Proxy cache tuning.
@@ -34,8 +32,6 @@ pub struct PcacheConfig {
     /// Sequential prefetch depth in blocks past the last requested
     /// block (0 disables prefetch).
     pub prefetch: u32,
-    /// Number of independently locked shards.
-    pub shards: usize,
 }
 
 impl Default for PcacheConfig {
@@ -46,7 +42,6 @@ impl Default for PcacheConfig {
             high_permille: 900,
             low_permille: 700,
             prefetch: 2,
-            shards: 8,
         }
     }
 }
@@ -112,16 +107,21 @@ struct Slot {
     pinned: bool,
 }
 
+/// Everything the store's lock guards.
 #[derive(Default)]
-struct ShardInner {
+struct Inner {
     map: HashMap<BlockKey, Slot>,
     /// LRU order with lazy deletion: `(key, gen)` pairs, stale when the
     /// slot's current gen differs.
     lru: VecDeque<(BlockKey, u64)>,
     next_gen: u64,
+    /// Bytes held by resident blocks. Kept under the lock with the map it
+    /// counts, so the watermark check and the evictions it triggers see
+    /// one state.
+    used: u64,
 }
 
-impl ShardInner {
+impl Inner {
     fn touch(&mut self, key: &BlockKey) {
         self.next_gen += 1;
         let gen = self.next_gen;
@@ -171,26 +171,17 @@ impl PcacheStats {
     }
 }
 
-/// The sharded, byte-accounted block cache.
+/// The byte-accounted block cache.
 pub struct BlockStore {
     cfg: PcacheConfig,
-    shards: Vec<Mutex<ShardInner>>,
-    used: AtomicU64,
-    evict_cursor: AtomicUsize,
+    inner: Mutex<Inner>,
     stats: StatCells,
 }
 
 impl BlockStore {
     /// An empty store with `cfg` tuning.
     pub fn new(cfg: PcacheConfig) -> BlockStore {
-        let n = cfg.shards.max(1);
-        BlockStore {
-            cfg,
-            shards: (0..n).map(|_| Mutex::new(ShardInner::default())).collect(),
-            used: AtomicU64::new(0),
-            evict_cursor: AtomicUsize::new(0),
-            stats: StatCells::default(),
-        }
+        BlockStore { cfg, inner: Mutex::new(Inner::default()), stats: StatCells::default() }
     }
 
     /// The tuning this store was built with.
@@ -198,18 +189,13 @@ impl BlockStore {
         &self.cfg
     }
 
-    fn shard_for(&self, key: &BlockKey) -> &Mutex<ShardInner> {
-        let h = crc32(key.path.as_bytes()) as u64 ^ key.index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h % self.shards.len() as u64) as usize]
-    }
-
     /// Looks a block up, counting a hit or miss and refreshing LRU order.
     pub fn get(&self, key: &BlockKey) -> Option<Bytes> {
-        let mut shard = self.shard_for(key).lock();
-        match shard.map.get(key) {
+        let mut inner = self.inner.lock();
+        match inner.map.get(key) {
             Some(slot) if !slot.pinned => {
                 let data = slot.data.clone();
-                shard.touch(key);
+                inner.touch(key);
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(data)
             }
@@ -223,11 +209,11 @@ impl BlockStore {
     /// Looks a block up without touching the hit/miss counters (assembly
     /// of an already-counted pending read). Still refreshes LRU order.
     pub fn peek_block(&self, key: &BlockKey) -> Option<Bytes> {
-        let mut shard = self.shard_for(key).lock();
-        match shard.map.get(key) {
+        let mut inner = self.inner.lock();
+        match inner.map.get(key) {
             Some(slot) if !slot.pinned => {
                 let data = slot.data.clone();
-                shard.touch(key);
+                inner.touch(key);
                 Some(data)
             }
             _ => None,
@@ -237,19 +223,19 @@ impl BlockStore {
     /// Whether the block is cached (pins don't count). No stats, no
     /// LRU effect.
     pub fn contains(&self, key: &BlockKey) -> bool {
-        self.shard_for(key).lock().map.get(key).is_some_and(|s| !s.pinned)
+        self.inner.lock().map.get(key).is_some_and(|s| !s.pinned)
     }
 
     /// Single-flight gate: claims the fill for an absent block. Exactly
     /// one caller gets [`PinOutcome::Pinned`] per absent block; everyone
     /// else coalesces.
     pub fn try_pin(&self, key: &BlockKey) -> PinOutcome {
-        let mut shard = self.shard_for(key).lock();
-        match shard.map.get(key) {
+        let mut inner = self.inner.lock();
+        match inner.map.get(key) {
             Some(slot) if slot.pinned => PinOutcome::AlreadyPinned,
             Some(_) => PinOutcome::Present,
             None => {
-                shard.map.insert(key.clone(), Slot { data: Bytes::new(), gen: 0, pinned: true });
+                inner.map.insert(key.clone(), Slot { data: Bytes::new(), gen: 0, pinned: true });
                 PinOutcome::Pinned
             }
         }
@@ -258,9 +244,9 @@ impl BlockStore {
     /// Abandons an in-flight fill (origin fetch failed) so a later
     /// request can re-claim the block.
     pub fn unpin(&self, key: &BlockKey) {
-        let mut shard = self.shard_for(key).lock();
-        if shard.map.get(key).is_some_and(|s| s.pinned) {
-            shard.map.remove(key);
+        let mut inner = self.inner.lock();
+        if inner.map.get(key).is_some_and(|s| s.pinned) {
+            inner.map.remove(key);
         }
     }
 
@@ -269,69 +255,56 @@ impl BlockStore {
     /// was crossed.
     pub fn insert(&self, key: BlockKey, data: Bytes) {
         let len = data.len() as u64;
-        {
-            let mut shard = self.shard_for(&key).lock();
-            shard.next_gen += 1;
-            let gen = shard.next_gen;
-            if let Some(prev) = shard.map.insert(key.clone(), Slot { data, gen, pinned: false }) {
-                if !prev.pinned {
-                    self.used.fetch_sub(prev.data.len() as u64, Ordering::Relaxed);
-                }
+        let mut inner = self.inner.lock();
+        inner.next_gen += 1;
+        let gen = inner.next_gen;
+        if let Some(prev) = inner.map.insert(key.clone(), Slot { data, gen, pinned: false }) {
+            if !prev.pinned {
+                inner.used -= prev.data.len() as u64;
             }
-            shard.lru.push_back((key, gen));
-            shard.maybe_compact();
         }
-        self.used.fetch_add(len, Ordering::Relaxed);
+        inner.lru.push_back((key, gen));
+        inner.maybe_compact();
+        inner.used += len;
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_inserted.fetch_add(len, Ordering::Relaxed);
-        self.maybe_evict();
+        if inner.used > self.cfg.high_bytes() {
+            self.evict(&mut inner);
+        }
     }
 
-    /// Drains LRU blocks until `used <= low watermark`, sweeping shards
-    /// round-robin. Pinned placeholders are never victims; if a full
-    /// cycle over every shard finds nothing evictable the sweep stops.
-    fn maybe_evict(&self) {
-        if self.used.load(Ordering::Relaxed) <= self.cfg.high_bytes() {
-            return;
-        }
+    /// Pops the LRU queue front until `used <= low watermark` or the queue
+    /// is empty, discarding each live block it names. Stale entries
+    /// (retouched or removed since) are skipped; pinned placeholders
+    /// never enter the queue, so they are never victims.
+    fn evict(&self, inner: &mut Inner) {
         let target = self.cfg.low_bytes();
-        let n = self.shards.len();
-        let mut fruitless = 0usize;
-        while self.used.load(Ordering::Relaxed) > target && fruitless < n {
-            let i = self.evict_cursor.fetch_add(1, Ordering::Relaxed) % n;
-            let mut shard = self.shards[i].lock();
-            let mut evicted = false;
-            while let Some((key, gen)) = shard.lru.pop_front() {
-                let live = shard.map.get(&key).is_some_and(|s| s.gen == gen && !s.pinned);
-                if !live {
-                    continue; // stale queue entry (retouched or removed)
-                }
-                let slot = shard.map.remove(&key).expect("checked live above");
-                let len = slot.data.len() as u64;
-                self.used.fetch_sub(len, Ordering::Relaxed);
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                self.stats.bytes_evicted.fetch_add(len, Ordering::Relaxed);
-                evicted = true;
-                break;
+        while inner.used > target {
+            let Some((key, gen)) = inner.lru.pop_front() else { break };
+            if !inner.map.get(&key).is_some_and(|s| s.gen == gen && !s.pinned) {
+                continue;
             }
-            drop(shard);
-            fruitless = if evicted { 0 } else { fruitless + 1 };
+            let slot = inner.map.remove(&key).expect("checked live above");
+            let len = slot.data.len() as u64;
+            inner.used -= len;
+            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats.bytes_evicted.fetch_add(len, Ordering::Relaxed);
         }
     }
 
     /// Bytes currently cached (pinned placeholders hold none).
     pub fn used_bytes(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
+        self.inner.lock().used
     }
 
     /// Number of cached blocks (excluding in-flight pins).
     pub fn block_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.values().filter(|v| !v.pinned).count()).sum()
+        self.inner.lock().map.values().filter(|v| !v.pinned).count()
     }
 
     /// Number of in-flight pins.
     pub fn pinned_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.values().filter(|v| v.pinned).count()).sum()
+        self.inner.lock().map.values().filter(|v| v.pinned).count()
     }
 
     /// Counter snapshot.
@@ -356,7 +329,7 @@ mod tests {
     use super::*;
 
     fn cfg(capacity: u64) -> PcacheConfig {
-        PcacheConfig { block_size: 1024, capacity, shards: 4, ..PcacheConfig::default() }
+        PcacheConfig { block_size: 1024, capacity, ..PcacheConfig::default() }
     }
 
     fn block(n: usize) -> Bytes {
@@ -422,7 +395,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_coldest_first() {
-        let c = PcacheConfig { block_size: 1024, capacity: 4096, shards: 1, ..Default::default() };
+        let c = PcacheConfig { block_size: 1024, capacity: 4096, ..Default::default() };
         let s = BlockStore::new(c);
         for i in 0..3u64 {
             s.insert(BlockKey::new("/f", i), block(1024));
@@ -463,7 +436,7 @@ mod tests {
 
     #[test]
     fn pinned_blocks_survive_eviction_pressure() {
-        let c = PcacheConfig { block_size: 1024, capacity: 4096, shards: 2, ..Default::default() };
+        let c = PcacheConfig { block_size: 1024, capacity: 4096, ..Default::default() };
         let s = BlockStore::new(c);
         let pinned = BlockKey::new("/hot", 0);
         assert_eq!(s.try_pin(&pinned), PinOutcome::Pinned);

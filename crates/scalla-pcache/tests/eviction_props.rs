@@ -10,12 +10,61 @@
 //! * pinned (in-flight) placeholders are never eviction victims, no
 //!   matter how much churn passes through the other blocks;
 //! * `used_bytes` equals the byte-sum of the blocks actually resident,
-//!   and stays consistent with the insert/evict counters.
+//!   and stays consistent with the insert/evict counters;
+//! * eviction is exact LRU over the whole store: each one removes the
+//!   least recently used resident blocks, as a plain recency list does.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use scalla_pcache::{BlockKey, BlockStore, PcacheConfig, PinOutcome};
 use std::collections::HashSet;
+
+/// The reference the store's eviction is checked against: resident blocks
+/// as `(key, bytes)` in recency order, least recent first, plus the
+/// in-flight pins.
+#[derive(Default)]
+struct LruModel {
+    resident: Vec<(BlockKey, u64)>,
+    pinned: HashSet<BlockKey>,
+}
+
+impl LruModel {
+    fn used(&self) -> u64 {
+        self.resident.iter().map(|(_, len)| len).sum()
+    }
+
+    fn position(&self, k: &BlockKey) -> Option<usize> {
+        self.resident.iter().position(|(r, _)| r == k)
+    }
+
+    fn touch(&mut self, k: &BlockKey) {
+        if let Some(i) = self.position(k) {
+            let block = self.resident.remove(i);
+            self.resident.push(block);
+        }
+    }
+
+    /// Stores `k` as the most recent block, then drops the least recent
+    /// ones down to `low` if `used` crossed `high`.
+    fn insert(&mut self, k: BlockKey, len: u64, high: u64, low: u64) {
+        self.pinned.remove(&k);
+        if let Some(i) = self.position(&k) {
+            self.resident.remove(i);
+        }
+        self.resident.push((k, len));
+        if self.used() > high {
+            while self.used() > low && !self.resident.is_empty() {
+                self.resident.remove(0);
+            }
+        }
+    }
+
+    fn pin(&mut self, k: &BlockKey) {
+        if self.position(k).is_none() {
+            self.pinned.insert(k.clone());
+        }
+    }
+}
 
 const PATHS: u8 = 4;
 const INDICES: u64 = 16;
@@ -65,7 +114,6 @@ proptest! {
     #[test]
     fn accounting_and_watermarks_hold_under_any_sequence(
         ops in proptest::collection::vec(op_strategy(512), 1..200),
-        shards in 1usize..5,
     ) {
         // Capacity 8 KiB, high 90 % = 7372, low 600 ‰ = 4915: a couple
         // dozen 512-byte blocks force repeated watermark crossings.
@@ -74,7 +122,6 @@ proptest! {
             capacity: 8 << 10,
             high_permille: 900,
             low_permille: 600,
-            shards,
             ..PcacheConfig::default()
         };
         let (high, low, capacity) = (cfg.high_bytes(), cfg.low_bytes(), cfg.capacity);
@@ -127,7 +174,6 @@ proptest! {
             capacity: 4 << 10,
             high_permille: 900,
             low_permille: 500,
-            shards: 2,
             ..PcacheConfig::default()
         };
         let store = BlockStore::new(cfg);
@@ -159,5 +205,53 @@ proptest! {
             prop_assert!(store.contains(k));
         }
         prop_assert_eq!(store.pinned_count(), 0);
+    }
+
+    #[test]
+    fn eviction_is_exact_lru_over_the_whole_store(
+        ops in proptest::collection::vec(op_strategy(512), 1..200),
+    ) {
+        let cfg = PcacheConfig {
+            block_size: 512,
+            capacity: 8 << 10,
+            high_permille: 900,
+            low_permille: 600,
+            ..PcacheConfig::default()
+        };
+        let (high, low) = (cfg.high_bytes(), cfg.low_bytes());
+        let store = BlockStore::new(cfg);
+        let mut model = LruModel::default();
+        for op in &ops {
+            match *op {
+                Op::Insert { path, index, len } => {
+                    store.insert(key(path, index), Bytes::from(vec![0u8; len as usize]));
+                    model.insert(key(path, index), len.into(), high, low);
+                }
+                Op::Get { path, index } => {
+                    store.get(&key(path, index));
+                    model.touch(&key(path, index));
+                }
+                Op::Pin { path, index } => {
+                    store.try_pin(&key(path, index));
+                    model.pin(&key(path, index));
+                }
+                Op::Unpin { path, index } => {
+                    store.unpin(&key(path, index));
+                    model.pinned.remove(&key(path, index));
+                }
+            }
+            for p in 0..PATHS {
+                for i in 0..INDICES {
+                    let k = key(p, i);
+                    prop_assert_eq!(
+                        store.contains(&k),
+                        model.position(&k).is_some(),
+                        "{:?} after {:?}", k, op
+                    );
+                }
+            }
+            prop_assert_eq!(store.used_bytes(), model.used());
+            prop_assert_eq!(store.pinned_count(), model.pinned.len());
+        }
     }
 }
