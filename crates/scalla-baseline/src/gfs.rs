@@ -180,7 +180,7 @@ impl Node for GfsMasterNode {
 mod tests {
     use super::*;
     use scalla_node::{JoinStyle, ServerConfig, ServerNode};
-    use scalla_simnet::{LatencyModel, SimNet};
+    use scalla_simnet::{LatencyModel, MockCtx, SimNet};
 
     fn manifest(name: &str, files: &[&str]) -> Msg {
         CmsMsg::Manifest { name: name.into(), files: files.iter().map(|s| s.to_string()).collect() }
@@ -204,20 +204,19 @@ mod tests {
 
     #[test]
     fn lookups_blocked_until_ingest_completes() {
-        let mut net = SimNet::new(LatencyModel::fixed(Nanos::from_micros(10)), 1);
-        let master = net.add_node(Box::new(GfsMasterNode::new(GfsMasterConfig::default())));
-        net.start();
-        net.inject(Addr(99), master, manifest("srv-a", &["/data/f1"]));
+        let mut m = GfsMasterNode::new(GfsMasterConfig::default());
+        let mut ctx = MockCtx::new();
+        m.on_message(&mut ctx, Addr(99), manifest("srv-a", &["/data/f1"]));
+        let [(_, token)] = ctx.timers[..] else { panic!("{:?}", ctx.timers) };
         // Immediately after the manifest lands, lookup must miss: the
         // master is still ingesting.
-        net.run_for(Nanos::from_micros(50));
-        net.inject(Addr(99), master, open("/data/f1", false));
-        net.run_for(Nanos::from_micros(50));
+        m.on_message(&mut ctx, Addr(99), open("/data/f1", false));
         // After the ingest delay the same lookup redirects.
-        net.run_for(Nanos::from_secs(1));
-        net.inject(Addr(99), master, open("/data/f1", false));
-        net.run_for(Nanos::from_secs(1));
-        let m = net.node_mut(master).as_any_mut().unwrap().downcast_ref::<GfsMasterNode>().unwrap();
+        m.on_timer(&mut ctx, token);
+        m.on_message(&mut ctx, Addr(99), open("/data/f1", false));
+        let [(_, miss), (_, hit)] = &ctx.sends[..] else { panic!("{:?}", ctx.sends) };
+        assert!(matches!(miss, Msg::Server(ServerMsg::Error { code: ErrCode::NotFound, .. })));
+        assert!(matches!(hit, Msg::Server(ServerMsg::Redirect { host, .. }) if host == "srv-a"));
         assert!(m.is_ready("srv-a"));
         assert_eq!(m.files_known(), 1);
         assert_eq!(m.entries_ingested, 1);
@@ -248,43 +247,29 @@ mod tests {
         // The structural contrast with Scalla: the master's full map means
         // "not found" needs no 5 s deadline.
         let mut master = GfsMasterNode::new(GfsMasterConfig::default());
-        struct Cap(Vec<(Addr, Msg)>);
-        impl NetCtx for Cap {
-            fn now(&self) -> Nanos {
-                Nanos::ZERO
-            }
-            fn me(&self) -> Addr {
-                Addr(0)
-            }
-            fn send(&mut self, to: Addr, msg: Msg) {
-                self.0.push((to, msg));
-            }
-            fn set_timer(&mut self, _: Nanos, _: u64) {}
-            fn rand_u64(&mut self) -> u64 {
-                0
-            }
-        }
-        let mut ctx = Cap(Vec::new());
+        let mut ctx = MockCtx::new();
         master.on_message(&mut ctx, Addr(5), open("/ghost", false));
         assert!(matches!(
-            &ctx.0[0].1,
+            &ctx.sends[0].1,
             Msg::Server(ServerMsg::Error { code: ErrCode::NotFound, .. })
         ));
     }
 
     #[test]
     fn write_allocation_round_robins_ready_servers() {
-        let mut net = SimNet::new(LatencyModel::fixed(Nanos::from_micros(10)), 1);
-        let cfg = GfsMasterConfig { per_file_ingest: Nanos::from_micros(1), ..Default::default() };
-        let master = net.add_node(Box::new(GfsMasterNode::new(cfg)));
-        net.start();
-        net.inject(Addr(99), master, manifest("srv-a", &[]));
-        net.inject(Addr(99), master, manifest("srv-b", &[]));
-        net.run_for(Nanos::from_secs(1));
-        net.inject(Addr(99), master, open("/new1", true));
-        net.inject(Addr(99), master, open("/new2", true));
-        net.run_for(Nanos::from_secs(1));
-        let m = net.node_mut(master).as_any_mut().unwrap().downcast_ref::<GfsMasterNode>().unwrap();
+        let mut m = GfsMasterNode::new(GfsMasterConfig::default());
+        let mut ctx = MockCtx::new();
+        m.on_message(&mut ctx, Addr(99), manifest("srv-a", &[]));
+        m.on_message(&mut ctx, Addr(99), manifest("srv-b", &[]));
+        for (_, token) in std::mem::take(&mut ctx.timers) {
+            m.on_timer(&mut ctx, token);
+        }
+        m.on_message(&mut ctx, Addr(99), open("/new1", true));
+        m.on_message(&mut ctx, Addr(99), open("/new2", true));
+        // Allocation alternates over the ready servers.
+        let [(_, first), (_, second)] = &ctx.sends[..] else { panic!("{:?}", ctx.sends) };
+        assert!(matches!(first, Msg::Server(ServerMsg::Redirect { host, .. }) if host == "srv-a"));
+        assert!(matches!(second, Msg::Server(ServerMsg::Redirect { host, .. }) if host == "srv-b"));
         assert_eq!(m.files_known(), 2, "allocations recorded in the map");
     }
 }

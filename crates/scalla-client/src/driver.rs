@@ -840,7 +840,7 @@ mod tests {
     use super::*;
     use scalla_lcache::LcacheConfig;
     use scalla_proto::Lease;
-    use scalla_simnet::{LatencyModel, SimNet};
+    use scalla_simnet::{LatencyModel, MockCtx, SimNet};
 
     /// A stub head node: redirects every open for "/data/*" to "leaf"
     /// (granting a one-minute lease at epoch 1), reports NotFound for
@@ -1323,35 +1323,30 @@ mod tests {
 
     #[test]
     fn phase_guard_discards_are_counted() {
-        struct NullCtx;
-        impl NetCtx for NullCtx {
-            fn now(&self) -> Nanos {
-                Nanos::ZERO
-            }
-            fn me(&self) -> Addr {
-                Addr(9)
-            }
-            fn send(&mut self, _: Addr, _: Msg) {}
-            fn set_timer(&mut self, _: Nanos, _: u64) {}
-            fn rand_u64(&mut self) -> u64 {
-                7
-            }
-        }
         let obs = Obs::enabled();
         let dir = Arc::new(Directory::new());
         let mut node = ClientNode::new(ClientConfig::new(
             Addr(0),
             dir,
-            vec![ClientOp::Sleep { duration: Nanos::from_secs(1) }],
+            vec![
+                ClientOp::Prepare { paths: vec!["/d/f".into()] },
+                ClientOp::Sleep { duration: Nanos::from_secs(1) },
+            ],
         ));
         node.set_obs(obs.clone());
-        let mut ctx = NullCtx;
+        let mut ctx = MockCtx::new();
+        // The prepare leaves a `last_request` a stale retry could re-send.
+        node.on_start(&mut ctx);
+        assert_eq!(ctx.take_sends().len(), 1, "the prepare went out");
+        ctx.timers.clear();
+        node.on_message(&mut ctx, Addr(0), ServerMsg::PrepareOk.into());
         // The sleep op leaves the client alive but Idle, so every arrival
         // below hits a phase guard.
-        node.on_start(&mut ctx);
         node.on_message(&mut ctx, Addr(5), ServerMsg::CloseOk.into());
         node.on_timer(&mut ctx, tok::RETRY);
         node.on_timer(&mut ctx, tok::TIMEOUT_BASE + 99);
+        assert!(ctx.sends.is_empty(), "an idle client answers nothing: {:?}", ctx.sends);
+        assert_eq!(ctx.timers, [(Nanos::from_secs(1), tok::NEXT_OP)], "only the sleep's timer");
         let text = obs.registry().prometheus_text();
         for kind in ["stale_reply", "stale_retry", "stale_timeout"] {
             let needle = format!("scalla_client_discards_total{{kind=\"{kind}\"}} 1");

@@ -233,37 +233,7 @@ impl MonitorEmitter {
 mod tests {
     use super::*;
     use scalla_obs::{SpanEvent, TraceId};
-
-    struct MockCtx {
-        now: Nanos,
-        me: Addr,
-        sent: Vec<(Addr, Msg)>,
-        timers: Vec<(Nanos, u64)>,
-    }
-
-    impl MockCtx {
-        fn new() -> MockCtx {
-            MockCtx { now: Nanos(0), me: Addr(9), sent: Vec::new(), timers: Vec::new() }
-        }
-    }
-
-    impl NetCtx for MockCtx {
-        fn now(&self) -> Nanos {
-            self.now
-        }
-        fn me(&self) -> Addr {
-            self.me
-        }
-        fn send(&mut self, to: Addr, msg: Msg) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, delay: Nanos, token: u64) {
-            self.timers.push((delay, token));
-        }
-        fn rand_u64(&mut self) -> u64 {
-            4
-        }
-    }
+    use scalla_simnet::MockCtx;
 
     fn summaries(sent: &[(Addr, Msg)]) -> Vec<&MonMsg> {
         sent.iter()
@@ -289,7 +259,7 @@ mod tests {
         assert!(em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN));
         assert!(!em.on_timer(&mut ctx, 7), "foreign token must not be consumed");
 
-        let sums = summaries(&ctx.sent);
+        let sums = summaries(&ctx.sends);
         assert_eq!(sums.len(), 2);
         match sums[0] {
             MonMsg::Summary { seq, full, counters, .. } => {
@@ -320,7 +290,7 @@ mod tests {
         obs.span(SpanEvent::new(TraceId::NONE, 9, "window_tick"));
         em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
         let span_batches: Vec<_> = ctx
-            .sent
+            .sends
             .iter()
             .filter_map(|(_, m)| match m {
                 Msg::Mon(MonMsg::Spans { spans, .. }) => Some(spans),
@@ -334,7 +304,7 @@ mod tests {
         // Second tick: nothing new to ship.
         em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
         let batches_after: Vec<_> =
-            ctx.sent.iter().filter(|(_, m)| matches!(m, Msg::Mon(MonMsg::Spans { .. }))).collect();
+            ctx.sends.iter().filter(|(_, m)| matches!(m, Msg::Mon(MonMsg::Spans { .. }))).collect();
         assert_eq!(batches_after.len(), 1);
     }
 
@@ -348,10 +318,10 @@ mod tests {
         for _ in 0..3 {
             em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
         }
-        ctx.sent.clear();
+        ctx.take_sends();
         // Collector saw up to seq 1; replay buffer still holds 1..=3.
         assert!(em.on_message(&mut ctx, &Msg::Mon(MonMsg::Resync { since_seq: 1 })));
-        let replayed = summaries(&ctx.sent);
+        let replayed = summaries(&ctx.sends);
         assert_eq!(replayed.len(), 2, "seq 2 and 3 replayed");
 
         // A gap older than the buffer (since_seq 0 after the buffer has
@@ -359,11 +329,11 @@ mod tests {
         for _ in 0..REPLAY_CAP + 2 {
             em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
         }
-        ctx.sent.clear();
+        ctx.take_sends();
         assert!(em.on_message(&mut ctx, &Msg::Mon(MonMsg::Resync { since_seq: 0 })));
-        assert!(summaries(&ctx.sent).is_empty(), "gap too old to replay");
+        assert!(summaries(&ctx.sends).is_empty(), "gap too old to replay");
         em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
-        match summaries(&ctx.sent)[0] {
+        match summaries(&ctx.sends)[0] {
             MonMsg::Summary { full, .. } => assert!(*full, "forced full baseline"),
             _ => unreachable!(),
         }

@@ -813,7 +813,7 @@ impl Node for CmsdNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::MockCtx;
+    use scalla_simnet::MockCtx;
     use scalla_util::VirtualClock;
 
     fn mk_manager(clock: Arc<VirtualClock>) -> CmsdNode {
@@ -875,7 +875,7 @@ mod tests {
         let mut node = mk_manager(clock);
         let mut ctx = MockCtx::new();
         let addrs = login_servers(&mut node, &mut ctx, 3);
-        ctx.sends.clear();
+        ctx.take_sends();
         let client = Addr(7);
         node.on_message(&mut ctx, client, open("/data/f"));
         let targets: Vec<Addr> = ctx
@@ -896,7 +896,7 @@ mod tests {
         let addrs = login_servers(&mut node, &mut ctx, 3);
         let client = Addr(7);
         node.on_message(&mut ctx, client, open("/data/f"));
-        ctx.sends.clear();
+        ctx.take_sends();
         let hash = crc32(b"/data/f");
         node.on_message(
             &mut ctx,
@@ -926,7 +926,7 @@ mod tests {
             addrs[0],
             CmsMsg::Have { reqid: 1, path: "/data/f".into(), hash, staging: false }.into(),
         );
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_message(&mut ctx, Addr(8), open("/data/f"));
         assert!(matches!(
             &ctx.sends[0],
@@ -961,7 +961,7 @@ mod tests {
         let mut node = mk_supervisor(parent, Arc::new(VirtualClock::new()));
         let mut ctx = MockCtx::new();
         let addrs = login_servers(&mut node, &mut ctx, 3);
-        ctx.sends.clear();
+        ctx.take_sends();
         let hash = crc32(b"/data/f");
         // Parent asks.
         node.on_message(
@@ -974,7 +974,7 @@ mod tests {
             3
         );
         assert_eq!(node.cache().busy_anchors(), 0, "a parent's locate parks nothing");
-        ctx.sends.clear();
+        ctx.take_sends();
         // Two children respond; only ONE upward Have must result.
         for &a in &addrs[..2] {
             node.on_message(&mut ctx, a, have("/data/f", false));
@@ -994,7 +994,7 @@ mod tests {
             node.on_message(&mut ctx, Addr(50 + i as u64), open(&format!("/data/ghost{i}")));
         }
         assert_eq!(node.cache().busy_anchors(), anchors);
-        ctx.sends.clear();
+        ctx.take_sends();
         let hash = crc32(b"/data/f");
         node.on_message(
             &mut ctx,
@@ -1012,7 +1012,7 @@ mod tests {
         let mut node = mk_supervisor(parent, Arc::new(VirtualClock::new()));
         let mut ctx = MockCtx::new();
         let addrs = login_servers(&mut node, &mut ctx, 3);
-        ctx.sends.clear();
+        ctx.take_sends();
         // Nobody → preparing → online: the parent hears of each rise, asked
         // or not, so it promotes the file out of staging too.
         node.on_message(&mut ctx, addrs[0], have("/mss/f", true));
@@ -1029,12 +1029,10 @@ mod tests {
     fn parent_locate_for_unknown_file_is_silent() {
         let clock = Arc::new(VirtualClock::new());
         let parent = Addr(1);
-        let mut cfg = CmsdConfig::supervisor("sup-0", parent);
-        cfg.cache = CacheConfig::for_tests();
-        let mut node = CmsdNode::new(cfg, clock.clone());
+        let mut node = mk_supervisor(parent, clock.clone());
         let mut ctx = MockCtx::new();
         login_servers(&mut node, &mut ctx, 2);
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_message(
             &mut ctx,
             parent,
@@ -1049,7 +1047,7 @@ mod tests {
         // Floods down but nothing goes back up, even after the deadline.
         assert!(ctx.sends.iter().all(|(to, _)| *to != parent));
         clock.advance(Nanos::from_secs(6));
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_message(
             &mut ctx,
             parent,
@@ -1072,7 +1070,7 @@ mod tests {
         login_servers(&mut node, &mut ctx, 2);
         let client = Addr(7);
         node.on_message(&mut ctx, client, open("/data/f"));
-        ctx.sends.clear();
+        ctx.take_sends();
         clock.advance(Nanos::from_millis(200)); // > 133 ms
         node.on_timer(&mut ctx, tokens::SWEEP);
         assert!(matches!(&ctx.sends[0], (Addr(7), Msg::Server(ServerMsg::Wait { millis: 5000 }))));
@@ -1094,7 +1092,7 @@ mod tests {
         );
         // Deadline passes with no Have: retry must allocate.
         clock.advance(Nanos::from_secs(6));
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_message(
             &mut ctx,
             client,
@@ -1112,7 +1110,7 @@ mod tests {
         login_servers(&mut node, &mut ctx, 2);
         node.on_message(&mut ctx, Addr(7), open("/data/ghost"));
         clock.advance(Nanos::from_secs(6));
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_message(&mut ctx, Addr(7), open("/data/ghost"));
         assert!(matches!(
             &ctx.sends[0],
@@ -1126,7 +1124,7 @@ mod tests {
         let mut node = mk_manager(clock);
         let mut ctx = MockCtx::new();
         login_servers(&mut node, &mut ctx, 2); // export /data only
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_message(&mut ctx, Addr(7), open("/elsewhere/f"));
         assert!(matches!(
             &ctx.sends[0],
@@ -1149,7 +1147,7 @@ mod tests {
                 CmsMsg::Have { reqid: 1, path: "/data/f".into(), hash, staging: false }.into(),
             );
         }
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_message(
             &mut ctx,
             Addr(8),
@@ -1173,7 +1171,7 @@ mod tests {
         let mut node = mk_manager(clock);
         let mut ctx = MockCtx::new();
         login_servers(&mut node, &mut ctx, 2);
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_message(
             &mut ctx,
             Addr(7),
@@ -1234,7 +1232,7 @@ mod tests {
                 CmsMsg::LoadReport { load: 1, free_bytes: 0, overloaded: false }.into(),
             );
         }
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_timer(&mut ctx, tokens::HEALTH);
         assert_eq!(node.members().offline(), ServerSet::single(0));
         // The re-flood must immediately ask the parked survivor (srv-1)
@@ -1254,7 +1252,7 @@ mod tests {
         assert_eq!(state.vq, ServerSet::single(0));
         // A survivor answers: the parked V_q state resolves to a redirect
         // for the next client without waiting out the full delay.
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_message(
             &mut ctx,
             addrs[1],
@@ -1444,7 +1442,7 @@ mod tests {
         // Proxy dies. Its ads must be purged outright — a restarted proxy
         // comes back cold — rather than parked in V_q like a data server.
         kill_all_but(&mut node, &mut ctx, &clock, &addrs);
-        ctx.sends.clear();
+        ctx.take_sends();
         node.on_message(&mut ctx, Addr(8), open("/data/f"));
         assert!(
             !ctx.sends.iter().any(|(_, m)| matches!(

@@ -32,8 +32,6 @@ pub mod cns;
 pub mod fs;
 pub mod overload;
 pub mod server;
-#[cfg(test)]
-pub(crate) mod testutil;
 
 pub use cmsd::{CmsdConfig, CmsdNode, CmsdRole};
 pub use cns::CnsNode;

@@ -475,9 +475,8 @@ impl Node for ServerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalla_simnet::MockCtx;
     use scalla_util::crc32;
-
-    pub(crate) use crate::testutil::MockCtx;
 
     fn server() -> ServerNode {
         let mut cfg = ServerConfig::new("srv-a", Addr(0));

@@ -1200,49 +1200,7 @@ impl Node for ProxyNode {
 mod tests {
     use super::*;
     use scalla_proto::Lease;
-
-    struct MockCtx {
-        now: Nanos,
-        me: Addr,
-        sends: Vec<(Addr, Msg)>,
-        timers: Vec<(Nanos, u64)>,
-        rng: u64,
-    }
-
-    impl MockCtx {
-        fn new() -> MockCtx {
-            MockCtx {
-                now: Nanos::ZERO,
-                me: Addr(100),
-                sends: Vec::new(),
-                timers: Vec::new(),
-                rng: 1,
-            }
-        }
-
-        fn take_sends(&mut self) -> Vec<(Addr, Msg)> {
-            std::mem::take(&mut self.sends)
-        }
-    }
-
-    impl NetCtx for MockCtx {
-        fn now(&self) -> Nanos {
-            self.now
-        }
-        fn me(&self) -> Addr {
-            self.me
-        }
-        fn send(&mut self, to: Addr, msg: Msg) {
-            self.sends.push((to, msg));
-        }
-        fn set_timer(&mut self, delay: Nanos, token: u64) {
-            self.timers.push((delay, token));
-        }
-        fn rand_u64(&mut self) -> u64 {
-            self.rng = self.rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-            self.rng
-        }
-    }
+    use scalla_simnet::MockCtx;
 
     const MGR: Addr = Addr(0);
     const SRV: Addr = Addr(1);
@@ -1645,6 +1603,35 @@ mod tests {
             .filter_map(|(a, m)| matches!(m, Msg::Server(ServerMsg::Data { .. })).then_some(a))
             .collect();
         assert!(replies.contains(&&CLIENT) && replies.contains(&&CLIENT2), "{sends:?}");
+    }
+
+    #[test]
+    fn a_queued_origin_request_leaves_with_the_trace_that_queued_it() {
+        let mut p = proxy(1024);
+        let mut ctx = MockCtx::new();
+        let (a, b) = (0xa, 0xb);
+        ctx.set_trace(a);
+        p.on_message(&mut ctx, CLIENT, open("/a", false));
+        assert_eq!(ctx.send_traces, [a], "A's resolve goes to the manager at once");
+        ctx.take_sends();
+        ctx.set_trace(b);
+        p.on_message(&mut ctx, CLIENT2, open("/b", false));
+        assert!(ctx.sends.is_empty(), "B's resolve queues behind A's on the manager link");
+        // The manager's answer to A runs under A's trace; its pump sends B's.
+        ctx.set_trace(a);
+        p.on_message(
+            &mut ctx,
+            MGR,
+            Msg::Server(ServerMsg::Redirect { host: "srv-0".into(), lease: None }),
+        );
+        let legs: Vec<(Addr, &str, u64)> = (ctx.sends.iter().zip(&ctx.send_traces))
+            .map(|((to, m), &trace)| match m {
+                Msg::Client(ClientMsg::Open { path, .. }) => (*to, path.as_str(), trace),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(legs, [(SRV, "/a", a), (MGR, "/b", b)], "each open keeps its own trace");
+        assert_eq!(ctx.trace(), a, "the callback's ambient trace is restored");
     }
 
     #[test]

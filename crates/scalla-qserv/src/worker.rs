@@ -107,40 +107,35 @@ mod tests {
     use crate::query::QueryResult;
     use bytes::Bytes;
     use scalla_proto::ServerMsg;
-    use scalla_simnet::{LatencyModel, SimNet};
-    use scalla_util::Nanos;
+    use scalla_simnet::MockCtx;
+
+    /// Writes `data` to `path` at the worker the way the master does: open
+    /// for write, write, close.
+    fn write_file(w: &mut QservWorkerNode, path: &str, data: Bytes) {
+        let mut ctx = MockCtx::new();
+        let ext = Addr(500);
+        let open = ClientMsg::Open { path: path.into(), write: true, refresh: false, avoid: None };
+        w.on_message(&mut ctx, ext, open.into());
+        let handle = match &ctx.take_sends()[..] {
+            [(_, Msg::Server(ServerMsg::OpenOk { handle }))] => *handle,
+            other => panic!("{other:?}"),
+        };
+        w.on_message(&mut ctx, ext, ClientMsg::Write { handle, offset: 0, data }.into());
+        w.on_message(&mut ctx, ext, ClientMsg::Close { handle }.into());
+        assert!(matches!(
+            &ctx.sends[..],
+            [(_, Msg::Server(ServerMsg::WriteOk { .. })), (_, Msg::Server(ServerMsg::CloseOk))]
+        ));
+    }
 
     #[test]
     fn worker_executes_task_on_close() {
-        let mut net = SimNet::new(LatencyModel::fixed(Nanos::from_micros(5)), 1);
         let cfg = ServerConfig::new("w0", Addr(999));
-        let chunks = vec![ChunkStore::generate(3, 200, 7)];
-        let expected =
-            Query::CountRange { lo: 15.0, hi: 20.0 }.execute(&ChunkStore::generate(3, 200, 7));
-        let worker = net.add_node(Box::new(QservWorkerNode::new(cfg, chunks)));
-        net.start();
-        net.run_for(Nanos::from_millis(1));
-
-        // Simulate the master's write sequence directly at the worker.
-        let ext = Addr(500);
-        let path = task_path(3, 1);
-        net.inject(
-            ext,
-            worker,
-            ClientMsg::Open { path: path.clone(), write: true, refresh: false, avoid: None }.into(),
-        );
-        net.run_for(Nanos::from_millis(1));
+        let mut w = QservWorkerNode::new(cfg, vec![ChunkStore::generate(3, 200, 7)]);
         let q = Query::CountRange { lo: 15.0, hi: 20.0 };
-        net.inject(
-            ext,
-            worker,
-            ClientMsg::Write { handle: 0, offset: 0, data: Bytes::from(q.encode()) }.into(),
-        );
-        net.inject(ext, worker, ClientMsg::Close { handle: 0 }.into());
-        net.run_for(Nanos::from_millis(1));
-
-        let w =
-            net.node_mut(worker).as_any_mut().unwrap().downcast_ref::<QservWorkerNode>().unwrap();
+        let expected = q.execute(&ChunkStore::generate(3, 200, 7));
+        let path = task_path(3, 1);
+        write_file(&mut w, &path, Bytes::from(q.encode()));
         assert_eq!(w.tasks_executed, 1);
         let result_file = w.server().fs().get(&result_path_for_task(&path)).expect("result file");
         let decoded = QueryResult::decode(std::str::from_utf8(&result_file.data).unwrap());
@@ -159,63 +154,18 @@ mod tests {
 
     #[test]
     fn non_task_writes_are_ignored() {
-        let mut net = SimNet::new(LatencyModel::fixed(Nanos::from_micros(5)), 1);
         let cfg = ServerConfig::new("w0", Addr(999));
-        let worker =
-            net.add_node(Box::new(QservWorkerNode::new(cfg, vec![ChunkStore::generate(1, 10, 1)])));
-        net.start();
-        let ext = Addr(500);
-        net.inject(
-            ext,
-            worker,
-            ClientMsg::Open {
-                path: "/chunk/1/notes.txt".into(),
-                write: true,
-                refresh: false,
-                avoid: None,
-            }
-            .into(),
-        );
-        net.run_for(Nanos::from_millis(1));
-        net.inject(
-            ext,
-            worker,
-            ClientMsg::Write { handle: 0, offset: 0, data: Bytes::from_static(b"count 1 2") }
-                .into(),
-        );
-        net.inject(ext, worker, ClientMsg::Close { handle: 0 }.into());
-        net.run_for(Nanos::from_millis(1));
-        let w =
-            net.node_mut(worker).as_any_mut().unwrap().downcast_ref::<QservWorkerNode>().unwrap();
+        let mut w = QservWorkerNode::new(cfg, vec![ChunkStore::generate(1, 10, 1)]);
+        write_file(&mut w, "/chunk/1/notes.txt", Bytes::from_static(b"count 1 2"));
         assert_eq!(w.tasks_executed, 0);
     }
 
     #[test]
     fn task_for_unhosted_partition_is_ignored() {
-        let mut net = SimNet::new(LatencyModel::fixed(Nanos::from_micros(5)), 1);
         let cfg = ServerConfig::new("w0", Addr(999));
-        let worker =
-            net.add_node(Box::new(QservWorkerNode::new(cfg, vec![ChunkStore::generate(1, 10, 1)])));
-        net.start();
-        let ext = Addr(500);
-        let path = task_path(42, 0); // partition 42 not hosted
-        net.inject(
-            ext,
-            worker,
-            ClientMsg::Open { path: path.clone(), write: true, refresh: false, avoid: None }.into(),
-        );
-        net.run_for(Nanos::from_millis(1));
-        net.inject(
-            ext,
-            worker,
-            ClientMsg::Write { handle: 0, offset: 0, data: Bytes::from_static(b"count 1 2") }
-                .into(),
-        );
-        net.inject(ext, worker, ClientMsg::Close { handle: 0 }.into());
-        net.run_for(Nanos::from_millis(1));
-        let w =
-            net.node_mut(worker).as_any_mut().unwrap().downcast_ref::<QservWorkerNode>().unwrap();
+        let mut w = QservWorkerNode::new(cfg, vec![ChunkStore::generate(1, 10, 1)]);
+        // Partition 42 is not hosted here.
+        write_file(&mut w, &task_path(42, 0), Bytes::from_static(b"count 1 2"));
         assert_eq!(w.tasks_executed, 0);
-        let _ = ServerMsg::CloseOk; // silence unused import lint paths
     }
 }

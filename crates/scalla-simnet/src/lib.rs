@@ -18,4 +18,4 @@
 
 pub mod net;
 
-pub use net::{LatencyModel, NetCtx, Node, SimNet, SimStats};
+pub use net::{LatencyModel, MockCtx, NetCtx, Node, SimNet, SimStats};

@@ -161,6 +161,98 @@ impl NetCtx for SimCtx<'_> {
     }
 }
 
+/// A [`NetCtx`] that records instead of delivering, for tests that drive
+/// one node by hand. Sends, the trace each send left with, and armed timers
+/// stay in pub fields to assert on; time moves only when the test sets
+/// `now`, and `rand_u64` draws from a fixed-seed stream.
+///
+/// ```
+/// use scalla_proto::{Addr, Msg, ServerMsg};
+/// use scalla_simnet::{MockCtx, NetCtx, Node};
+///
+/// /// Acknowledges every message to its sender.
+/// struct Ack;
+/// impl Node for Ack {
+///     fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, _msg: Msg) {
+///         ctx.send(from, ServerMsg::CloseOk.into());
+///     }
+/// }
+///
+/// let mut ctx = MockCtx::new();
+/// ctx.set_trace(7);
+/// Ack.on_message(&mut ctx, Addr(5), ServerMsg::PrepareOk.into());
+/// assert_eq!(ctx.send_traces, [7], "the reply left under the ambient trace");
+/// let sends = ctx.take_sends();
+/// assert!(matches!(&sends[..], [(Addr(5), Msg::Server(ServerMsg::CloseOk))]));
+/// assert!(ctx.sends.is_empty() && ctx.send_traces.is_empty());
+/// ```
+pub struct MockCtx {
+    /// What `now()` returns.
+    pub now: Nanos,
+    /// What `me()` returns; `Addr(100)` unless a test sets it.
+    pub me: Addr,
+    /// Every send, in order.
+    pub sends: Vec<(Addr, Msg)>,
+    /// The ambient trace at each send, index-aligned with `sends`.
+    pub send_traces: Vec<u64>,
+    /// Every armed timer as `(delay, token)`, in order.
+    pub timers: Vec<(Nanos, u64)>,
+    trace: u64,
+    rng: SplitMix64,
+}
+
+impl MockCtx {
+    /// A context at time zero with nothing recorded.
+    pub fn new() -> MockCtx {
+        MockCtx {
+            now: Nanos::ZERO,
+            me: Addr(100),
+            sends: Vec::new(),
+            send_traces: Vec::new(),
+            timers: Vec::new(),
+            trace: 0,
+            rng: SplitMix64::new(0),
+        }
+    }
+
+    /// Drains the recorded sends (and their traces) for the next step.
+    pub fn take_sends(&mut self) -> Vec<(Addr, Msg)> {
+        self.send_traces.clear();
+        std::mem::take(&mut self.sends)
+    }
+}
+
+impl Default for MockCtx {
+    fn default() -> MockCtx {
+        MockCtx::new()
+    }
+}
+
+impl NetCtx for MockCtx {
+    fn now(&self) -> Nanos {
+        self.now
+    }
+    fn me(&self) -> Addr {
+        self.me
+    }
+    fn send(&mut self, to: Addr, msg: Msg) {
+        self.sends.push((to, msg));
+        self.send_traces.push(self.trace);
+    }
+    fn set_timer(&mut self, delay: Nanos, token: u64) {
+        self.timers.push((delay, token));
+    }
+    fn rand_u64(&mut self) -> u64 {
+        self.rng.next_u64()
+    }
+    fn set_trace(&mut self, trace: u64) {
+        self.trace = trace;
+    }
+    fn trace(&self) -> u64 {
+        self.trace
+    }
+}
+
 /// The discrete-event network.
 pub struct SimNet {
     clock: Arc<VirtualClock>,

@@ -75,29 +75,10 @@ fn deletions_remove_entries_when_last_replica_goes() {
     {
         let node = c.net.node_mut(srv0).as_any_mut().unwrap();
         let server = node.downcast_mut::<scalla::node::ServerNode>().unwrap();
-        struct DirectCtx<'a> {
-            q: &'a mut Vec<(Addr, Msg)>,
-        }
-        impl NetCtx for DirectCtx<'_> {
-            fn now(&self) -> Nanos {
-                Nanos::ZERO
-            }
-            fn me(&self) -> Addr {
-                Addr(0)
-            }
-            fn send(&mut self, to: Addr, msg: Msg) {
-                self.q.push((to, msg));
-            }
-            fn set_timer(&mut self, _: Nanos, _: u64) {}
-            fn rand_u64(&mut self) -> u64 {
-                0
-            }
-        }
-        let mut q = Vec::new();
-        let mut ctx = DirectCtx { q: &mut q };
+        let mut ctx = scalla::simnet::MockCtx::new();
         assert!(server.delete(&mut ctx, "/d/f.root"));
         // Relay the captured NsEvent into the network.
-        for (to, msg) in q {
+        for (to, msg) in ctx.take_sends() {
             assert_eq!(to, cns_addr);
             c.net.inject(srv0, to, msg);
         }
