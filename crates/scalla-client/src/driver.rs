@@ -1,8 +1,9 @@
 //! The scripted client state machine.
 
 use crate::directory::Directory;
+use crate::walk::{Resolver, Step, Walk};
 use bytes::Bytes;
-use scalla_lcache::{LocationCache, PurgeReason};
+use scalla_lcache::LocationCache;
 use scalla_monitor::MonitorEmitter;
 use scalla_obs::{Obs, SpanEvent, Stage, TraceId};
 use scalla_proto::{Addr, ClientMsg, ErrCode, Msg, ServerMsg};
@@ -249,15 +250,12 @@ pub struct ClientNode {
     results: Vec<OpResult>,
     op_index: usize,
     phase: Phase,
+    resolver: Resolver,
     // Current operation progress.
     start: Nanos,
-    redirects: u32,
+    walk: Walk,
     waits: u32,
-    refreshes: u32,
     target: Addr,
-    manager_idx: usize,
-    refresh_walk: bool,
-    avoid: Option<String>,
     last_request: Option<Msg>,
     // Request-timeout bookkeeping: only the newest timeout token counts.
     timeout_gen: u64,
@@ -269,11 +267,6 @@ pub struct ClientNode {
     // Trace id of the in-flight operation; reused across redirect legs,
     // retries, and refresh walks so every hop shares one trace.
     trace: u64,
-    // The in-flight open went straight to a leased location (no manager).
-    direct_target: bool,
-    // Lease deadline backing the direct open; an OpenOk arriving after it
-    // counts as staleness served (the lease expired in flight).
-    lease_deadline: Nanos,
     // When the most recent tracked request left, for the redirect-hop
     // latency histogram.
     hop_sent: Nanos,
@@ -284,20 +277,22 @@ pub struct ClientNode {
 impl ClientNode {
     /// Creates a client. Results accumulate in [`ClientNode::results`].
     pub fn new(cfg: ClientConfig) -> ClientNode {
-        let target = cfg.managers[0];
+        let resolver = Resolver::new(
+            cfg.directory.clone(),
+            cfg.lcache.clone(),
+            cfg.managers.clone(),
+            cfg.max_refreshes,
+        );
         ClientNode {
             cfg,
+            target: resolver.redirector(),
+            resolver,
             results: Vec::new(),
             op_index: 0,
             phase: Phase::Idle,
             start: Nanos::ZERO,
-            redirects: 0,
+            walk: Walk::default(),
             waits: 0,
-            refreshes: 0,
-            target,
-            manager_idx: 0,
-            refresh_walk: false,
-            avoid: None,
             last_request: None,
             timeout_gen: 0,
             timeouts_this_op: 0,
@@ -305,8 +300,6 @@ impl ClientNode {
             pending_data: None,
             done: false,
             trace: 0,
-            direct_target: false,
-            lease_deadline: Nanos::ZERO,
             hop_sent: Nanos::ZERO,
             obs: Obs::disabled(),
             mon: None,
@@ -344,10 +337,6 @@ impl ClientNode {
         self.done
     }
 
-    fn manager(&self) -> Addr {
-        self.cfg.managers[self.manager_idx % self.cfg.managers.len()]
-    }
-
     fn current_op(&self) -> &ClientOp {
         &self.cfg.ops[self.op_index]
     }
@@ -368,16 +357,13 @@ impl ClientNode {
             return;
         }
         self.start = ctx.now();
-        self.redirects = 0;
         self.waits = 0;
-        self.refreshes = 0;
         self.timeouts_this_op = 0;
-        self.refresh_walk = false;
-        self.avoid = None;
         // One nonzero trace id per operation; every redirect leg, retry and
         // refresh walk of this op rides the same id through the envelope.
         self.trace = ctx.rand_u64() | 1;
         let op = self.current_op().clone();
+        self.walk = Walk::new(op.path(), op.is_write());
         match op {
             ClientOp::Sleep { duration } => {
                 self.phase = Phase::Idle;
@@ -401,7 +387,7 @@ impl ClientNode {
             }
             ClientOp::Prepare { paths } => {
                 self.phase = Phase::Preparing;
-                let mgr = self.manager();
+                let mgr = self.resolver.redirector();
                 self.send_tracked(ctx, mgr, ClientMsg::Prepare { paths }.into());
             }
             ClientOp::List { dir } => match self.cfg.cns {
@@ -413,42 +399,9 @@ impl ClientNode {
                     self.finish_op(ctx, OpOutcome::Error("no cns configured".into()), None);
                 }
             },
-            op => {
-                self.phase = Phase::Opening;
-                self.direct_target = false;
-                let path = op.path().to_string();
-                let write = op.is_write();
-                // Warm path: a live lease lets a read-open skip the
-                // manager and go straight to the cached server. Writes
-                // always consult the redirector — allocation is policy.
-                if !write {
-                    if let Some(lc) = &self.cfg.lcache {
-                        if let Some(hit) = lc.lookup(&path, ctx.now()) {
-                            match self.cfg.directory.addr_of(&hit.host) {
-                                Some(addr) => {
-                                    self.direct_target = true;
-                                    self.lease_deadline = hit.deadline;
-                                    let msg = ClientMsg::Open {
-                                        path,
-                                        write: false,
-                                        refresh: false,
-                                        avoid: None,
-                                    };
-                                    self.send_tracked(ctx, addr, msg.into());
-                                    return;
-                                }
-                                None => {
-                                    // The harness no longer knows the host:
-                                    // treat as recovery-invalidated.
-                                    lc.purge_path(&path, PurgeReason::Recovery);
-                                }
-                            }
-                        }
-                    }
-                }
-                let msg = ClientMsg::Open { path, write, refresh: false, avoid: None };
-                let mgr = self.manager();
-                self.send_tracked(ctx, mgr, msg.into());
+            _ => {
+                let step = self.walk.start(&self.resolver, ctx.now());
+                self.follow(ctx, step);
             }
         }
     }
@@ -467,7 +420,7 @@ impl ClientNode {
             self.obs.span(
                 SpanEvent::new(TraceId(self.trace), ctx.me().0, "client_op")
                     .verdict(verdict)
-                    .depth(self.redirects as u64)
+                    .depth(self.walk.redirects() as u64)
                     .at(end.0)
                     .took(end.since(self.start).0),
             );
@@ -479,7 +432,7 @@ impl ClientNode {
             self.obs
                 .registry()
                 .histogram("scalla_client_redirect_hops", &[])
-                .record(self.redirects as u64);
+                .record(self.walk.redirects() as u64);
         }
         self.results.push(OpResult {
             op_index: self.op_index,
@@ -487,9 +440,9 @@ impl ClientNode {
             start: self.start,
             end,
             outcome,
-            redirects: self.redirects,
+            redirects: self.walk.redirects(),
             waits: self.waits,
-            refreshes: self.refreshes,
+            refreshes: self.walk.refreshes(),
             server,
             trace_id: self.trace,
             entries: std::mem::take(&mut self.pending_entries),
@@ -506,31 +459,19 @@ impl ClientNode {
         }
     }
 
-    /// Re-issue the current open walk from the manager with refresh+avoid
-    /// (§III-C1 recovery).
-    fn recover(&mut self, ctx: &mut dyn NetCtx, failing: Addr) {
-        self.direct_target = false;
-        if let Some(lc) = &self.cfg.lcache {
-            // Whatever lease covered this path described a world where the
-            // failing server worked; drop it with the walk.
-            lc.purge_path(self.current_op().path(), PurgeReason::Recovery);
+    /// Takes the walk's next step: send its leg, or end the op.
+    fn follow(&mut self, ctx: &mut dyn NetCtx, step: Step) {
+        if let Step::Fallback(..) = step {
+            self.obs.count("scalla_client_direct_open_total", &[("outcome", "stale_fallback")], 1);
         }
-        self.refreshes += 1;
-        if self.refreshes > self.cfg.max_refreshes {
-            self.finish_op(ctx, OpOutcome::GaveUp, None);
-            return;
-        }
-        self.refresh_walk = true;
-        self.avoid = self.cfg.directory.name_of(failing);
-        self.phase = Phase::Opening;
-        let msg = ClientMsg::Open {
-            path: self.current_op().path().to_string(),
-            write: self.current_op().is_write(),
-            refresh: true,
-            avoid: self.avoid.clone(),
+        let (to, msg) = match step {
+            Step::Leg(to, msg) | Step::Fallback(to, msg) => (to, msg),
+            Step::NotFound => return self.finish_op(ctx, OpOutcome::NotFound, None),
+            Step::GaveUp => return self.finish_op(ctx, OpOutcome::GaveUp, None),
+            Step::Failed(why) => return self.finish_op(ctx, OpOutcome::Error(why), None),
         };
-        let mgr = self.manager();
-        self.send_tracked(ctx, mgr, msg.into());
+        self.phase = Phase::Opening;
+        self.send_tracked(ctx, to, msg);
     }
 
     /// Handles one retriable verdict (`Wait` or `Retry`): terminal
@@ -605,47 +546,21 @@ impl Node for ClientNode {
         let Msg::Server(reply) = msg else { return };
         match reply {
             ServerMsg::Redirect { host, lease } => {
-                self.redirects += 1;
                 if self.obs.stage_sample(Stage::RedirectHop) {
                     self.obs.record_stage(Stage::RedirectHop, ctx.now().since(self.hop_sent).0);
                 }
-                self.direct_target = false;
-                if let (Some(lc), Some(l)) = (&self.cfg.lcache, lease) {
-                    // The manager vouches for this location until the TTL:
-                    // remember it so the next open of the path skips the
-                    // redirector. Epoch handling (wholesale flush on a
-                    // newer epoch, discard of stale grants) lives in the
-                    // cache.
-                    lc.insert(self.current_op().path(), &host, l.ttl_millis, l.epoch, ctx.now());
-                }
-                match self.cfg.directory.addr_of(&host) {
-                    Some(addr) => {
-                        let msg = ClientMsg::Open {
-                            path: self.current_op().path().to_string(),
-                            write: self.current_op().is_write(),
-                            refresh: self.refresh_walk,
-                            avoid: self.avoid.clone(),
-                        };
-                        self.send_tracked(ctx, addr, msg.into());
-                    }
-                    None => {
-                        self.finish_op(ctx, OpOutcome::Error(format!("unknown host {host}")), None)
-                    }
-                }
+                let step = self.walk.redirected(&self.resolver, &host, lease, ctx.me(), ctx.now());
+                self.follow(ctx, step);
             }
             ServerMsg::Wait { millis } => self.wait_retry(ctx, Some(millis)),
             ServerMsg::OpenOk { handle } => {
                 if self.phase == Phase::Opening {
-                    if self.direct_target {
-                        self.direct_target = false;
+                    if let Some(served_stale) = self.walk.opened(ctx.now()) {
                         self.obs.count("scalla_client_direct_open_total", &[("outcome", "hit")], 1);
                         // One redirector round-trip (open → redirect) that
                         // never happened.
                         self.obs.count("scalla_client_redirect_rtts_avoided_total", &[], 1);
-                        if ctx.now() >= self.lease_deadline {
-                            // The lease ran out while the open was in
-                            // flight; the answer was still right, but the
-                            // freshness bound was not honoured.
+                        if served_stale {
                             self.obs.count("scalla_client_stale_served_total", &[], 1);
                         }
                     }
@@ -687,66 +602,25 @@ impl Node for ClientNode {
                     self.finish_op(ctx, OpOutcome::Ok, None);
                 }
             }
-            ServerMsg::Error { code, detail } => {
-                if self.direct_target
-                    && self.phase == Phase::Opening
-                    && matches!(code, ErrCode::NotFound | ErrCode::IoError | ErrCode::Overloaded)
-                {
-                    // Stale lease: the cached server no longer answers for
-                    // this path (migrated, lost, or shedding). Purge the
-                    // entry and fall back to the redirector with
-                    // refresh+avoid — the one wasted hop the design
-                    // budgets for. Deliberately not `recover()`: the
-                    // direct attempt is a pure prefix of the normal walk
-                    // and must not consume the op's refresh budget, so a
-                    // lease-enabled client can never give up earlier than
-                    // a lease-disabled one.
-                    self.direct_target = false;
-                    if let Some(lc) = &self.cfg.lcache {
-                        lc.purge_path(self.current_op().path(), PurgeReason::Stale);
-                    }
-                    self.obs.count(
-                        "scalla_client_direct_open_total",
-                        &[("outcome", "stale_fallback")],
-                        1,
-                    );
-                    let failing = self.target;
-                    self.refresh_walk = true;
-                    self.avoid = self.cfg.directory.name_of(failing);
-                    self.phase = Phase::Opening;
-                    let msg = ClientMsg::Open {
-                        path: self.current_op().path().to_string(),
-                        write: self.current_op().is_write(),
-                        refresh: true,
-                        avoid: self.avoid.clone(),
-                    };
-                    let mgr = self.manager();
-                    self.send_tracked(ctx, mgr, msg.into());
-                    return;
+            ServerMsg::Error { code, detail } => match code {
+                ErrCode::Retry => self.wait_retry(ctx, None),
+                // Shed at the node's hard admission limit: back off
+                // (exponential, jittered) and retry the same walk. The
+                // overload is transient by construction — the node is
+                // protecting itself, not reporting a broken file.
+                ErrCode::Overloaded if !self.walk.on_lease() => {
+                    self.obs.count("scalla_client_shed_total", &[], 1);
+                    self.wait_retry(ctx, None);
                 }
-                let at_manager = self.cfg.managers.contains(&self.target);
-                match code {
-                    ErrCode::NotFound if at_manager => {
-                        self.finish_op(ctx, OpOutcome::NotFound, None)
-                    }
-                    // Stale redirect or I/O failure at a data server:
-                    // refresh recovery through the manager (§III-C1).
-                    ErrCode::NotFound | ErrCode::IoError => {
-                        let failing = self.target;
-                        self.recover(ctx, failing);
-                    }
-                    ErrCode::Retry => self.wait_retry(ctx, None),
-                    // Shed at the node's hard admission limit: back off
-                    // (exponential, jittered) and retry the same walk. The
-                    // overload is transient by construction — the node is
-                    // protecting itself, not reporting a broken file.
-                    ErrCode::Overloaded => {
-                        self.obs.count("scalla_client_shed_total", &[], 1);
-                        self.wait_retry(ctx, None);
-                    }
-                    _ => self.finish_op(ctx, OpOutcome::Error(detail), None),
+                // A stale redirect or an I/O failure at a data server: the
+                // walk recovers (§III-C1). A leased server that sheds is as
+                // stale as one that refuses.
+                ErrCode::NotFound | ErrCode::IoError | ErrCode::Overloaded => {
+                    let step = self.walk.refused(&self.resolver, self.target, code);
+                    self.follow(ctx, step);
                 }
-            }
+                _ => self.finish_op(ctx, OpOutcome::Error(detail), None),
+            },
         }
     }
 
@@ -781,50 +655,20 @@ impl Node for ClientNode {
                     self.obs.count("scalla_client_discards_total", &[("kind", "stale_timeout")], 1);
                     return;
                 }
-                // The target stopped answering. Fail over to the next
-                // manager and restart the walk from the top. The budget is
-                // per operation: two passes over the manager list.
+                // The target stopped answering: ask the manager again,
+                // spending no refresh. A silent manager fails over to the
+                // next replica; a silent data server (or leased host) just
+                // restarts the walk at the current one. The budget is per
+                // operation: two passes over the manager list.
                 self.obs.incident("timeout");
                 self.timeouts_this_op += 1;
-                if self.direct_target {
-                    // The leased server went silent: same stale-fallback
-                    // path as an explicit refusal.
-                    self.direct_target = false;
-                    if let Some(lc) = &self.cfg.lcache {
-                        lc.purge_path(self.current_op().path(), PurgeReason::Stale);
-                    }
-                    self.obs.count(
-                        "scalla_client_direct_open_total",
-                        &[("outcome", "stale_fallback")],
-                        1,
-                    );
+                let over = self.timeouts_this_op as usize > self.cfg.managers.len() * 2
+                    || ctx.now().since(self.start) >= self.cfg.retry.op_deadline;
+                if !over && self.target == self.resolver.redirector() {
+                    self.resolver.rotate();
                 }
-                if self.timeouts_this_op as usize > self.cfg.managers.len() * 2
-                    || ctx.now().since(self.start) >= self.cfg.retry.op_deadline
-                {
-                    self.finish_op(ctx, OpOutcome::GaveUp, None);
-                    return;
-                }
-                if self.target == self.manager() {
-                    // The manager itself is unresponsive: advance to the
-                    // next replica. A dead data server just restarts the
-                    // walk at the current (healthy) manager.
-                    self.manager_idx += 1;
-                    if let Some(lc) = &self.cfg.lcache {
-                        // The replica's epoch sequence is unrelated to the
-                        // dead head's; nothing cached is comparable.
-                        lc.flush(PurgeReason::Recovery);
-                    }
-                }
-                self.phase = Phase::Opening;
-                let msg = ClientMsg::Open {
-                    path: self.current_op().path().to_string(),
-                    write: self.current_op().is_write(),
-                    refresh: self.refresh_walk,
-                    avoid: self.avoid.clone(),
-                };
-                let mgr = self.manager();
-                self.send_tracked(ctx, mgr, msg.into());
+                let step = self.walk.reask(&self.resolver);
+                self.follow(ctx, if over { Step::GaveUp } else { step });
             }
             _ => {}
         }

@@ -10,13 +10,17 @@
 //!
 //! [`ClientNode`] executes a scripted sequence of [`ClientOp`]s and records
 //! one [`OpResult`] per operation (latency, hop count, waits, refreshes) —
-//! the raw material for every latency experiment in EXPERIMENTS.md.
+//! the raw material for every latency experiment in EXPERIMENTS.md. The
+//! redirect walk itself is a [`Walk`], which the proxy's origin path drives
+//! too.
 //!
 //! [`Redirect`]: scalla_proto::ServerMsg::Redirect
 //! [`Wait`]: scalla_proto::ServerMsg::Wait
 
 pub mod directory;
 pub mod driver;
+pub mod walk;
 
 pub use directory::Directory;
 pub use driver::{ClientConfig, ClientNode, ClientOp, OpOutcome, OpResult, RetryPolicy};
+pub use walk::{Resolver, Step, Walk};

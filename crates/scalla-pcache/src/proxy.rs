@@ -28,16 +28,16 @@
 //!
 //! ## Failure handling
 //!
-//! Origin errors and timeouts run the client's §III-C1 recovery on the
-//! proxy's behalf: re-resolve with `refresh: true` and `avoid` naming
-//! the failing host, bounded by `max_refreshes`. A fully-cached file
-//! needs no origin at all, which is what lets the proxy keep serving
-//! after the origin dies.
+//! Origin resolution is a [`Walk`], the one the client driver runs: a
+//! leased first leg, a stale-lease fall-back that spends no refresh, and
+//! §III-C1 recovery (`refresh` + `avoid`) on origin errors and timeouts,
+//! bounded by `max_refreshes`. A fully-cached file needs no origin at
+//! all, which is what lets the proxy keep serving after the origin dies.
 
 use crate::store::{BlockKey, BlockStore, PcacheConfig, PinOutcome};
 use bytes::Bytes;
-use scalla_client::Directory;
-use scalla_lcache::{LocationCache, PurgeReason};
+use scalla_client::{Directory, Resolver, Step, Walk};
+use scalla_lcache::LocationCache;
 use scalla_monitor::MonitorEmitter;
 use scalla_obs::{AtomicHistogram, Counter, Obs, SpanEvent, TraceId};
 use scalla_proto::{Addr, ClientMsg, CmsMsg, ErrCode, Msg, NodeRoleTag, ServerMsg};
@@ -178,10 +178,8 @@ enum OriginPhase {
     /// No origin interaction in flight (fresh, or fully cached).
     #[default]
     Idle,
-    /// Resolving the owning server through the redirector.
+    /// Walking to the owning server, then statting it for the file size.
     Resolving,
-    /// Origin open; statting for the file size.
-    Statting,
     /// Origin handle live; fills may be issued.
     Ready,
 }
@@ -212,14 +210,11 @@ struct FileState {
     origin: Option<Addr>,
     origin_handle: u64,
     phase: OriginPhase,
-    refreshes: u32,
+    /// The redirect walk resolving the origin, until the file is ready.
+    walk: Option<Walk>,
     waits: u32,
     /// Fully cached and announced upward via `Have{reqid: 0}`.
     advertised: bool,
-    /// The in-flight resolve leg went straight to a leased origin
-    /// (bypassing the redirector); failures purge the lease.
-    direct: bool,
-    avoid: Option<String>,
     open_waiters: Vec<Addr>,
     fills: HashMap<u64, Fill>,
     reads: Vec<PendingRead>,
@@ -255,8 +250,8 @@ pub struct ProxyNode {
     /// Wait/Retry-parked requests by retry id.
     parked: HashMap<u64, OriginReq>,
     next_gen: u64,
-    /// Rotates through `origin_managers` on manager timeouts.
-    mgr_idx: usize,
+    /// The origin redirectors, rotated on a redirector timeout.
+    resolver: Resolver,
     /// Brownout mode (origin saturated) is active until this instant.
     brownout_until: Nanos,
     obs: Obs,
@@ -268,6 +263,12 @@ impl ProxyNode {
     /// Creates a proxy with an empty cache.
     pub fn new(cfg: ProxyConfig) -> ProxyNode {
         let store = Arc::new(BlockStore::new(cfg.cache.clone()));
+        let resolver = Resolver::new(
+            cfg.directory.clone(),
+            cfg.lcache.clone(),
+            cfg.origin_managers.clone(),
+            cfg.max_refreshes,
+        );
         ProxyNode {
             cfg,
             store,
@@ -278,7 +279,7 @@ impl ProxyNode {
             gen_to_addr: HashMap::new(),
             parked: HashMap::new(),
             next_gen: 0,
-            mgr_idx: 0,
+            resolver,
             brownout_until: Nanos::ZERO,
             obs: Obs::disabled(),
             m: None,
@@ -422,8 +423,7 @@ impl ProxyNode {
     fn handle_client_open(&mut self, ctx: &mut dyn NetCtx, from: Addr, path: String, write: bool) {
         if write {
             // Read-only tier: vector writers at a real redirector.
-            let mgr = self.cfg.origin_managers[self.mgr_idx % self.cfg.origin_managers.len()];
-            let reply = match self.cfg.directory.name_of(mgr) {
+            let reply = match self.cfg.directory.name_of(self.resolver.redirector()) {
                 Some(host) => ServerMsg::Redirect { host, lease: None },
                 None => ServerMsg::Error {
                     code: ErrCode::BadRequest,
@@ -464,7 +464,7 @@ impl ProxyNode {
         }
         file.open_waiters.push(from);
         if file.phase == OriginPhase::Idle {
-            self.start_resolve(ctx, &path, false);
+            self.start_resolve(ctx, &path);
         }
     }
 
@@ -553,7 +553,7 @@ impl ProxyNode {
             OriginPhase::Ready => self.issue_fills(ctx, &path),
             // Origin released after full caching (or never contacted):
             // eviction re-opens the resolve walk.
-            OriginPhase::Idle if has_fills => self.start_resolve(ctx, &path, false),
+            OriginPhase::Idle if has_fills => self.start_resolve(ctx, &path),
             _ => {}
         }
     }
@@ -569,52 +569,50 @@ impl ProxyNode {
 
     // ---- origin lifecycle --------------------------------------------
 
-    fn start_resolve(&mut self, ctx: &mut dyn NetCtx, path: &str, refresh: bool) {
-        let mgr = self.cfg.origin_managers[self.mgr_idx % self.cfg.origin_managers.len()];
-        let now = ctx.now();
+    /// Starts a fresh redirect walk for `path`.
+    fn start_resolve(&mut self, ctx: &mut dyn NetCtx, path: &str) {
+        let (now, trace) = (ctx.now(), ctx.trace());
+        self.follow(ctx, path, trace, |w, r| {
+            *w = Walk::new(path, false);
+            w.start(r, now)
+        });
+    }
+
+    /// Takes the step `event` draws from the walk of `path` (a fresh one
+    /// once the file was ready): a leg goes out as a resolve under `trace`,
+    /// an end fails the file.
+    fn follow(
+        &mut self,
+        ctx: &mut dyn NetCtx,
+        path: &str,
+        trace: u64,
+        event: impl FnOnce(&mut Walk, &Resolver) -> Step,
+    ) {
         let Some(file) = self.files.get_mut(path) else { return };
+        let step = event(file.walk.get_or_insert_with(|| Walk::new(path, false)), &self.resolver);
         file.phase = OriginPhase::Resolving;
-        file.direct = false;
-        // Warm path: a live lease sends the resolve-open straight to the
-        // cached origin server. Recovery walks (refresh or avoid set)
-        // always consult the redirector.
-        let mut to = mgr;
-        if !refresh && file.avoid.is_none() {
-            if let Some(lc) = &self.cfg.lcache {
-                if let Some(hit) = lc.lookup(path, now) {
-                    match self.cfg.directory.addr_of(&hit.host) {
-                        Some(addr) => {
-                            file.direct = true;
-                            to = addr;
-                        }
-                        None => {
-                            lc.purge_path(path, PurgeReason::Recovery);
-                        }
-                    }
-                }
+        if let (Step::Fallback(..), Some(m)) = (&step, &self.m) {
+            m.direct_fallback.inc();
+        }
+        let (code, detail) = match step {
+            Step::Leg(to, msg) | Step::Fallback(to, msg) => {
+                let path = path.to_string();
+                let req = OriginReq { to, path, kind: ReqKind::Resolve, msg, trace };
+                return self.enqueue(ctx, req);
             }
-        }
-        let msg = ClientMsg::Open {
-            path: path.to_string(),
-            write: false,
-            refresh,
-            avoid: file.avoid.clone(),
-        }
-        .into();
-        let trace = ctx.trace();
-        self.enqueue(
-            ctx,
-            OriginReq { to, path: path.to_string(), kind: ReqKind::Resolve, msg, trace },
-        );
+            Step::NotFound => (ErrCode::NotFound, "no origin has the file".to_string()),
+            Step::GaveUp => (ErrCode::IoError, "origin unreachable".to_string()),
+            Step::Failed(why) => (ErrCode::IoError, why),
+        };
+        self.fail_file(ctx, path, code, &detail);
     }
 
     fn file_ready(&mut self, ctx: &mut dyn NetCtx, path: &str) {
         let waiters = {
             let Some(file) = self.files.get_mut(path) else { return };
             file.phase = OriginPhase::Ready;
-            file.refreshes = 0;
+            file.walk = None;
             file.waits = 0;
-            file.avoid = None;
             std::mem::take(&mut file.open_waiters)
         };
         for w in waiters {
@@ -769,7 +767,7 @@ impl ProxyNode {
         if refilled {
             match self.files.get(path).map(|f| f.phase) {
                 Some(OriginPhase::Ready) => self.issue_fills(ctx, path),
-                Some(OriginPhase::Idle) => self.start_resolve(ctx, path, false),
+                Some(OriginPhase::Idle) => self.start_resolve(ctx, path),
                 _ => {}
             }
         }
@@ -825,46 +823,24 @@ impl ProxyNode {
 
     // ---- recovery ----------------------------------------------------
 
-    /// §III-C1 on the proxy's behalf: drop the origin binding, mark the
-    /// failing host to be avoided, and re-resolve with `refresh: true`.
-    fn recover_file(&mut self, ctx: &mut dyn NetCtx, path: &str, failing: Option<Addr>) {
-        let too_many = {
-            let Some(file) = self.files.get_mut(path) else { return };
-            file.refreshes += 1;
-            file.refreshes > self.cfg.max_refreshes
-        };
-        if too_many {
-            self.fail_file(ctx, path, ErrCode::IoError, "origin unreachable");
-            return;
-        }
-        let avoid = failing.and_then(|a| self.cfg.directory.name_of(a));
-        {
-            let file = self.files.get_mut(path).expect("present above");
-            if let Some(lc) = &self.cfg.lcache {
-                // Whichever lease covered this path described a world
-                // where the failing origin worked.
-                let reason = if file.direct { PurgeReason::Stale } else { PurgeReason::Recovery };
-                lc.purge_path(path, reason);
-            }
-            if file.direct {
-                file.direct = false;
-                if let Some(m) = &self.m {
-                    m.direct_fallback.inc();
-                }
-            }
-            file.phase = OriginPhase::Idle;
-            file.origin = None;
-            if avoid.is_some() {
-                file.avoid = avoid;
-            }
-            for f in file.fills.values_mut() {
-                f.requested = false;
-            }
+    /// §III-C1 on the proxy's behalf: drop the origin binding and whatever
+    /// is queued for the file, then follow `event`.
+    fn recover_file(
+        &mut self,
+        ctx: &mut dyn NetCtx,
+        path: &str,
+        event: impl FnOnce(&mut Walk, &Resolver) -> Step,
+    ) {
+        let Some(file) = self.files.get_mut(path) else { return };
+        file.origin = None;
+        for f in file.fills.values_mut() {
+            f.requested = false;
         }
         for link in self.links.values_mut() {
             link.queue.retain(|r| r.path != path);
         }
-        self.start_resolve(ctx, path, true);
+        let trace = ctx.trace();
+        self.follow(ctx, path, trace, event);
     }
 
     /// Terminal failure: error out every waiter and pending read, release
@@ -888,7 +864,7 @@ impl ProxyNode {
             file.fills.clear();
             file.phase = OriginPhase::Idle;
             file.origin = None;
-            file.refreshes = 0;
+            file.walk = None;
             file.waits = 0;
             file.open_handles == 0 && !file.advertised
         };
@@ -932,31 +908,11 @@ impl ProxyNode {
         self.gen_to_addr.remove(&gen);
         match (req.kind, msg) {
             (ReqKind::Resolve, ServerMsg::Redirect { host, lease }) => {
-                if let (Some(lc), Some(l)) = (&self.cfg.lcache, lease) {
-                    // The redirector vouches for this origin until the
-                    // TTL: remember it so the next cache-miss resolve
-                    // skips the redirector.
-                    lc.insert(&req.path, &host, l.ttl_millis, l.epoch, ctx.now());
-                }
-                match self.cfg.directory.addr_of(&host) {
-                    // Sent to ourselves (a stale `V_h` entry for a file we
-                    // no longer fully hold): never open at our own pin;
-                    // re-resolve avoiding us instead.
-                    Some(addr) if addr == ctx.me() => {
-                        self.recover_file(ctx, &req.path, Some(addr));
-                    }
-                    Some(addr) => self.enqueue(
-                        ctx,
-                        OriginReq {
-                            to: addr,
-                            path: req.path,
-                            kind: ReqKind::Resolve,
-                            msg: req.msg,
-                            trace: req.trace,
-                        },
-                    ),
-                    None => self.recover_file(ctx, &req.path, Some(from)),
-                }
+                let (me, now) = (ctx.me(), ctx.now());
+                // The next leg rides the trace of the resolve it answers:
+                // this callback's ambient trace may be another request's.
+                let walk = |w: &mut Walk, r: &Resolver| w.redirected(r, &host, lease, me, now);
+                self.follow(ctx, &req.path, req.trace, walk);
             }
             (ReqKind::Resolve, ServerMsg::OpenOk { handle }) => {
                 let Some(file) = self.files.get_mut(&req.path) else {
@@ -974,8 +930,7 @@ impl ProxyNode {
                     self.pump(ctx, from);
                     return;
                 };
-                if file.direct {
-                    file.direct = false;
+                if file.walk.as_mut().and_then(|w| w.opened(ctx.now())).is_some() {
                     if let Some(m) = &self.m {
                         m.direct_hit.inc();
                     }
@@ -985,7 +940,6 @@ impl ProxyNode {
                 if file.size.is_some() {
                     self.file_ready(ctx, &req.path);
                 } else {
-                    file.phase = OriginPhase::Statting;
                     let msg = ClientMsg::Stat { path: req.path.clone() }.into();
                     self.enqueue(
                         ctx,
@@ -1025,16 +979,10 @@ impl ProxyNode {
                 let millis = self.cfg.brownout.as_millis().max(50);
                 self.park_retry(ctx, req, millis);
             }
-            (ReqKind::Resolve, ServerMsg::Error { code: ErrCode::NotFound, .. })
-                if self.cfg.origin_managers.contains(&from) =>
-            {
-                // The redirector searched the whole cluster: terminal.
-                self.fail_file(ctx, &req.path, ErrCode::NotFound, "no origin has the file");
-            }
-            (ReqKind::Resolve | ReqKind::Stat | ReqKind::Fill { .. }, ServerMsg::Error { .. }) => {
-                self.recover_file(ctx, &req.path, Some(from));
-            }
             (ReqKind::CloseOrigin, _) => {}
+            (_, ServerMsg::Error { code, .. }) => {
+                self.recover_file(ctx, &req.path, |w, r| w.refused(r, from, code));
+            }
             (_, _) => {
                 // Reply shape doesn't match the head request (e.g. a
                 // duplicated frame shifted the window). Accepting it would
@@ -1182,10 +1130,10 @@ impl Node for ProxyNode {
                 ReqKind::CloseOrigin => {}
                 ReqKind::Resolve if self.cfg.origin_managers.contains(&addr) => {
                     // Redirector unresponsive: rotate to the next one.
-                    self.mgr_idx += 1;
-                    self.recover_file(ctx, &req.path, None);
+                    self.resolver.rotate();
+                    self.recover_file(ctx, &req.path, |w, r| w.recover(r, None));
                 }
-                _ => self.recover_file(ctx, &req.path, Some(addr)),
+                _ => self.recover_file(ctx, &req.path, |w, r| w.recover(r, Some(addr))),
             }
             self.pump(ctx, addr);
         }
@@ -1832,14 +1780,19 @@ mod tests {
     // ---- edge location cache ------------------------------------------
 
     fn proxy_with_lcache(block_size: u32) -> (ProxyNode, Arc<LocationCache>) {
+        leased_proxy(|cfg| cfg.cache.block_size = block_size)
+    }
+
+    /// A proxy with a private lease cache, its config tuned by `tune`.
+    fn leased_proxy(tune: impl FnOnce(&mut ProxyConfig)) -> (ProxyNode, Arc<LocationCache>) {
         let dir = Arc::new(Directory::new());
         dir.register("mgr-0", MGR);
         dir.register("srv-0", SRV);
         let mut cfg = ProxyConfig::new("pxy-0", MGR, dir);
-        cfg.cache.block_size = block_size;
         cfg.cache.prefetch = 0;
         let lc = Arc::new(LocationCache::new(scalla_lcache::LcacheConfig::for_tests()));
         cfg.lcache = Some(lc.clone());
+        tune(&mut cfg);
         (ProxyNode::new(cfg), lc)
     }
 
@@ -1918,5 +1871,83 @@ mod tests {
         p.on_message(&mut ctx, CLIENT, open("/d/f", false));
         let sends = ctx.take_sends();
         assert!(matches!(&sends[0], (a, _) if *a == MGR), "{sends:?}");
+    }
+
+    /// The fall-back from a stale lease is budget-neutral: with no
+    /// refreshes to spend, it still goes out, and the client waits on.
+    #[test]
+    fn a_stale_lease_spends_no_refresh() {
+        let (mut p, lc) = leased_proxy(|cfg| cfg.max_refreshes = 0);
+        let mut ctx = MockCtx::new();
+        lc.insert("/d/f", "srv-0", 60_000, 1, ctx.now());
+        p.on_message(&mut ctx, CLIENT, open("/d/f", false));
+        ctx.take_sends();
+        p.on_message(
+            &mut ctx,
+            SRV,
+            Msg::Server(ServerMsg::Error { code: ErrCode::NotFound, detail: "gone".into() }),
+        );
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[..], [(a, Msg::Client(ClientMsg::Open { refresh: true, avoid: Some(av), .. }))]
+                if *a == MGR && av == "srv-0"),
+            "{sends:?}"
+        );
+    }
+
+    /// Moving to the next origin redirector flushes the lease cache and its
+    /// epoch, so the replica's lower-numbered grants are kept.
+    #[test]
+    fn rotating_the_redirector_flushes_the_lease_cache() {
+        const MGR1: Addr = Addr(3);
+        let (mut p, lc) = leased_proxy(|cfg| cfg.origin_managers = vec![MGR, MGR1]);
+        p.cfg.directory.register("mgr-1", MGR1);
+        let mut ctx = MockCtx::new();
+        p.on_message(&mut ctx, CLIENT, open("/d/a", false));
+        let lease = Some(Lease { ttl_millis: 60_000, epoch: 5 });
+        p.on_message(
+            &mut ctx,
+            MGR,
+            Msg::Server(ServerMsg::Redirect { host: "srv-0".into(), lease }),
+        );
+        ctx.take_sends();
+        ctx.timers.clear();
+        p.on_message(&mut ctx, CLIENT2, open("/d/b", false));
+        assert!(matches!(&ctx.take_sends()[..], [(a, _)] if *a == MGR));
+        let &(_, token) = ctx.timers.last().expect("the resolve armed a timeout");
+        p.on_timer(&mut ctx, token);
+        let sends = ctx.take_sends();
+        assert!(matches!(&sends[..], [(a, _)] if *a == MGR1), "{sends:?}");
+        let lease = Some(Lease { ttl_millis: 60_000, epoch: 1 });
+        p.on_message(
+            &mut ctx,
+            MGR1,
+            Msg::Server(ServerMsg::Redirect { host: "srv-0".into(), lease }),
+        );
+        assert_eq!(lc.lookup("/d/b", ctx.now()).map(|hit| hit.host), Some("srv-0".to_string()));
+    }
+
+    /// A redirect naming a host the directory does not know ends the walk:
+    /// the waiting client gets one error and the origin hears nothing more.
+    #[test]
+    fn a_redirect_to_an_unknown_host_fails_the_open() {
+        let mut p = proxy(1024);
+        let mut ctx = MockCtx::new();
+        p.on_message(&mut ctx, CLIENT, open("/d/f", false));
+        ctx.take_sends();
+        p.on_message(
+            &mut ctx,
+            MGR,
+            Msg::Server(ServerMsg::Redirect { host: "ghost".into(), lease: None }),
+        );
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[..], [(a, Msg::Server(ServerMsg::Error { .. }))] if *a == CLIENT),
+            "{sends:?}"
+        );
+        for (_, token) in std::mem::take(&mut ctx.timers) {
+            p.on_timer(&mut ctx, token);
+        }
+        assert!(ctx.sends.is_empty(), "{:?}", ctx.sends);
     }
 }
