@@ -53,24 +53,31 @@ pub struct ServerMeta {
     pub overloaded: bool,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 enum SlotState {
+    #[default]
     Empty,
     Active,
-    Offline { since: Nanos },
+    Offline {
+        since: Nanos,
+    },
 }
 
-#[derive(Clone, Debug)]
+/// Everything the owning cmsd knows about one child. An emptied slot
+/// forgets it all, so a reused slot starts clean.
+#[derive(Clone, Debug, Default)]
 struct Slot {
     state: SlotState,
     meta: ServerMeta,
     exports: Vec<String>,
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot { state: SlotState::Empty, meta: ServerMeta::default(), exports: Vec::new() }
-    }
+    /// The child's network address (the plain value of `scalla_proto::Addr`),
+    /// bound after its login.
+    addr: Option<u64>,
+    /// When the child was last heard from: login, load report or `Have`.
+    heard: Nanos,
+    /// The child logged in as a caching proxy: its `Have`s describe a cache
+    /// that restarts cold.
+    proxy: bool,
 }
 
 /// What a login did, so the caller can apply the right cache side effects.
@@ -112,7 +119,7 @@ impl Membership {
     /// Creates an empty membership table.
     pub fn new(config: MembershipConfig) -> Membership {
         Membership {
-            slots: (0..MAX_SERVERS).map(|_| Slot::empty()).collect(),
+            slots: (0..MAX_SERVERS).map(|_| Slot::default()).collect(),
             config,
             exports: ExportTable::new(),
         }
@@ -148,54 +155,81 @@ impl Membership {
         set
     }
 
-    fn find_by_name(&self, name: &str) -> Option<ServerId> {
+    /// The member named `name`, if any.
+    pub fn find_by_name(&self, name: &str) -> Option<ServerId> {
         self.slots
             .iter()
             .position(|s| !matches!(s.state, SlotState::Empty) && s.meta.name == name)
             .map(|i| i as ServerId)
     }
 
+    /// The member bound to network address `addr`, if any.
+    pub fn find_by_addr(&self, addr: u64) -> Option<ServerId> {
+        self.slots.iter().position(|s| s.addr == Some(addr)).map(|i| i as ServerId)
+    }
+
+    /// The network address bound to slot `id`, if any.
+    pub fn addr(&self, id: ServerId) -> Option<u64> {
+        self.slots[id as usize].addr
+    }
+
+    /// Whether slot `id` logged in as a caching proxy.
+    pub fn is_proxy(&self, id: ServerId) -> bool {
+        self.slots[id as usize].proxy
+    }
+
     fn free_slot(&self) -> Option<ServerId> {
         self.slots.iter().position(|s| matches!(s.state, SlotState::Empty)).map(|i| i as ServerId)
     }
 
-    /// Handles a server login. The caller must afterwards call
-    /// `ConnectLog::note_connect(id)` (via the cache) for any outcome that
-    /// yields an id — "Login is also the time that the server is added to
-    /// `V_c`" (§III-A4).
-    pub fn login(&mut self, name: &str, exports: &[String], _now: Nanos) -> LoginOutcome {
-        if let Some(id) = self.find_by_name(name) {
-            let same_exports = {
-                let slot = &self.slots[id as usize];
-                let mut a = slot.exports.clone();
-                let mut b = exports.to_vec();
-                a.sort();
-                b.sort();
-                a == b
-            };
-            if same_exports {
-                self.slots[id as usize].state = SlotState::Active;
-                return LoginOutcome::Reconnected(id);
+    /// Handles a server login at `now`, which counts as hearing from it.
+    /// The caller must afterwards call `ConnectLog::note_connect(id)` (via
+    /// the cache) for any outcome that yields an id — "Login is also the
+    /// time that the server is added to `V_c`" (§III-A4) — and
+    /// [`Membership::bind`] the child's address and role.
+    pub fn login(&mut self, name: &str, exports: &[String], now: Nanos) -> LoginOutcome {
+        // Kept sorted, so a reconnect compares export sets by equality.
+        let mut exports = exports.to_vec();
+        exports.sort();
+        let (id, outcome) = match self.find_by_name(name) {
+            Some(id) if self.slots[id as usize].exports == exports => {
+                (id, LoginOutcome::Reconnected(id))
             }
-            // "If the server reconnects within the drop time limit but has
-            // a new set of exported paths the reconnection is also treated
-            // as a new connection."
-            self.exports.remove_server(id);
-            let slot = &mut self.slots[id as usize];
-            slot.state = SlotState::Active;
-            slot.exports = exports.to_vec();
-            self.exports.login(id, exports);
-            return LoginOutcome::ReconnectedNewPaths(id);
-        }
-        let Some(id) = self.free_slot() else {
-            return LoginOutcome::ClusterFull;
+            Some(id) => {
+                // "If the server reconnects within the drop time limit but
+                // has a new set of exported paths the reconnection is also
+                // treated as a new connection."
+                self.exports.remove_server(id);
+                (id, LoginOutcome::ReconnectedNewPaths(id))
+            }
+            None => {
+                let Some(id) = self.free_slot() else {
+                    return LoginOutcome::ClusterFull;
+                };
+                self.slots[id as usize].meta =
+                    ServerMeta { name: name.to_string(), ..ServerMeta::default() };
+                (id, LoginOutcome::New(id))
+            }
         };
+        if !matches!(outcome, LoginOutcome::Reconnected(_)) {
+            self.exports.login(id, &exports);
+            self.slots[id as usize].exports = exports;
+        }
         let slot = &mut self.slots[id as usize];
         slot.state = SlotState::Active;
-        slot.meta = ServerMeta { name: name.to_string(), ..ServerMeta::default() };
-        slot.exports = exports.to_vec();
-        self.exports.login(id, exports);
-        LoginOutcome::New(id)
+        slot.heard = now;
+        outcome
+    }
+
+    /// Binds a logged-in member's network address and role. An address
+    /// names one slot at most: a slot that held it before forgets it.
+    pub fn bind(&mut self, id: ServerId, addr: u64, proxy: bool) {
+        for slot in self.slots.iter_mut().filter(|s| s.addr == Some(addr)) {
+            slot.addr = None;
+        }
+        let slot = &mut self.slots[id as usize];
+        slot.addr = Some(addr);
+        slot.proxy = proxy;
     }
 
     /// Marks a server offline (case 1). It remains a cluster member.
@@ -206,33 +240,44 @@ impl Membership {
         }
     }
 
-    /// Marks an offline server active again without a full login (case 3,
-    /// observed implicitly: traffic from the server proves it is alive
-    /// before its Login arrives). Returns `true` when the slot actually
-    /// transitioned Offline→Active, so the caller can count the recovery.
-    pub fn revive(&mut self, id: ServerId) -> bool {
+    /// Records traffic from member `id` at `now`. An offline member is
+    /// active again without a full login (case 3, observed implicitly:
+    /// traffic from the server proves it is alive before its Login
+    /// arrives). Returns `true` when the slot actually went Offline→Active,
+    /// so the caller can count the recovery. An empty slot is left alone.
+    pub fn heard(&mut self, id: ServerId, now: Nanos) -> bool {
         let slot = &mut self.slots[id as usize];
-        if matches!(slot.state, SlotState::Offline { .. }) {
+        let revived = matches!(slot.state, SlotState::Offline { .. });
+        if !matches!(slot.state, SlotState::Empty) {
+            slot.heard = now;
             slot.state = SlotState::Active;
-            true
-        } else {
-            false
         }
+        revived
+    }
+
+    /// Marks offline (case 1) every active member not heard from for
+    /// longer than `after`, and returns the set it marked.
+    pub fn check_silent(&mut self, now: Nanos, after: Nanos) -> ServerSet {
+        let silent =
+            self.collect(|s| matches!(s.state, SlotState::Active) && now.since(s.heard) > after);
+        for id in silent {
+            self.disconnect(id, now);
+        }
+        silent
     }
 
     /// Drops every server that has been offline longer than the configured
     /// limit (case 2). Returns the dropped set; their bits are removed from
-    /// every `V_m` here, and the caller should purge selection state.
+    /// every `V_m` here, and each dropped slot forgets its name, address
+    /// and role.
     pub fn check_drops(&mut self, now: Nanos) -> ServerSet {
-        let mut dropped = ServerSet::EMPTY;
-        for i in 0..self.slots.len() {
-            if let SlotState::Offline { since } = self.slots[i].state {
-                if now.since(since) > self.config.drop_after {
-                    dropped.insert(i as ServerId);
-                    self.exports.remove_server(i as ServerId);
-                    self.slots[i] = Slot::empty();
-                }
-            }
+        let limit = self.config.drop_after;
+        let dropped = self.collect(
+            |s| matches!(s.state, SlotState::Offline { since } if now.since(since) > limit),
+        );
+        for id in dropped {
+            self.exports.remove_server(id);
+            self.slots[id as usize] = Slot::default();
         }
         dropped
     }
@@ -372,14 +417,63 @@ mod tests {
         m.login("srv-a", &exports(&["/a"]), Nanos::ZERO);
         m.login("srv-b", &exports(&["/b"]), Nanos::ZERO);
         m.disconnect(0, Nanos::from_secs(1));
-        assert!(m.revive(0), "offline -> active counts as a recovery");
+        let now = Nanos::from_secs(2);
+        assert!(m.heard(0, now), "offline -> active counts as a recovery");
         assert_eq!(m.active(), ServerSet(0b11));
         assert_eq!(m.offline(), ServerSet::EMPTY);
-        // Already-active and empty slots are not "revived".
-        assert!(!m.revive(1));
-        assert!(!m.revive(7));
+        // Already-active and empty slots are not "revived", and hearing
+        // from an empty slot does not fill it.
+        assert!(!m.heard(1, now));
+        assert!(!m.heard(7, now));
+        assert!(m.meta(7).is_none());
+        assert_eq!(m.active(), ServerSet(0b11));
         // Exports survived the round trip.
         assert_eq!(m.vm_for("/a/f"), ServerSet::single(0));
+    }
+
+    #[test]
+    fn silence_past_the_window_marks_offline() {
+        let mut m = Membership::new(cfg());
+        let after = Nanos::from_secs(3);
+        m.login("srv-a", &exports(&["/a"]), Nanos::ZERO);
+        m.login("srv-b", &exports(&["/a"]), Nanos::from_secs(1));
+        m.login("srv-c", &exports(&["/a"]), Nanos::ZERO);
+        m.disconnect(2, Nanos::ZERO);
+        assert_eq!(m.check_silent(Nanos::from_secs(3), after), ServerSet::EMPTY, "not past it");
+        m.heard(0, Nanos::from_secs(2));
+        // srv-b's login is its last word; srv-c is already offline.
+        assert_eq!(m.check_silent(Nanos::from_secs(5), after), ServerSet::single(1));
+        assert_eq!(m.offline(), ServerSet(0b110));
+        // Offline since the sweep, not since the last word.
+        assert_eq!(m.check_drops(Nanos::from_secs(64)), ServerSet::single(2));
+        assert_eq!(m.check_drops(Nanos::from_secs(66)), ServerSet::single(1));
+    }
+
+    #[test]
+    fn bound_address_and_role_are_found_and_forgotten_on_drop() {
+        let mut m = Membership::new(cfg());
+        m.login("srv-a", &exports(&["/a"]), Nanos::ZERO);
+        m.login("pxy-b", &exports(&["/a"]), Nanos::ZERO);
+        m.bind(0, 1000, false);
+        m.bind(1, 2000, true);
+        assert_eq!((m.find_by_addr(1000), m.find_by_addr(2000)), (Some(0), Some(1)));
+        assert_eq!((m.addr(1), m.is_proxy(1), m.is_proxy(0)), (Some(2000), true, false));
+        assert_eq!(m.find_by_name("pxy-b"), Some(1));
+        // A re-login binds afresh: the role follows the latest login.
+        m.login("pxy-b", &exports(&["/a"]), Nanos::ZERO);
+        m.bind(1, 2000, false);
+        assert!(!m.is_proxy(1));
+        // An address names one slot: a newcomer on it takes it over.
+        m.login("srv-c", &exports(&["/a"]), Nanos::ZERO);
+        m.bind(2, 1000, false);
+        assert_eq!((m.find_by_addr(1000), m.addr(0)), (Some(2), None));
+        // A dropped slot forgets its name, address and role.
+        m.bind(1, 2000, true);
+        m.disconnect(1, Nanos::ZERO);
+        assert_eq!(m.check_drops(Nanos::from_secs(120)), ServerSet::single(1));
+        assert_eq!((m.find_by_addr(2000), m.find_by_name("pxy-b")), (None, None));
+        assert_eq!((m.addr(1), m.is_proxy(1)), (None, false));
+        assert!(!m.heard(1, Nanos::from_secs(121)), "nothing left to hear from");
     }
 
     #[test]

@@ -167,26 +167,43 @@ fn prepare_overlaps_staging_delays() {
 
 #[test]
 fn write_creation_pays_one_full_delay_then_allocates() {
-    let mut c = SimCluster::build(fixed_cfg(8));
-    c.settle(Nanos::from_secs(2));
-    let client = c.add_client(
-        vec![ClientOp::Create {
-            path: "/out/new.root".into(),
-            data: bytes::Bytes::from_static(b"payload"),
-        }],
-        Nanos::ZERO,
-    );
-    c.start_node(client);
-    c.net.run_for(Nanos::from_secs(30));
-    let r = c.client_results(client);
-    assert_eq!(r[0].outcome, OpOutcome::Ok);
-    // One full delay (5 s) to prove non-existence, then allocation.
-    assert!(r[0].latency() >= Nanos::from_secs(5), "{}", r[0].latency());
-    assert!(r[0].latency() < Nanos::from_secs(11), "{}", r[0].latency());
-    // The file landed on exactly one server.
-    let holders =
-        (0..8).filter(|&i| c.with_server(i, |s| s.fs().get("/out/new.root").is_some())).count();
-    assert_eq!(holders, 1);
+    // Depth 1 (mgr -> 8 servers) and depth 2 (mgr -> 4 supervisors -> 16).
+    for (servers, fanout, depth) in [(8, 64, 1), (16, 4, 2)] {
+        let mut cfg = fixed_cfg(servers);
+        cfg.fanout = fanout;
+        let mut c = SimCluster::build(cfg);
+        assert_eq!(c.spec.depth(), depth);
+        c.settle(Nanos::from_secs(2));
+        let client = c.add_client(
+            vec![
+                ClientOp::Create {
+                    path: "/out/new.root".into(),
+                    data: bytes::Bytes::from_static(b"payload"),
+                },
+                ClientOp::OpenRead { path: "/out/new.root".into(), len: 7 },
+            ],
+            Nanos::ZERO,
+        );
+        c.start_node(client);
+        c.net.run_for(Nanos::from_secs(30));
+        let r = c.client_results(client);
+        assert_eq!(r[0].outcome, OpOutcome::Ok);
+        // One full delay (5 s) to prove non-existence, then allocation.
+        assert!(r[0].latency() >= Nanos::from_secs(5), "{}", r[0].latency());
+        assert!(r[0].latency() < Nanos::from_secs(11), "{}", r[0].latency());
+        // The file landed on exactly one server.
+        let holders: Vec<usize> = (0..servers)
+            .filter(|&i| c.with_server(i, |s| s.fs().get("/out/new.root").is_some()))
+            .collect();
+        assert_eq!(holders.len(), 1);
+        // Every level recorded its own pick, so the read straight after
+        // the create walks to the new file: no wait, no refresh.
+        let read = &r[1];
+        assert_eq!(read.outcome, OpOutcome::Ok, "depth {depth}: {read:?}");
+        assert_eq!(read.server, Some(format!("srv-{}", holders[0])));
+        assert_eq!((read.redirects, read.refreshes), (depth as u32, 0));
+        assert_eq!(read.data.as_deref(), Some(&b"payload"[..]));
+    }
 }
 
 #[test]

@@ -29,6 +29,8 @@ fn script() -> Vec<ClientOp> {
         ClientOp::Open { path: "/eq/s0/missing".into(), write: false },
         // A new file is placed once the full delay proves it exists nowhere.
         ClientOp::Create { path: "/eq/s3/new".into(), data: Bytes::from_static(b"new") },
+        // Read right after its create: the allocation was recorded.
+        ClientOp::OpenRead { path: "/eq/s3/new".into(), len: 3 },
         ClientOp::Create { path: REWRITTEN.1.into(), data: Bytes::from_static(WRITTEN) },
         ClientOp::OpenRead { path: REWRITTEN.1.into(), len: WRITTEN.len() as u32 },
     ]
@@ -159,12 +161,14 @@ fn the_three_runtimes_agree_without_faults() {
             (&OpOutcome::Ok, Some("srv-2")),
             (&OpOutcome::NotFound, None),
             (&OpOutcome::Ok, Some("srv-3")),
+            (&OpOutcome::Ok, Some("srv-3")),
             (&OpOutcome::Ok, Some("srv-1")),
             (&OpOutcome::Ok, Some("srv-1")),
         ],
         "the script exercises what it says it does"
     );
-    assert_eq!(sim[5].3.as_deref(), Some(WRITTEN), "read-back returns the write");
+    assert_eq!(sim[4].3.as_deref(), Some(&b"new"[..]), "a new file reads back at once");
+    assert_eq!(sim[6].3.as_deref(), Some(WRITTEN), "read-back returns the write");
     assert_eq!(on_live(), sim, "LiveNet vs SimNet");
     assert_eq!(on_tcp(), sim, "TcpNet vs SimNet");
 }
