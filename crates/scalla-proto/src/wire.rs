@@ -899,6 +899,10 @@ mod tests {
 /// Maximum frame payload: a message plus framing must fit in 64 MiB + slack.
 const MAX_FRAME: u32 = (MAX_FIELD as u32) + 1024;
 
+/// How far past the bytes already buffered a frame's announced length may
+/// make the decoder reserve: a header alone never commits more memory.
+const RESERVE_AHEAD: usize = 1 << 20;
+
 /// Appends `msg` as a length-prefixed frame (`u32` little-endian length,
 /// then the encoded message) — the stream form for real sockets.
 pub fn encode_frame(msg: &Msg, buf: &mut BytesMut) {
@@ -920,6 +924,12 @@ pub fn encode_frame_traced(msg: &Msg, trace: u64, buf: &mut BytesMut) {
 /// Tolerates arbitrary fragmentation (TCP segment boundaries never align
 /// with frames) and rejects oversized or malformed frames with an error
 /// rather than unbounded buffering.
+///
+/// A received byte is copied once, by [`FrameDecoder::feed`]. Once a
+/// frame's length is in, the buffer grows to hold the rest of it in one
+/// step (at most 1 MiB past what is buffered); a frame that is
+/// everything buffered is handed to the decoded message without a copy,
+/// and one followed by more bytes is copied out once.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: BytesMut,
@@ -931,8 +941,9 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Appends received bytes.
+    /// Appends received bytes: the one copy a received byte takes.
     pub fn feed(&mut self, data: &[u8]) {
+        self.buf.reserve(data.len()); // exact, never doubling past what arrived
         self.buf.extend_from_slice(data);
     }
 
@@ -963,6 +974,13 @@ impl FrameDecoder {
         }
         let total = 4 + len as usize;
         if self.buf.len() < total {
+            // Grow in one step to the frame's end, not by doubling as it
+            // trickles in; a frame past the bound grows a bound at a time,
+            // each step once half the last one is used.
+            let ahead = (total - self.buf.len()).min(RESERVE_AHEAD);
+            if self.buf.capacity() - self.buf.len() < ahead.min(RESERVE_AHEAD / 2) {
+                self.buf.reserve(ahead);
+            }
             return Ok(None);
         }
         let mut frame = self.buf.split_to(total).freeze();
@@ -1076,5 +1094,86 @@ mod frame_tests {
             prop_assert_eq!(out, msgs);
             prop_assert_eq!(dec.buffered(), 0);
         }
+
+        #[test]
+        fn announced_length_never_reserves_past_the_bound(
+            len in 0..=MAX_FRAME,
+            body in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut dec = FrameDecoder::new();
+            dec.feed(&len.to_le_bytes());
+            dec.feed(&body);
+            while let Ok(Some(_)) = dec.next_traced() {}
+            prop_assert!(dec.buf.capacity() <= 4 + body.len() + RESERVE_AHEAD);
+        }
+    }
+
+    fn data_frame(len: usize) -> (Bytes, Msg) {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        let msg: Msg = ServerMsg::Data { data: Bytes::from(data) }.into();
+        let mut wire = BytesMut::new();
+        encode_frame(&msg, &mut wire);
+        (wire.freeze(), msg)
+    }
+
+    #[test]
+    fn bulk_frame_lands_in_one_buffer_and_is_handed_over() {
+        let (wire, msg) = data_frame(64 << 10);
+        let mut chunks = wire.chunks(16 << 10);
+        let mut dec = FrameDecoder::new();
+        dec.feed(chunks.next().unwrap());
+        assert!(dec.next_traced().unwrap().is_none());
+        let at = dec.buf.as_ptr();
+        assert!(dec.buf.capacity() >= wire.len(), "sized for the whole frame");
+        let mut decoded = None;
+        for chunk in chunks {
+            dec.feed(chunk);
+            assert_eq!(dec.buf.as_ptr(), at, "the buffer never moves once sized");
+            decoded = dec.next_traced().unwrap();
+        }
+        let (_, got) = decoded.expect("whole frame");
+        assert_eq!(got, msg);
+        let Msg::Server(ServerMsg::Data { data }) = got else { unreachable!() };
+        // The payload ends the frame, so it ends where the buffer's bytes do.
+        assert_eq!(data.as_ptr(), at.wrapping_add(wire.len() - data.len()));
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn header_alone_reserves_at_most_the_bound() {
+        let mut dec = FrameDecoder::new();
+        dec.feed(&MAX_FRAME.to_le_bytes());
+        assert!(dec.next_traced().unwrap().is_none());
+        assert!(dec.buf.capacity() <= 4 + RESERVE_AHEAD, "{}", dec.buf.capacity());
+    }
+
+    #[test]
+    fn frame_past_the_bound_decodes_intact() {
+        let (big, msg) = data_frame(3 << 20);
+        let next: Msg = ServerMsg::CloseOk.into();
+        let mut wire = BytesMut::new();
+        wire.extend_from_slice(&big);
+        encode_frame(&next, &mut wire);
+        let mut dec = FrameDecoder::new();
+        let (mut fed, mut moves, mut at) = (0, 0, std::ptr::null());
+        let mut out = Vec::new();
+        for chunk in wire.chunks(16 << 10) {
+            dec.feed(chunk);
+            fed += chunk.len();
+            assert!(dec.buf.capacity() <= fed + RESERVE_AHEAD);
+            while let Some(frame) = dec.next_traced().unwrap() {
+                out.push(frame);
+            }
+            assert!(dec.buf.capacity() <= fed + RESERVE_AHEAD);
+            if dec.buf.as_ptr() != at && !dec.buf.is_empty() {
+                moves += 1;
+                at = dec.buf.as_ptr();
+            }
+        }
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].1, msg);
+        assert_eq!(out[1].1, next);
+        // Grown a half-bound at a time, not once per read.
+        assert!(moves <= 2 + (3 << 20) / (RESERVE_AHEAD / 2), "{moves} moves");
     }
 }

@@ -4,9 +4,16 @@
 //! sliceable, immutable), [`BytesMut`] (growable write buffer with a
 //! consumed-prefix cursor), and the [`Buf`]/[`BufMut`] traits with the
 //! little-endian accessors the wire codec needs. Semantics match the real
-//! crate for this subset; performance characteristics are close enough for
-//! the simulation workloads (a `Bytes` clone is an `Arc` bump, a slice is
-//! offset arithmetic).
+//! crate for this subset.
+//!
+//! What copies and what does not, as in the real crate for these calls:
+//! - free (the buffer changes hands, no byte moves): `Bytes::from(Vec)`,
+//!   `Bytes::from(String)`, [`BytesMut::freeze`] (with or without a prior
+//!   `advance`), a `Bytes` clone or [`Bytes::slice`], `copy_to_bytes` on a
+//!   `Bytes`, and [`BytesMut::split_to`] of everything buffered;
+//! - one copy: a partial [`BytesMut::split_to`], `copy_to_bytes` on any
+//!   other [`Buf`], [`Bytes::to_vec`], and `From<&'static [u8]>`/`&str`
+//!   (the real crate aliases static data; safe callers cannot tell).
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
@@ -15,7 +22,8 @@ use std::sync::Arc;
 /// Cheaply cloneable immutable byte buffer (a view into shared storage).
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The vector handed over at construction, never copied or resized.
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -67,9 +75,10 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes `v`'s buffer as it is, without copying.
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
-        Bytes { data: v.into(), start: 0, end }
+        Bytes { data: Arc::new(v), start: 0, end }
     }
 }
 
@@ -198,9 +207,15 @@ impl BytesMut {
         self.buf.extend_from_slice(src);
     }
 
-    /// Reserves capacity for at least `n` more bytes.
+    /// Unconsumed bytes the buffer holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity() - self.read
+    }
+
+    /// Reserves capacity for at least `n` more bytes (exactly `n` when it
+    /// has to grow).
     pub fn reserve(&mut self, n: usize) {
-        self.buf.reserve(n);
+        self.buf.reserve_exact(n);
     }
 
     /// Drops all content.
@@ -210,27 +225,33 @@ impl BytesMut {
     }
 
     /// Splits off the first `n` unconsumed bytes into a new buffer.
+    ///
+    /// Splitting off everything hands the whole storage over, consumed
+    /// prefix and all, and leaves `self` empty; a partial split copies the
+    /// `n` bytes out once.
     pub fn split_to(&mut self, n: usize) -> BytesMut {
         assert!(n <= self.len(), "split_to out of bounds");
+        if n == self.len() {
+            return std::mem::take(self);
+        }
         let out = self.buf[self.read..self.read + n].to_vec();
         self.read += n;
         self.compact();
         BytesMut { buf: out, read: 0 }
     }
 
-    /// Splits off everything, leaving the buffer empty (capacity kept).
+    /// Splits off everything, leaving the buffer empty (the storage goes
+    /// with the returned half).
     pub fn split(&mut self) -> BytesMut {
         let n = self.len();
         self.split_to(n)
     }
 
-    /// Freezes into an immutable [`Bytes`].
+    /// Freezes into an immutable [`Bytes`] over the same storage; a
+    /// consumed prefix stays outside the view.
     pub fn freeze(self) -> Bytes {
-        if self.read == 0 {
-            Bytes::from(self.buf)
-        } else {
-            Bytes::from(self.buf[self.read..].to_vec())
-        }
+        let end = self.buf.len();
+        Bytes { data: Arc::new(self.buf), start: self.read, end }
     }
 
     /// Reclaims consumed-prefix space once it dominates the buffer.
@@ -337,6 +358,14 @@ impl Buf for Bytes {
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance out of bounds");
         self.start += cnt;
+    }
+
+    /// A view into the same storage, not a copy.
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        assert!(self.remaining() >= len, "copy_to_bytes underflow");
+        let out = self.slice(..len);
+        self.advance(len);
+        out
     }
 }
 
@@ -453,6 +482,74 @@ mod tests {
         b.extend_from_slice(b"HHHHpayload");
         b.advance(4);
         assert_eq!(b.freeze(), Bytes::from_static(b"payload"));
+    }
+
+    #[test]
+    fn from_vec_keeps_the_vectors_buffer() {
+        let v = vec![7u8; 1000];
+        let at = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), at);
+    }
+
+    #[test]
+    fn freeze_keeps_its_buffer() {
+        let mut b = BytesMut::new();
+        b.extend_from_slice(b"HHHHpayload");
+        let at = b.as_ptr();
+        let whole = b.freeze();
+        assert_eq!(whole.as_ptr(), at);
+
+        let mut b = BytesMut::new();
+        b.extend_from_slice(b"HHHHpayload");
+        b.advance(4);
+        let at = b.as_ptr();
+        let tail = b.freeze();
+        assert_eq!(tail.as_ptr(), at);
+        assert_eq!(tail, Bytes::from_static(b"payload"));
+    }
+
+    #[test]
+    fn copy_to_bytes_on_bytes_is_a_view() {
+        let mut b = Bytes::from(b"0123456789".to_vec());
+        let whole = b.clone();
+        b.advance(2);
+        let mid = b.copy_to_bytes(3);
+        assert_eq!(mid, Bytes::from_static(b"234"));
+        assert_eq!(mid.as_ptr(), whole[2..].as_ptr());
+        assert_eq!(b.as_ptr(), whole[5..].as_ptr());
+    }
+
+    #[test]
+    fn split_to_everything_hands_the_buffer_over() {
+        let mut b = BytesMut::with_capacity(64);
+        b.extend_from_slice(b"HHHHframe");
+        b.advance(4);
+        let at = b.as_ptr();
+        let frame = b.split_to(b.len());
+        assert_eq!(frame.as_ptr(), at);
+        assert!(b.is_empty());
+        let frozen = frame.freeze();
+        assert_eq!(frozen.as_ptr(), at);
+        assert_eq!(frozen, Bytes::from_static(b"frame"));
+        // The emptied source is still a working buffer.
+        b.extend_from_slice(b"next");
+        assert_eq!(&b[..], b"next");
+        assert_eq!(b.split().freeze(), Bytes::from_static(b"next"));
+    }
+
+    #[test]
+    fn partial_split_to_copies_and_leaves_the_rest() {
+        let mut b = BytesMut::new();
+        b.extend_from_slice(b"abcdef");
+        let at = b.as_ptr();
+        let rest_at = b[2..].as_ptr();
+        let head = b.split_to(2);
+        assert_eq!(&head[..], b"ab");
+        assert_eq!(&b[..], b"cdef");
+        assert_ne!(head.as_ptr(), at, "a partial split copies");
+        // What is left is handed over in place once it is all that remains.
+        assert_eq!(b.split_to(4).freeze().as_ptr(), rest_at);
+        assert!(b.is_empty());
     }
 
     #[test]

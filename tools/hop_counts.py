@@ -5,7 +5,11 @@ usage: hop_counts.py WORKLOAD [--seed N] [--seconds S] [--max SWITCHES_PER_OP]
 
 Runs the built ledger binary (benchmark/target/release/scalla-benchmark,
 untraced) for one workload, reads `attempted` from its last stdout line and
-`ru_nvcsw` from getrusage(RUSAGE_CHILDREN), and prints their ratio. Every
+`ru_nvcsw` from getrusage(RUSAGE_CHILDREN), and prints their ratio. Beside it,
+from the same getrusage, it prints user and system CPU microseconds per op
+and minor page faults per op: where a saving that is not a hop lands (a
+copy taken out of the receive path shows in user time and faults, not in
+switches). Every
 thread wake-up on a hop is one voluntary switch — today a hop is one wake-up,
 the socket reader, which runs the node and writes its replies; a mailbox hop
 to the protocol thread or a hand-off to an egress writer would each add one —
@@ -14,7 +18,8 @@ shape moves, or when a workload's protocol takes more or fewer hops per op
 (a proxy's origin round trips on proxy_cold, redirects on warm_open), and
 hardly at all with the host's load.
 The ratio includes cluster set-up and the untimed warm phase of each
-repetition, the same on every commit. With --max, exits 1 above the bound.
+repetition, the same on every commit. With --max, exits 1 when switches per
+op are above the bound; the CPU and fault figures are reported, not gated.
 """
 import argparse
 import json
@@ -39,13 +44,17 @@ def main():
            "--seconds", args.seconds, "--trace", "0"]
     run = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                          text=True, check=True)
-    switches = resource.getrusage(resource.RUSAGE_CHILDREN).ru_nvcsw
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    switches = usage.ru_nvcsw
     last = json.loads(run.stdout.strip().splitlines()[-1])
     if not last["correct"] or last["failed"]:
         sys.exit(f"hop_counts: {args.workload} did not validate: {last}")
-    per_op = switches / last["attempted"]
+    ops = last["attempted"]
+    per_op = switches / ops
     print(f"{args.workload}: {switches} voluntary context switches / "
-          f"{last['attempted']} ops = {per_op:.1f} per op")
+          f"{ops} ops = {per_op:.1f} per op; "
+          f"user {usage.ru_utime * 1e6 / ops:.1f} us, sys {usage.ru_stime * 1e6 / ops:.1f} us, "
+          f"{usage.ru_minflt / ops:.1f} minor faults per op")
     if args.max is not None and per_op > args.max:
         sys.exit(f"hop_counts: {per_op:.1f} switches per op is above the bound {args.max:g}")
 
