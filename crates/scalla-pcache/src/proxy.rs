@@ -13,18 +13,36 @@
 //!
 //! ## Origin-side correlation
 //!
-//! `ServerMsg` replies carry no correlation ids, so the proxy keeps a
-//! strict window of **one outstanding request per remote address** and
-//! matches replies positionally: each remote gets a [`Link`] with a
-//! FIFO queue, and the head request is retired by whatever reply (or
-//! timeout) arrives next. This is reorder-safe on all three runtimes;
-//! its one blind spot — duplicated frames desynchronising the position
-//! — is called out in DESIGN.md (real xrootd carries stream ids).
+//! `ServerMsg` replies carry no correlation ids, so the proxy matches
+//! replies positionally: each remote gets a [`Link`], a FIFO of the
+//! requests sent to it and not yet answered plus a backlog of those not
+//! yet sent, and the oldest request sent is retired by whatever reply (or
+//! timeout) arrives next. A data server answers one connection in order.
+//! One request is outstanding per remote, with one exception: a *rider*
+//! goes out in the same flush right behind the request before it, and
+//! only onto an idle link (nothing outstanding or queued).
+//!
+//! - The origin `Stat` rides behind an `Open` sent to a host that is not
+//!   one of the proxy's redirectors while the file's size is unknown.
+//! - The origin `Close` rides behind the last `Read` of a fill when that
+//!   leaves every block of the file cached or in flight. The file then
+//!   holds no origin handle; a later miss re-resolves.
+//!
+//! A cold read is thus three origin round trips (redirector, open + stat,
+//! read + close) where one request at a time took five. A rider whose
+//! leader did not open the file at that host (a supervisor redirected it,
+//! or it was refused) is dropped unread, spending no refresh; a timeout
+//! on a leader or its rider recovers the file once. Positional matching
+//! is reorder-safe on all three runtimes; its one blind spot — a
+//! duplicated frame shifting the position, a rider's included — is called
+//! out in DESIGN.md (real xrootd carries stream ids).
 //!
 //! A fill is one `Read` per run of consecutive missing blocks, capped at
-//! [`MAX_RUN_BYTES`]; the reply is sliced back into blocks, each landing
-//! on its own. A cold read therefore costs one origin round trip per
-//! run, not one per block.
+//! [`MAX_RUN_BYTES`], so a cold read costs one origin round trip per run,
+//! not one per block. Its reply lands in one pass: every block goes into
+//! the store as a slice of it, then the reads it completes are answered —
+//! with one slice of the reply when all their blocks came from it — and
+//! the file is checked for full caching once.
 //!
 //! ## Failure handling
 //!
@@ -43,7 +61,8 @@ use scalla_obs::{AtomicHistogram, Counter, Obs, SpanEvent, TraceId};
 use scalla_proto::{Addr, ClientMsg, CmsMsg, ErrCode, Msg, NodeRoleTag, ServerMsg};
 use scalla_simnet::{NetCtx, Node};
 use scalla_util::{crc32, Nanos};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Timer tokens used by the proxy.
@@ -59,26 +78,6 @@ pub mod tokens {
 /// Largest origin `Read` one fill run may ask for, so a reply stays a
 /// bounded frame. A run always holds at least one block.
 const MAX_RUN_BYTES: u64 = 1 << 20;
-
-/// The part of block `idx` of a `size`-byte file that falls in
-/// `[start, end)`, clamped to the bytes the block holds, and whether the
-/// block is short. Origin bytes are outside input: a file that shrank
-/// since its `Stat` leaves blocks shorter than `block_len`, and a short
-/// block ends a read there, as a short origin `Read` would.
-fn block_part(
-    cache: &PcacheConfig,
-    size: u64,
-    idx: u64,
-    data: &Bytes,
-    start: u64,
-    end: u64,
-) -> (Bytes, bool) {
-    let base = idx * cache.block_size as u64;
-    let held = data.len() as u64;
-    let lo = (start.max(base) - base).min(held);
-    let hi = (end - base).min(cache.block_size as u64).min(held);
-    (data.slice(lo as usize..hi as usize), held < cache.block_len(size, idx))
-}
 
 /// Proxy node configuration.
 #[derive(Clone)]
@@ -160,15 +159,17 @@ struct OriginReq {
     msg: Msg,
     /// The client trace id that caused this origin leg, captured at
     /// creation so the span tree survives the send window's queueing:
-    /// [`ProxyNode::pump`] re-establishes it as the ambient trace right
-    /// before the wire send.
+    /// [`ProxyNode::transmit`] re-establishes it as the ambient trace
+    /// right before the wire send.
     trace: u64,
 }
 
-/// Per-remote send window: one outstanding request, FIFO backlog.
+/// Per-remote send window: the requests sent and not yet answered, oldest
+/// first, by timeout gen (one, or a leader and its rider), and the FIFO
+/// backlog.
 #[derive(Default)]
 struct Link {
-    outstanding: Option<(u64, OriginReq)>,
+    outstanding: VecDeque<(u64, OriginReq)>,
     queue: VecDeque<OriginReq>,
 }
 
@@ -197,7 +198,7 @@ struct PendingRead {
     client: Addr,
     start: u64,
     end: u64,
-    missing: HashSet<u64>,
+    missing: Vec<u64>,
     /// Bytes of this read that had to come from the origin (the rest
     /// were already cached when the read arrived).
     origin_bytes: u64,
@@ -241,8 +242,8 @@ pub struct ProxyNode {
     cfg: ProxyConfig,
     store: Arc<BlockStore>,
     files: HashMap<String, FileState>,
-    /// Client-facing handles → path.
-    handles: HashMap<u64, String>,
+    /// Client-facing handles → path, shared by the block keys of its reads.
+    handles: HashMap<u64, Arc<str>>,
     next_handle: u64,
     links: HashMap<Addr, Link>,
     /// Outstanding-request gen → remote address, for timeout routing.
@@ -383,26 +384,45 @@ impl ProxyNode {
 
     // ---- origin-side send window -------------------------------------
 
-    fn enqueue(&mut self, ctx: &mut dyn NetCtx, req: OriginReq) {
+    /// Queues `req` on its remote's link. On an idle link — nothing
+    /// outstanding or queued — `rider` goes out right behind it in the same
+    /// flush; otherwise it is dropped, and the caller's state machine sends
+    /// that request later, on its own. Returns whether the rider went.
+    fn enqueue(&mut self, ctx: &mut dyn NetCtx, req: OriginReq, rider: Option<OriginReq>) -> bool {
         let to = req.to;
         let link = self.links.entry(to).or_default();
-        if link.outstanding.is_some() {
-            // Strict one-outstanding-per-remote: this request waits its
-            // turn. Visible in metrics so window-bound latency isn't silent.
+        let idle = link.outstanding.is_empty() && link.queue.is_empty();
+        if !link.outstanding.is_empty() {
+            // One outstanding per remote: this request waits its turn.
+            // Visible in metrics so window-bound latency isn't silent.
             if let Some(m) = &self.m {
                 m.window_stalls.inc();
             }
         }
         link.queue.push_back(req);
         self.pump(ctx, to);
+        match rider {
+            Some(rider) if idle => {
+                self.transmit(ctx, rider);
+                true
+            }
+            _ => false,
+        }
     }
 
     fn pump(&mut self, ctx: &mut dyn NetCtx, to: Addr) {
         let Some(link) = self.links.get_mut(&to) else { return };
-        if link.outstanding.is_some() {
+        if !link.outstanding.is_empty() {
             return;
         }
-        let Some(req) = link.queue.pop_front() else { return };
+        if let Some(req) = link.queue.pop_front() {
+            self.transmit(ctx, req);
+        }
+    }
+
+    /// Sends `req`, arms its timeout and appends it to its link's
+    /// outstanding requests.
+    fn transmit(&mut self, ctx: &mut dyn NetCtx, req: OriginReq) {
         self.next_gen += 1;
         let gen = self.next_gen;
         // Re-establish the originating request's trace for the wire send:
@@ -411,11 +431,11 @@ impl ProxyNode {
         // onto this frame and break the span tree's origin-fetch leg.
         let ambient = ctx.trace();
         ctx.set_trace(req.trace);
-        ctx.send(to, req.msg.clone());
+        ctx.send(req.to, req.msg.clone());
         ctx.set_trace(ambient);
         ctx.set_timer(self.cfg.request_timeout, tokens::TIMEOUT_BASE + gen);
-        link.outstanding = Some((gen, req));
-        self.gen_to_addr.insert(gen, to);
+        self.gen_to_addr.insert(gen, req.to);
+        self.links.entry(req.to).or_default().outstanding.push_back((gen, req));
     }
 
     // ---- client-facing path ------------------------------------------
@@ -440,7 +460,7 @@ impl ProxyNode {
             file.open_handles += 1;
             let h = self.next_handle;
             self.next_handle += 1;
-            self.handles.insert(h, path);
+            self.handles.insert(h, path.into());
             // Graceful degradation: during brownout the cached copy is
             // served without origin re-validation — possibly stale, and
             // counted as such.
@@ -481,11 +501,10 @@ impl ProxyNode {
             ctx.send(from, ServerMsg::Error { code: ErrCode::BadRequest, detail }.into());
             return;
         };
-        let store = self.store.clone();
-        let cache = self.cfg.cache.clone();
+        let (store, cache) = (&self.store, &self.cfg.cache);
         let bs = cache.block_size as u64;
         let now = ctx.now();
-        let file = self.files.get_mut(&path).expect("open handle implies file state");
+        let file = self.files.get_mut(&*path).expect("open handle implies file state");
         let size = file.size.expect("handles granted only once size is known");
         let start = offset.min(size);
         let end = offset.saturating_add(len as u64).min(size);
@@ -494,79 +513,60 @@ impl ProxyNode {
             ctx.send(from, ServerMsg::Data { data: Bytes::new() }.into());
             return;
         }
-        let first = start / bs;
-        let last = (end - 1) / bs;
-        let mut missing: HashSet<u64> = HashSet::new();
-        let mut origin_bytes = 0u64;
-        let mut parts: Vec<Bytes> = Vec::new();
-        let mut short = false;
-        for idx in first..=last {
-            let key = BlockKey::new(path.as_str(), idx);
-            match store.get(&key) {
-                Some(data) => {
-                    if missing.is_empty() && !short {
-                        let (part, cut) = block_part(&cache, size, idx, &data, start, end);
-                        parts.push(part);
-                        short = cut;
-                    }
+        let mut key = BlockKey { path: path.clone(), index: 0 };
+        match store.read(&path, size, start, end, true) {
+            Ok(data) => {
+                if let Some(m) = &self.m {
+                    m.bytes_cache.add(data.len() as u64);
                 }
-                None => {
-                    let lo = start.max(idx * bs);
-                    let hi = end.min(idx * bs + cache.block_len(size, idx));
-                    // We answer `Locate` only for files held in full: an
-                    // evicted block withdraws the file until
-                    // `check_fully_cached` announces it again.
-                    file.advertised = false;
-                    missing.insert(idx);
-                    origin_bytes += hi - lo;
+                ctx.send(from, ServerMsg::Data { data }.into());
+            }
+            Err(missing) => {
+                // We answer `Locate` only for files held in full: an evicted
+                // block withdraws the file until `check_fully_cached`
+                // announces it again.
+                file.advertised = false;
+                let mut origin_bytes = 0;
+                for &idx in &missing {
+                    let block = idx * bs..idx * bs + cache.block_len(size, idx);
+                    origin_bytes += end.min(block.end) - start.max(block.start);
                     // Single-flight: Pinned means we own the fetch; any
                     // other outcome coalesces onto the existing fill.
+                    key.index = idx;
                     store.try_pin(&key);
                     file.fills.entry(idx).or_insert(Fill { started: now, requested: false });
                 }
+                file.reads.push(PendingRead { client: from, start, end, missing, origin_bytes });
             }
         }
         // Sequential prefetch: claim up to K blocks past the last one read.
-        let nblocks = cache.blocks_for(size);
-        for idx in (last + 1)..(last + 1 + cache.prefetch as u64).min(nblocks) {
-            let key = BlockKey::new(path.as_str(), idx);
+        let last = (end - 1) / bs;
+        for idx in (last + 1)..(last + 1 + cache.prefetch as u64).min(cache.blocks_for(size)) {
+            key.index = idx;
             if !store.contains(&key) && store.try_pin(&key) == PinOutcome::Pinned {
                 file.fills.entry(idx).or_insert(Fill { started: now, requested: false });
             }
         }
-        let all_hit = missing.is_empty();
-        if all_hit {
-            let mut buf = Vec::with_capacity((end - start) as usize);
-            for p in parts {
-                buf.extend_from_slice(&p);
-            }
-            if let Some(m) = &self.m {
-                m.bytes_cache.add(buf.len() as u64);
-            }
-            ctx.send(from, ServerMsg::Data { data: Bytes::from(buf) }.into());
-        } else {
-            file.reads.push(PendingRead { client: from, start, end, missing, origin_bytes });
-        }
         let phase = file.phase;
-        let has_fills = !file.fills.is_empty();
+        let unrequested = file.fills.values().any(|f| !f.requested);
         match phase {
             OriginPhase::Ready => self.issue_fills(ctx, &path),
             // Origin released after full caching (or never contacted):
-            // eviction re-opens the resolve walk.
-            OriginPhase::Idle if has_fills => self.start_resolve(ctx, &path),
+            // eviction re-opens the resolve walk. Fills already requested
+            // are in flight on a handle whose `Close` rode behind them.
+            OriginPhase::Idle if unrequested => self.start_resolve(ctx, &path),
             _ => {}
         }
     }
 
     fn handle_client_close(&mut self, ctx: &mut dyn NetCtx, from: Addr, handle: u64) {
         if let Some(path) = self.handles.remove(&handle) {
-            if let Some(file) = self.files.get_mut(&path) {
+            if let Some(file) = self.files.get_mut(&*path) {
                 file.open_handles = file.open_handles.saturating_sub(1);
             }
         }
         ctx.send(from, ServerMsg::CloseOk.into());
     }
-
     // ---- origin lifecycle --------------------------------------------
 
     /// Starts a fresh redirect walk for `path`.
@@ -591,14 +591,22 @@ impl ProxyNode {
         let Some(file) = self.files.get_mut(path) else { return };
         let step = event(file.walk.get_or_insert_with(|| Walk::new(path, false)), &self.resolver);
         file.phase = OriginPhase::Resolving;
+        let sized = file.size.is_some();
         if let (Step::Fallback(..), Some(m)) = (&step, &self.m) {
             m.direct_fallback.inc();
         }
         let (code, detail) = match step {
             Step::Leg(to, msg) | Step::Fallback(to, msg) => {
-                let path = path.to_string();
-                let req = OriginReq { to, path, kind: ReqKind::Resolve, msg, trace };
-                return self.enqueue(ctx, req);
+                // A host that is not a redirector may open the file: the
+                // `Stat` for its size rides behind the open.
+                let stat = (!sized && !self.cfg.origin_managers.contains(&to)).then(|| {
+                    let msg = ClientMsg::Stat { path: path.to_string() }.into();
+                    OriginReq { to, path: path.to_string(), kind: ReqKind::Stat, msg, trace }
+                });
+                let req =
+                    OriginReq { to, path: path.to_string(), kind: ReqKind::Resolve, msg, trace };
+                self.enqueue(ctx, req, stat);
+                return;
             }
             Step::NotFound => (ErrCode::NotFound, "no origin has the file".to_string()),
             Step::GaveUp => (ErrCode::IoError, "origin unreachable".to_string()),
@@ -613,13 +621,14 @@ impl ProxyNode {
             file.phase = OriginPhase::Ready;
             file.walk = None;
             file.waits = 0;
+            file.open_handles += file.open_waiters.len() as u32;
             std::mem::take(&mut file.open_waiters)
         };
+        let shared: Arc<str> = Arc::from(path);
         for w in waiters {
             let h = self.next_handle;
             self.next_handle += 1;
-            self.handles.insert(h, path.to_string());
-            self.files.get_mut(path).expect("still present").open_handles += 1;
+            self.handles.insert(h, shared.clone());
             ctx.send(w, ServerMsg::OpenOk { handle: h }.into());
         }
         self.issue_fills(ctx, path);
@@ -627,9 +636,9 @@ impl ProxyNode {
     }
 
     fn issue_fills(&mut self, ctx: &mut dyn NetCtx, path: &str) {
-        let cache = self.cfg.cache.clone();
+        let (store, cache) = (&self.store, &self.cfg.cache);
         let trace = ctx.trace();
-        let reqs = {
+        let (mut reqs, close) = {
             let Some(file) = self.files.get_mut(path) else { return };
             if file.phase != OriginPhase::Ready {
                 return;
@@ -656,30 +665,56 @@ impl ProxyNode {
                     _ => runs.push((idx, 1, block)),
                 }
             }
-            runs.into_iter()
-                .map(|(first, count, len)| OriginReq {
-                    to: origin,
-                    path: path.to_string(),
-                    kind: ReqKind::Fill { first, count },
-                    msg: ClientMsg::Read { handle, offset: first * bs, len: len as u32 }.into(),
-                    trace,
+            // Once these runs leave every block cached or in flight, the
+            // origin handle can go right behind the last of them.
+            let mut key = BlockKey::new(path, 0);
+            let complete = !runs.is_empty()
+                && (0..cache.blocks_for(size)).all(|idx| {
+                    key.index = idx;
+                    file.fills.contains_key(&idx) || store.contains(&key)
+                });
+            let req =
+                |kind, msg: Msg| OriginReq { to: origin, path: path.to_string(), kind, msg, trace };
+            let close =
+                complete.then(|| req(ReqKind::CloseOrigin, ClientMsg::Close { handle }.into()));
+            let reqs = runs
+                .into_iter()
+                .map(|(first, count, len)| {
+                    let msg = ClientMsg::Read { handle, offset: first * bs, len: len as u32 };
+                    req(ReqKind::Fill { first, count }, msg.into())
                 })
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>();
+            (reqs, close)
         };
+        let Some(last) = reqs.pop() else { return };
         for req in reqs {
-            self.enqueue(ctx, req);
+            self.enqueue(ctx, req, None);
+        }
+        if self.enqueue(ctx, last, close) {
+            // The handle is closed behind the last `Read`: the file holds
+            // none, and a later miss re-resolves.
+            let file = self.files.get_mut(path).expect("present above");
+            file.phase = OriginPhase::Idle;
+            file.origin = None;
         }
     }
 
-    fn fill_done(&mut self, ctx: &mut dyn NetCtx, path: &str, index: u64, data: Bytes) {
-        let store = self.store.clone();
-        let key = BlockKey::new(path, index);
+    /// Lands the reply to one fill `Read` of `count` blocks from `first` in
+    /// one pass: every block goes into the store as what its own `Read`
+    /// would have returned, then the reads waiting on them are answered
+    /// and the file is checked for full caching, once each.
+    fn fill_done(&mut self, ctx: &mut dyn NetCtx, path: &str, first: u64, count: u64, data: Bytes) {
+        let shared: Arc<str> = Arc::from(path);
+        let landed = first..first + count;
         let now = ctx.now();
         let Some(file) = self.files.get_mut(path) else {
-            store.unpin(&key);
+            for index in landed {
+                self.store.unpin(&BlockKey { path: shared.clone(), index });
+            }
             return;
         };
-        if let Some(fill) = file.fills.remove(&index) {
+        for index in landed.clone() {
+            let Some(fill) = file.fills.remove(&index) else { continue };
             if let Some(m) = &self.m {
                 m.fill_ns.record(now.since(fill.started).0);
                 m.fetches.inc();
@@ -697,63 +732,49 @@ impl ProxyNode {
                 );
             }
         }
-        store.insert(key, data);
-        self.complete_reads(ctx, path, index);
+        self.store.insert_fill(&shared, first, count, &data);
+        self.complete_reads(ctx, &shared, landed);
         self.check_fully_cached(ctx, path);
     }
 
-    /// Retires pending reads whose last missing block just landed.
-    fn complete_reads(&mut self, ctx: &mut dyn NetCtx, path: &str, index: u64) {
-        let store = self.store.clone();
-        let cache = self.cfg.cache.clone();
-        let bs = cache.block_size as u64;
+    /// Retires pending reads whose last missing block is among `landed`.
+    fn complete_reads(&mut self, ctx: &mut dyn NetCtx, path: &Arc<str>, landed: Range<u64>) {
+        let store = &self.store;
         let now = ctx.now();
         let mut done: Vec<(Addr, Bytes, u64, u64)> = Vec::new();
         let mut refilled = false;
         {
-            let Some(file) = self.files.get_mut(path) else { return };
+            let Some(file) = self.files.get_mut(&**path) else { return };
             let size = file.size.unwrap_or(0);
             let FileState { reads, fills, .. } = file;
             let mut i = 0;
             while i < reads.len() {
                 let r = &mut reads[i];
-                r.missing.remove(&index);
+                r.missing.retain(|idx| !landed.contains(idx));
                 if !r.missing.is_empty() {
                     i += 1;
                     continue;
                 }
-                let first = r.start / bs;
-                let last = (r.end - 1) / bs;
-                let mut buf = Vec::with_capacity((r.end - r.start) as usize);
-                let mut evicted = Vec::new();
-                for idx in first..=last {
-                    match store.peek_block(&BlockKey::new(path, idx)) {
-                        Some(data) => {
-                            let (part, short) =
-                                block_part(&cache, size, idx, &data, r.start, r.end);
-                            buf.extend_from_slice(&part);
-                            if short {
-                                break;
-                            }
+                match store.read(path, size, r.start, r.end, false) {
+                    Ok(data) => {
+                        let served = data.len() as u64;
+                        let origin = r.origin_bytes.min(served);
+                        done.push((r.client, data, served - origin, origin));
+                        reads.swap_remove(i);
+                    }
+                    Err(evicted) => {
+                        // Evicted between fill and assembly (tiny cache under
+                        // pressure): re-claim and fetch again.
+                        let mut key = BlockKey { path: path.clone(), index: 0 };
+                        for &idx in &evicted {
+                            key.index = idx;
+                            store.try_pin(&key);
+                            fills.entry(idx).or_insert(Fill { started: now, requested: false });
                         }
-                        None => evicted.push(idx),
-                    }
-                }
-                if evicted.is_empty() {
-                    let served = buf.len() as u64;
-                    let origin = r.origin_bytes.min(served);
-                    done.push((r.client, Bytes::from(buf), served - origin, origin));
-                    reads.swap_remove(i);
-                } else {
-                    // Evicted between fill and assembly (tiny cache under
-                    // pressure): re-claim and fetch again.
-                    for idx in evicted {
-                        r.missing.insert(idx);
-                        store.try_pin(&BlockKey::new(path, idx));
-                        fills.entry(idx).or_insert(Fill { started: now, requested: false });
+                        r.missing = evicted;
                         refilled = true;
+                        i += 1;
                     }
-                    i += 1;
                 }
             }
         }
@@ -765,7 +786,7 @@ impl ProxyNode {
             }
         }
         if refilled {
-            match self.files.get(path).map(|f| f.phase) {
+            match self.files.get(&**path).map(|f| f.phase) {
                 Some(OriginPhase::Ready) => self.issue_fills(ctx, path),
                 Some(OriginPhase::Idle) => self.start_resolve(ctx, path),
                 _ => {}
@@ -776,14 +797,16 @@ impl ProxyNode {
     /// Advertises a file upward once every block is cached, and releases
     /// the origin handle when nothing more is in flight.
     fn check_fully_cached(&mut self, ctx: &mut dyn NetCtx, path: &str) {
-        let store = self.store.clone();
-        let cache = self.cfg.cache.clone();
+        let store = &self.store;
         let close = {
             let Some(file) = self.files.get_mut(path) else { return };
             let Some(size) = file.size else { return };
             if !file.advertised {
-                let n = cache.blocks_for(size);
-                if !(0..n).all(|i| store.contains(&BlockKey::new(path, i))) {
+                let mut key = BlockKey::new(path, 0);
+                if !(0..self.cfg.cache.blocks_for(size)).all(|idx| {
+                    key.index = idx;
+                    store.contains(&key)
+                }) {
                     return;
                 }
                 file.advertised = true;
@@ -817,6 +840,7 @@ impl ProxyNode {
                     msg: ClientMsg::Close { handle }.into(),
                     trace,
                 },
+                None,
             );
         }
     }
@@ -897,7 +921,16 @@ impl ProxyNode {
 
     fn handle_origin_reply(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: ServerMsg) {
         let Some(link) = self.links.get_mut(&from) else { return };
-        let Some((gen, req)) = link.outstanding.take() else {
+        // A cmsd refuses a `Stat` at once but may hold an `Open` until its
+        // locate completes, so a `Stat` rider's refusal can overtake its
+        // leader. No host refuses an `Open` as a bad request: such a reply
+        // behind an outstanding `Open` is the rider's.
+        let overtaken = matches!(msg, ServerMsg::Error { code: ErrCode::BadRequest, .. })
+            && link.outstanding.front().is_some_and(|(_, r)| r.kind == ReqKind::Resolve)
+            && link.outstanding.get(1).is_some_and(|(_, r)| r.kind == ReqKind::Stat);
+        let answered =
+            if overtaken { link.outstanding.remove(1) } else { link.outstanding.pop_front() };
+        let Some((gen, req)) = answered else {
             // Positional correlation: with nothing outstanding this is a
             // duplicate or a post-timeout straggler. Drop it.
             if let Some(m) = &self.m {
@@ -915,6 +948,9 @@ impl ProxyNode {
                 self.follow(ctx, &req.path, req.trace, walk);
             }
             (ReqKind::Resolve, ServerMsg::OpenOk { handle }) => {
+                // A `Stat` still outstanding here rode behind this open.
+                let front = self.links.get(&from).and_then(|l| l.outstanding.front());
+                let stat_rides = front.is_some_and(|(_, r)| r.kind == ReqKind::Stat);
                 let Some(file) = self.files.get_mut(&req.path) else {
                     // File failed or was dropped mid-resolve: close politely.
                     self.enqueue(
@@ -926,6 +962,7 @@ impl ProxyNode {
                             msg: ClientMsg::Close { handle }.into(),
                             trace: req.trace,
                         },
+                        None,
                     );
                     self.pump(ctx, from);
                     return;
@@ -937,21 +974,23 @@ impl ProxyNode {
                 }
                 file.origin = Some(from);
                 file.origin_handle = handle;
-                if file.size.is_some() {
+                if stat_rides {
+                    // The size is on its way behind the open.
+                } else if file.size.is_some() {
                     self.file_ready(ctx, &req.path);
                 } else {
                     let msg = ClientMsg::Stat { path: req.path.clone() }.into();
-                    self.enqueue(
-                        ctx,
-                        OriginReq {
-                            to: from,
-                            path: req.path,
-                            kind: ReqKind::Stat,
-                            msg,
-                            trace: req.trace,
-                        },
-                    );
+                    let (path, trace) = (req.path, req.trace);
+                    let stat = OriginReq { to: from, path, kind: ReqKind::Stat, msg, trace };
+                    self.enqueue(ctx, stat, None);
                 }
+            }
+            (ReqKind::Stat, _)
+                if self.files.get(&req.path).is_none_or(|f| f.origin != Some(from)) =>
+            {
+                // A rider whose open did not open the file here (it was
+                // redirected or refused, or the file failed since): its
+                // reply says nothing about the file, and costs nothing.
             }
             (ReqKind::Stat, ServerMsg::StatOk { size, .. }) => {
                 if let Some(file) = self.files.get_mut(&req.path) {
@@ -960,14 +999,7 @@ impl ProxyNode {
                 }
             }
             (ReqKind::Fill { first, count }, ServerMsg::Data { data }) => {
-                // Slice the run back into blocks: each gets what its own
-                // block `Read` would have returned, even from a short reply.
-                let bs = self.cfg.cache.block_size as usize;
-                for k in 0..count as usize {
-                    let lo = (k * bs).min(data.len());
-                    let hi = (lo + bs).min(data.len());
-                    self.fill_done(ctx, &req.path, first + k as u64, data.slice(lo..hi));
-                }
+                self.fill_done(ctx, &req.path, first, count, data);
             }
             (_, ServerMsg::Wait { millis }) => self.park_retry(ctx, req, millis),
             (_, ServerMsg::Error { code: ErrCode::Retry, .. }) => self.park_retry(ctx, req, 50),
@@ -1115,25 +1147,39 @@ impl Node for ProxyNode {
             ctx.set_timer(self.cfg.heartbeat, tokens::HEARTBEAT);
         } else if token >= tokens::RETRY_BASE {
             if let Some(req) = self.parked.remove(&(token - tokens::RETRY_BASE)) {
-                self.enqueue(ctx, req);
+                self.enqueue(ctx, req, None);
             }
         } else if token >= tokens::TIMEOUT_BASE {
             let gen = token - tokens::TIMEOUT_BASE;
             let Some(addr) = self.gen_to_addr.remove(&gen) else { return };
             let Some(link) = self.links.get_mut(&addr) else { return };
-            let Some((g, req)) = link.outstanding.take() else { return };
-            if g != gen {
-                link.outstanding = Some((g, req));
+            let Some((_, timed_out)) = link.outstanding.iter().find(|(g, _)| *g == gen) else {
                 return;
-            }
-            match req.kind {
-                ReqKind::CloseOrigin => {}
-                ReqKind::Resolve if self.cfg.origin_managers.contains(&addr) => {
+            };
+            // A leader and its rider share one fate: both leave the window
+            // and the file recovers once, unless all that timed out was a
+            // courtesy close.
+            let path = timed_out.path.clone();
+            let mut recover = None;
+            let gen_to_addr = &mut self.gen_to_addr;
+            link.outstanding.retain(|(g, r)| {
+                if r.path != path {
+                    return true;
+                }
+                gen_to_addr.remove(g);
+                if r.kind != ReqKind::CloseOrigin {
+                    recover.get_or_insert(r.kind);
+                }
+                false
+            });
+            match recover {
+                None => {}
+                Some(ReqKind::Resolve) if self.cfg.origin_managers.contains(&addr) => {
                     // Redirector unresponsive: rotate to the next one.
                     self.resolver.rotate();
-                    self.recover_file(ctx, &req.path, |w, r| w.recover(r, None));
+                    self.recover_file(ctx, &path, |w, r| w.recover(r, None));
                 }
-                _ => self.recover_file(ctx, &req.path, |w, r| w.recover(r, Some(addr))),
+                Some(_) => self.recover_file(ctx, &path, |w, r| w.recover(r, Some(addr))),
             }
             self.pump(ctx, addr);
         }
@@ -1161,13 +1207,22 @@ mod tests {
 
     /// [`proxy`] with the block cache tuned further by `tune`.
     fn proxy_with(block_size: u32, tune: impl FnOnce(&mut PcacheConfig)) -> ProxyNode {
+        configured(|cfg| {
+            cfg.cache.block_size = block_size;
+            tune(&mut cfg.cache);
+        })
+    }
+
+    /// A proxy under [`MGR`] with 1 KiB blocks and no prefetch, its config
+    /// tuned further by `tune`.
+    fn configured(tune: impl FnOnce(&mut ProxyConfig)) -> ProxyNode {
         let dir = Arc::new(Directory::new());
         dir.register("mgr-0", MGR);
         dir.register("srv-0", SRV);
         let mut cfg = ProxyConfig::new("pxy-0", MGR, dir);
-        cfg.cache.block_size = block_size;
+        cfg.cache.block_size = 1024;
         cfg.cache.prefetch = 0;
-        tune(&mut cfg.cache);
+        tune(&mut cfg);
         ProxyNode::new(cfg)
     }
 
@@ -1175,28 +1230,36 @@ mod tests {
         ClientMsg::Open { path: path.into(), write, refresh: false, avoid: None }.into()
     }
 
-    /// Walks a proxy through resolve → open → stat for `path` of `size`
+    /// Walks a proxy through resolve → open + stat for `path` of `size`
     /// bytes and returns the client's handle.
     fn resolve(p: &mut ProxyNode, ctx: &mut MockCtx, path: &str, size: u64) -> u64 {
         p.on_message(ctx, CLIENT, open(path, false));
-        // Resolve goes to the manager.
+        // Resolve goes to the manager, with no rider: a redirector opens
+        // nothing.
         let sends = ctx.take_sends();
         assert!(
-            matches!(&sends[0], (a, Msg::Client(ClientMsg::Open { write: false, .. })) if *a == MGR),
+            matches!(&sends[..], [(a, Msg::Client(ClientMsg::Open { write: false, .. }))] if *a == MGR),
             "{sends:?}"
         );
-        // Manager redirects to the data server.
+        // Manager redirects to the data server: the open goes there, and
+        // the stat for the size rides right behind it.
         p.on_message(
             ctx,
             MGR,
             Msg::Server(ServerMsg::Redirect { host: "srv-0".into(), lease: None }),
         );
         let sends = ctx.take_sends();
-        assert!(matches!(&sends[0], (a, Msg::Client(ClientMsg::Open { .. })) if *a == SRV));
-        // Server opens; proxy stats for the size.
+        assert!(
+            matches!(&sends[..], [
+                (a, Msg::Client(ClientMsg::Open { .. })),
+                (b, Msg::Client(ClientMsg::Stat { .. })),
+            ] if *a == SRV && *b == SRV),
+            "{sends:?}"
+        );
+        // Server opens; the stat is already on its way.
         p.on_message(ctx, SRV, Msg::Server(ServerMsg::OpenOk { handle: 77 }));
         let sends = ctx.take_sends();
-        assert!(matches!(&sends[0], (a, Msg::Client(ClientMsg::Stat { .. })) if *a == SRV));
+        assert!(sends.is_empty(), "{sends:?}");
         p.on_message(ctx, SRV, Msg::Server(ServerMsg::StatOk { size, online: true }));
         let sends = ctx.take_sends();
         match &sends[0] {
@@ -1224,13 +1287,18 @@ mod tests {
         let mut ctx = MockCtx::new();
         let h = resolve(&mut p, &mut ctx, "/d/f", 2048);
         // Read both blocks: misses, so the run of two goes out as one Read.
+        // It completes the file, so the origin handle is released right
+        // behind it.
         p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 2048 }.into());
         let sends = ctx.take_sends();
-        assert_eq!(sends.len(), 1, "one origin Read for the run: {sends:?}");
+        assert_eq!(sends.len(), 2, "one origin Read for the run, then the Close: {sends:?}");
         assert!(matches!(
             &sends[0],
             (a, Msg::Client(ClientMsg::Read { handle: 77, offset: 0, len: 2048 })) if *a == SRV
         ));
+        assert!(
+            matches!(&sends[1], (a, Msg::Client(ClientMsg::Close { handle: 77 })) if *a == SRV)
+        );
         let mut run = vec![1u8; 1024];
         run.extend_from_slice(&[2u8; 1024]);
         p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::Data { data: run.into() }));
@@ -1240,8 +1308,8 @@ mod tests {
             assert_eq!(&block[..], &[byte; 1024][..], "block {idx}");
         }
         let sends = ctx.take_sends();
-        // Client gets the assembled read, the parent gets the V_h advert,
-        // and the origin handle is released.
+        // Client gets the assembled read and the parent gets the V_h
+        // advert; the origin handle, released already, is not closed again.
         let data = sends
             .iter()
             .find_map(|(a, m)| match (a, m) {
@@ -1254,9 +1322,10 @@ mod tests {
         assert_eq!(&data[1024..], &[2u8; 1024][..]);
         assert!(sends.iter().any(|(a, m)| *a == MGR
             && matches!(m, Msg::Cms(CmsMsg::Have { reqid: 0, staging: false, .. }))));
-        assert!(sends
-            .iter()
-            .any(|(a, m)| *a == SRV && matches!(m, Msg::Client(ClientMsg::Close { handle: 77 }))));
+        assert!(
+            !sends.iter().any(|(_, m)| matches!(m, Msg::Client(ClientMsg::Close { .. }))),
+            "{sends:?}"
+        );
         assert!(p.is_advertised("/d/f"));
 
         // Warm read: served straight from cache, zero origin traffic.
@@ -1410,10 +1479,14 @@ mod tests {
         );
         ctx.take_sends();
         p.on_message(&mut ctx, SRV1, Msg::Server(ServerMsg::OpenOk { handle: 78 }));
+        // The size is known: no stat, and the run, which completes the
+        // file, carries the new handle's close.
         let sends = ctx.take_sends();
         assert!(
-            matches!(&sends[..], [(a, Msg::Client(ClientMsg::Read { handle: 78, offset: 0, len: 4096 }))]
-                if *a == SRV1),
+            matches!(&sends[..], [
+                (a, Msg::Client(ClientMsg::Read { handle: 78, offset: 0, len: 4096 })),
+                (b, Msg::Client(ClientMsg::Close { handle: 78 })),
+            ] if *a == SRV1 && *b == SRV1),
             "{sends:?}"
         );
     }
@@ -1429,7 +1502,8 @@ mod tests {
     #[test]
     fn a_timeout_on_a_run_reresolves_then_reissues_the_run() {
         run_is_reissued_whole_after(|p, ctx| {
-            let &(_, token) = ctx.timers.last().expect("the run armed a timeout");
+            // The run armed its timeout first, then its close rider.
+            let &(_, token) = ctx.timers.first().expect("the run armed a timeout");
             p.on_timer(ctx, token);
         });
     }
@@ -1572,13 +1646,18 @@ mod tests {
             MGR,
             Msg::Server(ServerMsg::Redirect { host: "srv-0".into(), lease: None }),
         );
-        let legs: Vec<(Addr, &str, u64)> = (ctx.sends.iter().zip(&ctx.send_traces))
+        let legs: Vec<(Addr, &str, &str, u64)> = (ctx.sends.iter().zip(&ctx.send_traces))
             .map(|((to, m), &trace)| match m {
-                Msg::Client(ClientMsg::Open { path, .. }) => (*to, path.as_str(), trace),
+                Msg::Client(ClientMsg::Open { path, .. }) => (*to, "open", path.as_str(), trace),
+                Msg::Client(ClientMsg::Stat { path }) => (*to, "stat", path.as_str(), trace),
                 other => panic!("{other:?}"),
             })
             .collect();
-        assert_eq!(legs, [(SRV, "/a", a), (MGR, "/b", b)], "each open keeps its own trace");
+        assert_eq!(
+            legs,
+            [(SRV, "open", "/a", a), (SRV, "stat", "/a", a), (MGR, "open", "/b", b)],
+            "each open keeps its own trace, and A's stat rides with A's"
+        );
         assert_eq!(ctx.trace(), a, "the callback's ambient trace is restored");
     }
 
@@ -1893,6 +1972,15 @@ mod tests {
                 if *a == MGR && av == "srv-0"),
             "{sends:?}"
         );
+        // The stat that rode behind the refused open is refused too, and
+        // dropped: with no refresh left, recovering would give up.
+        p.on_message(
+            &mut ctx,
+            SRV,
+            Msg::Server(ServerMsg::Error { code: ErrCode::NotFound, detail: "gone".into() }),
+        );
+        let sends = ctx.take_sends();
+        assert!(sends.is_empty(), "{sends:?}");
     }
 
     /// Moving to the next origin redirector flushes the lease cache and its
@@ -1949,5 +2037,210 @@ mod tests {
             p.on_timer(&mut ctx, token);
         }
         assert!(ctx.sends.is_empty(), "{:?}", ctx.sends);
+    }
+
+    // ---- riders and one-pass fills -----------------------------------
+
+    /// Whether every byte of `part` lies inside `whole`'s buffer.
+    fn inside(part: &Bytes, whole: &Bytes) -> bool {
+        let (p, w) = (part.as_ptr_range(), whole.as_ptr_range());
+        w.start <= p.start && p.end <= w.end
+    }
+
+    fn pattern(len: usize, seed: u8) -> Bytes {
+        (0..len).map(|i| (i as u8).wrapping_mul(7).wrapping_add(seed)).collect::<Vec<_>>().into()
+    }
+
+    #[test]
+    fn a_read_from_one_fill_is_a_slice_of_its_reply() {
+        let mut p = proxy(1024);
+        let mut ctx = MockCtx::new();
+        let h = resolve(&mut p, &mut ctx, "/d/f", 4096);
+        let read = |offset, len| Msg::from(ClientMsg::Read { handle: h, offset, len });
+        // Blocks 0-1 come from one fill, blocks 2-3 from another.
+        let (first, second) = (pattern(2048, 1), pattern(2048, 2));
+        p.on_message(&mut ctx, CLIENT, read(0, 2048));
+        assert_eq!(origin_reads(&ctx.take_sends()), [(0, 2048)]);
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::Data { data: first.clone() }));
+        let cold = client_replies(&ctx.take_sends());
+        assert_eq!(cold, std::slice::from_ref(&first));
+        assert!(inside(&cold[0], &first), "the cold read is a slice of its fill's reply");
+        p.on_message(&mut ctx, CLIENT, read(2048, 2048));
+        assert_eq!(origin_reads(&ctx.take_sends()), [(2048, 2048)]);
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::Data { data: second.clone() }));
+        ctx.take_sends();
+
+        // A warm read inside one fill is a slice of that fill's reply too.
+        p.on_message(&mut ctx, CLIENT, read(512, 1024));
+        let warm = client_replies(&ctx.take_sends());
+        assert_eq!(warm, [first.slice(512..1536)]);
+        assert!(inside(&warm[0], &first), "a warm hit is a slice, not a copy");
+        // A read across both fills is their bytes, joined by one copy.
+        p.on_message(&mut ctx, CLIENT, read(1024, 2048));
+        let across = client_replies(&ctx.take_sends());
+        assert_eq!(&across[0][..1024], &first[1024..]);
+        assert_eq!(&across[0][1024..], &second[..1024]);
+        assert!(!inside(&across[0], &first) && !inside(&across[0], &second));
+    }
+
+    #[test]
+    fn a_sixteen_block_run_lands_in_one_pass() {
+        let mut p = proxy(1024);
+        let mut ctx = MockCtx::new();
+        let h = resolve(&mut p, &mut ctx, "/d/f", 16 * 1024);
+        p.on_message(
+            &mut ctx,
+            CLIENT,
+            ClientMsg::Read { handle: h, offset: 0, len: 16 << 10 }.into(),
+        );
+        assert_eq!(origin_reads(&ctx.take_sends()), [(0, 16 << 10)]);
+        let reply = pattern(16 << 10, 3);
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::Data { data: reply.clone() }));
+        // One client reply, one upward advert, and nothing else: the
+        // origin handle was closed behind the Read.
+        let sends = ctx.take_sends();
+        assert_eq!(sends.len(), 2, "{sends:?}");
+        assert_eq!(client_replies(&sends), [reply]);
+        let adverts =
+            sends.iter().filter(|(a, m)| *a == MGR && matches!(m, Msg::Cms(CmsMsg::Have { .. })));
+        assert_eq!(adverts.count(), 1);
+        assert_eq!(p.store().stats().inserts, 16);
+        assert_eq!(p.store().block_count(), 16);
+    }
+
+    #[test]
+    fn the_close_rides_only_behind_the_run_that_completes_the_file() {
+        let mut p = proxy(1024);
+        let mut ctx = MockCtx::new();
+        // `resolve` asserts the open and its stat leave in one callback.
+        let h = resolve(&mut p, &mut ctx, "/d/f", 3072);
+        let read = |offset, len| Msg::from(ClientMsg::Read { handle: h, offset, len });
+        // Part of the file: the Read goes alone, the handle stays open.
+        p.on_message(&mut ctx, CLIENT, read(0, 1024));
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[..], [(a, Msg::Client(ClientMsg::Read { offset: 0, len: 1024, .. }))]
+                if *a == SRV),
+            "{sends:?}"
+        );
+        p.on_message(&mut ctx, SRV, data(vec![1u8; 1024]));
+        assert_eq!(client_replies(&ctx.take_sends()).len(), 1);
+        // The rest: the Read and then the Close go out together.
+        p.on_message(&mut ctx, CLIENT, read(1024, 2048));
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[..], [
+                (a, Msg::Client(ClientMsg::Read { handle: 77, offset: 1024, len: 2048 })),
+                (b, Msg::Client(ClientMsg::Close { handle: 77 })),
+            ] if *a == SRV && *b == SRV),
+            "{sends:?}"
+        );
+        p.on_message(&mut ctx, SRV, data(vec![2u8; 2048]));
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::CloseOk));
+        let sends = ctx.take_sends();
+        assert_eq!(client_replies(&sends).len(), 1);
+        assert!(sends.iter().all(|(a, _)| *a != SRV), "closed once: {sends:?}");
+        assert!(p.is_advertised("/d/f"));
+    }
+
+    /// The manager sends the proxy to a supervisor, which redirects it on
+    /// to the server. The stat that rode behind the open at the supervisor
+    /// is refused, in order or ahead of the redirect; either way it is
+    /// dropped, and with no refresh to spend the file still opens.
+    fn a_stat_rider_at_a_supervisor_is_dropped(overtaken: bool) {
+        const SUP: Addr = Addr(4);
+        let mut p = configured(|cfg| cfg.max_refreshes = 0);
+        p.cfg.directory.register("sup-0", SUP);
+        let mut ctx = MockCtx::new();
+        let redirect =
+            |host: &str| Msg::Server(ServerMsg::Redirect { host: host.into(), lease: None });
+        let refused = Msg::Server(ServerMsg::Error {
+            code: ErrCode::BadRequest,
+            detail: "i/o requests must go to a data server".into(),
+        });
+        p.on_message(&mut ctx, CLIENT, open("/d/f", false));
+        p.on_message(&mut ctx, MGR, redirect("sup-0"));
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[1..], [
+                (a, Msg::Client(ClientMsg::Open { .. })),
+                (b, Msg::Client(ClientMsg::Stat { .. })),
+            ] if *a == SUP && *b == SUP),
+            "{sends:?}"
+        );
+        let replies =
+            if overtaken { [refused, redirect("srv-0")] } else { [redirect("srv-0"), refused] };
+        for reply in replies {
+            p.on_message(&mut ctx, SUP, reply);
+        }
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[..], [
+                (a, Msg::Client(ClientMsg::Open { refresh: false, .. })),
+                (b, Msg::Client(ClientMsg::Stat { .. })),
+            ] if *a == SRV && *b == SRV),
+            "{sends:?}"
+        );
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::OpenOk { handle: 77 }));
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::StatOk { size: 100, online: true }));
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[..], [(a, Msg::Server(ServerMsg::OpenOk { .. }))] if *a == CLIENT),
+            "{sends:?}"
+        );
+    }
+
+    #[test]
+    fn a_stat_rider_behind_a_redirected_open_is_dropped() {
+        a_stat_rider_at_a_supervisor_is_dropped(false);
+    }
+
+    #[test]
+    fn a_stat_refusal_that_overtakes_its_open_is_the_riders() {
+        a_stat_rider_at_a_supervisor_is_dropped(true);
+    }
+
+    /// With one refresh to spend, a second recovery would give up and fail
+    /// the client: the file must recover once, with one refresh.
+    #[test]
+    fn a_timeout_with_a_rider_outstanding_recovers_the_file_once() {
+        let once = |sends: &[(Addr, Msg)]| {
+            let refreshes = sends.iter().filter(|(a, m)| {
+                *a == MGR && matches!(m, Msg::Client(ClientMsg::Open { refresh: true, .. }))
+            });
+            assert_eq!(refreshes.count(), 1, "{sends:?}");
+            assert!(sends.iter().all(|(a, _)| *a != CLIENT), "{sends:?}");
+        };
+        // An open with its stat behind it.
+        let mut p = configured(|cfg| cfg.max_refreshes = 1);
+        let mut ctx = MockCtx::new();
+        p.on_message(&mut ctx, CLIENT, open("/d/f", false));
+        ctx.take_sends();
+        ctx.timers.clear();
+        p.on_message(
+            &mut ctx,
+            MGR,
+            Msg::Server(ServerMsg::Redirect { host: "srv-0".into(), lease: None }),
+        );
+        assert_eq!(ctx.take_sends().len(), 2, "open and stat");
+        for (_, token) in std::mem::take(&mut ctx.timers) {
+            p.on_timer(&mut ctx, token);
+        }
+        once(&ctx.take_sends());
+        // A late reply from the silent server matches nothing.
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::OpenOk { handle: 77 }));
+        assert!(ctx.take_sends().is_empty());
+
+        // A run with the close behind it.
+        let mut p = configured(|cfg| cfg.max_refreshes = 1);
+        let mut ctx = MockCtx::new();
+        let h = resolve(&mut p, &mut ctx, "/d/f", 2048);
+        ctx.timers.clear();
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 2048 }.into());
+        assert_eq!(ctx.take_sends().len(), 2, "read and close");
+        for (_, token) in std::mem::take(&mut ctx.timers) {
+            p.on_timer(&mut ctx, token);
+        }
+        once(&ctx.take_sends());
     }
 }

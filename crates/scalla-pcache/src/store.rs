@@ -10,11 +10,19 @@
 //! placeholders — they hold no bytes and are never eviction victims,
 //! which is what makes single-flight coalescing safe (the fill's ticket
 //! cannot be evicted from under the waiters).
+//!
+//! A block is a slice of the origin reply that filled it, and it keeps that
+//! whole reply alive: a run's blocks share one buffer, freed when the last
+//! of them goes. `used` and the watermarks count block bytes, not buffers.
+//! What this buys is the read path: a read whose blocks are adjacent slices
+//! of one reply is answered with one slice of it, no byte copied
+//! ([`BlockStore::read`]).
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scalla_obs::{Emit, Kind, Source};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -100,7 +108,10 @@ pub enum PinOutcome {
 }
 
 struct Slot {
-    data: Bytes,
+    /// The fill reply the block is a slice of.
+    reply: Bytes,
+    /// Where the block sits in `reply`.
+    at: Range<usize>,
     /// LRU generation stamp; queue entries with stale stamps are skipped.
     gen: u64,
     /// In-flight fill placeholder: holds no bytes, never evicted.
@@ -119,6 +130,16 @@ struct Inner {
     /// counts, so the watermark check and the evictions it triggers see
     /// one state.
     used: u64,
+}
+
+impl Slot {
+    fn block(&self) -> Bytes {
+        self.reply.slice(self.at.clone())
+    }
+
+    fn len(&self) -> u64 {
+        self.at.len() as u64
+    }
 }
 
 impl Inner {
@@ -194,7 +215,7 @@ impl BlockStore {
         let mut inner = self.inner.lock();
         match inner.map.get(key) {
             Some(slot) if !slot.pinned => {
-                let data = slot.data.clone();
+                let data = slot.block();
                 inner.touch(key);
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(data)
@@ -212,7 +233,7 @@ impl BlockStore {
         let mut inner = self.inner.lock();
         match inner.map.get(key) {
             Some(slot) if !slot.pinned => {
-                let data = slot.data.clone();
+                let data = slot.block();
                 inner.touch(key);
                 Some(data)
             }
@@ -235,7 +256,8 @@ impl BlockStore {
             Some(slot) if slot.pinned => PinOutcome::AlreadyPinned,
             Some(_) => PinOutcome::Present,
             None => {
-                inner.map.insert(key.clone(), Slot { data: Bytes::new(), gen: 0, pinned: true });
+                let pin = Slot { reply: Bytes::new(), at: 0..0, gen: 0, pinned: true };
+                inner.map.insert(key.clone(), pin);
                 PinOutcome::Pinned
             }
         }
@@ -254,13 +276,35 @@ impl BlockStore {
     /// them, and evicts down to the low watermark if the high watermark
     /// was crossed.
     pub fn insert(&self, key: BlockKey, data: Bytes) {
-        let len = data.len() as u64;
+        let at = 0..data.len();
+        self.land(&mut self.inner.lock(), key, data, at);
+    }
+
+    /// Lands the origin's reply to one `Read` of `count` blocks from
+    /// `first` of `path`, as [`BlockStore::insert`] would each block: block
+    /// `k` is `reply[k * block_size..]` cut at the block size and clamped
+    /// to the reply — what its own block `Read` would have returned, even
+    /// from a short reply.
+    pub fn insert_fill(&self, path: &Arc<str>, first: u64, count: u64, reply: &Bytes) {
+        let bs = self.cfg.block_size as usize;
         let mut inner = self.inner.lock();
+        for k in 0..count {
+            let lo = (k as usize * bs).min(reply.len());
+            let at = lo..(lo + bs).min(reply.len());
+            let key = BlockKey { path: path.clone(), index: first + k };
+            self.land(&mut inner, key, reply.clone(), at);
+        }
+    }
+
+    /// Stores `reply[at]` as block `key` (clearing any pin), accounts it,
+    /// and evicts down to the low watermark if the high one was crossed.
+    fn land(&self, inner: &mut Inner, key: BlockKey, reply: Bytes, at: Range<usize>) {
+        let len = at.len() as u64;
         inner.next_gen += 1;
         let gen = inner.next_gen;
-        if let Some(prev) = inner.map.insert(key.clone(), Slot { data, gen, pinned: false }) {
+        if let Some(prev) = inner.map.insert(key.clone(), Slot { reply, at, gen, pinned: false }) {
             if !prev.pinned {
-                inner.used -= prev.data.len() as u64;
+                inner.used -= prev.len();
             }
         }
         inner.lru.push_back((key, gen));
@@ -269,7 +313,65 @@ impl BlockStore {
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_inserted.fetch_add(len, Ordering::Relaxed);
         if inner.used > self.cfg.high_bytes() {
-            self.evict(&mut inner);
+            self.evict(inner);
+        }
+    }
+
+    /// Bytes `[start, end)` of `path`, a `size`-byte file, from its cached
+    /// blocks, or `Err` with the blocks of the range not cached (in-flight
+    /// pins included). A block shorter than its place in the file ends the
+    /// read there, as a short origin `Read` would. The answer is one slice
+    /// of a fill reply when every part is the next slice of the same reply;
+    /// otherwise the parts are copied once. `count` says whether the
+    /// look-ups count as hits and misses; either way they refresh LRU order.
+    pub fn read(
+        &self,
+        path: &Arc<str>,
+        size: u64,
+        start: u64,
+        end: u64,
+        count: bool,
+    ) -> Result<Bytes, Vec<u64>> {
+        let bs = self.cfg.block_size as u64;
+        let mut inner = self.inner.lock();
+        let mut key = BlockKey { path: path.clone(), index: 0 };
+        let mut missing = Vec::new();
+        let mut joined = Joined::Empty;
+        let (mut hits, mut misses) = (0, 0);
+        for idx in start / bs..end.div_ceil(bs) {
+            key.index = idx;
+            let short = match inner.map.get(&key) {
+                Some(slot) if !slot.pinned => {
+                    let (base, held) = (idx * bs, slot.len());
+                    if missing.is_empty() {
+                        let lo = (start.max(base) - base).min(held) as usize;
+                        let hi = (end - base).min(bs).min(held) as usize;
+                        let span = slot.at.start + lo..slot.at.start + hi;
+                        joined.push(&slot.reply, span, (end - start) as usize);
+                    }
+                    hits += 1;
+                    let short = held < self.cfg.block_len(size, idx);
+                    inner.touch(&key);
+                    short
+                }
+                _ => {
+                    misses += 1;
+                    missing.push(idx);
+                    false
+                }
+            };
+            if short {
+                break;
+            }
+        }
+        if count {
+            self.stats.hits.fetch_add(hits, Ordering::Relaxed);
+            self.stats.misses.fetch_add(misses, Ordering::Relaxed);
+        }
+        if missing.is_empty() {
+            Ok(joined.finish())
+        } else {
+            Err(missing)
         }
     }
 
@@ -285,7 +387,7 @@ impl BlockStore {
                 continue;
             }
             let slot = inner.map.remove(&key).expect("checked live above");
-            let len = slot.data.len() as u64;
+            let len = slot.len();
             inner.used -= len;
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             self.stats.bytes_evicted.fetch_add(len, Ordering::Relaxed);
@@ -310,6 +412,49 @@ impl BlockStore {
     /// Counter snapshot.
     pub fn stats(&self) -> PcacheStats {
         self.stats.snapshot()
+    }
+}
+
+/// A read's bytes as they are gathered, block by block.
+enum Joined {
+    Empty,
+    /// Every part so far is the next slice of this reply.
+    Slice(Bytes, Range<usize>),
+    /// The parts came from different replies, or were not adjacent.
+    Copied(Vec<u8>),
+}
+
+impl Joined {
+    /// Appends `reply[span]`; `cap` is the whole read's length.
+    fn push(&mut self, reply: &Bytes, span: Range<usize>, cap: usize) {
+        match self {
+            _ if span.is_empty() => {}
+            Joined::Empty => *self = Joined::Slice(reply.clone(), span),
+            // The same reply: a view of the same bytes, so its slices
+            // line up.
+            Joined::Slice(prev, run)
+                if prev.as_ptr() == reply.as_ptr()
+                    && prev.len() == reply.len()
+                    && run.end == span.start =>
+            {
+                run.end = span.end;
+            }
+            Joined::Slice(prev, run) => {
+                let mut buf = Vec::with_capacity(cap);
+                buf.extend_from_slice(&prev[run.clone()]);
+                buf.extend_from_slice(&reply[span]);
+                *self = Joined::Copied(buf);
+            }
+            Joined::Copied(buf) => buf.extend_from_slice(&reply[span]),
+        }
+    }
+
+    fn finish(self) -> Bytes {
+        match self {
+            Joined::Empty => Bytes::new(),
+            Joined::Slice(reply, run) => reply.slice(run),
+            Joined::Copied(buf) => buf.into(),
+        }
     }
 }
 

@@ -83,6 +83,45 @@ fn cold_read_fills_warm_read_hits_and_file_is_advertised() {
     assert_eq!(metric(&text, "scalla_pcache_advertised_files_total", "pxy-0"), 1);
 }
 
+/// The origin walk passes a supervisor: the manager redirects the proxy
+/// to it, and it redirects the proxy on to the server. The `Stat` that
+/// rode behind the open at the supervisor is refused there and dropped,
+/// spending no refresh; the cold read and the warm read after it both
+/// succeed, and the file is advertised.
+#[test]
+fn cold_then_warm_read_through_a_supervisor_level() {
+    let mut cfg = proxy_cfg(4);
+    cfg.fanout = 2; // forces a supervisor level
+    let obs = cfg.obs.clone();
+    let mut c = SimCluster::build(cfg);
+    assert_eq!(c.supervisors.len(), 2, "depth 2: the servers sit under supervisors");
+    c.seed_file(3, FILE, SIZE, true);
+    c.settle(Nanos::from_secs(2));
+
+    let read = || vec![ClientOp::OpenRead { path: FILE.into(), len: SIZE as u32 }];
+    let cold = c.add_proxy_client(0, read(), Nanos::ZERO);
+    c.start_node(cold);
+    c.net.run_for(Nanos::from_secs(10));
+    let results = c.client_results(cold);
+    assert_eq!(results.len(), 1, "{results:?}");
+    assert_eq!(results[0].outcome, OpOutcome::Ok, "{results:?}");
+    let timeout =
+        ProxyConfig::new("pxy", c.managers[0], Arc::new(Directory::new())).request_timeout;
+    assert!(results[0].latency() < timeout, "no origin request timed out: {results:?}");
+    assert!(c.with_proxy(0, |p| p.is_advertised(FILE)), "fully cached ⇒ advertised");
+    let filled = c.with_proxy(0, |p| p.store().stats().inserts);
+    assert_eq!(filled, SIZE / BLOCK as u64);
+
+    let warm = c.add_proxy_client(0, read(), Nanos::ZERO);
+    c.start_node(warm);
+    c.net.run_for(Nanos::from_secs(10));
+    let results = c.client_results(warm);
+    assert_eq!(results[0].outcome, OpOutcome::Ok, "{results:?}");
+    assert_eq!(c.with_proxy(0, |p| p.store().stats().inserts), filled, "warm read fetches nothing");
+    let text = obs.registry().prometheus_text();
+    assert_eq!(metric(&text, "scalla_pcache_bytes_served_total", "source=\"origin\""), SIZE);
+}
+
 /// A working set twice the store: blocks are evicted all the time, yet no
 /// read waits out the proxy's origin timeout. A file that lost a block is
 /// no longer advertised, and a resolve the manager still answers with the
