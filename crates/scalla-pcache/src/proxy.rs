@@ -24,16 +24,20 @@
 //!
 //! - The origin `Stat` rides behind an `Open` sent to a host that is not
 //!   one of the proxy's redirectors while the file's size is unknown.
-//! - The origin `Close` rides behind the last `Read` of a fill when that
-//!   leaves every block of the file cached or in flight. The file then
-//!   holds no origin handle; a later miss re-resolves.
+//! - The origin `Close` rides behind a `Read` that fetches the whole file
+//!   in one run. The file then holds no origin handle; a later miss
+//!   re-resolves. A file read in parts keeps its handle until it is fully
+//!   cached, and then closes it on its own.
 //!
 //! A cold read is thus three origin round trips (redirector, open + stat,
 //! read + close) where one request at a time took five. A rider whose
 //! leader did not open the file at that host (a supervisor redirected it,
 //! or it was refused) is dropped unread, spending no refresh; a timeout
-//! on a leader or its rider recovers the file once. Positional matching
-//! is reorder-safe on all three runtimes; its one blind spot — a
+//! on a leader or its rider recovers the file once. Two replies may come
+//! back ahead of their leader's, and are matched to the rider: a cmsd's
+//! refusal of a `Stat` (it may hold the `Open` for a locate), and another
+//! proxy's `CloseOk` (it parks a `Read` on its own fill). Positional
+//! matching is reorder-safe on all three runtimes; its one blind spot — a
 //! duplicated frame shifting the position, a rider's included — is called
 //! out in DESIGN.md (real xrootd carries stream ids).
 //!
@@ -636,7 +640,7 @@ impl ProxyNode {
     }
 
     fn issue_fills(&mut self, ctx: &mut dyn NetCtx, path: &str) {
-        let (store, cache) = (&self.store, &self.cfg.cache);
+        let cache = &self.cfg.cache;
         let trace = ctx.trace();
         let (mut reqs, close) = {
             let Some(file) = self.files.get_mut(path) else { return };
@@ -665,18 +669,14 @@ impl ProxyNode {
                     _ => runs.push((idx, 1, block)),
                 }
             }
-            // Once these runs leave every block cached or in flight, the
-            // origin handle can go right behind the last of them.
-            let mut key = BlockKey::new(path, 0);
-            let complete = !runs.is_empty()
-                && (0..cache.blocks_for(size)).all(|idx| {
-                    key.index = idx;
-                    file.fills.contains_key(&idx) || store.contains(&key)
-                });
+            // The origin handle goes right behind one run that fetches the
+            // whole file. No read then waits on a block cached before it,
+            // which eviction could take once the handle is gone.
+            let whole = matches!(runs[..], [(0, count, _)] if count == cache.blocks_for(size));
             let req =
                 |kind, msg: Msg| OriginReq { to: origin, path: path.to_string(), kind, msg, trace };
             let close =
-                complete.then(|| req(ReqKind::CloseOrigin, ClientMsg::Close { handle }.into()));
+                whole.then(|| req(ReqKind::CloseOrigin, ClientMsg::Close { handle }.into()));
             let reqs = runs
                 .into_iter()
                 .map(|(first, count, len)| {
@@ -921,13 +921,20 @@ impl ProxyNode {
 
     fn handle_origin_reply(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: ServerMsg) {
         let Some(link) = self.links.get_mut(&from) else { return };
-        // A cmsd refuses a `Stat` at once but may hold an `Open` until its
-        // locate completes, so a `Stat` rider's refusal can overtake its
-        // leader. No host refuses an `Open` as a bad request: such a reply
-        // behind an outstanding `Open` is the rider's.
-        let overtaken = matches!(msg, ServerMsg::Error { code: ErrCode::BadRequest, .. })
-            && link.outstanding.front().is_some_and(|(_, r)| r.kind == ReqKind::Resolve)
-            && link.outstanding.get(1).is_some_and(|(_, r)| r.kind == ReqKind::Stat);
+        // A rider's reply can overtake its leader's. A cmsd refuses a `Stat`
+        // at once but may hold an `Open` until its locate completes, and no
+        // host refuses an `Open` as a bad request. A proxy origin answers a
+        // `Close` at once but parks a `Read` on its own fill, and only a
+        // `Close` draws a `CloseOk`.
+        let kind = |i: usize| link.outstanding.get(i).map(|(_, r)| r.kind);
+        let overtaken = matches!(
+            (&msg, kind(0), kind(1)),
+            (
+                ServerMsg::Error { code: ErrCode::BadRequest, .. },
+                Some(ReqKind::Resolve),
+                Some(ReqKind::Stat)
+            ) | (ServerMsg::CloseOk, Some(ReqKind::Fill { .. }), Some(ReqKind::CloseOrigin))
+        );
         let answered =
             if overtaken { link.outstanding.remove(1) } else { link.outstanding.pop_front() };
         let Some((gen, req)) = answered else {
@@ -2109,7 +2116,7 @@ mod tests {
     }
 
     #[test]
-    fn the_close_rides_only_behind_the_run_that_completes_the_file() {
+    fn the_close_rides_only_behind_a_run_of_the_whole_file() {
         let mut p = proxy(1024);
         let mut ctx = MockCtx::new();
         // `resolve` asserts the open and its stat leave in one callback.
@@ -2125,22 +2132,86 @@ mod tests {
         );
         p.on_message(&mut ctx, SRV, data(vec![1u8; 1024]));
         assert_eq!(client_replies(&ctx.take_sends()).len(), 1);
-        // The rest: the Read and then the Close go out together.
+        // The rest completes the file, but one block of it was cached
+        // before: the Read goes alone again.
         p.on_message(&mut ctx, CLIENT, read(1024, 2048));
         let sends = ctx.take_sends();
         assert!(
             matches!(&sends[..], [
                 (a, Msg::Client(ClientMsg::Read { handle: 77, offset: 1024, len: 2048 })),
-                (b, Msg::Client(ClientMsg::Close { handle: 77 })),
-            ] if *a == SRV && *b == SRV),
+            ] if *a == SRV),
             "{sends:?}"
         );
+        // Fully cached: the handle is closed on its own, once.
         p.on_message(&mut ctx, SRV, data(vec![2u8; 2048]));
-        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::CloseOk));
         let sends = ctx.take_sends();
         assert_eq!(client_replies(&sends).len(), 1);
-        assert!(sends.iter().all(|(a, _)| *a != SRV), "closed once: {sends:?}");
+        let upstream: Vec<_> = sends.iter().filter(|(_, m)| matches!(m, Msg::Client(_))).collect();
+        assert!(
+            matches!(&upstream[..], [(a, Msg::Client(ClientMsg::Close { handle: 77 }))] if *a == SRV),
+            "{sends:?}"
+        );
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::CloseOk));
+        assert!(ctx.take_sends().is_empty(), "closed once");
         assert!(p.is_advertised("/d/f"));
+    }
+
+    /// Another proxy as the origin answers the `Close` at once but parks
+    /// the `Read` on a fill of its own: the `CloseOk` comes back first.
+    #[test]
+    fn a_close_ok_that_overtakes_its_read_is_the_riders() {
+        let mut p = proxy(1024);
+        let mut ctx = MockCtx::new();
+        let h = resolve(&mut p, &mut ctx, "/d/f", 2048);
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 2048 }.into());
+        assert_eq!(ctx.take_sends().len(), 2, "read and close");
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::CloseOk));
+        assert!(ctx.take_sends().is_empty());
+        let reply = pattern(2048, 4);
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::Data { data: reply.clone() }));
+        assert_eq!(client_replies(&ctx.take_sends()), [reply]);
+        assert!(p.is_advertised("/d/f"));
+        assert!(p.links[&SRV].outstanding.is_empty(), "both answered");
+    }
+
+    /// A block cached before the fill that a read also waits on is evicted
+    /// before the read is assembled: it is fetched again on the handle,
+    /// which is still open, with no new resolve.
+    #[test]
+    fn a_block_evicted_before_its_read_assembles_is_refetched_on_the_open_handle() {
+        // 4 KiB store: eviction starts above 3686 bytes, drains to 2867.
+        let mut p = proxy_with(1024, |c| c.capacity = 4096);
+        let mut ctx = MockCtx::new();
+        let h = resolve(&mut p, &mut ctx, "/d/f", 3072);
+        let read = |offset, len| Msg::from(ClientMsg::Read { handle: h, offset, len });
+        p.on_message(&mut ctx, CLIENT, read(0, 1024));
+        p.on_message(&mut ctx, SRV, data(vec![1u8; 1024]));
+        ctx.take_sends();
+        // Block 0 is cached, blocks 1-2 go out as one run.
+        p.on_message(&mut ctx, CLIENT, read(0, 3072));
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[..], [
+                (a, Msg::Client(ClientMsg::Read { handle: 77, offset: 1024, len: 2048 })),
+            ] if *a == SRV),
+            "{sends:?}"
+        );
+        for i in 0..3 {
+            p.store().insert(BlockKey::new("/d/g", i), vec![0u8; 1024].into());
+        }
+        assert!(!p.store().contains(&BlockKey::new("/d/f", 0)), "evicted");
+        p.on_message(&mut ctx, SRV, data(vec![2u8; 2048]));
+        let sends = ctx.take_sends();
+        assert!(
+            matches!(&sends[..], [
+                (a, Msg::Client(ClientMsg::Read { handle: 77, offset: 0, len: 1024 })),
+            ] if *a == SRV),
+            "{sends:?}"
+        );
+        p.on_message(&mut ctx, SRV, data(vec![1u8; 1024]));
+        let mut whole = vec![1u8; 1024];
+        whole.extend_from_slice(&[2u8; 2048]);
+        assert_eq!(client_replies(&ctx.take_sends()), [Bytes::from(whole)]);
     }
 
     /// The manager sends the proxy to a supervisor, which redirects it on

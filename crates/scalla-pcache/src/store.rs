@@ -143,14 +143,16 @@ impl Slot {
 }
 
 impl Inner {
-    fn touch(&mut self, key: &BlockKey) {
-        self.next_gen += 1;
-        let gen = self.next_gen;
-        if let Some(slot) = self.map.get_mut(key) {
-            slot.gen = gen;
-        }
+    /// The resident block `key`, moved to the back of the LRU order; `None`
+    /// when it is absent or an in-flight pin. Every read path looks blocks
+    /// up through here.
+    fn hit(&mut self, key: &BlockKey) -> Option<&Slot> {
+        let gen = self.next_gen + 1;
+        self.map.get_mut(key).filter(|s| !s.pinned)?.gen = gen;
+        self.next_gen = gen;
         self.lru.push_back((key.clone(), gen));
         self.maybe_compact();
+        self.map.get(key)
     }
 
     fn maybe_compact(&mut self) {
@@ -212,33 +214,16 @@ impl BlockStore {
 
     /// Looks a block up, counting a hit or miss and refreshing LRU order.
     pub fn get(&self, key: &BlockKey) -> Option<Bytes> {
-        let mut inner = self.inner.lock();
-        match inner.map.get(key) {
-            Some(slot) if !slot.pinned => {
-                let data = slot.block();
-                inner.touch(key);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(data)
-            }
-            _ => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let data = self.peek_block(key);
+        let counter = if data.is_some() { &self.stats.hits } else { &self.stats.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        data
     }
 
     /// Looks a block up without touching the hit/miss counters (assembly
     /// of an already-counted pending read). Still refreshes LRU order.
     pub fn peek_block(&self, key: &BlockKey) -> Option<Bytes> {
-        let mut inner = self.inner.lock();
-        match inner.map.get(key) {
-            Some(slot) if !slot.pinned => {
-                let data = slot.block();
-                inner.touch(key);
-                Some(data)
-            }
-            _ => None,
-        }
+        self.inner.lock().hit(key).map(Slot::block)
     }
 
     /// Whether the block is cached (pins don't count). No stats, no
@@ -322,8 +307,10 @@ impl BlockStore {
     /// pins included). A block shorter than its place in the file ends the
     /// read there, as a short origin `Read` would. The answer is one slice
     /// of a fill reply when every part is the next slice of the same reply;
-    /// otherwise the parts are copied once. `count` says whether the
-    /// look-ups count as hits and misses; either way they refresh LRU order.
+    /// otherwise the parts are copied once. Blocks are looked up as
+    /// [`BlockStore::peek_block`] does, and with `count` also counted as
+    /// [`BlockStore::get`] counts them: a client's read counts, the assembly
+    /// of one already counted does not.
     pub fn read(
         &self,
         path: &Arc<str>,
@@ -340,27 +327,20 @@ impl BlockStore {
         let (mut hits, mut misses) = (0, 0);
         for idx in start / bs..end.div_ceil(bs) {
             key.index = idx;
-            let short = match inner.map.get(&key) {
-                Some(slot) if !slot.pinned => {
-                    let (base, held) = (idx * bs, slot.len());
-                    if missing.is_empty() {
-                        let lo = (start.max(base) - base).min(held) as usize;
-                        let hi = (end - base).min(bs).min(held) as usize;
-                        let span = slot.at.start + lo..slot.at.start + hi;
-                        joined.push(&slot.reply, span, (end - start) as usize);
-                    }
-                    hits += 1;
-                    let short = held < self.cfg.block_len(size, idx);
-                    inner.touch(&key);
-                    short
-                }
-                _ => {
-                    misses += 1;
-                    missing.push(idx);
-                    false
-                }
+            let Some(slot) = inner.hit(&key) else {
+                misses += 1;
+                missing.push(idx);
+                continue;
             };
-            if short {
+            hits += 1;
+            let (base, held) = (idx * bs, slot.len());
+            if missing.is_empty() {
+                let lo = (start.max(base) - base).min(held) as usize;
+                let hi = (end - base).min(bs).min(held) as usize;
+                let span = slot.at.start + lo..slot.at.start + hi;
+                joined.push(&slot.reply, span, (end - start) as usize);
+            }
+            if held < self.cfg.block_len(size, idx) {
                 break;
             }
         }

@@ -122,6 +122,55 @@ fn cold_then_warm_read_through_a_supervisor_level() {
     assert_eq!(metric(&text, "scalla_pcache_bytes_served_total", "source=\"origin\""), SIZE);
 }
 
+/// One proxy is the other's origin. Proxy 1 fills eight files, loses
+/// blocks of them to its own later fills, and is still listed for every
+/// one of them at the manager. Proxy 0 then reads each file cold; for those
+/// the manager sends it to proxy 1, proxy 1 parks the `Read` on a refill of
+/// its own but answers the `Close` behind it at once. Every read succeeds
+/// without waiting out the origin timeout.
+#[test]
+fn a_proxy_reads_through_another_that_lost_blocks_of_the_file() {
+    const FILES: usize = 8;
+    let mut cfg = proxy_cfg(3);
+    cfg.n_proxies = 2;
+    cfg.pcache.capacity = FILES as u64 * SIZE / 2;
+    let mut c = SimCluster::build(cfg);
+    let paths: Vec<String> = (0..FILES).map(|f| format!("/d/p{f}")).collect();
+    for (f, path) in paths.iter().enumerate() {
+        c.seed_file(f % 3, path, SIZE, true);
+    }
+    c.settle(Nanos::from_secs(2));
+    let reads = || -> Vec<ClientOp> {
+        paths.iter().map(|p| ClientOp::OpenRead { path: p.clone(), len: SIZE as u32 }).collect()
+    };
+
+    let filler = c.add_proxy_client(1, reads(), Nanos::ZERO);
+    c.start_node(filler);
+    c.net.run_for(Nanos::from_secs(10));
+    assert!(c.client_results(filler).iter().all(|r| r.outcome == OpOutcome::Ok));
+    let lost = c.with_proxy(1, |p| {
+        let stats = p.store().stats();
+        assert!(stats.evictions > 0, "proxy 1 lost blocks: {stats:?}");
+        paths.iter().filter(|f| p.is_advertised(f)).count()
+    });
+    assert_eq!(lost, FILES, "still advertised: no read has missed there yet");
+
+    let filled = c.with_proxy(1, |p| p.store().stats().inserts);
+    let reader = c.add_proxy_client(0, reads(), Nanos::ZERO);
+    c.start_node(reader);
+    c.net.run_for(Nanos::from_secs(10));
+    let results = c.client_results(reader);
+    let outcomes: Vec<_> = results.iter().map(|r| (&r.path, &r.outcome, r.latency())).collect();
+    assert_eq!(results.len(), FILES, "{outcomes:?}");
+    assert!(results.iter().all(|r| r.outcome == OpOutcome::Ok), "{outcomes:?}");
+    let timeout =
+        ProxyConfig::new("pxy", c.managers[0], Arc::new(Directory::new())).request_timeout;
+    let slowest = results.iter().map(|r| r.latency()).max().expect("reads ran");
+    assert!(slowest < timeout, "a read took {slowest:?}");
+    let refilled = c.with_proxy(1, |p| p.store().stats().inserts) - filled;
+    assert!(refilled > 0, "proxy 0 read through proxy 1, which refilled first");
+}
+
 /// A working set twice the store: blocks are evicted all the time, yet no
 /// read waits out the proxy's origin timeout. A file that lost a block is
 /// no longer advertised, and a resolve the manager still answers with the
