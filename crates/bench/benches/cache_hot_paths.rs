@@ -1,10 +1,53 @@
-//! Criterion micro-benchmarks of the cmsd cache hot paths — the code the
-//! paper keeps "linear or constant time … in all high-use paths" (§VI).
+//! Micro-benchmarks of the cmsd cache hot paths — the code the paper keeps
+//! "linear or constant time … in all high-use paths" (§VI).
+//!
+//! Each case runs `BATCHES` timed batches of calls. Set-up — the warm
+//! cache, and the fresh paths a miss or a tick re-creates — is built
+//! before a batch's clock starts. A case reports its minimum batch time
+//! per call, wall clock: scheduler noise only ever adds time, so the
+//! minimum over many short batches converges on the undisturbed cost
+//! where a mean still wobbles.
+//!
+//! `--test` runs each case once, for CI.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use bench::{ns, table};
 use scalla_cache::{AccessMode, CacheConfig, NameCache, Waiter};
 use scalla_util::{crc32, Nanos, ServerSet, VirtualClock};
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
+
+const BATCHES: usize = 50;
+
+/// How many batches a case runs, and whether each is cut to one call.
+#[derive(Clone, Copy)]
+struct Batches {
+    count: usize,
+    smoke: bool,
+}
+
+impl Batches {
+    /// The minimum over the batches of ns per call of `routine`; each
+    /// batch's `iters` inputs are made by `setup` before its clock starts.
+    fn min_ns<I, O>(
+        self,
+        iters: usize,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) -> (usize, f64) {
+        let iters = if self.smoke { 1 } else { iters };
+        let mut best = f64::INFINITY;
+        for _ in 0..self.count {
+            let inputs: Vec<I> = (0..iters).map(|_| setup()).collect();
+            let t0 = Instant::now();
+            for input in inputs {
+                black_box(routine(input));
+            }
+            best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
+        }
+        (iters, best)
+    }
+}
 
 fn warm_cache(n: usize) -> (Arc<VirtualClock>, NameCache, Vec<String>) {
     let clock = Arc::new(VirtualClock::new());
@@ -18,96 +61,112 @@ fn warm_cache(n: usize) -> (Arc<VirtualClock>, NameCache, Vec<String>) {
     (clock, cache, paths)
 }
 
-fn bench_crc32(c: &mut Criterion) {
+fn crc32_name(b: Batches) -> (usize, f64) {
     let name = "/store/data/run01234/events-0005678.root";
-    c.bench_function("crc32/40B file name", |b| {
-        b.iter(|| crc32(std::hint::black_box(name.as_bytes())))
-    });
+    b.min_ns(100_000, || (), |()| crc32(black_box(name.as_bytes())))
 }
 
-fn bench_hit(c: &mut Criterion) {
+fn warm_hit(b: Batches) -> (usize, f64) {
     let (_clock, cache, paths) = warm_cache(100_000);
     let vm = ServerSet::first_n(64);
     let mut i = 0usize;
-    c.bench_function("resolve/warm hit (100k entries)", |b| {
-        b.iter(|| {
+    b.min_ns(
+        20_000,
+        || (),
+        |()| {
             i = (i + 7919) % paths.len();
             cache.resolve(&paths[i], vm, AccessMode::Read, Waiter::new(2, i as u64))
-        })
-    });
+        },
+    )
 }
 
-fn bench_miss_create(c: &mut Criterion) {
+fn miss_create(b: Batches) -> (usize, f64) {
+    let (_clock, cache, _paths) = warm_cache(10_000);
     let vm = ServerSet::first_n(64);
     let mut serial = 0u64;
-    let (_clock, cache, _paths) = warm_cache(10_000);
-    c.bench_function("resolve/miss+create", |b| {
-        b.iter_batched(
-            || {
-                serial += 1;
-                format!("/fresh/f{serial}")
-            },
-            |p| cache.resolve(&p, vm, AccessMode::Read, Waiter::new(1, 0)),
-            BatchSize::SmallInput,
-        )
-    });
+    b.min_ns(
+        5_000,
+        || {
+            serial += 1;
+            format!("/fresh/f{serial}")
+        },
+        |p| cache.resolve(&p, vm, AccessMode::Read, Waiter::new(1, 0)),
+    )
 }
 
-fn bench_update_have(c: &mut Criterion) {
+fn update_have(b: Batches) -> (usize, f64) {
     let (_clock, cache, paths) = warm_cache(100_000);
     let mut i = 0usize;
-    c.bench_function("update_have/hashed (no waiters)", |b| {
-        b.iter(|| {
+    b.min_ns(
+        20_000,
+        || (),
+        |()| {
             i = (i + 104_729) % paths.len();
             let h = crc32(paths[i].as_bytes());
             cache.update_have_hashed(&paths[i], h, (i % 64) as u8, false)
-        })
-    });
+        },
+    )
 }
 
-fn bench_tick(c: &mut Criterion) {
+fn tick_collect(b: Batches) -> (usize, f64) {
     // Steady state with entries spread over all 64 windows.
     let clock = Arc::new(VirtualClock::new());
     let cfg = CacheConfig { lifetime: Nanos::from_secs(64), ..CacheConfig::default() };
     let cache = NameCache::new(cfg, clock.clone());
     let vm = ServerSet::first_n(64);
     let mut serial = 0u64;
-    for _w in 0..64 {
-        for _ in 0..1_000 {
-            cache.resolve(&format!("/w/f{serial}"), vm, AccessMode::Read, Waiter::new(1, 0));
-            serial += 1;
+    let mut fresh = || {
+        (0..1_000)
+            .map(|_| {
+                serial += 1;
+                format!("/w/f{serial}")
+            })
+            .collect::<Vec<_>>()
+    };
+    let step = |paths: Vec<String>| {
+        // Keep the population constant: re-create what expires.
+        for p in &paths {
+            cache.resolve(p, vm, AccessMode::Read, Waiter::new(1, 0));
         }
         clock.advance(Nanos::from_secs(1));
-        cache.tick();
+        let out = cache.tick();
         cache.collect(usize::MAX);
+        out.scanned
+    };
+    for _ in 0..64 {
+        step(fresh());
     }
-    c.bench_function("tick+collect/64k entries steady state", |b| {
-        b.iter(|| {
-            // Keep the population constant: re-create what expires.
-            for _ in 0..1_000 {
-                cache.resolve(&format!("/w/f{serial}"), vm, AccessMode::Read, Waiter::new(1, 0));
-                serial += 1;
-            }
-            clock.advance(Nanos::from_secs(1));
-            let out = cache.tick();
-            cache.collect(usize::MAX);
-            out.scanned
-        })
-    });
+    b.min_ns(10, fresh, step)
 }
 
-fn bench_sweep(c: &mut Criterion) {
+fn idle_sweep(b: Batches) -> (usize, f64) {
     let (_clock, cache, _paths) = warm_cache(10_000);
-    c.bench_function("sweep/idle queue", |b| b.iter(|| cache.sweep()));
+    b.min_ns(20_000, || (), |()| cache.sweep())
 }
 
-criterion_group!(
-    benches,
-    bench_crc32,
-    bench_hit,
-    bench_miss_create,
-    bench_update_have,
-    bench_tick,
-    bench_sweep
-);
-criterion_main!(benches);
+fn main() {
+    let smoke = std::env::args().any(|a| a == "--test");
+    let b = Batches { count: if smoke { 1 } else { BATCHES }, smoke };
+    let row = |name: &str, (iters, per_call): (usize, f64)| {
+        vec![
+            name.to_string(),
+            iters.to_string(),
+            b.count.to_string(),
+            ns(Nanos(per_call.round() as u64)),
+        ]
+    };
+    let rows = [
+        row("CRC-32 of a 40-byte file name", crc32_name(b)),
+        row("warm hit resolve (100 k entries)", warm_hit(b)),
+        row("miss + create", miss_create(b)),
+        row("update_have (hash passed along, no waiters)", update_have(b)),
+        row("window tick + collect, 64 k-entry steady state", tick_collect(b)),
+        row("fast-queue sweep, idle", idle_sweep(b)),
+    ];
+    let mode = if smoke { "smoke" } else { "full" };
+    table(
+        &format!("cmsd cache hot paths ({mode} mode, min of batches, wall clock)"),
+        &["operation", "calls/batch", "batches", "min per call"],
+        &rows,
+    );
+}

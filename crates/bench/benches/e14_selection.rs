@@ -4,7 +4,7 @@
 //!
 //! A file replicated on 8 of 16 servers is opened 480 times under each
 //! policy; we report how the selections spread across the replicas and
-//! whether the policy honours its criterion (least-load avoids the loaded
+//! whether the policy does what it says (least-load avoids the loaded
 //! server, most-free-space prefers the empty one).
 
 use bench::{run_ops, table};

@@ -143,7 +143,7 @@ fn main() {
     assert!(recorded > 0, "instrumented run recorded nothing: {text}");
 
     let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"mode\": \"{}\",\n  \
+        "{{\n  \"bench\": \"obs_overhead\",\n  \"mode\": \"{}\",\n  \"clock\": \"wall\",\n  \
          \"entries\": {},\n  \"iters_per_batch\": {},\n  \"pairs\": {},\n  \
          \"sample_every\": {},\n  \"noop_ns_per_op\": {:.2},\n  \
          \"instrumented_ns_per_op\": {:.2},\n  \"overhead_pct\": {:.3},\n  \

@@ -135,17 +135,6 @@ impl LocState {
         self.vp = self.vp & !self.vq & vm;
         debug_assert!(self.invariant_holds());
     }
-
-    /// Servers a reader could be sent to right now (prefer online holders,
-    /// fall back to preparing ones), before selection policy.
-    #[inline]
-    pub fn read_candidates(&self) -> ServerSet {
-        if !self.vh.is_empty() {
-            self.vh
-        } else {
-            self.vp
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 use crate::member::Membership;
 use scalla_util::{ServerId, ServerSet, SplitMix64};
 
-/// The selection criterion in force.
+/// The server-selection policy in force.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SelectionPolicy {
     /// Rotate through candidates (stateful round-robin).

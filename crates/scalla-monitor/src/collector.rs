@@ -234,11 +234,6 @@ impl ClusterView {
         self.inner.lock().unwrap().traces.get(&trace).cloned().unwrap_or_default()
     }
 
-    /// All trace ids currently retained.
-    pub fn trace_ids(&self) -> Vec<u64> {
-        self.inner.lock().unwrap().trace_order.clone()
-    }
-
     /// The `/cluster` Prometheus-text exposition.
     pub fn prometheus_text(&self) -> String {
         let inner = self.inner.lock().unwrap();

@@ -51,7 +51,7 @@ pub struct CmsdConfig {
     pub cache: CacheConfig,
     /// Membership tuning (drop delay).
     pub membership: MembershipConfig,
-    /// Server-selection criterion (§II-B3).
+    /// Server-selection policy (§II-B3).
     pub policy: SelectionPolicy,
     /// Period between upward load reports.
     pub heartbeat: Nanos,

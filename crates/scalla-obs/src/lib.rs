@@ -91,31 +91,6 @@ struct ObsInner {
     sample_mask: u64,
 }
 
-/// Tunables for an enabled [`Obs`] handle.
-///
-/// `timer_sample_shift` expresses the stage-timer sampling rate as a power
-/// of two: 1 in `1 << shift` events pay the two clock reads (shift 6 = the
-/// historical 1-in-64 default, shift 0 = time everything). The skipped
-/// events are not silent: the registry exports
-/// `scalla_obs_timer_samples_dropped_total{stage=...}` so the sampling
-/// bias is visible at scrape time.
-#[derive(Clone, Copy, Debug)]
-pub struct ObsConfig {
-    /// Stage timers sample 1 in `1 << timer_sample_shift` events.
-    pub timer_sample_shift: u32,
-    /// Flight-recorder capacity (spans retained per process).
-    pub flight_cap: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> ObsConfig {
-        ObsConfig {
-            timer_sample_shift: DEFAULT_SAMPLE_EVERY.trailing_zeros(),
-            flight_cap: DEFAULT_FLIGHT_CAP,
-        }
-    }
-}
-
 /// `scalla_obs_timer_samples_dropped_total{stage}`: events seen minus
 /// events actually timed, computed when scraped, never on the hot path.
 struct TimerDrops {
@@ -163,27 +138,25 @@ impl Obs {
     }
 
     /// An enabled handle recording stage timings for 1 in `sample_every`
-    /// events (rounded down to a power of two; 0 or 1 = every event) into a
-    /// flight ring of `flight_cap` spans.
+    /// events (rounded up to a power of two; 0 or 1 = every event) into a
+    /// flight ring of `flight_cap` spans. The skipped events are not
+    /// silent: the registry exports
+    /// `scalla_obs_timer_samples_dropped_total{stage=...}` so the sampling
+    /// bias is visible at scrape time.
     pub fn with_config(sample_every: u64, flight_cap: usize) -> Obs {
         let shift =
             if sample_every <= 1 { 0 } else { sample_every.next_power_of_two().trailing_zeros() };
-        Obs::with_obs_config(ObsConfig { timer_sample_shift: shift, flight_cap })
-    }
-
-    /// An enabled handle configured by an [`ObsConfig`].
-    pub fn with_obs_config(cfg: ObsConfig) -> Obs {
         let registry = Arc::new(Registry::new());
         let stage_hists =
             Stage::ALL.map(|s| registry.histogram("scalla_stage_ns", &[("stage", s.label())]));
-        let mask = (1u64 << cfg.timer_sample_shift.min(63)).wrapping_sub(1);
+        let mask = (1u64 << shift.min(63)).wrapping_sub(1);
         let stage_ctrs: Arc<[AtomicU64; 5]> = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
         let drops = TimerDrops { seen: stage_ctrs.clone(), timed: stage_hists.clone() };
         registry.attach(&[], Arc::new(drops));
         Obs {
             inner: Some(Arc::new(ObsInner {
                 registry,
-                flight: Arc::new(FlightRecorder::new(cfg.flight_cap)),
+                flight: Arc::new(FlightRecorder::new(flight_cap)),
                 stage_hists,
                 stage_ctrs,
                 sample_mask: mask,
@@ -310,7 +283,7 @@ mod tests {
 
     #[test]
     fn dropped_timer_samples_are_exported() {
-        let obs = Obs::with_obs_config(ObsConfig { timer_sample_shift: 2, flight_cap: 8 });
+        let obs = Obs::with_config(4, 8);
         // 8 events at 1-in-4 sampling: events 0 and 4 sample, 6 are dropped.
         for _ in 0..8 {
             if obs.stage_sample(Stage::Resolve) {
@@ -324,8 +297,8 @@ mod tests {
         );
         assert!(text.contains("# TYPE scalla_obs_timer_samples_dropped_total counter\n"), "{text}");
         assert_eq!(text.matches("_dropped_total{stage=").count(), Stage::ALL.len(), "{text}");
-        // Shift 0 drops nothing.
-        let all = Obs::with_obs_config(ObsConfig { timer_sample_shift: 0, flight_cap: 8 });
+        // Sampling every event drops nothing.
+        let all = Obs::with_config(1, 8);
         for _ in 0..5 {
             assert!(all.stage_sample(Stage::WindowTick));
             all.record_stage(Stage::WindowTick, 10);

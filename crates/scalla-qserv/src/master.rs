@@ -78,12 +78,6 @@ pub fn gather_results(
     QueryResult::merge(&per_chunk)
 }
 
-/// Convenience: checks a completed scatter script's records — every create
-/// and every read must have succeeded.
-pub fn scatter_succeeded(results: &[OpResult]) -> bool {
-    !results.is_empty() && results.iter().all(|r| r.outcome == OpOutcome::Ok)
-}
-
 /// An autonomous Qserv master: a [`Node`] that scatters a query, gathers
 /// the per-chunk results *through Scalla reads*, and merges them in-node.
 /// Because it is just a node, it runs identically under the simulator, the

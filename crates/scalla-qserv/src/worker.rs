@@ -47,11 +47,6 @@ impl QservWorkerNode {
         &self.inner
     }
 
-    /// Mutable access to the wrapped server (seeding auxiliary files).
-    pub fn server_mut(&mut self) -> &mut ServerNode {
-        &mut self.inner
-    }
-
     fn maybe_execute(&mut self, path: &str) {
         let Some(partition) = task_partition(path) else { return };
         let Some(chunk) = self.chunks.get(&partition) else { return };

@@ -76,7 +76,7 @@ const MAX_BATCH: usize = 64;
 /// The defaults match production-ish settings; tests shrink them to make
 /// death detection and reconnection fast.
 #[derive(Clone, Copy, Debug)]
-pub struct EgressTuning {
+pub(crate) struct EgressTuning {
     /// Writer-side connect budget; a peer that cannot accept in this
     /// window counts as dead for the queued batch.
     pub connect_timeout: Duration,
@@ -132,19 +132,19 @@ pub(crate) struct EgressShared {
     pub pool: BufferPool,
     /// Cumulative counters.
     pub stats: EgressStats,
-    /// Timeouts and probing schedule (tests shrink these).
-    pub tuning: RwLock<EgressTuning>,
+    /// Timeouts and probing schedule, fixed at construction.
+    pub tuning: EgressTuning,
     /// Recovery-incident sink (`peer_dead` / `peer_reconnected`).
     pub obs: RwLock<Obs>,
 }
 
 impl EgressShared {
-    pub fn new(stop: Arc<AtomicBool>) -> EgressShared {
+    pub fn new(stop: Arc<AtomicBool>, tuning: EgressTuning) -> EgressShared {
         EgressShared {
             stop,
             pool: BufferPool::new(2 * QUEUE_CAP.min(256)),
             stats: EgressStats::default(),
-            tuning: RwLock::new(EgressTuning::default()),
+            tuning,
             obs: RwLock::new(Obs::disabled()),
         }
     }
@@ -370,13 +370,13 @@ fn writer_loop(
         let written = if skip {
             0
         } else {
-            let tuning = *shared.tuning.read();
+            let tuning = &shared.tuning;
             let mut conn = state.stream.lock().take();
             if let Some(stream) = &conn {
                 // Blocking, so the write timeout set at connect applies.
                 stream.set_nonblocking(false).ok();
             } else {
-                conn = connect(me, peer, &tuning, &shared);
+                conn = connect(me, peer, tuning, &shared);
                 match &conn {
                     Some(_) => {
                         if dead.take().is_some() {
@@ -385,18 +385,18 @@ fn writer_loop(
                             shared.recovery_event("peer_reconnected");
                         }
                     }
-                    None => mark_dead(&mut dead, &tuning, &mut rng, &shared),
+                    None => mark_dead(&mut dead, tuning, &mut rng, &shared),
                 }
             }
             let written = match conn.as_mut() {
-                Some(stream) => write_round(stream, &round, &tuning, &shared),
+                Some(stream) => write_round(stream, &round, tuning, &shared),
                 None => 0,
             };
             if written < round.len() {
                 if conn.take().is_some() {
                     // An established connection broke or wedged: back to
                     // dead so probing (not every round) pays the timeout.
-                    mark_dead(&mut dead, &tuning, &mut rng, &shared);
+                    mark_dead(&mut dead, tuning, &mut rng, &shared);
                 }
             } else if let Some(stream) = conn {
                 // Back to the slot, non-blocking first: the protocol
@@ -514,7 +514,7 @@ mod tests {
     const PATIENCE: Duration = Duration::from_secs(10);
 
     fn shared() -> Arc<EgressShared> {
-        Arc::new(EgressShared::new(Arc::new(AtomicBool::new(false))))
+        Arc::new(EgressShared::new(Arc::default(), EgressTuning::default()))
     }
 
     fn stat(counter: &std::sync::atomic::AtomicU64) -> u64 {
@@ -838,12 +838,12 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let sh = shared();
-        *sh.tuning.write() = EgressTuning {
+        let tuning = EgressTuning {
             probe_backoff_min: Duration::from_millis(10),
             probe_backoff_max: Duration::from_millis(40),
             ..EgressTuning::default()
         };
+        let sh = Arc::new(EgressShared::new(Arc::default(), tuning));
         let obs = Obs::enabled();
         *sh.obs.write() = obs.clone();
         let mut link = EgressLink::spawn(Addr(7), peer, sh.clone());

@@ -53,7 +53,6 @@ pub use chaos::{
     FaultPlan, GateVerdict,
 };
 pub use cluster::{ClusterConfig, SimCluster};
-pub use egress::EgressTuning;
 pub use live::LiveNet;
 pub use metrics::{summarize, EgressCounters, LatencySummary, NetCounters};
 pub use scalla_monitor::{ClusterView, CollectorNode, MonitorEmitter, NodeHealth, SpanTree};

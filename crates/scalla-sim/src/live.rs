@@ -9,7 +9,7 @@
 //! Message latency is whatever the channel costs (microseconds), which is
 //! exactly the regime the paper's cmsd operates in on a LAN.
 
-use crate::egress::EgressShared;
+use crate::egress::{EgressShared, EgressTuning};
 use crate::metrics::NetCounters;
 use crate::runtime::{lifecycle_api, net_counters, Mailbox, Outbox, Runtime, MAILBOX_CAP};
 use scalla_obs::Obs;
@@ -57,7 +57,11 @@ impl LiveNet {
     ) -> std::io::Result<std::net::SocketAddr> {
         // No wire: an idle egress keeps the page's families the same as
         // a TcpNet's, all zero.
-        self.rt.serve_admin_with(obs, view, Arc::new(EgressShared::new(Arc::default())))
+        self.rt.serve_admin_with(
+            obs,
+            view,
+            Arc::new(EgressShared::new(Arc::default(), EgressTuning::default())),
+        )
     }
 
     /// Registers a node before [`LiveNet::start`].

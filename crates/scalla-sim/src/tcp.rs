@@ -139,13 +139,8 @@ impl TcpNet {
             listeners: Vec::new(),
             acceptors: Vec::new(),
             inbound: Arc::default(),
-            shared: Arc::new(EgressShared::new(Arc::new(AtomicBool::new(false)))),
+            shared: Arc::new(EgressShared::new(Arc::default(), EgressTuning::default())),
         })
-    }
-
-    /// Overrides the egress writer timeouts and dead-peer probe schedule.
-    pub fn set_egress_tuning(&self, tuning: EgressTuning) {
-        *self.shared.tuning.write() = tuning;
     }
 
     /// Attaches an observability handle: egress writers report

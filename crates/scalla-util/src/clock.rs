@@ -160,11 +160,6 @@ impl VirtualClock {
         VirtualClock::default()
     }
 
-    /// Creates a clock at `start`.
-    pub fn starting_at(start: Nanos) -> VirtualClock {
-        VirtualClock { now: AtomicU64::new(start.0) }
-    }
-
     /// Moves the clock forward by `delta`.
     pub fn advance(&self, delta: Nanos) {
         self.now.fetch_add(delta.0, Ordering::SeqCst);

@@ -211,6 +211,7 @@ fn main() {
             "{{\n",
             "  \"bench\": \"chaos\",\n",
             "  \"mode\": \"{}\",\n",
+            "  \"clock\": \"virtual\",\n",
             "  \"all_terminated\": {},\n",
             "  \"recovery_ms\": {{\"samples\": {}, \"p50\": {:.3}, \"p95\": {:.3}, ",
             "\"max\": {:.3}}},\n",

@@ -232,6 +232,7 @@ fn main() {
             "{{\n",
             "  \"bench\": \"lcache\",\n",
             "  \"mode\": \"{}\",\n",
+            "  \"clock\": \"virtual\",\n",
             "  \"files\": {},\n",
             "  \"warm_reps\": {},\n",
             "  \"warm_open_ns\": {{\"p50\": {:.0}, \"p99\": {:.0}}},\n",

@@ -232,7 +232,9 @@ fn main() {
         .unwrap_or(0u64);
 
     let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"bench\": \"monitor\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
+    let _ = writeln!(json, "  \"clock\": \"wall\",");
     let _ = writeln!(json, "  \"interval_ms\": {},", INTERVAL.0 / 1_000_000);
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"baseline_wall_ns\": {base_min},");

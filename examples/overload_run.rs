@@ -369,6 +369,7 @@ fn main() {
             "{{\n",
             "  \"bench\": \"overload\",\n",
             "  \"mode\": \"{}\",\n",
+            "  \"clock\": \"virtual\",\n",
             "  \"capacity_ops_per_sec\": {:.3},\n",
             "  \"peak_goodput_ops_per_sec\": {:.3},\n",
             "  \"goodput_at_2x_ops_per_sec\": {:.3},\n",

@@ -112,6 +112,7 @@ fn main() {
             "{{\n",
             "  \"bench\": \"pcache\",\n",
             "  \"mode\": \"{}\",\n",
+            "  \"clock\": \"virtual\",\n",
             "  \"block_size\": {},\n",
             "  \"file_size\": {},\n",
             "  \"files\": {},\n",

@@ -11,7 +11,7 @@ BENCHES = [
     "e07_correction_cost", "e08_rechain", "e09_registration", "e10_restart",
     "e11_scaling", "e12_equilibrium", "e13_prepare", "e14_selection",
     "a15_fast_window_margin", "a16_popularity", "a17_fanout",
-    "a18_throughput", "a19_rarely_respond", "tcp_wire",
+    "a18_throughput", "a19_rarely_respond", "cache_hot_paths", "tcp_wire",
 ]
 
 def run(name: str) -> str:
