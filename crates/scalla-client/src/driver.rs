@@ -236,10 +236,15 @@ mod tok {
 enum Phase {
     Idle,
     Opening,
-    Reading { handle: u64 },
-    Writing { handle: u64 },
-    Statting { handle: u64 },
-    Closing,
+    /// The op's last request (the leader) is out, its `Close` riding
+    /// behind it or, as `unsent`, waiting for the leader's answer; `Open`'s
+    /// lone `Close` is its own leader. The op ends once both `replied` (the
+    /// leader's answer) and `closed` (`CloseOk`) are in, in either order.
+    Closing {
+        replied: bool,
+        closed: bool,
+        unsent: Option<u64>,
+    },
     Preparing,
     Listing,
 }
@@ -259,8 +264,13 @@ pub struct ClientNode {
     last_request: Option<Msg>,
     // Request-timeout bookkeeping: only the newest timeout token counts.
     timeout_gen: u64,
-    // Timeouts suffered by the current operation (resets per op).
-    timeouts_this_op: u32,
+    // Re-walks taken by the current operation (resets per op): timeouts,
+    // and leaders refused for a handle their own `Close` already closed.
+    reasks_this_op: u32,
+    // Whether the current operation's `Close` rides behind its last
+    // request; cleared for the rest of the op once a rider overtook its
+    // leader, so a reordering link cannot refuse the op twice.
+    ride: bool,
     pending_entries: Vec<String>,
     pending_data: Option<Bytes>,
     done: bool,
@@ -295,7 +305,8 @@ impl ClientNode {
             waits: 0,
             last_request: None,
             timeout_gen: 0,
-            timeouts_this_op: 0,
+            reasks_this_op: 0,
+            ride: true,
             pending_entries: Vec::new(),
             pending_data: None,
             done: false,
@@ -358,7 +369,8 @@ impl ClientNode {
         }
         self.start = ctx.now();
         self.waits = 0;
-        self.timeouts_this_op = 0;
+        self.reasks_this_op = 0;
+        self.ride = true;
         // One nonzero trace id per operation; every redirect leg, retry and
         // refresh walk of this op rides the same id through the envelope.
         self.trace = ctx.rand_u64() | 1;
@@ -489,30 +501,56 @@ impl ClientNode {
         ctx.set_timer(backoff.max(hint), tok::RETRY);
     }
 
+    /// Sends the op's last request with the `Close` riding right behind
+    /// it, so both leave in one flush and are answered in one pass (unless
+    /// `ride` is off: then the `Close` waits for the leader's answer). Only
+    /// the leader is tracked: it holds the op's one timer and is what a
+    /// retry re-sends.
     fn on_open_ok(&mut self, ctx: &mut dyn NetCtx, handle: u64) {
-        let op = self.current_op().clone();
         let server = self.target;
-        match op {
+        let close: Msg = ClientMsg::Close { handle }.into();
+        let leader: Msg = match self.current_op().clone() {
             ClientOp::Open { .. } => {
-                self.phase = Phase::Closing;
-                self.send_tracked(ctx, server, ClientMsg::Close { handle }.into());
+                self.phase = Phase::Closing { replied: true, closed: false, unsent: None };
+                return self.send_tracked(ctx, server, close);
             }
-            ClientOp::OpenRead { len, .. } => {
-                self.phase = Phase::Reading { handle };
-                self.send_tracked(ctx, server, ClientMsg::Read { handle, offset: 0, len }.into());
-            }
-            ClientOp::Create { data, .. } => {
-                self.phase = Phase::Writing { handle };
-                self.send_tracked(ctx, server, ClientMsg::Write { handle, offset: 0, data }.into());
-            }
-            ClientOp::Stat { path } => {
-                self.phase = Phase::Statting { handle };
-                self.send_tracked(ctx, server, ClientMsg::Stat { path }.into());
-            }
+            ClientOp::OpenRead { len, .. } => ClientMsg::Read { handle, offset: 0, len }.into(),
+            ClientOp::Create { data, .. } => ClientMsg::Write { handle, offset: 0, data }.into(),
+            ClientOp::Stat { path } => ClientMsg::Stat { path }.into(),
             ClientOp::Prepare { .. } | ClientOp::Sleep { .. } | ClientOp::List { .. } => {
                 unreachable!("no open phase")
             }
+        };
+        let unsent = (!self.ride).then_some(handle);
+        self.phase = Phase::Closing { replied: false, closed: false, unsent };
+        self.send_tracked(ctx, server, leader);
+        if self.ride {
+            ctx.send(server, close);
         }
+    }
+
+    /// Ends the op once its last request and its `Close` are both answered.
+    fn finish_if_closed(&mut self, ctx: &mut dyn NetCtx) {
+        if self.phase == (Phase::Closing { replied: true, closed: true, unsent: None }) {
+            let server = self.cfg.directory.name_of(self.target);
+            self.finish_op(ctx, OpOutcome::Ok, server);
+        }
+    }
+
+    /// Asks the redirector again, spending no refresh: the target stopped
+    /// answering, or it refused a leader whose handle its `Close` rider
+    /// had already closed. A silent manager fails over to the next
+    /// replica; otherwise the walk restarts at the current one. The budget
+    /// is per operation: two passes over the manager list.
+    fn reask(&mut self, ctx: &mut dyn NetCtx) {
+        self.reasks_this_op += 1;
+        let over = self.reasks_this_op as usize > self.cfg.managers.len() * 2
+            || ctx.now().since(self.start) >= self.cfg.retry.op_deadline;
+        if !over && self.target == self.resolver.redirector() {
+            self.resolver.rotate();
+        }
+        let step = self.walk.reask(&self.resolver);
+        self.follow(ctx, if over { Step::GaveUp } else { step });
     }
 }
 
@@ -567,29 +605,28 @@ impl Node for ClientNode {
                     self.on_open_ok(ctx, handle);
                 }
             }
-            ServerMsg::Data { ref data } if matches!(self.phase, Phase::Reading { .. }) => {
-                self.pending_data = Some(data.clone());
-                let Phase::Reading { handle } = self.phase else { unreachable!() };
-                self.phase = Phase::Closing;
-                let server = self.target;
-                self.send_tracked(ctx, server, ClientMsg::Close { handle }.into());
-            }
             ServerMsg::Data { .. } | ServerMsg::WriteOk { .. } | ServerMsg::StatOk { .. } => {
-                let handle = match self.phase {
-                    Phase::Reading { handle }
-                    | Phase::Writing { handle }
-                    | Phase::Statting { handle } => handle,
-                    _ => return,
+                let Phase::Closing { replied: false, closed, unsent } = self.phase else {
+                    return;
                 };
-                self.phase = Phase::Closing;
-                let server = self.target;
-                self.send_tracked(ctx, server, ClientMsg::Close { handle }.into());
+                if let ServerMsg::Data { data } = reply {
+                    self.pending_data = Some(data);
+                }
+                self.phase = Phase::Closing { replied: true, closed, unsent: None };
+                match unsent {
+                    Some(handle) => {
+                        let server = self.target;
+                        self.send_tracked(ctx, server, ClientMsg::Close { handle }.into());
+                    }
+                    None => self.finish_if_closed(ctx),
+                }
             }
             ServerMsg::CloseOk => {
-                if self.phase == Phase::Closing {
-                    let server = self.cfg.directory.name_of(self.target);
-                    self.finish_op(ctx, OpOutcome::Ok, server);
-                }
+                let Phase::Closing { replied, closed: false, unsent: None } = self.phase else {
+                    return;
+                };
+                self.phase = Phase::Closing { replied, closed: true, unsent: None };
+                self.finish_if_closed(ctx);
             }
             ServerMsg::PrepareOk => {
                 if self.phase == Phase::Preparing {
@@ -603,6 +640,19 @@ impl Node for ClientNode {
                 }
             }
             ServerMsg::Error { code, detail } => match code {
+                // A bad handle for a leader with its rider out: the `Close`
+                // got there first (reordered links) or the server restarted
+                // and lost its handles. The file is fine: open it again,
+                // this time closing only once the leader is answered.
+                ErrCode::BadRequest
+                    if matches!(
+                        self.phase,
+                        Phase::Closing { replied: false, unsent: None, .. }
+                    ) =>
+                {
+                    self.ride = false;
+                    self.reask(ctx)
+                }
                 ErrCode::Retry => self.wait_retry(ctx, None),
                 // Shed at the node's hard admission limit: back off
                 // (exponential, jittered) and retry the same walk. The
@@ -655,20 +705,8 @@ impl Node for ClientNode {
                     self.obs.count("scalla_client_discards_total", &[("kind", "stale_timeout")], 1);
                     return;
                 }
-                // The target stopped answering: ask the manager again,
-                // spending no refresh. A silent manager fails over to the
-                // next replica; a silent data server (or leased host) just
-                // restarts the walk at the current one. The budget is per
-                // operation: two passes over the manager list.
                 self.obs.incident("timeout");
-                self.timeouts_this_op += 1;
-                let over = self.timeouts_this_op as usize > self.cfg.managers.len() * 2
-                    || ctx.now().since(self.start) >= self.cfg.retry.op_deadline;
-                if !over && self.target == self.resolver.redirector() {
-                    self.resolver.rotate();
-                }
-                let step = self.walk.reask(&self.resolver);
-                self.follow(ctx, if over { Step::GaveUp } else { step });
+                self.reask(ctx);
             }
             _ => {}
         }
@@ -1163,6 +1201,148 @@ mod tests {
             "the expired lease must not be trusted"
         );
         assert_eq!(lc.stats().snapshot().expired, 1);
+    }
+
+    const MGR: Addr = Addr(0);
+    const LEAF: Addr = Addr(10);
+
+    /// A client running `op` alone, walked by hand through the manager's
+    /// redirect to the leaf's `OpenOk` for handle 7. The context holds
+    /// exactly what that last callback sent and armed.
+    fn opened(op: ClientOp) -> (ClientNode, MockCtx) {
+        let dir = Arc::new(Directory::new());
+        dir.register("leaf", LEAF);
+        let mut node = ClientNode::new(ClientConfig::new(MGR, dir, vec![op]));
+        let mut ctx = MockCtx::new();
+        node.on_start(&mut ctx);
+        let redirect = ServerMsg::Redirect { host: "leaf".into(), lease: None };
+        node.on_message(&mut ctx, MGR, redirect.into());
+        ctx.take_sends();
+        ctx.timers.clear();
+        node.on_message(&mut ctx, LEAF, ServerMsg::OpenOk { handle: 7 }.into());
+        (node, ctx)
+    }
+
+    fn open_at_manager() -> (Addr, Msg) {
+        let open =
+            ClientMsg::Open { path: "/data/f".into(), write: false, refresh: false, avoid: None };
+        (MGR, open.into())
+    }
+
+    fn data(bytes: &'static [u8]) -> Msg {
+        ServerMsg::Data { data: Bytes::from_static(bytes) }.into()
+    }
+
+    #[test]
+    fn close_rides_behind_the_last_request() {
+        let path = || "/data/f".to_string();
+        let payload = Bytes::from_static(b"xyz");
+        let cases: [(ClientOp, Msg); 3] = [
+            (
+                ClientOp::OpenRead { path: path(), len: 3 },
+                ClientMsg::Read { handle: 7, offset: 0, len: 3 }.into(),
+            ),
+            (
+                ClientOp::Create { path: path(), data: payload.clone() },
+                ClientMsg::Write { handle: 7, offset: 0, data: payload }.into(),
+            ),
+            (ClientOp::Stat { path: path() }, ClientMsg::Stat { path: path() }.into()),
+        ];
+        for (op, leader) in cases {
+            let (node, ctx) = opened(op);
+            let close = ClientMsg::Close { handle: 7 }.into();
+            assert_eq!(
+                ctx.sends,
+                [(LEAF, leader.clone()), (LEAF, close)],
+                "one callback, one flush"
+            );
+            assert_ne!(node.trace, 0);
+            assert_eq!(ctx.send_traces, [node.trace; 2], "both under the op's trace");
+            let timeout = tok::TIMEOUT_BASE + node.timeout_gen;
+            assert_eq!(
+                ctx.timers,
+                [(node.cfg.request_timeout, timeout)],
+                "one timer, the leader's"
+            );
+            assert_eq!(node.last_request, Some(leader), "only the leader is tracked");
+        }
+    }
+
+    #[test]
+    fn read_ends_once_data_and_close_ok_are_both_in() {
+        for close_ok_first in [false, true] {
+            let (mut node, mut ctx) = opened(ClientOp::OpenRead { path: "/data/f".into(), len: 3 });
+            ctx.take_sends();
+            let mut replies = [data(b"abc"), ServerMsg::CloseOk.into()];
+            if close_ok_first {
+                replies.reverse();
+            }
+            let [first, second] = replies;
+            node.on_message(&mut ctx, LEAF, first);
+            assert!(node.results().is_empty(), "one reply of two is not the end");
+            node.on_message(&mut ctx, LEAF, second);
+            assert!(ctx.sends.is_empty(), "nothing more to send: {:?}", ctx.sends);
+            assert!(node.is_done());
+            let r = &node.results()[0];
+            assert_eq!(r.outcome, OpOutcome::Ok);
+            assert_eq!(r.data.as_deref(), Some(&b"abc"[..]));
+            assert_eq!(r.server.as_deref(), Some("leaf"));
+        }
+    }
+
+    #[test]
+    fn leader_refused_behind_its_close_walks_again() {
+        let (mut node, mut ctx) = opened(ClientOp::OpenRead { path: "/data/f".into(), len: 3 });
+        ctx.take_sends();
+        // The `Close` overtook the `Read`: the server closed the handle,
+        // then refused the read on it.
+        node.on_message(&mut ctx, LEAF, ServerMsg::CloseOk.into());
+        let refused = ServerMsg::Error { code: ErrCode::BadRequest, detail: "bad handle 7".into() };
+        node.on_message(&mut ctx, LEAF, refused.into());
+        assert_eq!(ctx.take_sends(), [open_at_manager()], "back to the redirector");
+        assert!(node.results().is_empty());
+        let redirect = ServerMsg::Redirect { host: "leaf".into(), lease: None };
+        node.on_message(&mut ctx, MGR, redirect.into());
+        ctx.take_sends();
+        // This op's next `Close` waits for its `Read` to be answered.
+        node.on_message(&mut ctx, LEAF, ServerMsg::OpenOk { handle: 8 }.into());
+        let read = ClientMsg::Read { handle: 8, offset: 0, len: 3 }.into();
+        assert_eq!(ctx.take_sends(), [(LEAF, read)], "no rider this time");
+        node.on_message(&mut ctx, LEAF, ServerMsg::CloseOk.into());
+        assert!(
+            ctx.sends.is_empty() && node.results().is_empty(),
+            "a stray CloseOk counts for nothing"
+        );
+        node.on_message(&mut ctx, LEAF, data(b"abc"));
+        let close = ClientMsg::Close { handle: 8 }.into();
+        assert_eq!(ctx.take_sends(), [(LEAF, close)], "the Close follows the answer");
+        assert!(node.results().is_empty());
+        node.on_message(&mut ctx, LEAF, ServerMsg::CloseOk.into());
+        let r = &node.results()[0];
+        assert_eq!(r.outcome, OpOutcome::Ok, "the file exists: never an Error");
+        assert_eq!(r.refreshes, 0, "no refresh spent");
+        assert_eq!(r.redirects, 2);
+        assert_eq!(r.data.as_deref(), Some(&b"abc"[..]));
+    }
+
+    #[test]
+    fn timeout_with_the_rider_out_walks_again_once() {
+        let (mut node, mut ctx) = opened(ClientOp::OpenRead { path: "/data/f".into(), len: 3 });
+        ctx.take_sends();
+        node.on_message(&mut ctx, LEAF, data(b"abc"));
+        assert!(ctx.sends.is_empty(), "the data answers the leader; the CloseOk is still due");
+        node.on_timer(&mut ctx, tok::TIMEOUT_BASE + node.timeout_gen);
+        assert_eq!(ctx.take_sends(), [open_at_manager()], "one re-walk");
+        assert_eq!(node.reasks_this_op, 1);
+        let redirect = ServerMsg::Redirect { host: "leaf".into(), lease: None };
+        node.on_message(&mut ctx, MGR, redirect.into());
+        node.on_message(&mut ctx, LEAF, ServerMsg::OpenOk { handle: 8 }.into());
+        node.on_message(&mut ctx, LEAF, ServerMsg::CloseOk.into());
+        node.on_message(&mut ctx, LEAF, data(b"def"));
+        let r = &node.results()[0];
+        assert_eq!(r.outcome, OpOutcome::Ok);
+        assert_eq!((r.refreshes, r.redirects), (0, 2));
+        assert_eq!(r.data.as_deref(), Some(&b"def"[..]), "the second walk's read");
     }
 
     #[test]

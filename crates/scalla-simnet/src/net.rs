@@ -271,6 +271,10 @@ pub struct SimNet {
     /// messages on the same link may overtake each other once this exceeds
     /// their spacing.
     reorder_jitter: Nanos,
+    /// Latest delivery time queued on each directed link: unless reorder
+    /// jitter is on, no message is delivered before one sent ahead of it
+    /// on its link, as over TCP.
+    link_tail: HashMap<(Addr, Addr), Nanos>,
     /// Gray-failure knob: per-node extra delay added to every message the
     /// node sends or receives. The node stays up and keeps answering — just
     /// slowly — which is exactly the failure heartbeats don't catch.
@@ -294,6 +298,7 @@ impl SimNet {
             loss_permille: 0,
             dup_permille: 0,
             reorder_jitter: Nanos::ZERO,
+            link_tail: HashMap::new(),
             node_delay: HashMap::new(),
             rng: SplitMix64::new(seed),
             stats: SimStats::default(),
@@ -359,8 +364,8 @@ impl SimNet {
 
     /// Sets a bounded reordering knob: every message gets an extra uniform
     /// delay in `[0, jitter)` on top of its link latency, so back-to-back
-    /// messages can overtake each other. `Nanos::ZERO` disables it (FIFO
-    /// per link is then preserved by the event-sequence tiebreak).
+    /// messages can overtake each other. `Nanos::ZERO` disables it and
+    /// restores per-link FIFO (see `link_tail`).
     pub fn set_reorder_jitter(&mut self, jitter: Nanos) {
         self.reorder_jitter = jitter;
     }
@@ -447,7 +452,14 @@ impl SimNet {
             let kind = EventKind::Deliver { from, msg: msg.clone(), trace };
             self.push_event(Event { at, seq: 0, to, kind });
         }
-        let at = self.clock.now() + self.latency_between(from, to);
+        let mut at = self.clock.now() + self.latency_between(from, to);
+        if self.reorder_jitter.0 == 0 {
+            // Per-link FIFO: never ahead of the last message queued on this
+            // link; a tie falls to `seq`, which is send order.
+            let tail = self.link_tail.entry((from, to)).or_insert(at);
+            at = at.max(*tail);
+            *tail = at;
+        }
         self.push_event(Event { at, seq: 0, to, kind: EventKind::Deliver { from, msg, trace } });
     }
 
@@ -816,6 +828,33 @@ mod tests {
         resorted.sort();
         assert_ne!(jittered, resorted, "1 ms jitter over 0-latency spacing reorders");
         assert_eq!(resorted, sorted, "same multiset either way");
+    }
+
+    #[test]
+    fn jittered_link_keeps_send_order() {
+        struct SeqSink(Vec<u64>);
+        impl Node for SeqSink {
+            fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, msg: Msg) {
+                if let Msg::Client(ClientMsg::Close { handle }) = msg {
+                    self.0.push(handle);
+                }
+            }
+            fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+                Some(self)
+            }
+        }
+        // lan() jitter (10 µs) dwarfs the 0 µs spacing of back-to-back
+        // sends, so without the per-link clamp about half would overtake.
+        let mut net = SimNet::new(LatencyModel::lan(), 21);
+        let sink = net.add_node(Box::new(SeqSink(Vec::new())));
+        net.start();
+        for handle in 0..2000 {
+            net.inject(Addr(99), sink, ClientMsg::Close { handle }.into());
+        }
+        net.run_until(Nanos::from_secs(1));
+        let node = net.node_mut(sink).as_any_mut().unwrap();
+        let got = &node.downcast_ref::<SeqSink>().unwrap().0;
+        assert_eq!(*got, (0..2000).collect::<Vec<u64>>(), "a link delivers in send order");
     }
 
     #[test]

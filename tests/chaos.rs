@@ -5,6 +5,7 @@
 //! `peer_dead` recovery event was paired with a `peer_reconnected`.
 //! Failures print the profile + seed so the run can be replayed verbatim.
 
+use bytes::Bytes;
 use scalla::prelude::*;
 use scalla::sim::ClusterConfig;
 use std::collections::HashMap;
@@ -254,6 +255,48 @@ fn duplicated_and_reordered_delivery_is_idempotent() {
     assert!(state.vh.is_subset(ServerSet(0b0110)), "only true holders recorded: {state:?}");
     let (_, violations) = c.with_cmsd(mgr, |n| n.cache().invariant_violations());
     assert_eq!(violations, 0);
+}
+
+/// The client's `Close` rides right behind its `Read` or `Write`, and the
+/// reorder fault lets it overtake them: the server then closes the handle
+/// first and refuses the leader. The client opens the file again and
+/// closes in order from then on, so every op still ends Ok and every read
+/// returns what was written.
+#[test]
+fn riders_survive_reordered_delivery() {
+    let mut cfg = chaos_cfg(78);
+    cfg.n_servers = 4;
+    let mut c = SimCluster::build(cfg);
+    c.seed_file(1, "/d/f", 1, true);
+    c.settle(Nanos::from_secs(2));
+    c.net.set_reorder_jitter(Nanos::from_micros(200));
+
+    let payload = |i: usize| Bytes::from(format!("payload {i}"));
+    let ops: Vec<ClientOp> = (0..10)
+        .flat_map(|i| {
+            let path = format!("/d/new{i}");
+            vec![
+                ClientOp::Create { path: path.clone(), data: payload(i) },
+                ClientOp::OpenRead { path, len: payload(i).len() as u32 },
+                ClientOp::OpenRead { path: "/d/f".into(), len: 1 },
+            ]
+        })
+        .collect();
+    let client = c.add_client_with(|cc| cc.ops = ops.clone());
+    c.start_node(client);
+    c.net.run_for(Nanos::from_secs(300));
+
+    let results = c.client_results(client);
+    assert_eq!(results.len(), ops.len(), "every op must terminate under reordering");
+    for r in &results {
+        assert_eq!(r.outcome, OpOutcome::Ok, "{r:?}");
+    }
+    for i in 0..10 {
+        assert_eq!(results[3 * i + 1].data, Some(payload(i)), "read-back of /d/new{i}");
+    }
+    assert_eq!(c.net.stats().duplicated, 0);
+    let rewalks = results.iter().filter(|r| r.redirects > 1).count();
+    assert!(rewalks > 0, "a rider must actually have overtaken its leader");
 }
 
 /// Satellite: the retry budget is a hard stop. With every server offline

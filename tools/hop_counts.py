@@ -15,8 +15,10 @@ the socket reader, which runs the node and writes its replies; a mailbox hop
 to the protocol thread or a hand-off to an egress writer would each add one —
 so this is a count of hand-offs, not a time: it moves when the transport's
 shape moves, or when a workload's protocol takes more or fewer hops per op
-(a proxy's origin round trips on proxy_cold, redirects on warm_open), and
-hardly at all with the host's load.
+(a proxy's origin round trips on proxy_cold, redirects on warm_open, the
+client's Close riding behind its last request so that two frames cost one
+wake-up), and hardly at all with the host's load. CI gates warm_open
+(~8.7), proxy_warm (~4.3) and proxy_cold (~18.1).
 The ratio includes cluster set-up and the untimed warm phase of each
 repetition, the same on every commit. With --max, exits 1 when switches per
 op are above the bound; the CPU and fault figures are reported, not gated.
