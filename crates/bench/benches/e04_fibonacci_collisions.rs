@@ -40,7 +40,7 @@ struct Dist {
 
 fn build(policy: SizePolicy, names: &[String]) -> Dist {
     let mut slab = LocSlab::new();
-    let mut t = HashTable::with_policy(89, 80, policy);
+    let mut t = HashTable::with_policy(89, policy);
     for name in names {
         let h = crc32(name.as_bytes());
         let slot = slab.alloc(name, h);

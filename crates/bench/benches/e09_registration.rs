@@ -11,7 +11,7 @@
 
 use bench::table;
 use bytes::BytesMut;
-use scalla_baseline::{GfsMasterConfig, GfsMasterNode};
+use scalla_baseline::GfsMasterNode;
 use scalla_proto::{encode_msg, CmsMsg, NodeRoleTag};
 use scalla_util::Nanos;
 
@@ -45,7 +45,7 @@ fn main() {
         "E9: join cost — Scalla prefix login vs GFS-style manifest upload\n\
          (paper: light operation vs 'minutes for a single server')"
     );
-    let master = GfsMasterNode::new(GfsMasterConfig::default());
+    let master = GfsMasterNode::new();
     let scalla_bytes = login_bytes(2);
     // Scalla ready time: one login round trip on a 25 us LAN.
     let scalla_ready = Nanos::from_micros(50);

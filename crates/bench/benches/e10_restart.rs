@@ -8,7 +8,7 @@
 //! where the master cannot serve until manifests are ingested.
 
 use bench::table;
-use scalla_baseline::{GfsMasterConfig, GfsMasterNode};
+use scalla_baseline::GfsMasterNode;
 use scalla_client::Directory;
 use scalla_client::{ClientConfig, ClientNode, ClientOp, OpOutcome};
 use scalla_node::{JoinStyle, ServerConfig, ServerNode};
@@ -54,7 +54,7 @@ fn scalla_restart(n_servers: usize, _files_per_server: usize) -> Option<Nanos> {
 fn gfs_restart(n_servers: usize, files_per_server: usize) -> Option<Nanos> {
     let mut net = SimNet::new(LatencyModel::fixed(Nanos::from_micros(25)), 10);
     let directory = Arc::new(Directory::new());
-    let master = net.add_node(Box::new(GfsMasterNode::new(GfsMasterConfig::default())));
+    let master = net.add_node(Box::new(GfsMasterNode::new()));
     directory.register("master", master);
     for i in 0..n_servers {
         let name = format!("srv-{i}");

@@ -20,32 +20,18 @@ use scalla_simnet::{NetCtx, Node};
 use scalla_util::Nanos;
 use std::collections::{HashMap, HashSet};
 
-/// Ingest-cost model for manifest uploads.
-#[derive(Clone, Debug)]
-pub struct GfsMasterConfig {
-    /// Per-file processing cost during manifest ingest (map insertion,
-    /// lease bookkeeping). The paper's "minutes for a single server"
-    /// corresponds to ~1 ms/file at 10^5–10^6 files.
-    pub per_file_ingest: Nanos,
-    /// Modeled network bandwidth for manifest transfer, bytes/second.
-    pub manifest_bandwidth: u64,
-    /// Assumed bytes per manifest entry (path + metadata).
-    pub bytes_per_entry: u64,
-}
-
-impl Default for GfsMasterConfig {
-    fn default() -> GfsMasterConfig {
-        GfsMasterConfig {
-            per_file_ingest: Nanos::from_micros(20),
-            manifest_bandwidth: 125_000_000, // 1 Gb/s
-            bytes_per_entry: 128,
-        }
-    }
-}
+/// Per-file processing cost during manifest ingest (map insertion,
+/// lease bookkeeping). The paper's "minutes for a single server"
+/// corresponds to ~1 ms/file at 10^5–10^6 files.
+pub const PER_FILE_INGEST: Nanos = Nanos::from_micros(20);
+/// Modeled network bandwidth for manifest transfer, bytes/second (1 Gb/s).
+pub const MANIFEST_BANDWIDTH: u64 = 125_000_000;
+/// Assumed bytes per manifest entry (path + metadata).
+pub const BYTES_PER_ENTRY: u64 = 128;
 
 /// The central master node.
+#[derive(Default)]
 pub struct GfsMasterNode {
-    cfg: GfsMasterConfig,
     /// file path -> server names that host it.
     map: HashMap<String, Vec<String>>,
     /// Servers whose ingest completed.
@@ -62,26 +48,15 @@ pub struct GfsMasterNode {
 
 impl GfsMasterNode {
     /// Creates an empty master.
-    pub fn new(cfg: GfsMasterConfig) -> GfsMasterNode {
-        GfsMasterNode {
-            cfg,
-            map: HashMap::new(),
-            ready: HashSet::new(),
-            pending: HashMap::new(),
-            next_token: 0,
-            entries_ingested: 0,
-            bytes_received: 0,
-            rr: 0,
-        }
+    pub fn new() -> GfsMasterNode {
+        GfsMasterNode::default()
     }
 
     /// Modeled delay to ingest a manifest of `n` files.
     pub fn ingest_delay(&self, n: usize) -> Nanos {
-        let transfer = Nanos(
-            (n as u64 * self.cfg.bytes_per_entry).saturating_mul(1_000_000_000)
-                / self.cfg.manifest_bandwidth.max(1),
-        );
-        self.cfg.per_file_ingest.mul(n as u64) + transfer
+        let transfer =
+            Nanos((n as u64 * BYTES_PER_ENTRY).saturating_mul(1_000_000_000) / MANIFEST_BANDWIDTH);
+        PER_FILE_INGEST.mul(n as u64) + transfer
     }
 
     /// Number of distinct files known.
@@ -101,7 +76,7 @@ impl Node for GfsMasterNode {
             Msg::Cms(CmsMsg::Manifest { name, files }) => {
                 // Model transfer + ingest cost before the server is usable.
                 let delay = self.ingest_delay(files.len());
-                self.bytes_received += files.len() as u64 * self.cfg.bytes_per_entry;
+                self.bytes_received += files.len() as u64 * BYTES_PER_ENTRY;
                 let token = self.next_token;
                 self.next_token += 1;
                 self.pending.insert(token, (name, files));
@@ -193,7 +168,7 @@ mod tests {
 
     #[test]
     fn ingest_delay_scales_with_manifest_size() {
-        let m = GfsMasterNode::new(GfsMasterConfig::default());
+        let m = GfsMasterNode::new();
         let d1 = m.ingest_delay(1_000);
         let d2 = m.ingest_delay(100_000);
         assert!(d2.0 > d1.0 * 50, "ingest must scale ~linearly with files");
@@ -204,7 +179,7 @@ mod tests {
 
     #[test]
     fn lookups_blocked_until_ingest_completes() {
-        let mut m = GfsMasterNode::new(GfsMasterConfig::default());
+        let mut m = GfsMasterNode::new();
         let mut ctx = MockCtx::new();
         m.on_message(&mut ctx, Addr(99), manifest("srv-a", &["/data/f1"]));
         let [(_, token)] = ctx.timers[..] else { panic!("{:?}", ctx.timers) };
@@ -227,7 +202,7 @@ mod tests {
         // A ServerNode configured with FullManifest drives the baseline
         // end-to-end: join, lookup, redirect, open.
         let mut net = SimNet::new(LatencyModel::fixed(Nanos::from_micros(10)), 1);
-        let master = net.add_node(Box::new(GfsMasterNode::new(GfsMasterConfig::default())));
+        let master = net.add_node(Box::new(GfsMasterNode::new()));
         let mut scfg = ServerConfig::new("srv-a", master);
         scfg.join = JoinStyle::FullManifest;
         let mut srv = ServerNode::new(scfg);
@@ -246,7 +221,7 @@ mod tests {
     fn negative_answers_are_immediate() {
         // The structural contrast with Scalla: the master's full map means
         // "not found" needs no 5 s deadline.
-        let mut master = GfsMasterNode::new(GfsMasterConfig::default());
+        let mut master = GfsMasterNode::new();
         let mut ctx = MockCtx::new();
         master.on_message(&mut ctx, Addr(5), open("/ghost", false));
         assert!(matches!(
@@ -257,7 +232,7 @@ mod tests {
 
     #[test]
     fn write_allocation_round_robins_ready_servers() {
-        let mut m = GfsMasterNode::new(GfsMasterConfig::default());
+        let mut m = GfsMasterNode::new();
         let mut ctx = MockCtx::new();
         m.on_message(&mut ctx, Addr(99), manifest("srv-a", &[]));
         m.on_message(&mut ctx, Addr(99), manifest("srv-b", &[]));

@@ -19,7 +19,7 @@
 
 pub mod gfs;
 
-pub use gfs::{GfsMasterConfig, GfsMasterNode};
+pub use gfs::GfsMasterNode;
 /// Eager re-chaining ring (lives in `scalla-cache` for field access; it is
 /// a baseline, re-exported here where comparators are catalogued).
 pub use scalla_cache::eager::EagerWindowRing;

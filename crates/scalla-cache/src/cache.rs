@@ -128,7 +128,7 @@ impl NameCache {
         NameCache {
             inner: Mutex::new(Interior {
                 slab: LocSlab::new(),
-                table: HashTable::new(config.initial_table_size, config.max_load_percent),
+                table: HashTable::new(config.initial_table_size),
                 windows: WindowRing::new(),
                 connects: ConnectLog::new(),
                 pending_removal: Vec::new(),

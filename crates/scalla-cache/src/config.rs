@@ -7,6 +7,10 @@ use scalla_util::Nanos;
 /// because window indices are stored as 6-bit values chained per window.
 pub const WINDOW_COUNT: usize = 64;
 
+/// Load-factor percentage at which the hash table grows to the next
+/// Fibonacci size. 80 % in the paper (§III-A1).
+pub const MAX_LOAD_PERCENT: usize = 80;
+
 /// Tunable cache parameters. Every default is the value the paper states.
 #[derive(Clone, Debug)]
 pub struct CacheConfig {
@@ -26,9 +30,6 @@ pub struct CacheConfig {
     pub response_anchors: usize,
     /// Initial hash-table size; rounded up to a Fibonacci number.
     pub initial_table_size: u64,
-    /// Load-factor percentage at which the table grows to the next
-    /// Fibonacci size. 80 % in the paper (§III-A1).
-    pub max_load_percent: u8,
 }
 
 impl Default for CacheConfig {
@@ -39,7 +40,6 @@ impl Default for CacheConfig {
             fast_window: Nanos::from_millis(133),
             response_anchors: 1024,
             initial_table_size: 89,
-            max_load_percent: 80,
         }
     }
 }
@@ -60,7 +60,6 @@ impl CacheConfig {
             fast_window: Nanos::from_millis(133),
             response_anchors: 8,
             initial_table_size: 5,
-            max_load_percent: 80,
         }
     }
 }
@@ -76,7 +75,7 @@ mod tests {
         assert_eq!(c.full_delay, Nanos::from_secs(5));
         assert_eq!(c.fast_window, Nanos::from_millis(133));
         assert_eq!(c.response_anchors, 1024);
-        assert_eq!(c.max_load_percent, 80);
+        assert_eq!(MAX_LOAD_PERCENT, 80);
         // 8h / 64 = 7.5 minutes, the example in §III-A3.
         assert_eq!(c.window_period(), Nanos::from_secs(450));
     }

@@ -11,6 +11,7 @@
 //! through each entry's `next` link, so the table itself is a flat `Vec<u32>`
 //! of bucket heads — compact, cache-friendly, and O(1) per probe.
 
+use crate::config::MAX_LOAD_PERCENT;
 use crate::slab::{LocSlab, NIL};
 use scalla_util::fib;
 
@@ -48,27 +49,20 @@ pub struct HashTable {
     buckets: Vec<u32>,
     /// Entries physically present in chains (visible *and* hidden).
     len: usize,
-    max_load_percent: u8,
     resizes: u64,
     policy: SizePolicy,
 }
 
 impl HashTable {
     /// Creates a Fibonacci-sized table with at least `initial` buckets.
-    pub fn new(initial: u64, max_load_percent: u8) -> HashTable {
-        HashTable::with_policy(initial, max_load_percent, SizePolicy::Fibonacci)
+    pub fn new(initial: u64) -> HashTable {
+        HashTable::with_policy(initial, SizePolicy::Fibonacci)
     }
 
     /// Creates a table under an explicit size policy (E4 ablation).
-    pub fn with_policy(initial: u64, max_load_percent: u8, policy: SizePolicy) -> HashTable {
+    pub fn with_policy(initial: u64, policy: SizePolicy) -> HashTable {
         let size = policy.at_least(initial);
-        HashTable {
-            buckets: vec![NIL; size],
-            len: 0,
-            max_load_percent: max_load_percent.clamp(1, 100),
-            resizes: 0,
-            policy,
-        }
+        HashTable { buckets: vec![NIL; size], len: 0, resizes: 0, policy }
     }
 
     /// Current bucket count (always a Fibonacci number).
@@ -104,7 +98,7 @@ impl HashTable {
     /// is at its load limit.
     pub fn insert(&mut self, slab: &mut LocSlab, slot: u32) {
         // Grow when the entry count *reaches* the load limit (§III-A1).
-        if (self.len + 1) * 100 >= self.buckets.len() * self.max_load_percent as usize {
+        if (self.len + 1) * 100 >= self.buckets.len() * MAX_LOAD_PERCENT {
             self.grow(slab);
         }
         let b = self.bucket_of(slab.get(slot).hash);
@@ -204,7 +198,7 @@ mod tests {
     #[test]
     fn insert_lookup_roundtrip() {
         let mut slab = LocSlab::new();
-        let mut t = HashTable::new(5, 80);
+        let mut t = HashTable::new(5);
         let names: Vec<String> =
             (0..50).map(|i| format!("/data/run{}/f{}.root", i % 7, i)).collect();
         let slots: Vec<u32> = names.iter().map(|n| add(&mut t, &mut slab, n)).collect();
@@ -218,7 +212,7 @@ mod tests {
     #[test]
     fn sizes_stay_fibonacci_and_grow_at_80pct() {
         let mut slab = LocSlab::new();
-        let mut t = HashTable::new(5, 80);
+        let mut t = HashTable::new(5);
         assert_eq!(t.bucket_count(), 5);
         for i in 0..4 {
             add(&mut t, &mut slab, &format!("/f{i}"));
@@ -237,7 +231,7 @@ mod tests {
     #[test]
     fn hidden_entries_are_not_found_but_stay_chained() {
         let mut slab = LocSlab::new();
-        let mut t = HashTable::new(5, 80);
+        let mut t = HashTable::new(5);
         let slot = add(&mut t, &mut slab, "/f");
         let h = crc32(b"/f");
         slab.get_mut(slot).hide();
@@ -256,7 +250,7 @@ mod tests {
         // One bucket forces a single chain: max load 100 with size 2 and
         // names engineered to collide is brittle, so just use remove on a
         // normal table and verify lookups.
-        let mut t = HashTable::new(5, 80);
+        let mut t = HashTable::new(5);
         let names: Vec<String> = (0..30).map(|i| format!("/r/{i}")).collect();
         let slots: Vec<u32> = names.iter().map(|n| add(&mut t, &mut slab, n)).collect();
         for (i, &slot) in slots.iter().enumerate() {
@@ -278,7 +272,7 @@ mod tests {
     #[test]
     fn pow2_policy_grows_by_doubling() {
         let mut slab = LocSlab::new();
-        let mut t = HashTable::with_policy(4, 80, SizePolicy::PowerOfTwo);
+        let mut t = HashTable::with_policy(4, SizePolicy::PowerOfTwo);
         assert_eq!(t.bucket_count(), 4);
         for i in 0..100 {
             add(&mut t, &mut slab, &format!("/p/{i}"));
@@ -292,7 +286,7 @@ mod tests {
     #[test]
     fn chain_lengths_sum_to_len() {
         let mut slab = LocSlab::new();
-        let mut t = HashTable::new(5, 80);
+        let mut t = HashTable::new(5);
         for i in 0..200 {
             add(&mut t, &mut slab, &format!("/c/{i}"));
         }

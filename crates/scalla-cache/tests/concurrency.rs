@@ -29,7 +29,6 @@ fn overlapping_resolutions_keep_invariants() {
         fast_window: Nanos::from_millis(5),
         response_anchors: 1024,
         initial_table_size: 89,
-        max_load_percent: 80,
     };
     let cache = Arc::new(NameCache::new(cfg, clock));
     let vm = ServerSet::first_n(16);
@@ -141,7 +140,6 @@ fn concurrent_resolvers_responders_and_maintenance() {
         fast_window: Nanos::from_millis(5),
         response_anchors: 1024,
         initial_table_size: 89,
-        max_load_percent: 80,
     };
     let cache = Arc::new(NameCache::new(cfg, clock));
     let vm = ServerSet::first_n(32);

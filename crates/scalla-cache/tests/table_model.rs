@@ -31,7 +31,7 @@ fn name_of(k: u16) -> String {
 
 fn check_sequence(ops: Vec<Op>, policy: SizePolicy) {
     let mut slab = LocSlab::new();
-    let mut table = HashTable::with_policy(3, 80, policy);
+    let mut table = HashTable::with_policy(3, policy);
     // Oracle: name -> slot for *visible* entries.
     let mut visible: HashMap<String, u32> = HashMap::new();
     // All chained slots (visible or hidden), for remove bookkeeping.

@@ -126,6 +126,9 @@ impl OpResult {
     }
 }
 
+/// Ceiling on the (jittered) client backoff delay.
+pub const BACKOFF_CAP: Nanos = Nanos::from_secs(5);
+
 /// Retry behaviour for one operation: how many `Wait`/`Retry` verdicts to
 /// honour, how the delay between attempts grows, and the hard wall-clock
 /// deadline past which the operation is terminally abandoned.
@@ -141,8 +144,6 @@ pub struct RetryPolicy {
     pub max_waits: u32,
     /// Delay before the first retry; doubles per attempt.
     pub backoff_base: Nanos,
-    /// Ceiling on the (jittered) backoff delay.
-    pub backoff_cap: Nanos,
     /// Hard wall-clock budget per operation; checked at every retry
     /// decision point, exceeding it is terminal.
     pub op_deadline: Nanos,
@@ -153,7 +154,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_waits: 10,
             backoff_base: Nanos::from_millis(100),
-            backoff_cap: Nanos::from_secs(5),
             op_deadline: Nanos::from_secs(600),
         }
     }
@@ -162,13 +162,13 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The client-side delay before retry `attempt` (1-based): exponential
     /// from `backoff_base`, ±25 % jitter from `rand`, capped at
-    /// `backoff_cap`. A server's `Wait` hint still wins when longer.
+    /// [`BACKOFF_CAP`]. A server's `Wait` hint still wins when longer.
     pub fn backoff(&self, attempt: u32, rand: u64) -> Nanos {
         let exp = attempt.saturating_sub(1).min(20);
         let base = self.backoff_base.0.saturating_mul(1 << exp);
         // 0.75x..1.25x, then cap — so the cap is a true ceiling.
         let jittered = (base / 1000).saturating_mul(750 + rand % 500);
-        Nanos(jittered.min(self.backoff_cap.0).max(1))
+        Nanos(jittered.clamp(1, BACKOFF_CAP.0))
     }
 
     /// Whether an operation started at `start` has used up its budget:
@@ -191,8 +191,6 @@ pub struct ClientConfig {
     pub ops: Vec<ClientOp>,
     /// Delay before the first operation.
     pub start_delay: Nanos,
-    /// Pause between operations.
-    pub think_time: Nanos,
     /// Maximum refresh recoveries per operation.
     pub max_refreshes: u32,
     /// Wait/retry budget, backoff shape, and per-op deadline.
@@ -216,7 +214,6 @@ impl ClientConfig {
             directory,
             ops,
             start_delay: Nanos::ZERO,
-            think_time: Nanos::ZERO,
             max_refreshes: 3,
             retry: RetryPolicy::default(),
             request_timeout: Nanos::from_secs(20),
@@ -464,8 +461,6 @@ impl ClientNode {
         self.phase = Phase::Idle;
         if self.op_index >= self.cfg.ops.len() {
             self.done = true;
-        } else if self.cfg.think_time.0 > 0 {
-            ctx.set_timer(self.cfg.think_time, tok::NEXT_OP);
         } else {
             self.begin_op(ctx);
         }
@@ -577,7 +572,7 @@ impl Node for ClientNode {
         if self.done || self.phase == Phase::Idle || from != self.target {
             // Stale response: an abandoned target, a finished op (duplicate
             // delivery of the reply that completed it), or a reply landing
-            // inside a sleep/think gap when nothing is outstanding.
+            // inside a sleep gap when nothing is outstanding.
             self.obs.count("scalla_client_discards_total", &[("kind", "stale_reply")], 1);
             return;
         }
@@ -859,8 +854,8 @@ mod tests {
         assert_eq!(p.backoff(3, 250), Nanos::from_millis(400));
         // Attempt 10 would be 51.2s un-capped; the cap is a hard ceiling
         // even at maximum jitter.
-        assert_eq!(p.backoff(10, 499), p.backoff_cap);
-        assert_eq!(p.backoff(u32::MAX, 499), p.backoff_cap);
+        assert_eq!(p.backoff(10, 499), BACKOFF_CAP);
+        assert_eq!(p.backoff(u32::MAX, 499), BACKOFF_CAP);
         // Jitter stays within [0.75x, 1.25x) of the nominal delay.
         for rand in [0u64, 123, 321, 499, u64::MAX] {
             let d = p.backoff(2, rand).0;

@@ -63,14 +63,13 @@ pub struct CmsdConfig {
     /// Alternate parents to retry login at when a configured parent
     /// rejects us (its server set is full), in preference order.
     pub alternates: Vec<Addr>,
-    /// Location-lease TTL granted on client redirects. `Nanos::ZERO`
-    /// disables leases (redirects encode byte-identically to the
-    /// pre-lease wire format). A granted lease tells the client it may
-    /// open `path` directly against the redirect target — skipping this
-    /// manager — for up to the TTL; [`CmsdConfig::enable_leases`] derives
-    /// it from the cache's `L_t` window, the same bound the cmsd itself
-    /// trusts a location answer for.
-    pub lease_ttl: Nanos,
+    /// Whether client redirects carry a location lease. Off, redirects
+    /// encode byte-identically to the pre-lease wire format. A granted
+    /// lease tells the client it may open `path` directly against the
+    /// redirect target — skipping this manager — for one window of
+    /// `cache` (`L_t / 64`), read when the lease is granted: the same
+    /// bound the cmsd itself trusts a location answer for.
+    pub leases: bool,
     /// Deterministic seed for tie-breaking.
     pub seed: u64,
 }
@@ -90,7 +89,7 @@ impl CmsdConfig {
             offline_after: Nanos::from_secs(3),
             overload: OverloadConfig::disabled(),
             alternates: Vec::new(),
-            lease_ttl: Nanos::ZERO,
+            leases: false,
             seed: 0,
         }
     }
@@ -104,12 +103,12 @@ impl CmsdConfig {
         }
     }
 
-    /// Enables location leases, deriving the TTL from the cache's `L_t`
-    /// window: a cached answer is refreshed every `lifetime / 64`, so a
-    /// client trusting a redirect for one window can never out-trust the
-    /// cmsd's own staleness bound.
+    /// Enables location leases. Their TTL is the cache's `L_t` window: a
+    /// cached answer is refreshed every `lifetime / 64`, so a client
+    /// trusting a redirect for one window can never out-trust the cmsd's
+    /// own staleness bound.
     pub fn enable_leases(mut self) -> CmsdConfig {
-        self.lease_ttl = self.cache.window_period();
+        self.leases = true;
         self
     }
 }
@@ -216,10 +215,11 @@ impl CmsdNode {
     /// supervisor redirects stay lease-less rather than mixing unrelated
     /// epoch sequences into one client cache.
     fn grant_lease(&self) -> Option<Lease> {
-        if self.cfg.lease_ttl == Nanos::ZERO || self.cfg.role != CmsdRole::Manager {
+        if !self.cfg.leases || self.cfg.role != CmsdRole::Manager {
             return None;
         }
-        Some(Lease { ttl_millis: self.cfg.lease_ttl.as_millis().max(1), epoch: self.epoch })
+        let ttl = self.cfg.cache.window_period();
+        Some(Lease { ttl_millis: ttl.as_millis().max(1), epoch: self.epoch })
     }
 
     /// Redirects `to` one level down, to child `slot`, under a lease when
@@ -1344,12 +1344,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn leased_redirect_carries_window_ttl_and_current_epoch() {
-        let clock = Arc::new(VirtualClock::new());
-        let mut node = mk_leased_manager(clock);
+    /// Logs in two servers, resolves `/data/f` through the first, and
+    /// returns the lease on the client's redirect with the epoch the
+    /// logins left.
+    fn leased_redirect(node: &mut CmsdNode) -> (Lease, u64) {
         let mut ctx = MockCtx::new();
-        let addrs = login_servers(&mut node, &mut ctx, 2);
+        let addrs = login_servers(node, &mut ctx, 2);
         let epoch_after_logins = node.epoch();
         node.on_message(&mut ctx, Addr(7), open("/data/f"));
         let hash = crc32(b"/data/f");
@@ -1358,14 +1358,34 @@ mod tests {
             addrs[0],
             CmsMsg::Have { reqid: 1, path: "/data/f".into(), hash, staging: false }.into(),
         );
-        let want_ttl = CacheConfig::for_tests().window_period().as_millis().max(1);
         match ctx.sends.last() {
             Some((_, Msg::Server(ServerMsg::Redirect { lease: Some(l), .. }))) => {
-                assert_eq!(l.ttl_millis, want_ttl, "TTL derives from the L_t window");
-                assert_eq!(l.epoch, epoch_after_logins);
+                (*l, epoch_after_logins)
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn leased_redirect_carries_window_ttl_and_current_epoch() {
+        let mut node = mk_leased_manager(Arc::new(VirtualClock::new()));
+        let (lease, epoch_after_logins) = leased_redirect(&mut node);
+        let want_ttl = CacheConfig::for_tests().window_period().as_millis().max(1);
+        assert_eq!(lease.ttl_millis, want_ttl, "TTL derives from the L_t window");
+        assert_eq!(lease.epoch, epoch_after_logins);
+    }
+
+    #[test]
+    fn lease_ttl_follows_a_cache_set_after_enable_leases() {
+        // The TTL is read from the cache in force when the lease is
+        // granted, so setting `cache` after `enable_leases()` cannot leave
+        // a lease outliving the cache entry behind it.
+        let mut cfg = CmsdConfig::manager("mgr").enable_leases();
+        cfg.cache = CacheConfig::for_tests();
+        let mut node = CmsdNode::new(cfg, Arc::new(VirtualClock::new()));
+        let (lease, _) = leased_redirect(&mut node);
+        let want_ttl = CacheConfig::for_tests().window_period().as_millis();
+        assert_eq!(lease.ttl_millis, want_ttl, "TTL is the for_tests() window, 1 s");
     }
 
     #[test]

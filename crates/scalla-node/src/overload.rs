@@ -31,6 +31,19 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+/// Entering-overload watermark, percent of [`OverloadConfig::limit`].
+pub const HIGH_PCT: u64 = 75;
+/// Leaving-overload watermark, percent of the limit (hysteresis).
+pub const LOW_PCT: u64 = 50;
+/// Hard shed watermark, percent of the limit; at or past it new work is
+/// refused with an explicit overload error.
+pub const SHED_PCT: u64 = 100;
+/// Adaptive `Wait` hint at the low watermark (the floor).
+pub const BASE_HINT: Nanos = Nanos::from_millis(20);
+/// How long a deferred peer keeps its place in the round-robin queue
+/// without retrying before it forfeits its turn.
+pub const DEFER_TTL: Nanos = Nanos::from_secs(10);
+
 /// Overload-protection tuning for one node. `limit == 0` disables
 /// admission control entirely (the default — existing deployments keep
 /// their old behaviour until they opt in).
@@ -39,23 +52,11 @@ pub struct OverloadConfig {
     /// Capacity measure: response-queue anchors for a cmsd, concurrent
     /// open handles for a data server. 0 disables admission control.
     pub limit: usize,
-    /// Entering-overload watermark, percent of `limit`.
-    pub high_pct: u32,
-    /// Leaving-overload watermark, percent of `limit` (hysteresis).
-    pub low_pct: u32,
-    /// Hard shed watermark, percent of `limit`; at or past it new work is
-    /// refused with an explicit overload error.
-    pub shed_pct: u32,
     /// Per-peer inflight cap (parked waiters / open handles); 0 = none.
     pub per_peer: usize,
-    /// Adaptive `Wait` hint at the low watermark (the floor).
-    pub base_hint: Nanos,
     /// Adaptive `Wait` hint at the shed limit (the ceiling; the paper's
     /// flat full delay is a natural choice).
     pub max_hint: Nanos,
-    /// How long a deferred peer keeps its place in the round-robin queue
-    /// without retrying before it forfeits its turn.
-    pub defer_ttl: Nanos,
 }
 
 impl Default for OverloadConfig {
@@ -67,22 +68,13 @@ impl Default for OverloadConfig {
 impl OverloadConfig {
     /// Admission control off: every request admits, nothing is tracked.
     pub fn disabled() -> OverloadConfig {
-        OverloadConfig { limit: 0, ..OverloadConfig::with_limit(1) }
+        OverloadConfig::with_limit(0)
     }
 
-    /// Admission control with capacity `limit` and default watermarks:
+    /// Admission control with capacity `limit` and the fixed watermarks:
     /// overloaded at 75 %, recovered at 50 %, shedding at 100 %.
     pub fn with_limit(limit: usize) -> OverloadConfig {
-        OverloadConfig {
-            limit,
-            high_pct: 75,
-            low_pct: 50,
-            shed_pct: 100,
-            per_peer: 0,
-            base_hint: Nanos::from_millis(20),
-            max_hint: Nanos::from_secs(5),
-            defer_ttl: Nanos::from_secs(10),
-        }
+        OverloadConfig { limit, per_peer: 0, max_hint: Nanos::from_secs(5) }
     }
 
     /// Whether admission control is active.
@@ -180,15 +172,15 @@ impl Admission {
     }
 
     /// The adaptive `Wait` hint for the given occupancy: linear from
-    /// `base_hint` at the low watermark to `max_hint` at the shed limit,
+    /// [`BASE_HINT`] at the low watermark to `max_hint` at the shed limit,
     /// clamped to that range. Milliseconds, never 0.
     pub fn hint_millis(&self, occupancy: usize) -> u64 {
         let limit = self.cfg.limit.max(1) as u64;
-        let low = limit * self.cfg.low_pct as u64 / 100;
-        let shed = (limit * self.cfg.shed_pct as u64 / 100).max(low + 1);
+        let low = limit * LOW_PCT / 100;
+        let shed = (limit * SHED_PCT / 100).max(low + 1);
         let num = (occupancy as u64).saturating_sub(low).min(shed - low);
-        let span = self.cfg.max_hint.0.saturating_sub(self.cfg.base_hint.0);
-        let hint = Nanos(self.cfg.base_hint.0 + span / (shed - low) * num);
+        let span = self.cfg.max_hint.0.saturating_sub(BASE_HINT.0);
+        let hint = Nanos(BASE_HINT.0 + span / (shed - low) * num);
         hint.as_millis().max(1)
     }
 
@@ -204,18 +196,18 @@ impl Admission {
         let occ100 = occupancy as u64 * 100;
         let limit = self.cfg.limit as u64;
         // Watermark hysteresis: enter at high, leave at low.
-        if !self.overloaded && occ100 >= limit * self.cfg.high_pct as u64 {
+        if !self.overloaded && occ100 >= limit * HIGH_PCT {
             self.overloaded = true;
             self.stats.enters.fetch_add(1, Ordering::Relaxed);
             self.stats.overloaded.store(1, Ordering::Relaxed);
-        } else if self.overloaded && occ100 <= limit * self.cfg.low_pct as u64 {
+        } else if self.overloaded && occ100 <= limit * LOW_PCT {
             self.overloaded = false;
             self.stats.exits.fetch_add(1, Ordering::Relaxed);
             self.stats.overloaded.store(0, Ordering::Relaxed);
             self.deferred.clear();
         }
         // Hard limit: refuse outright, client backs off.
-        if occ100 >= limit * self.cfg.shed_pct as u64 {
+        if occ100 >= limit * SHED_PCT {
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
             return Verdict::Shed;
         }
@@ -235,14 +227,14 @@ impl Admission {
             // retries arrive (arrival order, no starvation). At or past
             // the watermark the window collapses to the front alone —
             // one admission per drained anchor, never a stampede.
-            let high_slots = (self.cfg.limit * self.cfg.high_pct as usize).div_ceil(100);
+            let high_slots = (self.cfg.limit * HIGH_PCT as usize).div_ceil(100);
             let window = high_slots.saturating_sub(occupancy);
             match self.deferred.iter().position(|&(p, _)| p == peer) {
                 Some(pos) if pos < window.max(1) => {
                     self.deferred.remove(pos);
                 }
                 Some(pos) => {
-                    self.deferred[pos].1 = now + self.cfg.defer_ttl;
+                    self.deferred[pos].1 = now + DEFER_TTL;
                     return self.wait(occupancy);
                 }
                 None if self.deferred.len() < window => {
@@ -251,7 +243,7 @@ impl Admission {
                     // idling it until the queued peers retry.
                 }
                 None => {
-                    self.deferred.push_back((peer, now + self.cfg.defer_ttl));
+                    self.deferred.push_back((peer, now + DEFER_TTL));
                     return self.wait(occupancy);
                 }
             }
@@ -348,8 +340,8 @@ mod tests {
         let a = Admission::new(cfg(100));
         let at = |occ| a.hint_millis(occ);
         // Floor at/below the low watermark.
-        assert_eq!(at(0), a.config().base_hint.as_millis().max(1));
-        assert_eq!(at(50), a.config().base_hint.as_millis().max(1));
+        assert_eq!(at(0), BASE_HINT.as_millis().max(1));
+        assert_eq!(at(50), BASE_HINT.as_millis().max(1));
         // Monotone in between.
         assert!(at(60) < at(80), "{} < {}", at(60), at(80));
         assert!(at(80) < at(99), "{} < {}", at(80), at(99));
@@ -414,9 +406,9 @@ mod tests {
         assert!(matches!(a.check(2, 80, t0), Verdict::Wait { .. }));
         // Peer 2 keeps retrying: every retry refreshes its deadline, so
         // it never forfeits its place — only silent peer 1 does.
-        let mid = t0 + a.config().defer_ttl - Nanos::from_millis(1);
+        let mid = t0 + DEFER_TTL - Nanos::from_millis(1);
         assert!(matches!(a.check(2, 80, mid), Verdict::Wait { .. }));
-        let late = t0 + a.config().defer_ttl + Nanos::from_secs(5);
+        let late = t0 + DEFER_TTL + Nanos::from_secs(5);
         assert_eq!(a.check(2, 80, late), Verdict::Admit);
     }
 
@@ -429,7 +421,7 @@ mod tests {
         assert!(matches!(a.check(2, 80, t1), Verdict::Wait { .. }));
         // Peer 1 never retries; past its ttl (but within peer 2's own),
         // peer 2's retry admits instead of being blocked forever.
-        let late = t0 + a.config().defer_ttl + Nanos::from_millis(1);
+        let late = t0 + DEFER_TTL + Nanos::from_millis(1);
         assert_eq!(a.check(2, 80, late), Verdict::Admit);
     }
 

@@ -23,5 +23,5 @@
 mod proxy;
 mod store;
 
-pub use proxy::{tokens, ProxyConfig, ProxyNode};
+pub use proxy::{tokens, ProxyConfig, ProxyNode, REQUEST_TIMEOUT};
 pub use store::{BlockKey, BlockStore, PcacheConfig, PcacheStats, PinOutcome};

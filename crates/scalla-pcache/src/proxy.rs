@@ -83,6 +83,11 @@ pub mod tokens {
 /// bounded frame. A run always holds at least one block.
 const MAX_RUN_BYTES: u64 = 1 << 20;
 
+/// Per-request origin timeout before recovery kicks in.
+pub const REQUEST_TIMEOUT: Nanos = Nanos::from_secs(2);
+/// Wait/Retry hints honoured per file before giving up.
+const MAX_WAITS: u32 = 8;
+
 /// Proxy node configuration.
 #[derive(Clone)]
 pub struct ProxyConfig {
@@ -102,12 +107,8 @@ pub struct ProxyConfig {
     pub cache: PcacheConfig,
     /// Period between upward load reports.
     pub heartbeat: Nanos,
-    /// Per-request origin timeout before recovery kicks in.
-    pub request_timeout: Nanos,
     /// Refresh-recovery attempts per file before giving up (§III-C1).
     pub max_refreshes: u32,
-    /// Wait/Retry hints honoured per file before giving up.
-    pub max_waits: u32,
     /// Brownout window entered when the origin sheds a request at its
     /// admission limit: for this long the proxy keeps serving fully
     /// cached (possibly stale — counted) files but defers origin-needing
@@ -133,9 +134,7 @@ impl ProxyConfig {
             exports: vec!["/".to_string()],
             cache: PcacheConfig::default(),
             heartbeat: Nanos::from_secs(1),
-            request_timeout: Nanos::from_secs(2),
             max_refreshes: 3,
-            max_waits: 8,
             brownout: Nanos::ZERO,
             lcache: None,
         }
@@ -437,7 +436,7 @@ impl ProxyNode {
         ctx.set_trace(req.trace);
         ctx.send(req.to, req.msg.clone());
         ctx.set_trace(ambient);
-        ctx.set_timer(self.cfg.request_timeout, tokens::TIMEOUT_BASE + gen);
+        ctx.set_timer(REQUEST_TIMEOUT, tokens::TIMEOUT_BASE + gen);
         self.gen_to_addr.insert(gen, req.to);
         self.links.entry(req.to).or_default().outstanding.push_back((gen, req));
     }
@@ -904,7 +903,7 @@ impl ProxyNode {
         let too_many = {
             let Some(file) = self.files.get_mut(&req.path) else { return };
             file.waits += 1;
-            file.waits > self.cfg.max_waits
+            file.waits > MAX_WAITS
         };
         if too_many {
             let path = req.path.clone();

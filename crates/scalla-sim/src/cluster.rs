@@ -69,15 +69,12 @@ pub struct ClusterConfig {
     pub cms_overload: OverloadConfig,
     /// Admission control applied to every leaf data server.
     pub srv_overload: OverloadConfig,
-    /// Brownout window applied to every proxy cache (ZERO disables).
-    pub pcache_brownout: Nanos,
-    /// When true every cmsd grants location leases on its redirects
-    /// (TTL = its `L_t` window) and every proxy keeps a private edge
-    /// location cache for origin resolution.
-    pub leases: bool,
     /// Edge location cache shared by every client attached with
     /// [`SimCluster::add_client`] / [`SimCluster::add_proxy_client`].
-    /// `None` leaves clients lease-blind (they ignore lease fields).
+    /// When set, every cmsd also grants location leases on its redirects
+    /// (TTL = its `L_t` window) and every proxy keeps a private edge
+    /// location cache for origin resolution. `None` leaves clients
+    /// lease-blind (they ignore lease fields).
     pub lcache: Option<Arc<LocationCache>>,
 }
 
@@ -104,8 +101,6 @@ impl ClusterConfig {
             monitor: None,
             cms_overload: OverloadConfig::disabled(),
             srv_overload: OverloadConfig::disabled(),
-            pcache_brownout: Nanos::ZERO,
-            leases: false,
             lcache: None,
         }
     }
@@ -113,7 +108,6 @@ impl ClusterConfig {
     /// Turns on the edge location cache end to end: leased redirects from
     /// every cmsd plus a shared client-side cache.
     pub fn with_leases(mut self) -> ClusterConfig {
-        self.leases = true;
         self.lcache = Some(LocationCache::shared(LcacheConfig::default()));
         self
     }
@@ -203,7 +197,7 @@ impl SimCluster {
             c.offline_after = cfg.heartbeat.mul(3).max(c.offline_after);
             c.seed = cfg.seed ^ (m as u64);
             c.overload = cfg.cms_overload;
-            if cfg.leases {
+            if cfg.lcache.is_some() {
                 c = c.enable_leases();
             }
             let mut node = CmsdNode::new(c, clock.clone());
@@ -246,7 +240,7 @@ impl SimCluster {
                         c.offline_after = cfg.heartbeat.mul(3).max(c.offline_after);
                         c.seed = cfg.seed ^ u64::from(node.id.0) ^ ((r as u64) << 32);
                         c.overload = cfg.cms_overload;
-                        if cfg.leases {
+                        if cfg.lcache.is_some() {
                             c = c.enable_leases();
                         }
                         let mut cmsd = CmsdNode::new(c, clock.clone());
@@ -302,8 +296,7 @@ impl SimCluster {
             c.exports = cfg.exports.clone();
             c.cache = cfg.pcache.clone();
             c.heartbeat = cfg.heartbeat;
-            c.brownout = cfg.pcache_brownout;
-            if cfg.leases {
+            if cfg.lcache.is_some() {
                 // Private per-proxy cache: each proxy resolves its own
                 // origin traffic, so sharing buys nothing and would blur
                 // the per-node statistics.

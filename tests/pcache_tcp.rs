@@ -58,7 +58,6 @@ fn tcp_proxy_cold_warm_and_origin_death() {
     let mut pcfg = ProxyConfig::new("pxy-0", manager, directory.clone());
     pcfg.cache = PcacheConfig { block_size: BLOCK, ..PcacheConfig::default() };
     pcfg.heartbeat = Nanos::from_millis(200);
-    pcfg.request_timeout = Nanos::from_secs(2);
     let mut pxy_node = ProxyNode::new(pcfg);
     pxy_node.set_obs(obs.clone());
     let proxy = net.add_node(Box::new(pxy_node)).unwrap();
