@@ -166,6 +166,11 @@ impl CmsdNode {
             let node = [("node", self.cfg.name.as_str())];
             obs.registry().attach(&node, self.cache.stats_arc());
             obs.registry().attach(&node, self.admission.stats());
+            // Deaths and reconnects export at zero, so a harness pairing
+            // them reads a run without faults as 0 = 0.
+            for event in ["peer_dead", "peer_reconnected"] {
+                obs.registry().counter("scalla_recovery_events_total", &[("event", event)]);
+            }
         }
         self.cache.set_obs(obs.clone());
         self.obs = obs;

@@ -153,6 +153,18 @@ pub fn scrape(addr: SocketAddr, path: &str) -> std::io::Result<String> {
     Ok(out)
 }
 
+/// The value of a series in Prometheus text: the first sample whose name,
+/// or whole series key, is `name` and whose key contains `labels`. Panics
+/// with the text when none does, so a renamed metric cannot read as 0.
+pub fn metric(text: &str, name: &str, labels: &str) -> u64 {
+    let sample = text.lines().filter_map(|line| line.rsplit_once(' ')).find(|(series, _)| {
+        (*series == name || series.split('{').next() == Some(name)) && series.contains(labels)
+    });
+    let (series, value) =
+        sample.unwrap_or_else(|| panic!("no {name} series with {labels:?} in:\n{text}"));
+    value.parse().unwrap_or_else(|_| panic!("{series} is not a count: {value}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +189,25 @@ mod tests {
         assert!(flight.contains("trace=000000000000f00d"), "{flight}");
         assert!(flight.contains("stage=cms_resolve"), "{flight}");
         server.shutdown();
+    }
+
+    const TEXT: &str = "# TYPE scalla_nodes gauge\n\
+                        scalla_nodes_stale{role=\"server\"} 1\n\
+                        scalla_nodes{role=\"server\"} 4\n\
+                        scalla_ops_total 7\n";
+
+    #[test]
+    fn metric_matches_the_series_name_exactly() {
+        assert_eq!(metric(TEXT, "scalla_nodes", "role=\"server\""), 4);
+        assert_eq!(metric(TEXT, "scalla_nodes{role=\"server\"}", ""), 4);
+        assert_eq!(metric(TEXT, "scalla_nodes_stale", ""), 1);
+        assert_eq!(metric(TEXT, "scalla_ops_total", ""), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "no scalla_ops series")]
+    fn metric_panics_on_a_missing_series() {
+        metric(TEXT, "scalla_ops", "");
     }
 
     #[test]

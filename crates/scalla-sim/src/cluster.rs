@@ -1,4 +1,5 @@
-//! Cluster assembly on the simulated network.
+//! Cluster assembly, once for all three runtimes, and the simulated
+//! cluster built on it.
 
 use crate::admin::AdminServer;
 use scalla_cache::CacheConfig;
@@ -6,14 +7,12 @@ use scalla_client::{ClientConfig, ClientNode, ClientOp, Directory, OpResult};
 use scalla_cluster::{MembershipConfig, NodeId, NodeRole, SelectionPolicy, TreeSpec};
 use scalla_lcache::{LcacheConfig, LocationCache};
 use scalla_monitor::{ClusterView, CollectorNode, MonitorEmitter};
-use scalla_node::{
-    CmsdConfig, CmsdNode, CmsdRole, CnsNode, OverloadConfig, ServerConfig, ServerNode,
-};
+use scalla_node::{CmsdConfig, CmsdNode, CnsNode, OverloadConfig, ServerConfig, ServerNode};
 use scalla_obs::Obs;
 use scalla_pcache::{PcacheConfig, ProxyConfig, ProxyNode};
 use scalla_proto::Addr;
-use scalla_simnet::{LatencyModel, SimNet};
-use scalla_util::Nanos;
+use scalla_simnet::{LatencyModel, Node, SimNet};
+use scalla_util::{Clock, Nanos};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -113,10 +112,9 @@ impl ClusterConfig {
     }
 }
 
-/// A built cluster: the network plus an index of every node.
-pub struct SimCluster {
-    /// The simulated network; drive it with `run_for`/`run_until`.
-    pub net: SimNet,
+/// A cluster's host-name directory and the address of every node in it,
+/// on whichever runtime hosts them.
+pub struct Cluster {
     /// Host-name directory shared with clients.
     pub directory: Arc<Directory>,
     /// Head-node addresses.
@@ -136,213 +134,196 @@ pub struct SimCluster {
     /// The monitoring collector, when `ClusterConfig::monitor` is set.
     pub collector: Option<Addr>,
     view: Option<Arc<ClusterView>>,
-    admin: Option<AdminServer>,
     cfg: ClusterConfig,
 }
 
-impl SimCluster {
-    /// Builds the cluster (nodes registered, nothing started yet). Call
-    /// [`SimCluster::settle`] to run logins and heartbeats before driving
-    /// load.
-    pub fn build(cfg: ClusterConfig) -> SimCluster {
-        let spec = TreeSpec::build(cfg.n_servers, cfg.fanout);
-        let mut net = SimNet::new(cfg.latency, cfg.seed);
-        let clock = net.clock();
-        let directory = Arc::new(Directory::new());
-
-        let cns = if cfg.with_cns {
-            let addr = net.add_node(Box::new(CnsNode::new()));
-            directory.register("cns", addr);
-            Some(addr)
-        } else {
-            None
+impl Cluster {
+    /// Adds every node of the cluster through `add`, which hosts one on a
+    /// runtime and returns its address: the CNS daemon and the collector
+    /// first, then the managers, the supervisors and servers in tree order
+    /// (parents first, so children can name them), then the proxies.
+    /// Nothing is started.
+    pub fn assemble(
+        cfg: ClusterConfig,
+        clock: Arc<dyn Clock>,
+        add: &mut dyn FnMut(Box<dyn Node>) -> Addr,
+    ) -> Cluster {
+        let mut c = Cluster {
+            directory: Arc::new(Directory::new()),
+            managers: Vec::new(),
+            supervisors: Vec::new(),
+            servers: Vec::new(),
+            proxies: Vec::new(),
+            spec: TreeSpec::build(cfg.n_servers, cfg.fanout),
+            clients: Vec::new(),
+            cns: None,
+            collector: None,
+            view: None,
+            cfg,
         };
-
-        // The monitoring collector goes in first so every other node can
-        // name it at construction time.
-        let monitor = cfg.monitor.map(|interval| {
-            let view = Arc::new(ClusterView::new(interval));
-            let addr = net.add_node(Box::new(CollectorNode::new(view.clone(), interval)));
-            directory.register("collector", addr);
-            (view, addr, interval)
-        });
-        // Per-node registries when monitoring (a shared one would be
-        // shipped once per emitter and double-count in the merged view).
-        let node_obs = |name: &str, role: &'static str| {
-            if monitor.is_some() {
-                let obs = Obs::enabled();
-                let mon = monitor
-                    .as_ref()
-                    .map(|(_, c, iv)| MonitorEmitter::new(*c, name, role, obs.clone(), *iv));
-                (obs, mon)
-            } else {
-                (cfg.obs.clone(), None)
-            }
+        let cfg = c.cfg.clone();
+        let directory = c.directory.clone();
+        let mut add = |name: &str, node: Box<dyn Node>| {
+            let addr = add(node);
+            directory.register(name, addr);
+            addr
         };
-
-        // Pass 1: allocate addresses level by level (parents before
-        // children so children can name their parents at construction).
-        let mut addr_of: HashMap<NodeId, Vec<Addr>> = HashMap::new();
-
-        // Managers (replicas of the root).
-        let mut managers = Vec::new();
-        for m in 0..cfg.n_managers.max(1) {
-            let name = format!("mgr-{m}");
-            let mut c = CmsdConfig::manager(&name);
-            c.cache = cfg.cache.clone();
-            c.membership = cfg.membership.clone();
-            c.policy = cfg.policy;
-            c.heartbeat = cfg.heartbeat;
-            // A child is offline only after missing several heartbeats.
-            c.offline_after = cfg.heartbeat.mul(3).max(c.offline_after);
-            c.seed = cfg.seed ^ (m as u64);
-            c.overload = cfg.cms_overload;
-            if cfg.lcache.is_some() {
-                c = c.enable_leases();
-            }
-            let mut node = CmsdNode::new(c, clock.clone());
-            let (obs, mon) = node_obs(&name, "manager");
-            if obs.is_enabled() {
-                node.set_obs(obs);
-            }
-            if let Some(mon) = mon {
-                node.set_monitor(mon);
-            }
-            let addr = net.add_node(Box::new(node));
-            directory.register(&name, addr);
-            managers.push(addr);
+        if cfg.with_cns {
+            c.cns = Some(add("cns", Box::new(CnsNode::new())));
         }
-        addr_of.insert(spec.manager, managers.clone());
+        if let Some(interval) = cfg.monitor {
+            let view = Arc::new(ClusterView::new(interval));
+            let collector = CollectorNode::new(view.clone(), interval);
+            c.collector = Some(add("collector", Box::new(collector)));
+            c.view = Some(view);
+        }
+        let cmsd = |c: &Cluster, mut cmsd: CmsdConfig, seed: u64, role| {
+            cmsd.cache = cfg.cache.clone();
+            cmsd.membership = cfg.membership.clone();
+            cmsd.policy = cfg.policy;
+            cmsd.heartbeat = cfg.heartbeat;
+            // A child is offline only after missing several heartbeats.
+            cmsd.offline_after = cfg.heartbeat.mul(3).max(cmsd.offline_after);
+            cmsd.seed = seed;
+            cmsd.overload = cfg.cms_overload;
+            cmsd.leases = cfg.lcache.is_some();
+            let name = cmsd.name.clone();
+            let mut node = CmsdNode::new(cmsd, clock.clone());
+            c.observe(&mut node, &name, role, CmsdNode::set_obs, CmsdNode::set_monitor);
+            (name, Box::new(node))
+        };
 
-        // Interior + leaves in creation order (parents always first).
-        let mut supervisors = Vec::new();
-        let mut servers = Vec::new();
-        for node in &spec.nodes {
-            match node.role {
-                NodeRole::Manager => {}
-                NodeRole::Supervisor => {
-                    let parents = addr_of[&node.parent.expect("non-root")].clone();
-                    let replicas = cfg.supervisor_replicas.max(1);
-                    let mut addrs = Vec::with_capacity(replicas);
-                    for r in 0..replicas {
-                        let name = if r == 0 {
-                            format!("sup-{}", node.id.0)
-                        } else {
-                            format!("sup-{}r{r}", node.id.0)
+        for m in 0..cfg.n_managers.max(1) {
+            let (name, node) =
+                cmsd(&c, CmsdConfig::manager(format!("mgr-{m}")), cfg.seed ^ m as u64, "manager");
+            c.managers.push(add(&name, node));
+        }
+        let mut addr_of: HashMap<NodeId, Vec<Addr>> = HashMap::new();
+        addr_of.insert(c.spec.manager, c.managers.clone());
+        for node in &c.spec.nodes.clone() {
+            let Some(parent) = node.parent else { continue };
+            let parents = addr_of[&parent].clone();
+            let addrs: Vec<Addr> = match node.role {
+                NodeRole::Manager => continue,
+                NodeRole::Supervisor => (0..cfg.supervisor_replicas.max(1))
+                    .map(|r| {
+                        let name = match r {
+                            0 => format!("sup-{}", node.id.0),
+                            r => format!("sup-{}r{r}", node.id.0),
                         };
-                        let mut c = CmsdConfig::supervisor(&name, parents[0]);
-                        c.parents = parents.clone();
-                        c.exports = cfg.exports.clone();
-                        c.cache = cfg.cache.clone();
-                        c.membership = cfg.membership.clone();
-                        c.policy = cfg.policy;
-                        c.heartbeat = cfg.heartbeat;
-                        c.offline_after = cfg.heartbeat.mul(3).max(c.offline_after);
-                        c.seed = cfg.seed ^ u64::from(node.id.0) ^ ((r as u64) << 32);
-                        c.overload = cfg.cms_overload;
-                        if cfg.lcache.is_some() {
-                            c = c.enable_leases();
-                        }
-                        let mut cmsd = CmsdNode::new(c, clock.clone());
-                        let (obs, mon) = node_obs(&name, "supervisor");
-                        if obs.is_enabled() {
-                            cmsd.set_obs(obs);
-                        }
-                        if let Some(mon) = mon {
-                            cmsd.set_monitor(mon);
-                        }
-                        let addr = net.add_node(Box::new(cmsd));
-                        directory.register(&name, addr);
-                        supervisors.push(addr);
-                        addrs.push(addr);
-                    }
-                    addr_of.insert(node.id, addrs);
-                }
+                        let mut sup = CmsdConfig::supervisor(name, parents[0]);
+                        sup.parents = parents.clone();
+                        sup.exports = cfg.exports.clone();
+                        let seed = cfg.seed ^ u64::from(node.id.0) ^ ((r as u64) << 32);
+                        let (name, node) = cmsd(&c, sup, seed, "supervisor");
+                        let addr = add(&name, node);
+                        c.supervisors.push(addr);
+                        addr
+                    })
+                    .collect(),
                 NodeRole::Server => {
-                    let parents = addr_of[&node.parent.expect("non-root")].clone();
-                    let idx = servers.len();
-                    let name = format!("srv-{idx}");
-                    let mut c = ServerConfig::new(&name, parents[0]);
-                    c.parents = parents;
-                    c.exports = cfg.exports.clone();
-                    c.staging_delay = cfg.staging_delay;
-                    c.heartbeat = cfg.heartbeat;
-                    c.cns = cns;
-                    c.overload = cfg.srv_overload;
-                    let mut srv = ServerNode::new(c);
-                    let (obs, mon) = node_obs(&name, "server");
-                    if obs.is_enabled() {
-                        srv.set_obs(obs);
-                    }
-                    if let Some(mon) = mon {
-                        srv.set_monitor(mon);
-                    }
-                    let addr = net.add_node(Box::new(srv));
-                    directory.register(&name, addr);
-                    servers.push(addr);
-                    addr_of.insert(node.id, vec![addr]);
+                    let name = format!("srv-{}", c.servers.len());
+                    let mut srv = ServerConfig::new(&name, parents[0]);
+                    srv.parents = parents;
+                    srv.exports = cfg.exports.clone();
+                    srv.staging_delay = cfg.staging_delay;
+                    srv.heartbeat = cfg.heartbeat;
+                    srv.cns = c.cns;
+                    srv.overload = cfg.srv_overload;
+                    let mut srv = ServerNode::new(srv);
+                    c.observe(
+                        &mut srv,
+                        &name,
+                        "server",
+                        ServerNode::set_obs,
+                        ServerNode::set_monitor,
+                    );
+                    let addr = add(&name, Box::new(srv));
+                    c.servers.push(addr);
+                    vec![addr]
                 }
-            }
+            };
+            addr_of.insert(node.id, addrs);
         }
 
         // Proxy caches join the managers directly, looking like ordinary
         // data servers to the cmsd tree.
-        let mut proxies = Vec::new();
         for p in 0..cfg.n_proxies {
             let name = format!("pxy-{p}");
-            let mut c = ProxyConfig::new(&name, managers[0], directory.clone());
-            c.parents = managers.clone();
-            c.origin_managers = managers.clone();
-            c.exports = cfg.exports.clone();
-            c.cache = cfg.pcache.clone();
-            c.heartbeat = cfg.heartbeat;
+            let mut pxy = ProxyConfig::new(&name, c.managers[0], c.directory.clone());
+            pxy.parents = c.managers.clone();
+            pxy.origin_managers = c.managers.clone();
+            pxy.exports = cfg.exports.clone();
+            pxy.cache = cfg.pcache.clone();
+            pxy.heartbeat = cfg.heartbeat;
             if cfg.lcache.is_some() {
                 // Private per-proxy cache: each proxy resolves its own
                 // origin traffic, so sharing buys nothing and would blur
                 // the per-node statistics.
-                c.lcache = Some(LocationCache::shared(LcacheConfig::default()));
+                pxy.lcache = Some(LocationCache::shared(LcacheConfig::default()));
             }
-            let mut pxy = ProxyNode::new(c);
-            let (obs, mon) = node_obs(&name, "proxy");
-            if obs.is_enabled() {
-                pxy.set_obs(obs);
-            }
-            if let Some(mon) = mon {
-                pxy.set_monitor(mon);
-            }
-            let addr = net.add_node(Box::new(pxy));
-            directory.register(&name, addr);
-            proxies.push(addr);
+            let mut pxy = ProxyNode::new(pxy);
+            c.observe(&mut pxy, &name, "proxy", ProxyNode::set_obs, ProxyNode::set_monitor);
+            c.proxies.push(add(&name, Box::new(pxy)));
         }
 
         // Attach the shared client cache's counters to the cluster
         // registry (proxies attach their private caches through their own
         // `set_obs`).
-        if let Some(lc) = &cfg.lcache {
-            if cfg.obs.is_enabled() {
-                cfg.obs.registry().attach(&[("node", "clients")], lc.stats_arc());
+        if let (Some(lc), true) = (&cfg.lcache, cfg.obs.is_enabled()) {
+            cfg.obs.registry().attach(&[("node", "clients")], lc.stats_arc());
+        }
+        c
+    }
+
+    /// Wires a freshly built node for observability: under monitoring its
+    /// own registry (a shared one would be shipped once per emitter and
+    /// double-count in the merged view) plus an emitter reporting as
+    /// `name`; otherwise the shared registry, when enabled.
+    fn observe<N>(
+        &self,
+        node: &mut N,
+        name: &str,
+        role: &'static str,
+        set_obs: fn(&mut N, Obs),
+        set_monitor: fn(&mut N, MonitorEmitter),
+    ) {
+        if let (Some(collector), Some(interval)) = (self.collector, self.cfg.monitor) {
+            let obs = Obs::enabled();
+            set_obs(node, obs.clone());
+            set_monitor(node, MonitorEmitter::new(collector, name, role, obs, interval));
+        } else if self.cfg.obs.is_enabled() {
+            set_obs(node, self.cfg.obs.clone());
+        }
+    }
+
+    /// Adds a scripted client through `add`: towards the managers, or
+    /// towards proxy `proxy` so its whole data path flows through the
+    /// block cache (and, the proxy being its redirector, without the edge
+    /// location cache, whose direct opens would bypass it). `f` sets the
+    /// rest of its config.
+    pub fn add_client(
+        &mut self,
+        add: &mut dyn FnMut(Box<dyn Node>) -> Addr,
+        proxy: Option<usize>,
+        f: impl FnOnce(&mut ClientConfig),
+    ) -> Addr {
+        let mut ccfg = ClientConfig::new(self.managers[0], self.directory.clone(), Vec::new());
+        match proxy {
+            Some(p) => ccfg.managers = vec![self.proxies[p]],
+            None => {
+                ccfg.managers = self.managers.clone();
+                ccfg.lcache = self.cfg.lcache.clone();
             }
         }
-
-        let (view, collector) = match monitor {
-            Some((view, addr, _)) => (Some(view), Some(addr)),
-            None => (None, None),
-        };
-        SimCluster {
-            net,
-            directory,
-            managers,
-            supervisors,
-            servers,
-            proxies,
-            spec,
-            clients: Vec::new(),
-            cns,
-            collector,
-            view,
-            admin: None,
-            cfg,
-        }
+        ccfg.cns = self.cns;
+        f(&mut ccfg);
+        let mut node = ClientNode::new(ccfg);
+        let name = format!("client-{}", self.clients.len());
+        self.observe(&mut node, &name, "client", ClientNode::set_obs, ClientNode::set_monitor);
+        let addr = add(Box::new(node));
+        self.clients.push(addr);
+        addr
     }
 
     /// The configuration the cluster was built with.
@@ -353,6 +334,39 @@ impl SimCluster {
     /// The merged cluster view, when monitoring is enabled.
     pub fn cluster_view(&self) -> Option<Arc<ClusterView>> {
         self.view.clone()
+    }
+}
+
+/// The concrete node behind `node`; panics, naming `T`, on another kind.
+pub fn downcast<T: 'static>(node: &mut dyn Node) -> &mut T {
+    let any = node.as_any_mut().and_then(|any| any.downcast_mut::<T>());
+    any.unwrap_or_else(|| panic!("node is not a {}", std::any::type_name::<T>()))
+}
+
+/// A cluster on the simulated network; its addresses are reached through
+/// [`Cluster`].
+pub struct SimCluster {
+    /// The simulated network; drive it with `run_for`/`run_until`.
+    pub net: SimNet,
+    cluster: Cluster,
+    admin: Option<AdminServer>,
+}
+
+impl std::ops::Deref for SimCluster {
+    type Target = Cluster;
+    fn deref(&self) -> &Cluster {
+        &self.cluster
+    }
+}
+
+impl SimCluster {
+    /// Builds the cluster (nodes registered, nothing started yet). Call
+    /// [`SimCluster::settle`] to run logins and heartbeats before driving
+    /// load.
+    pub fn build(cfg: ClusterConfig) -> SimCluster {
+        let mut net = SimNet::new(cfg.latency, cfg.seed);
+        let cluster = Cluster::assemble(cfg, net.clock(), &mut |node| net.add_node(node));
+        SimCluster { net, cluster, admin: None }
     }
 
     /// Serves this cluster's admin endpoint on an ephemeral localhost
@@ -369,18 +383,11 @@ impl SimCluster {
 
     /// Seeds a file on server `idx` (online or MSS-resident).
     pub fn seed_file(&mut self, idx: usize, path: &str, size: u64, online: bool) {
-        let addr = self.servers[idx];
-        let node = self
-            .net
-            .node_mut(addr)
-            .as_any_mut()
-            .expect("server exposes any")
-            .downcast_mut::<ServerNode>()
-            .expect("leaf is a ServerNode");
+        let fs = downcast::<ServerNode>(self.net.node_mut(self.cluster.servers[idx])).fs_mut();
         if online {
-            node.fs_mut().put_online(path, size);
+            fs.put_online(path, size);
         } else {
-            node.fs_mut().put_offline(path, size);
+            fs.put_offline(path, size);
         }
     }
 
@@ -391,46 +398,27 @@ impl SimCluster {
         self.net.run_for(duration);
     }
 
-    /// Wires a freshly built client for observability: its own registry
-    /// plus an emitter under monitoring, the shared registry otherwise.
-    fn attach_client_obs(&self, node: &mut ClientNode) {
-        if let (Some(collector), Some(interval)) = (self.collector, self.cfg.monitor) {
-            let obs = Obs::enabled();
-            node.set_obs(obs.clone());
-            let name = format!("client-{}", self.clients.len());
-            node.set_monitor(MonitorEmitter::new(collector, name, "client", obs, interval));
-        } else if self.cfg.obs.is_enabled() {
-            node.set_obs(self.cfg.obs.clone());
-        }
-    }
-
     /// Attaches a scripted client targeting the manager(s). Returns its
     /// address; results are harvested with [`SimCluster::client_results`].
     pub fn add_client(&mut self, ops: Vec<ClientOp>, start_delay: Nanos) -> Addr {
-        let mut ccfg = ClientConfig::new(self.managers[0], self.directory.clone(), ops);
-        ccfg.managers = self.managers.clone();
-        ccfg.start_delay = start_delay;
-        ccfg.cns = self.cns;
-        ccfg.lcache = self.cfg.lcache.clone();
-        let mut node = ClientNode::new(ccfg);
-        self.attach_client_obs(&mut node);
-        let addr = self.net.add_node(Box::new(node));
-        self.clients.push(addr);
-        addr
+        self.add_client_with(|cc| {
+            cc.ops = ops;
+            cc.start_delay = start_delay;
+        })
     }
 
     /// Attaches a client with full config control.
-    pub fn add_client_with(&mut self, mut f: impl FnMut(&mut ClientConfig)) -> Addr {
-        let mut ccfg = ClientConfig::new(self.managers[0], self.directory.clone(), Vec::new());
-        ccfg.managers = self.managers.clone();
-        ccfg.cns = self.cns;
-        ccfg.lcache = self.cfg.lcache.clone();
-        f(&mut ccfg);
-        let mut node = ClientNode::new(ccfg);
-        self.attach_client_obs(&mut node);
-        let addr = self.net.add_node(Box::new(node));
-        self.clients.push(addr);
-        addr
+    pub fn add_client_with(&mut self, f: impl FnOnce(&mut ClientConfig)) -> Addr {
+        self.cluster.add_client(&mut |node| self.net.add_node(node), None, f)
+    }
+
+    /// Attaches a scripted client whose "manager" is proxy `idx` — its
+    /// whole data path flows through the proxy cache.
+    pub fn add_proxy_client(&mut self, idx: usize, ops: Vec<ClientOp>, start_delay: Nanos) -> Addr {
+        self.cluster.add_client(&mut |node| self.net.add_node(node), Some(idx), |cc| {
+            cc.ops = ops;
+            cc.start_delay = start_delay;
+        })
     }
 
     /// Starts one late-added node (e.g. a client added after `settle`).
@@ -444,89 +432,29 @@ impl SimCluster {
 
     /// Harvests a client's operation records.
     pub fn client_results(&mut self, addr: Addr) -> Vec<OpResult> {
-        self.net
-            .node_mut(addr)
-            .as_any_mut()
-            .expect("client exposes any")
-            .downcast_ref::<ClientNode>()
-            .expect("addr is a ClientNode")
-            .results()
-            .to_vec()
+        downcast::<ClientNode>(self.net.node_mut(addr)).results().to_vec()
     }
 
     /// Whether a client has finished its script.
     pub fn client_done(&mut self, addr: Addr) -> bool {
-        self.net
-            .node_mut(addr)
-            .as_any_mut()
-            .expect("client exposes any")
-            .downcast_ref::<ClientNode>()
-            .expect("addr is a ClientNode")
-            .is_done()
+        downcast::<ClientNode>(self.net.node_mut(addr)).is_done()
     }
 
     /// Runs `f` against a cmsd node (manager or supervisor).
     pub fn with_cmsd<R>(&mut self, addr: Addr, f: impl FnOnce(&mut CmsdNode) -> R) -> R {
-        let node = self
-            .net
-            .node_mut(addr)
-            .as_any_mut()
-            .expect("cmsd exposes any")
-            .downcast_mut::<CmsdNode>()
-            .expect("addr is a CmsdNode");
-        f(node)
-    }
-
-    /// Attaches a scripted client whose "manager" is proxy `idx` — its
-    /// whole data path flows through the proxy cache.
-    pub fn add_proxy_client(&mut self, idx: usize, ops: Vec<ClientOp>, start_delay: Nanos) -> Addr {
-        let proxy = self.proxies[idx];
-        let mut ccfg = ClientConfig::new(proxy, self.directory.clone(), ops);
-        ccfg.managers = vec![proxy];
-        ccfg.start_delay = start_delay;
-        ccfg.cns = self.cns;
-        // Note: no lcache here — the proxy IS this client's redirector,
-        // and direct opens would bypass the block cache.
-        let mut node = ClientNode::new(ccfg);
-        self.attach_client_obs(&mut node);
-        let addr = self.net.add_node(Box::new(node));
-        self.clients.push(addr);
-        addr
+        f(downcast(self.net.node_mut(addr)))
     }
 
     /// Runs `f` against a proxy-cache node.
     pub fn with_proxy<R>(&mut self, idx: usize, f: impl FnOnce(&mut ProxyNode) -> R) -> R {
-        let addr = self.proxies[idx];
-        let node = self
-            .net
-            .node_mut(addr)
-            .as_any_mut()
-            .expect("proxy exposes any")
-            .downcast_mut::<ProxyNode>()
-            .expect("addr is a ProxyNode");
-        f(node)
+        f(downcast(self.net.node_mut(self.cluster.proxies[idx])))
     }
 
     /// Runs `f` against a leaf server node.
     pub fn with_server<R>(&mut self, idx: usize, f: impl FnOnce(&mut ServerNode) -> R) -> R {
-        let addr = self.servers[idx];
-        let node = self
-            .net
-            .node_mut(addr)
-            .as_any_mut()
-            .expect("server exposes any")
-            .downcast_mut::<ServerNode>()
-            .expect("addr is a ServerNode");
-        f(node)
+        f(downcast(self.net.node_mut(self.cluster.servers[idx])))
     }
 }
-
-/// Re-exported so the harness can name roles without importing
-/// scalla-cluster directly.
-pub use scalla_node::CmsdRole as Role;
-
-// Silence an unused-import warning path: CmsdRole is used via the re-export.
-const _: Option<CmsdRole> = None;
 
 #[cfg(test)]
 mod tests {

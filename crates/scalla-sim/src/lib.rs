@@ -3,10 +3,11 @@
 //! This crate assembles complete Scalla clusters — manager(s), supervisor
 //! levels, data servers, clients — over either runtime:
 //!
-//! * [`cluster`] — builds a 64-ary (or any-fanout) tree from a
-//!   [`TreeSpec`](scalla_cluster::TreeSpec) on the deterministic simulated
-//!   network, seeds files, attaches scripted clients, and harvests their
-//!   latency records.
+//! * [`cluster`] — assembles a 64-ary (or any-fanout) tree from a
+//!   [`TreeSpec`](scalla_cluster::TreeSpec) once, onto any of the three
+//!   runtimes ([`Cluster::assemble`]); on the deterministic simulated
+//!   network [`SimCluster`] also seeds files, attaches scripted clients,
+//!   and harvests their latency records.
 //! * [`live`] — the live threaded runtime: one OS thread per node,
 //!   crossbeam channels as links, real wall-clock timers. The very same
 //!   [`Node`](scalla_simnet::Node) state machines run here, exercising the
@@ -47,12 +48,12 @@ mod runtime;
 pub mod tcp;
 pub mod workload;
 
-pub use admin::scrape;
+pub use admin::{metric, scrape};
 pub use chaos::{
     assert_poll, poll_until, ChaosProfile, ChaosScheduler, Fault, FaultEvent, FaultGates,
     FaultPlan, GateVerdict,
 };
-pub use cluster::{ClusterConfig, SimCluster};
+pub use cluster::{downcast, Cluster, ClusterConfig, SimCluster};
 pub use live::LiveNet;
 pub use metrics::{summarize, EgressCounters, LatencySummary, NetCounters};
 pub use scalla_monitor::{ClusterView, CollectorNode, MonitorEmitter, NodeHealth, SpanTree};

@@ -256,6 +256,21 @@ impl<O: Outbox> Hosted<O> {
 /// A hosted node behind its one lock; empty once `Stop` took the node out.
 pub(crate) struct NodeCell<O>(Mutex<Option<Hosted<O>>>);
 
+/// A running node reached from outside the net's threads, whatever its
+/// transport.
+trait Peek: Send + Sync {
+    /// Runs `f` on the node under its lock, unless it has stopped.
+    fn peek(&self, f: &mut dyn FnMut(&mut dyn Node));
+}
+
+impl<O: Outbox> Peek for NodeCell<O> {
+    fn peek(&self, f: &mut dyn FnMut(&mut dyn Node)) {
+        if let Some(hosted) = self.0.lock().as_mut() {
+            f(hosted.node.as_mut());
+        }
+    }
+}
+
 impl<O: Outbox> NodeCell<O> {
     /// Runs the node on the calling thread for every frame of `frames`, in
     /// order, then fires the timers that are due and flushes the outbox
@@ -363,6 +378,8 @@ pub(crate) struct Runtime {
     /// Every slot's mailbox, indexed by address.
     pub(crate) mailboxes: Vec<Mailbox>,
     slots: Vec<Slot>,
+    /// Every hosted node's cell once started, indexed by address.
+    cells: Vec<Option<Arc<dyn Peek>>>,
     started: bool,
     admin: Option<AdminServer>,
     pub(crate) gates: FaultGates,
@@ -406,6 +423,24 @@ impl Runtime {
         addr
     }
 
+    /// A node not yet started (a slot added with one), for the harness to
+    /// seed or tune it.
+    pub(crate) fn node_mut(&mut self, addr: Addr) -> &mut dyn Node {
+        match &mut self.slots[addr.0 as usize] {
+            Slot::Pending(node, _) => node.as_mut(),
+            _ => panic!("node_mut({addr:?}) is for a hosted node before start"),
+        }
+    }
+
+    /// Runs `f` on a running node, under the lock its callbacks hold.
+    pub(crate) fn with_node<R>(&self, addr: Addr, f: impl FnOnce(&mut dyn Node) -> R) -> R {
+        let cell = self.cells.get(addr.0 as usize).and_then(Option::as_ref);
+        let (mut f, mut out) = (Some(f), None);
+        cell.expect("with_node is for a hosted node after start")
+            .peek(&mut |node| out = f.take().map(|f| f(node)));
+        out.expect("the node is running")
+    }
+
     /// Spawns one protocol thread per hosted node, each sending through
     /// the outbox `outbox_for` builds for its address. Returns the nodes'
     /// cells by address (`None` for a vacant slot), for a transport that
@@ -444,6 +479,7 @@ impl Runtime {
                 .expect("spawn node thread");
             *slot = Slot::Running(handle);
         }
+        self.cells = cells.iter().map(|cell| cell.clone().map(|c| c as Arc<dyn Peek>)).collect();
         cells
     }
 
@@ -516,6 +552,22 @@ macro_rules! lifecycle_api {
             /// first).
             pub fn revive(&self, addr: scalla_proto::Addr) {
                 self.rt.revive(addr);
+            }
+
+            /// A node not yet started, for a harness to seed or tune it as
+            /// it would through `SimNet::node_mut`. Panics after `start`.
+            pub fn node_mut(&mut self, addr: scalla_proto::Addr) -> &mut dyn scalla_simnet::Node {
+                self.rt.node_mut(addr)
+            }
+
+            /// Runs `f` on a started node, under the lock its callbacks
+            /// hold, so a harness can watch it while the net runs.
+            pub fn with_node<R>(
+                &self,
+                addr: scalla_proto::Addr,
+                f: impl FnOnce(&mut dyn scalla_simnet::Node) -> R,
+            ) -> R {
+                self.rt.with_node(addr, f)
             }
 
             /// The shared clock (hand it to `NameCache` etc.).

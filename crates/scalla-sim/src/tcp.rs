@@ -544,17 +544,25 @@ mod tests {
         net.shutdown();
     }
 
-    /// Answers every `Open` and counts the ticks of a 5 ms timer it re-arms.
-    struct EchoTicker(Arc<AtomicU64>);
+    /// Answers every `Open` and counts the ticks of a 5 ms timer it
+    /// re-arms, and the most `Open`s it answered between two ticks: many
+    /// says the readers kept the timer waiting, few says the host did.
+    struct EchoTicker {
+        ticks: Arc<AtomicU64>,
+        most_between: Arc<AtomicU64>,
+        since_tick: u64,
+    }
     impl Node for EchoTicker {
         fn on_start(&mut self, ctx: &mut dyn NetCtx) {
             ctx.set_timer(Nanos::from_millis(5), 0);
         }
         fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
+            self.since_tick += 1;
             Echo.on_message(ctx, from, msg);
         }
         fn on_timer(&mut self, ctx: &mut dyn NetCtx, _: u64) {
-            self.0.fetch_add(1, Ordering::SeqCst);
+            self.ticks.fetch_add(1, Ordering::SeqCst);
+            self.most_between.fetch_max(std::mem::take(&mut self.since_tick), Ordering::SeqCst);
             ctx.set_timer(Nanos::from_millis(5), 0);
         }
     }
@@ -575,8 +583,10 @@ mod tests {
     #[test]
     fn timers_keep_firing_under_an_inbound_flood() {
         let mut net = TcpNet::new().unwrap();
-        let ticks = Arc::new(AtomicU64::new(0));
-        let ticker = net.add_node(Box::new(EchoTicker(ticks.clone()))).unwrap();
+        let (ticks, most_between) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let ticker =
+            EchoTicker { ticks: ticks.clone(), most_between: most_between.clone(), since_tick: 0 };
+        let ticker = net.add_node(Box::new(ticker)).unwrap();
         for _ in 0..3 {
             net.add_node(Box::new(Flooder { peer: ticker })).unwrap();
         }
@@ -590,7 +600,11 @@ mod tests {
         // The count, not the tail: how late the latest tick was is the
         // host's doing as much as ours. (Three connections and no timers
         // fired by the readers read 571–582 here; with them, 592–597.)
-        assert!(fired >= 570, "{fired} of ~600 ticks fired under {frames} frames");
+        let most = most_between.load(Ordering::SeqCst);
+        assert!(
+            fired >= 570,
+            "{fired} of ~600 ticks fired under {frames} frames, at most {most} Opens between two"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example chaos_run [-- --smoke]`
 
 use scalla::prelude::*;
-use scalla::sim::ClusterConfig;
+use scalla::sim::{metric, ClusterConfig};
 
 const N_SERVERS: usize = 6;
 
@@ -26,14 +26,6 @@ struct PlanReport {
     peer_dead: u64,
     peer_reconnected: u64,
     recovery_ms: Vec<f64>,
-}
-
-fn recovery_count(text: &str, event: &str) -> u64 {
-    let needle = format!("scalla_recovery_events_total{{event=\"{event}\"}} ");
-    text.lines()
-        .find_map(|l| l.strip_prefix(needle.as_str()))
-        .map(|v| v.trim().parse().expect("counter value"))
-        .unwrap_or(0)
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -143,8 +135,12 @@ fn run_plan(profile: ChaosProfile, seed: u64, horizon_secs: u64) -> PlanReport {
         ops_terminated,
         invariant_checked,
         invariant_violations,
-        peer_dead: recovery_count(&text, "peer_dead"),
-        peer_reconnected: recovery_count(&text, "peer_reconnected"),
+        peer_dead: metric(&text, "scalla_recovery_events_total", "event=\"peer_dead\""),
+        peer_reconnected: metric(
+            &text,
+            "scalla_recovery_events_total",
+            "event=\"peer_reconnected\"",
+        ),
         recovery_ms,
     }
 }

@@ -6,7 +6,7 @@
 
 use scalla::obs::get;
 use scalla::prelude::*;
-use scalla::sim::{workload, ClusterConfig, WorkloadConfig};
+use scalla::sim::{downcast, workload, ClusterConfig, WorkloadConfig};
 
 fn main() {
     let mut cfg = ClusterConfig::flat(12);
@@ -77,8 +77,7 @@ fn main() {
         println!("║ {name:8} files {files:4} │ free {:7.1} GiB", free as f64 / (1u64 << 30) as f64);
     }
     if let Some(cns_addr) = cluster.cns {
-        let node = cluster.net.node_mut(cns_addr).as_any_mut().unwrap();
-        let cns = node.downcast_ref::<CnsNode>().unwrap();
+        let cns = downcast::<CnsNode>(cluster.net.node_mut(cns_addr));
         println!("╟── namespace (cns) ────────────────────────────────────────");
         println!(
             "║ {} files known, {} events processed, top-level: {:?}",

@@ -21,7 +21,7 @@
 
 use scalla::obs::get;
 use scalla::prelude::*;
-use scalla::sim::ClusterConfig;
+use scalla::sim::{metric, ClusterConfig};
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -29,14 +29,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-fn metric(text: &str, name: &str, label_frag: &str) -> u64 {
-    text.lines()
-        .find(|l| l.starts_with(name) && l.contains(label_frag))
-        .and_then(|l| l.rsplit_once(' '))
-        .map(|(_, v)| v.trim().parse().expect("counter value"))
-        .unwrap_or(0)
 }
 
 fn base_cfg(n_servers: usize, leases: bool) -> ClusterConfig {

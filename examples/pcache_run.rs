@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example pcache_run [-- --smoke]`
 
 use scalla::prelude::*;
-use scalla::sim::ClusterConfig;
+use scalla::sim::{metric, ClusterConfig};
 
 const BLOCK: u32 = 4 * 1024;
 const FILE_SIZE: u64 = 64 * 1024;
@@ -23,14 +23,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-fn metric(text: &str, name: &str, label_frag: &str) -> u64 {
-    text.lines()
-        .find(|l| l.starts_with(name) && l.contains(label_frag))
-        .and_then(|l| l.rsplit_once(' '))
-        .map(|(_, v)| v.trim().parse().expect("counter value"))
-        .unwrap_or(0)
 }
 
 fn main() {

@@ -10,6 +10,7 @@ use scalla::prelude::*;
 use scalla::qserv::{
     gather_results, scatter_script, ChunkStore, QservWorkerNode, Query, QueryResult,
 };
+use scalla::sim::downcast;
 use std::sync::Arc;
 
 fn main() {
@@ -58,14 +59,7 @@ fn main() {
     net.run_for(Nanos::from_secs(120));
 
     // Check the master's script completed.
-    let results = net
-        .node_mut(master)
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(net.node_mut(master)).results().to_vec();
     let ok = results.iter().filter(|r| r.outcome == OpOutcome::Ok).count();
     println!("master ops: {} total, {} ok", results.len(), ok);
     for r in &results {
@@ -81,8 +75,7 @@ fn main() {
     // Gather: read each result file from whichever worker materialized it.
     let mut read_result = |path: &str| -> Option<Vec<u8>> {
         for &w in &worker_addrs {
-            let node = net.node_mut(w).as_any_mut().unwrap();
-            let worker = node.downcast_ref::<QservWorkerNode>().unwrap();
+            let worker = downcast::<QservWorkerNode>(net.node_mut(w));
             if let Some(entry) = worker.server().fs().get(path) {
                 return Some(entry.data.to_vec());
             }

@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use scalla::prelude::*;
-use scalla::sim::ClusterConfig;
+use scalla::sim::{metric, ClusterConfig};
 use std::collections::HashMap;
 
 const N_SERVERS: usize = 6;
@@ -22,15 +22,6 @@ fn chaos_cfg(seed: u64) -> ClusterConfig {
     cfg.seed = seed;
     cfg.obs = Obs::enabled();
     cfg
-}
-
-/// Reads one labelled recovery counter out of a prometheus export.
-fn recovery_count(text: &str, event: &str) -> u64 {
-    let needle = format!("scalla_recovery_events_total{{event=\"{event}\"}} ");
-    text.lines()
-        .find_map(|l| l.strip_prefix(needle.as_str()))
-        .map(|v| v.trim().parse().expect("counter value"))
-        .unwrap_or(0)
 }
 
 /// Whether the applied plan held any disruption long enough that the
@@ -144,8 +135,8 @@ fn soak(profile: ChaosProfile, seed: u64) {
     // 4. Recovery bookkeeping pairs up: every declared death was followed
     // by a reconnect once the fault cleared.
     let text = obs.registry().prometheus_text();
-    let dead = recovery_count(&text, "peer_dead");
-    let reconnected = recovery_count(&text, "peer_reconnected");
+    let dead = metric(&text, "scalla_recovery_events_total", "event=\"peer_dead\"");
+    let reconnected = metric(&text, "scalla_recovery_events_total", "event=\"peer_reconnected\"");
     assert_eq!(dead, reconnected, "unpaired recovery events {replay}\n{text}");
     if had_long_outage(&sched.applied) {
         assert!(dead >= 1, "a long outage must be detected as peer_dead {replay}");
@@ -210,7 +201,7 @@ fn control_run_without_faults_is_lossless() {
     assert_eq!(stats.dropped, 0, "zero silent message loss in the control run");
     assert_eq!(stats.duplicated, 0);
     let text = obs.registry().prometheus_text();
-    assert_eq!(recovery_count(&text, "peer_dead"), 0, "{text}");
+    assert_eq!(metric(&text, "scalla_recovery_events_total", "event=\"peer_dead\""), 0, "{text}");
 }
 
 /// Satellite regression: at-least-once delivery. With heavy duplication

@@ -7,17 +7,9 @@ use scalla::cache::CacheConfig;
 use scalla::client::{ClientConfig, ClientNode, ClientOp, Directory, OpOutcome};
 use scalla::node::{CmsdConfig, CmsdNode, ServerConfig, ServerNode};
 use scalla::prelude::*;
-use scalla::sim::{assert_poll, TcpNet};
+use scalla::sim::{assert_poll, downcast, metric, TcpNet};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn recovery_count(text: &str, event: &str) -> u64 {
-    let needle = format!("scalla_recovery_events_total{{event=\"{event}\"}} ");
-    text.lines()
-        .find_map(|l| l.strip_prefix(needle.as_str()))
-        .map(|v| v.trim().parse().expect("counter value"))
-        .unwrap_or(0)
-}
 
 struct TcpCluster {
     net: TcpNet,
@@ -86,26 +78,28 @@ fn tcp_killed_peer_is_redetected_and_traffic_resumes() {
     std::thread::sleep(Duration::from_millis(1800));
     net.kill(servers[1]);
     assert_poll(Duration::from_secs(10), "manager must declare the silent peer dead", || {
-        recovery_count(&obs.registry().prometheus_text(), "peer_dead") >= 1
+        metric(
+            &obs.registry().prometheus_text(),
+            "scalla_recovery_events_total",
+            "event=\"peer_dead\"",
+        ) >= 1
     });
 
     // Restart it: the gate clears and the node re-runs on_start (re-login).
     net.revive(servers[1]);
     assert_poll(Duration::from_secs(10), "restarted peer must be re-admitted", || {
-        recovery_count(&obs.registry().prometheus_text(), "peer_reconnected") >= 1
+        metric(
+            &obs.registry().prometheus_text(),
+            "scalla_recovery_events_total",
+            "event=\"peer_reconnected\"",
+        ) >= 1
     });
 
     // The client's second open fires ~7.6 s in; give it room to finish.
     std::thread::sleep(Duration::from_secs(9));
     let mut nodes = net.shutdown();
 
-    let results = nodes[client.0 as usize]
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(&mut *nodes[client.0 as usize]).results().to_vec();
     let opens: Vec<_> = results.iter().filter(|r| r.path != "<sleep>").collect();
     assert_eq!(opens.len(), 2, "both opens must terminate: {results:?}");
     assert_eq!(opens[0].outcome, OpOutcome::Ok, "{results:?}");
@@ -114,12 +108,12 @@ fn tcp_killed_peer_is_redetected_and_traffic_resumes() {
     assert_eq!(opens[1].server.as_deref(), Some("srv-1"), "{results:?}");
 
     // Membership healed completely: all three servers active again.
-    let mgr = nodes[manager.0 as usize].as_any_mut().unwrap().downcast_ref::<CmsdNode>().unwrap();
+    let mgr = downcast::<CmsdNode>(&mut *nodes[manager.0 as usize]);
     assert_eq!(mgr.members().active().len(), 3, "membership must reconverge");
     let text = obs.registry().prometheus_text();
     assert_eq!(
-        recovery_count(&text, "peer_dead"),
-        recovery_count(&text, "peer_reconnected"),
+        metric(&text, "scalla_recovery_events_total", "event=\"peer_dead\""),
+        metric(&text, "scalla_recovery_events_total", "event=\"peer_reconnected\""),
         "every death must pair with a reconnect\n{text}"
     );
 }
@@ -152,20 +146,14 @@ fn tcp_reconnect_within_window_preserves_cached_locations() {
     std::thread::sleep(Duration::from_secs(7));
     let mut nodes = net.shutdown();
 
-    let results = nodes[client.0 as usize]
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(&mut *nodes[client.0 as usize]).results().to_vec();
     let opens: Vec<_> = results.iter().filter(|r| r.path != "<sleep>").collect();
     assert_eq!(opens.len(), 2, "{results:?}");
     for open in &opens {
         assert_eq!(open.outcome, OpOutcome::Ok, "{results:?}");
         assert_eq!(open.server.as_deref(), Some("srv-1"), "location must survive: {results:?}");
     }
-    let mgr = nodes[manager.0 as usize].as_any_mut().unwrap().downcast_ref::<CmsdNode>().unwrap();
+    let mgr = downcast::<CmsdNode>(&mut *nodes[manager.0 as usize]);
     assert_eq!(mgr.members().active().len(), 3);
 }
 
@@ -197,15 +185,11 @@ fn tcp_retry_budget_exhaustion_is_terminal() {
     let client = net.add_node(Box::new(ClientNode::new(ccfg))).unwrap();
 
     net.start();
-    std::thread::sleep(Duration::from_secs(3));
+    assert_poll(Duration::from_secs(3), "the client gives up", || {
+        net.with_node(client, |n| downcast::<ClientNode>(n).is_done())
+    });
     let mut nodes = net.shutdown();
-    let results = nodes[client.0 as usize]
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(&mut *nodes[client.0 as usize]).results().to_vec();
     assert_eq!(results.len(), 1, "op must terminate: {results:?}");
     assert_eq!(results[0].outcome, OpOutcome::GaveUp, "{results:?}");
 }

@@ -3,7 +3,7 @@
 //! server notifications — initial sync at start plus create/delete events.
 
 use scalla::prelude::*;
-use scalla::sim::ClusterConfig;
+use scalla::sim::{downcast, ClusterConfig};
 
 fn cns_cluster(n: usize) -> SimCluster {
     let mut cfg = ClusterConfig::flat(n);
@@ -73,8 +73,7 @@ fn deletions_remove_entries_when_last_replica_goes() {
     let srv0 = c.servers[0];
     // Drive the deletion through the node API so the NsEvent flows.
     {
-        let node = c.net.node_mut(srv0).as_any_mut().unwrap();
-        let server = node.downcast_mut::<scalla::node::ServerNode>().unwrap();
+        let server = downcast::<scalla::node::ServerNode>(c.net.node_mut(srv0));
         let mut ctx = scalla::simnet::MockCtx::new();
         assert!(server.delete(&mut ctx, "/d/f.root"));
         // Relay the captured NsEvent into the network.

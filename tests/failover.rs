@@ -5,12 +5,9 @@
 //! replicated", §II-B1) — this exercises that rotation end-to-end on both
 //! the discrete-event and the real-socket runtimes.
 
-use scalla::cache::CacheConfig;
-use scalla::client::{ClientConfig, ClientNode, ClientOp, Directory, OpOutcome};
-use scalla::node::{CmsdConfig, CmsdNode, ServerConfig, ServerNode};
+use scalla::client::ClientNode;
 use scalla::prelude::*;
-use scalla::sim::TcpNet;
-use std::sync::Arc;
+use scalla::sim::{downcast, Cluster, TcpNet};
 use std::time::Duration;
 
 const N_SERVERS: usize = 3;
@@ -66,61 +63,37 @@ fn simnet_script_survives_manager_kill_mid_script() {
 
 #[test]
 fn tcp_script_survives_manager_kill_mid_script() {
+    // Two replicated head nodes; servers log into both, so either replica
+    // can resolve.
+    let mut cfg = ClusterConfig::flat(2);
+    cfg.n_managers = 2;
+    cfg.cache.full_delay = Nanos::from_millis(500);
+    cfg.heartbeat = Nanos::from_millis(200);
     let mut net = TcpNet::new().expect("bind localhost");
-    let clock = net.clock();
-    let directory = Arc::new(Directory::new());
-
-    // Two replicated head nodes.
-    let mut managers = Vec::new();
-    for m in 0..2 {
-        let name = format!("mgr-{m}");
-        let mut cfg = CmsdConfig::manager(&name);
-        cfg.cache = CacheConfig { full_delay: Nanos::from_millis(500), ..CacheConfig::default() };
-        cfg.heartbeat = Nanos::from_millis(200);
-        cfg.offline_after = Nanos::from_secs(1);
-        let addr = net.add_node(Box::new(CmsdNode::new(cfg, clock.clone()))).unwrap();
-        directory.register(&name, addr);
-        managers.push(addr);
+    let mut c = Cluster::assemble(cfg, net.clock(), &mut |n| net.add_node(n).unwrap());
+    for (i, &srv) in c.servers.iter().enumerate() {
+        downcast::<ServerNode>(net.node_mut(srv)).fs_mut().put_online(&format!("/d/f{i}"), 64);
     }
 
-    // Servers log into both managers, so either replica can resolve.
-    for i in 0..2 {
-        let name = format!("srv-{i}");
-        let mut cfg = ServerConfig::new(&name, managers[0]);
-        cfg.parents = managers.clone();
-        cfg.heartbeat = Nanos::from_millis(200);
-        let mut node = ServerNode::new(cfg);
-        node.fs_mut().put_online(&format!("/d/f{i}"), 64);
-        let addr = net.add_node(Box::new(node)).unwrap();
-        directory.register(&name, addr);
-    }
-
-    let ops = vec![
-        ClientOp::Open { path: "/d/f0".into(), write: false },
-        ClientOp::Sleep { duration: Nanos::from_secs(4) },
-        ClientOp::Open { path: "/d/f1".into(), write: false },
-    ];
-    let mut ccfg = ClientConfig::new(managers[0], directory, ops);
-    ccfg.managers = managers.clone();
-    ccfg.start_delay = Nanos::from_millis(600);
-    ccfg.request_timeout = Nanos::from_secs(2);
-    let client = net.add_node(Box::new(ClientNode::new(ccfg))).unwrap();
+    let client = c.add_client(&mut |n| net.add_node(n).unwrap(), None, |cc| {
+        cc.ops = vec![
+            ClientOp::Open { path: "/d/f0".into(), write: false },
+            ClientOp::Sleep { duration: Nanos::from_secs(4) },
+            ClientOp::Open { path: "/d/f1".into(), write: false },
+        ];
+        cc.start_delay = Nanos::from_millis(600);
+        cc.request_timeout = Nanos::from_secs(2);
+    });
 
     net.start();
     // Logins settle and the first open lands on mgr-0; then kill it. The
     // second open (~4.6 s in) must time out and rotate to mgr-1.
     std::thread::sleep(Duration::from_millis(1800));
-    net.kill(managers[0]);
+    net.kill(c.managers[0]);
     std::thread::sleep(Duration::from_secs(9));
     let mut nodes = net.shutdown();
 
-    let results = nodes[client.0 as usize]
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(&mut *nodes[client.0 as usize]).results().to_vec();
     let opens: Vec<_> = results.iter().filter(|r| r.path != "<sleep>").collect();
     assert_eq!(opens.len(), 2, "both opens must terminate: {results:?}");
     assert_eq!(opens[0].outcome, OpOutcome::Ok, "{results:?}");

@@ -8,6 +8,7 @@ use scalla::cache::CacheConfig;
 use scalla::client::{ClientConfig, ClientNode, ClientOp, Directory, OpOutcome};
 use scalla::node::{CmsdConfig, CmsdNode, ServerConfig, ServerNode};
 use scalla::prelude::*;
+use scalla::sim::downcast;
 use std::sync::Arc;
 
 struct Federation {
@@ -57,8 +58,7 @@ fn build(n_sites: usize, per_site: usize) -> Federation {
 
 fn seed(fed: &mut Federation, site: usize, srv: usize, path: &str) {
     let addr = fed.servers[site][srv];
-    let node = fed.net.node_mut(addr).as_any_mut().unwrap();
-    node.downcast_mut::<ServerNode>().unwrap().fs_mut().put_online(path, 1 << 12);
+    downcast::<ServerNode>(fed.net.node_mut(addr)).fs_mut().put_online(path, 1 << 12);
 }
 
 fn run_client(fed: &mut Federation, ops: Vec<ClientOp>) -> Vec<scalla::client::OpResult> {
@@ -68,8 +68,7 @@ fn run_client(fed: &mut Federation, ops: Vec<ClientOp>) -> Vec<scalla::client::O
     fed.net.kill(client);
     fed.net.revive(client);
     fed.net.run_for(Nanos::from_secs(120));
-    let node = fed.net.node_mut(client).as_any_mut().unwrap();
-    node.downcast_ref::<ClientNode>().unwrap().results().to_vec()
+    downcast::<ClientNode>(fed.net.node_mut(client)).results().to_vec()
 }
 
 #[test]
@@ -107,8 +106,7 @@ fn prefix_scoping_limits_the_flood_to_eligible_sites() {
     // entry (they were never asked) and no lookups at all for the path.
     for &other in [0usize, 2].iter() {
         let site = fed.sites[other];
-        let node = fed.net.node_mut(site).as_any_mut().unwrap();
-        let cmsd = node.downcast_ref::<CmsdNode>().unwrap();
+        let cmsd = downcast::<CmsdNode>(fed.net.node_mut(site));
         assert!(
             cmsd.cache().peek("/fed/site1/f.root").is_none(),
             "site{other} must never have been queried"

@@ -8,16 +8,7 @@
 use proptest::prelude::*;
 use scalla::obs::get;
 use scalla::prelude::*;
-use scalla::sim::ClusterConfig;
-
-/// Reads one sample out of a prometheus export by name + label fragment.
-fn metric(text: &str, name: &str, label_frag: &str) -> u64 {
-    text.lines()
-        .find(|l| l.starts_with(name) && l.contains(label_frag))
-        .and_then(|l| l.rsplit_once(' '))
-        .map(|(_, v)| v.trim().parse().expect("counter value"))
-        .unwrap_or(0)
-}
+use scalla::sim::{metric, ClusterConfig};
 
 fn leased_cfg(n: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::flat(n).with_leases();

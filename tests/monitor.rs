@@ -5,25 +5,14 @@
 //! the pipeline survives collector crash/restart and node churn — on all
 //! three runtimes.
 
-use scalla::client::{ClientConfig, ClientNode};
-use scalla::monitor::{ClusterView, CollectorNode, MonitorEmitter, NodeHealth, OpClass, SpanTree};
-use scalla::pcache::{PcacheConfig, ProxyConfig, ProxyNode};
+use scalla::client::ClientNode;
+use scalla::monitor::{NodeHealth, OpClass, SpanTree};
 use scalla::prelude::*;
-use scalla::sim::{assert_poll, scrape, LiveNet, TcpNet};
-use std::sync::Arc;
+use scalla::sim::{assert_poll, downcast, metric, scrape, Cluster, LiveNet, TcpNet};
 
 const FILE: &str = "/mon/big";
 const SIZE: u64 = 4 * 1024;
 const BLOCK: u32 = 1024;
-
-/// Reads one sample out of a Prometheus export by name + label fragment.
-fn metric(text: &str, name: &str, label_frag: &str) -> u64 {
-    text.lines()
-        .find(|l| l.starts_with(name) && l.contains(label_frag))
-        .and_then(|l| l.rsplit_once(' '))
-        .map(|(_, v)| v.trim().parse().expect("sample value"))
-        .unwrap_or(0)
-}
 
 fn monitored_cfg() -> ClusterConfig {
     let mut cfg = ClusterConfig::flat(4);
@@ -171,58 +160,22 @@ fn collector_crash_restart_reconverges_and_marks_stale_nodes() {
 #[test]
 fn live_runtime_cluster_view_converges() {
     let interval = Nanos::from_millis(200);
+    let mut cfg = ClusterConfig::flat(2);
+    cfg.cache.full_delay = Nanos::from_millis(500);
+    cfg.heartbeat = Nanos::from_millis(200);
+    cfg.n_proxies = 1;
+    cfg.pcache = PcacheConfig { block_size: 1024, ..PcacheConfig::default() };
+    cfg.monitor = Some(interval);
     let mut net = LiveNet::new();
-    let clock = net.clock();
-    let directory = Arc::new(Directory::new());
+    let mut c = Cluster::assemble(cfg, net.clock(), &mut |n| net.add_node(n));
+    downcast::<ServerNode>(net.node_mut(c.servers[0])).fs_mut().put_online("/live/mon", 2048);
+    let view = c.cluster_view().expect("monitoring on");
 
-    let view = Arc::new(ClusterView::new(interval));
-    let collector = net.add_node(Box::new(CollectorNode::new(view.clone(), interval)));
-
-    let mut mgr_cfg = CmsdConfig::manager("mgr");
-    mgr_cfg.cache.full_delay = Nanos::from_millis(500);
-    mgr_cfg.heartbeat = Nanos::from_millis(200);
-    let mut mgr_node = CmsdNode::new(mgr_cfg, clock);
-    let mgr_obs = Obs::with_config(1, 4096);
-    mgr_node.set_obs(mgr_obs.clone());
-    mgr_node.set_monitor(MonitorEmitter::new(collector, "mgr", "manager", mgr_obs, interval));
-    let manager = net.add_node(Box::new(mgr_node));
-    directory.register("mgr", manager);
-
-    for i in 0..2 {
-        let name = format!("srv-{i}");
-        let mut cfg = ServerConfig::new(&name, manager);
-        cfg.heartbeat = Nanos::from_millis(200);
-        let mut node = ServerNode::new(cfg);
-        if i == 0 {
-            node.fs_mut().put_online("/live/mon", 2048);
-        }
-        let obs = Obs::with_config(1, 4096);
-        node.set_obs(obs.clone());
-        node.set_monitor(MonitorEmitter::new(collector, name.as_str(), "server", obs, interval));
-        let addr = net.add_node(Box::new(node));
-        directory.register(&name, addr);
-    }
-
-    let mut pcfg = ProxyConfig::new("pxy-0", manager, directory.clone());
-    pcfg.cache = PcacheConfig { block_size: 1024, ..PcacheConfig::default() };
-    pcfg.heartbeat = Nanos::from_millis(200);
-    let mut pxy = ProxyNode::new(pcfg);
-    let pxy_obs = Obs::with_config(1, 4096);
-    pxy.set_obs(pxy_obs.clone());
-    pxy.set_monitor(MonitorEmitter::new(collector, "pxy-0", "proxy", pxy_obs, interval));
-    let proxy = net.add_node(Box::new(pxy));
-    directory.register("pxy-0", proxy);
-
-    let ops = vec![ClientOp::OpenRead { path: "/live/mon".into(), len: 2048 }];
-    let mut ccfg = ClientConfig::new(proxy, directory, ops);
-    ccfg.start_delay = Nanos::from_millis(600);
-    ccfg.request_timeout = Nanos::from_secs(5);
-    let mut client_node = ClientNode::new(ccfg);
-    let client_obs = Obs::with_config(1, 4096);
-    client_node.set_obs(client_obs.clone());
-    client_node
-        .set_monitor(MonitorEmitter::new(collector, "client-0", "client", client_obs, interval));
-    let client = net.add_node(Box::new(client_node));
+    let client = c.add_client(&mut |n| net.add_node(n), Some(0), |cc| {
+        cc.ops = vec![ClientOp::OpenRead { path: "/live/mon".into(), len: 2048 }];
+        cc.start_delay = Nanos::from_millis(600);
+        cc.request_timeout = Nanos::from_secs(5);
+    });
 
     let admin = net.serve_admin_with(Obs::enabled(), Some(view.clone())).expect("admin binds");
     net.start();
@@ -247,13 +200,7 @@ fn live_runtime_cluster_view_converges() {
     assert!(metric(&text, "scalla_cluster_stage_ns_count{stage=\"resolve\"}", "") >= 1, "{text}");
 
     let mut nodes = net.shutdown();
-    let results = nodes[client.0 as usize]
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(&mut *nodes[client.0 as usize]).results().to_vec();
     assert_eq!(results.len(), 1, "{results:?}");
     assert_eq!(results[0].outcome, OpOutcome::Ok, "{results:?}");
 }
@@ -264,51 +211,23 @@ fn live_runtime_cluster_view_converges() {
 #[test]
 fn tcp_runtime_cluster_scrape_merges_over_the_wire() {
     let interval = Nanos::from_millis(200);
+    let mut cfg = ClusterConfig::flat(4);
+    cfg.cache.full_delay = Nanos::from_millis(500);
+    cfg.heartbeat = Nanos::from_millis(200);
+    cfg.monitor = Some(interval);
     let mut net = TcpNet::new().expect("bind localhost");
-    let clock = net.clock();
-    let directory = Arc::new(Directory::new());
+    let mut c = Cluster::assemble(cfg, net.clock(), &mut |n| net.add_node(n).unwrap());
+    downcast::<ServerNode>(net.node_mut(c.servers[1])).fs_mut().put_online("/tcp/mon", 256);
+    let view = c.cluster_view().expect("monitoring on");
 
-    let view = Arc::new(ClusterView::new(interval));
-    let collector = net.add_node(Box::new(CollectorNode::new(view.clone(), interval))).unwrap();
-
-    let mut mgr_cfg = CmsdConfig::manager("mgr");
-    mgr_cfg.cache.full_delay = Nanos::from_millis(500);
-    mgr_cfg.heartbeat = Nanos::from_millis(200);
-    let mut mgr_node = CmsdNode::new(mgr_cfg, clock);
-    let mgr_obs = Obs::with_config(1, 4096);
-    mgr_node.set_obs(mgr_obs.clone());
-    mgr_node.set_monitor(MonitorEmitter::new(collector, "mgr", "manager", mgr_obs, interval));
-    let manager = net.add_node(Box::new(mgr_node)).unwrap();
-    directory.register("mgr", manager);
-
-    for i in 0..4 {
-        let name = format!("srv-{i}");
-        let mut cfg = ServerConfig::new(&name, manager);
-        cfg.heartbeat = Nanos::from_millis(200);
-        let mut node = ServerNode::new(cfg);
-        if i == 1 {
-            node.fs_mut().put_online("/tcp/mon", 256);
-        }
-        let obs = Obs::with_config(1, 4096);
-        node.set_obs(obs.clone());
-        node.set_monitor(MonitorEmitter::new(collector, name.as_str(), "server", obs, interval));
-        let addr = net.add_node(Box::new(node)).unwrap();
-        directory.register(&name, addr);
-    }
-
-    let ops = vec![
-        ClientOp::OpenRead { path: "/tcp/mon".into(), len: 64 },
-        ClientOp::Open { path: "/tcp/mon".into(), write: false },
-    ];
-    let mut ccfg = ClientConfig::new(manager, directory, ops);
-    ccfg.start_delay = Nanos::from_millis(800);
-    ccfg.request_timeout = Nanos::from_secs(5);
-    let mut client_node = ClientNode::new(ccfg);
-    let client_obs = Obs::with_config(1, 4096);
-    client_node.set_obs(client_obs.clone());
-    client_node
-        .set_monitor(MonitorEmitter::new(collector, "client-0", "client", client_obs, interval));
-    let client = net.add_node(Box::new(client_node)).unwrap();
+    let client = c.add_client(&mut |n| net.add_node(n).unwrap(), None, |cc| {
+        cc.ops = vec![
+            ClientOp::OpenRead { path: "/tcp/mon".into(), len: 64 },
+            ClientOp::Open { path: "/tcp/mon".into(), write: false },
+        ];
+        cc.start_delay = Nanos::from_millis(800);
+        cc.request_timeout = Nanos::from_secs(5);
+    });
 
     let admin = net.serve_admin_with(Obs::enabled(), Some(view.clone())).expect("admin binds");
     net.start();
@@ -335,13 +254,7 @@ fn tcp_runtime_cluster_scrape_merges_over_the_wire() {
     assert!(json.contains("\"cms_resolve\""), "resolve hop in the breakdown:\n{json}");
 
     let mut nodes = net.shutdown();
-    let results = nodes[client.0 as usize]
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(&mut *nodes[client.0 as usize]).results().to_vec();
     assert_eq!(results.len(), 2, "{results:?}");
     assert!(results.iter().all(|r| r.outcome == OpOutcome::Ok), "{results:?}");
 }

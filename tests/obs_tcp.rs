@@ -3,11 +3,10 @@
 //! histograms must fill, and the admin endpoint's Prometheus text must
 //! survive a parser check.
 
-use scalla::client::{ClientConfig, ClientNode, ClientOp, Directory, OpOutcome};
-use scalla::node::{CmsdConfig, CmsdNode, ServerConfig, ServerNode};
+use scalla::client::ClientNode;
 use scalla::prelude::*;
-use scalla::sim::{scrape, TcpNet};
-use std::sync::Arc;
+use scalla::sim::{assert_poll, downcast, scrape, Cluster, TcpNet};
+use std::time::Duration;
 
 /// A minimal Prometheus text-exposition check: every comment is `# HELP`
 /// or `# TYPE`, every sample line is `name[{labels}] value` with a
@@ -65,45 +64,28 @@ fn obs_tcp_cluster_traces_and_metrics() {
     // run fills each histogram deterministically.
     let obs = Obs::with_config(1, 4096);
 
+    let mut cfg = ClusterConfig::flat(3);
+    cfg.cache.full_delay = Nanos::from_millis(500);
+    cfg.heartbeat = Nanos::from_millis(200);
+    cfg.obs = obs.clone();
     let mut net = TcpNet::new().expect("bind localhost");
-    let clock = net.clock();
-    let directory = Arc::new(Directory::new());
+    let mut c = Cluster::assemble(cfg, net.clock(), &mut |n| net.add_node(n).unwrap());
+    downcast::<ServerNode>(net.node_mut(c.servers[1])).fs_mut().put_online("/obs/traced", 256);
 
-    let mut mgr_cfg = CmsdConfig::manager("mgr");
-    mgr_cfg.cache.full_delay = Nanos::from_millis(500);
-    mgr_cfg.heartbeat = Nanos::from_millis(200);
-    let mut mgr_node = CmsdNode::new(mgr_cfg, clock);
-    mgr_node.set_obs(obs.clone());
-    let manager = net.add_node(Box::new(mgr_node)).unwrap();
-    directory.register("mgr", manager);
-
-    for i in 0..3 {
-        let name = format!("srv-{i}");
-        let mut cfg = ServerConfig::new(&name, manager);
-        cfg.heartbeat = Nanos::from_millis(200);
-        let mut node = ServerNode::new(cfg);
-        node.set_obs(obs.clone());
-        if i == 1 {
-            node.fs_mut().put_online("/obs/traced", 256);
-        }
-        let addr = net.add_node(Box::new(node)).unwrap();
-        directory.register(&name, addr);
-    }
-
-    let ops = vec![
-        ClientOp::OpenRead { path: "/obs/traced".into(), len: 64 },
-        ClientOp::Open { path: "/obs/traced".into(), write: false },
-    ];
-    let mut ccfg = ClientConfig::new(manager, directory, ops);
-    ccfg.start_delay = Nanos::from_millis(800);
-    ccfg.request_timeout = Nanos::from_secs(5);
-    let mut client_node = ClientNode::new(ccfg);
-    client_node.set_obs(obs.clone());
-    let client = net.add_node(Box::new(client_node)).unwrap();
+    let client = c.add_client(&mut |n| net.add_node(n).unwrap(), None, |cc| {
+        cc.ops = vec![
+            ClientOp::OpenRead { path: "/obs/traced".into(), len: 64 },
+            ClientOp::Open { path: "/obs/traced".into(), write: false },
+        ];
+        cc.start_delay = Nanos::from_millis(800);
+        cc.request_timeout = Nanos::from_secs(5);
+    });
 
     let admin = net.serve_admin(obs.clone()).expect("admin endpoint binds");
     net.start();
-    std::thread::sleep(std::time::Duration::from_secs(4));
+    assert_poll(Duration::from_secs(4), "the client finishes its script", || {
+        net.with_node(client, |n| downcast::<ClientNode>(n).is_done())
+    });
 
     // Scrape while the net is live; the admin listener dies with shutdown.
     let metrics = scrape(admin, "/metrics").expect("scrape /metrics");
@@ -111,13 +93,7 @@ fn obs_tcp_cluster_traces_and_metrics() {
     let stats = scrape(admin, "/stats").expect("scrape /stats");
 
     let mut nodes = net.shutdown();
-    let results = nodes[client.0 as usize]
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(&mut *nodes[client.0 as usize]).results().to_vec();
     assert_eq!(results.len(), 2, "all ops must terminate: {results:?}");
     assert_eq!(results[0].outcome, OpOutcome::Ok, "{results:?}");
     assert_ne!(results[0].trace_id, 0, "client minted a trace id");
@@ -147,7 +123,10 @@ fn obs_tcp_cluster_traces_and_metrics() {
         "{metrics}"
     );
     // Cache counters mirrored through the per-node collector.
-    assert!(sample_value(&samples, "scalla_cache_lookups_total{node=\"mgr\"}") >= 1.0, "{metrics}");
+    assert!(
+        sample_value(&samples, "scalla_cache_lookups_total{node=\"mgr-0\"}") >= 1.0,
+        "{metrics}"
+    );
     // Runtime egress counters from the TCP tier.
     assert!(sample_value(&samples, "scalla_egress_frames_total") >= 1.0, "{metrics}");
 

@@ -4,11 +4,11 @@
 //! the store, the same flow on the live threaded runtime, and a chaos
 //! soak with a proxy in the membership.
 
-use scalla::client::{ClientConfig, ClientNode};
+use scalla::client::ClientNode;
 use scalla::pcache::REQUEST_TIMEOUT;
 use scalla::prelude::*;
-use scalla::sim::{LiveNet, ZipfSampler};
-use std::sync::Arc;
+use scalla::sim::{assert_poll, downcast, metric, Cluster, LiveNet, ZipfSampler};
+use std::time::Duration;
 
 const FILE: &str = "/d/big";
 const SIZE: u64 = 8 * 1024;
@@ -22,15 +22,6 @@ fn proxy_cfg(n_servers: usize) -> ClusterConfig {
     cfg.pcache = PcacheConfig { block_size: BLOCK, ..PcacheConfig::default() };
     cfg.obs = Obs::enabled();
     cfg
-}
-
-/// Reads one sample out of a prometheus export by name + label fragment.
-fn metric(text: &str, name: &str, label_frag: &str) -> u64 {
-    text.lines()
-        .find(|l| l.starts_with(name) && l.contains(label_frag))
-        .and_then(|l| l.rsplit_once(' '))
-        .map(|(_, v)| v.trim().parse().expect("counter value"))
-        .unwrap_or(0)
 }
 
 #[test]
@@ -263,52 +254,35 @@ fn write_opens_are_bounced_to_a_real_redirector() {
 
 #[test]
 fn live_runtime_proxy_serves_cold_then_warm() {
+    let mut cfg = ClusterConfig::flat(1);
+    cfg.cache.full_delay = Nanos::from_millis(500);
+    cfg.heartbeat = Nanos::from_millis(200);
+    cfg.n_proxies = 1;
+    cfg.pcache = PcacheConfig { block_size: 1024, ..PcacheConfig::default() };
     let mut net = LiveNet::new();
-    let clock = net.clock();
-    let directory = Arc::new(Directory::new());
+    let mut c = Cluster::assemble(cfg, net.clock(), &mut |n| net.add_node(n));
+    downcast::<ServerNode>(net.node_mut(c.servers[0])).fs_mut().put_online("/live/p", 4096);
+    let proxy = c.proxies[0];
 
-    let mut mgr_cfg = CmsdConfig::manager("mgr");
-    mgr_cfg.cache = CacheConfig { full_delay: Nanos::from_millis(500), ..CacheConfig::default() };
-    mgr_cfg.heartbeat = Nanos::from_millis(200);
-    let manager = net.add_node(Box::new(CmsdNode::new(mgr_cfg, clock)));
-    directory.register("mgr", manager);
-
-    let mut scfg = ServerConfig::new("srv-0", manager);
-    scfg.heartbeat = Nanos::from_millis(200);
-    let mut srv = ServerNode::new(scfg);
-    srv.fs_mut().put_online("/live/p", 4096);
-    let saddr = net.add_node(Box::new(srv));
-    directory.register("srv-0", saddr);
-
-    let mut pcfg = ProxyConfig::new("pxy-0", manager, directory.clone());
-    pcfg.cache = PcacheConfig { block_size: 1024, ..PcacheConfig::default() };
-    pcfg.heartbeat = Nanos::from_millis(200);
-    let proxy = net.add_node(Box::new(ProxyNode::new(pcfg)));
-    directory.register("pxy-0", proxy);
-
-    let ops = vec![
-        ClientOp::OpenRead { path: "/live/p".into(), len: 4096 },
-        ClientOp::OpenRead { path: "/live/p".into(), len: 4096 },
-    ];
-    let mut ccfg = ClientConfig::new(proxy, directory, ops);
-    ccfg.start_delay = Nanos::from_millis(600);
-    ccfg.request_timeout = Nanos::from_secs(5);
-    let client = net.add_node(Box::new(ClientNode::new(ccfg)));
+    let client = c.add_client(&mut |n| net.add_node(n), Some(0), |cc| {
+        cc.ops = vec![
+            ClientOp::OpenRead { path: "/live/p".into(), len: 4096 },
+            ClientOp::OpenRead { path: "/live/p".into(), len: 4096 },
+        ];
+        cc.start_delay = Nanos::from_millis(600);
+        cc.request_timeout = Nanos::from_secs(5);
+    });
 
     net.start();
-    std::thread::sleep(std::time::Duration::from_secs(3));
+    assert_poll(Duration::from_secs(3), "the client finishes its script", || {
+        net.with_node(client, |n| downcast::<ClientNode>(n).is_done())
+    });
     let mut nodes = net.shutdown();
-    let results = nodes[client.0 as usize]
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(&mut *nodes[client.0 as usize]).results().to_vec();
     assert_eq!(results.len(), 2, "both reads must complete: {results:?}");
     assert!(results.iter().all(|r| r.outcome == OpOutcome::Ok), "{results:?}");
 
-    let pxy = nodes[proxy.0 as usize].as_any_mut().unwrap().downcast_ref::<ProxyNode>().unwrap();
+    let pxy = downcast::<ProxyNode>(&mut *nodes[proxy.0 as usize]);
     let stats = pxy.store().stats();
     assert_eq!(stats.inserts, 4, "4 KiB in 1 KiB blocks filled once");
     assert!(stats.hits >= 4, "warm read hit every block: {stats:?}");

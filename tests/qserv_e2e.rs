@@ -9,6 +9,7 @@ use scalla::prelude::*;
 use scalla::qserv::{
     gather_results, scatter_script, ChunkStore, QservWorkerNode, Query, QueryResult,
 };
+use scalla::sim::downcast;
 use std::sync::Arc;
 
 struct QservRig {
@@ -53,8 +54,7 @@ fn rig(query: &Query, n_partitions: u32, n_workers: usize, qid: u64) -> QservRig
 
 fn read_from_workers(rig: &mut QservRig, path: &str) -> Option<Vec<u8>> {
     for &w in &rig.workers.clone() {
-        let node = rig.net.node_mut(w).as_any_mut().unwrap();
-        let worker = node.downcast_ref::<QservWorkerNode>().unwrap();
+        let worker = downcast::<QservWorkerNode>(rig.net.node_mut(w));
         if let Some(entry) = worker.server().fs().get(path) {
             return Some(entry.data.to_vec());
         }
@@ -68,15 +68,7 @@ fn distributed_count_matches_direct() {
     let mut rig = rig(&query, 6, 3, 1);
     rig.net.run_for(Nanos::from_secs(90));
 
-    let results = rig
-        .net
-        .node_mut(rig.master)
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(rig.net.node_mut(rig.master)).results().to_vec();
     assert_eq!(results.len(), 12, "6 creates + 6 reads: {results:?}");
     assert!(results.iter().all(|r| r.outcome == OpOutcome::Ok), "{results:?}");
 
@@ -102,8 +94,7 @@ fn tasks_land_on_partition_owners_only() {
 
     // Each worker executed exactly its own partitions' tasks.
     for (w, &addr) in rig.workers.clone().iter().enumerate() {
-        let node = rig.net.node_mut(addr).as_any_mut().unwrap();
-        let worker = node.downcast_ref::<QservWorkerNode>().unwrap();
+        let worker = downcast::<QservWorkerNode>(rig.net.node_mut(addr));
         assert_eq!(worker.tasks_executed, 2, "worker {w} owns 2 of 4 partitions");
         for p in worker.partitions() {
             assert_eq!(p as usize % 2, w, "partition routed to its owner");
@@ -129,15 +120,7 @@ fn master_survives_worker_restart_between_queries() {
     rig.net.revive(w0);
     rig.net.run_for(Nanos::from_secs(120));
 
-    let results = rig
-        .net
-        .node_mut(rig.master)
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(rig.net.node_mut(rig.master)).results().to_vec();
     let ok = results.iter().filter(|r| r.outcome == OpOutcome::Ok).count();
     assert_eq!(ok, results.len(), "all ops ok after worker bounce: {results:?}");
 }
@@ -185,15 +168,7 @@ fn new_worker_extends_partition_coverage_without_reconfiguration() {
     rig.net.revive(master2);
     rig.net.run_for(Nanos::from_secs(90));
 
-    let results = rig
-        .net
-        .node_mut(master2)
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(rig.net.node_mut(master2)).results().to_vec();
     assert!(results.iter().all(|r| r.outcome == OpOutcome::Ok), "{results:?}");
     let merged = gather_results(&parts, 99, |p| read_from_workers(&mut rig, p)).unwrap();
     assert_eq!(merged, QueryResult::Count(expected_new));
@@ -238,8 +213,7 @@ fn autonomous_master_node_gathers_in_node() {
     net.start();
     net.run_for(Nanos::from_secs(120));
 
-    let node = net.node_mut(master).as_any_mut().unwrap();
-    let m = node.downcast_ref::<scalla::qserv::QservMasterNode>().unwrap();
+    let m = downcast::<scalla::qserv::QservMasterNode>(net.node_mut(master));
     assert!(!m.failed(), "{:?}", m.records());
     assert_eq!(m.answer(), Some(&QueryResult::Count(expected)));
 }

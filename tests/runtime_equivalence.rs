@@ -10,9 +10,8 @@
 use bytes::Bytes;
 use scalla::client::{ClientConfig, ClientNode};
 use scalla::prelude::*;
-use scalla::sim::{assert_poll, LiveNet, TcpNet};
+use scalla::sim::{assert_poll, downcast, LiveNet, TcpNet};
 use scalla::util::Clock;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,46 +35,9 @@ fn script() -> Vec<ClientOp> {
     ]
 }
 
-/// A `ClientNode` that raises `done` when its script has finished, so the
-/// wall-clock runs wait on completion rather than on a guessed sleep.
-struct Watched {
-    client: ClientNode,
-    done: Arc<AtomicBool>,
-}
-
-impl Watched {
-    fn publish(&self) {
-        if self.client.is_done() {
-            self.done.store(true, Ordering::SeqCst);
-        }
-    }
-}
-
-impl Node for Watched {
-    fn on_start(&mut self, ctx: &mut dyn NetCtx) {
-        self.client.on_start(ctx);
-        self.publish();
-    }
-    fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
-        self.client.on_message(ctx, from, msg);
-        self.publish();
-    }
-    fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) {
-        self.client.on_timer(ctx, token);
-        self.publish();
-    }
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        self.client.as_any_mut()
-    }
-}
-
 /// Adds manager, servers and the scripted client through `add`, in that
 /// order on every runtime; returns the client's address.
-fn build(
-    clock: Arc<dyn Clock>,
-    add: &mut dyn FnMut(Box<dyn Node>) -> Addr,
-    done: Arc<AtomicBool>,
-) -> Addr {
+fn build(clock: Arc<dyn Clock>, add: &mut dyn FnMut(Box<dyn Node>) -> Addr) -> Addr {
     let directory = Arc::new(Directory::new());
     let heartbeat = Nanos::from_millis(100);
     let mut mgr = CmsdConfig::manager("mgr");
@@ -99,16 +61,20 @@ fn build(
     let mut cfg = ClientConfig::new(manager, directory, script());
     cfg.start_delay = Nanos::from_millis(400); // past the logins
     cfg.request_timeout = Nanos::from_secs(5);
-    add(Box::new(Watched { client: ClientNode::new(cfg), done }))
+    add(Box::new(ClientNode::new(cfg)))
 }
 
 /// What the runtimes must agree on, per operation.
 type Observed = Vec<(OpOutcome, Option<String>, u32, Option<Bytes>)>;
 
+/// Whether the client has finished its script, so the wall-clock runs
+/// wait on completion rather than on a guessed sleep.
+fn done(client: &mut dyn Node) -> bool {
+    downcast::<ClientNode>(client).is_done()
+}
+
 fn observe(client: &mut dyn Node) -> Observed {
-    let client = client.as_any_mut().and_then(|any| any.downcast_ref::<ClientNode>());
-    client
-        .expect("the client slot holds a ClientNode")
+    downcast::<ClientNode>(client)
         .results()
         .iter()
         .map(|r| (r.outcome.clone(), r.server.clone(), r.redirects, r.data.clone()))
@@ -119,33 +85,27 @@ const PATIENCE: Duration = Duration::from_secs(30);
 
 fn on_sim() -> Observed {
     let mut net = SimNet::new(LatencyModel::lan(), 7);
-    let done = Arc::new(AtomicBool::new(false));
-    let client = build(net.clock(), &mut |node| net.add_node(node), done.clone());
+    let client = build(net.clock(), &mut |node| net.add_node(node));
     net.start();
     net.run_for(Nanos::from_secs(10));
-    assert!(done.load(Ordering::SeqCst), "script finishes in simulated time");
+    assert!(done(net.node_mut(client)), "script finishes in simulated time");
     observe(net.node_mut(client))
 }
 
 fn on_live() -> Observed {
     let mut net = LiveNet::new();
-    let done = Arc::new(AtomicBool::new(false));
-    let client = build(net.clock(), &mut |node| net.add_node(node), done.clone());
+    let client = build(net.clock(), &mut |node| net.add_node(node));
     net.start();
-    assert_poll(PATIENCE, "script finishes on LiveNet", || done.load(Ordering::SeqCst));
+    assert_poll(PATIENCE, "script finishes on LiveNet", || net.with_node(client, done));
     observe(net.shutdown()[client.0 as usize].as_mut())
 }
 
 fn on_tcp() -> Observed {
     let mut net = TcpNet::new().expect("create the TCP runtime");
-    let done = Arc::new(AtomicBool::new(false));
-    let client = build(
-        net.clock(),
-        &mut |node| net.add_node(node).expect("bind a localhost listener"),
-        done.clone(),
-    );
+    let client =
+        build(net.clock(), &mut |node| net.add_node(node).expect("bind a localhost listener"));
     net.start();
-    assert_poll(PATIENCE, "script finishes on TcpNet", || done.load(Ordering::SeqCst));
+    assert_poll(PATIENCE, "script finishes on TcpNet", || net.with_node(client, done));
     observe(net.shutdown()[client.0 as usize].as_mut())
 }
 

@@ -2,59 +2,39 @@
 //! and file I/O all cross the wire through the binary codec.
 
 use bytes::Bytes;
-use scalla::cache::CacheConfig;
-use scalla::client::{ClientConfig, ClientNode, ClientOp, Directory, OpOutcome};
-use scalla::node::{CmsdConfig, CmsdNode, ServerConfig, ServerNode};
+use scalla::client::ClientNode;
 use scalla::prelude::*;
-use scalla::sim::TcpNet;
+use scalla::sim::{assert_poll, downcast, poll_until, Cluster, TcpNet};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn tcp_cluster_end_to_end() {
+    let mut cfg = ClusterConfig::flat(3);
+    cfg.cache.full_delay = Nanos::from_millis(500);
+    cfg.heartbeat = Nanos::from_millis(200);
     let mut net = TcpNet::new().expect("bind localhost");
-    let clock = net.clock();
-    let directory = Arc::new(Directory::new());
+    let mut c = Cluster::assemble(cfg, net.clock(), &mut |n| net.add_node(n).unwrap());
+    downcast::<ServerNode>(net.node_mut(c.servers[1])).fs_mut().put_online("/tcp/hello", 256);
 
-    let mut mgr_cfg = CmsdConfig::manager("mgr");
-    mgr_cfg.cache = CacheConfig { full_delay: Nanos::from_millis(500), ..CacheConfig::default() };
-    mgr_cfg.heartbeat = Nanos::from_millis(200);
-    let manager = net.add_node(Box::new(CmsdNode::new(mgr_cfg, clock))).unwrap();
-    directory.register("mgr", manager);
-
-    for i in 0..3 {
-        let name = format!("srv-{i}");
-        let mut cfg = ServerConfig::new(&name, manager);
-        cfg.heartbeat = Nanos::from_millis(200);
-        let mut node = ServerNode::new(cfg);
-        if i == 1 {
-            node.fs_mut().put_online("/tcp/hello", 256);
-        }
-        let addr = net.add_node(Box::new(node)).unwrap();
-        directory.register(&name, addr);
-    }
-
-    let ops = vec![
-        ClientOp::OpenRead { path: "/tcp/hello".into(), len: 64 },
-        ClientOp::OpenRead { path: "/tcp/hello".into(), len: 64 },
-        ClientOp::Open { path: "/tcp/ghost".into(), write: false },
-    ];
-    let mut ccfg = ClientConfig::new(manager, directory, ops);
-    ccfg.start_delay = Nanos::from_millis(800);
-    ccfg.request_timeout = Nanos::from_secs(5);
-    let client = net.add_node(Box::new(ClientNode::new(ccfg))).unwrap();
+    let client = c.add_client(&mut |n| net.add_node(n).unwrap(), None, |cc| {
+        cc.ops = vec![
+            ClientOp::OpenRead { path: "/tcp/hello".into(), len: 64 },
+            ClientOp::OpenRead { path: "/tcp/hello".into(), len: 64 },
+            ClientOp::Open { path: "/tcp/ghost".into(), write: false },
+        ];
+        cc.start_delay = Nanos::from_millis(800);
+        cc.request_timeout = Nanos::from_secs(5);
+    });
 
     net.start();
-    std::thread::sleep(std::time::Duration::from_secs(4));
+    assert_poll(Duration::from_secs(4), "the client finishes its script", || {
+        net.with_node(client, |n| downcast::<ClientNode>(n).is_done())
+    });
     let mut nodes = net.shutdown();
-    let results = nodes[client.0 as usize]
-        .as_any_mut()
-        .unwrap()
-        .downcast_ref::<ClientNode>()
-        .unwrap()
-        .results()
-        .to_vec();
+    let results = downcast::<ClientNode>(&mut *nodes[client.0 as usize]).results().to_vec();
     assert_eq!(results.len(), 3, "all ops must terminate: {results:?}");
     assert_eq!(results[0].outcome, OpOutcome::Ok, "{results:?}");
     assert_eq!(results[0].server.as_deref(), Some("srv-1"));
@@ -141,10 +121,7 @@ fn tcp_stress_zero_loss_below_capacity() {
     net.start();
 
     let expect = (ECHOES * PINGERS) as u64 * PER_PEER;
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while replies.load(Ordering::SeqCst) < expect && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    poll_until(Duration::from_secs(30), || replies.load(Ordering::SeqCst) >= expect);
     assert_eq!(replies.load(Ordering::SeqCst), expect, "every round-trip must complete");
 
     let counters = net.counters();
@@ -228,10 +205,7 @@ fn stalled_peer_does_not_block_protocol_thread() {
     .unwrap();
     net.start();
 
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while replies.load(Ordering::SeqCst) < ECHO_GOAL && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    poll_until(Duration::from_secs(30), || replies.load(Ordering::SeqCst) >= ECHO_GOAL);
     assert!(
         replies.load(Ordering::SeqCst) >= ECHO_GOAL,
         "echo traffic starved while a peer was stalled: {} < {ECHO_GOAL} ({})",

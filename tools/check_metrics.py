@@ -220,14 +220,14 @@ def main() -> None:
     # reaches the manager), nothing waits or sheds, and the overload flag
     # is clear — but every family must be exported so a scraper can alert
     # on it.
-    admit = 'scalla_admission_total{node="mgr",verdict="admit"}'
+    admit = 'scalla_admission_total{node="mgr-0",verdict="admit"}'
     if samples.get(admit, 0) < 2:
         fail(f"{admit} < 2: the cold demo ops did not pass manager admission")
     for verdict in ("wait", "shed"):
-        series = f'scalla_admission_total{{node="mgr",verdict="{verdict}"}}'
+        series = f'scalla_admission_total{{node="mgr-0",verdict="{verdict}"}}'
         if series not in samples:
             fail(f"{series} missing: admission families must export even when idle")
-    flag = 'scalla_admission_overloaded{node="mgr"}'
+    flag = 'scalla_admission_overloaded{node="mgr-0"}'
     if flag not in samples:
         fail(f"{flag} missing")
     if samples[flag] != 0:
@@ -240,18 +240,18 @@ def main() -> None:
         fail(f"{hit} < 1: the repeat open did not ride its lease")
     if samples.get(hit, 0) != samples.get("scalla_client_redirect_rtts_avoided_total", -1):
         fail("direct hits and redirect RTTs avoided must agree")
-    lhit = 'scalla_lcache_lookups_total{node="client",outcome="hit"}'
+    lhit = 'scalla_lcache_lookups_total{node="clients",outcome="hit"}'
     if samples.get(lhit, 0) < 1:
         fail(f"{lhit} < 1: the edge cache recorded no hit")
     for outcome in ("miss", "expired"):
-        series = f'scalla_lcache_lookups_total{{node="client",outcome="{outcome}"}}'
+        series = f'scalla_lcache_lookups_total{{node="clients",outcome="{outcome}"}}'
         if series not in samples:
             fail(f"{series} missing: lcache families must export even when idle")
     for reason in ("stale", "recovery"):
-        series = f'scalla_lcache_purges_total{{node="client",reason="{reason}"}}'
+        series = f'scalla_lcache_purges_total{{node="clients",reason="{reason}"}}'
         if series not in samples:
             fail(f"{series} missing: lcache families must export even when idle")
-    if samples.get('scalla_lcache_inserts_total{node="client"}', 0) < 2:
+    if samples.get('scalla_lcache_inserts_total{node="clients"}', 0) < 2:
         fail("both demo paths should have been leased into the edge cache")
     if samples.get("scalla_client_stale_served_total", -1) != 0:
         fail("the calm demo run must serve nothing stale")
