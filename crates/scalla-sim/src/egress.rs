@@ -5,44 +5,58 @@
 //! node's lock — must never *block* on a peer socket: one hung peer would
 //! otherwise stall the whole node. It may well write to one — a wake-up of
 //! another thread per hop is most of what a hop costs — so every outgoing
-//! link is split in two halves around one non-blocking socket:
+//! link is split in two halves around one blocking socket:
 //!
 //! * **Batch** — [`EgressLink::post`] encodes a frame onto the link's
 //!   pending batch: one pooled buffer, frames back to back. Nothing is
 //!   sent until [`EgressLink::flush`], which the lock holder calls before
 //!   it lets go of the node (see `runtime::run_node`, `NodeCell::hear`).
-//! * **Inline write** — `flush` does *one* non-blocking `write` of the
-//!   batch from the calling thread when the link is connected and its
-//!   writer holds nothing. A burst costs one syscall for many frames and
-//!   the common hop wakes nobody on the sending side.
-//! * **The writer is the blocking half** — whatever that one `write` could
+//! * **Inline write** — `flush` does *one* `send(2)` of the batch with
+//!   `MSG_DONTWAIT | MSG_NOSIGNAL` from the calling thread when the link
+//!   has a connection and its writer holds nothing. A burst costs one
+//!   syscall for many frames and the common hop wakes nobody on the
+//!   sending side. The stream itself is blocking for life: a reader may
+//!   be blocked on the same open file description (see below), so
+//!   `O_NONBLOCK`, which lives there, is never toggled.
+//! * **The writer is the blocking half** — whatever that one `send` could
 //!   not do is handed to the link's writer thread through a bounded queue:
 //!   the connect (with a timeout, then the sender-address preamble), the
-//!   unwritten tail of a short write, a batch that met `WouldBlock` or an
+//!   unwritten tail of a short write, a batch that met `EAGAIN` or an
 //!   error. Writes there carry a write timeout, and a peer that stays
 //!   wedged past the stall budget is declared **dead**. A queue holding
 //!   [`QUEUE_CAP`] frames drops the next batch with explicit accounting
 //!   (the same loss semantics a dead peer already has).
-//! * **Who may touch the socket** — `O_NONBLOCK` lives on the open file
-//!   description, so a `try_clone` would share it: there is one stream per
-//!   link, in a slot both threads can reach, and `in_writer` (the frames
-//!   handed to the writer and not yet disposed of) decides whose turn it
-//!   is. Only the holder of the node's lock increments it, and writes
-//!   inline only at zero; the writer takes the stream out of the slot,
-//!   blocks on it with no lock held, puts it back non-blocking and only
-//!   then decrements (`Release`, paired with the holder's `Acquire` load).
-//!   So once anything is handed over — a tail goes first, into an empty
+//! * **One connection per node pair** — a connection carries both
+//!   directions, so a reply rides the connection of the request it answers
+//!   and carries that request's ACK. Whichever node sends first connects:
+//!   its writer hands each connection it opens to an [`OnConnect`] hook
+//!   before the preamble (the TCP runtime starts a reader on it that runs
+//!   this node on the replies). The other node's link may
+//!   [`adopt`](EgressLink::adopt) that connection: it does when it has none
+//!   and its writer is idle. Two nodes that connect to each other at the
+//!   same moment keep two one-way connections.
+//! * **Who may touch the socket** — there is one stream per link, in a
+//!   slot both threads can reach, and `in_writer` (the frames handed to
+//!   the writer and not yet disposed of) decides whose turn it is. Only
+//!   the holder of the node's lock increments it, and writes inline or
+//!   adopts only at zero; the writer takes the stream out of the slot,
+//!   blocks on it with no lock held, puts it back and only then
+//!   decrements (`Release`, paired with the holder's `Acquire` load). So
+//!   once anything is handed over — a tail goes first, into an empty
 //!   queue — everything queues behind it until the writer is idle again:
-//!   frames leave a link in the order they were posted.
+//!   frames leave a link on one stream, in the order they were posted.
+//!   A connection the writer gives up on is shut down both ways, which
+//!   wakes whatever reader shares it.
 //! * **Dead → probing → alive** — a dead peer is *not* dead forever (the
 //!   paper's clusters treat node restart as steady state, §II-A). The
 //!   writer drops frames instantly while a capped exponential backoff
 //!   (with ±25 % jitter, seeded per link) runs down, then spends one
 //!   connect attempt as a probe. Success rejoins the peer — backoff
 //!   resets, a `peer_reconnected` incident fires; failure doubles the
-//!   backoff. The first failing transition fires `peer_dead`. Both edges
-//!   count in `scalla_recovery_events_total{event=...}` so soak tests can
-//!   assert matched dead/reconnected pairs.
+//!   backoff. A connection adopted meanwhile rejoins it too. The first
+//!   failing transition fires `peer_dead`. Both edges count in
+//!   `scalla_recovery_events_total{event=...}` so soak tests can assert
+//!   matched dead/reconnected pairs.
 //! * **Deterministic shutdown** — dropping the queue's sender wakes the
 //!   writer out of `recv`; the stop flag breaks any in-flight stall loop.
 //!
@@ -59,7 +73,8 @@ use scalla_obs::{Emit, Kind, Obs, Source};
 use scalla_proto::{encode_frame_traced, Addr, BufferPool, Msg};
 use scalla_util::SplitMix64;
 use std::io::{ErrorKind, IoSlice, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -192,9 +207,13 @@ struct Batch {
     frames: usize,
 }
 
+/// What a link does with each connection its writer opens, before the
+/// preamble goes out; `false` fails the connect.
+pub(crate) type OnConnect = Box<dyn FnMut(&TcpStream) -> bool + Send>;
+
 /// What a link's two threads share.
 struct LinkState {
-    /// The link's one connection, non-blocking whenever it sits here. The
+    /// The link's one connection, opened by its writer or adopted. The
     /// lock is never held across a blocking call: the writer takes the
     /// stream out before it blocks on it.
     stream: Mutex<Option<TcpStream>>,
@@ -215,17 +234,39 @@ pub(crate) struct EgressLink {
 
 impl EgressLink {
     /// Spawns the writer thread for `me → peer`. Nothing connects yet;
-    /// the first flushed batch triggers the (writer-side) connect.
-    pub fn spawn(me: Addr, peer: SocketAddr, shared: Arc<EgressShared>) -> EgressLink {
+    /// the first flushed batch triggers the (writer-side) connect, unless
+    /// the link adopts a connection first.
+    pub fn spawn(
+        me: Addr,
+        peer: SocketAddr,
+        shared: Arc<EgressShared>,
+        on_connect: OnConnect,
+    ) -> EgressLink {
         let (tx, rx) = bounded::<Batch>(QUEUE_CAP);
         let state =
             Arc::new(LinkState { stream: Mutex::new(None), in_writer: AtomicUsize::new(0) });
         let writer_state = state.clone();
         let handle = std::thread::Builder::new()
             .name(format!("scalla-tcp-writer-{}-{}", me.0, peer.port()))
-            .spawn(move || writer_loop(me, peer, rx, writer_state, shared))
+            .spawn(move || writer_loop(me, peer, rx, writer_state, shared, on_connect))
             .expect("spawn egress writer");
         EgressLink { pending: None, state, tx, handle }
+    }
+
+    /// Takes `stream`, a connection the peer opened to this node, as the
+    /// link's own when the link has none and its writer is idle: what this
+    /// node sends the peer then rides the connection the peer's frames
+    /// come in on. Otherwise the link keeps what it has.
+    pub fn adopt(&mut self, stream: TcpStream, shared: &EgressShared) {
+        // Acquire pairs with the writer's Release decrement, as in `flush`.
+        if self.state.in_writer.load(Ordering::Acquire) != 0 {
+            return;
+        }
+        let mut slot = self.state.stream.lock();
+        if slot.is_none() {
+            stream.set_write_timeout(Some(shared.tuning.write_timeout)).ok();
+            *slot = Some(stream);
+        }
     }
 
     /// Encodes one frame onto the pending batch, touching no socket unless
@@ -243,22 +284,23 @@ impl EgressLink {
         frames == 1
     }
 
-    /// Sends the pending batch without blocking: one non-blocking `write`
-    /// from this thread when the link is connected and the writer holds
-    /// nothing, and the writer's queue for anything that write left over.
+    /// Sends the pending batch without blocking: one `send` that cannot
+    /// block from this thread when the link has a connection and the
+    /// writer holds nothing, and the writer's queue for anything that
+    /// `send` left over.
     pub fn flush(&mut self, shared: &EgressShared) {
         let Some(mut batch) = self.pending.take() else {
             return;
         };
         // Acquire pairs with the writer's Release decrement: at zero the
-        // stream is back in the slot, non-blocking, and the writer is
-        // parked in `recv` until this thread hands it something.
+        // stream is back in the slot and the writer is parked in `recv`
+        // until this thread hands it something.
         if self.state.in_writer.load(Ordering::Acquire) == 0 {
-            if let Some(mut stream) = self.state.stream.lock().as_ref() {
+            if let Some(stream) = self.state.stream.lock().as_ref() {
                 // Any outcome but a complete write is the writer's to deal
                 // with: it retries on the same stream and sees for itself
                 // whatever error this call saw.
-                if let Ok(n) = stream.write(&batch.buf) {
+                if let Ok(n) = send_now(stream, &batch.buf) {
                     shared.stats.writes.fetch_add(1, Ordering::Relaxed);
                     batch.buf.advance(n);
                 }
@@ -297,6 +339,29 @@ impl EgressLink {
         drop(tx);
         let _ = handle.join();
     }
+}
+
+/// One `send(2)` that does not block on a stream that does, and raises no
+/// `SIGPIPE` when the peer has gone.
+fn send_now(stream: &TcpStream, buf: &[u8]) -> std::io::Result<usize> {
+    extern "C" {
+        /// glibc's wrapper of the Linux system call.
+        fn send(fd: i32, buf: *const u8, len: usize, flags: i32) -> isize;
+    }
+    const MSG_DONTWAIT: i32 = 0x40;
+    const MSG_NOSIGNAL: i32 = 0x4000;
+    // SAFETY: `buf` is a live, initialised buffer of exactly the `len`
+    // bytes passed, and the call only reads it; the descriptor belongs to
+    // `stream`, which is borrowed for the duration of the call.
+    let sent =
+        unsafe { send(stream.as_raw_fd(), buf.as_ptr(), buf.len(), MSG_DONTWAIT | MSG_NOSIGNAL) };
+    usize::try_from(sent).map_err(|_| std::io::Error::last_os_error())
+}
+
+/// Gives up on a connection: shut down both ways, so a reader sharing it
+/// wakes and the peer sees the end, then closed.
+fn abandon(stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Per-link dead-peer state: the current (capped, doubling) backoff and
@@ -339,14 +404,15 @@ fn mark_dead(
     }
 }
 
-/// The blocking half of a link: connects, and writes what the protocol
-/// thread's one non-blocking `write` could not.
+/// The blocking half of a link: connects, and writes what the lock
+/// holder's one `send` could not.
 fn writer_loop(
     me: Addr,
     peer: SocketAddr,
     rx: Receiver<Batch>,
     state: Arc<LinkState>,
     shared: Arc<EgressShared>,
+    mut on_connect: OnConnect,
 ) {
     let mut dead: Option<DeadPeer> = None;
     let mut rng = SplitMix64::new(me.0 ^ ((peer.port() as u64) << 32));
@@ -363,47 +429,43 @@ fn writer_loop(
         }
         // `in_writer` is nonzero until the end of this round, so the
         // stream (connected or not) is this thread's alone meanwhile.
-        // Shutting down, start no connect or write; dead and not yet due
-        // for a probe, pay no connect timeout per round: just account.
-        let skip = shared.stop.load(Ordering::Relaxed)
-            || dead.as_ref().is_some_and(|d| Instant::now() < d.next_probe);
-        let written = if skip {
+        // Shutting down, start no connect or write.
+        let written = if shared.stop.load(Ordering::Relaxed) {
             0
         } else {
             let tuning = &shared.tuning;
+            // The slot holds the connection this thread opened or one the
+            // link adopted. With neither, connect — unless the peer is
+            // dead and not yet due for a probe: then pay no connect
+            // timeout per round, just account.
             let mut conn = state.stream.lock().take();
-            if let Some(stream) = &conn {
-                // Blocking, so the write timeout set at connect applies.
-                stream.set_nonblocking(false).ok();
-            } else {
-                conn = connect(me, peer, tuning, &shared);
-                match &conn {
-                    Some(_) => {
-                        if dead.take().is_some() {
-                            // A probe succeeded: the peer is back.
-                            shared.stats.peer_reconnects.fetch_add(1, Ordering::Relaxed);
-                            shared.recovery_event("peer_reconnected");
-                        }
-                    }
-                    None => mark_dead(&mut dead, tuning, &mut rng, &shared),
+            if conn.is_none() && dead.as_ref().is_none_or(|d| Instant::now() >= d.next_probe) {
+                conn = connect(me, peer, tuning, &shared, &mut on_connect);
+                if conn.is_none() {
+                    mark_dead(&mut dead, tuning, &mut rng, &shared);
                 }
+            }
+            if conn.is_some() && dead.take().is_some() {
+                // A probe succeeded, or the peer opened a connection the
+                // link adopted: the peer is back.
+                shared.stats.peer_reconnects.fetch_add(1, Ordering::Relaxed);
+                shared.recovery_event("peer_reconnected");
             }
             let written = match conn.as_mut() {
                 Some(stream) => write_round(stream, &round, tuning, &shared),
                 None => 0,
             };
-            if written < round.len() {
-                if conn.take().is_some() {
-                    // An established connection broke or wedged: back to
-                    // dead so probing (not every round) pays the timeout.
+            match conn {
+                // An established connection broke or wedged: back to dead
+                // so probing (not every round) pays the timeout.
+                Some(stream) if written < round.len() => {
+                    abandon(stream);
                     mark_dead(&mut dead, tuning, &mut rng, &shared);
                 }
-            } else if let Some(stream) = conn {
-                // Back to the slot, non-blocking first: the protocol
-                // thread writes to whatever it finds there.
-                if stream.set_nonblocking(true).is_ok() {
-                    *state.stream.lock() = Some(stream);
-                }
+                // Back to the slot: the lock holder writes to whatever it
+                // finds there.
+                Some(stream) => *state.stream.lock() = Some(stream),
+                None => {}
             }
             written
         };
@@ -420,34 +482,41 @@ fn writer_loop(
     }
 }
 
-/// Connects with a timeout and writes the 8-byte sender-address preamble.
+/// Connects with a timeout, hands the connection to `on_connect`, then
+/// writes the 8-byte sender-address preamble.
 fn connect(
     me: Addr,
     peer: SocketAddr,
     tuning: &EgressTuning,
     shared: &EgressShared,
+    on_connect: &mut OnConnect,
 ) -> Option<TcpStream> {
     let mut stream = TcpStream::connect_timeout(&peer, tuning.connect_timeout).ok()?;
     stream.set_nodelay(true).ok();
     stream.set_write_timeout(Some(tuning.write_timeout)).ok();
+    if !on_connect(&stream) {
+        return None;
+    }
     let pre = me.0.to_le_bytes();
     let mut written = 0;
     let mut stalls = 0u32;
     while written < pre.len() {
-        match stream.write(&pre[written..]) {
-            Ok(0) => return None,
+        let give_up = match stream.write(&pre[written..]) {
+            Ok(0) => true,
             Ok(n) => {
                 written += n;
                 stalls = 0;
+                false
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 stalls += 1;
-                if stalls > tuning.max_write_stalls || shared.stop.load(Ordering::Relaxed) {
-                    return None;
-                }
+                stalls > tuning.max_write_stalls || shared.stop.load(Ordering::Relaxed)
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return None,
+            Err(e) => e.kind() != ErrorKind::Interrupted,
+        };
+        if give_up {
+            abandon(stream);
+            return None;
         }
     }
     Some(stream)
@@ -584,7 +653,12 @@ mod tests {
         sh: &Arc<EgressShared>,
     ) -> (EgressLink, mpsc::Sender<()>, JoinHandle<Vec<u64>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut link = EgressLink::spawn(Addr(5), listener.local_addr().unwrap(), sh.clone());
+        let mut link = EgressLink::spawn(
+            Addr(5),
+            listener.local_addr().unwrap(),
+            sh.clone(),
+            Box::new(|_| true),
+        );
         let (go, reader) = stalling_reader(listener);
         link.post_flush(&numbered(0, 16), sh);
         assert_poll(PATIENCE, "the writer connects and goes idle", || link.in_writer() == 0);
@@ -612,7 +686,7 @@ mod tests {
         let peer = listener.local_addr().unwrap();
         let reader = std::thread::spawn(move || drain_after_preamble(listener));
         let sh = shared();
-        let mut link = EgressLink::spawn(Addr(3), peer, sh.clone());
+        let mut link = EgressLink::spawn(Addr(3), peer, sh.clone(), Box::new(|_| true));
         let mut want = BytesMut::new();
         for (i, len) in [4, 2, 6].into_iter().enumerate() {
             let msg = numbered(i as u64, len);
@@ -666,7 +740,7 @@ mod tests {
             l.local_addr().unwrap()
         };
         let sh = shared();
-        let mut link = EgressLink::spawn(Addr(0), peer, sh.clone());
+        let mut link = EgressLink::spawn(Addr(0), peer, sh.clone(), Box::new(|_| true));
         let t0 = std::time::Instant::now();
         // Four batches of three frames: drops are counted per frame.
         for i in 0..12 {
@@ -689,7 +763,7 @@ mod tests {
         let peer = listener.local_addr().unwrap();
         let reader = std::thread::spawn(move || drain_after_preamble(listener));
         let sh = shared();
-        let mut link = EgressLink::spawn(Addr(1), peer, sh.clone());
+        let mut link = EgressLink::spawn(Addr(1), peer, sh.clone(), Box::new(|_| true));
         let n = 512u64;
         let msg = numbered(7, 10);
         let mut one = BytesMut::new();
@@ -726,6 +800,26 @@ mod tests {
         go.send(()).unwrap();
         link.close(&sh);
         assert_eq!(reader.join().unwrap(), (0..=5).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn an_inline_flush_on_a_blocking_stream_returns_and_hands_the_tail_over() {
+        // The stream is blocking for life, as it must be with a reader
+        // blocked on it; only the inline send does not wait. A blocking
+        // write would sit out the write timeout before it came back short.
+        let sh = shared();
+        let (mut link, go, reader) = connected_to_stalling_reader(&sh);
+        for i in 1..=16 {
+            link.post(&numbered(i, 1 << 20), 0, &sh);
+        }
+        let t0 = Instant::now();
+        link.flush(&sh);
+        let took = t0.elapsed();
+        assert!(took < sh.tuning.write_timeout, "the flush waited {took:?}");
+        assert_eq!(link.in_writer(), 16, "the tail is the writer's");
+        go.send(()).unwrap();
+        link.close(&sh);
+        assert_eq!(reader.join().unwrap(), (0..=16).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -796,7 +890,7 @@ mod tests {
         let sh = shared();
         let obs = Obs::enabled();
         *sh.obs.write() = obs.clone();
-        let mut link = EgressLink::spawn(Addr(4), peer, sh.clone());
+        let mut link = EgressLink::spawn(Addr(4), peer, sh.clone(), Box::new(|_| true));
         // The peer reads the preamble, then hangs up and stops listening.
         let reader = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
@@ -846,7 +940,7 @@ mod tests {
         let sh = Arc::new(EgressShared::new(Arc::default(), tuning));
         let obs = Obs::enabled();
         *sh.obs.write() = obs.clone();
-        let mut link = EgressLink::spawn(Addr(7), peer, sh.clone());
+        let mut link = EgressLink::spawn(Addr(7), peer, sh.clone(), Box::new(|_| true));
 
         link.post_flush(&numbered(0, 4), &sh);
         assert!(

@@ -72,7 +72,7 @@ impl LiveNet {
     /// Spawns every node thread and runs `on_start` on each.
     pub fn start(&mut self) {
         let mailboxes: Arc<[Mailbox]> = self.rt.mailboxes.as_slice().into();
-        self.rt.start(|me| ChannelOutbox { me, mailboxes: mailboxes.clone() });
+        self.rt.start(|me, _| ChannelOutbox { me, mailboxes: mailboxes.clone() });
     }
 
     /// Stops every node and returns them (for result harvesting), in

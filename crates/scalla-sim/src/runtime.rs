@@ -40,7 +40,7 @@ use scalla_util::{Clock, Nanos, SplitMix64, SystemClock};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -288,6 +288,14 @@ impl<O: Outbox> NodeCell<O> {
         hosted.ctx.flush();
         true
     }
+
+    /// Runs `f` on the node's outbox under its lock, unless the node is
+    /// gone: a transport handing one of its links a connection.
+    pub(crate) fn with_outbox(&self, f: impl FnOnce(&mut O)) {
+        if let Some(hosted) = self.0.lock().as_mut() {
+            f(&mut hosted.ctx.outbox);
+        }
+    }
 }
 
 /// The protocol-thread event loop: run the `on_start` that is owed, fire
@@ -442,12 +450,13 @@ impl Runtime {
     }
 
     /// Spawns one protocol thread per hosted node, each sending through
-    /// the outbox `outbox_for` builds for its address. Returns the nodes'
+    /// the outbox `outbox_for` builds for its address and its own cell (so
+    /// an outbox can start threads that run its node). Returns the nodes'
     /// cells by address (`None` for a vacant slot), for a transport that
     /// runs them from its own threads.
     pub(crate) fn start<O: Outbox>(
         &mut self,
-        mut outbox_for: impl FnMut(Addr) -> O,
+        mut outbox_for: impl FnMut(Addr, &Weak<NodeCell<O>>) -> O,
     ) -> Vec<Option<Arc<NodeCell<O>>>> {
         assert!(!self.started, "start once");
         self.started = true;
@@ -458,20 +467,21 @@ impl Runtime {
                 continue;
             };
             let me = Addr(i as u64);
-            let ctx = Ctx {
-                me,
-                clock: self.clock.clone(),
-                gates: self.gates.clone(),
-                timers: BinaryHeap::new(),
-                rng: SplitMix64::new(0x7C9_0000 ^ me.0),
-                outbox: outbox_for(me),
-                trace: 0,
-                since_flush: 0,
-                mailbox: self.mailboxes[i].clone(),
-                parked_until: None,
-            };
-            let cell =
-                Arc::new(NodeCell(Mutex::new(Some(Hosted { node, ctx, early: Vec::new() }))));
+            let cell = Arc::new_cyclic(|cell| {
+                let ctx = Ctx {
+                    me,
+                    clock: self.clock.clone(),
+                    gates: self.gates.clone(),
+                    timers: BinaryHeap::new(),
+                    rng: SplitMix64::new(0x7C9_0000 ^ me.0),
+                    outbox: outbox_for(me, cell),
+                    trace: 0,
+                    since_flush: 0,
+                    mailbox: self.mailboxes[i].clone(),
+                    parked_until: None,
+                };
+                NodeCell(Mutex::new(Some(Hosted { node, ctx, early: Vec::new() })))
+            });
             cells.push(Some(cell.clone()));
             let handle = std::thread::Builder::new()
                 .name(format!("scalla-node-{i}"))
@@ -829,7 +839,7 @@ pub(crate) mod tests {
         }
         assert_eq!(mailbox.drops.load(Ordering::Relaxed), 0);
         assert!(mailbox.tx.send(Envelope::Stop).is_ok());
-        rt.start(|_| RecordingOutbox { heard: heard.clone(), asked: asked.clone() });
+        rt.start(|_, _| RecordingOutbox { heard: heard.clone(), asked: asked.clone() });
         assert_eq!(rt.stop().len(), 1);
         assert_eq!(heard.load(Ordering::SeqCst), QUEUED);
         let asked = asked.lock().unwrap();
@@ -1031,7 +1041,7 @@ pub(crate) mod tests {
         let node = Restarted::default();
         let mut rt = Runtime::new(4);
         let a = rt.add_slot(Some(Box::new(Sleepy(node.clone()))));
-        let cells = rt.start(|_| NoOutbox);
+        let cells = rt.start(|_, _| NoOutbox);
         let cell = cells[0].as_ref().unwrap();
         assert_poll(PATIENCE, "on_start ran", || node.starts.load(Ordering::SeqCst) == 1);
         // The first half of a revive: the flag is up and the protocol

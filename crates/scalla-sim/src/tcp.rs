@@ -7,39 +7,50 @@
 //! fragmentation and interleaving a kernel socket provides. The very same
 //! [`Node`] state machines run unmodified.
 //!
-//! Topology: each node owns a listener on `127.0.0.1`; outgoing links are
-//! lazy persistent connections that start with an 8-byte sender-address
-//! preamble so the receiver can attribute frames. A dead peer shows up as
-//! a broken pipe and the message is dropped — exactly the loss semantics
-//! of the other runtimes.
+//! Topology: each node owns a listener on `127.0.0.1`, and a pair of nodes
+//! talks over one persistent connection, in both directions — as a Scalla
+//! login does: requests one way, answers the other, so a reply carries the
+//! ACK of the request it answers and no segment goes out for the ACK
+//! alone. Whichever node sends first connects, lazily; its link's writer
+//! starts a reader on the connection that runs the connecting node on the
+//! replies. The connection starts with an 8-byte sender-address preamble
+//! so the accepting side can attribute frames; when it names a hosted
+//! node, the accepting reader hands a clone of the stream to its node's
+//! link for that peer, which takes it as its own when it has none and its
+//! writer is idle (see [`egress`](crate::egress)). Only connections a
+//! hosted node's link opened are taken: `inject`, a connection from an
+//! address outside the net and an `add_external` peer stay one-way. A
+//! dead peer shows up as a broken pipe and the message is dropped —
+//! exactly the loss semantics of the other runtimes.
 //!
 //! Sends never *block* a callback, but they do write: `send` encodes onto
 //! the link's pending batch, and whoever holds the node's lock flushes
-//! each batch with one non-blocking `write` before it lets go. Whatever
-//! that write cannot do — the connect, a short write's tail, a full socket
-//! — goes to the link's writer thread, the blocking half (see
-//! [`egress`](crate::egress) internals).
+//! each batch with one `send(2)` under `MSG_DONTWAIT` before it lets go.
+//! Whatever that write cannot do — the connect, a short write's tail, a
+//! full socket — goes to the link's writer thread, the blocking half.
 //!
 //! Inbound, the socket reader runs the node: `reader_loop` decodes every
 //! frame of one `read`, takes the node's lock, runs `on_message` for each
 //! on its own thread, fires the timers that are due, flushes, and goes
-//! back to `read` — one thread wake-up per hop. The bound on what a node
-//! has not heard yet is the socket; its mailbox carries control only
-//! (`Stop`, and a poke after a `revive` or an early timer), and the
-//! protocol thread is left with timers and restarts.
+//! back to `read` — one thread wake-up per hop. Accepted and link-opened
+//! readers are the same loop. The bound on what a node has not heard yet
+//! is the socket; its mailbox carries control only (`Stop`, and a poke
+//! after a `revive` or an early timer), and the protocol thread is left
+//! with timers and restarts.
 
-use crate::egress::{EgressLink, EgressShared, EgressTuning};
+use crate::egress::{EgressLink, EgressShared, EgressTuning, OnConnect};
 use crate::metrics::NetCounters;
 use crate::runtime::{lifecycle_api, net_counters, NodeCell, Outbox, Runtime};
 use bytes::BytesMut;
 use scalla_obs::Obs;
 use scalla_proto::{encode_frame, Addr, FrameDecoder, Msg};
 use scalla_simnet::{NetCtx, Node};
+use std::any::Any;
 use std::collections::hash_map::{Entry, HashMap};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 
 /// Placeholder returned from [`TcpNet::shutdown`] for address slots
@@ -63,25 +74,61 @@ struct SocketOutbox {
     /// and not the whole map.
     unflushed: Vec<Addr>,
     shared: Arc<EgressShared>,
+    /// This node, for the readers of the connections its links open.
+    cell: Weak<NodeCell<SocketOutbox>>,
+    readers: Arc<Readers>,
+    /// By address: whether the net hosts that node (an `add_external`
+    /// peer is written to and never read from).
+    hosted: Arc<[bool]>,
+}
+
+impl SocketOutbox {
+    /// The link to `to`, spawned on first use, and the egress state it
+    /// sends with; `None` for an address outside the net.
+    fn link(&mut self, to: Addr) -> Option<(&mut EgressLink, &EgressShared)> {
+        let SocketOutbox { me, peers, links, shared, cell, readers, hosted, .. } = self;
+        let link = match links.entry(to) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let &peer = peers.get(to.0 as usize)?;
+                let on_connect: OnConnect = if hosted[to.0 as usize] {
+                    // The peer answers on the connection the link opens: a
+                    // reader there runs this node on what it hears.
+                    let (cell, readers) = (cell.clone(), readers.clone());
+                    Box::new(move |stream| {
+                        let (Some(cell), Ok(stream)) = (cell.upgrade(), stream.try_clone()) else {
+                            return false;
+                        };
+                        readers.spawn(stream, move |stream| reader_loop(stream, to, &cell))
+                    })
+                } else {
+                    Box::new(|_| true)
+                };
+                e.insert(EgressLink::spawn(*me, peer, shared.clone(), on_connect))
+            }
+        };
+        Some((link, shared))
+    }
+
+    /// Offers the link to `from` a connection `from`'s own link opened.
+    fn adopt(&mut self, from: Addr, stream: TcpStream) {
+        if let Some((link, shared)) = self.link(from) {
+            link.adopt(stream, shared);
+        }
+    }
 }
 
 impl Outbox for SocketOutbox {
     fn post(&mut self, to: Addr, msg: Msg, trace: u64) {
-        let link = match self.links.entry(to) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let Some(&peer) = self.peers.get(to.0 as usize) else {
-                    // Address outside the net: same silent-drop semantics
-                    // as a dead peer, but accounted.
-                    self.shared.stats.conn_drops.fetch_add(1, Ordering::Relaxed);
-                    return;
-                };
-                e.insert(EgressLink::spawn(self.me, peer, self.shared.clone()))
-            }
+        let Some((link, shared)) = self.link(to) else {
+            // Address outside the net: same silent-drop semantics as a
+            // dead peer, but accounted.
+            self.shared.stats.conn_drops.fetch_add(1, Ordering::Relaxed);
+            return;
         };
         // Encode onto the link's batch; the lock holder flushes before it
         // lets go.
-        if link.post(&msg, trace, &self.shared) {
+        if link.post(&msg, trace, shared) {
             self.unflushed.push(to);
         }
     }
@@ -106,13 +153,89 @@ impl Drop for SocketOutbox {
     }
 }
 
-/// The inbound-stream registry: a clone of every accepted stream, from
-/// accept until its reader exits.
+/// Every socket reader of the net, accepted or link-opened.
 #[derive(Default)]
-struct Inbound {
+struct Readers(Mutex<ReaderSet>);
+
+#[derive(Default)]
+struct ReaderSet {
+    /// Readers spawned so far; a reader's number keys its stream.
+    spawned: u64,
+    /// The stream of every reader still running, shut down at teardown
+    /// so a reader blocked in `read` wakes deterministically.
+    open: HashMap<u64, Arc<TcpStream>>,
+    /// Every reader not yet joined.
+    handles: Vec<JoinHandle<()>>,
+    /// The first panic of a reader joined early, for teardown to pass on.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Connections the acceptors took.
     accepted: u64,
-    /// By accept number.
-    open: HashMap<u64, TcpStream>,
+    /// Set at teardown: no reader starts after it.
+    closed: bool,
+}
+
+impl Readers {
+    /// Starts a reader running `body` on `stream`, registered until it
+    /// returns. Refused (`false`) once teardown has begun.
+    fn spawn(
+        self: &Arc<Self>,
+        stream: TcpStream,
+        body: impl FnOnce(&TcpStream) + Send + 'static,
+    ) -> bool {
+        let mut set = self.0.lock().expect("reader registry");
+        if set.closed {
+            return false;
+        }
+        // A finished reader gave back its stream on the way out; its
+        // handle is reaped here, and a panic kept for teardown.
+        let (done, live) = std::mem::take(&mut set.handles)
+            .into_iter()
+            .partition::<Vec<_>, _>(JoinHandle::is_finished);
+        set.handles = live;
+        for reader in done {
+            if let Err(panic) = reader.join() {
+                set.panic.get_or_insert(panic);
+            }
+        }
+        set.spawned += 1;
+        let id = set.spawned;
+        let stream = Arc::new(stream);
+        set.open.insert(id, stream.clone());
+        let readers = self.clone();
+        set.handles.push(std::thread::spawn(move || {
+            body(&stream);
+            readers.0.lock().expect("reader registry").open.remove(&id);
+        }));
+        true
+    }
+
+    /// Refuses new readers and wakes every running one: its stream is
+    /// shut down both ways.
+    fn close(&self) {
+        let mut set = self.0.lock().expect("reader registry");
+        set.closed = true;
+        for stream in set.open.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Joins every reader. A reader ran the node, so a panic in it was the
+    /// node's: it goes on to the caller, as one on the protocol thread
+    /// does.
+    fn join(&self) {
+        let (handles, mut panic) = {
+            let mut set = self.0.lock().expect("reader registry");
+            (std::mem::take(&mut set.handles), set.panic.take())
+        };
+        for reader in handles {
+            if let Err(p) = reader.join() {
+                panic.get_or_insert(p);
+            }
+        }
+        if let Some(panic) = panic {
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 /// The TCP runtime.
@@ -122,9 +245,7 @@ pub struct TcpNet {
     /// Bound at `add_node`, handed to the acceptors at `start`.
     listeners: Vec<(Addr, TcpListener)>,
     acceptors: Vec<(Addr, JoinHandle<()>)>,
-    /// Clones of the inbound streams still open, shut down at teardown so
-    /// reader threads blocked in `read` wake deterministically.
-    inbound: Arc<Mutex<Inbound>>,
+    readers: Arc<Readers>,
     /// Egress state; its `stop` flag is the net-wide one the acceptors
     /// watch too.
     shared: Arc<EgressShared>,
@@ -138,7 +259,7 @@ impl TcpNet {
             peers: Vec::new(),
             listeners: Vec::new(),
             acceptors: Vec::new(),
-            inbound: Arc::default(),
+            readers: Arc::default(),
             shared: Arc::new(EgressShared::new(Arc::default(), EgressTuning::default())),
         })
     }
@@ -195,28 +316,34 @@ impl TcpNet {
     /// readers) and runs `on_start`.
     pub fn start(&mut self) {
         let peers: Arc<[SocketAddr]> = self.peers.as_slice().into();
+        let mut hosted = vec![false; peers.len()];
+        self.listeners.iter().for_each(|&(addr, _)| hosted[addr.0 as usize] = true);
+        let hosted: Arc<[bool]> = hosted.into();
         let shared = self.shared.clone();
+        let readers = self.readers.clone();
         // The cells exist before anything can accept; a peer that is
         // quicker connects into the backlog of a listener bound since
         // `add_node`.
-        let cells = self.rt.start(|me| SocketOutbox {
+        let cells = self.rt.start(|me, cell| SocketOutbox {
             me,
             peers: peers.clone(),
             links: HashMap::new(),
             unflushed: Vec::new(),
             shared: shared.clone(),
+            cell: cell.clone(),
+            readers: readers.clone(),
+            hosted: hosted.clone(),
         });
         // Acceptors: blocking accept, one reader thread per inbound
         // connection decoding frames and running the node on them. Woken
-        // at shutdown by a throwaway connection; each joins its readers
-        // (woken by the inbound-registry shutdown) before exiting.
+        // at shutdown by a throwaway connection.
         for (addr, listener) in self.listeners.drain(..) {
             let cell = cells[addr.0 as usize].clone().expect("a listener's node is hosted");
             let stop = self.shared.stop.clone();
-            let inbound = self.inbound.clone();
+            let (readers, hosted) = (self.readers.clone(), hosted.clone());
             let acceptor = std::thread::Builder::new()
                 .name(format!("scalla-tcp-accept-{}", addr.0))
-                .spawn(move || accept_loop(listener, cell, stop, inbound))
+                .spawn(move || accept_loop(listener, cell, hosted, stop, readers))
                 .expect("spawn acceptor");
             self.acceptors.push((addr, acceptor));
         }
@@ -224,28 +351,28 @@ impl TcpNet {
 
     /// Stops every node and returns them in address order (placeholder
     /// entries for [`TcpNet::add_external`] slots). Teardown is prompt and
-    /// leak-free: protocol threads join their egress writers, inbound
-    /// sockets are shut down to wake blocked readers, and each acceptor is
-    /// woken by a throwaway connection and joins its readers.
+    /// leak-free: protocol threads join their egress writers, every
+    /// reader's socket is shut down to wake it, each acceptor is woken by
+    /// a throwaway connection, and then every reader is joined.
     pub fn shutdown(mut self) -> Vec<Box<dyn Node>> {
         self.shared.stop.store(true, Ordering::Relaxed);
         // 1. Protocol threads (each joins its writer threads on the way
-        //    out, which closes all outgoing connections).
+        //    out, so no link opens another connection).
         let nodes = self.rt.stop();
-        // 2. Wake any reader still blocked in `read` (streams whose peer
-        //    did not close: injected or external connections).
-        for stream in self.inbound.lock().expect("inbound registry").open.values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        // 3. Wake each acceptor out of `accept` and join it (it joins its
-        //    readers first).
+        // 2. Wake every reader still blocked in `read`: a connection is
+        //    shared by both ends' readers, and injected or external ones
+        //    may never close.
+        self.readers.close();
+        // 3. Wake each acceptor out of `accept` and join it.
         for (addr, acceptor) in self.acceptors.drain(..) {
             let _ = TcpStream::connect_timeout(
                 &self.peers[addr.0 as usize],
                 std::time::Duration::from_secs(1),
             );
-            acceptor.join().expect("a node panicked on a reader thread");
+            acceptor.join().expect("acceptor thread");
         }
+        // 4. Join the readers (a node's panic on one goes on from here).
+        self.readers.join();
         nodes.into_iter().map(|n| n.unwrap_or_else(|| Box::new(ExternalPeer))).collect()
     }
 
@@ -269,69 +396,53 @@ impl TcpNet {
 
 lifecycle_api!(TcpNet);
 
-/// Per-node accept loop; see [`TcpNet::start`] for the wake protocol.
+/// Per-node accept loop; see [`TcpNet::shutdown`] for the wake protocol.
+/// Each accepted connection gets a reader: the preamble names the sender,
+/// and a connection a hosted node's link opened is offered to this node's
+/// link back to it before any frame is heard, so the first reply already
+/// rides it.
 fn accept_loop(
     listener: TcpListener,
     cell: Arc<NodeCell<SocketOutbox>>,
+    hosted: Arc<[bool]>,
     stop: Arc<AtomicBool>,
-    inbound: Arc<Mutex<Inbound>>,
+    readers: Arc<Readers>,
 ) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
                 if stop.load(Ordering::Relaxed) {
                     break; // the shutdown wake-up call
                 }
-                // A closed connection gives back everything it held: its
-                // reader dropped its registry entry on the way out, and its
-                // handle is reaped here.
-                let (done, live) = readers.into_iter().partition(JoinHandle::is_finished);
-                readers = live;
-                done.into_iter().for_each(reap);
-                let id = {
-                    let mut inbound = inbound.lock().expect("inbound registry");
-                    inbound.accepted += 1;
-                    let id = inbound.accepted;
-                    if let Ok(clone) = stream.try_clone() {
-                        inbound.open.insert(id, clone);
+                readers.0.lock().expect("reader registry").accepted += 1;
+                let (cell, hosted) = (cell.clone(), hosted.clone());
+                readers.spawn(stream, move |mut stream| {
+                    stream.set_nodelay(true).ok();
+                    let mut pre = [0u8; 8];
+                    if stream.read_exact(&mut pre).is_err() {
+                        return;
                     }
-                    id
-                };
-                let (cell, inbound) = (cell.clone(), inbound.clone());
-                readers.push(std::thread::spawn(move || {
-                    reader_loop(stream, &cell);
-                    inbound.lock().expect("inbound registry").open.remove(&id);
-                }));
+                    let from = Addr(u64::from_le_bytes(pre));
+                    if hosted.get(from.0 as usize) == Some(&true) {
+                        if let Ok(clone) = stream.try_clone() {
+                            cell.with_outbox(|outbox| outbox.adopt(from, clone));
+                        }
+                    }
+                    reader_loop(stream, from, &cell);
+                });
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
     }
-    readers.into_iter().for_each(reap);
 }
 
-/// Joins a reader. It ran the node, so a panic in it was the node's: it
-/// goes on to whoever joins the acceptor, as one on the protocol thread
-/// goes to whoever joins that.
-fn reap(reader: JoinHandle<()>) {
-    if let Err(panic) = reader.join() {
-        std::panic::resume_unwind(panic);
-    }
-}
-
-/// Per-connection inbound loop: preamble, then every `read`'s frames
-/// decoded with no lock held and handed to the node in one go, in decode
+/// Per-connection inbound loop: every `read`'s frames decoded with no lock
+/// held and handed to the node, as sent by `from`, in one go, in decode
 /// order — a connection's frames are heard first in, first out. Blocking
-/// reads; woken at shutdown by the inbound-registry `shutdown` (or
-/// naturally by peer EOF).
-fn reader_loop(mut stream: TcpStream, cell: &NodeCell<SocketOutbox>) {
-    stream.set_nodelay(true).ok();
-    let mut pre = [0u8; 8];
-    if stream.read_exact(&mut pre).is_err() {
-        return;
-    }
-    let from = Addr(u64::from_le_bytes(pre));
+/// reads; woken at shutdown by the registry's `shutdown` (or naturally by
+/// peer EOF).
+fn reader_loop(mut stream: &TcpStream, from: Addr, cell: &NodeCell<SocketOutbox>) {
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
     let mut frames = Vec::new();
@@ -382,9 +493,12 @@ mod tests {
         assert_poll(Duration::from_secs(10), "echo round trip over TCP", || {
             count.load(Ordering::SeqCst) == 1
         });
-        let counters = net.counters();
-        assert!(counters.egress.frames >= 2, "request + reply crossed the wire");
-        assert_eq!(counters.total_mailbox_drops(), 0);
+        // The writer counts the request once its `write` returns, which
+        // can be after the reply was heard.
+        assert_poll(PATIENCE, "request + reply crossed the wire", || {
+            net.counters().egress.frames >= 2
+        });
+        assert_eq!(net.counters().total_mailbox_drops(), 0);
         net.shutdown();
     }
 
@@ -541,6 +655,99 @@ mod tests {
         });
         assert_eq!(misordered.load(Ordering::SeqCst), 0, "each connection's order is kept");
         senders.into_iter().for_each(|s| drop(s.join().unwrap()));
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_request_and_its_reply_share_one_connection() {
+        let mut net = TcpNet::new().unwrap();
+        let count = Arc::new(AtomicU64::new(0));
+        let _echo = net.add_node(Box::new(Echo)).unwrap();
+        let _counter =
+            net.add_node(Box::new(Counter { seen: count.clone(), kick: Some(Addr(0)) })).unwrap();
+        net.start();
+        assert_poll(PATIENCE, "request and reply", || count.load(Ordering::SeqCst) == 1);
+        // The echo's link took the counter's connection before it heard the
+        // request, so the reply went back on it.
+        assert_eq!(net.readers.0.lock().unwrap().accepted, 1, "one connection for the pair");
+        net.shutdown();
+    }
+
+    /// Sends `FRAMES` [`numbered`] frames to `peer` from `on_start` and
+    /// tallies what it hears.
+    struct Chatter {
+        peer: Addr,
+        tally: Tally,
+    }
+    const FRAMES: u64 = 200;
+    impl Node for Chatter {
+        fn on_start(&mut self, ctx: &mut dyn NetCtx) {
+            (0..FRAMES).for_each(|i| ctx.send(self.peer, numbered(i)));
+        }
+        fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
+            self.tally.on_message(ctx, from, msg);
+        }
+    }
+
+    #[test]
+    fn two_nodes_that_both_send_first_keep_each_direction_in_order() {
+        // Both connects race: one node may take the other's connection, or
+        // the pair keeps two one-way ones. Either way every frame arrives,
+        // in the order it was sent.
+        for round in 0..50 {
+            let mut net = TcpNet::new().unwrap();
+            let misordered = Arc::new(AtomicU64::new(0));
+            let seen: Vec<_> = (0..2).map(|_| Arc::new(AtomicU64::new(0))).collect();
+            for (me, seen) in seen.iter().enumerate() {
+                let tally = Tally {
+                    count: 0,
+                    next: HashMap::new(),
+                    seen: seen.clone(),
+                    misordered: misordered.clone(),
+                };
+                net.add_node(Box::new(Chatter { peer: Addr(1 - me as u64), tally })).unwrap();
+            }
+            net.start();
+            assert_poll(PATIENCE, "every frame arrives at both ends", || {
+                seen.iter().all(|s| s.load(Ordering::SeqCst) == FRAMES)
+            });
+            assert_eq!(misordered.load(Ordering::SeqCst), 0, "round {round}: out of order");
+            net.shutdown();
+        }
+    }
+
+    /// Asks `peer` once for every frame it hears from outside the net, and
+    /// counts the [`Echo`] replies.
+    struct Asker {
+        peer: Addr,
+        replies: Arc<AtomicU64>,
+    }
+    impl Node for Asker {
+        fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
+            if from == Addr(99) {
+                ctx.send(self.peer, open());
+            } else if msg == (ServerMsg::OpenOk { handle: 42 }).into() {
+                self.replies.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn an_injected_connection_stays_one_way() {
+        let mut net = TcpNet::new().unwrap();
+        let replies = Arc::new(AtomicU64::new(0));
+        let echo = net.add_node(Box::new(Echo)).unwrap();
+        let asker = net.add_node(Box::new(Asker { peer: echo, replies: replies.clone() })).unwrap();
+        net.start();
+        // The echo answers the inject towards an address outside the net:
+        // dropped and counted, on no connection of the inject's.
+        net.inject(Addr(99), echo, open()).unwrap();
+        assert_poll(PATIENCE, "the reply to Addr(99) is dropped", || {
+            net.counters().egress.conn_drops == 1
+        });
+        // A hosted peer still gets its reply.
+        net.inject(Addr(99), asker, ServerMsg::CloseOk.into()).unwrap();
+        assert_poll(PATIENCE, "the hosted peer's reply", || replies.load(Ordering::SeqCst) == 1);
         net.shutdown();
     }
 
