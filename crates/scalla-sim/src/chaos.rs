@@ -1,10 +1,10 @@
-//! Deterministic chaos engine: seeded fault plans and runtime fault gates.
+//! Deterministic chaos engine: seeded fault plans for the simulated net.
 //!
 //! The paper's design brief is to "recover gracefully from failures
 //! expected when a massive amount of hardware is deployed" (§II-A) — so
 //! failures must be *first-class, reproducible inputs*, not ad-hoc test
-//! scaffolding. This module provides one fault vocabulary usable across
-//! all three runtime tiers:
+//! scaffolding. This module provides one fault vocabulary, driven against
+//! the discrete-event net:
 //!
 //! * [`FaultPlan`] — a schedule of [`Fault`]s, either hand-written or
 //!   generated from a seed + [`ChaosProfile`]. Equal seeds give equal
@@ -12,14 +12,12 @@
 //! * [`ChaosScheduler`] — drives a plan against the discrete-event
 //!   [`SimNet`], interleaving fault application with event execution and
 //!   recording what was applied when (for recovery-time measurement).
-//! * [`FaultGates`] — the live/TCP counterpart: a cheap shared handle the
-//!   runtimes consult per message. Disengaged (the default, and whenever
-//!   every knob is back to neutral) it costs one relaxed atomic load.
-//!   Decisions are deterministic: a seeded hash of the gate's roll
-//!   counter, not a global RNG, so a given seed and message order always
-//!   yields the same drops.
 //! * [`poll_until`] / [`assert_poll`] — the shared deadline-poll helper
 //!   the live-runtime tests use instead of hand-rolled busy-wait loops.
+//!
+//! The threaded nets (`LiveNet`, `TcpNet`) offer crash and restart only:
+//! their `kill` / `revive` set a node's state, and a frame reaching a
+//! down node is dropped on delivery, as on the simulated net.
 //!
 //! Fault *application* is itself observable: the scheduler counts every
 //! fault in `scalla_chaos_faults_total{fault=...}` and marks a
@@ -31,9 +29,6 @@ use scalla_obs::Obs;
 use scalla_proto::Addr;
 use scalla_simnet::{LatencyModel, SimNet};
 use scalla_util::{Nanos, SplitMix64};
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One injectable fault (or its recovery counterpart).
@@ -345,178 +340,6 @@ impl ChaosScheduler {
     }
 }
 
-/// What a gate decided about one message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GateVerdict {
-    /// Deliver normally.
-    Deliver,
-    /// Silently drop (crashed endpoint, partitioned pair, or loss roll).
-    Drop,
-    /// Deliver twice (duplication roll).
-    Duplicate,
-}
-
-struct GatesInner {
-    /// Fast path: false ⇒ every knob is neutral, skip all checks.
-    engaged: AtomicBool,
-    down: parking_lot::Mutex<HashSet<Addr>>,
-    blocked: parking_lot::Mutex<HashSet<(Addr, Addr)>>,
-    loss_permille: AtomicU64,
-    dup_permille: AtomicU64,
-    /// Decision counter: roll `n` hashes `(seed, n)`, so verdicts are a
-    /// pure function of seed and message order.
-    rolls: AtomicU64,
-    seed: u64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-}
-
-/// Shared fault-injection gate for the live and TCP runtimes.
-///
-/// The runtimes call [`FaultGates::verdict`] once per message (live: on
-/// mailbox push; TCP: on protocol-thread send and inbound dispatch).
-/// Cloning shares state — harness and runtime hold the same gates.
-#[derive(Clone)]
-pub struct FaultGates {
-    inner: Arc<GatesInner>,
-}
-
-impl Default for FaultGates {
-    fn default() -> FaultGates {
-        FaultGates::new(0)
-    }
-}
-
-impl FaultGates {
-    /// Gates with all knobs neutral; `seed` fixes loss/dup decisions.
-    pub fn new(seed: u64) -> FaultGates {
-        FaultGates {
-            inner: Arc::new(GatesInner {
-                engaged: AtomicBool::new(false),
-                down: parking_lot::Mutex::new(HashSet::new()),
-                blocked: parking_lot::Mutex::new(HashSet::new()),
-                loss_permille: AtomicU64::new(0),
-                dup_permille: AtomicU64::new(0),
-                rolls: AtomicU64::new(0),
-                seed,
-                dropped: AtomicU64::new(0),
-                duplicated: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Marks `addr` crashed: all its traffic (both directions) drops.
-    pub fn kill(&self, addr: Addr) {
-        self.inner.down.lock().insert(addr);
-        self.inner.engaged.store(true, Ordering::Release);
-    }
-
-    /// Clears the crash flag (the runtime separately restarts the node).
-    pub fn revive(&self, addr: Addr) {
-        self.inner.down.lock().remove(&addr);
-        self.recompute_engaged();
-    }
-
-    /// Whether `addr` is currently gated down.
-    pub fn is_down(&self, addr: Addr) -> bool {
-        self.inner.engaged.load(Ordering::Acquire) && self.inner.down.lock().contains(&addr)
-    }
-
-    /// Blackholes both directions between `a` and `b`.
-    pub fn partition(&self, a: Addr, b: Addr) {
-        let mut blocked = self.inner.blocked.lock();
-        blocked.insert((a, b));
-        blocked.insert((b, a));
-        drop(blocked);
-        self.inner.engaged.store(true, Ordering::Release);
-    }
-
-    /// Removes the blackhole between `a` and `b`.
-    pub fn heal(&self, a: Addr, b: Addr) {
-        let mut blocked = self.inner.blocked.lock();
-        blocked.remove(&(a, b));
-        blocked.remove(&(b, a));
-        drop(blocked);
-        self.recompute_engaged();
-    }
-
-    /// Sets the per-mille probability of dropping a message.
-    pub fn set_loss_permille(&self, permille: u16) {
-        self.inner.loss_permille.store(permille.min(1000) as u64, Ordering::Relaxed);
-        if permille > 0 {
-            self.inner.engaged.store(true, Ordering::Release);
-        } else {
-            self.recompute_engaged();
-        }
-    }
-
-    /// Sets the per-mille probability of duplicating a message.
-    pub fn set_dup_permille(&self, permille: u16) {
-        self.inner.dup_permille.store(permille.min(1000) as u64, Ordering::Relaxed);
-        if permille > 0 {
-            self.inner.engaged.store(true, Ordering::Release);
-        } else {
-            self.recompute_engaged();
-        }
-    }
-
-    /// Decides the fate of one `from → to` message.
-    #[inline]
-    pub fn verdict(&self, from: Addr, to: Addr) -> GateVerdict {
-        if !self.inner.engaged.load(Ordering::Acquire) {
-            return GateVerdict::Deliver;
-        }
-        self.verdict_slow(from, to)
-    }
-
-    fn verdict_slow(&self, from: Addr, to: Addr) -> GateVerdict {
-        {
-            let down = self.inner.down.lock();
-            if down.contains(&from) || down.contains(&to) {
-                self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-                return GateVerdict::Drop;
-            }
-        }
-        if self.inner.blocked.lock().contains(&(from, to)) {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            return GateVerdict::Drop;
-        }
-        let loss = self.inner.loss_permille.load(Ordering::Relaxed);
-        let dup = self.inner.dup_permille.load(Ordering::Relaxed);
-        if loss > 0 || dup > 0 {
-            let n = self.inner.rolls.fetch_add(1, Ordering::Relaxed);
-            let mut r = SplitMix64::new(self.inner.seed ^ n.wrapping_mul(SplitMix64::GAMMA));
-            if loss > 0 && r.next_below(1000) < loss {
-                self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-                return GateVerdict::Drop;
-            }
-            if dup > 0 && r.next_below(1000) < dup {
-                self.inner.duplicated.fetch_add(1, Ordering::Relaxed);
-                return GateVerdict::Duplicate;
-            }
-        }
-        GateVerdict::Deliver
-    }
-
-    /// Messages the gates dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Messages the gates duplicated so far.
-    pub fn duplicated(&self) -> u64 {
-        self.inner.duplicated.load(Ordering::Relaxed)
-    }
-
-    fn recompute_engaged(&self) {
-        let engaged = !self.inner.down.lock().is_empty()
-            || !self.inner.blocked.lock().is_empty()
-            || self.inner.loss_permille.load(Ordering::Relaxed) > 0
-            || self.inner.dup_permille.load(Ordering::Relaxed) > 0;
-        self.inner.engaged.store(engaged, Ordering::Release);
-    }
-}
-
 /// Polls `cond` every few milliseconds until it holds or `timeout`
 /// elapses; returns whether it held. Replaces the hand-rolled busy-wait
 /// deadline loops the live-runtime tests used to copy around.
@@ -542,6 +365,7 @@ pub fn assert_poll(timeout: Duration, context: &str, cond: impl FnMut() -> bool)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn addrs(n: u64) -> Vec<Addr> {
         (0..n).map(Addr).collect()
@@ -600,60 +424,6 @@ mod tests {
                 assert_eq!((loss, dup, jitter), (0, 0, Nanos::ZERO), "seed {seed}: burst left on");
             }
         }
-    }
-
-    #[test]
-    fn gates_disengaged_always_deliver() {
-        let g = FaultGates::new(1);
-        for i in 0..100 {
-            assert_eq!(g.verdict(Addr(i), Addr(i + 1)), GateVerdict::Deliver);
-        }
-        assert_eq!(g.dropped(), 0);
-    }
-
-    #[test]
-    fn gates_drop_for_down_nodes_and_partitions() {
-        let g = FaultGates::new(1);
-        g.kill(Addr(1));
-        assert_eq!(g.verdict(Addr(1), Addr(2)), GateVerdict::Drop);
-        assert_eq!(g.verdict(Addr(2), Addr(1)), GateVerdict::Drop);
-        assert_eq!(g.verdict(Addr(2), Addr(3)), GateVerdict::Deliver);
-        g.revive(Addr(1));
-        assert_eq!(g.verdict(Addr(1), Addr(2)), GateVerdict::Deliver);
-
-        g.partition(Addr(4), Addr(5));
-        assert_eq!(g.verdict(Addr(4), Addr(5)), GateVerdict::Drop);
-        assert_eq!(g.verdict(Addr(5), Addr(4)), GateVerdict::Drop);
-        assert_eq!(g.verdict(Addr(4), Addr(6)), GateVerdict::Deliver);
-        g.heal(Addr(4), Addr(5));
-        assert_eq!(g.verdict(Addr(5), Addr(4)), GateVerdict::Deliver);
-        assert_eq!(g.dropped(), 4);
-    }
-
-    #[test]
-    fn gates_loss_and_dup_are_seed_deterministic() {
-        let run = |seed| {
-            let g = FaultGates::new(seed);
-            g.set_loss_permille(300);
-            g.set_dup_permille(300);
-            (0..1000).map(|i| g.verdict(Addr(0), Addr(i))).collect::<Vec<_>>()
-        };
-        let a = run(42);
-        assert_eq!(a, run(42), "same seed, same verdict sequence");
-        assert_ne!(a, run(43), "different seed diverges");
-        let drops = a.iter().filter(|v| **v == GateVerdict::Drop).count();
-        let dups = a.iter().filter(|v| **v == GateVerdict::Duplicate).count();
-        assert!((200..=400).contains(&drops), "drops {drops}");
-        assert!((100..=350).contains(&dups), "dups {dups}");
-        // Extremes: everything drops / everything duplicates.
-        let g = FaultGates::new(1);
-        g.set_loss_permille(1000);
-        assert_eq!(g.verdict(Addr(0), Addr(1)), GateVerdict::Drop);
-        g.set_loss_permille(0);
-        g.set_dup_permille(1000);
-        assert_eq!(g.verdict(Addr(0), Addr(1)), GateVerdict::Duplicate);
-        g.set_dup_permille(0);
-        assert_eq!(g.verdict(Addr(0), Addr(1)), GateVerdict::Deliver);
     }
 
     #[test]

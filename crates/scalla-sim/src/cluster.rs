@@ -423,9 +423,11 @@ impl SimCluster {
 
     /// Starts one late-added node (e.g. a client added after `settle`).
     pub fn start_node(&mut self, addr: Addr) {
-        // Re-using revive semantics: a never-killed node can be started by
-        // kill+revive without losing state because kill only gates message
-        // delivery.
+        // `SimNet::start` has run, so nothing else runs this node's
+        // `on_start`; `revive` does, for a node that is down. `kill` only
+        // marks it down — its state and queued events are untouched, and
+        // no event runs between the two — so the pair starts it and does
+        // nothing else.
         self.net.kill(addr);
         self.net.revive(addr);
     }

@@ -13,8 +13,9 @@
 //!   [`Node`](scalla_simnet::Node) state machines run here, exercising the
 //!   real locking and queueing code paths under true concurrency.
 //! * [`tcp`] — the real-socket runtime: the same nodes on the same
-//!   threaded core (mailboxes, event loop, chaos gates and lifecycle are
-//!   one private `runtime` module; only the transport differs), but every
+//!   threaded core (mailboxes, event loop, each node's crash/restart state
+//!   and lifecycle are one private `runtime` module; only the transport
+//!   differs), but every
 //!   message crosses a localhost `TcpStream` through the binary wire
 //!   codec and frame decoder. A connection's reader thread runs the
 //!   node on what it reads, and sends never block it: frames are batched
@@ -50,8 +51,7 @@ pub mod workload;
 
 pub use admin::{metric, scrape};
 pub use chaos::{
-    assert_poll, poll_until, ChaosProfile, ChaosScheduler, Fault, FaultEvent, FaultGates,
-    FaultPlan, GateVerdict,
+    assert_poll, poll_until, ChaosProfile, ChaosScheduler, Fault, FaultEvent, FaultPlan,
 };
 pub use cluster::{downcast, Cluster, ClusterConfig, SimCluster};
 pub use live::LiveNet;

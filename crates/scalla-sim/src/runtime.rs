@@ -4,24 +4,29 @@
 //! Everything the two wall-clock runtimes have in common lives here once:
 //! the bounded [`Mailbox`] and its overflow accounting, the [`NetCtx`]
 //! handed to node callbacks (clock, timer heap, jitter stream, ambient
-//! trace id, chaos-gate verdict), the [`NodeCell`] that holds a node and
-//! its context behind one lock, the protocol-thread event loop, and the
-//! lifecycle shell ([`Runtime`]: add → start → kill/revive → admin →
-//! stop + join). A transport contributes an [`Outbox`] — how a message
-//! leaves a callback — the capacity of its mailboxes, and how a message
-//! gets in: through the mailbox, one wake-up of the protocol thread per
-//! message (`LiveNet`: a push under the *sender's* lock must not need the
-//! receiver's), or through [`NodeCell::hear`], which runs the node on the
-//! caller's thread (`TcpNet`'s socket readers; the mailbox then carries
-//! control only).
+//! trace id), the [`NodeCell`] that holds a node and its context behind
+//! one lock, the protocol-thread event loop, and the lifecycle shell
+//! ([`Runtime`]: add → start → kill/revive → admin → stop + join). A
+//! transport contributes an [`Outbox`] — how a message leaves a callback —
+//! the capacity of its mailboxes, and how a message gets in: through the
+//! mailbox, one wake-up of the protocol thread per message (`LiveNet`: a
+//! push under the *sender's* lock must not need the receiver's), or
+//! through [`NodeCell::hear`], which runs the node on the caller's thread
+//! (`TcpNet`'s socket readers; the mailbox then carries control only).
+//!
+//! A node's life is one atomic state on its [`Mailbox`]: starting (an
+//! `on_start` is owed: at creation and after `revive`), running, or down
+//! (after `kill`). A down node keeps its threads but hears nothing, fires
+//! nothing and so sends nothing; a frame sent to it is dropped when it is
+//! heard, as on the simulator, and one already in flight from it when it
+//! died still arrives.
 //!
 //! Whoever holds a cell's lock may run its callbacks, so three rules keep
 //! a second thread from changing what a node can observe:
 //!
-//! * **Early frames.** No `on_message` before `on_start`, nor between a
-//!   `revive` and the restart it owes: frames heard meanwhile are parked in
-//!   arrival order and drained right after `on_start`, under the same lock
-//!   hold.
+//! * **Early frames.** No `on_message` while the node is starting:
+//!   frames heard meanwhile are parked in arrival order and drained right
+//!   after `on_start`, under the same lock hold.
 //! * **The poke.** The protocol thread records the deadline it parks on; a
 //!   timer armed ahead of it from another thread wakes it, once per park.
 //! * **Timers are not starved.** A holder fires whatever is due before it
@@ -29,7 +34,6 @@
 //!   cannot keep the protocol thread off the node's timers.
 
 use crate::admin::AdminServer;
-use crate::chaos::{FaultGates, GateVerdict};
 use crate::metrics::{EgressCounters, NetCounters};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -39,7 +43,7 @@ use scalla_simnet::{NetCtx, Node};
 use scalla_util::{Clock, Nanos, SplitMix64, SystemClock};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -65,21 +69,28 @@ enum Envelope {
     Stop,
 }
 
+/// A node's life: an `on_start` is owed, and no frame is handled before
+/// it (at creation and after `revive`).
+const STARTING: u8 = 0;
+/// A node's life: frames are handled and timers fire.
+const RUNNING: u8 = 1;
+/// A node's life after `kill`: frames are dropped and timers do not fire.
+const DOWN: u8 = 2;
+
 /// One node's inbound side: a bounded queue, its overflow counter, and
-/// the flag that asks its protocol thread for an `on_start`.
+/// the node's life.
 #[derive(Clone)]
 pub(crate) struct Mailbox {
     tx: Sender<Envelope>,
     drops: Arc<AtomicU64>,
-    /// An `on_start` is owed and no message may be handled before it: set
-    /// at creation and by `revive`, taken by the protocol thread.
-    starting: Arc<AtomicBool>,
+    /// [`STARTING`], [`RUNNING`] or [`DOWN`].
+    life: Arc<AtomicU8>,
 }
 
 impl Mailbox {
     fn new(cap: usize) -> (Mailbox, Receiver<Envelope>) {
         let (tx, rx) = bounded(cap);
-        (Mailbox { tx, drops: Arc::default(), starting: Arc::new(AtomicBool::new(true)) }, rx)
+        (Mailbox { tx, drops: Arc::default(), life: Arc::new(AtomicU8::new(STARTING)) }, rx)
     }
 
     /// Queues a message without ever blocking. A full or disconnected
@@ -110,7 +121,6 @@ pub(crate) trait Outbox: Send + 'static {
 struct Ctx<O> {
     me: Addr,
     clock: Arc<SystemClock>,
-    gates: FaultGates,
     timers: BinaryHeap<Reverse<(Nanos, u64)>>,
     rng: SplitMix64,
     outbox: O,
@@ -149,13 +159,6 @@ impl<O: Outbox> NetCtx for Ctx<O> {
         self.me
     }
     fn send(&mut self, to: Addr, msg: Msg) {
-        // Chaos gate first: a crashed endpoint, partitioned pair or loss
-        // roll eats the message; a dup roll ships it twice.
-        match self.gates.verdict(self.me, to) {
-            GateVerdict::Drop => return,
-            GateVerdict::Deliver => {}
-            GateVerdict::Duplicate => self.outbox.post(to, msg.clone(), self.trace),
-        }
         self.outbox.post(to, msg, self.trace);
     }
     fn set_timer(&mut self, delay: Nanos, token: u64) {
@@ -191,14 +194,13 @@ struct Hosted<O> {
 impl<O: Outbox> Hosted<O> {
     /// Runs the `on_start` a creation or `revive` owes, then what was
     /// parked behind it. Timers are cleared first: the node re-arms its own
-    /// schedule, as a restarted process would. A node still gated down
-    /// keeps owing: `revive` sets the flag before it clears the gate.
+    /// schedule, as a restarted process would. The compare-exchange loses
+    /// to a `kill` that lands first, and a later one is not overwritten.
     fn start_if_owed(&mut self) {
-        let starting = &self.ctx.mailbox.starting;
-        if !starting.load(Ordering::SeqCst) || self.ctx.gates.is_down(self.ctx.me) {
+        let life = &self.ctx.mailbox.life;
+        if life.compare_exchange(STARTING, RUNNING, Ordering::SeqCst, Ordering::SeqCst).is_err() {
             return;
         }
-        starting.store(false, Ordering::SeqCst);
         self.ctx.timers.clear();
         self.ctx.trace = 0;
         self.node.on_start(&mut self.ctx);
@@ -209,19 +211,20 @@ impl<O: Outbox> Hosted<O> {
         self.ctx.flush();
     }
 
-    /// One inbound message: dropped at a node gated down, parked while an
+    /// One inbound message: dropped at a node that is down, parked while an
     /// `on_start` is owed (bounded, overflow counted), handled otherwise.
     fn hear(&mut self, from: Addr, msg: Msg, trace: u64) {
-        if self.ctx.gates.is_down(self.ctx.me) {
-            return; // a crashed node hears nothing
-        }
-        if self.ctx.mailbox.starting.load(Ordering::SeqCst) {
-            if self.early.len() < MAILBOX_CAP {
-                self.early.push((from, msg, trace));
-            } else {
-                self.ctx.mailbox.drops.fetch_add(1, Ordering::Relaxed);
+        match self.ctx.mailbox.life.load(Ordering::SeqCst) {
+            RUNNING => {}
+            DOWN => return,
+            _ => {
+                if self.early.len() < MAILBOX_CAP {
+                    self.early.push((from, msg, trace));
+                } else {
+                    self.ctx.mailbox.drops.fetch_add(1, Ordering::Relaxed);
+                }
+                return;
             }
-            return;
         }
         self.ctx.trace = trace;
         self.node.on_message(&mut self.ctx, from, msg);
@@ -240,10 +243,9 @@ impl<O: Outbox> Hosted<O> {
             due.push(token);
         }
         for token in due {
-            // A crashed node's timers don't fire, nor those of one that
-            // owes an `on_start`, which clears them anyway.
-            let starting = self.ctx.mailbox.starting.load(Ordering::SeqCst);
-            if starting || self.ctx.gates.is_down(self.ctx.me) {
+            // A down node's timers die, and so do those of one that owes an
+            // `on_start`, which clears them anyway.
+            if self.ctx.mailbox.life.load(Ordering::SeqCst) != RUNNING {
                 continue;
             }
             self.ctx.trace = 0;
@@ -300,7 +302,7 @@ impl<O: Outbox> NodeCell<O> {
 
 /// The protocol-thread event loop: run the `on_start` that is owed, fire
 /// due timers, then wait for the next envelope or timer deadline. A node
-/// gated down keeps its thread but hears nothing and fires nothing.
+/// that is down keeps its thread but hears nothing and fires nothing.
 ///
 /// The cell's lock is held around every callback and released only to
 /// park; where nothing else ever takes it, it is never contended. The
@@ -375,8 +377,8 @@ impl Source for MailboxDrops {
     }
 }
 
-/// Lifecycle shell of a threaded net: address slots, mailboxes, chaos
-/// gates, the admin endpoint, and the protocol threads themselves.
+/// Lifecycle shell of a threaded net: address slots, mailboxes, the admin
+/// endpoint, and the protocol threads themselves.
 #[derive(Default)]
 pub(crate) struct Runtime {
     pub(crate) clock: Arc<SystemClock>,
@@ -390,7 +392,6 @@ pub(crate) struct Runtime {
     cells: Vec<Option<Arc<dyn Peek>>>,
     started: bool,
     admin: Option<AdminServer>,
-    pub(crate) gates: FaultGates,
 }
 
 impl Runtime {
@@ -398,23 +399,21 @@ impl Runtime {
         Runtime { mailbox_cap, ..Runtime::default() }
     }
 
-    pub(crate) fn set_gates(&mut self, gates: FaultGates) {
-        assert!(!self.started, "set_gates before start");
-        self.gates = gates;
+    /// Takes a node down; addresses the net does not have are ignored.
+    pub(crate) fn kill(&self, addr: Addr) {
+        if let Some(mailbox) = self.mailboxes.get(addr.0 as usize) {
+            mailbox.life.store(DOWN, Ordering::SeqCst);
+        }
     }
 
-    /// Clears the down gate and has the node's state machine restarted
-    /// before it hears anything more. The flag goes up before the gate
-    /// clears, so no frame slips between the two; the poke only wakes the
-    /// protocol thread, and one that finds the mailbox full has been
-    /// overtaken by something else that will.
+    /// Has the node's state machine restarted before it hears anything
+    /// more. The poke only wakes the protocol thread, and one that finds
+    /// the mailbox full has been overtaken by something else that will.
     pub(crate) fn revive(&self, addr: Addr) {
-        let Some(mailbox) = self.mailboxes.get(addr.0 as usize) else {
-            return self.gates.revive(addr);
-        };
-        mailbox.starting.store(true, Ordering::SeqCst);
-        self.gates.revive(addr);
-        let _ = mailbox.tx.try_send(Envelope::Poke);
+        if let Some(mailbox) = self.mailboxes.get(addr.0 as usize) {
+            mailbox.life.store(STARTING, Ordering::SeqCst);
+            let _ = mailbox.tx.try_send(Envelope::Poke);
+        }
     }
 
     /// Takes the next address: a hosted node, or (`None`) a vacant slot
@@ -471,7 +470,6 @@ impl Runtime {
                 let ctx = Ctx {
                     me,
                     clock: self.clock.clone(),
-                    gates: self.gates.clone(),
                     timers: BinaryHeap::new(),
                     rng: SplitMix64::new(0x7C9_0000 ^ me.0),
                     outbox: outbox_for(me, cell),
@@ -537,29 +535,17 @@ impl Runtime {
 macro_rules! lifecycle_api {
     ($Net:ident) => {
         impl $Net {
-            /// The chaos gates governing this net's message flow. Cloning
-            /// shares state, so a harness can drive faults while the net
-            /// runs.
-            pub fn gates(&self) -> crate::FaultGates {
-                self.rt.gates.clone()
-            }
-
-            /// Replaces the chaos gates (call before `start` to pick a
-            /// fault seed).
-            pub fn set_gates(&mut self, gates: crate::FaultGates) {
-                self.rt.set_gates(gates);
-            }
-
-            /// Gates a node down: its messages (both directions) drop and
-            /// its timers stop firing until `revive`. The thread stays up
-            /// — this models the *peer-visible* effect of a crash.
+            /// Takes a node down until `revive`: frames that reach it are
+            /// dropped and its timers stop firing, so it sends nothing. Its
+            /// threads stay up — this models the *peer-visible* effect of
+            /// a crash.
             pub fn kill(&self, addr: scalla_proto::Addr) {
-                self.rt.gates.kill(addr);
+                self.rt.kill(addr);
             }
 
-            /// Clears the down gate and restarts the node's state machine
-            /// (`on_start` re-runs on its own thread, timers cleared
-            /// first).
+            /// Restarts the node's state machine (`on_start` re-runs on its
+            /// own thread, timers cleared first) before it hears anything
+            /// more.
             pub fn revive(&self, addr: scalla_proto::Addr) {
                 self.rt.revive(addr);
             }
@@ -1011,6 +997,54 @@ pub(crate) mod tests {
         });
     }
 
+    /// Arms a 5 ms timer in `on_start` and re-arms it on every tick; each
+    /// tick counts itself and sends the peer a reply a [`Counter`] counts.
+    struct Ticker {
+        peer: Addr,
+        starts: Arc<AtomicU64>,
+        ticks: Arc<AtomicU64>,
+    }
+    impl Node for Ticker {
+        fn on_start(&mut self, ctx: &mut dyn NetCtx) {
+            self.starts.fetch_add(1, Ordering::SeqCst);
+            ctx.set_timer(Nanos::from_millis(5), 1);
+        }
+        fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, _: Msg) {}
+        fn on_timer(&mut self, ctx: &mut dyn NetCtx, _: u64) {
+            self.ticks.fetch_add(1, Ordering::SeqCst);
+            ctx.send(self.peer, ServerMsg::OpenOk { handle: 42 }.into());
+            ctx.set_timer(Nanos::from_millis(5), 1);
+        }
+    }
+
+    /// Long enough for what a node sent before it died to land.
+    const GRACE: Duration = Duration::from_millis(50);
+
+    #[test]
+    fn a_killed_node_sends_and_fires_nothing_until_revived() {
+        on_both(|mut net| {
+            let (starts, ticks, seen) = (Arc::default(), Arc::default(), Arc::default());
+            let peer = net.add(Box::new(Counter { seen: Arc::clone(&seen), kick: None }));
+            let ticker = Ticker { peer, starts: Arc::clone(&starts), ticks: Arc::clone(&ticks) };
+            let a = net.add(Box::new(ticker));
+            net.start();
+            let counts = || (ticks.load(Ordering::SeqCst), seen.load(Ordering::SeqCst));
+            assert_poll(PATIENCE, "ticks reach the peer", || counts().1 >= 3);
+            net.kill(a);
+            std::thread::sleep(GRACE);
+            let down = counts();
+            std::thread::sleep(Duration::from_millis(100));
+            assert_eq!(counts(), down, "a down node fires and sends nothing");
+            net.revive(a);
+            assert_poll(PATIENCE, "revive re-runs on_start", || starts.load(Ordering::SeqCst) == 2);
+            assert_poll(PATIENCE, "both counts climb again", || {
+                let (ticks, seen) = counts();
+                ticks > down.0 && seen > down.1
+            });
+            net.shutdown();
+        });
+    }
+
     /// Records every [`numbered`] frame with the count of `on_start`s that
     /// had run when it was heard.
     #[derive(Clone, Default)]
@@ -1044,11 +1078,11 @@ pub(crate) mod tests {
         let cells = rt.start(|_, _| NoOutbox);
         let cell = cells[0].as_ref().unwrap();
         assert_poll(PATIENCE, "on_start ran", || node.starts.load(Ordering::SeqCst) == 1);
-        // The first half of a revive: the flag is up and the protocol
-        // thread, asleep towards its hour timer, knows nothing yet. This
-        // thread stands in for a socket reader.
+        // The first half of a revive: the node is starting and the
+        // protocol thread, asleep towards its hour timer, knows nothing yet.
+        // This thread stands in for a socket reader.
         let mailbox = &rt.mailboxes[a.0 as usize];
-        mailbox.starting.store(true, Ordering::SeqCst);
+        mailbox.life.store(STARTING, Ordering::SeqCst);
         let mut frames = (0..=CAP).map(|i| (0, numbered(i))).collect();
         assert!(cell.hear(Addr(9), &mut frames));
         assert!(node.heard.lock().unwrap().is_empty(), "parked, not handled");

@@ -321,7 +321,8 @@ impl SimNet {
     }
 
     /// Registers a node; its `on_start` runs at the current time during
-    /// [`SimNet::start`] (or immediately if the net already started).
+    /// [`SimNet::start`]. A node added after `start` does not start on its
+    /// own: a [`SimNet::kill`] then [`SimNet::revive`] runs its `on_start`.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> Addr {
         let addr = Addr(self.nodes.len() as u64);
         self.nodes.push(Some(node));
@@ -534,10 +535,8 @@ impl SimNet {
             };
             match ev.kind {
                 EventKind::Deliver { from, msg, .. } => {
-                    if self.down.contains(&from) {
-                        // Sender died while the message was in flight; the
-                        // bytes still arrive (they already left the NIC).
-                    }
+                    // Delivered even if the sender died while it was in
+                    // flight: the bytes already left the NIC.
                     self.stats.delivered += 1;
                     node.on_message(&mut ctx, from, msg);
                 }

@@ -85,7 +85,7 @@ fn tcp_killed_peer_is_redetected_and_traffic_resumes() {
         ) >= 1
     });
 
-    // Restart it: the gate clears and the node re-runs on_start (re-login).
+    // Restart it: the node re-runs on_start (re-login) before it hears again.
     net.revive(servers[1]);
     assert_poll(Duration::from_secs(10), "restarted peer must be re-admitted", || {
         metric(
