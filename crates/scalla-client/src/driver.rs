@@ -4,7 +4,6 @@ use crate::directory::Directory;
 use crate::walk::{Resolver, Step, Walk};
 use bytes::Bytes;
 use scalla_lcache::LocationCache;
-use scalla_monitor::MonitorEmitter;
 use scalla_obs::{Obs, SpanEvent, Stage, TraceId};
 use scalla_proto::{Addr, ClientMsg, ErrCode, Msg, ServerMsg};
 use scalla_simnet::{NetCtx, Node};
@@ -278,7 +277,6 @@ pub struct ClientNode {
     // latency histogram.
     hop_sent: Nanos,
     obs: Obs,
-    mon: Option<MonitorEmitter>,
 }
 
 impl ClientNode {
@@ -310,7 +308,6 @@ impl ClientNode {
             trace: 0,
             hop_sent: Nanos::ZERO,
             obs: Obs::disabled(),
-            mon: None,
         }
     }
 
@@ -327,12 +324,6 @@ impl ClientNode {
             reg.counter("scalla_client_stale_served_total", &[]);
         }
         self.obs = obs;
-    }
-
-    /// Attaches a monitoring emitter that periodically ships this client's
-    /// registry summaries and spans to the cluster collector.
-    pub fn set_monitor(&mut self, mon: MonitorEmitter) {
-        self.mon = Some(mon);
     }
 
     /// Completed operation records.
@@ -556,19 +547,9 @@ impl Node for ClientNode {
         } else {
             self.begin_op(ctx);
         }
-        if let Some(mon) = &mut self.mon {
-            mon.on_start(ctx);
-        }
     }
 
     fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
-        // Monitor traffic (collector Resync) must bypass the stale-reply
-        // guard below — the collector is never `self.target`.
-        if let Some(mon) = &mut self.mon {
-            if mon.on_message(ctx, &msg) {
-                return;
-            }
-        }
         if self.done || self.phase == Phase::Idle || from != self.target {
             // Stale response: an abandoned target, a finished op (duplicate
             // delivery of the reply that completed it), or a reply landing
@@ -670,14 +651,6 @@ impl Node for ClientNode {
     }
 
     fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) {
-        // The monitor token (1 << 50) lands inside the TIMEOUT_BASE range
-        // and must keep firing after the script is done, so it is checked
-        // before both the `done` guard and the timeout catch-all.
-        if let Some(mon) = &mut self.mon {
-            if mon.on_timer(ctx, token) {
-                return;
-            }
-        }
         if self.done {
             return;
         }

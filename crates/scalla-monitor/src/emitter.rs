@@ -1,17 +1,17 @@
-//! The per-node summary-stream emitter.
+//! The per-node summary-stream emitter, and the [`Monitored`] node that
+//! runs one beside the node it reports on.
 
 use scalla_obs::{ExportValue, Obs};
 use scalla_proto::msg::{HistDelta, MonMsg, MonSpan};
 use scalla_proto::{Addr, Msg};
-use scalla_simnet::NetCtx;
+use scalla_simnet::{NetCtx, Node};
 use scalla_util::{Histogram, Nanos};
 use std::collections::{HashMap, VecDeque};
 
-/// The emitter's private timer token. Lives above every node-local token
-/// space (`1 << 32` server staging, `1 << 33` client timeouts, `1 << 40`/
-/// `1 << 41` proxy), so hosts must check [`MonitorEmitter::on_timer`]
-/// *before* their own catch-all timer arms.
-pub const MONITOR_TIMER_TOKEN: u64 = 1 << 50;
+/// The emitter's private timer token, above every token a wrapped node
+/// arms (`1 << 32` server staging, `1 << 33` client timeouts, `1 << 40`/
+/// `1 << 41` proxy), so [`Monitored`] can take it before the node sees it.
+pub(crate) const MONITOR_TIMER_TOKEN: u64 = 1 << 50;
 
 /// Every this-many ticks the emitter ships a full cumulative baseline
 /// instead of a delta, bounding how long a collector that missed records
@@ -25,8 +25,8 @@ const REPLAY_CAP: usize = 16;
 const SPANS_PER_TICK: usize = 256;
 
 /// Periodically snapshots a node's obs registry and ships delta records
-/// to the collector. Embed one per node and delegate from the host's
-/// `on_start` / `on_timer` / `on_message` hooks.
+/// to the collector. Wrap the node it reports on in a [`Monitored`], which
+/// drives it.
 ///
 /// Loss tolerance: records are fire-and-forget. Each summary carries a
 /// sequence number; the collector detects gaps and asks for a
@@ -75,23 +75,17 @@ impl MonitorEmitter {
         }
     }
 
-    /// The collector this emitter ships to.
-    pub fn collector(&self) -> Addr {
-        self.collector
-    }
-
-    /// Arms the reporting timer. Call from the host node's `on_start`;
-    /// safe across crash-revive (the next summary is a full baseline, so
-    /// the collector's view of this node heals in one tick).
-    pub fn on_start(&mut self, ctx: &mut dyn NetCtx) {
+    /// Arms the reporting timer; safe across crash-revive (the next
+    /// summary is a full baseline, so the collector's view of this node
+    /// heals in one tick).
+    pub(crate) fn on_start(&mut self, ctx: &mut dyn NetCtx) {
         self.force_full = true;
         ctx.set_timer(self.interval, MONITOR_TIMER_TOKEN);
     }
 
     /// Handles the reporting timer. Returns `true` when the token was the
-    /// emitter's (the host must then return without running its own timer
-    /// arms), `false` for any other token.
-    pub fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) -> bool {
+    /// emitter's, `false` for any other token.
+    pub(crate) fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) -> bool {
         if token != MONITOR_TIMER_TOKEN {
             return false;
         }
@@ -102,7 +96,7 @@ impl MonitorEmitter {
 
     /// Handles an inbound monitor message (the collector's `Resync`).
     /// Returns `true` when consumed.
-    pub fn on_message(&mut self, ctx: &mut dyn NetCtx, msg: &Msg) -> bool {
+    pub(crate) fn on_message(&mut self, ctx: &mut dyn NetCtx, msg: &Msg) -> bool {
         let Msg::Mon(MonMsg::Resync { since_seq }) = msg else {
             return false;
         };
@@ -229,6 +223,47 @@ impl MonitorEmitter {
     }
 }
 
+/// A node that reports to the collector: `inner` does its own work and
+/// the emitter ships its obs snapshots beside it. Only the emitter's timer
+/// token and the collector's `Resync` stop here; every other event reaches
+/// `inner` as the runtime delivered it.
+pub struct Monitored {
+    inner: Box<dyn Node>,
+    emitter: MonitorEmitter,
+}
+
+impl Monitored {
+    /// `inner`, reporting through `emitter`. Give `inner` the emitter's
+    /// obs handle (its `set_obs`) first.
+    pub fn new(inner: Box<dyn Node>, emitter: MonitorEmitter) -> Monitored {
+        Monitored { inner, emitter }
+    }
+}
+
+impl Node for Monitored {
+    fn on_start(&mut self, ctx: &mut dyn NetCtx) {
+        self.inner.on_start(ctx);
+        self.emitter.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
+        if !self.emitter.on_message(ctx, &msg) {
+            self.inner.on_message(ctx, from, msg);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) {
+        if !self.emitter.on_timer(ctx, token) {
+            self.inner.on_timer(ctx, token);
+        }
+    }
+
+    /// The wrapped node, so harnesses downcast straight to it.
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        self.inner.as_any_mut()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,5 +380,81 @@ mod tests {
         let mut em = MonitorEmitter::new(Addr(1), "n9", "proxy", obs, Nanos::from_millis(5));
         let mut ctx = MockCtx::new();
         assert!(!em.on_message(&mut ctx, &Msg::Cms(scalla_proto::CmsMsg::LoginOk { slot: 3 })));
+    }
+
+    /// Records what reaches it; arms one timer of its own on start.
+    #[derive(Default)]
+    struct Recorder {
+        msgs: Vec<Msg>,
+        timers: Vec<u64>,
+    }
+
+    impl Node for Recorder {
+        fn on_start(&mut self, ctx: &mut dyn NetCtx) {
+            ctx.set_timer(Nanos::from_millis(1), 7);
+        }
+        fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, msg: Msg) {
+            self.msgs.push(msg);
+        }
+        fn on_timer(&mut self, _: &mut dyn NetCtx, token: u64) {
+            self.timers.push(token);
+        }
+        fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    fn monitored() -> Monitored {
+        let obs = Obs::with_config(1, 64);
+        let em = MonitorEmitter::new(Addr(1), "n9", "server", obs, Nanos::from_millis(10));
+        Monitored::new(Box::new(Recorder::default()), em)
+    }
+
+    #[test]
+    fn monitored_starts_the_node_before_the_emitter() {
+        let mut m = monitored();
+        let mut ctx = MockCtx::new();
+        m.on_start(&mut ctx);
+        assert_eq!(
+            ctx.timers,
+            vec![(Nanos::from_millis(1), 7), (Nanos::from_millis(10), MONITOR_TIMER_TOKEN)]
+        );
+    }
+
+    #[test]
+    fn monitored_keeps_only_its_token_and_resync() {
+        use scalla_proto::{ClientMsg, CmsMsg, ServerMsg};
+        let mut m = monitored();
+        let mut ctx = MockCtx::new();
+        m.on_start(&mut ctx);
+        m.on_timer(&mut ctx, 7);
+        m.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
+        assert_eq!(summaries(&ctx.sends).len(), 1, "the emitter's token fired the emitter");
+        let passed: Vec<Msg> = vec![
+            CmsMsg::LoginOk { slot: 3 }.into(),
+            ClientMsg::Stat { path: "/f".into() }.into(),
+            ServerMsg::CloseOk.into(),
+            MonMsg::Summary {
+                node: "n8".into(),
+                role: "server".into(),
+                seq: 1,
+                full: true,
+                counters: Vec::new(),
+                gauges: Vec::new(),
+                hists: Vec::new(),
+            }
+            .into(),
+            MonMsg::Spans { node: "n8".into(), spans: Vec::new() }.into(),
+        ];
+        for msg in &passed {
+            m.on_message(&mut ctx, Addr(5), msg.clone());
+        }
+        m.on_message(&mut ctx, Addr(1), MonMsg::Resync { since_seq: 0 }.into());
+        assert_eq!(summaries(&ctx.sends).len(), 2, "the Resync replayed seq 1");
+
+        let inner = m.as_any_mut().and_then(|a| a.downcast_mut::<Recorder>());
+        let inner = inner.expect("a downcast through the wrapper reaches the node");
+        assert_eq!(inner.timers, [7], "a foreign token reaches the node, the emitter's does not");
+        assert_eq!(inner.msgs, passed, "every message but the Resync reaches the node");
     }
 }

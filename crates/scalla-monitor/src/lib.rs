@@ -6,8 +6,10 @@
 //! answers "which node melts first" at paper scale. This crate adds that
 //! missing tier on top of the per-node obs layer:
 //!
-//! * [`MonitorEmitter`] — embedded in every node (cmsd, server, client
-//!   driver, pcache proxy). On a periodic timer it snapshots the node's
+//! * [`MonitorEmitter`] — run beside a monitored node (cmsd, server,
+//!   client driver, pcache proxy) by a [`Monitored`] wrapper, which takes
+//!   its timer and the collector's `Resync` and hands every other event
+//!   to the node. On a periodic timer it snapshots the node's
 //!   obs [`Registry`](scalla_obs::Registry), diffs against the previous
 //!   snapshot, and ships a compact delta record ([`MonMsg::Summary`]) plus
 //!   any new flight-recorder spans ([`MonMsg::Spans`]) to the collector
@@ -31,5 +33,5 @@ pub mod emitter;
 pub mod spans;
 
 pub use collector::{ClusterView, CollectorNode, NodeHealth};
-pub use emitter::{MonitorEmitter, MONITOR_TIMER_TOKEN};
+pub use emitter::{MonitorEmitter, Monitored};
 pub use spans::{OpClass, SpanTree};

@@ -17,7 +17,6 @@ use crate::overload::{Admission, OverloadConfig, Verdict};
 use crate::server::tokens;
 use scalla_cache::{AccessMode, CacheConfig, LocRef, NameCache, Resolution, Waiter};
 use scalla_cluster::{LoginOutcome, Membership, MembershipConfig, SelectionPolicy, Selector};
-use scalla_monitor::MonitorEmitter;
 use scalla_obs::{Obs, SpanEvent, TraceId};
 use scalla_proto::{
     Addr, ClientMsg, CmsMsg, ErrCode, Lease, Msg, NodeRoleTag, ServerMsg, NO_CLIENT,
@@ -127,7 +126,6 @@ pub struct CmsdNode {
     /// change and flushes wholesale.
     epoch: u64,
     obs: Obs,
-    mon: Option<MonitorEmitter>,
 }
 
 impl CmsdNode {
@@ -147,15 +145,7 @@ impl CmsdNode {
             admission,
             epoch: 1,
             obs: Obs::disabled(),
-            mon: None,
         }
-    }
-
-    /// Attaches a summary-stream emitter shipping this node's obs registry
-    /// to a collector (see `scalla-monitor`). Call after
-    /// [`CmsdNode::set_obs`] with the same handle.
-    pub fn set_monitor(&mut self, mon: MonitorEmitter) {
-        self.mon = Some(mon);
     }
 
     /// Attaches an observability handle: the cache samples stage latencies
@@ -633,17 +623,9 @@ impl Node for CmsdNode {
         if !self.cfg.parents.is_empty() {
             ctx.set_timer(self.period(tokens::HEARTBEAT), tokens::HEARTBEAT);
         }
-        if let Some(mon) = &mut self.mon {
-            mon.on_start(ctx);
-        }
     }
 
     fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
-        if let Some(mon) = &mut self.mon {
-            if mon.on_message(ctx, &msg) {
-                return;
-            }
-        }
         match msg {
             Msg::Cms(CmsMsg::Login { name, role, exports }) => {
                 self.handle_login(ctx, from, name, role, exports);
@@ -701,18 +683,13 @@ impl Node for CmsdNode {
                 // Responses are client-bound; a cmsd never expects one.
             }
             Msg::Mon(_) => {
-                // Monitor records are collector-bound; only the emitter's
-                // Resync (handled above) concerns a cmsd.
+                // Monitor records are collector-bound; the collector's
+                // Resync is taken by the `Monitored` wrapper.
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) {
-        if let Some(mon) = &mut self.mon {
-            if mon.on_timer(ctx, token) {
-                return;
-            }
-        }
         match token {
             tokens::SWEEP => {
                 let full = self.cache.config().full_delay;

@@ -13,7 +13,6 @@
 
 use crate::fs::LocalFs;
 use crate::overload::{Admission, OverloadConfig, Verdict};
-use scalla_monitor::MonitorEmitter;
 use scalla_obs::{Obs, SpanEvent, TraceId};
 use scalla_proto::{Addr, ClientMsg, CmsMsg, ErrCode, Msg, NodeRoleTag, ServerMsg};
 use scalla_simnet::{NetCtx, Node};
@@ -95,16 +94,14 @@ impl ServerConfig {
 pub struct ServerNode {
     cfg: ServerConfig,
     fs: LocalFs,
-    handles: HashMap<u64, String>,
-    /// Which client holds each handle, so closes release the right peer's
-    /// admission budget.
-    handle_owner: HashMap<u64, Addr>,
+    /// Each open handle's path and the client holding it, whose
+    /// admission budget the handle's close releases.
+    handles: HashMap<u64, (String, Addr)>,
     next_handle: u64,
     staging: HashMap<u64, String>,
     next_staging: u64,
     admission: Admission,
     obs: Obs,
-    mon: Option<MonitorEmitter>,
 }
 
 impl ServerNode {
@@ -116,13 +113,11 @@ impl ServerNode {
             cfg,
             fs,
             handles: HashMap::new(),
-            handle_owner: HashMap::new(),
             next_handle: 0,
             staging: HashMap::new(),
             next_staging: 0,
             admission,
             obs: Obs::disabled(),
-            mon: None,
         }
     }
 
@@ -138,15 +133,6 @@ impl ServerNode {
     /// The admission gate (harness/statistics access).
     pub fn admission(&self) -> &Admission {
         &self.admission
-    }
-
-    /// Attaches a summary-stream emitter shipping this node's obs registry
-    /// to a collector (see `scalla-monitor`). Call after [`set_obs`] with
-    /// the same handle.
-    ///
-    /// [`set_obs`]: ServerNode::set_obs
-    pub fn set_monitor(&mut self, mon: MonitorEmitter) {
-        self.mon = Some(mon);
     }
 
     /// The local store (harness seeding / inspection).
@@ -167,7 +153,7 @@ impl ServerNode {
     /// Path behind an open handle (used by layers — e.g. Qserv — that
     /// build services on top of the file abstraction).
     pub fn handle_path(&self, handle: u64) -> Option<&str> {
-        self.handles.get(&handle).map(String::as_str)
+        self.handles.get(&handle).map(|(path, _)| path.as_str())
     }
 
     /// Deletes a file and notifies the CNS (if configured). Returns
@@ -193,6 +179,16 @@ impl ServerNode {
         self.next_staging += 1;
         self.staging.insert(k, path.to_string());
         ctx.set_timer(self.cfg.staging_delay, tokens::STAGING_BASE + k);
+    }
+
+    /// Opens a handle on `path` for `from`, holding one unit of its
+    /// admission budget until the handle's close.
+    fn grant(&mut self, ctx: &mut dyn NetCtx, from: Addr, path: String) {
+        let h = self.next_handle;
+        self.next_handle += 1;
+        self.handles.insert(h, (path, from));
+        self.admission.hold(from.0);
+        ctx.send(from, ServerMsg::OpenOk { handle: h }.into());
     }
 
     fn handle_locate(
@@ -260,12 +256,7 @@ impl ServerNode {
         let t0 = self.obs.is_enabled().then(std::time::Instant::now);
         let verdict = match self.fs.get(&path) {
             Some(entry) if entry.online => {
-                let h = self.next_handle;
-                self.next_handle += 1;
-                self.handles.insert(h, path);
-                self.handle_owner.insert(h, from);
-                self.admission.hold(from.0);
-                ctx.send(from, ServerMsg::OpenOk { handle: h }.into());
+                self.grant(ctx, from, path);
                 "open_ok"
             }
             Some(_) => {
@@ -280,12 +271,7 @@ impl ServerNode {
                 if let Some(cns) = self.cfg.cns {
                     ctx.send(cns, CmsMsg::NsEvent { created: true, path: path.clone() }.into());
                 }
-                let h = self.next_handle;
-                self.next_handle += 1;
-                self.handles.insert(h, path);
-                self.handle_owner.insert(h, from);
-                self.admission.hold(from.0);
-                ctx.send(from, ServerMsg::OpenOk { handle: h }.into());
+                self.grant(ctx, from, path);
                 "open_created"
             }
             None => {
@@ -345,17 +331,9 @@ impl Node for ServerNode {
             ctx.send(parent, join.clone());
         }
         ctx.set_timer(self.cfg.heartbeat, tokens::HEARTBEAT);
-        if let Some(mon) = &mut self.mon {
-            mon.on_start(ctx);
-        }
     }
 
     fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
-        if let Some(mon) = &mut self.mon {
-            if mon.on_message(ctx, &msg) {
-                return;
-            }
-        }
         match msg {
             Msg::Cms(CmsMsg::Locate { reqid, path, hash, write }) => {
                 self.handle_locate(ctx, from, reqid, path, hash, write);
@@ -368,7 +346,7 @@ impl Node for ServerNode {
             }
             Msg::Client(ClientMsg::Read { handle, offset, len }) => {
                 let reply = match self.handles.get(&handle) {
-                    Some(path) => match self.fs.read(path, offset, len) {
+                    Some((path, _)) => match self.fs.read(path, offset, len) {
                         Some(data) => ServerMsg::Data { data },
                         None => ServerMsg::Error {
                             code: ErrCode::IoError,
@@ -384,7 +362,7 @@ impl Node for ServerNode {
             }
             Msg::Client(ClientMsg::Write { handle, offset, data }) => {
                 let reply = match self.handles.get(&handle) {
-                    Some(path) => match self.fs.write(path, offset, &data) {
+                    Some((path, _)) => match self.fs.write(path, offset, &data) {
                         Some(len) => ServerMsg::WriteOk { len },
                         None => ServerMsg::Error {
                             code: ErrCode::IoError,
@@ -399,8 +377,7 @@ impl Node for ServerNode {
                 ctx.send(from, reply.into());
             }
             Msg::Client(ClientMsg::Close { handle }) => {
-                self.handles.remove(&handle);
-                if let Some(owner) = self.handle_owner.remove(&handle) {
+                if let Some((_, owner)) = self.handles.remove(&handle) {
                     self.admission.release(owner.0);
                 }
                 ctx.send(from, ServerMsg::CloseOk.into());
@@ -436,11 +413,6 @@ impl Node for ServerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) {
-        if let Some(mon) = &mut self.mon {
-            if mon.on_timer(ctx, token) {
-                return;
-            }
-        }
         if token == tokens::HEARTBEAT {
             let load = self.handles.len() as u32;
             let free = self.fs.free_bytes();
@@ -583,6 +555,47 @@ mod tests {
             &ctx.sends[4].1,
             Msg::Server(ServerMsg::Error { code: ErrCode::BadRequest, .. })
         ));
+    }
+
+    #[test]
+    fn close_releases_the_openers_admission_hold() {
+        let mut cfg = ServerConfig::new("srv-a", Addr(0));
+        cfg.overload = OverloadConfig::with_limit(1);
+        let mut s = ServerNode::new(cfg);
+        s.fs_mut().put_online("/data/f1", 100);
+        let open: Msg =
+            ClientMsg::Open { path: "/data/f1".into(), write: false, refresh: false, avoid: None }
+                .into();
+        let (first, second) = (Addr(42), Addr(43));
+        let mut ctx = MockCtx::new();
+        s.on_message(&mut ctx, first, open.clone());
+        let handle = match &ctx.take_sends()[0].1 {
+            Msg::Server(ServerMsg::OpenOk { handle }) => *handle,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(s.admission().inflight(first.0), 1);
+
+        s.on_message(&mut ctx, second, open.clone());
+        assert!(
+            matches!(
+                &ctx.take_sends()[0].1,
+                Msg::Server(
+                    ServerMsg::Wait { .. } | ServerMsg::Error { code: ErrCode::Overloaded, .. }
+                )
+            ),
+            "refused while the first handle is open"
+        );
+
+        s.on_message(&mut ctx, first, ClientMsg::Close { handle }.into());
+        assert!(matches!(&ctx.take_sends()[0].1, Msg::Server(ServerMsg::CloseOk)));
+        assert_eq!(s.admission().inflight(first.0), 0, "the close released the hold");
+        s.on_message(&mut ctx, second, open);
+        match &ctx.take_sends()[0].1 {
+            Msg::Server(ServerMsg::OpenOk { handle }) => {
+                assert_eq!(s.handle_path(*handle), Some("/data/f1"));
+            }
+            other => panic!("admitted after the close: {other:?}"),
+        }
     }
 
     #[test]

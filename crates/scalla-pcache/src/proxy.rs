@@ -60,7 +60,6 @@ use crate::store::{BlockKey, BlockStore, PcacheConfig, PinOutcome};
 use bytes::Bytes;
 use scalla_client::{Directory, Resolver, Step, Walk};
 use scalla_lcache::LocationCache;
-use scalla_monitor::MonitorEmitter;
 use scalla_obs::{AtomicHistogram, Counter, Obs, SpanEvent, TraceId};
 use scalla_proto::{Addr, ClientMsg, CmsMsg, ErrCode, Msg, NodeRoleTag, ServerMsg};
 use scalla_simnet::{NetCtx, Node};
@@ -260,7 +259,6 @@ pub struct ProxyNode {
     brownout_until: Nanos,
     obs: Obs,
     m: Option<ProxyMetrics>,
-    mon: Option<MonitorEmitter>,
 }
 
 impl ProxyNode {
@@ -287,15 +285,7 @@ impl ProxyNode {
             brownout_until: Nanos::ZERO,
             obs: Obs::disabled(),
             m: None,
-            mon: None,
         }
-    }
-
-    /// Attaches a summary-stream emitter shipping this node's obs registry
-    /// to a collector (see `scalla-monitor`). Call after
-    /// [`ProxyNode::set_obs`] with the same handle.
-    pub fn set_monitor(&mut self, mon: MonitorEmitter) {
-        self.mon = Some(mon);
     }
 
     /// Attaches an observability handle: registers served/filled byte
@@ -1063,17 +1053,9 @@ impl Node for ProxyNode {
             ctx.send(parent, login.clone());
         }
         ctx.set_timer(self.cfg.heartbeat, tokens::HEARTBEAT);
-        if let Some(mon) = &mut self.mon {
-            mon.on_start(ctx);
-        }
     }
 
     fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
-        if let Some(mon) = &mut self.mon {
-            if mon.on_message(ctx, &msg) {
-                return;
-            }
-        }
         match msg {
             Msg::Client(ClientMsg::Open { path, write, .. }) => {
                 self.handle_client_open(ctx, from, path, write);
@@ -1129,25 +1111,18 @@ impl Node for ProxyNode {
                 // LoginOk / LoginRejected / stray cluster traffic.
             }
             Msg::Mon(_) => {
-                // Collector-bound records; only Resync (handled above)
-                // concerns the proxy.
+                // Collector-bound records; the collector's Resync is
+                // taken by the `Monitored` wrapper.
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) {
-        // The monitor token (1 << 50) sits inside the RETRY_BASE /
-        // TIMEOUT_BASE catch-all ranges, so it must be checked first.
-        if let Some(mon) = &mut self.mon {
-            if mon.on_timer(ctx, token) {
-                return;
-            }
-        }
         if token == tokens::HEARTBEAT {
             let load = self.handles.len() as u32;
             let free = self.cfg.cache.capacity.saturating_sub(self.store.used_bytes());
-            for &parent in &self.cfg.parents.clone() {
-                let overloaded = self.in_brownout(ctx.now());
+            let overloaded = self.in_brownout(ctx.now());
+            for &parent in &self.cfg.parents {
                 ctx.send(parent, CmsMsg::LoadReport { load, free_bytes: free, overloaded }.into());
             }
             ctx.set_timer(self.cfg.heartbeat, tokens::HEARTBEAT);

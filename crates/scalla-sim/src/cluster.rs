@@ -6,7 +6,7 @@ use scalla_cache::CacheConfig;
 use scalla_client::{ClientConfig, ClientNode, ClientOp, Directory, OpResult};
 use scalla_cluster::{MembershipConfig, NodeId, NodeRole, SelectionPolicy, TreeSpec};
 use scalla_lcache::{LcacheConfig, LocationCache};
-use scalla_monitor::{ClusterView, CollectorNode, MonitorEmitter};
+use scalla_monitor::{ClusterView, CollectorNode, MonitorEmitter, Monitored};
 use scalla_node::{CmsdConfig, CmsdNode, CnsNode, OverloadConfig, ServerConfig, ServerNode};
 use scalla_obs::Obs;
 use scalla_pcache::{PcacheConfig, ProxyConfig, ProxyNode};
@@ -188,9 +188,9 @@ impl Cluster {
             cmsd.overload = cfg.cms_overload;
             cmsd.leases = cfg.lcache.is_some();
             let name = cmsd.name.clone();
-            let mut node = CmsdNode::new(cmsd, clock.clone());
-            c.observe(&mut node, &name, role, CmsdNode::set_obs, CmsdNode::set_monitor);
-            (name, Box::new(node))
+            let node =
+                c.observe(CmsdNode::new(cmsd, clock.clone()), &name, role, CmsdNode::set_obs);
+            (name, node)
         };
 
         for m in 0..cfg.n_managers.max(1) {
@@ -230,15 +230,8 @@ impl Cluster {
                     srv.heartbeat = cfg.heartbeat;
                     srv.cns = c.cns;
                     srv.overload = cfg.srv_overload;
-                    let mut srv = ServerNode::new(srv);
-                    c.observe(
-                        &mut srv,
-                        &name,
-                        "server",
-                        ServerNode::set_obs,
-                        ServerNode::set_monitor,
-                    );
-                    let addr = add(&name, Box::new(srv));
+                    let srv = c.observe(ServerNode::new(srv), &name, "server", ServerNode::set_obs);
+                    let addr = add(&name, srv);
                     c.servers.push(addr);
                     vec![addr]
                 }
@@ -262,9 +255,8 @@ impl Cluster {
                 // the per-node statistics.
                 pxy.lcache = Some(LocationCache::shared(LcacheConfig::default()));
             }
-            let mut pxy = ProxyNode::new(pxy);
-            c.observe(&mut pxy, &name, "proxy", ProxyNode::set_obs, ProxyNode::set_monitor);
-            c.proxies.push(add(&name, Box::new(pxy)));
+            let pxy = c.observe(ProxyNode::new(pxy), &name, "proxy", ProxyNode::set_obs);
+            c.proxies.push(add(&name, pxy));
         }
 
         // Attach the shared client cache's counters to the cluster
@@ -276,25 +268,28 @@ impl Cluster {
         c
     }
 
-    /// Wires a freshly built node for observability: under monitoring its
-    /// own registry (a shared one would be shipped once per emitter and
-    /// double-count in the merged view) plus an emitter reporting as
-    /// `name`; otherwise the shared registry, when enabled.
-    fn observe<N>(
+    /// Wires a freshly built node for observability and boxes it: under
+    /// monitoring it gets its own registry (a shared one would be shipped
+    /// once per emitter and double-count in the merged view) and is
+    /// wrapped in a [`Monitored`] reporting as `name`; otherwise it gets
+    /// the shared registry, when enabled.
+    fn observe<N: Node + 'static>(
         &self,
-        node: &mut N,
+        mut node: N,
         name: &str,
         role: &'static str,
         set_obs: fn(&mut N, Obs),
-        set_monitor: fn(&mut N, MonitorEmitter),
-    ) {
+    ) -> Box<dyn Node> {
         if let (Some(collector), Some(interval)) = (self.collector, self.cfg.monitor) {
             let obs = Obs::enabled();
-            set_obs(node, obs.clone());
-            set_monitor(node, MonitorEmitter::new(collector, name, role, obs, interval));
-        } else if self.cfg.obs.is_enabled() {
-            set_obs(node, self.cfg.obs.clone());
+            set_obs(&mut node, obs.clone());
+            let emitter = MonitorEmitter::new(collector, name, role, obs, interval);
+            return Box::new(Monitored::new(Box::new(node), emitter));
         }
+        if self.cfg.obs.is_enabled() {
+            set_obs(&mut node, self.cfg.obs.clone());
+        }
+        Box::new(node)
     }
 
     /// Adds a scripted client through `add`: towards the managers, or
@@ -318,10 +313,9 @@ impl Cluster {
         }
         ccfg.cns = self.cns;
         f(&mut ccfg);
-        let mut node = ClientNode::new(ccfg);
         let name = format!("client-{}", self.clients.len());
-        self.observe(&mut node, &name, "client", ClientNode::set_obs, ClientNode::set_monitor);
-        let addr = add(Box::new(node));
+        let node = self.observe(ClientNode::new(ccfg), &name, "client", ClientNode::set_obs);
+        let addr = add(node);
         self.clients.push(addr);
         addr
     }

@@ -29,21 +29,29 @@ fn main() {
     cfg = cfg.with_leases();
     cfg.obs = obs.clone();
     let mut net = TcpNet::new().expect("bind localhost");
-    let mut c = Cluster::assemble(cfg, net.clock(), &mut |n| net.add_node(n).unwrap());
-    for (i, &srv) in c.servers.iter().enumerate() {
-        downcast::<ServerNode>(net.node_mut(srv)).fs_mut().put_online(&format!("/demo/f{i}"), 1024);
-    }
 
     // Monitoring collector: merges summary streams into the cluster view
     // served as /cluster + /cluster.json. The demo nodes share one obs
     // registry (so /metrics shows the whole cluster), hence a single
     // emitter, the manager's, ships it — one emitter per registry, or
-    // totals double.
+    // totals double. It wraps the first cmsd built, which is mgr-0: with
+    // no CNS and no cluster-side monitor the builder adds managers first.
     let interval = Nanos::from_millis(200);
     let view = Arc::new(ClusterView::new(interval));
     let collector = net.add_node(Box::new(CollectorNode::new(view.clone(), interval))).unwrap();
-    let emitter = MonitorEmitter::new(collector, "mgr-0", "manager", obs.clone(), interval);
-    downcast::<CmsdNode>(net.node_mut(c.managers[0])).set_monitor(emitter);
+    let mut emitter =
+        Some(MonitorEmitter::new(collector, "mgr-0", "manager", obs.clone(), interval));
+    let mut c = Cluster::assemble(cfg, net.clock(), &mut |mut n| {
+        if n.as_any_mut().is_some_and(|any| any.is::<CmsdNode>()) {
+            if let Some(emitter) = emitter.take() {
+                n = Box::new(Monitored::new(n, emitter));
+            }
+        }
+        net.add_node(n).unwrap()
+    });
+    for (i, &srv) in c.servers.iter().enumerate() {
+        downcast::<ServerNode>(net.node_mut(srv)).fs_mut().put_online(&format!("/demo/f{i}"), 1024);
+    }
 
     let client = c.add_client(&mut |n| net.add_node(n).unwrap(), None, |cc| {
         cc.ops = vec![

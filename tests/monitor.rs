@@ -151,6 +151,12 @@ fn collector_crash_restart_reconverges_and_marks_stale_nodes() {
     assert_eq!(view.node_health("srv-1"), Some(NodeHealth::Live));
     let text = view.prometheus_text();
     assert_eq!(metric(&text, "scalla_cluster_nodes_stale{role=\"server\"}", ""), 1, "{text}");
+
+    // Revived, the server's emitter starts with it and ships a full
+    // baseline one interval later: live again within two.
+    c.net.revive(c.servers[2]);
+    c.net.run_for(interval.mul(2));
+    assert_eq!(view.node_health("srv-2"), Some(NodeHealth::Live), "revived node reports again");
 }
 
 /// The same pipeline on the live threaded runtime: real threads, real
