@@ -9,9 +9,15 @@
 //! * [`FaultPlan`] — a schedule of [`Fault`]s, either hand-written or
 //!   generated from a seed + [`ChaosProfile`]. Equal seeds give equal
 //!   plans; a failing soak prints its seed for exact replay.
-//! * [`ChaosScheduler`] — drives a plan against the discrete-event
-//!   [`SimNet`], interleaving fault application with event execution and
-//!   recording what was applied when (for recovery-time measurement).
+//! * [`SimCluster::soak`] — the one chaos soak every test and bench
+//!   runs: a seeded plan against a simulated cluster while the caller's
+//!   scripted clients keep working, applied at exact virtual instants
+//!   between event executions, the scripts driven home, then a
+//!   [`SoakReport`]: the clients' verdicts, the §III invariant audited at
+//!   every cmsd, membership at full strength or not, the paired
+//!   `peer_dead` / `peer_reconnected` counts, the faults applied, and the
+//!   membership-degraded windows (recovery time). Callers assert on the
+//!   report, or print it; bounds checked after the run attach here.
 //! * [`poll_until`] / [`assert_poll`] — the shared deadline-poll helper
 //!   the live-runtime tests use instead of hand-rolled busy-wait loops.
 //!
@@ -19,15 +25,19 @@
 //! their `kill` / `revive` set a node's state, and a frame reaching a
 //! down node is dropped on delivery, as on the simulated net.
 //!
-//! Fault *application* is itself observable: the scheduler counts every
+//! Fault *application* is itself observable: the soak counts every
 //! fault in `scalla_chaos_faults_total{fault=...}` and marks a
 //! `partition_healed` incident when a partition closes, pairing with the
 //! `peer_dead` / `peer_reconnected` incidents the recovery machinery
 //! emits (egress writer state machine, cmsd health monitor).
 
+use crate::admin::metric;
+use crate::cluster::SimCluster;
+use crate::metrics::percentile;
+use scalla_client::OpResult;
 use scalla_obs::Obs;
 use scalla_proto::Addr;
-use scalla_simnet::{LatencyModel, SimNet};
+use scalla_simnet::SimNet;
 use scalla_util::{Nanos, SplitMix64};
 use std::time::{Duration, Instant};
 
@@ -43,22 +53,6 @@ pub enum Fault {
     Partition(Addr, Addr),
     /// Remove the blackhole.
     Heal(Addr, Addr),
-    /// Override one link's latency (delay spike).
-    DelaySpike {
-        /// One endpoint.
-        a: Addr,
-        /// Other endpoint.
-        b: Addr,
-        /// The spiked latency model.
-        model: LatencyModel,
-    },
-    /// Drop a link latency override back to the default.
-    DelayClear {
-        /// One endpoint.
-        a: Addr,
-        /// Other endpoint.
-        b: Addr,
-    },
     /// Set the global message-loss rate (0 ends the burst).
     Loss {
         /// Per-mille of messages dropped.
@@ -98,26 +92,12 @@ impl Fault {
             Fault::Restart(_) => "restart",
             Fault::Partition(..) => "partition",
             Fault::Heal(..) => "heal",
-            Fault::DelaySpike { .. } => "delay_spike",
-            Fault::DelayClear { .. } => "delay_clear",
             Fault::Loss { .. } => "loss",
             Fault::Dup { .. } => "dup",
             Fault::Reorder { .. } => "reorder",
             Fault::SlowNode { .. } => "slow_node",
             Fault::SlowNodeClear { .. } => "slow_node_clear",
         }
-    }
-
-    /// Whether this fault *restores* service (a recovery point for the
-    /// time-to-first-successful-op metric).
-    pub fn is_recovery(&self) -> bool {
-        matches!(
-            self,
-            Fault::Restart(_)
-                | Fault::Heal(..)
-                | Fault::Loss { permille: 0 }
-                | Fault::SlowNodeClear { .. }
-        )
     }
 }
 
@@ -178,11 +158,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (the no-fault control run).
-    pub fn empty() -> FaultPlan {
-        FaultPlan { seed: 0, events: Vec::new() }
-    }
-
     /// A hand-written plan; events are sorted by time.
     pub fn from_events(mut events: Vec<FaultEvent>) -> FaultPlan {
         events.sort_by_key(|e| e.at);
@@ -271,38 +246,28 @@ impl FaultPlan {
 
 /// Drives a [`FaultPlan`] against a [`SimNet`], interleaving simulated
 /// execution with fault application and recording what it applied.
-pub struct ChaosScheduler {
+struct ChaosScheduler {
     plan: FaultPlan,
     next: usize,
     /// Faults actually applied, with their application times.
-    pub applied: Vec<(Nanos, Fault)>,
+    applied: Vec<(Nanos, Fault)>,
     obs: Obs,
 }
 
 impl ChaosScheduler {
-    /// A scheduler with no observability attached.
-    pub fn new(plan: FaultPlan) -> ChaosScheduler {
-        ChaosScheduler::with_obs(plan, Obs::disabled())
-    }
-
     /// A scheduler counting faults into `obs` as it applies them.
-    pub fn with_obs(plan: FaultPlan, obs: Obs) -> ChaosScheduler {
+    fn new(plan: FaultPlan, obs: Obs) -> ChaosScheduler {
         ChaosScheduler { plan, next: 0, applied: Vec::new(), obs }
     }
 
-    /// The plan's seed (for replay messages).
-    pub fn seed(&self) -> u64 {
-        self.plan.seed
-    }
-
     /// Whether every scheduled fault has been applied.
-    pub fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.next >= self.plan.events.len()
     }
 
     /// Runs the net up to `until`, applying every fault that falls due
     /// along the way at its exact virtual instant.
-    pub fn run(&mut self, net: &mut SimNet, until: Nanos) {
+    fn run(&mut self, net: &mut SimNet, until: Nanos) {
         while self.next < self.plan.events.len() && self.plan.events[self.next].at <= until {
             let ev = self.plan.events[self.next];
             self.next += 1;
@@ -310,12 +275,6 @@ impl ChaosScheduler {
             self.apply(net, ev.fault);
         }
         net.run_until(until);
-    }
-
-    /// Times at which service was restored (restart / heal / burst end) —
-    /// the anchors for recovery-latency percentiles.
-    pub fn recovery_points(&self) -> Vec<Nanos> {
-        self.applied.iter().filter(|(_, f)| f.is_recovery()).map(|(at, _)| *at).collect()
     }
 
     fn apply(&mut self, net: &mut SimNet, fault: Fault) {
@@ -327,8 +286,6 @@ impl ChaosScheduler {
                 net.heal(a, b);
                 self.obs.incident("partition_healed");
             }
-            Fault::DelaySpike { a, b, model } => net.set_link(a, b, model),
-            Fault::DelayClear { a, b } => net.clear_link(a, b),
             Fault::Loss { permille } => net.set_loss_permille(permille),
             Fault::Dup { permille } => net.set_dup_permille(permille),
             Fault::Reorder { jitter } => net.set_reorder_jitter(jitter),
@@ -337,6 +294,148 @@ impl ChaosScheduler {
         }
         self.obs.count("scalla_chaos_faults_total", &[("fault", fault.label())], 1);
         self.applied.push((net.now(), fault));
+    }
+}
+
+/// What one [`SimCluster::soak`] saw: the scripts' verdicts and the audit
+/// of the cluster they left behind.
+#[derive(Debug)]
+pub struct SoakReport {
+    /// The profile the plan was drawn from.
+    pub profile: ChaosProfile,
+    /// The plan's seed, the cluster's.
+    pub seed: u64,
+    /// Each client's results, in the order the clients were given.
+    pub results: Vec<Vec<OpResult>>,
+    /// Whether every script ran to its end.
+    pub all_done: bool,
+    /// The §III invariant audit summed over every cmsd, managers and
+    /// supervisors: `(entries checked, violations)`.
+    pub invariant: (usize, usize),
+    /// Manager-0's active members when the plan started.
+    pub full_strength: u32,
+    /// Manager-0's active members at the end.
+    pub active: u32,
+    /// `peer_dead` recovery events (0 when the cluster's obs is off).
+    pub peer_dead: u64,
+    /// `peer_reconnected` recovery events (0 when the cluster's obs is off).
+    pub peer_reconnected: u64,
+    /// Faults applied, with their instants.
+    pub applied: Vec<(Nanos, Fault)>,
+    /// Membership-degraded windows in ms, ascending: each runs from the
+    /// first slice manager-0 was short of full strength to the first it
+    /// was whole again (detection plus reconnect).
+    pub recovery_ms: Vec<f64>,
+}
+
+impl SoakReport {
+    /// The `[profile=.. seed=..]` text that replays this run.
+    pub fn replay(&self) -> String {
+        format!("[profile={} seed={}]", self.profile.name(), self.seed)
+    }
+
+    /// Client `k`'s operations that recorded a verdict, sleeps aside.
+    pub fn ops(&self, k: usize) -> usize {
+        self.results[k].iter().filter(|r| r.path != "<sleep>").count()
+    }
+
+    /// Operations that recorded a verdict, over all clients.
+    pub fn ops_terminated(&self) -> usize {
+        (0..self.results.len()).map(|k| self.ops(k)).sum()
+    }
+
+    /// The `p`-quantile of the recovery windows, in ms.
+    pub fn recovery_percentile(&self, p: f64) -> f64 {
+        percentile(&self.recovery_ms, p)
+    }
+}
+
+/// The slice the soak steps in: the resolution of its recovery windows.
+const SLICE: Nanos = Nanos::from_millis(250);
+/// How long past the horizon the scripts get to finish.
+const FINISH_CAP: Nanos = Nanos::from_secs(900);
+/// The quiet window after the scripts end, so late reconnects settle.
+const QUIET: Nanos = Nanos::from_secs(30);
+
+impl SimCluster {
+    /// Runs one chaos soak: starts `clients` (added, not yet started),
+    /// draws a `profile` plan from the cluster's seed that crashes or cuts
+    /// off the servers, with the managers as the far end of a partition,
+    /// inside `[now + 1 s, now + 1 s + secs)`, and steps the net in
+    /// 250 ms slices until the plan is spent and every script is done
+    /// (at most 900 s past the horizon), timing each window in which
+    /// manager-0 was short of full strength; then runs 30 s quiet and
+    /// audits the cluster.
+    pub fn soak(&mut self, profile: ChaosProfile, secs: u64, clients: &[Addr]) -> SoakReport {
+        let seed = self.config().seed;
+        let start = self.net.now() + Nanos::from_secs(1);
+        let horizon = start + Nanos::from_secs(secs);
+        let plan = FaultPlan::random(seed, profile, &self.servers, &self.managers, start, horizon);
+        let obs = self.config().obs.clone();
+        let mut sched = ChaosScheduler::new(plan, obs.clone());
+        let mgr = self.managers[0];
+        let active = |c: &mut SimCluster| c.with_cmsd(mgr, |n| n.members().active().len());
+        let full_strength = active(self);
+        for &client in clients {
+            self.start_node(client);
+        }
+
+        let mut degraded_since: Option<Nanos> = None;
+        let mut recovery_ms = Vec::new();
+        let ms = |window: Nanos| window.0 as f64 / 1e6;
+        let cap = horizon + FINISH_CAP;
+        loop {
+            let now = self.net.now();
+            let all_done = clients.iter().all(|&cl| self.client_done(cl));
+            if now >= cap || (sched.exhausted() && now >= horizon && all_done) {
+                break;
+            }
+            sched.run(&mut self.net, now + SLICE);
+            let whole = active(self) == full_strength;
+            let now = self.net.now();
+            match (whole, degraded_since) {
+                (false, None) => degraded_since = Some(now),
+                (true, Some(t0)) => {
+                    recovery_ms.push(ms(now.since(t0)));
+                    degraded_since = None;
+                }
+                _ => {}
+            }
+        }
+        let replay = format!("[profile={} seed={seed}]", profile.name());
+        assert!(sched.exhausted(), "plan must be fully applied by its horizon {replay}");
+        self.net.run_for(QUIET);
+        let active = active(self);
+        if let (Some(t0), true) = (degraded_since, active == full_strength) {
+            recovery_ms.push(ms(self.net.now().since(t0)));
+        }
+        recovery_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+
+        let cmsds: Vec<Addr> = self.managers.iter().chain(&self.supervisors).copied().collect();
+        let invariant = cmsds.into_iter().fold((0, 0), |(checked, violations), addr| {
+            let (c, v) = self.with_cmsd(addr, |n| n.cache().invariant_violations());
+            (checked + c, violations + v)
+        });
+        let (peer_dead, peer_reconnected) = if obs.is_enabled() {
+            let text = obs.registry().prometheus_text();
+            let event = |e: &str| metric(&text, "scalla_recovery_events_total", e);
+            (event("event=\"peer_dead\""), event("event=\"peer_reconnected\""))
+        } else {
+            (0, 0)
+        };
+        SoakReport {
+            profile,
+            seed,
+            results: clients.iter().map(|&cl| self.client_results(cl)).collect(),
+            all_done: clients.iter().all(|&cl| self.client_done(cl)),
+            invariant,
+            full_strength,
+            active,
+            peer_dead,
+            peer_reconnected,
+            applied: sched.applied,
+            recovery_ms,
+        }
     }
 }
 
@@ -415,7 +514,6 @@ mod tests {
                         Fault::Reorder { jitter: j } => jitter = j,
                         Fault::SlowNode { node, .. } => assert!(slowed.insert(node)),
                         Fault::SlowNodeClear { node } => assert!(slowed.remove(&node)),
-                        _ => {}
                     }
                 }
                 assert!(down.is_empty(), "seed {seed}: node left crashed");
@@ -427,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_applies_plan_against_simnet_and_records_recovery_points() {
+    fn scheduler_applies_plan_against_simnet_and_records_what_it_applied() {
         use scalla_simnet::{LatencyModel, NetCtx, Node};
         struct Idle;
         impl Node for Idle {
@@ -444,12 +542,12 @@ mod tests {
             FaultEvent { at: Nanos::from_millis(60), fault: Fault::Heal(a, b) },
         ]);
         let obs = Obs::enabled();
-        let mut sched = ChaosScheduler::with_obs(plan, obs.clone());
+        let mut sched = ChaosScheduler::new(plan, obs.clone());
         sched.run(&mut net, Nanos::from_millis(100));
         assert!(sched.exhausted());
         assert_eq!(net.now(), Nanos::from_millis(100));
-        assert_eq!(sched.applied.len(), 4);
-        assert_eq!(sched.recovery_points(), vec![Nanos::from_millis(30), Nanos::from_millis(60)]);
+        let at: Vec<Nanos> = sched.applied.iter().map(|(at, _)| *at).collect();
+        assert_eq!(at, [10, 30, 40, 60].map(Nanos::from_millis));
         let text = obs.registry().prometheus_text();
         assert!(text.contains("scalla_chaos_faults_total{fault=\"crash\"} 1"), "{text}");
         assert!(text.contains("scalla_chaos_faults_total{fault=\"heal\"} 1"), "{text}");
@@ -471,13 +569,12 @@ mod tests {
             FaultEvent { at: Nanos::from_millis(10), fault: Fault::SlowNode { node: a, extra } },
             FaultEvent { at: Nanos::from_millis(30), fault: Fault::SlowNodeClear { node: a } },
         ]);
-        let mut sched = ChaosScheduler::new(plan);
+        let mut sched = ChaosScheduler::new(plan, Obs::disabled());
         sched.run(&mut net, Nanos::from_millis(20));
         assert_eq!(net.node_delay(a), extra, "gray failure in force mid-window");
         sched.run(&mut net, Nanos::from_millis(100));
         assert!(sched.exhausted());
         assert_eq!(net.node_delay(a), Nanos::ZERO, "cleared at the recovery point");
-        assert_eq!(sched.recovery_points(), vec![Nanos::from_millis(30)]);
     }
 
     #[test]

@@ -50,12 +50,10 @@ pub mod tcp;
 pub mod workload;
 
 pub use admin::{metric, scrape};
-pub use chaos::{
-    assert_poll, poll_until, ChaosProfile, ChaosScheduler, Fault, FaultEvent, FaultPlan,
-};
+pub use chaos::{assert_poll, poll_until, ChaosProfile, Fault, FaultEvent, FaultPlan, SoakReport};
 pub use cluster::{downcast, Cluster, ClusterConfig, SimCluster};
 pub use live::LiveNet;
-pub use metrics::{summarize, EgressCounters, LatencySummary, NetCounters};
+pub use metrics::{percentile, summarize, EgressCounters, LatencySummary, NetCounters};
 pub use scalla_monitor::{ClusterView, CollectorNode, MonitorEmitter, NodeHealth, SpanTree};
 pub use tcp::TcpNet;
 pub use workload::{analysis_job, make_catalog, WorkloadConfig, ZipfSampler};

@@ -171,6 +171,16 @@ pub fn summarize<'a>(results: impl IntoIterator<Item = &'a OpResult>) -> Latency
     s
 }
 
+/// The `p`-quantile of an ascending slice: the sample at index
+/// `p × (n − 1)`, rounded to the nearest; 0 for no samples.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

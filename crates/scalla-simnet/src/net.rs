@@ -345,12 +345,6 @@ impl SimNet {
         self.links.insert((b, a), model);
     }
 
-    /// Removes a per-link latency override, restoring the default model.
-    pub fn clear_link(&mut self, a: Addr, b: Addr) {
-        self.links.remove(&(a, b));
-        self.links.remove(&(b, a));
-    }
-
     /// Sets a global message loss rate in permille (0–1000).
     pub fn set_loss_permille(&mut self, permille: u16) {
         self.loss_permille = permille.min(1000);
@@ -386,7 +380,7 @@ impl SimNet {
     }
 
     /// Takes a node down: all queued and future messages to it are dropped,
-    /// as are its pending timers.
+    /// and its pending timers die uncounted.
     pub fn kill(&mut self, addr: Addr) {
         self.down.insert(addr);
     }
@@ -512,8 +506,11 @@ impl SimNet {
 
         if self.down.contains(&ev.to) || ev.to.0 as usize >= self.nodes.len() {
             // Dead or unregistered endpoint (e.g. a synthetic external
-            // address used by a test harness): drop on the floor.
-            self.stats.dropped += 1;
+            // address used by a test harness): drop on the floor. A timer
+            // dies with its node and is no message, so it counts nowhere.
+            if let EventKind::Deliver { .. } = ev.kind {
+                self.stats.dropped += 1;
+            }
             return Some(ev.at);
         }
         let Some(mut node) = self.nodes[ev.to.0 as usize].take() else {
@@ -737,6 +734,24 @@ mod tests {
         net.start();
         net.run_until(Nanos::from_secs(1));
         assert_eq!(fired.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn a_killed_nodes_timer_is_no_dropped_message() {
+        struct Probe;
+        impl Node for Probe {
+            fn on_start(&mut self, ctx: &mut dyn NetCtx) {
+                ctx.set_timer(Nanos::from_millis(1), 0);
+            }
+            fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, _: Msg) {}
+        }
+        let mut net = SimNet::new(LatencyModel::fixed(Nanos::ZERO), 0);
+        let probe = net.add_node(Box::new(Probe));
+        net.start();
+        net.kill(probe);
+        net.run_for(Nanos::from_millis(10));
+        let stats = net.stats();
+        assert_eq!((stats.delivered, stats.dropped, stats.timers), (0, 0, 0), "{stats:?}");
     }
 
     #[test]

@@ -12,55 +12,27 @@
 //! Run with: `cargo run --release --example chaos_run [-- --smoke]`
 
 use scalla::prelude::*;
-use scalla::sim::{metric, ClusterConfig};
+use scalla::sim::{percentile, ClusterConfig};
 
 const N_SERVERS: usize = 6;
+const OPS_PER_CLIENT: usize = 8;
 
-struct PlanReport {
-    profile: &'static str,
-    seed: u64,
-    ops_total: usize,
-    ops_terminated: usize,
-    invariant_checked: usize,
-    invariant_violations: usize,
-    peer_dead: u64,
-    peer_reconnected: u64,
-    recovery_ms: Vec<f64>,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn run_plan(profile: ChaosProfile, seed: u64, horizon_secs: u64) -> PlanReport {
+fn run_plan(profile: ChaosProfile, seed: u64, horizon_secs: u64) -> SoakReport {
     let mut cfg = ClusterConfig::flat(N_SERVERS);
     cfg.latency = LatencyModel::fixed(Nanos::from_micros(25));
     cfg.heartbeat = Nanos::from_millis(500);
     cfg.membership.drop_after = Nanos::from_secs(3600);
     cfg.seed = seed;
     cfg.obs = Obs::enabled();
-    let obs = cfg.obs.clone();
     let mut c = SimCluster::build(cfg);
     for i in 0..N_SERVERS {
         c.seed_file(i, &format!("/d/f{i}"), 1, true);
     }
     c.settle(Nanos::from_secs(2));
 
-    let start = c.net.now() + Nanos::from_secs(1);
-    let horizon = start + Nanos::from_secs(horizon_secs);
-    let targets = c.servers.clone();
-    let spine = c.managers.clone();
-    let plan = FaultPlan::random(seed, profile, &targets, &spine, start, horizon);
-    let mut sched = ChaosScheduler::with_obs(plan, obs.clone());
-
-    let ops_per_client = 8usize;
     let mut clients = Vec::new();
     for k in 0..3usize {
-        let ops: Vec<ClientOp> = (0..ops_per_client)
+        let ops: Vec<ClientOp> = (0..OPS_PER_CLIENT)
             .flat_map(|j| {
                 vec![
                     ClientOp::Open { path: format!("/d/f{}", (j + k) % N_SERVERS), write: false },
@@ -68,81 +40,19 @@ fn run_plan(profile: ChaosProfile, seed: u64, horizon_secs: u64) -> PlanReport {
                 ]
             })
             .collect();
-        let client = c.add_client_with(|cc| {
-            cc.ops = ops.clone();
+        clients.push(c.add_client_with(|cc| {
+            cc.ops = ops;
             cc.request_timeout = Nanos::from_secs(2);
             cc.retry.max_waits = 6;
             cc.retry.op_deadline = Nanos::from_secs(60);
-        });
-        c.start_node(client);
-        clients.push(client);
+        }));
     }
+    c.soak(profile, horizon_secs, &clients)
+}
 
-    // Step the simulation in small slices so membership-degraded windows
-    // can be timed from the outside: a window opens when any slot leaves
-    // the active set and closes when the full set is active again.
-    let mgr = c.managers[0];
-    let step = Nanos::from_millis(250);
-    let mut degraded_since: Option<Nanos> = None;
-    let mut recovery_ms: Vec<f64> = Vec::new();
-    let cap = horizon + Nanos::from_secs(900);
-    loop {
-        let now = c.net.now();
-        let all_done = clients.iter().all(|&cl| c.client_done(cl));
-        if now >= cap || (sched.exhausted() && now >= horizon && all_done) {
-            break;
-        }
-        let until = now + step;
-        sched.run(&mut c.net, until);
-        let active = c.with_cmsd(mgr, |n| n.members().active().len());
-        let now = c.net.now();
-        match (active == N_SERVERS as u32, degraded_since) {
-            (false, None) => degraded_since = Some(now),
-            (true, Some(t0)) => {
-                recovery_ms.push(now.since(t0).0 as f64 / 1e6);
-                degraded_since = None;
-            }
-            _ => {}
-        }
-    }
-    // Post-run quiet window so late reconnects settle before the audit.
-    c.net.run_for(Nanos::from_secs(30));
-    if let Some(t0) = degraded_since {
-        let active = c.with_cmsd(mgr, |n| n.members().active().len());
-        if active == N_SERVERS as u32 {
-            recovery_ms.push(c.net.now().since(t0).0 as f64 / 1e6);
-        }
-    }
-
-    let ops_total = clients.len() * ops_per_client;
-    let mut ops_terminated = 0usize;
-    for &client in &clients {
-        ops_terminated += c.client_results(client).iter().filter(|r| r.path != "<sleep>").count();
-    }
-    let mut invariant_checked = 0usize;
-    let mut invariant_violations = 0usize;
-    for addr in c.managers.clone() {
-        let (checked, violations) = c.with_cmsd(addr, |n| n.cache().invariant_violations());
-        invariant_checked += checked;
-        invariant_violations += violations;
-    }
-    let text = obs.registry().prometheus_text();
-    recovery_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    PlanReport {
-        profile: profile.name(),
-        seed,
-        ops_total,
-        ops_terminated,
-        invariant_checked,
-        invariant_violations,
-        peer_dead: metric(&text, "scalla_recovery_events_total", "event=\"peer_dead\""),
-        peer_reconnected: metric(
-            &text,
-            "scalla_recovery_events_total",
-            "event=\"peer_reconnected\"",
-        ),
-        recovery_ms,
-    }
+/// The operations a plan's scripts issue, sleeps aside.
+fn ops_total(report: &SoakReport) -> usize {
+    report.results.len() * OPS_PER_CLIENT
 }
 
 fn main() {
@@ -157,11 +67,11 @@ fn main() {
             eprintln!(
                 "plan {}/{seed}: ops {}/{} invariants {}/{} dead/reconnected {}/{} \
                  recovery windows {}",
-                report.profile,
-                report.ops_terminated,
-                report.ops_total,
-                report.invariant_violations,
-                report.invariant_checked,
+                report.profile.name(),
+                report.ops_terminated(),
+                ops_total(&report),
+                report.invariant.1,
+                report.invariant.0,
                 report.peer_dead,
                 report.peer_reconnected,
                 report.recovery_ms.len(),
@@ -170,7 +80,7 @@ fn main() {
         }
     }
 
-    let all_terminated = plans.iter().all(|p| p.ops_terminated == p.ops_total);
+    let all_terminated = plans.iter().all(|p| p.ops_terminated() == ops_total(p));
     let mut all_recovery: Vec<f64> = plans.iter().flat_map(|p| p.recovery_ms.clone()).collect();
     all_recovery.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
@@ -186,17 +96,17 @@ fn main() {
                     "\"recovery_ms\": {{\"samples\": {}, \"p50\": {:.3}, ",
                     "\"p95\": {:.3}, \"max\": {:.3}}}}}"
                 ),
-                p.profile,
+                p.profile.name(),
                 p.seed,
-                p.ops_total,
-                p.ops_terminated,
-                p.invariant_checked,
-                p.invariant_violations,
+                ops_total(p),
+                p.ops_terminated(),
+                p.invariant.0,
+                p.invariant.1,
                 p.peer_dead,
                 p.peer_reconnected,
                 p.recovery_ms.len(),
-                percentile(&p.recovery_ms, 0.50),
-                percentile(&p.recovery_ms, 0.95),
+                p.recovery_percentile(0.50),
+                p.recovery_percentile(0.95),
                 p.recovery_ms.last().copied().unwrap_or(0.0),
             )
         })

@@ -21,15 +21,7 @@
 
 use scalla::obs::get;
 use scalla::prelude::*;
-use scalla::sim::{metric, ClusterConfig};
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
+use scalla::sim::{metric, percentile, ClusterConfig};
 
 fn base_cfg(n_servers: usize, leases: bool) -> ClusterConfig {
     let mut cfg = ClusterConfig::flat(n_servers);
@@ -166,17 +158,6 @@ fn main() {
         c.seed_file((i + 1) % 6, &format!("/d/f{i}"), 1, true);
     }
     c.settle(Nanos::from_secs(2));
-    let start = c.net.now() + Nanos::from_secs(1);
-    let horizon = start + Nanos::from_secs(chaos_secs);
-    let plan = FaultPlan::random(
-        0xc4a05,
-        ChaosProfile::CrashRestart,
-        &c.servers.clone(),
-        &c.managers.clone(),
-        start,
-        horizon,
-    );
-    let mut sched = ChaosScheduler::with_obs(plan, chaos_obs.clone());
     let mut clients = Vec::new();
     for k in 0..3usize {
         let ops: Vec<ClientOp> = (0..8)
@@ -187,29 +168,22 @@ fn main() {
                 ]
             })
             .collect();
-        let client = c.add_client_with(|cc| {
-            cc.ops = ops.clone();
+        clients.push(c.add_client_with(|cc| {
+            cc.ops = ops;
             cc.request_timeout = Nanos::from_secs(2);
             cc.retry.max_waits = 6;
             cc.retry.op_deadline = Nanos::from_secs(60);
-        });
-        c.start_node(client);
-        clients.push(client);
+        }));
     }
-    sched.run(&mut c.net, horizon);
-    let cap = horizon + Nanos::from_secs(600);
-    while c.net.now() < cap && !clients.iter().all(|&cl| c.client_done(cl)) {
-        c.net.run_for(Nanos::from_secs(5));
-    }
-    let mut chaos_ops = 0usize;
-    let mut chaos_ok = 0usize;
-    for &client in &clients {
-        assert!(c.client_done(client), "chaos client must terminate");
-        for r in c.client_results(client).iter().filter(|r| r.path != "<sleep>") {
-            chaos_ops += 1;
-            chaos_ok += usize::from(r.outcome == OpOutcome::Ok);
-        }
-    }
+    let report = c.soak(ChaosProfile::CrashRestart, chaos_secs, &clients);
+    assert!(report.all_done, "chaos client must terminate {}", report.replay());
+    let chaos_ops = report.ops_terminated();
+    let chaos_ok = report
+        .results
+        .iter()
+        .flatten()
+        .filter(|r| r.path != "<sleep>" && r.outcome == OpOutcome::Ok)
+        .count();
     let text = chaos_obs.registry().prometheus_text();
     let chaos_stale_served = metric(&text, "scalla_client_stale_served_total", "");
     let chaos_fallbacks =

@@ -23,7 +23,7 @@
 //! Run with: `cargo run --release --example overload_run [-- --smoke]`
 
 use scalla::prelude::*;
-use scalla::sim::ClusterConfig;
+use scalla::sim::{percentile, ClusterConfig};
 
 /// Manager admission limit for the curve runs (busy resolution anchors).
 const Q_LIMIT: usize = 8;
@@ -49,14 +49,6 @@ fn counter(text: &str, name: &str, labels: &str) -> u64 {
         .find_map(|l| l.strip_prefix(needle.as_str()))
         .map(|v| v.trim().parse().expect("counter value"))
         .unwrap_or(0)
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 struct CurvePoint {
@@ -201,19 +193,14 @@ fn run_point(ratio: f64, ops_per_client: usize, seed: u64) -> CurvePoint {
     }
 }
 
-struct StormReport {
-    seed: u64,
-    ops_total: usize,
-    ops_terminated: usize,
-    invariant_checked: usize,
-    invariant_violations: usize,
-}
+/// Scripted opens per storm client.
+const STORM_OPS_PER_CLIENT: usize = 8;
 
-/// One overload-storm soak with admission armed (mirrors `tests/chaos.rs`
-/// but reports instead of asserting, so the checker owns the thresholds).
-fn run_storm(seed: u64, horizon_secs: u64) -> StormReport {
+/// One overload-storm soak with admission armed (the cluster and scripts
+/// of `tests/chaos.rs`, but reported instead of asserted, so the checker
+/// owns the thresholds).
+fn run_storm(seed: u64, horizon_secs: u64) -> SoakReport {
     const N_SERVERS: usize = 6;
-    const OPS_PER_CLIENT: usize = 8;
     let mut cfg = ClusterConfig::flat(N_SERVERS);
     cfg.latency = LatencyModel::fixed(Nanos::from_micros(25));
     cfg.heartbeat = Nanos::from_millis(500);
@@ -222,24 +209,15 @@ fn run_storm(seed: u64, horizon_secs: u64) -> StormReport {
     cfg.cms_overload = OverloadConfig::with_limit(64);
     cfg.srv_overload = OverloadConfig::with_limit(32);
     cfg.obs = Obs::enabled();
-    let obs = cfg.obs.clone();
     let mut c = SimCluster::build(cfg);
     for i in 0..N_SERVERS {
         c.seed_file(i, &format!("/d/f{i}"), 1, true);
     }
     c.settle(Nanos::from_secs(2));
 
-    let start = c.net.now() + Nanos::from_secs(1);
-    let horizon = start + Nanos::from_secs(horizon_secs);
-    let targets = c.servers.clone();
-    let spine = c.managers.clone();
-    let plan =
-        FaultPlan::random(seed, ChaosProfile::OverloadStorm, &targets, &spine, start, horizon);
-    let mut sched = ChaosScheduler::with_obs(plan, obs.clone());
-
     let mut clients = Vec::new();
     for k in 0..3usize {
-        let ops: Vec<ClientOp> = (0..OPS_PER_CLIENT)
+        let ops: Vec<ClientOp> = (0..STORM_OPS_PER_CLIENT)
             .flat_map(|j| {
                 vec![
                     ClientOp::Open { path: format!("/d/f{}", (j + k) % N_SERVERS), write: false },
@@ -247,36 +225,14 @@ fn run_storm(seed: u64, horizon_secs: u64) -> StormReport {
                 ]
             })
             .collect();
-        let client = c.add_client_with(|cc| {
-            cc.ops = ops.clone();
+        clients.push(c.add_client_with(|cc| {
+            cc.ops = ops;
             cc.request_timeout = Nanos::from_secs(2);
             cc.retry.max_waits = 6;
             cc.retry.op_deadline = Nanos::from_secs(60);
-        });
-        c.start_node(client);
-        clients.push(client);
+        }));
     }
-
-    sched.run(&mut c.net, horizon);
-    let cap = horizon + Nanos::from_secs(900);
-    while c.net.now() < cap && !clients.iter().all(|&cl| c.client_done(cl)) {
-        c.net.run_for(Nanos::from_secs(5));
-    }
-    c.net.run_for(Nanos::from_secs(30));
-
-    let ops_total = clients.len() * OPS_PER_CLIENT;
-    let mut ops_terminated = 0usize;
-    for &client in &clients {
-        ops_terminated += c.client_results(client).iter().filter(|r| r.path != "<sleep>").count();
-    }
-    let mut invariant_checked = 0usize;
-    let mut invariant_violations = 0usize;
-    for addr in c.managers.clone() {
-        let (checked, violations) = c.with_cmsd(addr, |n| n.cache().invariant_violations());
-        invariant_checked += checked;
-        invariant_violations += violations;
-    }
-    StormReport { seed, ops_total, ops_terminated, invariant_checked, invariant_violations }
+    c.soak(ChaosProfile::OverloadStorm, horizon_secs, &clients)
 }
 
 fn main() {
@@ -318,7 +274,11 @@ fn main() {
         let s = run_storm(seed, storm_horizon);
         eprintln!(
             "storm seed {}: ops {}/{} invariants {}/{}",
-            s.seed, s.ops_terminated, s.ops_total, s.invariant_violations, s.invariant_checked,
+            s.seed,
+            s.ops_terminated(),
+            s.results.len() * STORM_OPS_PER_CLIENT,
+            s.invariant.1,
+            s.invariant.0,
         );
         storms.push(s);
     }
@@ -359,7 +319,11 @@ fn main() {
                     "    {{\"seed\": {}, \"ops_total\": {}, \"ops_terminated\": {}, ",
                     "\"invariant_checked\": {}, \"invariant_violations\": {}}}"
                 ),
-                s.seed, s.ops_total, s.ops_terminated, s.invariant_checked, s.invariant_violations,
+                s.seed,
+                s.results.len() * STORM_OPS_PER_CLIENT,
+                s.ops_terminated(),
+                s.invariant.0,
+                s.invariant.1,
             )
         })
         .collect();

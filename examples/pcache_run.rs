@@ -12,18 +12,10 @@
 //! Run with: `cargo run --release --example pcache_run [-- --smoke]`
 
 use scalla::prelude::*;
-use scalla::sim::{metric, ClusterConfig};
+use scalla::sim::{metric, percentile, ClusterConfig};
 
 const BLOCK: u32 = 4 * 1024;
 const FILE_SIZE: u64 = 64 * 1024;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");

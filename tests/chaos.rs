@@ -56,6 +56,56 @@ fn had_long_outage(applied: &[(Nanos, Fault)]) -> bool {
     long
 }
 
+/// Three clients, each scripted to open `OPS_PER_CLIENT` of the files
+/// `/d/f0..n_files`, 3 s apart.
+fn add_clients(c: &mut SimCluster, n_files: usize) -> Vec<Addr> {
+    (0..3usize)
+        .map(|k| {
+            let ops: Vec<ClientOp> = (0..OPS_PER_CLIENT)
+                .flat_map(|j| {
+                    vec![
+                        ClientOp::Open { path: format!("/d/f{}", (j + k) % n_files), write: false },
+                        ClientOp::Sleep { duration: Nanos::from_secs(3) },
+                    ]
+                })
+                .collect();
+            c.add_client_with(|cc| {
+                cc.ops = ops;
+                cc.request_timeout = Nanos::from_secs(2);
+                cc.retry.max_waits = 6;
+                cc.retry.op_deadline = Nanos::from_secs(60);
+            })
+        })
+        .collect()
+}
+
+/// The audit every soak must pass.
+fn assert_soak_ok(report: &SoakReport) {
+    let replay = report.replay();
+    // 1. Every operation terminated — no hangs, no lost clients.
+    assert!(report.all_done, "client script must terminate {replay}");
+    for (k, results) in report.results.iter().enumerate() {
+        assert_eq!(
+            report.ops(k),
+            OPS_PER_CLIENT,
+            "all ops must record a verdict {replay}: {results:?}"
+        );
+    }
+    // 2. Membership reconverged: every fault was healed before the
+    // horizon, so manager-0 must be back at full strength.
+    assert_eq!(report.active, report.full_strength, "membership must reconverge {replay}");
+    // 3. The paper's structural invariant held everywhere.
+    let (checked, violations) = report.invariant;
+    assert_eq!(violations, 0, "V_q ∩ (V_h ∪ V_p) ≠ ∅ in {checked} audited entries {replay}");
+    // 4. Recovery bookkeeping pairs up: every declared death was followed
+    // by a reconnect once the fault cleared.
+    let (dead, reconnected) = (report.peer_dead, report.peer_reconnected);
+    assert_eq!(dead, reconnected, "unpaired recovery events {replay}");
+    if had_long_outage(&report.applied) {
+        assert!(dead >= 1, "a long outage must be detected as peer_dead {replay}");
+    }
+}
+
 /// One full soak: build, fault, converge, audit.
 fn soak(profile: ChaosProfile, seed: u64) {
     let mut cfg = chaos_cfg(seed);
@@ -66,81 +116,15 @@ fn soak(profile: ChaosProfile, seed: u64) {
         cfg.cms_overload = OverloadConfig::with_limit(64);
         cfg.srv_overload = OverloadConfig::with_limit(32);
     }
-    let obs = cfg.obs.clone();
     let mut c = SimCluster::build(cfg);
     for i in 0..N_SERVERS {
         c.seed_file(i, &format!("/d/f{i}"), 1, true);
     }
     c.settle(Nanos::from_secs(2));
-
-    let start = c.net.now() + Nanos::from_secs(1);
-    let horizon = start + Nanos::from_secs(40);
-    let targets = c.servers.clone();
-    let spine = c.managers.clone();
-    let plan = FaultPlan::random(seed, profile, &targets, &spine, start, horizon);
-    let mut sched = ChaosScheduler::with_obs(plan, obs.clone());
-
-    let mut clients = Vec::new();
-    for k in 0..3usize {
-        let ops: Vec<ClientOp> = (0..OPS_PER_CLIENT)
-            .flat_map(|j| {
-                vec![
-                    ClientOp::Open { path: format!("/d/f{}", (j + k) % N_SERVERS), write: false },
-                    ClientOp::Sleep { duration: Nanos::from_secs(3) },
-                ]
-            })
-            .collect();
-        let client = c.add_client_with(|cc| {
-            cc.ops = ops.clone();
-            cc.request_timeout = Nanos::from_secs(2);
-            cc.retry.max_waits = 6;
-            cc.retry.op_deadline = Nanos::from_secs(60);
-        });
-        c.start_node(client);
-        clients.push(client);
-    }
-
-    sched.run(&mut c.net, horizon);
-    assert!(sched.exhausted(), "plan must be fully applied by its horizon");
-
-    // Convergence: run until every client script is done (bounded), then a
-    // quiet window so reconnect traffic settles membership.
-    let replay = format!("[profile={} seed={seed}]", profile.name());
-    let cap = horizon + Nanos::from_secs(900);
-    while c.net.now() < cap && !clients.iter().all(|&cl| c.client_done(cl)) {
-        c.net.run_for(Nanos::from_secs(5));
-    }
-    c.net.run_for(Nanos::from_secs(30));
-
-    // 1. Every operation terminated — no hangs, no lost clients.
-    for &client in &clients {
-        assert!(c.client_done(client), "client script must terminate {replay}");
-        let results = c.client_results(client);
-        let opens = results.iter().filter(|r| r.path != "<sleep>").count();
-        assert_eq!(opens, OPS_PER_CLIENT, "all ops must record a verdict {replay}: {results:?}");
-    }
-
-    // 2. Membership reconverged: every fault was healed before the
-    // horizon, so all servers must be active again.
-    let mgr = c.managers[0];
-    let active = c.with_cmsd(mgr, |n| n.members().active());
-    assert_eq!(active.len(), N_SERVERS as u32, "membership must reconverge {replay}");
-
-    // 3. The paper's structural invariant held everywhere.
-    for addr in c.managers.clone() {
-        let (checked, violations) = c.with_cmsd(addr, |n| n.cache().invariant_violations());
-        assert_eq!(violations, 0, "V_q ∩ (V_h ∪ V_p) ≠ ∅ in {checked} audited entries {replay}");
-    }
-
-    // 4. Recovery bookkeeping pairs up: every declared death was followed
-    // by a reconnect once the fault cleared.
-    let text = obs.registry().prometheus_text();
-    let dead = metric(&text, "scalla_recovery_events_total", "event=\"peer_dead\"");
-    let reconnected = metric(&text, "scalla_recovery_events_total", "event=\"peer_reconnected\"");
-    assert_eq!(dead, reconnected, "unpaired recovery events {replay}\n{text}");
-    if had_long_outage(&sched.applied) {
-        assert!(dead >= 1, "a long outage must be detected as peer_dead {replay}");
-    }
+    let clients = add_clients(&mut c, N_SERVERS);
+    let report = c.soak(profile, 40, &clients);
+    assert_eq!(report.full_strength, N_SERVERS as u32, "{}", report.replay());
+    assert_soak_ok(&report);
 }
 
 #[test]
@@ -171,9 +155,38 @@ fn soak_overload_storm_three_seeds() {
     }
 }
 
-/// The no-fault control run: identical harness, empty plan. Anything other
-/// than a perfect score here means the harness itself (not the injected
-/// chaos) loses messages.
+/// The soak audits every cmsd, not only the managers: on a two-level tree
+/// (8 servers at fanout 4 under two supervisors) the supervisors' entries
+/// are in the audited total, and none breaks the invariant.
+#[test]
+fn soak_audits_the_supervisors_of_a_two_level_tree() {
+    let mut cfg = chaos_cfg(64);
+    cfg.n_servers = 8;
+    cfg.fanout = 4;
+    let mut c = SimCluster::build(cfg);
+    assert_eq!((c.spec.depth(), c.supervisors.len()), (2, 2));
+    for i in 0..8 {
+        c.seed_file(i, &format!("/d/f{i}"), 1, true);
+    }
+    c.settle(Nanos::from_secs(2));
+    let clients = add_clients(&mut c, 8);
+    let report = c.soak(ChaosProfile::CrashRestart, 40, &clients);
+    assert_soak_ok(&report);
+
+    let (managers, supervisors) = (c.managers.clone(), c.supervisors.clone());
+    let mut checked = |addrs: Vec<Addr>| -> usize {
+        addrs.into_iter().map(|a| c.with_cmsd(a, |n| n.cache().invariant_violations().0)).sum()
+    };
+    let at_managers = checked(managers);
+    let at_supervisors = checked(supervisors);
+    let replay = report.replay();
+    assert!(at_supervisors > 0, "the supervisors resolved nothing {replay}");
+    assert_eq!(report.invariant.0, at_managers + at_supervisors, "{replay}");
+}
+
+/// The no-fault control run: the same cluster and clients, no plan.
+/// Anything other than a perfect score here means the harness itself (not
+/// the injected chaos) loses messages.
 #[test]
 fn control_run_without_faults_is_lossless() {
     let cfg = chaos_cfg(9999);
@@ -183,14 +196,12 @@ fn control_run_without_faults_is_lossless() {
         c.seed_file(i, &format!("/d/f{i}"), 1, true);
     }
     c.settle(Nanos::from_secs(2));
-    let mut sched = ChaosScheduler::with_obs(FaultPlan::empty(), obs.clone());
 
     let ops: Vec<ClientOp> =
         (0..N_SERVERS).map(|i| ClientOp::Open { path: format!("/d/f{i}"), write: false }).collect();
     let client = c.add_client(ops, Nanos::ZERO);
     c.start_node(client);
-    let until = c.net.now() + Nanos::from_secs(60);
-    sched.run(&mut c.net, until);
+    c.net.run_for(Nanos::from_secs(60));
 
     let results = c.client_results(client);
     assert_eq!(results.len(), N_SERVERS);

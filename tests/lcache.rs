@@ -210,14 +210,6 @@ fn chaos_soak_with_lcache_passes_invariant_audit() {
     }
     c.settle(Nanos::from_secs(2));
 
-    let start = c.net.now() + Nanos::from_secs(1);
-    let horizon = start + Nanos::from_secs(40);
-    let targets = c.servers.clone();
-    let spine = c.managers.clone();
-    let plan =
-        FaultPlan::random(2024, ChaosProfile::CrashRestart, &targets, &spine, start, horizon);
-    let mut sched = ChaosScheduler::with_obs(plan, obs.clone());
-
     let mut clients = Vec::new();
     for k in 0..3usize {
         let ops: Vec<ClientOp> = (0..10)
@@ -228,32 +220,24 @@ fn chaos_soak_with_lcache_passes_invariant_audit() {
                 ]
             })
             .collect();
-        let client = c.add_client_with(|cc| {
-            cc.ops = ops.clone();
+        clients.push(c.add_client_with(|cc| {
+            cc.ops = ops;
             cc.request_timeout = Nanos::from_secs(2);
             cc.retry.max_waits = 6;
             cc.retry.op_deadline = Nanos::from_secs(60);
-        });
-        c.start_node(client);
-        clients.push(client);
+        }));
     }
 
-    sched.run(&mut c.net, horizon);
-    let cap = horizon + Nanos::from_secs(900);
-    while c.net.now() < cap && !clients.iter().all(|&cl| c.client_done(cl)) {
-        c.net.run_for(Nanos::from_secs(5));
+    let report = c.soak(ChaosProfile::CrashRestart, 40, &clients);
+    let replay = report.replay();
+    assert!(report.all_done, "client script must terminate under chaos {replay}");
+    for k in 0..clients.len() {
+        assert_eq!(report.ops(k), 10, "all ops must record a verdict {replay}");
     }
-    c.net.run_for(Nanos::from_secs(30));
-
-    for &client in &clients {
-        assert!(c.client_done(client), "client script must terminate under chaos");
-        let opens = c.client_results(client).iter().filter(|r| r.path != "<sleep>").count();
-        assert_eq!(opens, 10, "all ops must record a verdict");
-    }
-    for addr in c.managers.clone() {
-        let (checked, violations) = c.with_cmsd(addr, |n| n.cache().invariant_violations());
-        assert_eq!(violations, 0, "V_q ∩ (V_h ∪ V_p) ≠ ∅ in {checked} audited entries");
-    }
+    let (checked, violations) = report.invariant;
+    assert_eq!(violations, 0, "V_q ∩ (V_h ∪ V_p) ≠ ∅ in {checked} audited entries {replay}");
+    let text = obs.registry().prometheus_text();
+    assert_eq!(metric(&text, "scalla_client_stale_served_total", ""), 0, "{replay}");
 }
 
 /// The no-fault control: with leases on and nothing failing, every open

@@ -306,14 +306,6 @@ fn chaos_crash_restart_with_proxy_passes_invariant_audit() {
         }
         c.settle(Nanos::from_secs(2));
 
-        let start = c.net.now() + Nanos::from_secs(1);
-        let horizon = start + Nanos::from_secs(30);
-        let targets = c.servers.clone();
-        let spine = c.managers.clone();
-        let plan =
-            FaultPlan::random(seed, ChaosProfile::CrashRestart, &targets, &spine, start, horizon);
-        let mut sched = ChaosScheduler::new(plan);
-
         let mut clients = Vec::new();
         for k in 0..2usize {
             let ops: Vec<ClientOp> = (0..6)
@@ -324,35 +316,20 @@ fn chaos_crash_restart_with_proxy_passes_invariant_audit() {
                     ]
                 })
                 .collect();
-            let client = c.add_proxy_client(0, ops, Nanos::ZERO);
-            c.start_node(client);
-            clients.push(client);
+            clients.push(c.add_proxy_client(0, ops, Nanos::ZERO));
         }
 
-        sched.run(&mut c.net, horizon);
-        assert!(sched.exhausted(), "plan applied by horizon [seed={seed}]");
-
-        let cap = horizon + Nanos::from_secs(900);
-        while c.net.now() < cap && !clients.iter().all(|&cl| c.client_done(cl)) {
-            c.net.run_for(Nanos::from_secs(5));
-        }
-        c.net.run_for(Nanos::from_secs(30));
-
-        for &client in &clients {
-            assert!(c.client_done(client), "script must terminate [seed={seed}]");
-            let results = c.client_results(client);
-            let opens = results.iter().filter(|r| r.path != "<sleep>").count();
-            assert_eq!(opens, 6, "every op records a verdict [seed={seed}]: {results:?}");
+        let report = c.soak(ChaosProfile::CrashRestart, 30, &clients);
+        let replay = report.replay();
+        assert!(report.all_done, "script must terminate {replay}");
+        for (k, results) in report.results.iter().enumerate() {
+            assert_eq!(report.ops(k), 6, "every op records a verdict {replay}: {results:?}");
         }
 
         // Membership reconverged: N servers plus the proxy.
-        let mgr = c.managers[0];
-        let active = c.with_cmsd(mgr, |n| n.members().active());
-        assert_eq!(active.len(), (N + 1) as u32, "reconvergence [seed={seed}]");
-
-        for addr in c.managers.clone() {
-            let (checked, violations) = c.with_cmsd(addr, |n| n.cache().invariant_violations());
-            assert_eq!(violations, 0, "invariant broke in {checked} entries [seed={seed}]");
-        }
+        assert_eq!(report.full_strength, (N + 1) as u32, "{replay}");
+        assert_eq!(report.active, report.full_strength, "reconvergence {replay}");
+        let (checked, violations) = report.invariant;
+        assert_eq!(violations, 0, "invariant broke in {checked} entries {replay}");
     }
 }
