@@ -6,18 +6,18 @@
 //! scaffolding. This module provides one fault vocabulary, driven against
 //! the discrete-event net:
 //!
-//! * [`FaultPlan`] — a schedule of [`Fault`]s, either hand-written or
-//!   generated from a seed + [`ChaosProfile`]. Equal seeds give equal
-//!   plans; a failing soak prints its seed for exact replay.
 //! * [`SimCluster::soak`] — the one chaos soak every test and bench
-//!   runs: a seeded plan against a simulated cluster while the caller's
-//!   scripted clients keep working, applied at exact virtual instants
-//!   between event executions, the scripts driven home, then a
-//!   [`SoakReport`]: the clients' verdicts, the §III invariant audited at
-//!   every cmsd, membership at full strength or not, the paired
-//!   `peer_dead` / `peer_reconnected` counts, the faults applied, and the
-//!   membership-degraded windows (recovery time). Callers assert on the
-//!   report, or print it; bounds checked after the run attach here.
+//!   runs: a plan of [`Fault`]s generated from the cluster's seed and a
+//!   [`ChaosProfile`] (equal seeds give equal plans) against a simulated
+//!   cluster while the caller's scripted clients keep working, applied at
+//!   exact virtual instants between event executions, the scripts driven
+//!   home, then a [`SoakReport`]: the clients' verdicts, the §III
+//!   invariant audited at every cmsd, membership over every cmsd at full
+//!   strength or not, the paired `peer_dead` / `peer_reconnected` counts,
+//!   the faults applied, and the membership-degraded windows (recovery
+//!   time). Callers assert on the report, or print it, with its
+//!   profile-and-seed replay text; bounds checked after the run attach
+//!   here.
 //! * [`poll_until`] / [`assert_poll`] — the shared deadline-poll helper
 //!   the live-runtime tests use instead of hand-rolled busy-wait loops.
 //!
@@ -103,11 +103,11 @@ impl Fault {
 
 /// A fault scheduled at a virtual-clock instant.
 #[derive(Clone, Copy, Debug)]
-pub struct FaultEvent {
+pub(crate) struct FaultEvent {
     /// When to apply the fault.
-    pub at: Nanos,
+    pub(crate) at: Nanos,
     /// What to apply.
-    pub fault: Fault,
+    pub(crate) fault: Fault,
 }
 
 /// The fault families the seeded generator knows how to compose.
@@ -146,29 +146,26 @@ impl ChaosProfile {
     }
 }
 
+/// The `[profile=.. seed=..]` text that replays a soak.
+fn replay(profile: ChaosProfile, seed: u64) -> String {
+    format!("[profile={} seed={seed}]", profile.name())
+}
+
 /// A seeded, time-sorted schedule of faults. Every disruptive fault the
 /// generator emits is paired with its recovery before the horizon, so a
 /// plan always ends with the cluster nominally whole.
 #[derive(Clone, Debug)]
-pub struct FaultPlan {
-    /// The seed that produced this plan (0 for hand-written plans).
-    pub seed: u64,
+pub(crate) struct FaultPlan {
     /// Events in non-decreasing time order.
-    pub events: Vec<FaultEvent>,
+    events: Vec<FaultEvent>,
 }
 
 impl FaultPlan {
-    /// A hand-written plan; events are sorted by time.
-    pub fn from_events(mut events: Vec<FaultEvent>) -> FaultPlan {
-        events.sort_by_key(|e| e.at);
-        FaultPlan { seed: 0, events }
-    }
-
     /// Generates a seeded plan of `profile` faults against `targets`
     /// (data servers — crash / partition victims) and `spine` (managers /
     /// supervisors — the far end of partitions), with all activity inside
     /// `[start, horizon)` and every fault healed before `horizon`.
-    pub fn random(
+    fn random(
         seed: u64,
         profile: ChaosProfile,
         targets: &[Addr],
@@ -240,7 +237,7 @@ impl FaultPlan {
             }
         }
         events.sort_by_key(|e| e.at);
-        FaultPlan { seed, events }
+        FaultPlan { events }
     }
 }
 
@@ -312,9 +309,10 @@ pub struct SoakReport {
     /// The §III invariant audit summed over every cmsd, managers and
     /// supervisors: `(entries checked, violations)`.
     pub invariant: (usize, usize),
-    /// Manager-0's active members when the plan started.
+    /// Active members summed over every cmsd, managers and supervisors,
+    /// when the plan started.
     pub full_strength: u32,
-    /// Manager-0's active members at the end.
+    /// Active members summed over every cmsd at the end.
     pub active: u32,
     /// `peer_dead` recovery events (0 when the cluster's obs is off).
     pub peer_dead: u64,
@@ -323,15 +321,15 @@ pub struct SoakReport {
     /// Faults applied, with their instants.
     pub applied: Vec<(Nanos, Fault)>,
     /// Membership-degraded windows in ms, ascending: each runs from the
-    /// first slice manager-0 was short of full strength to the first it
-    /// was whole again (detection plus reconnect).
+    /// first slice the cmsds' membership was short of full strength to
+    /// the first it was whole again (detection plus reconnect).
     pub recovery_ms: Vec<f64>,
 }
 
 impl SoakReport {
     /// The `[profile=.. seed=..]` text that replays this run.
     pub fn replay(&self) -> String {
-        format!("[profile={} seed={}]", self.profile.name(), self.seed)
+        replay(self.profile, self.seed)
     }
 
     /// Client `k`'s operations that recorded a verdict, sleeps aside.
@@ -363,9 +361,9 @@ impl SimCluster {
     /// off the servers, with the managers as the far end of a partition,
     /// inside `[now + 1 s, now + 1 s + secs)`, and steps the net in
     /// 250 ms slices until the plan is spent and every script is done
-    /// (at most 900 s past the horizon), timing each window in which
-    /// manager-0 was short of full strength; then runs 30 s quiet and
-    /// audits the cluster.
+    /// (at most 900 s past the horizon), timing each window in which the
+    /// cmsds' membership was short of full strength; then runs 30 s quiet
+    /// and audits every cmsd.
     pub fn soak(&mut self, profile: ChaosProfile, secs: u64, clients: &[Addr]) -> SoakReport {
         let seed = self.config().seed;
         let start = self.net.now() + Nanos::from_secs(1);
@@ -373,8 +371,10 @@ impl SimCluster {
         let plan = FaultPlan::random(seed, profile, &self.servers, &self.managers, start, horizon);
         let obs = self.config().obs.clone();
         let mut sched = ChaosScheduler::new(plan, obs.clone());
-        let mgr = self.managers[0];
-        let active = |c: &mut SimCluster| c.with_cmsd(mgr, |n| n.members().active().len());
+        let cmsds: Vec<Addr> = self.managers.iter().chain(&self.supervisors).copied().collect();
+        let active = |c: &mut SimCluster| -> u32 {
+            cmsds.iter().map(|&a| c.with_cmsd(a, |n| n.members().active().len())).sum()
+        };
         let full_strength = active(self);
         for &client in clients {
             self.start_node(client);
@@ -402,7 +402,7 @@ impl SimCluster {
                 _ => {}
             }
         }
-        let replay = format!("[profile={} seed={seed}]", profile.name());
+        let replay = replay(profile, seed);
         assert!(sched.exhausted(), "plan must be fully applied by its horizon {replay}");
         self.net.run_for(QUIET);
         let active = active(self);
@@ -411,9 +411,8 @@ impl SimCluster {
         }
         recovery_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
-        let cmsds: Vec<Addr> = self.managers.iter().chain(&self.supervisors).copied().collect();
-        let invariant = cmsds.into_iter().fold((0, 0), |(checked, violations), addr| {
-            let (c, v) = self.with_cmsd(addr, |n| n.cache().invariant_violations());
+        let invariant = cmsds.iter().fold((0, 0), |(checked, violations), addr| {
+            let (c, v) = self.with_cmsd(*addr, |n| n.cache().invariant_violations());
             (checked + c, violations + v)
         });
         let (peer_dead, peer_reconnected) = if obs.is_enabled() {
@@ -535,12 +534,14 @@ mod tests {
         let a = net.add_node(Box::new(Idle));
         let b = net.add_node(Box::new(Idle));
         net.start();
-        let plan = FaultPlan::from_events(vec![
-            FaultEvent { at: Nanos::from_millis(10), fault: Fault::Crash(a) },
-            FaultEvent { at: Nanos::from_millis(30), fault: Fault::Restart(a) },
-            FaultEvent { at: Nanos::from_millis(40), fault: Fault::Partition(a, b) },
-            FaultEvent { at: Nanos::from_millis(60), fault: Fault::Heal(a, b) },
-        ]);
+        let plan = FaultPlan {
+            events: vec![
+                FaultEvent { at: Nanos::from_millis(10), fault: Fault::Crash(a) },
+                FaultEvent { at: Nanos::from_millis(30), fault: Fault::Restart(a) },
+                FaultEvent { at: Nanos::from_millis(40), fault: Fault::Partition(a, b) },
+                FaultEvent { at: Nanos::from_millis(60), fault: Fault::Heal(a, b) },
+            ],
+        };
         let obs = Obs::enabled();
         let mut sched = ChaosScheduler::new(plan, obs.clone());
         sched.run(&mut net, Nanos::from_millis(100));
@@ -565,10 +566,15 @@ mod tests {
         let a = net.add_node(Box::new(Idle));
         net.start();
         let extra = Nanos::from_millis(2);
-        let plan = FaultPlan::from_events(vec![
-            FaultEvent { at: Nanos::from_millis(10), fault: Fault::SlowNode { node: a, extra } },
-            FaultEvent { at: Nanos::from_millis(30), fault: Fault::SlowNodeClear { node: a } },
-        ]);
+        let plan = FaultPlan {
+            events: vec![
+                FaultEvent {
+                    at: Nanos::from_millis(10),
+                    fault: Fault::SlowNode { node: a, extra },
+                },
+                FaultEvent { at: Nanos::from_millis(30), fault: Fault::SlowNodeClear { node: a } },
+            ],
+        };
         let mut sched = ChaosScheduler::new(plan, Obs::disabled());
         sched.run(&mut net, Nanos::from_millis(20));
         assert_eq!(net.node_delay(a), extra, "gray failure in force mid-window");

@@ -50,7 +50,7 @@ pub mod tcp;
 pub mod workload;
 
 pub use admin::{metric, scrape};
-pub use chaos::{assert_poll, poll_until, ChaosProfile, Fault, FaultEvent, FaultPlan, SoakReport};
+pub use chaos::{assert_poll, poll_until, ChaosProfile, Fault, SoakReport};
 pub use cluster::{downcast, Cluster, ClusterConfig, SimCluster};
 pub use live::LiveNet;
 pub use metrics::{percentile, summarize, EgressCounters, LatencySummary, NetCounters};

@@ -15,7 +15,10 @@ use scalla::prelude::*;
 use scalla::sim::{percentile, ClusterConfig};
 
 const N_SERVERS: usize = 6;
+const CLIENTS: usize = 3;
 const OPS_PER_CLIENT: usize = 8;
+/// The operations a plan's scripts issue, sleeps aside.
+const OPS_TOTAL: usize = CLIENTS * OPS_PER_CLIENT;
 
 fn run_plan(profile: ChaosProfile, seed: u64, horizon_secs: u64) -> SoakReport {
     let mut cfg = ClusterConfig::flat(N_SERVERS);
@@ -31,7 +34,7 @@ fn run_plan(profile: ChaosProfile, seed: u64, horizon_secs: u64) -> SoakReport {
     c.settle(Nanos::from_secs(2));
 
     let mut clients = Vec::new();
-    for k in 0..3usize {
+    for k in 0..CLIENTS {
         let ops: Vec<ClientOp> = (0..OPS_PER_CLIENT)
             .flat_map(|j| {
                 vec![
@@ -50,11 +53,6 @@ fn run_plan(profile: ChaosProfile, seed: u64, horizon_secs: u64) -> SoakReport {
     c.soak(profile, horizon_secs, &clients)
 }
 
-/// The operations a plan's scripts issue, sleeps aside.
-fn ops_total(report: &SoakReport) -> usize {
-    report.results.len() * OPS_PER_CLIENT
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (seeds, horizon_secs): (&[u64], u64) =
@@ -69,7 +67,7 @@ fn main() {
                  recovery windows {}",
                 report.profile.name(),
                 report.ops_terminated(),
-                ops_total(&report),
+                OPS_TOTAL,
                 report.invariant.1,
                 report.invariant.0,
                 report.peer_dead,
@@ -80,7 +78,7 @@ fn main() {
         }
     }
 
-    let all_terminated = plans.iter().all(|p| p.ops_terminated() == ops_total(p));
+    let all_terminated = plans.iter().all(|p| p.ops_terminated() == OPS_TOTAL);
     let mut all_recovery: Vec<f64> = plans.iter().flat_map(|p| p.recovery_ms.clone()).collect();
     all_recovery.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
@@ -98,7 +96,7 @@ fn main() {
                 ),
                 p.profile.name(),
                 p.seed,
-                ops_total(p),
+                OPS_TOTAL,
                 p.ops_terminated(),
                 p.invariant.0,
                 p.invariant.1,

@@ -193,8 +193,12 @@ fn run_point(ratio: f64, ops_per_client: usize, seed: u64) -> CurvePoint {
     }
 }
 
+/// Scripted clients per storm.
+const STORM_CLIENTS: usize = 3;
 /// Scripted opens per storm client.
 const STORM_OPS_PER_CLIENT: usize = 8;
+/// The opens a storm's scripts issue, sleeps aside.
+const STORM_OPS_TOTAL: usize = STORM_CLIENTS * STORM_OPS_PER_CLIENT;
 
 /// One overload-storm soak with admission armed (the cluster and scripts
 /// of `tests/chaos.rs`, but reported instead of asserted, so the checker
@@ -216,7 +220,7 @@ fn run_storm(seed: u64, horizon_secs: u64) -> SoakReport {
     c.settle(Nanos::from_secs(2));
 
     let mut clients = Vec::new();
-    for k in 0..3usize {
+    for k in 0..STORM_CLIENTS {
         let ops: Vec<ClientOp> = (0..STORM_OPS_PER_CLIENT)
             .flat_map(|j| {
                 vec![
@@ -276,7 +280,7 @@ fn main() {
             "storm seed {}: ops {}/{} invariants {}/{}",
             s.seed,
             s.ops_terminated(),
-            s.results.len() * STORM_OPS_PER_CLIENT,
+            STORM_OPS_TOTAL,
             s.invariant.1,
             s.invariant.0,
         );
@@ -320,7 +324,7 @@ fn main() {
                     "\"invariant_checked\": {}, \"invariant_violations\": {}}}"
                 ),
                 s.seed,
-                s.results.len() * STORM_OPS_PER_CLIENT,
+                STORM_OPS_TOTAL,
                 s.ops_terminated(),
                 s.invariant.0,
                 s.invariant.1,

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use scalla_obs::{Obs, TraceId};
     pub use scalla_pcache::{BlockStore, PcacheConfig, ProxyConfig, ProxyNode};
     pub use scalla_proto::{Addr, ClientMsg, CmsMsg, Msg, ServerMsg};
-    pub use scalla_sim::{ChaosProfile, ClusterConfig, Fault, FaultPlan, SimCluster, SoakReport};
+    pub use scalla_sim::{ChaosProfile, ClusterConfig, Fault, SimCluster, SoakReport};
     pub use scalla_simnet::{LatencyModel, NetCtx, Node, SimNet};
     pub use scalla_util::{Nanos, ServerId, ServerSet};
 }

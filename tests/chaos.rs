@@ -92,7 +92,7 @@ fn assert_soak_ok(report: &SoakReport) {
         );
     }
     // 2. Membership reconverged: every fault was healed before the
-    // horizon, so manager-0 must be back at full strength.
+    // horizon, so every cmsd's membership must be back at full strength.
     assert_eq!(report.active, report.full_strength, "membership must reconverge {replay}");
     // 3. The paper's structural invariant held everywhere.
     let (checked, violations) = report.invariant;
@@ -157,7 +157,9 @@ fn soak_overload_storm_three_seeds() {
 
 /// The soak audits every cmsd, not only the managers: on a two-level tree
 /// (8 servers at fanout 4 under two supervisors) the supervisors' entries
-/// are in the audited total, and none breaks the invariant.
+/// are in the audited total, none breaks the invariant, and the crashed
+/// servers' rejoining at their supervisors is what reconverges membership
+/// and closes the recovery windows.
 #[test]
 fn soak_audits_the_supervisors_of_a_two_level_tree() {
     let mut cfg = chaos_cfg(64);
@@ -182,6 +184,8 @@ fn soak_audits_the_supervisors_of_a_two_level_tree() {
     let replay = report.replay();
     assert!(at_supervisors > 0, "the supervisors resolved nothing {replay}");
     assert_eq!(report.invariant.0, at_managers + at_supervisors, "{replay}");
+    assert_eq!(report.full_strength, 2 + 8, "two supervisors, eight servers {replay}");
+    assert!(!report.recovery_ms.is_empty(), "a server outage opens a recovery window {replay}");
 }
 
 /// The no-fault control run: the same cluster and clients, no plan.
