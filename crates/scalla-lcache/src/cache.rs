@@ -236,20 +236,6 @@ impl LocationCache {
         scalla_obs::bump(&self.stats.inserts);
     }
 
-    /// Notes an epoch observed on a reply without inserting. A newer epoch
-    /// flushes wholesale; used when a lease-less reply still proves the
-    /// membership moved on.
-    pub fn observe_epoch(&self, epoch: u64) {
-        let mut inner = self.inner.lock();
-        if epoch > inner.epoch {
-            if inner.len > 0 {
-                Self::wipe(&mut inner);
-                scalla_obs::bump(&self.stats.epoch_flushes);
-            }
-            inner.epoch = epoch;
-        }
-    }
-
     /// Drops the entry for `path`, if present. Returns whether one died.
     pub fn purge_path(&self, path: &str, reason: PurgeReason) -> bool {
         let hash = fnv64(path);
@@ -265,25 +251,6 @@ impl LocationCache {
             }
         }
         false
-    }
-
-    /// Drops every entry pointing at `host` (a peer died or was avoided).
-    /// Returns how many died.
-    pub fn purge_host(&self, host: &str, reason: PurgeReason) -> usize {
-        let mut inner = self.inner.lock();
-        let Some(&id) = inner.host_ids.get(host) else {
-            return 0;
-        };
-        let mut purged = 0;
-        for e in inner.entries.iter_mut() {
-            if e.hash != 0 && e.host == id {
-                *e = Entry::default();
-                purged += 1;
-            }
-        }
-        inner.len -= purged;
-        self.count_purge(reason, purged as u64);
-        purged
     }
 
     /// Drops everything *and* resets the epoch watermark (manager
@@ -307,9 +274,6 @@ impl LocationCache {
     }
 
     fn count_purge(&self, reason: PurgeReason, n: u64) {
-        if n == 0 {
-            return;
-        }
         match reason {
             PurgeReason::Stale => scalla_obs::add(&self.stats.purges_stale, n),
             PurgeReason::Recovery => scalla_obs::add(&self.stats.purges_recovery, n),
@@ -420,29 +384,17 @@ mod tests {
     }
 
     #[test]
-    fn observe_epoch_flushes_without_insert() {
-        let c = cache();
-        c.insert("/a", "srv-1", 60_000, 1, T0);
-        c.observe_epoch(1); // same epoch: no-op
-        assert_eq!(c.len(), 1);
-        c.observe_epoch(2);
-        assert_eq!(c.len(), 0);
-        assert_eq!(c.epoch(), 2);
-    }
-
-    #[test]
-    fn purge_path_and_host() {
+    fn purge_path_drops_only_that_path() {
         let c = cache();
         c.insert("/a", "srv-1", 60_000, 1, T0);
         c.insert("/b", "srv-1", 60_000, 1, T0);
         c.insert("/c", "srv-2", 60_000, 1, T0);
         assert!(c.purge_path("/a", PurgeReason::Stale));
         assert!(!c.purge_path("/a", PurgeReason::Stale), "second purge finds nothing");
-        assert_eq!(c.purge_host("srv-1", PurgeReason::Recovery), 1);
-        assert_eq!(c.purge_host("srv-9", PurgeReason::Recovery), 0);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.lookup("/b", T0).map(|h| h.host), Some("srv-1".into()), "same host, kept");
         let s = c.stats().snapshot();
-        assert_eq!((s.purges_stale, s.purges_recovery), (1, 1));
+        assert_eq!((s.purges_stale, s.purges_recovery), (1, 0));
     }
 
     #[test]
@@ -477,7 +429,7 @@ mod tests {
         /// exact path at the current epoch, and len() never exceeds
         /// capacity — under arbitrary interleavings of the whole API.
         #[test]
-        fn never_fabricates_locations(ops in proptest::collection::vec((0u8..5, 0u8..8, 0u8..4), 1..200)) {
+        fn never_fabricates_locations(ops in proptest::collection::vec((0u8..4, 0u8..8, 0u8..4), 1..200)) {
             let c = cache();
             let mut now = T0;
             for (op, path_i, host_i) in ops {
@@ -491,7 +443,6 @@ mod tests {
                         }
                     }
                     2 => { c.purge_path(&path, PurgeReason::Stale); }
-                    3 => { c.purge_host(&host, PurgeReason::Recovery); }
                     _ => now += Nanos::from_millis(300),
                 }
                 prop_assert!(c.len() <= c.capacity());

@@ -59,9 +59,6 @@ pub struct CmsdConfig {
     /// Admission-control tuning; disabled by default (the paper's flat
     /// response-queue behaviour).
     pub overload: OverloadConfig,
-    /// Alternate parents to retry login at when a configured parent
-    /// rejects us (its server set is full), in preference order.
-    pub alternates: Vec<Addr>,
     /// Whether client redirects carry a location lease. Off, redirects
     /// encode byte-identically to the pre-lease wire format. A granted
     /// lease tells the client it may open `path` directly against the
@@ -87,7 +84,6 @@ impl CmsdConfig {
             heartbeat: Nanos::from_secs(1),
             offline_after: Nanos::from_secs(3),
             overload: OverloadConfig::disabled(),
-            alternates: Vec::new(),
             leases: false,
             seed: 0,
         }
@@ -176,11 +172,6 @@ impl CmsdNode {
         &self.members
     }
 
-    /// The admission gate (harness/statistics access).
-    pub fn admission(&self) -> &Admission {
-        &self.admission
-    }
-
     /// The configured host name.
     pub fn name(&self) -> &str {
         &self.cfg.name
@@ -257,7 +248,6 @@ impl CmsdNode {
     /// Redirects each waiter a child's answer released to that child.
     fn release(&mut self, ctx: &mut dyn NetCtx, released: Vec<(Waiter, ServerId)>) {
         for (waiter, slot) in released {
-            self.admission.release(waiter.client);
             self.members.note_selected(slot);
             self.redirect(ctx, Addr(waiter.client), slot);
         }
@@ -378,11 +368,6 @@ impl CmsdNode {
             }
             Resolution::Queued => {
                 // Answer arrives via a Have release or the sweep timeout.
-                // The parked waiter holds a response-queue anchor against
-                // the requester's per-peer budget until then.
-                if !from_parent && !silent {
-                    self.admission.hold(requester.0);
-                }
             }
             Resolution::NotFound => {
                 if from_parent || silent {
@@ -502,11 +487,10 @@ impl CmsdNode {
         }
     }
 
-    /// A parent refused our login (its 64-slot server set is full). A
-    /// rejection used to be silently dropped, orphaning the subtree; now
-    /// it is counted and, when an alternate parent is configured, the
-    /// login is retried there so the subtree rejoins the tree elsewhere.
-    fn handle_login_rejected(&mut self, ctx: &mut dyn NetCtx, from: Addr) {
+    /// A parent refused our login (its 64-slot server set is full). The
+    /// rejection is counted and the parent dropped, so heartbeats stop
+    /// reporting to a parent that holds no slot for this node.
+    fn handle_login_rejected(&mut self, from: Addr) {
         if self.obs.is_enabled() {
             self.obs.count(
                 "scalla_cms_login_rejected_total",
@@ -514,25 +498,7 @@ impl CmsdNode {
                 1,
             );
         }
-        if !self.is_parent(from) {
-            return; // Stale rejection from a parent we already abandoned.
-        }
         self.cfg.parents.retain(|&p| p != from);
-        let next = self.cfg.alternates.iter().position(|a| !self.cfg.parents.contains(a));
-        if let Some(idx) = next {
-            let alt = self.cfg.alternates.remove(idx);
-            self.cfg.parents.push(alt);
-            self.recovery_event("login_redirected");
-            ctx.send(
-                alt,
-                CmsMsg::Login {
-                    name: self.cfg.name.clone(),
-                    role: NodeRoleTag::Supervisor,
-                    exports: self.cfg.exports.clone(),
-                }
-                .into(),
-            );
-        }
     }
 
     /// Records a recovery transition as both an incident (flight recorder)
@@ -635,7 +601,7 @@ impl Node for CmsdNode {
                 // parent routes by address.
             }
             Msg::Cms(CmsMsg::LoginRejected { .. }) => {
-                self.handle_login_rejected(ctx, from);
+                self.handle_login_rejected(from);
             }
             Msg::Cms(CmsMsg::Locate { reqid, path, write, .. }) => {
                 self.handle_resolution(ctx, from, reqid, &path, write, false, None);
@@ -694,7 +660,6 @@ impl Node for CmsdNode {
             tokens::SWEEP => {
                 let full = self.cache.config().full_delay;
                 for w in self.cache.sweep() {
-                    self.admission.release(w.client);
                     let millis = if self.admission.is_overloaded() {
                         self.admission.hint_millis(self.cache.busy_anchors())
                     } else {
@@ -801,6 +766,41 @@ mod tests {
             .collect();
         assert_eq!(oks, vec![0, 1]);
         assert_eq!(node.members().active(), ServerSet::first_n(2));
+    }
+
+    /// A parent that rejects the login (its server set is full) is counted
+    /// and dropped: heartbeats go on to the parents that still hold a slot,
+    /// and a repeated rejection from a dropped parent changes nothing.
+    #[test]
+    fn a_rejecting_parent_is_counted_and_dropped() {
+        let (a, b) = (Addr(1), Addr(2));
+        let mut cfg = CmsdConfig::supervisor("sup", a);
+        cfg.parents.push(b);
+        let mut node = CmsdNode::new(cfg, Arc::new(VirtualClock::new()));
+        let obs = Obs::enabled();
+        node.set_obs(obs.clone());
+        let mut ctx = MockCtx::new();
+        let mut reject_then_beat = |from: Addr| {
+            node.on_message(&mut ctx, from, CmsMsg::LoginRejected { reason: "full".into() }.into());
+            node.on_timer(&mut ctx, tokens::HEARTBEAT);
+            let text = obs.registry().prometheus_text();
+            let rejected = text
+                .lines()
+                .find_map(|l| l.strip_prefix("scalla_cms_login_rejected_total{node=\"sup\"} "))
+                .map(|v| v.parse::<u64>().unwrap());
+            let reported: Vec<Addr> = ctx
+                .take_sends()
+                .into_iter()
+                .map(|(to, m)| {
+                    assert!(matches!(m, Msg::Cms(CmsMsg::LoadReport { .. })), "{m:?}");
+                    to
+                })
+                .collect();
+            (rejected, reported)
+        };
+        assert_eq!(reject_then_beat(a), (Some(1), vec![b]));
+        assert_eq!(reject_then_beat(a), (Some(2), vec![b]), "a stale rejection is only counted");
+        assert_eq!(reject_then_beat(b), (Some(3), vec![]));
     }
 
     #[test]

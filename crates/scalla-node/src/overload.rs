@@ -13,8 +13,6 @@
 //! * **hard shed limit** — past the shed watermark, requests are refused
 //!   outright with [`ErrCode::Overloaded`], which the client's
 //!   `RetryPolicy` backs off on;
-//! * **per-peer inflight caps** — one hot client cannot hold every anchor
-//!   or handle; its excess work waits while other peers still admit;
 //! * **fair round-robin drain** — while overloaded, peers that were told
 //!   to wait are admitted strictly in first-deferred-first-served order
 //!   as their retries arrive, so equal peers get equal goodput.
@@ -27,7 +25,7 @@
 //! [`ErrCode::Overloaded`]: scalla_proto::ErrCode::Overloaded
 
 use scalla_util::Nanos;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -52,8 +50,6 @@ pub struct OverloadConfig {
     /// Capacity measure: response-queue anchors for a cmsd, concurrent
     /// open handles for a data server. 0 disables admission control.
     pub limit: usize,
-    /// Per-peer inflight cap (parked waiters / open handles); 0 = none.
-    pub per_peer: usize,
     /// Adaptive `Wait` hint at the shed limit (the ceiling; the paper's
     /// flat full delay is a natural choice).
     pub max_hint: Nanos,
@@ -74,7 +70,7 @@ impl OverloadConfig {
     /// Admission control with capacity `limit` and the fixed watermarks:
     /// overloaded at 75 %, recovered at 50 %, shedding at 100 %.
     pub fn with_limit(limit: usize) -> OverloadConfig {
-        OverloadConfig { limit, per_peer: 0, max_hint: Nanos::from_secs(5) }
+        OverloadConfig { limit, max_hint: Nanos::from_secs(5) }
     }
 
     /// Whether admission control is active.
@@ -126,8 +122,6 @@ pub struct Admission {
     cfg: OverloadConfig,
     stats: Arc<AdmissionStats>,
     overloaded: bool,
-    /// Per-peer admitted-but-unfinished work (parked waiters / handles).
-    inflight: HashMap<u64, usize>,
     /// Peers told to wait while overloaded, oldest first, each with the
     /// deadline past which it forfeits its turn.
     deferred: VecDeque<(u64, Nanos)>,
@@ -140,7 +134,6 @@ impl Admission {
             cfg,
             stats: Arc::new(AdmissionStats::default()),
             overloaded: false,
-            inflight: HashMap::new(),
             deferred: VecDeque::new(),
         }
     }
@@ -161,16 +154,6 @@ impl Admission {
         self.overloaded
     }
 
-    /// A peer's admitted-but-unfinished request count.
-    pub fn inflight(&self, peer: u64) -> usize {
-        self.inflight.get(&peer).copied().unwrap_or(0)
-    }
-
-    /// Total admitted-but-unfinished requests across peers.
-    pub fn total_inflight(&self) -> usize {
-        self.inflight.values().sum()
-    }
-
     /// The adaptive `Wait` hint for the given occupancy: linear from
     /// [`BASE_HINT`] at the low watermark to `max_hint` at the shed limit,
     /// clamped to that range. Milliseconds, never 0.
@@ -185,9 +168,8 @@ impl Admission {
     }
 
     /// Decides the fate of one request from `peer` given the node's
-    /// current `occupancy`. Pure admission: the caller must pair every
-    /// capacity-holding admit with [`Admission::hold`] /
-    /// [`Admission::release`] so the per-peer ledger stays truthful.
+    /// current `occupancy`. Pure admission: the caller counts what an
+    /// admit holds (parked waiters, open handles) in the next occupancy.
     pub fn check(&mut self, peer: u64, occupancy: usize, now: Nanos) -> Verdict {
         if !self.cfg.is_enabled() {
             self.stats.admitted.fetch_add(1, Ordering::Relaxed);
@@ -210,11 +192,6 @@ impl Admission {
         if occ100 >= limit * SHED_PCT {
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
             return Verdict::Shed;
-        }
-        // Per-peer cap holds in every state: a hot client queues behind
-        // itself, never behind the cluster.
-        if self.cfg.per_peer > 0 && self.inflight(peer) >= self.cfg.per_peer {
-            return self.wait(occupancy);
         }
         if self.overloaded {
             // Dead peers forfeit their turn: deadlines refresh on every
@@ -255,25 +232,6 @@ impl Admission {
     fn wait(&self, occupancy: usize) -> Verdict {
         self.stats.waited.fetch_add(1, Ordering::Relaxed);
         Verdict::Wait { hint_millis: self.hint_millis(occupancy) }
-    }
-
-    /// Records that an admitted request from `peer` now holds capacity
-    /// (a parked waiter, an open handle).
-    pub fn hold(&mut self, peer: u64) {
-        if self.cfg.is_enabled() {
-            *self.inflight.entry(peer).or_insert(0) += 1;
-        }
-    }
-
-    /// Releases one unit of capacity held by `peer`. Unknown peers are a
-    /// no-op (e.g. a parent's waiter that was never held).
-    pub fn release(&mut self, peer: u64) {
-        if let Some(n) = self.inflight.get_mut(&peer) {
-            *n -= 1;
-            if *n == 0 {
-                self.inflight.remove(&peer);
-            }
-        }
     }
 }
 
@@ -348,21 +306,6 @@ mod tests {
         // Ceiling at/above the shed limit.
         assert_eq!(at(100), a.config().max_hint.as_millis());
         assert_eq!(at(400), a.config().max_hint.as_millis());
-    }
-
-    #[test]
-    fn per_peer_cap_defers_only_the_hot_peer() {
-        let mut c = cfg(100);
-        c.per_peer = 2;
-        let mut a = Admission::new(c);
-        a.hold(7);
-        a.hold(7);
-        assert!(matches!(a.check(7, 10, Nanos::ZERO), Verdict::Wait { .. }), "hot peer capped");
-        assert_eq!(a.check(8, 10, Nanos::ZERO), Verdict::Admit, "cold peer unaffected");
-        a.release(7);
-        assert_eq!(a.check(7, 10, Nanos::ZERO), Verdict::Admit, "released below cap");
-        assert_eq!(a.inflight(7), 1);
-        assert_eq!(a.total_inflight(), 1);
     }
 
     #[test]

@@ -37,6 +37,10 @@ pub mod tokens {
     pub const STAGING_BASE: u64 = 1 << 32;
 }
 
+/// Disk capacity of every server's [`LocalFs`], in bytes: 1 TiB, more
+/// than any workload here writes.
+const DISK_CAPACITY: u64 = 1 << 40;
+
 /// How a server announces itself to its parent at startup.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum JoinStyle {
@@ -56,8 +60,6 @@ pub struct ServerConfig {
     pub parents: Vec<Addr>,
     /// Exported path prefixes (declared at login — never a file list, §V).
     pub exports: Vec<String>,
-    /// Disk capacity in bytes.
-    pub capacity: u64,
     /// Time to bring an MSS-resident file online ("typically on the order
     /// of minutes", §III-B2; shorter in experiments).
     pub staging_delay: Nanos,
@@ -80,7 +82,6 @@ impl ServerConfig {
             name: name.into(),
             parents: vec![parent],
             exports: vec!["/".to_string()],
-            capacity: 1 << 40,
             staging_delay: Nanos::from_mins(2),
             heartbeat: Nanos::from_secs(1),
             join: JoinStyle::default(),
@@ -94,9 +95,8 @@ impl ServerConfig {
 pub struct ServerNode {
     cfg: ServerConfig,
     fs: LocalFs,
-    /// Each open handle's path and the client holding it, whose
-    /// admission budget the handle's close releases.
-    handles: HashMap<u64, (String, Addr)>,
+    /// Each open handle's path.
+    handles: HashMap<u64, String>,
     next_handle: u64,
     staging: HashMap<u64, String>,
     next_staging: u64,
@@ -107,7 +107,7 @@ pub struct ServerNode {
 impl ServerNode {
     /// Creates a server with an empty store.
     pub fn new(cfg: ServerConfig) -> ServerNode {
-        let fs = LocalFs::new(cfg.capacity);
+        let fs = LocalFs::new(DISK_CAPACITY);
         let admission = Admission::new(cfg.overload);
         ServerNode {
             cfg,
@@ -130,11 +130,6 @@ impl ServerNode {
         self.obs = obs;
     }
 
-    /// The admission gate (harness/statistics access).
-    pub fn admission(&self) -> &Admission {
-        &self.admission
-    }
-
     /// The local store (harness seeding / inspection).
     pub fn fs_mut(&mut self) -> &mut LocalFs {
         &mut self.fs
@@ -153,7 +148,7 @@ impl ServerNode {
     /// Path behind an open handle (used by layers — e.g. Qserv — that
     /// build services on top of the file abstraction).
     pub fn handle_path(&self, handle: u64) -> Option<&str> {
-        self.handles.get(&handle).map(|(path, _)| path.as_str())
+        self.handles.get(&handle).map(String::as_str)
     }
 
     /// Deletes a file and notifies the CNS (if configured). Returns
@@ -181,13 +176,12 @@ impl ServerNode {
         ctx.set_timer(self.cfg.staging_delay, tokens::STAGING_BASE + k);
     }
 
-    /// Opens a handle on `path` for `from`, holding one unit of its
-    /// admission budget until the handle's close.
+    /// Opens a handle on `path` for `from`; it counts toward admission
+    /// occupancy until its close.
     fn grant(&mut self, ctx: &mut dyn NetCtx, from: Addr, path: String) {
         let h = self.next_handle;
         self.next_handle += 1;
-        self.handles.insert(h, (path, from));
-        self.admission.hold(from.0);
+        self.handles.insert(h, path);
         ctx.send(from, ServerMsg::OpenOk { handle: h }.into());
     }
 
@@ -346,7 +340,7 @@ impl Node for ServerNode {
             }
             Msg::Client(ClientMsg::Read { handle, offset, len }) => {
                 let reply = match self.handles.get(&handle) {
-                    Some((path, _)) => match self.fs.read(path, offset, len) {
+                    Some(path) => match self.fs.read(path, offset, len) {
                         Some(data) => ServerMsg::Data { data },
                         None => ServerMsg::Error {
                             code: ErrCode::IoError,
@@ -362,7 +356,7 @@ impl Node for ServerNode {
             }
             Msg::Client(ClientMsg::Write { handle, offset, data }) => {
                 let reply = match self.handles.get(&handle) {
-                    Some((path, _)) => match self.fs.write(path, offset, &data) {
+                    Some(path) => match self.fs.write(path, offset, &data) {
                         Some(len) => ServerMsg::WriteOk { len },
                         None => ServerMsg::Error {
                             code: ErrCode::IoError,
@@ -377,9 +371,7 @@ impl Node for ServerNode {
                 ctx.send(from, reply.into());
             }
             Msg::Client(ClientMsg::Close { handle }) => {
-                if let Some((_, owner)) = self.handles.remove(&handle) {
-                    self.admission.release(owner.0);
-                }
+                self.handles.remove(&handle);
                 ctx.send(from, ServerMsg::CloseOk.into());
             }
             Msg::Client(ClientMsg::Stat { path }) => {
@@ -558,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn close_releases_the_openers_admission_hold() {
+    fn an_open_refused_at_the_limit_is_admitted_after_the_close() {
         let mut cfg = ServerConfig::new("srv-a", Addr(0));
         cfg.overload = OverloadConfig::with_limit(1);
         let mut s = ServerNode::new(cfg);
@@ -573,7 +565,6 @@ mod tests {
             Msg::Server(ServerMsg::OpenOk { handle }) => *handle,
             other => panic!("{other:?}"),
         };
-        assert_eq!(s.admission().inflight(first.0), 1);
 
         s.on_message(&mut ctx, second, open.clone());
         assert!(
@@ -588,7 +579,6 @@ mod tests {
 
         s.on_message(&mut ctx, first, ClientMsg::Close { handle }.into());
         assert!(matches!(&ctx.take_sends()[0].1, Msg::Server(ServerMsg::CloseOk)));
-        assert_eq!(s.admission().inflight(first.0), 0, "the close released the hold");
         s.on_message(&mut ctx, second, open);
         match &ctx.take_sends()[0].1 {
             Msg::Server(ServerMsg::OpenOk { handle }) => {

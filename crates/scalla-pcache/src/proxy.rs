@@ -108,12 +108,6 @@ pub struct ProxyConfig {
     pub heartbeat: Nanos,
     /// Refresh-recovery attempts per file before giving up (§III-C1).
     pub max_refreshes: u32,
-    /// Brownout window entered when the origin sheds a request at its
-    /// admission limit: for this long the proxy keeps serving fully
-    /// cached (possibly stale — counted) files but defers origin-needing
-    /// opens with a `Wait` instead of piling onto the saturated origin.
-    /// `Nanos::ZERO` disables brownout.
-    pub brownout: Nanos,
     /// Edge location cache for origin resolution. When set, leased
     /// redirects from the origin redirector are remembered and later
     /// cache-miss resolves open directly against the cached origin
@@ -134,7 +128,6 @@ impl ProxyConfig {
             cache: PcacheConfig::default(),
             heartbeat: Nanos::from_secs(1),
             max_refreshes: 3,
-            brownout: Nanos::ZERO,
             lcache: None,
         }
     }
@@ -232,9 +225,6 @@ struct ProxyMetrics {
     advertised: Arc<Counter>,
     stale_replies: Arc<Counter>,
     window_stalls: Arc<Counter>,
-    brownout_enters: Arc<Counter>,
-    brownout_stale: Arc<Counter>,
-    brownout_miss: Arc<Counter>,
     direct_hit: Arc<Counter>,
     direct_fallback: Arc<Counter>,
 }
@@ -255,8 +245,6 @@ pub struct ProxyNode {
     next_gen: u64,
     /// The origin redirectors, rotated on a redirector timeout.
     resolver: Resolver,
-    /// Brownout mode (origin saturated) is active until this instant.
-    brownout_until: Nanos,
     obs: Obs,
     m: Option<ProxyMetrics>,
 }
@@ -282,7 +270,6 @@ impl ProxyNode {
             parked: HashMap::new(),
             next_gen: 0,
             resolver,
-            brownout_until: Nanos::ZERO,
             obs: Obs::disabled(),
             m: None,
         }
@@ -309,16 +296,6 @@ impl ProxyNode {
                 advertised: reg.counter("scalla_pcache_advertised_files_total", &[("proxy", n)]),
                 stale_replies: reg.counter("scalla_pcache_stale_replies_total", &[("proxy", n)]),
                 window_stalls: reg.counter("scalla_pcache_window_stalls_total", &[("proxy", n)]),
-                brownout_enters: reg
-                    .counter("scalla_pcache_brownout_total", &[("proxy", n), ("event", "enter")]),
-                brownout_stale: reg.counter(
-                    "scalla_pcache_brownout_total",
-                    &[("proxy", n), ("event", "stale_serve")],
-                ),
-                brownout_miss: reg.counter(
-                    "scalla_pcache_brownout_total",
-                    &[("proxy", n), ("event", "miss_wait")],
-                ),
                 direct_hit: reg.counter(
                     "scalla_pcache_direct_open_total",
                     &[("proxy", n), ("outcome", "hit")],
@@ -349,30 +326,6 @@ impl ProxyNode {
     /// Whether `path` has been advertised upward as fully cached.
     pub fn is_advertised(&self, path: &str) -> bool {
         self.files.get(path).is_some_and(|f| f.advertised)
-    }
-
-    /// Whether brownout mode (origin saturated) is active at `now`.
-    pub fn in_brownout(&self, now: Nanos) -> bool {
-        now < self.brownout_until
-    }
-
-    /// The origin shed one of our requests at its admission limit: stop
-    /// adding load for a while. Cached files keep being served (counted
-    /// stale), origin-needing opens get a `Wait` until the window passes.
-    fn enter_brownout(&mut self, now: Nanos) {
-        if self.cfg.brownout.0 == 0 {
-            return;
-        }
-        if !self.in_brownout(now) {
-            if let Some(m) = &self.m {
-                m.brownout_enters.inc();
-            }
-            if self.obs.is_enabled() {
-                self.obs.incident("pcache_brownout");
-            }
-        }
-        // Saturation signals while already browned out extend the window.
-        self.brownout_until = now + self.cfg.brownout;
     }
 
     // ---- origin-side send window -------------------------------------
@@ -446,33 +399,13 @@ impl ProxyNode {
             ctx.send(from, reply.into());
             return;
         }
-        let now = ctx.now();
-        let browned = self.in_brownout(now);
         let file = self.files.entry(path.clone()).or_default();
         if file.size.is_some() {
             file.open_handles += 1;
             let h = self.next_handle;
             self.next_handle += 1;
             self.handles.insert(h, path.into());
-            // Graceful degradation: during brownout the cached copy is
-            // served without origin re-validation — possibly stale, and
-            // counted as such.
-            if browned {
-                if let Some(m) = &self.m {
-                    m.brownout_stale.inc();
-                }
-            }
             ctx.send(from, ServerMsg::OpenOk { handle: h }.into());
-            return;
-        }
-        if browned && file.phase == OriginPhase::Idle {
-            // Origin-needing open while the origin is saturated: defer the
-            // client for the rest of the window rather than pile on.
-            if let Some(m) = &self.m {
-                m.brownout_miss.inc();
-            }
-            let millis = self.brownout_until.since(now).as_millis().max(1);
-            ctx.send(from, ServerMsg::Wait { millis }.into());
             return;
         }
         file.open_waiters.push(from);
@@ -998,14 +931,11 @@ impl ProxyNode {
                 self.fill_done(ctx, &req.path, first, count, data);
             }
             (_, ServerMsg::Wait { millis }) => self.park_retry(ctx, req, millis),
-            (_, ServerMsg::Error { code: ErrCode::Retry, .. }) => self.park_retry(ctx, req, 50),
-            (_, ServerMsg::Error { code: ErrCode::Overloaded, .. }) => {
-                // Explicit shed: the node is protecting itself, not
-                // reporting a broken file. Enter brownout and retry this
-                // leg after the window — no refresh/avoid recovery.
-                self.enter_brownout(ctx.now());
-                let millis = self.cfg.brownout.as_millis().max(50);
-                self.park_retry(ctx, req, millis);
+            // An explicit shed (`Overloaded`) is the node protecting
+            // itself, not reporting a broken file: retry the leg, with no
+            // refresh/avoid recovery.
+            (_, ServerMsg::Error { code: ErrCode::Retry | ErrCode::Overloaded, .. }) => {
+                self.park_retry(ctx, req, 50)
             }
             (ReqKind::CloseOrigin, _) => {}
             (_, ServerMsg::Error { code, .. }) => {
@@ -1121,9 +1051,9 @@ impl Node for ProxyNode {
         if token == tokens::HEARTBEAT {
             let load = self.handles.len() as u32;
             let free = self.cfg.cache.capacity.saturating_sub(self.store.used_bytes());
-            let overloaded = self.in_brownout(ctx.now());
             for &parent in &self.cfg.parents {
-                ctx.send(parent, CmsMsg::LoadReport { load, free_bytes: free, overloaded }.into());
+                let report = CmsMsg::LoadReport { load, free_bytes: free, overloaded: false };
+                ctx.send(parent, report.into());
             }
             ctx.set_timer(self.cfg.heartbeat, tokens::HEARTBEAT);
         } else if token >= tokens::RETRY_BASE {
@@ -1743,98 +1673,52 @@ mod tests {
         ));
     }
 
-    fn brownout_proxy() -> ProxyNode {
-        let dir = Arc::new(Directory::new());
-        dir.register("mgr-0", MGR);
-        dir.register("srv-0", SRV);
-        let mut cfg = ProxyConfig::new("pxy-0", MGR, dir);
-        cfg.cache.block_size = 1024;
-        cfg.cache.prefetch = 0;
-        cfg.brownout = Nanos::from_secs(2);
-        ProxyNode::new(cfg)
-    }
-
-    /// An origin shed triggers brownout: the shed request is parked for a
-    /// retry (not refresh/avoid recovery), fully-cached files keep being
-    /// served, and origin-needing opens get a Wait until the window ends.
+    /// An origin shed (`Overloaded`) is the origin protecting itself, not
+    /// a broken file: the leg is parked and retried unchanged, with no
+    /// refresh or avoid recovery, and cached files keep being served.
     #[test]
-    fn origin_shed_enters_brownout_serves_cached_defers_misses() {
-        let mut p = brownout_proxy();
+    fn an_origin_shed_is_parked_and_retried_without_recovery() {
+        let mut p = proxy(1024);
         let mut ctx = MockCtx::new();
-        // Warm one file before the origin melts down.
-        resolve(&mut p, &mut ctx, "/d/warm", 100);
+        // Cache one file in full before the origin sheds.
+        let h = resolve(&mut p, &mut ctx, "/d/warm", 1024);
+        p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 1024 }.into());
+        p.on_message(&mut ctx, SRV, data(vec![1u8; 1024]));
+        p.on_message(&mut ctx, SRV, Msg::Server(ServerMsg::CloseOk));
+        assert!(p.is_advertised("/d/warm"));
         ctx.take_sends();
 
-        // A cold open hits the saturated origin, which sheds it.
         p.on_message(&mut ctx, CLIENT, open("/d/cold", false));
-        ctx.take_sends();
+        let resolve_open = ctx.take_sends();
+        assert!(
+            matches!(&resolve_open[..], [(a, Msg::Client(ClientMsg::Open { refresh: false, avoid: None, .. }))]
+                if *a == MGR),
+            "{resolve_open:?}"
+        );
         ctx.timers.clear();
         p.on_message(
             &mut ctx,
             MGR,
             Msg::Server(ServerMsg::Error { code: ErrCode::Overloaded, detail: "shed".into() }),
         );
-        assert!(p.in_brownout(ctx.now()), "overloaded shed must start brownout");
-        assert!(ctx.take_sends().is_empty(), "no refresh/avoid recovery on shed");
-        assert!(!ctx.timers.is_empty(), "the shed resolve must be parked for retry");
+        assert!(ctx.take_sends().is_empty(), "no refresh/avoid recovery on a shed");
+        let retry = match &ctx.timers[..] {
+            [(delay, token)] if *token >= tokens::RETRY_BASE => {
+                assert_eq!(*delay, Nanos::from_millis(50));
+                *token
+            }
+            other => panic!("one retry timer, got {other:?}"),
+        };
 
-        // The warm file is still served — straight from cache, no origin.
+        p.on_timer(&mut ctx, retry);
+        assert_eq!(ctx.take_sends(), resolve_open, "the same open goes back to the manager");
+
         p.on_message(&mut ctx, CLIENT2, open("/d/warm", false));
         let sends = ctx.take_sends();
         assert!(
-            matches!(&sends[0], (a, Msg::Server(ServerMsg::OpenOk { .. })) if *a == CLIENT2),
+            matches!(&sends[..], [(a, Msg::Server(ServerMsg::OpenOk { .. }))] if *a == CLIENT2),
             "{sends:?}"
         );
-
-        // A brand-new file would need the origin: the client is told to wait.
-        p.on_message(&mut ctx, CLIENT2, open("/d/other", false));
-        let sends = ctx.take_sends();
-        assert_eq!(sends.len(), 1, "{sends:?}");
-        assert!(
-            matches!(&sends[0], (a, Msg::Server(ServerMsg::Wait { millis })) if *a == CLIENT2 && *millis >= 1),
-            "{sends:?}"
-        );
-    }
-
-    #[test]
-    fn brownout_expires_and_resolves_resume() {
-        let mut p = brownout_proxy();
-        let mut ctx = MockCtx::new();
-        p.on_message(&mut ctx, CLIENT, open("/d/cold", false));
-        ctx.take_sends();
-        p.on_message(
-            &mut ctx,
-            MGR,
-            Msg::Server(ServerMsg::Error { code: ErrCode::Overloaded, detail: "shed".into() }),
-        );
-        ctx.take_sends();
-        assert!(p.in_brownout(ctx.now()));
-
-        // Once the window passes, new files resolve against the origin again.
-        ctx.now += Nanos::from_secs(3);
-        assert!(!p.in_brownout(ctx.now()));
-        p.on_message(&mut ctx, CLIENT2, open("/d/fresh", false));
-        let sends = ctx.take_sends();
-        assert!(
-            matches!(&sends[0], (a, Msg::Client(ClientMsg::Open { .. })) if *a == MGR),
-            "{sends:?}"
-        );
-    }
-
-    /// With brownout disabled (the default), an origin shed is parked and
-    /// retried but never flips the proxy into brownout mode.
-    #[test]
-    fn brownout_disabled_by_default() {
-        let mut p = proxy(1024);
-        let mut ctx = MockCtx::new();
-        p.on_message(&mut ctx, CLIENT, open("/d/cold", false));
-        ctx.take_sends();
-        p.on_message(
-            &mut ctx,
-            MGR,
-            Msg::Server(ServerMsg::Error { code: ErrCode::Overloaded, detail: "shed".into() }),
-        );
-        assert!(!p.in_brownout(ctx.now()));
     }
 
     // ---- edge location cache ------------------------------------------

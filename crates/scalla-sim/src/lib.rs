@@ -26,8 +26,8 @@
 //!   via [`NetCounters`](metrics::NetCounters).
 //! * [`workload`] — synthetic workload generators shaped like the paper's
 //!   motivating load: BaBar/ROOT analysis jobs performing "several
-//!   meta-data operations on dozens of files per job" (§II-A), bulk
-//!   transfers, and create-heavy production.
+//!   meta-data operations on dozens of files per job" (§II-A) and bulk
+//!   transfers.
 //! * [`metrics`] — aggregation of client records into latency
 //!   distributions for the experiment tables.
 //! * [`admin`] — a per-net admin endpoint (one listener thread) serving

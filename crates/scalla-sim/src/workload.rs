@@ -7,7 +7,6 @@
 //! with that shape; the catalog and placement helpers distribute the files
 //! across servers with configurable replication.
 
-use bytes::Bytes;
 use scalla_client::ClientOp;
 use scalla_util::{Nanos, SplitMix64};
 
@@ -65,16 +64,6 @@ pub fn bulk_transfer_job(paths: &[String]) -> Vec<ClientOp> {
         ops.push(ClientOp::OpenRead { path: p.clone(), len: 1 << 16 });
     }
     ops
-}
-
-/// Generates a production job creating `n` output files.
-pub fn production_job(prefix: &str, n: usize, payload: usize) -> Vec<ClientOp> {
-    (0..n)
-        .map(|i| ClientOp::Create {
-            path: format!("{prefix}/output-{i:05}.root"),
-            data: Bytes::from(vec![7u8; payload]),
-        })
-        .collect()
 }
 
 /// Placement plan: which server(s) host each catalog file.
@@ -163,14 +152,6 @@ mod tests {
         let ops = bulk_transfer_job(&paths);
         assert!(matches!(&ops[0], ClientOp::Prepare { paths } if paths.len() == 2));
         assert_eq!(ops.len(), 3);
-    }
-
-    #[test]
-    fn production_job_creates_n() {
-        let ops = production_job("/out", 4, 128);
-        assert_eq!(ops.len(), 4);
-        assert!(matches!(&ops[0], ClientOp::Create { path, data }
-            if path == "/out/output-00000.root" && data.len() == 128));
     }
 }
 

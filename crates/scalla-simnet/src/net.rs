@@ -392,11 +392,6 @@ impl SimNet {
         }
     }
 
-    /// Whether `addr` is currently down.
-    pub fn is_down(&self, addr: Addr) -> bool {
-        self.down.contains(&addr)
-    }
-
     /// Injects a message from an external source (e.g. a test harness)
     /// with normal latency applied.
     pub fn inject(&mut self, from: Addr, to: Addr, msg: Msg) {

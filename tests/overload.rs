@@ -1,6 +1,6 @@
 //! Overload protection end-to-end: admission control at the cmsd and the
 //! data servers, adaptive Wait hints, explicit shedding, and the
-//! conservation property that makes brownout safe — every submitted op
+//! conservation property that makes shedding safe — every submitted op
 //! terminates as exactly one of completed / waited-then-completed /
 //! shed-with-error. No silent drops, ever.
 
