@@ -17,8 +17,9 @@
 //! *no negative response*: a server that does not have the file stays
 //! silent, and silence past the deadline is the negative answer.
 //!
-//! [`wire`] provides a compact hand-rolled binary codec so messages can
-//! cross real sockets; the in-process runtimes pass the enums directly.
+//! [`wire`] provides a compact binary codec, declared as one table line per
+//! message variant, so messages can cross real sockets; the in-process
+//! runtimes pass the enums directly.
 
 pub mod msg;
 pub mod pool;
@@ -29,7 +30,4 @@ pub use msg::{
     ServerMsg, NO_CLIENT,
 };
 pub use pool::BufferPool;
-pub use wire::{
-    decode_msg, decode_msg_traced, encode_frame, encode_frame_traced, encode_msg,
-    encode_msg_traced, FrameDecoder, WireError, TRACE_ENVELOPE_TAG,
-};
+pub use wire::{encode_frame, encode_frame_traced, encode_msg, FrameDecoder, WireError};

@@ -1,29 +1,39 @@
 //! Compact binary wire codec.
 //!
-//! A small hand-rolled format: one tag byte per enum variant, little-endian
+//! A small format: one tag byte per enum variant, little-endian
 //! fixed-width integers, and u32-length-prefixed strings/byte blobs. It is
 //! deliberately free of reflection and allocation beyond the payloads
 //! themselves — the cmsd hot path encodes a `Locate`/`Have` in a handful of
 //! stores.
 //!
 //! The in-process runtimes bypass this codec (they move the enums); it
-//! exists so the protocol can cross real sockets and so the message set has
-//! an explicit, tested serialized form.
+//! exists so the protocol can cross real sockets.
+//!
+//! ## One table per message family
+//!
+//! Each field type implements the private `Wire` trait once, and each
+//! family is one `wire_enum!` table: one line per variant, its tag byte
+//! then its fields in wire order, from which both the encoder and the
+//! decoder are generated. Adding a message or a field is one table line. A
+//! tag is never reused: a retired variant's number stays retired, so an old
+//! frame never decodes as a different message. `Redirect` is the one
+//! variant written by hand, as its lease picks its tag.
 //!
 //! ## Trace envelope (version negotiation)
 //!
 //! A frame may optionally be wrapped in a *trace envelope*: tag byte
-//! [`TRACE_ENVELOPE_TAG`], a `u64` little-endian trace id, then the plain
-//! encoded message. The envelope is negotiated by construction rather than
-//! by handshake: decoders accept both enveloped and plain frames (so an
-//! instrumented node interoperates with an uninstrumented one), and a zero
-//! trace id encodes as a plain frame (so untraced traffic is byte-identical
-//! to the pre-envelope format). Nested envelopes are rejected.
+//! `0x40`, a `u64` little-endian trace id, then the plain encoded message.
+//! The envelope is negotiated by construction rather than by handshake:
+//! decoders accept both enveloped and plain frames (so an instrumented node
+//! interoperates with an uninstrumented one), and a zero trace id encodes
+//! as a plain frame (so untraced traffic is byte-identical to the
+//! pre-envelope format). Nested envelopes are rejected.
 
 use crate::msg::{
     ClientMsg, CmsMsg, ErrCode, HistDelta, Lease, MonMsg, MonSpan, Msg, NodeRoleTag, ServerMsg,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::borrow::Cow;
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,518 +64,315 @@ impl std::error::Error for WireError {}
 /// Upper bound on any length-prefixed field (paths, payloads): 64 MiB.
 const MAX_FIELD: u64 = 64 << 20;
 
-/// Top-level tag marking a trace envelope: `[0x40][u64 trace_id][message]`.
-/// Distinct from the message-family tags (0x10/0x20/0x30) so plain frames
-/// still decode.
-pub const TRACE_ENVELOPE_TAG: u8 = 0x40;
+/// Top-level tag of a trace envelope: `[0x40][u64 trace_id][message]`.
+const TRACE_ENVELOPE_TAG: u8 = 0x40;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// A field type's wire form: `put` appends it, `get` reads it back.
+trait Wire: Sized {
+    fn put(&self, buf: &mut BytesMut);
+    fn get(buf: &mut impl Buf) -> Result<Self, WireError>;
 }
 
-fn put_bytes(buf: &mut BytesMut, b: &Bytes) {
+fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
+    (buf.remaining() >= n).then_some(()).ok_or(WireError::Truncated)
+}
+
+/// Appends a `u32` length prefix and the bytes it counts.
+fn put_prefixed(buf: &mut BytesMut, b: &[u8]) {
     buf.put_u32_le(b.len() as u32);
     buf.put_slice(b);
 }
 
-fn put_opt_str(buf: &mut BytesMut, s: &Option<String>) {
-    match s {
-        None => buf.put_u8(0),
-        Some(s) => {
-            buf.put_u8(1);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn put_strs(buf: &mut BytesMut, v: &[String]) {
-    buf.put_u32_le(v.len() as u32);
-    for s in v {
-        put_str(buf, s);
-    }
-}
-
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-fn get_u8(buf: &mut impl Buf) -> Result<u8, WireError> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut impl Buf) -> Result<u32, WireError> {
-    need(buf, 4)?;
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut impl Buf) -> Result<u64, WireError> {
-    need(buf, 8)?;
-    Ok(buf.get_u64_le())
-}
-
+/// Reads a `u32` length prefix, bounded by [`MAX_FIELD`].
 fn get_len(buf: &mut impl Buf) -> Result<usize, WireError> {
-    let n = get_u32(buf)? as u64;
+    let n = u64::from(u32::get(buf)?);
     if n > MAX_FIELD {
         return Err(WireError::BadLength(n));
     }
     Ok(n as usize)
 }
 
-fn get_str(buf: &mut impl Buf) -> Result<String, WireError> {
-    let n = get_len(buf)?;
-    need(buf, n)?;
-    let mut v = vec![0u8; n];
-    buf.copy_to_slice(&mut v);
-    String::from_utf8(v).map_err(|_| WireError::BadUtf8)
+macro_rules! wire_int {
+    ($($t:ty: $put:ident, $get:ident;)+) => {$(
+        impl Wire for $t {
+            fn put(&self, buf: &mut BytesMut) {
+                buf.$put(*self);
+            }
+            fn get(buf: &mut impl Buf) -> Result<Self, WireError> {
+                need(buf, std::mem::size_of::<$t>())?;
+                Ok(buf.$get())
+            }
+        }
+    )+};
 }
 
-fn get_bytes(buf: &mut impl Buf) -> Result<Bytes, WireError> {
-    let n = get_len(buf)?;
-    need(buf, n)?;
-    Ok(buf.copy_to_bytes(n))
+wire_int! {
+    u8: put_u8, get_u8;
+    u32: put_u32_le, get_u32_le;
+    u64: put_u64_le, get_u64_le;
 }
 
-fn get_opt_str(buf: &mut impl Buf) -> Result<Option<String>, WireError> {
-    match get_u8(buf)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_str(buf)?)),
-        t => Err(WireError::BadTag(t)),
+impl Wire for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self as u8);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, WireError> {
+        Ok(u8::get(buf)? != 0)
     }
 }
 
-fn get_strs(buf: &mut impl Buf) -> Result<Vec<String>, WireError> {
-    let n = get_len(buf)?;
-    let mut v = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        v.push(get_str(buf)?);
+impl Wire for String {
+    fn put(&self, buf: &mut BytesMut) {
+        put_prefixed(buf, self.as_bytes());
     }
-    Ok(v)
+    fn get(buf: &mut impl Buf) -> Result<Self, WireError> {
+        let n = get_len(buf)?;
+        need(buf, n)?;
+        let mut v = vec![0u8; n];
+        buf.copy_to_slice(&mut v);
+        String::from_utf8(v).map_err(|_| WireError::BadUtf8)
+    }
 }
 
-fn get_bool(buf: &mut impl Buf) -> Result<bool, WireError> {
-    Ok(get_u8(buf)? != 0)
+/// Borrowed labels encode as strings; decoding yields the owned form.
+impl Wire for Cow<'static, str> {
+    fn put(&self, buf: &mut BytesMut) {
+        put_prefixed(buf, self.as_bytes());
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, WireError> {
+        String::get(buf).map(Cow::Owned)
+    }
+}
+
+impl Wire for Bytes {
+    fn put(&self, buf: &mut BytesMut) {
+        put_prefixed(buf, self);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, WireError> {
+        let n = get_len(buf)?;
+        need(buf, n)?;
+        Ok(buf.copy_to_bytes(n))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        self.is_some().put(buf);
+        if let Some(x) = self {
+            x.put(buf);
+        }
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, WireError> {
+        match u8::get(buf)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(buf)?)),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.len() as u32);
+        for x in self {
+            x.put(buf);
+        }
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, WireError> {
+        let n = get_len(buf)?;
+        // A length is only a claim until its elements arrive.
+        let mut v = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            v.push(T::get(buf)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, WireError> {
+        Ok((A::get(buf)?, B::get(buf)?))
+    }
+}
+
+/// Declares a struct's wire form: its fields, in wire order.
+macro_rules! wire_struct {
+    ($($name:ident { $($field:ident),+ })+) => {$(
+        impl Wire for $name {
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$field.put(buf);)+
+            }
+            fn get(buf: &mut impl Buf) -> Result<Self, WireError> {
+                Ok($name { $($field: Wire::get(buf)?),+ })
+            }
+        }
+    )+};
+}
+
+wire_struct! {
+    Lease { ttl_millis, epoch }
+    HistDelta { key, buckets, count, sum, min, max }
+    MonSpan { trace, stage, verdict, depth, t_ns, elapsed_ns }
+}
+
+/// Declares an enum's wire form: one line per variant, its tag byte then
+/// its fields in wire order (a tuple variant's one field in parentheses).
+/// A variant whose tag depends on a field's value is written by hand in a
+/// leading `put` arm and one `get` arm per tag, which name the buffer `$buf`.
+macro_rules! wire_enum {
+    (
+        $name:ident($buf:ident) {
+            $(put $pp:pat => $pe:expr;)?
+            $(get $gt:literal => $ge:expr;)*
+            $($tag:literal => $variant:ident $(($inner:ident))? $({ $($field:ident),* })?,)+
+        }
+    ) => {
+        impl Wire for $name {
+            fn put(&self, $buf: &mut BytesMut) {
+                match self {
+                    $($pp => $pe,)?
+                    $($name::$variant $(($inner))? $({ $($field),* })? => {
+                        $buf.put_u8($tag);
+                        $($inner.put($buf);)?
+                        $($($field.put($buf);)*)?
+                    })+
+                }
+            }
+            fn get($buf: &mut impl Buf) -> Result<Self, WireError> {
+                Ok(match u8::get($buf)? {
+                    $($gt => $ge,)*
+                    $($tag => {
+                        $(let $inner = Wire::get($buf)?;)?
+                        $($(let $field = Wire::get($buf)?;)*)?
+                        $name::$variant $(($inner))? $({ $($field),* })?
+                    })+
+                    t => return Err(WireError::BadTag(t)),
+                })
+            }
+        }
+    };
+}
+
+wire_enum! {
+    Msg(buf) {
+        0x10 => Client(m),
+        0x20 => Server(m),
+        0x30 => Cms(m),
+        0x50 => Mon(m),
+    }
+}
+
+wire_enum! {
+    ClientMsg(buf) {
+        0 => Open { path, write, refresh, avoid },
+        1 => Read { handle, offset, len },
+        2 => Write { handle, offset, data },
+        3 => Close { handle },
+        4 => Stat { path },
+        5 => Prepare { paths },
+        6 => List { dir },
+    }
+}
+
+wire_enum! {
+    ServerMsg(buf) {
+        // A lease-less Redirect keeps the original tag and layout, so a
+        // pre-lease decoder reads it unchanged (the same negotiation by
+        // construction as the trace envelope); a leased one takes tag 10.
+        put ServerMsg::Redirect { host, lease } => {
+            buf.put_u8(if lease.is_some() { 10 } else { 0 });
+            host.put(buf);
+            if let Some(l) = lease { l.put(buf) }
+        };
+        get 0 => ServerMsg::Redirect { host: Wire::get(buf)?, lease: None };
+        get 10 => ServerMsg::Redirect { host: Wire::get(buf)?, lease: Some(Wire::get(buf)?) };
+        1 => Wait { millis },
+        2 => OpenOk { handle },
+        3 => Data { data },
+        4 => WriteOk { len },
+        5 => CloseOk,
+        6 => StatOk { size, online },
+        7 => PrepareOk,
+        8 => Error { code, detail },
+        9 => ListOk { entries },
+    }
+}
+
+wire_enum! {
+    CmsMsg(buf) {
+        0 => Login { name, role, exports },
+        1 => LoginOk { slot },
+        2 => LoginRejected { reason },
+        3 => Locate { reqid, path, hash, write },
+        4 => Have { reqid, path, hash, staging },
+        5 => LoadReport { load, free_bytes, overloaded },
+        6 => Manifest { name, files },
+        7 => NsEvent { created, path },
+    }
+}
+
+wire_enum! {
+    MonMsg(buf) {
+        0 => Summary { node, role, seq, full, counters, gauges, hists },
+        1 => Spans { node, spans },
+        2 => Resync { since_seq },
+    }
+}
+
+wire_enum! {
+    ErrCode(buf) {
+        0 => NotFound,
+        1 => NoEligibleServer,
+        2 => BadRequest,
+        3 => IoError,
+        4 => Retry,
+        5 => Overloaded,
+    }
+}
+
+wire_enum! {
+    NodeRoleTag(buf) {
+        0 => Supervisor,
+        1 => Server,
+        2 => Proxy,
+    }
 }
 
 /// Encodes a message, appending to `buf`.
-///
-/// ```
-/// use bytes::BytesMut;
-/// use scalla_proto::{decode_msg, encode_msg, CmsMsg, Msg};
-///
-/// let msg: Msg = CmsMsg::Locate { reqid: 7, path: "/f".into(), hash: 9, write: false }.into();
-/// let mut buf = BytesMut::new();
-/// encode_msg(&msg, &mut buf);
-/// let mut bytes = buf.freeze();
-/// assert_eq!(decode_msg(&mut bytes).unwrap(), msg);
-/// ```
 pub fn encode_msg(msg: &Msg, buf: &mut BytesMut) {
-    match msg {
-        Msg::Client(m) => {
-            buf.put_u8(0x10);
-            encode_client(m, buf);
-        }
-        Msg::Server(m) => {
-            buf.put_u8(0x20);
-            encode_server(m, buf);
-        }
-        Msg::Cms(m) => {
-            buf.put_u8(0x30);
-            encode_cms(m, buf);
-        }
-        Msg::Mon(m) => {
-            buf.put_u8(0x50);
-            encode_mon(m, buf);
-        }
-    }
-}
-
-fn encode_client(m: &ClientMsg, buf: &mut BytesMut) {
-    match m {
-        ClientMsg::Open { path, write, refresh, avoid } => {
-            buf.put_u8(0);
-            put_str(buf, path);
-            buf.put_u8(*write as u8);
-            buf.put_u8(*refresh as u8);
-            put_opt_str(buf, avoid);
-        }
-        ClientMsg::Read { handle, offset, len } => {
-            buf.put_u8(1);
-            buf.put_u64_le(*handle);
-            buf.put_u64_le(*offset);
-            buf.put_u32_le(*len);
-        }
-        ClientMsg::Write { handle, offset, data } => {
-            buf.put_u8(2);
-            buf.put_u64_le(*handle);
-            buf.put_u64_le(*offset);
-            put_bytes(buf, data);
-        }
-        ClientMsg::Close { handle } => {
-            buf.put_u8(3);
-            buf.put_u64_le(*handle);
-        }
-        ClientMsg::Stat { path } => {
-            buf.put_u8(4);
-            put_str(buf, path);
-        }
-        ClientMsg::Prepare { paths } => {
-            buf.put_u8(5);
-            put_strs(buf, paths);
-        }
-        ClientMsg::List { dir } => {
-            buf.put_u8(6);
-            put_str(buf, dir);
-        }
-    }
-}
-
-fn encode_server(m: &ServerMsg, buf: &mut BytesMut) {
-    match m {
-        ServerMsg::Redirect { host, lease } => match lease {
-            // Lease-less redirects keep the original tag and layout, so a
-            // pre-lease decoder reads them unchanged (the same negotiation-
-            // by-construction as the trace envelope).
-            None => {
-                buf.put_u8(0);
-                put_str(buf, host);
-            }
-            Some(l) => {
-                buf.put_u8(10);
-                put_str(buf, host);
-                buf.put_u64_le(l.ttl_millis);
-                buf.put_u64_le(l.epoch);
-            }
-        },
-        ServerMsg::Wait { millis } => {
-            buf.put_u8(1);
-            buf.put_u64_le(*millis);
-        }
-        ServerMsg::OpenOk { handle } => {
-            buf.put_u8(2);
-            buf.put_u64_le(*handle);
-        }
-        ServerMsg::Data { data } => {
-            buf.put_u8(3);
-            put_bytes(buf, data);
-        }
-        ServerMsg::WriteOk { len } => {
-            buf.put_u8(4);
-            buf.put_u32_le(*len);
-        }
-        ServerMsg::CloseOk => buf.put_u8(5),
-        ServerMsg::StatOk { size, online } => {
-            buf.put_u8(6);
-            buf.put_u64_le(*size);
-            buf.put_u8(*online as u8);
-        }
-        ServerMsg::PrepareOk => buf.put_u8(7),
-        ServerMsg::ListOk { entries } => {
-            buf.put_u8(9);
-            put_strs(buf, entries);
-        }
-        ServerMsg::Error { code, detail } => {
-            buf.put_u8(8);
-            buf.put_u8(*code as u8);
-            put_str(buf, detail);
-        }
-    }
-}
-
-fn encode_cms(m: &CmsMsg, buf: &mut BytesMut) {
-    match m {
-        CmsMsg::Login { name, role, exports } => {
-            buf.put_u8(0);
-            put_str(buf, name);
-            buf.put_u8(match role {
-                NodeRoleTag::Supervisor => 0,
-                NodeRoleTag::Server => 1,
-                NodeRoleTag::Proxy => 2,
-            });
-            put_strs(buf, exports);
-        }
-        CmsMsg::LoginOk { slot } => {
-            buf.put_u8(1);
-            buf.put_u8(*slot);
-        }
-        CmsMsg::LoginRejected { reason } => {
-            buf.put_u8(2);
-            put_str(buf, reason);
-        }
-        CmsMsg::Locate { reqid, path, hash, write } => {
-            buf.put_u8(3);
-            buf.put_u64_le(*reqid);
-            put_str(buf, path);
-            buf.put_u32_le(*hash);
-            buf.put_u8(*write as u8);
-        }
-        CmsMsg::Have { reqid, path, hash, staging } => {
-            buf.put_u8(4);
-            buf.put_u64_le(*reqid);
-            put_str(buf, path);
-            buf.put_u32_le(*hash);
-            buf.put_u8(*staging as u8);
-        }
-        CmsMsg::Manifest { name, files } => {
-            buf.put_u8(6);
-            put_str(buf, name);
-            put_strs(buf, files);
-        }
-        CmsMsg::NsEvent { created, path } => {
-            buf.put_u8(7);
-            buf.put_u8(*created as u8);
-            put_str(buf, path);
-        }
-        CmsMsg::LoadReport { load, free_bytes, overloaded } => {
-            buf.put_u8(5);
-            buf.put_u32_le(*load);
-            buf.put_u64_le(*free_bytes);
-            buf.put_u8(*overloaded as u8);
-        }
-    }
-}
-
-fn put_kvs(buf: &mut BytesMut, v: &[(String, u64)]) {
-    buf.put_u32_le(v.len() as u32);
-    for (k, n) in v {
-        put_str(buf, k);
-        buf.put_u64_le(*n);
-    }
-}
-
-fn get_kvs(buf: &mut impl Buf) -> Result<Vec<(String, u64)>, WireError> {
-    let n = get_len(buf)?;
-    let mut v = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let k = get_str(buf)?;
-        v.push((k, get_u64(buf)?));
-    }
-    Ok(v)
-}
-
-fn encode_mon(m: &MonMsg, buf: &mut BytesMut) {
-    match m {
-        MonMsg::Summary { node, role, seq, full, counters, gauges, hists } => {
-            buf.put_u8(0);
-            put_str(buf, node);
-            put_str(buf, role);
-            buf.put_u64_le(*seq);
-            buf.put_u8(*full as u8);
-            put_kvs(buf, counters);
-            put_kvs(buf, gauges);
-            buf.put_u32_le(hists.len() as u32);
-            for h in hists {
-                put_str(buf, &h.key);
-                buf.put_u32_le(h.buckets.len() as u32);
-                for (i, n) in &h.buckets {
-                    buf.put_u32_le(*i);
-                    buf.put_u64_le(*n);
-                }
-                buf.put_u64_le(h.count);
-                buf.put_u64_le(h.sum);
-                buf.put_u64_le(h.min);
-                buf.put_u64_le(h.max);
-            }
-        }
-        MonMsg::Spans { node, spans } => {
-            buf.put_u8(1);
-            put_str(buf, node);
-            buf.put_u32_le(spans.len() as u32);
-            for s in spans {
-                buf.put_u64_le(s.trace);
-                put_str(buf, &s.stage);
-                put_str(buf, &s.verdict);
-                buf.put_u64_le(s.depth);
-                buf.put_u64_le(s.t_ns);
-                buf.put_u64_le(s.elapsed_ns);
-            }
-        }
-        MonMsg::Resync { since_seq } => {
-            buf.put_u8(2);
-            buf.put_u64_le(*since_seq);
-        }
-    }
-}
-
-fn decode_mon(buf: &mut impl Buf) -> Result<MonMsg, WireError> {
-    Ok(match get_u8(buf)? {
-        0 => {
-            let node = get_str(buf)?;
-            let role = get_str(buf)?;
-            let seq = get_u64(buf)?;
-            let full = get_bool(buf)?;
-            let counters = get_kvs(buf)?;
-            let gauges = get_kvs(buf)?;
-            let nh = get_len(buf)?;
-            let mut hists = Vec::with_capacity(nh.min(1024));
-            for _ in 0..nh {
-                let key = get_str(buf)?;
-                let nb = get_len(buf)?;
-                let mut buckets = Vec::with_capacity(nb.min(1024));
-                for _ in 0..nb {
-                    let i = get_u32(buf)?;
-                    buckets.push((i, get_u64(buf)?));
-                }
-                hists.push(HistDelta {
-                    key,
-                    buckets,
-                    count: get_u64(buf)?,
-                    sum: get_u64(buf)?,
-                    min: get_u64(buf)?,
-                    max: get_u64(buf)?,
-                });
-            }
-            MonMsg::Summary { node, role, seq, full, counters, gauges, hists }
-        }
-        1 => {
-            let node = get_str(buf)?;
-            let n = get_len(buf)?;
-            let mut spans = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                spans.push(MonSpan {
-                    trace: get_u64(buf)?,
-                    stage: get_str(buf)?.into(),
-                    verdict: get_str(buf)?.into(),
-                    depth: get_u64(buf)?,
-                    t_ns: get_u64(buf)?,
-                    elapsed_ns: get_u64(buf)?,
-                });
-            }
-            MonMsg::Spans { node, spans }
-        }
-        2 => MonMsg::Resync { since_seq: get_u64(buf)? },
-        t => return Err(WireError::BadTag(t)),
-    })
+    msg.put(buf);
 }
 
 /// Encodes a message wrapped in a trace envelope. A zero `trace` id encodes
 /// as a plain message — byte-identical to [`encode_msg`] — so untraced
 /// traffic pays nothing and stays decodable by pre-envelope peers.
-pub fn encode_msg_traced(msg: &Msg, trace: u64, buf: &mut BytesMut) {
+fn encode_msg_traced(msg: &Msg, trace: u64, buf: &mut BytesMut) {
     if trace != 0 {
         buf.put_u8(TRACE_ENVELOPE_TAG);
         buf.put_u64_le(trace);
     }
-    encode_msg(msg, buf);
+    msg.put(buf);
 }
 
-/// Decodes one message from `buf`, consuming exactly its bytes. Accepts
-/// both plain and trace-enveloped messages (the trace id is discarded —
-/// use [`decode_msg_traced`] to keep it).
-pub fn decode_msg(buf: &mut impl Buf) -> Result<Msg, WireError> {
+/// [`decode_msg_traced`] without the trace id.
+#[cfg(test)]
+fn decode_msg(buf: &mut impl Buf) -> Result<Msg, WireError> {
     decode_msg_traced(buf).map(|(_, msg)| msg)
 }
 
 /// Decodes one message plus its trace id (0 when the frame was plain).
-pub fn decode_msg_traced(buf: &mut impl Buf) -> Result<(u64, Msg), WireError> {
-    let mut tag = get_u8(buf)?;
-    let mut trace = 0u64;
-    if tag == TRACE_ENVELOPE_TAG {
-        trace = get_u64(buf)?;
-        // Exactly one envelope: the next tag must open a message family.
-        tag = get_u8(buf)?;
+fn decode_msg_traced(buf: &mut impl Buf) -> Result<(u64, Msg), WireError> {
+    let mut trace = 0;
+    if buf.chunk().first() == Some(&TRACE_ENVELOPE_TAG) {
+        buf.advance(1);
+        // Exactly one envelope: the tag after it must open a message family.
+        trace = u64::get(buf)?;
     }
-    let msg = match tag {
-        0x10 => decode_client(buf).map(Msg::Client)?,
-        0x20 => decode_server(buf).map(Msg::Server)?,
-        0x30 => decode_cms(buf).map(Msg::Cms)?,
-        0x50 => decode_mon(buf).map(Msg::Mon)?,
-        t => return Err(WireError::BadTag(t)),
-    };
-    Ok((trace, msg))
-}
-
-fn decode_client(buf: &mut impl Buf) -> Result<ClientMsg, WireError> {
-    Ok(match get_u8(buf)? {
-        0 => ClientMsg::Open {
-            path: get_str(buf)?,
-            write: get_bool(buf)?,
-            refresh: get_bool(buf)?,
-            avoid: get_opt_str(buf)?,
-        },
-        1 => ClientMsg::Read { handle: get_u64(buf)?, offset: get_u64(buf)?, len: get_u32(buf)? },
-        2 => {
-            ClientMsg::Write { handle: get_u64(buf)?, offset: get_u64(buf)?, data: get_bytes(buf)? }
-        }
-        3 => ClientMsg::Close { handle: get_u64(buf)? },
-        4 => ClientMsg::Stat { path: get_str(buf)? },
-        5 => ClientMsg::Prepare { paths: get_strs(buf)? },
-        6 => ClientMsg::List { dir: get_str(buf)? },
-        t => return Err(WireError::BadTag(t)),
-    })
-}
-
-fn decode_server(buf: &mut impl Buf) -> Result<ServerMsg, WireError> {
-    Ok(match get_u8(buf)? {
-        0 => ServerMsg::Redirect { host: get_str(buf)?, lease: None },
-        10 => ServerMsg::Redirect {
-            host: get_str(buf)?,
-            lease: Some(Lease { ttl_millis: get_u64(buf)?, epoch: get_u64(buf)? }),
-        },
-        1 => ServerMsg::Wait { millis: get_u64(buf)? },
-        2 => ServerMsg::OpenOk { handle: get_u64(buf)? },
-        3 => ServerMsg::Data { data: get_bytes(buf)? },
-        4 => ServerMsg::WriteOk { len: get_u32(buf)? },
-        5 => ServerMsg::CloseOk,
-        6 => ServerMsg::StatOk { size: get_u64(buf)?, online: get_bool(buf)? },
-        7 => ServerMsg::PrepareOk,
-        9 => ServerMsg::ListOk { entries: get_strs(buf)? },
-        8 => ServerMsg::Error {
-            code: match get_u8(buf)? {
-                0 => ErrCode::NotFound,
-                1 => ErrCode::NoEligibleServer,
-                2 => ErrCode::BadRequest,
-                3 => ErrCode::IoError,
-                4 => ErrCode::Retry,
-                5 => ErrCode::Overloaded,
-                t => return Err(WireError::BadTag(t)),
-            },
-            detail: get_str(buf)?,
-        },
-        t => return Err(WireError::BadTag(t)),
-    })
-}
-
-fn decode_cms(buf: &mut impl Buf) -> Result<CmsMsg, WireError> {
-    Ok(match get_u8(buf)? {
-        0 => CmsMsg::Login {
-            name: get_str(buf)?,
-            role: match get_u8(buf)? {
-                0 => NodeRoleTag::Supervisor,
-                1 => NodeRoleTag::Server,
-                2 => NodeRoleTag::Proxy,
-                t => return Err(WireError::BadTag(t)),
-            },
-            exports: get_strs(buf)?,
-        },
-        1 => CmsMsg::LoginOk { slot: get_u8(buf)? },
-        2 => CmsMsg::LoginRejected { reason: get_str(buf)? },
-        3 => CmsMsg::Locate {
-            reqid: get_u64(buf)?,
-            path: get_str(buf)?,
-            hash: get_u32(buf)?,
-            write: get_bool(buf)?,
-        },
-        4 => CmsMsg::Have {
-            reqid: get_u64(buf)?,
-            path: get_str(buf)?,
-            hash: get_u32(buf)?,
-            staging: get_bool(buf)?,
-        },
-        5 => CmsMsg::LoadReport {
-            load: get_u32(buf)?,
-            free_bytes: get_u64(buf)?,
-            overloaded: get_bool(buf)?,
-        },
-        6 => CmsMsg::Manifest { name: get_str(buf)?, files: get_strs(buf)? },
-        7 => CmsMsg::NsEvent { created: get_bool(buf)?, path: get_str(buf)? },
-        t => return Err(WireError::BadTag(t)),
-    })
+    Ok((trace, Msg::get(buf)?))
 }
 
 #[cfg(test)]
@@ -930,6 +737,20 @@ pub fn encode_frame_traced(msg: &Msg, trace: u64, buf: &mut BytesMut) {
 /// step (at most 1 MiB past what is buffered); a frame that is
 /// everything buffered is handed to the decoded message without a copy,
 /// and one followed by more bytes is copied out once.
+///
+/// ```
+/// use bytes::BytesMut;
+/// use scalla_proto::{encode_frame, CmsMsg, FrameDecoder, Msg};
+///
+/// let msg: Msg = CmsMsg::Locate { reqid: 7, path: "/f".into(), hash: 9, write: false }.into();
+/// let mut wire = BytesMut::new();
+/// encode_frame(&msg, &mut wire);
+/// let mut dec = FrameDecoder::new();
+/// dec.feed(&wire[..3]);
+/// assert_eq!(dec.next().unwrap(), None);
+/// dec.feed(&wire[3..]);
+/// assert_eq!(dec.next().unwrap(), Some(msg));
+/// ```
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: BytesMut,
