@@ -109,10 +109,21 @@ impl LoginOutcome {
 }
 
 /// The 64-slot membership table of one cmsd.
+///
+/// Beside the slots it keeps three 64-bit vectors, one bit per slot: the
+/// active members, the offline ones and the overloaded ones. Every change
+/// to a slot's state or overload flag ends by re-deriving that slot's three
+/// bits, so [`Membership::active`], [`Membership::offline`] (read on every
+/// resolution) and [`Membership::overloaded`] (read on every selection) are
+/// one load each, not a scan of 64 slots, and the silence and drop sweeps
+/// visit only the members they can touch.
 pub struct Membership {
     slots: Vec<Slot>,
     config: MembershipConfig,
     exports: ExportTable,
+    active: ServerSet,
+    offline: ServerSet,
+    overloaded: ServerSet,
 }
 
 impl Membership {
@@ -122,6 +133,31 @@ impl Membership {
             slots: (0..MAX_SERVERS).map(|_| Slot::default()).collect(),
             config,
             exports: ExportTable::new(),
+            active: ServerSet::EMPTY,
+            offline: ServerSet::EMPTY,
+            overloaded: ServerSet::EMPTY,
+        }
+    }
+
+    /// Re-derives slot `id`'s bits in the three member sets from the slot.
+    fn sync(&mut self, id: ServerId) {
+        let slot = &self.slots[id as usize];
+        let (active, offline) = match slot.state {
+            SlotState::Empty => (false, false),
+            SlotState::Active => (true, false),
+            SlotState::Offline { .. } => (false, true),
+        };
+        let overloaded = (active || offline) && slot.meta.overloaded;
+        for (set, on) in [
+            (&mut self.active, active),
+            (&mut self.offline, offline),
+            (&mut self.overloaded, overloaded),
+        ] {
+            if on {
+                set.insert(id);
+            } else {
+                set.remove(id);
+            }
         }
     }
 
@@ -137,22 +173,12 @@ impl Membership {
 
     /// Servers currently active (connected).
     pub fn active(&self) -> ServerSet {
-        self.collect(|s| matches!(s.state, SlotState::Active))
+        self.active
     }
 
     /// Servers disconnected but not yet dropped.
     pub fn offline(&self) -> ServerSet {
-        self.collect(|s| matches!(s.state, SlotState::Offline { .. }))
-    }
-
-    fn collect(&self, f: impl Fn(&Slot) -> bool) -> ServerSet {
-        let mut set = ServerSet::EMPTY;
-        for (i, s) in self.slots.iter().enumerate() {
-            if f(s) {
-                set.insert(i as ServerId);
-            }
-        }
-        set
+        self.offline
     }
 
     /// The member named `name`, if any.
@@ -179,7 +205,7 @@ impl Membership {
     }
 
     fn free_slot(&self) -> Option<ServerId> {
-        self.slots.iter().position(|s| matches!(s.state, SlotState::Empty)).map(|i| i as ServerId)
+        (!(self.active | self.offline)).first()
     }
 
     /// Handles a server login at `now`, which counts as hearing from it.
@@ -218,6 +244,7 @@ impl Membership {
         let slot = &mut self.slots[id as usize];
         slot.state = SlotState::Active;
         slot.heard = now;
+        self.sync(id);
         outcome
     }
 
@@ -238,6 +265,7 @@ impl Membership {
         if matches!(slot.state, SlotState::Active) {
             slot.state = SlotState::Offline { since: now };
         }
+        self.sync(id);
     }
 
     /// Records traffic from member `id` at `now`. An offline member is
@@ -252,14 +280,18 @@ impl Membership {
             slot.heard = now;
             slot.state = SlotState::Active;
         }
+        self.sync(id);
         revived
     }
 
     /// Marks offline (case 1) every active member not heard from for
     /// longer than `after`, and returns the set it marked.
     pub fn check_silent(&mut self, now: Nanos, after: Nanos) -> ServerSet {
-        let silent =
-            self.collect(|s| matches!(s.state, SlotState::Active) && now.since(s.heard) > after);
+        let silent: ServerSet = self
+            .active
+            .into_iter()
+            .filter(|&id| now.since(self.slots[id as usize].heard) > after)
+            .collect();
         for id in silent {
             self.disconnect(id, now);
         }
@@ -272,12 +304,18 @@ impl Membership {
     /// and role.
     pub fn check_drops(&mut self, now: Nanos) -> ServerSet {
         let limit = self.config.drop_after;
-        let dropped = self.collect(
-            |s| matches!(s.state, SlotState::Offline { since } if now.since(since) > limit),
-        );
+        let dropped: ServerSet = self
+            .offline
+            .into_iter()
+            .filter(|&id| {
+                matches!(self.slots[id as usize].state,
+                    SlotState::Offline { since } if now.since(since) > limit)
+            })
+            .collect();
         for id in dropped {
             self.exports.remove_server(id);
             self.slots[id as usize] = Slot::default();
+            self.sync(id);
         }
         dropped
     }
@@ -288,12 +326,13 @@ impl Membership {
         slot.meta.load = load;
         slot.meta.free_bytes = free_bytes;
         slot.meta.overloaded = overloaded;
+        self.sync(id);
     }
 
     /// Servers currently advertising overload — used by selection to steer
     /// work away while any non-overloaded candidate remains.
     pub fn overloaded(&self) -> ServerSet {
-        self.collect(|s| !matches!(s.state, SlotState::Empty) && s.meta.overloaded)
+        self.overloaded
     }
 
     /// Counts a selection against `id` (selection-frequency policy input).
@@ -315,6 +354,77 @@ impl Membership {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle: the set of slots satisfying `f`, by a scan of all 64.
+    fn scan(m: &Membership, f: impl Fn(&Slot) -> bool) -> ServerSet {
+        (0..MAX_SERVERS as ServerId).filter(|&id| f(&m.slots[id as usize])).collect()
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Login(u8, bool),
+        Bind(ServerId, u8, bool),
+        Disconnect(ServerId),
+        Heard(ServerId),
+        CheckSilent(u8),
+        CheckDrops,
+        ReportLoad(ServerId, bool),
+        Advance(u8),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // A few more names than slots the sequence can fill, so logins,
+        // reconnects and slot reuse all happen; ids reach past the members.
+        prop_oneof![
+            4 => (0u8..10, any::<bool>()).prop_map(|(n, v)| Op::Login(n, v)),
+            1 => (0u8..12, 0u8..4, any::<bool>()).prop_map(|(id, a, p)| Op::Bind(id, a, p)),
+            2 => (0u8..12).prop_map(Op::Disconnect),
+            2 => (0u8..12).prop_map(Op::Heard),
+            1 => (1u8..40).prop_map(Op::CheckSilent),
+            1 => Just(Op::CheckDrops),
+            3 => (0u8..12, any::<bool>()).prop_map(|(id, o)| Op::ReportLoad(id, o)),
+            2 => (1u8..50).prop_map(Op::Advance),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn member_sets_equal_a_scan_of_the_slots(ops in proptest::collection::vec(op(), 1..80)) {
+            let mut m = Membership::new(cfg());
+            let mut now = Nanos::ZERO;
+            for op in ops {
+                match op {
+                    Op::Login(n, v) => {
+                        let paths: &[&str] = if v { &["/a", "/b"] } else { &["/a"] };
+                        m.login(&format!("srv-{n}"), &exports(paths), now);
+                    }
+                    Op::Bind(id, addr, proxy) => m.bind(id, u64::from(addr), proxy),
+                    Op::Disconnect(id) => m.disconnect(id, now),
+                    Op::Heard(id) => {
+                        m.heard(id, now);
+                    }
+                    Op::CheckSilent(secs) => {
+                        m.check_silent(now, Nanos::from_secs(u64::from(secs)));
+                    }
+                    Op::CheckDrops => {
+                        m.check_drops(now);
+                    }
+                    Op::ReportLoad(id, over) => m.report_load(id, 1, 0, over),
+                    Op::Advance(secs) => now += Nanos::from_secs(u64::from(secs)),
+                }
+                prop_assert_eq!(m.active(), scan(&m, |s| matches!(s.state, SlotState::Active)));
+                prop_assert_eq!(
+                    m.offline(),
+                    scan(&m, |s| matches!(s.state, SlotState::Offline { .. }))
+                );
+                prop_assert_eq!(
+                    m.overloaded(),
+                    scan(&m, |s| !matches!(s.state, SlotState::Empty) && s.meta.overloaded)
+                );
+            }
+        }
+    }
 
     fn cfg() -> MembershipConfig {
         MembershipConfig { drop_after: Nanos::from_secs(60) }

@@ -9,7 +9,9 @@
 //! contrasts with GFS-style manifest uploads.
 
 use scalla_util::{ServerId, ServerSet};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Prefix → eligible-server table.
 ///
@@ -27,7 +29,27 @@ use std::collections::HashMap;
 /// ```
 #[derive(Default, Debug, Clone)]
 pub struct ExportTable {
-    prefixes: HashMap<String, ServerSet>,
+    prefixes: HashMap<String, ServerSet, BuildHasherDefault<PrefixHasher>>,
+}
+
+/// The table's hash: CRC-32, the cache's own key hash, spread over 64 bits
+/// by the Fibonacci multiplier so that the map's control bytes (its top
+/// bits) differ too. It has no per-process key, so a look-up costs a few
+/// table steps per component prefix rather than a SipHash pass. Crafted
+/// collisions need control of the keys, and only logins write them (at
+/// most 64 members' export lists); a client's path is only looked up, so
+/// nothing a client sends can grow the table.
+#[derive(Default)]
+struct PrefixHasher(u32);
+
+impl Hasher for PrefixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = scalla_util::crc32::update(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        u64::from(self.0).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
 }
 
 /// Normalizes a prefix: guarantees a leading `/` and strips a trailing one
@@ -76,9 +98,13 @@ impl ExportTable {
     ///
     /// This walks the path's components (O(path depth), independent of the
     /// number of files or prefixes), preserving the paper's "extremely
-    /// light" lookup property.
+    /// light" lookup property. A path with its leading `/`, as clients send
+    /// them, is walked where it lies and the look-up allocates nothing: a
+    /// trailing `/` needs no stripping, since the boundaries it adds end in
+    /// `/` and no registered prefix but the root does.
     pub fn vm_for(&self, path: &str) -> ServerSet {
-        let path = normalize(path);
+        let path =
+            if path.starts_with('/') { Cow::Borrowed(path) } else { Cow::Owned(normalize(path)) };
         let mut vm = ServerSet::EMPTY;
         if let Some(&set) = self.prefixes.get("/") {
             vm |= set;
@@ -109,6 +135,35 @@ impl ExportTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle: normalise the path, then test every registered prefix
+    /// against it as a whole-component prefix.
+    fn vm_by_scan(t: &ExportTable, path: &str) -> ServerSet {
+        let path = normalize(path);
+        let matches = |p: &str| p == "/" || path == p || path.starts_with(&format!("{p}/"));
+        t.prefixes.iter().filter(|(p, _)| matches(p)).fold(ServerSet::EMPTY, |vm, (_, &s)| vm | s)
+    }
+
+    fn messy_path() -> impl Strategy<Value = String> {
+        prop_oneof![Just("/".to_string()), Just(String::new()), "[ab/]{0,9}"]
+    }
+
+    proptest! {
+        #[test]
+        fn vm_for_matches_normalise_then_scan(
+            exports in proptest::collection::vec((0u8..64, messy_path()), 0..12),
+            paths in proptest::collection::vec(messy_path(), 1..16),
+        ) {
+            let mut t = ExportTable::new();
+            for (server, prefix) in &exports {
+                t.add_export(*server, prefix);
+            }
+            for path in &paths {
+                prop_assert_eq!(t.vm_for(path), vm_by_scan(&t, path), "path {:?}", path);
+            }
+        }
+    }
 
     #[test]
     fn prefix_matching_by_component() {

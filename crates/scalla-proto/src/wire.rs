@@ -128,9 +128,11 @@ impl Wire for String {
     fn get(buf: &mut impl Buf) -> Result<Self, WireError> {
         let n = get_len(buf)?;
         need(buf, n)?;
-        let mut v = vec![0u8; n];
-        buf.copy_to_slice(&mut v);
-        String::from_utf8(v).map_err(|_| WireError::BadUtf8)
+        // Checked where it lies, then copied once into the string's own
+        // allocation (every `Buf` here is one contiguous chunk).
+        let s = std::str::from_utf8(&buf.chunk()[..n]).map_err(|_| WireError::BadUtf8)?.to_owned();
+        buf.advance(n);
+        Ok(s)
     }
 }
 
@@ -734,9 +736,12 @@ pub fn encode_frame_traced(msg: &Msg, trace: u64, buf: &mut BytesMut) {
 ///
 /// A received byte is copied once, by [`FrameDecoder::feed`]. Once a
 /// frame's length is in, the buffer grows to hold the rest of it in one
-/// step (at most 1 MiB past what is buffered); a frame that is
-/// everything buffered is handed to the decoded message without a copy,
-/// and one followed by more bytes is copied out once.
+/// step (at most 1 MiB past what is buffered). A frame is decoded where it
+/// lies in the buffer, so only the message's own fields are allocated: a
+/// string field is copied into its `String`, and a payload (`Bytes`) that
+/// ends everything buffered takes the buffer over without a copy, while
+/// one followed by more bytes is copied out once. A buffer read to its end
+/// is rewound and reused for the next read.
 ///
 /// ```
 /// use bytes::BytesMut;
@@ -804,13 +809,53 @@ impl FrameDecoder {
             }
             return Ok(None);
         }
-        let mut frame = self.buf.split_to(total).freeze();
-        frame.advance(4);
+        self.buf.advance(4);
+        let mut frame = InPlace { buf: &mut self.buf, left: len as usize };
         let traced = decode_msg_traced(&mut frame)?;
-        if frame.remaining() != 0 {
+        if frame.left != 0 {
             return Err(WireError::BadLength(u64::from(len)));
         }
+        if self.buf.is_empty() {
+            self.buf.clear(); // the next read lands at the start of the same storage
+        }
         Ok(Some(traced))
+    }
+}
+
+/// A frame being decoded where it lies in a [`FrameDecoder`]'s buffer:
+/// each read consumes the buffer's own bytes, up to the frame's end.
+struct InPlace<'a> {
+    buf: &'a mut BytesMut,
+    /// Bytes of the frame not read yet.
+    left: usize,
+}
+
+impl Buf for InPlace<'_> {
+    fn remaining(&self) -> usize {
+        self.left
+    }
+
+    fn chunk(&self) -> &[u8] {
+        &self.buf[..self.left]
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        assert!(cnt <= self.left, "advance past the frame");
+        self.buf.advance(cnt);
+        self.left -= cnt;
+    }
+
+    /// A payload that ends everything buffered (so it ends its frame too)
+    /// takes the buffer over; any other is copied out once.
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        assert!(len <= self.left, "copy_to_bytes past the frame");
+        if len == self.buf.len() {
+            self.left = 0;
+            return std::mem::take(self.buf).freeze();
+        }
+        let out = Bytes::from(self.chunk()[..len].to_vec());
+        self.advance(len);
+        out
     }
 }
 

@@ -46,7 +46,7 @@ use scalla_obs::Obs;
 use scalla_proto::{encode_frame, Addr, FrameDecoder, Msg};
 use scalla_simnet::{NetCtx, Node};
 use std::any::Any;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,9 +69,11 @@ const CONTROL_CAP: usize = 32;
 struct SocketOutbox {
     me: Addr,
     peers: Arc<[SocketAddr]>,
-    links: HashMap<Addr, EgressLink>,
+    /// By address: the link to that peer, once spawned. Addresses are
+    /// dense indices into `peers`, so a send finds its link by index.
+    links: Vec<Option<EgressLink>>,
     /// Links holding frames since the last flush, so a flush walks those
-    /// and not the whole map.
+    /// and not the whole table.
     unflushed: Vec<Addr>,
     shared: Arc<EgressShared>,
     /// This node, for the readers of the connections its links open.
@@ -87,10 +89,10 @@ impl SocketOutbox {
     /// sends with; `None` for an address outside the net.
     fn link(&mut self, to: Addr) -> Option<(&mut EgressLink, &EgressShared)> {
         let SocketOutbox { me, peers, links, shared, cell, readers, hosted, .. } = self;
-        let link = match links.entry(to) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let &peer = peers.get(to.0 as usize)?;
+        let link = match links.get_mut(to.0 as usize)? {
+            Some(link) => link,
+            vacant => {
+                let peer = peers[to.0 as usize];
                 let on_connect: OnConnect = if hosted[to.0 as usize] {
                     // The peer answers on the connection the link opens: a
                     // reader there runs this node on what it hears.
@@ -104,7 +106,7 @@ impl SocketOutbox {
                 } else {
                     Box::new(|_| true)
                 };
-                e.insert(EgressLink::spawn(*me, peer, shared.clone(), on_connect))
+                vacant.insert(EgressLink::spawn(*me, peer, shared.clone(), on_connect))
             }
         };
         Some((link, shared))
@@ -135,7 +137,7 @@ impl Outbox for SocketOutbox {
 
     fn flush(&mut self) {
         for to in self.unflushed.drain(..) {
-            if let Some(link) = self.links.get_mut(&to) {
+            if let Some(link) = &mut self.links[to.0 as usize] {
                 link.flush(&self.shared);
             }
         }
@@ -147,7 +149,7 @@ impl Drop for SocketOutbox {
     /// pending, and dropping its queue sender wakes its writer; join them
     /// all so no writer outlives the net.
     fn drop(&mut self) {
-        for (_, link) in self.links.drain() {
+        for link in self.links.drain(..).flatten() {
             link.close(&self.shared);
         }
     }
@@ -327,7 +329,7 @@ impl TcpNet {
         let cells = self.rt.start(|me, cell| SocketOutbox {
             me,
             peers: peers.clone(),
-            links: HashMap::new(),
+            links: (0..peers.len()).map(|_| None).collect(),
             unflushed: Vec::new(),
             shared: shared.clone(),
             cell: cell.clone(),
