@@ -630,8 +630,7 @@ impl NameCache {
     }
 
     /// Fast-response-queue occupancy: anchors currently holding parked
-    /// waiters. The admission layer reads this as the cmsd's
-    /// pending-resolution depth; takes only the response-queue lock.
+    /// waiters. Takes only the response-queue lock.
     pub fn busy_anchors(&self) -> usize {
         self.respq.lock().busy_anchors()
     }

@@ -83,8 +83,7 @@ impl RespQueue {
     }
 
     /// Number of busy anchors: every anchor is either busy or on the free
-    /// list, so no scan is needed (admission reads this on every client
-    /// resolve).
+    /// list, so no scan is needed.
     pub fn busy_anchors(&self) -> usize {
         self.anchors.len() - self.free.len()
     }

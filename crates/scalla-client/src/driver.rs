@@ -630,18 +630,9 @@ impl Node for ClientNode {
                     self.reask(ctx)
                 }
                 ErrCode::Retry => self.wait_retry(ctx, None),
-                // Shed at the node's hard admission limit: back off
-                // (exponential, jittered) and retry the same walk. The
-                // overload is transient by construction — the node is
-                // protecting itself, not reporting a broken file.
-                ErrCode::Overloaded if !self.walk.on_lease() => {
-                    self.obs.count("scalla_client_shed_total", &[], 1);
-                    self.wait_retry(ctx, None);
-                }
                 // A stale redirect or an I/O failure at a data server: the
-                // walk recovers (§III-C1). A leased server that sheds is as
-                // stale as one that refuses.
-                ErrCode::NotFound | ErrCode::IoError | ErrCode::Overloaded => {
+                // walk recovers (§III-C1).
+                ErrCode::NotFound | ErrCode::IoError => {
                     let step = self.walk.refused(&self.resolver, self.target, code);
                     self.follow(ctx, step);
                 }
@@ -907,22 +898,21 @@ mod tests {
     }
 
     #[test]
-    fn overload_shed_backs_off_then_succeeds() {
-        // A manager shedding its first two opens at the hard admission
-        // limit: the client must treat the explicit overload error as
-        // retriable (backoff, same walk), not terminal.
-        struct ShedTwice {
-            sheds: u32,
+    fn a_retry_error_backs_off_then_succeeds() {
+        // A manager refusing its first two opens with `Retry`: the client
+        // must treat the error as retriable (backoff, same walk), not
+        // terminal.
+        struct RefuseTwice {
+            refusals: u32,
         }
-        impl Node for ShedTwice {
+        impl Node for RefuseTwice {
             fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
                 if let Msg::Client(ClientMsg::Open { .. }) = msg {
-                    if self.sheds > 0 {
-                        self.sheds -= 1;
+                    if self.refusals > 0 {
+                        self.refusals -= 1;
                         ctx.send(
                             from,
-                            ServerMsg::Error { code: ErrCode::Overloaded, detail: "shed".into() }
-                                .into(),
+                            ServerMsg::Error { code: ErrCode::Retry, detail: "busy".into() }.into(),
                         );
                     } else {
                         ctx.send(
@@ -935,7 +925,7 @@ mod tests {
         }
         let mut net = SimNet::new(LatencyModel::fixed(Nanos::from_micros(20)), 1);
         let dir = Arc::new(Directory::new());
-        let mgr = net.add_node(Box::new(ShedTwice { sheds: 2 }));
+        let mgr = net.add_node(Box::new(RefuseTwice { refusals: 2 }));
         let leaf = net.add_node(Box::new(StubLeaf { fail_first_open: false }));
         dir.register("leaf", leaf);
         let cfg = ClientConfig::new(
@@ -948,8 +938,8 @@ mod tests {
         net.run_until(Nanos::from_secs(60));
         let node = net.node_mut(client).as_any_mut().unwrap();
         let results = node.downcast_ref::<ClientNode>().unwrap().results();
-        assert_eq!(results[0].outcome, OpOutcome::Ok, "shed must be retriable");
-        assert_eq!(results[0].waits, 2, "one backoff per shed");
+        assert_eq!(results[0].outcome, OpOutcome::Ok, "Retry must be retriable");
+        assert_eq!(results[0].waits, 2, "one backoff per refusal");
         assert!(results[0].latency() >= Nanos::from_millis(100), "paid the backoff");
     }
 

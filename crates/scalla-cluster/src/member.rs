@@ -47,10 +47,6 @@ pub struct ServerMeta {
     pub free_bytes: u64,
     /// How many times selection has picked this server.
     pub selections: u64,
-    /// The server advertised itself past its admission high watermark
-    /// (hysteresis applied at the reporter); selection avoids it while a
-    /// non-overloaded candidate exists.
-    pub overloaded: bool,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -110,20 +106,18 @@ impl LoginOutcome {
 
 /// The 64-slot membership table of one cmsd.
 ///
-/// Beside the slots it keeps three 64-bit vectors, one bit per slot: the
-/// active members, the offline ones and the overloaded ones. Every change
-/// to a slot's state or overload flag ends by re-deriving that slot's three
-/// bits, so [`Membership::active`], [`Membership::offline`] (read on every
-/// resolution) and [`Membership::overloaded`] (read on every selection) are
-/// one load each, not a scan of 64 slots, and the silence and drop sweeps
-/// visit only the members they can touch.
+/// Beside the slots it keeps two 64-bit vectors, one bit per slot: the
+/// active members and the offline ones. Every change to a slot's state
+/// ends by re-deriving that slot's two bits, so [`Membership::active`] and
+/// [`Membership::offline`] (read on every resolution) are one load each,
+/// not a scan of 64 slots, and the silence and drop sweeps visit only the
+/// members they can touch.
 pub struct Membership {
     slots: Vec<Slot>,
     config: MembershipConfig,
     exports: ExportTable,
     active: ServerSet,
     offline: ServerSet,
-    overloaded: ServerSet,
 }
 
 impl Membership {
@@ -135,24 +129,17 @@ impl Membership {
             exports: ExportTable::new(),
             active: ServerSet::EMPTY,
             offline: ServerSet::EMPTY,
-            overloaded: ServerSet::EMPTY,
         }
     }
 
-    /// Re-derives slot `id`'s bits in the three member sets from the slot.
+    /// Re-derives slot `id`'s bits in the two member sets from the slot.
     fn sync(&mut self, id: ServerId) {
-        let slot = &self.slots[id as usize];
-        let (active, offline) = match slot.state {
+        let (active, offline) = match self.slots[id as usize].state {
             SlotState::Empty => (false, false),
             SlotState::Active => (true, false),
             SlotState::Offline { .. } => (false, true),
         };
-        let overloaded = (active || offline) && slot.meta.overloaded;
-        for (set, on) in [
-            (&mut self.active, active),
-            (&mut self.offline, offline),
-            (&mut self.overloaded, overloaded),
-        ] {
+        for (set, on) in [(&mut self.active, active), (&mut self.offline, offline)] {
             if on {
                 set.insert(id);
             } else {
@@ -321,18 +308,10 @@ impl Membership {
     }
 
     /// Updates a server's selection metrics (load report / heartbeat).
-    pub fn report_load(&mut self, id: ServerId, load: u32, free_bytes: u64, overloaded: bool) {
-        let slot = &mut self.slots[id as usize];
-        slot.meta.load = load;
-        slot.meta.free_bytes = free_bytes;
-        slot.meta.overloaded = overloaded;
-        self.sync(id);
-    }
-
-    /// Servers currently advertising overload — used by selection to steer
-    /// work away while any non-overloaded candidate remains.
-    pub fn overloaded(&self) -> ServerSet {
-        self.overloaded
+    pub fn report_load(&mut self, id: ServerId, load: u32, free_bytes: u64) {
+        let meta = &mut self.slots[id as usize].meta;
+        meta.load = load;
+        meta.free_bytes = free_bytes;
     }
 
     /// Counts a selection against `id` (selection-frequency policy input).
@@ -369,7 +348,6 @@ mod tests {
         Heard(ServerId),
         CheckSilent(u8),
         CheckDrops,
-        ReportLoad(ServerId, bool),
         Advance(u8),
     }
 
@@ -383,7 +361,6 @@ mod tests {
             2 => (0u8..12).prop_map(Op::Heard),
             1 => (1u8..40).prop_map(Op::CheckSilent),
             1 => Just(Op::CheckDrops),
-            3 => (0u8..12, any::<bool>()).prop_map(|(id, o)| Op::ReportLoad(id, o)),
             2 => (1u8..50).prop_map(Op::Advance),
         ]
     }
@@ -410,17 +387,12 @@ mod tests {
                     Op::CheckDrops => {
                         m.check_drops(now);
                     }
-                    Op::ReportLoad(id, over) => m.report_load(id, 1, 0, over),
                     Op::Advance(secs) => now += Nanos::from_secs(u64::from(secs)),
                 }
                 prop_assert_eq!(m.active(), scan(&m, |s| matches!(s.state, SlotState::Active)));
                 prop_assert_eq!(
                     m.offline(),
                     scan(&m, |s| matches!(s.state, SlotState::Offline { .. }))
-                );
-                prop_assert_eq!(
-                    m.overloaded(),
-                    scan(&m, |s| !matches!(s.state, SlotState::Empty) && s.meta.overloaded)
                 );
             }
         }
@@ -590,24 +562,11 @@ mod tests {
     fn load_reports_update_meta() {
         let mut m = Membership::new(cfg());
         m.login("srv-a", &exports(&["/a"]), Nanos::ZERO);
-        m.report_load(0, 42, 1 << 30, false);
+        m.report_load(0, 42, 1 << 30);
         m.note_selected(0);
         let meta = m.meta(0).unwrap();
         assert_eq!(meta.load, 42);
         assert_eq!(meta.free_bytes, 1 << 30);
         assert_eq!(meta.selections, 1);
-        assert!(!meta.overloaded);
-    }
-
-    #[test]
-    fn overload_bit_tracks_latest_report() {
-        let mut m = Membership::new(cfg());
-        m.login("srv-a", &exports(&["/a"]), Nanos::ZERO);
-        m.login("srv-b", &exports(&["/a"]), Nanos::ZERO);
-        m.report_load(0, 1, 0, true);
-        assert_eq!(m.overloaded(), ServerSet::single(0));
-        // The reporter applies hysteresis; here we just follow the bit.
-        m.report_load(0, 1, 0, false);
-        assert_eq!(m.overloaded(), ServerSet::EMPTY);
     }
 }

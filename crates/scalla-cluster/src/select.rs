@@ -55,12 +55,6 @@ impl Selector {
         if candidates.is_empty() {
             return None;
         }
-        // Overload feedback: steer away from servers advertising overload
-        // as long as any non-overloaded candidate remains. When every
-        // candidate is overloaded the policy runs on the full set — the
-        // servers' own admission gates shed the excess.
-        let relieved = candidates & !members.overloaded();
-        let candidates = if relieved.is_empty() { candidates } else { relieved };
         match self.policy {
             SelectionPolicy::Random => self.rng.pick_bit(candidates.0),
             SelectionPolicy::RoundRobin => {
@@ -126,9 +120,9 @@ mod tests {
     #[test]
     fn least_load_picks_minimum() {
         let mut m = members(3);
-        m.report_load(0, 90, 0, false);
-        m.report_load(1, 10, 0, false);
-        m.report_load(2, 50, 0, false);
+        m.report_load(0, 90, 0);
+        m.report_load(1, 10, 0);
+        m.report_load(2, 50, 0);
         let mut s = Selector::new(SelectionPolicy::LeastLoad, 0);
         assert_eq!(s.select(ServerSet::first_n(3), &mut m), Some(1));
     }
@@ -148,27 +142,11 @@ mod tests {
     #[test]
     fn most_free_space_picks_maximum() {
         let mut m = members(3);
-        m.report_load(0, 0, 100, false);
-        m.report_load(1, 0, 900, false);
-        m.report_load(2, 0, 500, false);
+        m.report_load(0, 0, 100);
+        m.report_load(1, 0, 900);
+        m.report_load(2, 0, 500);
         let mut s = Selector::new(SelectionPolicy::MostFreeSpace, 0);
         assert_eq!(s.select(ServerSet::first_n(3), &mut m), Some(1));
-    }
-
-    #[test]
-    fn overloaded_servers_are_avoided_until_everyone_is() {
-        let mut m = members(3);
-        m.report_load(1, 0, 0, true);
-        let mut s = Selector::new(SelectionPolicy::RoundRobin, 0);
-        let candidates = ServerSet::first_n(3);
-        for _ in 0..6 {
-            let pick = s.select(candidates, &mut m).unwrap();
-            assert_ne!(pick, 1, "overloaded server must be skipped");
-        }
-        // All overloaded: selection falls back to the full candidate set.
-        m.report_load(0, 0, 0, true);
-        m.report_load(2, 0, 0, true);
-        assert!(s.select(candidates, &mut m).is_some());
     }
 
     #[test]

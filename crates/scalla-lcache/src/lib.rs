@@ -19,7 +19,7 @@
 //! * a reply carrying a newer epoch flushes the table wholesale — the
 //!   membership changed under every outstanding lease;
 //! * a direct open that fails (the server no longer has the file, or
-//!   sheds) purges the entry and falls back to the redirector.
+//!   its I/O failed) purges the entry and falls back to the redirector.
 //!
 //! Staleness therefore costs at most one wasted hop, never a wrong
 //! answer. Path fingerprints are 64-bit FNV-1a; a colliding pair could at

@@ -13,7 +13,6 @@
 //! can be one of many)" (§II-B2). A node may therefore have several
 //! parents; it logs into each and answers locates from any of them.
 
-use crate::overload::{Admission, OverloadConfig, Verdict};
 use crate::server::tokens;
 use scalla_cache::{AccessMode, CacheConfig, LocRef, NameCache, Resolution, Waiter};
 use scalla_cluster::{LoginOutcome, Membership, MembershipConfig, SelectionPolicy, Selector};
@@ -56,9 +55,6 @@ pub struct CmsdConfig {
     pub heartbeat: Nanos,
     /// A subordinate silent for longer than this is marked offline.
     pub offline_after: Nanos,
-    /// Admission-control tuning; disabled by default (the paper's flat
-    /// response-queue behaviour).
-    pub overload: OverloadConfig,
     /// Whether client redirects carry a location lease. Off, redirects
     /// encode byte-identically to the pre-lease wire format. A granted
     /// lease tells the client it may open `path` directly against the
@@ -83,7 +79,6 @@ impl CmsdConfig {
             policy: SelectionPolicy::RoundRobin,
             heartbeat: Nanos::from_secs(1),
             offline_after: Nanos::from_secs(3),
-            overload: OverloadConfig::disabled(),
             leases: false,
             seed: 0,
         }
@@ -115,7 +110,6 @@ pub struct CmsdNode {
     members: Membership,
     selector: Selector,
     next_reqid: u64,
-    admission: Admission,
     /// Cluster-membership epoch, stamped into every granted lease. Any
     /// login, death, or drop bumps it, so a client comparing epochs across
     /// replies detects that its cached locations predate a membership
@@ -131,27 +125,16 @@ impl CmsdNode {
         let cache = NameCache::new(cfg.cache.clone(), clock);
         let members = Membership::new(cfg.membership.clone());
         let selector = Selector::new(cfg.policy, cfg.seed);
-        let admission = Admission::new(cfg.overload);
-        CmsdNode {
-            cfg,
-            cache,
-            members,
-            selector,
-            next_reqid: 0,
-            admission,
-            epoch: 1,
-            obs: Obs::disabled(),
-        }
+        CmsdNode { cfg, cache, members, selector, next_reqid: 0, epoch: 1, obs: Obs::disabled() }
     }
 
     /// Attaches an observability handle: the cache samples stage latencies
     /// into it, resolution decisions become flight-recorder spans, and the
-    /// cache and admission counters are attached to its registry.
+    /// cache counters are attached to its registry.
     pub fn set_obs(&mut self, obs: Obs) {
         if obs.is_enabled() {
             let node = [("node", self.cfg.name.as_str())];
             obs.registry().attach(&node, self.cache.stats_arc());
-            obs.registry().attach(&node, self.admission.stats());
             // Deaths and reconnects export at zero, so a harness pairing
             // them reads a run without faults as 0 = 0.
             for event in ["peer_dead", "peer_reconnected"] {
@@ -273,28 +256,6 @@ impl CmsdNode {
     ) {
         let from_parent = self.is_parent(requester);
         let silent = requester == NO_CLIENT;
-        // Admission gate for client work only: parent locates and silent
-        // background look-ups never consume the client-facing budget.
-        if !from_parent && !silent {
-            match self.admission.check(requester.0, self.cache.busy_anchors(), ctx.now()) {
-                Verdict::Admit => {}
-                Verdict::Wait { hint_millis } => {
-                    ctx.send(requester, ServerMsg::Wait { millis: hint_millis }.into());
-                    return;
-                }
-                Verdict::Shed => {
-                    ctx.send(
-                        requester,
-                        ServerMsg::Error {
-                            code: ErrCode::Overloaded,
-                            detail: format!("{} shed {path} at its admission limit", self.cfg.name),
-                        }
-                        .into(),
-                    );
-                    return;
-                }
-            }
-        }
         let vm = self.members.vm_for(path);
         if vm.is_empty() {
             if !from_parent && !silent {
@@ -410,15 +371,10 @@ impl CmsdNode {
             }
             Resolution::WaitRetry { delay } => {
                 if !from_parent && !silent {
-                    // Past the high watermark the flat processing delay is
-                    // replaced by the depth-scaled hint, so retry pressure
-                    // tracks how far over capacity the queue really is.
-                    let millis = if self.admission.is_overloaded() {
-                        self.admission.hint_millis(self.cache.busy_anchors())
-                    } else {
-                        delay.as_millis()
-                    };
-                    ctx.send(requester, ServerMsg::Wait { millis }.into());
+                    // The paper's one overload path (§III-B): the response
+                    // queue is full, the flood above still went out, and
+                    // the client retries into a cache hit.
+                    ctx.send(requester, ServerMsg::Wait { millis: delay.as_millis() }.into());
                 }
             }
         }
@@ -618,9 +574,11 @@ impl Node for CmsdNode {
                 // baseline master does. Ignoring it here documents the
                 // design choice of §V.
             }
-            Msg::Cms(CmsMsg::LoadReport { load, free_bytes, overloaded }) => {
+            // `overloaded` is a retired wire field: nodes always send
+            // `false`, and the response queue is the one overload path.
+            Msg::Cms(CmsMsg::LoadReport { load, free_bytes, .. }) => {
                 if let Some(slot) = self.members.find_by_addr(from.0) {
-                    self.members.report_load(slot, load, free_bytes, overloaded);
+                    self.members.report_load(slot, load, free_bytes);
                     self.note_alive(ctx, slot);
                 }
             }
@@ -658,13 +616,8 @@ impl Node for CmsdNode {
     fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) {
         match token {
             tokens::SWEEP => {
-                let full = self.cache.config().full_delay;
+                let millis = self.cache.config().full_delay.as_millis();
                 for w in self.cache.sweep() {
-                    let millis = if self.admission.is_overloaded() {
-                        self.admission.hint_millis(self.cache.busy_anchors())
-                    } else {
-                        full.as_millis()
-                    };
                     ctx.send(Addr(w.client), ServerMsg::Wait { millis }.into());
                 }
                 ctx.set_timer(self.period(token), token);
@@ -694,9 +647,9 @@ impl Node for CmsdNode {
             }
             tokens::HEARTBEAT => {
                 let load = self.heartbeat_load();
-                let overloaded = self.admission.is_overloaded();
                 for &parent in &self.cfg.parents {
-                    ctx.send(parent, CmsMsg::LoadReport { load, free_bytes: 0, overloaded }.into());
+                    let report = CmsMsg::LoadReport { load, free_bytes: 0, overloaded: false };
+                    ctx.send(parent, report.into());
                 }
                 ctx.set_timer(self.period(token), token);
             }

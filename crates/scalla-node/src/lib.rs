@@ -36,5 +36,5 @@ pub mod server;
 pub use cmsd::{CmsdConfig, CmsdNode, CmsdRole};
 pub use cns::CnsNode;
 pub use fs::{FileEntry, LocalFs};
-pub use overload::{Admission, AdmissionStats, OverloadConfig, Verdict};
+pub use overload::OverloadConfig;
 pub use server::{JoinStyle, ServerConfig, ServerNode};

@@ -1,28 +1,18 @@
-//! Admission control and overload protection.
+//! Admission control (unwired).
 //!
-//! The paper's fast response queue and Wait-hint machinery (§III-B) are a
-//! load-shedding design: a cmsd never queues unbounded work, it parks a
-//! bounded number of waiters and tells everyone else to come back later.
-//! This module completes that design with explicit watermarks:
+//! No node, client, proxy or cluster runs this module. It was a second
+//! overload path beside the paper's own (§III-B: a full fast response
+//! queue tells the client to wait a full period and retry, and the flood
+//! still goes out, so the retry is a cache hit). Measured against that
+//! path at equal capacity, on an anchor-bound and on a CPU-bound manager,
+//! it never beat both that path and the default cluster (EXPERIMENTS.md,
+//! "Admission control against the paper's `Wait`"), so the nodes no longer
+//! consult it, and the `Overloaded` error code its [`Verdict::Shed`] once
+//! mapped to is retired (wire tag 5).
 //!
-//! * **high/low watermark hysteresis** — occupancy (busy response-queue
-//!   anchors at a cmsd, open handles at a data server) crossing the high
-//!   watermark turns *new* work into `Wait` replies whose hint is scaled
-//!   by queue depth (not the flat 5 s full delay); the node leaves the
-//!   overloaded state only when occupancy falls back to the low watermark;
-//! * **hard shed limit** — past the shed watermark, requests are refused
-//!   outright with [`ErrCode::Overloaded`], which the client's
-//!   `RetryPolicy` backs off on;
-//! * **fair round-robin drain** — while overloaded, peers that were told
-//!   to wait are admitted strictly in first-deferred-first-served order
-//!   as their retries arrive, so equal peers get equal goodput.
-//!
-//! The node owning an [`Admission`] reports its overloaded bit upward on
-//! the existing `LoadReport` path so selection avoids it (hysteresis is
-//! applied here, at the reporter), and exports verdict counters through a
-//! shared [`AdmissionStats`] that an obs registry reads in place.
-//!
-//! [`ErrCode::Overloaded`]: scalla_proto::ErrCode::Overloaded
+//! It stays only because the benchmark ledger's isolated pass times
+//! [`Admission::check`] (`node.admission_check_ns`), and that probe is its
+//! only caller. It goes with the probe, in the next change to the ledger.
 
 use scalla_util::Nanos;
 use std::collections::VecDeque;

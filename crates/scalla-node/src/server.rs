@@ -12,7 +12,6 @@
 //! (§III-C1).
 
 use crate::fs::LocalFs;
-use crate::overload::{Admission, OverloadConfig, Verdict};
 use scalla_obs::{Obs, SpanEvent, TraceId};
 use scalla_proto::{Addr, ClientMsg, CmsMsg, ErrCode, Msg, NodeRoleTag, ServerMsg};
 use scalla_simnet::{NetCtx, Node};
@@ -70,9 +69,6 @@ pub struct ServerConfig {
     /// Cluster Name Space daemon to notify of namespace changes
     /// (footnote 3). `None` disables notifications.
     pub cns: Option<Addr>,
-    /// Admission-control tuning over concurrent open handles; disabled by
-    /// default.
-    pub overload: OverloadConfig,
 }
 
 impl ServerConfig {
@@ -86,7 +82,6 @@ impl ServerConfig {
             heartbeat: Nanos::from_secs(1),
             join: JoinStyle::default(),
             cns: None,
-            overload: OverloadConfig::disabled(),
         }
     }
 }
@@ -100,7 +95,6 @@ pub struct ServerNode {
     next_handle: u64,
     staging: HashMap<u64, String>,
     next_staging: u64,
-    admission: Admission,
     obs: Obs,
 }
 
@@ -108,7 +102,6 @@ impl ServerNode {
     /// Creates a server with an empty store.
     pub fn new(cfg: ServerConfig) -> ServerNode {
         let fs = LocalFs::new(DISK_CAPACITY);
-        let admission = Admission::new(cfg.overload);
         ServerNode {
             cfg,
             fs,
@@ -116,7 +109,6 @@ impl ServerNode {
             next_handle: 0,
             staging: HashMap::new(),
             next_staging: 0,
-            admission,
             obs: Obs::disabled(),
         }
     }
@@ -124,9 +116,6 @@ impl ServerNode {
     /// Attaches an observability handle; locate answers and opens become
     /// flight-recorder spans carrying the request's trace id.
     pub fn set_obs(&mut self, obs: Obs) {
-        if obs.is_enabled() {
-            obs.registry().attach(&[("node", self.cfg.name.as_str())], self.admission.stats());
-        }
         self.obs = obs;
     }
 
@@ -176,8 +165,8 @@ impl ServerNode {
         ctx.set_timer(self.cfg.staging_delay, tokens::STAGING_BASE + k);
     }
 
-    /// Opens a handle on `path` for `from`; it counts toward admission
-    /// occupancy until its close.
+    /// Opens a handle on `path` for `from`; it counts toward the reported
+    /// load until its close.
     fn grant(&mut self, ctx: &mut dyn NetCtx, from: Addr, path: String) {
         let h = self.next_handle;
         self.next_handle += 1;
@@ -226,26 +215,6 @@ impl ServerNode {
             // Per-path open accounting feeds the collector's top-K
             // hottest-paths rollup. Off the hot path when obs is disabled.
             self.obs.count("scalla_srv_path_opens_total", &[("path", &path)], 1);
-        }
-        // Admission over concurrent handles: past the high watermark new
-        // opens wait (depth-scaled hint), at the hard limit they shed.
-        match self.admission.check(from.0, self.handles.len(), ctx.now()) {
-            Verdict::Admit => {}
-            Verdict::Wait { hint_millis } => {
-                ctx.send(from, ServerMsg::Wait { millis: hint_millis }.into());
-                return;
-            }
-            Verdict::Shed => {
-                ctx.send(
-                    from,
-                    ServerMsg::Error {
-                        code: ErrCode::Overloaded,
-                        detail: format!("{} shed {path} at its admission limit", self.cfg.name),
-                    }
-                    .into(),
-                );
-                return;
-            }
         }
         let t0 = self.obs.is_enabled().then(std::time::Instant::now);
         let verdict = match self.fs.get(&path) {
@@ -408,9 +377,9 @@ impl Node for ServerNode {
         if token == tokens::HEARTBEAT {
             let load = self.handles.len() as u32;
             let free = self.fs.free_bytes();
-            let overloaded = self.admission.is_overloaded();
             for &parent in &self.cfg.parents {
-                ctx.send(parent, CmsMsg::LoadReport { load, free_bytes: free, overloaded }.into());
+                let report = CmsMsg::LoadReport { load, free_bytes: free, overloaded: false };
+                ctx.send(parent, report.into());
             }
             ctx.set_timer(self.cfg.heartbeat, tokens::HEARTBEAT);
         } else if token >= tokens::STAGING_BASE {
@@ -547,45 +516,6 @@ mod tests {
             &ctx.sends[4].1,
             Msg::Server(ServerMsg::Error { code: ErrCode::BadRequest, .. })
         ));
-    }
-
-    #[test]
-    fn an_open_refused_at_the_limit_is_admitted_after_the_close() {
-        let mut cfg = ServerConfig::new("srv-a", Addr(0));
-        cfg.overload = OverloadConfig::with_limit(1);
-        let mut s = ServerNode::new(cfg);
-        s.fs_mut().put_online("/data/f1", 100);
-        let open: Msg =
-            ClientMsg::Open { path: "/data/f1".into(), write: false, refresh: false, avoid: None }
-                .into();
-        let (first, second) = (Addr(42), Addr(43));
-        let mut ctx = MockCtx::new();
-        s.on_message(&mut ctx, first, open.clone());
-        let handle = match &ctx.take_sends()[0].1 {
-            Msg::Server(ServerMsg::OpenOk { handle }) => *handle,
-            other => panic!("{other:?}"),
-        };
-
-        s.on_message(&mut ctx, second, open.clone());
-        assert!(
-            matches!(
-                &ctx.take_sends()[0].1,
-                Msg::Server(
-                    ServerMsg::Wait { .. } | ServerMsg::Error { code: ErrCode::Overloaded, .. }
-                )
-            ),
-            "refused while the first handle is open"
-        );
-
-        s.on_message(&mut ctx, first, ClientMsg::Close { handle }.into());
-        assert!(matches!(&ctx.take_sends()[0].1, Msg::Server(ServerMsg::CloseOk)));
-        s.on_message(&mut ctx, second, open);
-        match &ctx.take_sends()[0].1 {
-            Msg::Server(ServerMsg::OpenOk { handle }) => {
-                assert_eq!(s.handle_path(*handle), Some("/data/f1"));
-            }
-            other => panic!("admitted after the close: {other:?}"),
-        }
     }
 
     #[test]

@@ -931,12 +931,9 @@ impl ProxyNode {
                 self.fill_done(ctx, &req.path, first, count, data);
             }
             (_, ServerMsg::Wait { millis }) => self.park_retry(ctx, req, millis),
-            // An explicit shed (`Overloaded`) is the node protecting
-            // itself, not reporting a broken file: retry the leg, with no
-            // refresh/avoid recovery.
-            (_, ServerMsg::Error { code: ErrCode::Retry | ErrCode::Overloaded, .. }) => {
-                self.park_retry(ctx, req, 50)
-            }
+            // `Retry` is a transient refusal, not a broken file: retry the
+            // leg, with no refresh/avoid recovery.
+            (_, ServerMsg::Error { code: ErrCode::Retry, .. }) => self.park_retry(ctx, req, 50),
             (ReqKind::CloseOrigin, _) => {}
             (_, ServerMsg::Error { code, .. }) => {
                 self.recover_file(ctx, &req.path, |w, r| w.refused(r, from, code));
@@ -1673,14 +1670,14 @@ mod tests {
         ));
     }
 
-    /// An origin shed (`Overloaded`) is the origin protecting itself, not
-    /// a broken file: the leg is parked and retried unchanged, with no
-    /// refresh or avoid recovery, and cached files keep being served.
+    /// An origin `Retry` is a transient refusal, not a broken file: the
+    /// leg is parked and retried unchanged, with no refresh or avoid
+    /// recovery, and cached files keep being served.
     #[test]
-    fn an_origin_shed_is_parked_and_retried_without_recovery() {
+    fn an_origin_retry_is_parked_and_retried_without_recovery() {
         let mut p = proxy(1024);
         let mut ctx = MockCtx::new();
-        // Cache one file in full before the origin sheds.
+        // Cache one file in full before the origin refuses.
         let h = resolve(&mut p, &mut ctx, "/d/warm", 1024);
         p.on_message(&mut ctx, CLIENT, ClientMsg::Read { handle: h, offset: 0, len: 1024 }.into());
         p.on_message(&mut ctx, SRV, data(vec![1u8; 1024]));
@@ -1699,9 +1696,9 @@ mod tests {
         p.on_message(
             &mut ctx,
             MGR,
-            Msg::Server(ServerMsg::Error { code: ErrCode::Overloaded, detail: "shed".into() }),
+            Msg::Server(ServerMsg::Error { code: ErrCode::Retry, detail: "busy".into() }),
         );
-        assert!(ctx.take_sends().is_empty(), "no refresh/avoid recovery on a shed");
+        assert!(ctx.take_sends().is_empty(), "no refresh/avoid recovery on a Retry");
         let retry = match &ctx.timers[..] {
             [(delay, token)] if *token >= tokens::RETRY_BASE => {
                 assert_eq!(*delay, Nanos::from_millis(50));

@@ -58,9 +58,6 @@ pub enum ErrCode {
     IoError,
     /// Try again later (transient inconsistency).
     Retry,
-    /// The node shed the request at its hard admission limit; the client
-    /// should back off (its RetryPolicy applies) before retrying.
-    Overloaded,
 }
 
 /// Client → node requests.
@@ -255,9 +252,9 @@ pub enum CmsMsg {
         load: u32,
         /// Free bytes.
         free_bytes: u64,
-        /// The reporter is past its admission high watermark (hysteresis
-        /// applied at the reporter); selection should avoid it while any
-        /// non-overloaded candidate exists.
+        /// Retired: always sent `false` and ignored on receipt. The field
+        /// keeps the frame layout; a full fast response queue is the one
+        /// overload signal (§III-B).
         overloaded: bool,
     },
 }

@@ -332,7 +332,7 @@ wire_enum! {
         2 => BadRequest,
         3 => IoError,
         4 => Retry,
-        5 => Overloaded,
+        // 5 was `Overloaded`, retired with admission control.
     }
 }
 
@@ -421,7 +421,6 @@ mod tests {
             ServerMsg::StatOk { size: 1 << 33, online: false }.into(),
             ServerMsg::PrepareOk.into(),
             ServerMsg::Error { code: ErrCode::NotFound, detail: "no such file".into() }.into(),
-            ServerMsg::Error { code: ErrCode::Overloaded, detail: "shed at limit".into() }.into(),
             CmsMsg::Login {
                 name: "srv-a".into(),
                 role: NodeRoleTag::Server,

@@ -121,8 +121,8 @@ pub enum ChaosProfile {
     /// horizon).
     LossBurst,
     /// Overload storm: gray-fail a data server (slow-but-alive) while a
-    /// brief loss burst amplifies retries — the combination that drives
-    /// queues through the admission watermarks.
+    /// brief loss burst amplifies retries — the combination that backs
+    /// resolutions up in the fast response queue and its `Wait`s.
     OverloadStorm,
 }
 

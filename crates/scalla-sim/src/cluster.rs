@@ -7,7 +7,7 @@ use scalla_client::{ClientConfig, ClientNode, ClientOp, Directory, OpResult};
 use scalla_cluster::{MembershipConfig, NodeId, NodeRole, SelectionPolicy, TreeSpec};
 use scalla_lcache::{LcacheConfig, LocationCache};
 use scalla_monitor::{ClusterView, CollectorNode, MonitorEmitter, Monitored};
-use scalla_node::{CmsdConfig, CmsdNode, CnsNode, OverloadConfig, ServerConfig, ServerNode};
+use scalla_node::{CmsdConfig, CmsdNode, CnsNode, ServerConfig, ServerNode};
 use scalla_obs::Obs;
 use scalla_pcache::{PcacheConfig, ProxyConfig, ProxyNode};
 use scalla_proto::Addr;
@@ -63,11 +63,6 @@ pub struct ClusterConfig {
     /// double-count in the merged view) plus a summary-stream emitter
     /// reporting at this interval.
     pub monitor: Option<Nanos>,
-    /// Admission control applied to every cmsd (managers + supervisors).
-    /// Disabled by default: no behavioural change for existing tests.
-    pub cms_overload: OverloadConfig,
-    /// Admission control applied to every leaf data server.
-    pub srv_overload: OverloadConfig,
     /// Edge location cache shared by every client attached with
     /// [`SimCluster::add_client`] / [`SimCluster::add_proxy_client`].
     /// When set, every cmsd also grants location leases on its redirects
@@ -98,8 +93,6 @@ impl ClusterConfig {
             with_cns: false,
             obs: Obs::disabled(),
             monitor: None,
-            cms_overload: OverloadConfig::disabled(),
-            srv_overload: OverloadConfig::disabled(),
             lcache: None,
         }
     }
@@ -185,7 +178,6 @@ impl Cluster {
             // A child is offline only after missing several heartbeats.
             cmsd.offline_after = cfg.heartbeat.mul(3).max(cmsd.offline_after);
             cmsd.seed = seed;
-            cmsd.overload = cfg.cms_overload;
             cmsd.leases = cfg.lcache.is_some();
             let name = cmsd.name.clone();
             let node =
@@ -229,7 +221,6 @@ impl Cluster {
                     srv.staging_delay = cfg.staging_delay;
                     srv.heartbeat = cfg.heartbeat;
                     srv.cns = c.cns;
-                    srv.overload = cfg.srv_overload;
                     let srv = c.observe(ServerNode::new(srv), &name, "server", ServerNode::set_obs);
                     let addr = add(&name, srv);
                     c.servers.push(addr);

@@ -20,10 +20,6 @@ fn main() {
     let mut cfg = ClusterConfig::flat(2);
     cfg.cache.full_delay = Nanos::from_millis(500);
     cfg.heartbeat = Nanos::from_millis(200);
-    // Admission armed with plenty of slack: the demo traffic never
-    // overloads it, but the admission stat families show up in /metrics
-    // for check_metrics.py to validate.
-    cfg.cms_overload = OverloadConfig::with_limit(64);
     // Leases armed: the repeat open of /demo/f0 goes direct, so the edge
     // location cache families show up in /metrics for the checker.
     cfg = cfg.with_leases();

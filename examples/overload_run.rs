@@ -1,32 +1,35 @@
-//! Overload-protection benchmark, emitting `BENCH_overload.json` for
+//! Overload benchmark, emitting `BENCH_overload.json` for
 //! `tools/check_bench.py overload`.
 //!
 //! Two experiments:
 //!
-//! 1. **Goodput curve.** A fixed cluster whose capacity is bounded by the
-//!    manager's admission limit (Q staging anchors, S seconds each →
-//!    nominally Q/S opens per second) is driven at offered loads from
-//!    0.25× to 3× that capacity by open-loop-ish client scripts. At each
-//!    point the run records goodput (completed opens per second of wall
-//!    window), latency percentiles, the admission verdict mix, terminal
-//!    give-ups, and the per-client fairness ratio (min/max completed).
-//!    Healthy overload protection shows goodput rising linearly to
-//!    capacity and then *plateauing* — not collapsing — past saturation,
-//!    with the excess turned into Waits and explicit sheds.
+//! 1. **Goodput curve.** The paper's one overload path (§III-B): a full
+//!    fast response queue tells the client to wait a full period and
+//!    retry, and the flood still goes out, so the retry is a cache hit. A
+//!    fixed cluster whose manager has Q response anchors, each held S
+//!    seconds by a cold resolution (nominally Q/S opens per second), is
+//!    driven at offered loads from 0.25× to 3× that capacity by
+//!    closed-loop client scripts. At each point the run records goodput
+//!    (completed opens per second of wall window), latency percentiles,
+//!    the clients' waits, terminal give-ups, and the per-client fairness
+//!    ratio (min/max completed). Healthy overload handling never lets
+//!    goodput collapse past capacity, turns the excess into Waits and
+//!    gives no op up. Here goodput keeps rising past the nominal figure:
+//!    a retry is a cache hit and needs no anchor.
 //!
 //! 2. **Overload storm soak.** The `overload_storm` chaos profile (gray
-//!    slow-node faults plus mild loss) runs against a cluster with
-//!    admission armed; the audit asserts every op terminated and the
-//!    `V_q ∩ (V_h ∪ V_p) = ∅` invariant held — shedding must never
-//!    corrupt location state.
+//!    slow-node faults plus mild loss) runs against a default cluster;
+//!    the audit asserts every op terminated and the
+//!    `V_q ∩ (V_h ∪ V_p) = ∅` invariant held — waits and retries must
+//!    never corrupt location state.
 //!
 //! Run with: `cargo run --release --example overload_run [-- --smoke]`
 
 use scalla::prelude::*;
 use scalla::sim::{percentile, ClusterConfig};
 
-/// Manager admission limit for the curve runs (busy resolution anchors).
-const Q_LIMIT: usize = 8;
+/// The manager's fast-response-queue anchors for the curve runs.
+const ANCHORS: usize = 8;
 /// Gray-failure delay applied to every data server, per message endpoint:
 /// a cache-miss resolution holds its fast-response-queue anchor for the
 /// Locate→Have round trip, ≈ 2 × this.
@@ -34,22 +37,13 @@ const SERVER_DELAY_MS: u64 = 500;
 /// Seconds one resolution anchor stays busy.
 const ANCHOR_HOLD_SECS: f64 = 2.0 * SERVER_DELAY_MS as f64 / 1e3;
 /// Nominal capacity: Q anchors, each held ~1 s per resolution.
-const CAPACITY_OPS_PER_SEC: f64 = Q_LIMIT as f64 / ANCHOR_HOLD_SECS;
+const CAPACITY_OPS_PER_SEC: f64 = ANCHORS as f64 / ANCHOR_HOLD_SECS;
 /// Wall-clock service time of one op seen by a closed-loop client:
 /// anchored resolve (~1 s) + redirected open at the slow server (~1 s)
 /// + think time (0.1 s).
 const SERVICE_SECS: f64 = 2.0 * ANCHOR_HOLD_SECS + 0.1;
 /// Offered-load ratios (× nominal capacity) swept by the curve.
 const RATIOS: [f64; 6] = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0];
-
-fn counter(text: &str, name: &str, labels: &str) -> u64 {
-    let needle =
-        if labels.is_empty() { format!("{name} ") } else { format!("{name}{{{labels}}} ") };
-    text.lines()
-        .find_map(|l| l.strip_prefix(needle.as_str()))
-        .map(|v| v.trim().parse().expect("counter value"))
-        .unwrap_or(0)
-}
 
 struct CurvePoint {
     ratio: f64,
@@ -58,10 +52,6 @@ struct CurvePoint {
     gave_up: usize,
     total_waits: u64,
     total_redirects: u64,
-    admit: u64,
-    wait_verdicts: u64,
-    shed_verdicts: u64,
-    client_sheds: u64,
     goodput_ops_per_sec: f64,
     p50_ms: f64,
     p99_ms: f64,
@@ -73,9 +63,9 @@ struct CurvePoint {
 /// The clients are closed-loop (an op must finish before the next one
 /// issues), so offered load is driven by *concurrency* (Little's law:
 /// `n ≈ rate × service`). Every op targets its own never-yet-resolved
-/// file, so each admitted open floods a Locate and holds a
+/// file, so each open floods a Locate and holds a
 /// fast-response-queue anchor for the round trip to the gray-slow
-/// servers — the resource the manager's admission limit guards.
+/// servers; an open that finds every anchor busy is told to wait.
 fn run_point(ratio: f64, ops_per_client: usize, seed: u64) -> CurvePoint {
     let n_clients = ((ratio * CAPACITY_OPS_PER_SEC * SERVICE_SECS).round() as usize).max(1);
     let mut cfg = ClusterConfig::flat(4);
@@ -83,22 +73,9 @@ fn run_point(ratio: f64, ops_per_client: usize, seed: u64) -> CurvePoint {
     cfg.latency = LatencyModel::fixed(Nanos::from_micros(25));
     // The fast window must outlive the slowed Locate round trip, or every
     // parked waiter is swept into a 5 s full delay and the bench measures
-    // the sweep period instead of admission.
+    // the sweep period instead of the queue.
     cfg.cache.fast_window = Nanos::from_secs(2);
-    // Hint ceiling matched to the queue's drain timescale (an anchor
-    // frees every ~1 s / Q): with the 5 s default ceiling clients sleep
-    // far past the drain and the anchors sit idle — goodput collapses
-    // instead of plateauing.
-    let mut ov = OverloadConfig::with_limit(Q_LIMIT);
-    ov.max_hint = Nanos::from_millis(500);
-    cfg.cms_overload = ov;
-    // Server admission armed but slack: at 3× the slow servers hold ~13
-    // handles each (1 s RTT per open/close), and a tighter server limit
-    // would bounce clients back through the manager queue a second time
-    // — the curve is meant to isolate the manager's admission.
-    cfg.srv_overload = OverloadConfig::with_limit(64);
-    cfg.obs = Obs::enabled();
-    let obs = cfg.obs.clone();
+    cfg.cache.response_anchors = ANCHORS;
     let mut c = SimCluster::build(cfg);
     for k in 0..n_clients {
         for j in 0..ops_per_client {
@@ -174,7 +151,6 @@ fn run_point(ratio: f64, ops_per_client: usize, seed: u64) -> CurvePoint {
         _ => 0.0,
     };
 
-    let text = obs.registry().prometheus_text();
     CurvePoint {
         ratio,
         offered,
@@ -182,10 +158,6 @@ fn run_point(ratio: f64, ops_per_client: usize, seed: u64) -> CurvePoint {
         gave_up,
         total_waits,
         total_redirects,
-        admit: counter(&text, "scalla_admission_total", "node=\"mgr-0\",verdict=\"admit\""),
-        wait_verdicts: counter(&text, "scalla_admission_total", "node=\"mgr-0\",verdict=\"wait\""),
-        shed_verdicts: counter(&text, "scalla_admission_total", "node=\"mgr-0\",verdict=\"shed\""),
-        client_sheds: counter(&text, "scalla_client_shed_total", ""),
         goodput_ops_per_sec: completed as f64 / window_secs,
         p50_ms: percentile(&latencies_ms, 0.50),
         p99_ms: percentile(&latencies_ms, 0.99),
@@ -200,9 +172,9 @@ const STORM_OPS_PER_CLIENT: usize = 8;
 /// The opens a storm's scripts issue, sleeps aside.
 const STORM_OPS_TOTAL: usize = STORM_CLIENTS * STORM_OPS_PER_CLIENT;
 
-/// One overload-storm soak with admission armed (the cluster and scripts
-/// of `tests/chaos.rs`, but reported instead of asserted, so the checker
-/// owns the thresholds).
+/// One overload-storm soak (the cluster and scripts of `tests/chaos.rs`,
+/// but reported instead of asserted, so the checker owns the
+/// thresholds).
 fn run_storm(seed: u64, horizon_secs: u64) -> SoakReport {
     const N_SERVERS: usize = 6;
     let mut cfg = ClusterConfig::flat(N_SERVERS);
@@ -210,8 +182,6 @@ fn run_storm(seed: u64, horizon_secs: u64) -> SoakReport {
     cfg.heartbeat = Nanos::from_millis(500);
     cfg.membership.drop_after = Nanos::from_secs(3600);
     cfg.seed = seed;
-    cfg.cms_overload = OverloadConfig::with_limit(64);
-    cfg.srv_overload = OverloadConfig::with_limit(32);
     cfg.obs = Obs::enabled();
     let mut c = SimCluster::build(cfg);
     for i in 0..N_SERVERS {
@@ -249,17 +219,13 @@ fn main() {
         let p = run_point(ratio, ops_per_client, 1000 + i as u64);
         eprintln!(
             "ratio {ratio}: goodput {:.2}/s completed {}/{} gave_up {} waits {} \
-             redirects {} verdicts a/w/s {}/{}/{} client_sheds {} p99 {:.1}ms fairness {:.2}",
+             redirects {} p99 {:.1}ms fairness {:.2}",
             p.goodput_ops_per_sec,
             p.completed,
             p.offered,
             p.gave_up,
             p.total_waits,
             p.total_redirects,
-            p.admit,
-            p.wait_verdicts,
-            p.shed_verdicts,
-            p.client_sheds,
             p.p99_ms,
             p.fairness,
         );
@@ -269,9 +235,6 @@ fn main() {
     let peak = curve.iter().map(|p| p.goodput_ops_per_sec).fold(0.0f64, f64::max);
     let at_2x = curve.iter().find(|p| p.ratio == 2.0).expect("2x point");
     let goodput_ratio_at_2x = if peak > 0.0 { at_2x.goodput_ops_per_sec / peak } else { 0.0 };
-    let decisions_at_2x = at_2x.admit + at_2x.wait_verdicts + at_2x.shed_verdicts;
-    let shed_fraction_at_2x =
-        if decisions_at_2x > 0 { at_2x.shed_verdicts as f64 / decisions_at_2x as f64 } else { 0.0 };
 
     let mut storms = Vec::new();
     for &seed in storm_seeds {
@@ -294,8 +257,6 @@ fn main() {
                 concat!(
                     "    {{\"ratio\": {}, \"offered\": {}, \"completed\": {}, ",
                     "\"gave_up\": {}, \"waits\": {}, ",
-                    "\"admit\": {}, \"wait_verdicts\": {}, \"shed_verdicts\": {}, ",
-                    "\"client_sheds\": {}, ",
                     "\"goodput_ops_per_sec\": {:.3}, \"p50_ms\": {:.3}, ",
                     "\"p99_ms\": {:.3}, \"fairness\": {:.3}}}"
                 ),
@@ -304,10 +265,6 @@ fn main() {
                 p.completed,
                 p.gave_up,
                 p.total_waits,
-                p.admit,
-                p.wait_verdicts,
-                p.shed_verdicts,
-                p.client_sheds,
                 p.goodput_ops_per_sec,
                 p.p50_ms,
                 p.p99_ms,
@@ -343,7 +300,6 @@ fn main() {
             "  \"goodput_at_2x_ops_per_sec\": {:.3},\n",
             "  \"goodput_ratio_at_2x\": {:.4},\n",
             "  \"p99_ms_at_2x\": {:.3},\n",
-            "  \"shed_fraction_at_2x\": {:.4},\n",
             "  \"fairness_at_2x\": {:.3},\n",
             "  \"curve\": [\n{}\n  ],\n",
             "  \"storm\": [\n{}\n  ]\n",
@@ -355,7 +311,6 @@ fn main() {
         at_2x.goodput_ops_per_sec,
         goodput_ratio_at_2x,
         at_2x.p99_ms,
-        shed_fraction_at_2x,
         at_2x.fairness,
         curve_json.join(",\n"),
         storm_json.join(",\n"),

@@ -108,15 +108,7 @@ fn assert_soak_ok(report: &SoakReport) {
 
 /// One full soak: build, fault, converge, audit.
 fn soak(profile: ChaosProfile, seed: u64) {
-    let mut cfg = chaos_cfg(seed);
-    if profile == ChaosProfile::OverloadStorm {
-        // The storm profile runs with admission control armed, so the
-        // audit also covers the watermark/shed machinery under gray
-        // failure: ops must still all terminate and the invariant hold.
-        cfg.cms_overload = OverloadConfig::with_limit(64);
-        cfg.srv_overload = OverloadConfig::with_limit(32);
-    }
-    let mut c = SimCluster::build(cfg);
+    let mut c = SimCluster::build(chaos_cfg(seed));
     for i in 0..N_SERVERS {
         c.seed_file(i, &format!("/d/f{i}"), 1, true);
     }

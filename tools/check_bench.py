@@ -226,14 +226,18 @@ def check_chaos(doc: dict, smoke: bool) -> None:
 
 
 OVERLOAD_RATIOS = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
-MIN_GOODPUT_RATIO_AT_2X = 0.8
+# No collapse: past nominal capacity, every point keeps this share of the
+# best goodput at any lower ratio.
+MIN_GOODPUT_VS_LOWER = 0.8
 MIN_FAIRNESS_AT_2X = 0.5
 
 
 def check_overload(doc: dict, smoke: bool) -> None:
-    """Ops conserved at every load point (no silent drops), goodput at 2x
-    capacity within 80 % of the curve's peak (saturation, not collapse),
-    fairness at 2x above 0.5, every OverloadStorm soak clean."""
+    """The paper's response-queue Wait under overload: ops conserved at
+    every load point (no silent drops), none given up, goodput at every
+    ratio >= 1 within 80 % of the best at a lower ratio (saturation, not
+    collapse), Waits at 3x, fairness at 2x above 0.5, every OverloadStorm
+    soak clean."""
     check_header(doc, "overload", "virtual")
     check_keys(
         doc,
@@ -243,7 +247,6 @@ def check_overload(doc: dict, smoke: bool) -> None:
             "goodput_at_2x_ops_per_sec": NUM,
             "goodput_ratio_at_2x": NUM,
             "p99_ms_at_2x": NUM,
-            "shed_fraction_at_2x": NUM,
             "fairness_at_2x": NUM,
             "curve": list,
             "storm": list,
@@ -253,7 +256,7 @@ def check_overload(doc: dict, smoke: bool) -> None:
     ratios = [p.get("ratio") for p in doc["curve"]]
     if ratios != OVERLOAD_RATIOS:
         fail(f"curve must sweep ratios {OVERLOAD_RATIOS}, got {ratios}")
-    total_sheds = 0
+    best_below = 0.0
     for i, p in enumerate(doc["curve"]):
         where = f"curve[{i}]"
         check_keys(
@@ -264,10 +267,6 @@ def check_overload(doc: dict, smoke: bool) -> None:
                 "completed": int,
                 "gave_up": int,
                 "waits": int,
-                "admit": int,
-                "wait_verdicts": int,
-                "shed_verdicts": int,
-                "client_sheds": int,
                 "goodput_ops_per_sec": NUM,
                 "p50_ms": NUM,
                 "p99_ms": NUM,
@@ -278,28 +277,32 @@ def check_overload(doc: dict, smoke: bool) -> None:
         if p["offered"] < 1:
             fail(f"{where}: empty load point")
         # Conservation: every offered op terminates as exactly one of
-        # completed / shed-out. Anything else is a silent drop.
+        # completed / gave up. Anything else is a silent drop.
         if p["completed"] + p["gave_up"] != p["offered"]:
             fail(
                 f"{where} (ratio {p['ratio']}): ops not conserved,"
                 f" {p['completed']} completed + {p['gave_up']} gave up"
                 f" != {p['offered']} offered"
             )
+        if p["gave_up"] != 0:
+            fail(f"{where} (ratio {p['ratio']}): {p['gave_up']} ops gave up")
         if p["goodput_ops_per_sec"] <= 0:
             fail(f"{where}: no goodput measured")
         if not 0 < p["p50_ms"] <= p["p99_ms"]:
             fail(f"{where}: percentiles out of order: {p['p50_ms']} / {p['p99_ms']}")
         if not 0 <= p["fairness"] <= 1:
             fail(f"{where}: fairness {p['fairness']} outside [0, 1]")
-        # Admits alone must cover the completions.
-        if p["admit"] < p["completed"]:
-            fail(f"{where}: only {p['admit']} admits for {p['completed']} completed ops")
-        total_sheds += p["shed_verdicts"]
+        if p["ratio"] >= 1 and p["goodput_ops_per_sec"] < MIN_GOODPUT_VS_LOWER * best_below:
+            fail(
+                f"congestion collapse at {p['ratio']}x: goodput"
+                f" {p['goodput_ops_per_sec']:.2f} is below {MIN_GOODPUT_VS_LOWER}"
+                f" of the best at a lower ratio ({best_below:.2f})"
+            )
+        best_below = max(best_below, p["goodput_ops_per_sec"])
 
-    if any(p["gave_up"] != 0 for p in doc["curve"] if p["ratio"] <= 0.5):
-        fail("ops gave up while the cluster was underloaded (ratio <= 0.5)")
-    if total_sheds < 1:
-        fail("the sweep never drove the cluster hard enough to shed")
+    at_3x = next(p for p in doc["curve"] if p["ratio"] == 3.0)
+    if at_3x["waits"] < 1:
+        fail("the sweep never drove the response queue full: no waits at 3x")
 
     at_2x = next(p for p in doc["curve"] if p["ratio"] == 2.0)
     peak = max(p["goodput_ops_per_sec"] for p in doc["curve"])
@@ -309,14 +312,9 @@ def check_overload(doc: dict, smoke: bool) -> None:
             f"top.goodput_ratio_at_2x {doc['goodput_ratio_at_2x']} disagrees"
             f" with the curve ({ratio_2x:.4f})"
         )
-    if ratio_2x < MIN_GOODPUT_RATIO_AT_2X:
-        fail(
-            f"congestion collapse: goodput at 2x capacity is only"
-            f" {ratio_2x:.2f} of peak (need >= {MIN_GOODPUT_RATIO_AT_2X})"
-        )
     if doc["fairness_at_2x"] < MIN_FAIRNESS_AT_2X:
         fail(
-            f"unfair shedding at 2x: min/max client completion ratio"
+            f"unfair waits at 2x: min/max client completion ratio"
             f" {doc['fairness_at_2x']:.2f} (need >= {MIN_FAIRNESS_AT_2X})"
         )
 
@@ -327,10 +325,9 @@ def check_overload(doc: dict, smoke: bool) -> None:
         check_soak(storm, f"storm[{i}]")
     ok(
         doc["mode"],
-        f"{len(doc['curve'])} load points conserved, goodput at 2x ="
-        f" {ratio_2x:.2f} of peak, fairness {doc['fairness_at_2x']:.2f}, shed"
-        f" fraction {doc['shed_fraction_at_2x']:.3f}, {len(doc['storm'])} storm"
-        f" seed(s) clean",
+        f"{len(doc['curve'])} load points conserved with no give-ups, no"
+        f" collapse past capacity, {at_3x['waits']} waits at 3x, fairness"
+        f" {doc['fairness_at_2x']:.2f}, {len(doc['storm'])} storm seed(s) clean",
     )
 
 
