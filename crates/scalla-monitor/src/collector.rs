@@ -99,10 +99,10 @@ impl ClusterView {
         *inner = ViewInner { interval, ..ViewInner::default() };
     }
 
-    /// Applies one monitor record. Returns `Some(last_seq)` when a
-    /// sequence gap was detected and the sender should be asked to
-    /// resync from that sequence number.
-    pub fn apply(&self, msg: &MonMsg, now: Nanos) -> Option<u64> {
+    /// Applies one monitor record. Returns `true` for a delta that
+    /// arrived past a sequence gap and was not applied: ask the sender
+    /// for a resync.
+    pub fn apply(&self, msg: &MonMsg, now: Nanos) -> bool {
         let t0 = std::time::Instant::now();
         let mut inner = self.inner.lock().unwrap();
         let out = Self::apply_locked(&mut inner, msg, now);
@@ -115,7 +115,7 @@ impl ClusterView {
         self.inner.lock().unwrap().apply_ns
     }
 
-    fn apply_locked(inner: &mut ViewInner, msg: &MonMsg, now: Nanos) -> Option<u64> {
+    fn apply_locked(inner: &mut ViewInner, msg: &MonMsg, now: Nanos) -> bool {
         inner.now = now;
         match msg {
             MonMsg::Summary { node, role, seq, full, counters, gauges, hists } => {
@@ -129,42 +129,39 @@ impl ClusterView {
                     gauges: HashMap::new(),
                     hists: HashMap::new(),
                 });
-                let gap = !*full && *seq != state.last_seq + 1;
-                let stale_record = *seq <= state.last_seq && state.last_seq != 0;
-                if !stale_record {
-                    state.role = role.clone();
-                    state.last_seen = now;
-                    state.health = NodeHealth::Live;
-                    if *full {
-                        state.counters = counters.iter().map(|(k, v)| (k.clone(), *v)).collect();
-                        state.hists.clear();
-                    } else if !gap {
-                        for (k, v) in counters {
-                            *state.counters.entry(k.clone()).or_insert(0) += v;
-                        }
-                    }
-                    if !gap {
-                        // Bucket increments are interval-local (the whole
-                        // histogram in a full record); count/sum/min/max
-                        // are cumulative.
-                        for d in hists {
-                            let h = state.hists.entry(d.key.clone()).or_default();
-                            h.add_sparse(&d.buckets, d.count, d.sum, d.min, d.max);
-                        }
-                    }
-                    for (k, v) in gauges {
-                        state.gauges.insert(k.clone(), *v);
-                    }
-                    let last = state.last_seq;
-                    state.last_seq = *seq;
-                    if gap {
-                        // The delta was applied to a hole; ask the emitter
-                        // to fill it (replay or full baseline).
-                        inner.seq_gaps += 1;
-                        return Some(last);
+                if *seq <= state.last_seq {
+                    return false; // a duplicate or a reordered record
+                }
+                state.role = role.clone();
+                state.last_seen = now;
+                state.health = NodeHealth::Live;
+                for (k, v) in gauges {
+                    state.gauges.insert(k.clone(), *v);
+                }
+                if !*full && *seq != state.last_seq + 1 {
+                    // A delta past a hole would leave the totals short
+                    // for good. Skip it and keep `last_seq`, so every
+                    // later delta asks again until a full baseline lands.
+                    inner.seq_gaps += 1;
+                    return true;
+                }
+                if *full {
+                    state.counters = counters.iter().map(|(k, v)| (k.clone(), *v)).collect();
+                    state.hists.clear();
+                } else {
+                    for (k, v) in counters {
+                        *state.counters.entry(k.clone()).or_insert(0) += v;
                     }
                 }
-                None
+                // Bucket increments are interval-local (the whole
+                // histogram in a full record); count/sum/min/max are
+                // cumulative.
+                for d in hists {
+                    let h = state.hists.entry(d.key.clone()).or_default();
+                    h.add_sparse(&d.buckets, d.count, d.sum, d.min, d.max);
+                }
+                state.last_seq = *seq;
+                false
             }
             MonMsg::Spans { node, spans } => {
                 inner.span_batches += 1;
@@ -183,9 +180,9 @@ impl ClusterView {
                         .or_default()
                         .push(SpanRecord { node: node.clone(), span: s.clone() });
                 }
-                None
+                false
             }
-            MonMsg::Resync { .. } => None,
+            MonMsg::Resync => false,
         }
     }
 
@@ -455,8 +452,8 @@ impl Node for CollectorNode {
 
     fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
         if let Msg::Mon(m) = msg {
-            if let Some(last_seq) = self.view.apply(&m, ctx.now()) {
-                ctx.send(from, Msg::Mon(MonMsg::Resync { since_seq: last_seq }));
+            if self.view.apply(&m, ctx.now()) {
+                ctx.send(from, Msg::Mon(MonMsg::Resync));
             }
         }
     }
@@ -507,14 +504,19 @@ mod tests {
     #[test]
     fn seq_gap_requests_resync_and_skips_delta() {
         let view = ClusterView::new(Nanos::from_millis(10));
-        assert_eq!(view.apply(&summary("a", 1, true, vec![("x".into(), 10)]), Nanos(0)), None);
+        assert!(!view.apply(&summary("a", 1, true, vec![("x".into(), 10)]), Nanos(0)));
         // seq 2 lost; delta 3 must not be applied onto the hole.
-        let gap = view.apply(&summary("a", 3, false, vec![("x".into(), 5)]), Nanos(1));
-        assert_eq!(gap, Some(1), "resync-from hint is the last good seq");
+        assert!(view.apply(&summary("a", 3, false, vec![("x".into(), 5)]), Nanos(1)));
         assert_eq!(view.counter_total("x"), 10);
+        // The gap is still open (the Resync may have been lost): delta 4
+        // asks again and is not applied either.
+        assert!(view.apply(&summary("a", 4, false, vec![("x".into(), 5)]), Nanos(2)));
+        assert_eq!(view.counter_total("x"), 10, "no delta lands past the hole");
         // A later full baseline heals regardless of sequence.
-        assert_eq!(view.apply(&summary("a", 9, true, vec![("x".into(), 30)]), Nanos(2)), None);
+        assert!(!view.apply(&summary("a", 9, true, vec![("x".into(), 30)]), Nanos(3)));
         assert_eq!(view.counter_total("x"), 30);
+        assert!(!view.apply(&summary("a", 10, false, vec![("x".into(), 1)]), Nanos(4)));
+        assert_eq!(view.counter_total("x"), 31, "deltas apply again after the baseline");
     }
 
     #[test]
@@ -637,10 +639,8 @@ mod tests {
         let a = [first, second].concat();
         let view = ClusterView::new(Nanos::from_millis(10));
         view.apply(&hist_summary("a", 1, true, vec![hist_record(key, &first, &first)]), Nanos(0));
-        assert_eq!(
-            view.apply(&hist_summary("a", 2, false, vec![hist_record(key, &second, &a)]), Nanos(1)),
-            None
-        );
+        assert!(!view
+            .apply(&hist_summary("a", 2, false, vec![hist_record(key, &second, &a)]), Nanos(1)));
         // One node: its histogram is the merge.
         assert_reads_as_one_histogram(&view, key, &a);
         let b = [300u64, 9_000_000];

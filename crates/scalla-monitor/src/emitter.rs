@@ -1,128 +1,72 @@
-//! The per-node summary-stream emitter, and the [`Monitored`] node that
-//! runs one beside the node it reports on.
+//! The [`Monitored`] node: a node that ships its obs snapshots to the
+//! collector as a summary stream.
 
 use scalla_obs::{ExportValue, Obs};
 use scalla_proto::msg::{HistDelta, MonMsg, MonSpan};
 use scalla_proto::{Addr, Msg};
 use scalla_simnet::{NetCtx, Node};
 use scalla_util::{Histogram, Nanos};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
-/// The emitter's private timer token, above every token a wrapped node
-/// arms (`1 << 32` server staging, `1 << 33` client timeouts, `1 << 40`/
+/// The reporting timer's token, above every token a wrapped node arms
+/// (`1 << 32` server staging, `1 << 33` client timeouts, `1 << 40`/
 /// `1 << 41` proxy), so [`Monitored`] can take it before the node sees it.
 pub(crate) const MONITOR_TIMER_TOKEN: u64 = 1 << 50;
-
-/// Every this-many ticks the emitter ships a full cumulative baseline
-/// instead of a delta, bounding how long a collector that missed records
-/// stays wrong even without an explicit resync.
-const FULL_EVERY: u64 = 8;
-
-/// Replay buffer depth: summaries a collector can ask back after a gap.
-const REPLAY_CAP: usize = 16;
 
 /// Cap on spans shipped per tick (keeps monitor frames bounded).
 const SPANS_PER_TICK: usize = 256;
 
-/// Periodically snapshots a node's obs registry and ships delta records
-/// to the collector. Wrap the node it reports on in a [`Monitored`], which
-/// drives it.
+/// A node that reports to the collector: `inner` does its own work, and
+/// every `interval` the wrapper snapshots `inner`'s obs registry and
+/// ships a delta record to the collector. Only the reporting timer's
+/// token and the collector's `Resync` stop here; every other event
+/// reaches `inner` as the runtime delivered it.
 ///
 /// Loss tolerance: records are fire-and-forget. Each summary carries a
-/// sequence number; the collector detects gaps and asks for a
-/// [`MonMsg::Resync`], answered from a bounded replay buffer or — when
-/// the gap is older than the buffer — with a fresh full baseline. Either
-/// way the stream re-converges because counters are cumulative in full
-/// records and histogram deltas carry cumulative `count`/`sum`.
-pub struct MonitorEmitter {
+/// sequence number; the collector applies no delta across a gap and
+/// answers each one with a [`MonMsg::Resync`], which makes the next tick
+/// a full baseline. The first tick after a (re)start is one too. The
+/// stream re-converges because counters are cumulative in full records
+/// and histogram deltas carry cumulative `count`/`sum`.
+pub struct Monitored {
+    inner: Box<dyn Node>,
     collector: Addr,
     node_name: String,
     role: &'static str,
     obs: Obs,
     interval: Nanos,
     seq: u64,
-    ticks_since_full: u64,
     force_full: bool,
     prev_counters: HashMap<String, u64>,
     prev_hists: HashMap<String, Histogram>,
     spans_mark: u64,
-    replay: VecDeque<MonMsg>,
 }
 
-impl MonitorEmitter {
-    /// A new emitter shipping `obs` snapshots of node `node_name` (role
-    /// label `role`) to `collector` every `interval`.
+impl Monitored {
+    /// `inner`, reporting `obs` snapshots as node `node_name` (role label
+    /// `role`) to `collector` every `interval`. Give `inner` the same
+    /// `obs` handle (its `set_obs`) first.
     pub fn new(
+        inner: Box<dyn Node>,
         collector: Addr,
         node_name: impl Into<String>,
         role: &'static str,
         obs: Obs,
         interval: Nanos,
-    ) -> MonitorEmitter {
-        MonitorEmitter {
+    ) -> Monitored {
+        Monitored {
+            inner,
             collector,
             node_name: node_name.into(),
             role,
             obs,
             interval,
             seq: 0,
-            ticks_since_full: 0,
             force_full: true,
             prev_counters: HashMap::new(),
             prev_hists: HashMap::new(),
             spans_mark: 0,
-            replay: VecDeque::new(),
         }
-    }
-
-    /// Arms the reporting timer; safe across crash-revive (the next
-    /// summary is a full baseline, so the collector's view of this node
-    /// heals in one tick).
-    pub(crate) fn on_start(&mut self, ctx: &mut dyn NetCtx) {
-        self.force_full = true;
-        ctx.set_timer(self.interval, MONITOR_TIMER_TOKEN);
-    }
-
-    /// Handles the reporting timer. Returns `true` when the token was the
-    /// emitter's, `false` for any other token.
-    pub(crate) fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) -> bool {
-        if token != MONITOR_TIMER_TOKEN {
-            return false;
-        }
-        self.emit(ctx);
-        ctx.set_timer(self.interval, MONITOR_TIMER_TOKEN);
-        true
-    }
-
-    /// Handles an inbound monitor message (the collector's `Resync`).
-    /// Returns `true` when consumed.
-    pub(crate) fn on_message(&mut self, ctx: &mut dyn NetCtx, msg: &Msg) -> bool {
-        let Msg::Mon(MonMsg::Resync { since_seq }) = msg else {
-            return false;
-        };
-        self.obs.count("scalla_monitor_resyncs_total", &[], 1);
-        // Replay everything newer than the collector's high-water mark; if
-        // the gap predates the buffer, fall back to a full baseline next
-        // tick (cumulative values make that sufficient).
-        let oldest = self.replay.front().and_then(|m| match m {
-            MonMsg::Summary { seq, .. } => Some(*seq),
-            _ => None,
-        });
-        if oldest.is_some_and(|o| o <= since_seq + 1) {
-            let mut replayed = 0u64;
-            for m in &self.replay {
-                if let MonMsg::Summary { seq, .. } = m {
-                    if *seq > *since_seq {
-                        ctx.send(self.collector, Msg::Mon(m.clone()));
-                        replayed += 1;
-                    }
-                }
-            }
-            self.obs.count("scalla_monitor_replays_total", &[], replayed);
-        } else {
-            self.force_full = true;
-        }
-        true
     }
 
     /// Snapshots, diffs, and ships one summary (plus any new spans).
@@ -131,9 +75,7 @@ impl MonitorEmitter {
             return;
         }
         let t0 = std::time::Instant::now();
-        let full = self.force_full || self.ticks_since_full >= FULL_EVERY;
-        self.force_full = false;
-        self.ticks_since_full = if full { 0 } else { self.ticks_since_full + 1 };
+        let full = std::mem::take(&mut self.force_full);
 
         // Accounting first so the counters land in this very export.
         self.obs.count("scalla_monitor_summaries_total", &[], 1);
@@ -185,10 +127,6 @@ impl MonitorEmitter {
             gauges,
             hists,
         };
-        if self.replay.len() >= REPLAY_CAP {
-            self.replay.pop_front();
-        }
-        self.replay.push_back(summary.clone());
         ctx.send(self.collector, Msg::Mon(summary));
 
         // Drain new flight-recorder spans; traced ones feed the span-tree
@@ -223,37 +161,30 @@ impl MonitorEmitter {
     }
 }
 
-/// A node that reports to the collector: `inner` does its own work and
-/// the emitter ships its obs snapshots beside it. Only the emitter's timer
-/// token and the collector's `Resync` stop here; every other event reaches
-/// `inner` as the runtime delivered it.
-pub struct Monitored {
-    inner: Box<dyn Node>,
-    emitter: MonitorEmitter,
-}
-
-impl Monitored {
-    /// `inner`, reporting through `emitter`. Give `inner` the emitter's
-    /// obs handle (its `set_obs`) first.
-    pub fn new(inner: Box<dyn Node>, emitter: MonitorEmitter) -> Monitored {
-        Monitored { inner, emitter }
-    }
-}
-
 impl Node for Monitored {
+    /// Starts the node, then arms the reporting timer; safe across
+    /// crash-revive (the next summary is a full baseline, so the
+    /// collector's view of this node heals in one tick).
     fn on_start(&mut self, ctx: &mut dyn NetCtx) {
         self.inner.on_start(ctx);
-        self.emitter.on_start(ctx);
+        self.force_full = true;
+        ctx.set_timer(self.interval, MONITOR_TIMER_TOKEN);
     }
 
     fn on_message(&mut self, ctx: &mut dyn NetCtx, from: Addr, msg: Msg) {
-        if !self.emitter.on_message(ctx, &msg) {
+        if let Msg::Mon(MonMsg::Resync) = msg {
+            self.obs.count("scalla_monitor_resyncs_total", &[], 1);
+            self.force_full = true;
+        } else {
             self.inner.on_message(ctx, from, msg);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn NetCtx, token: u64) {
-        if !self.emitter.on_timer(ctx, token) {
+        if token == MONITOR_TIMER_TOKEN {
+            self.emit(ctx);
+            ctx.set_timer(self.interval, MONITOR_TIMER_TOKEN);
+        } else {
             self.inner.on_timer(ctx, token);
         }
     }
@@ -279,20 +210,62 @@ mod tests {
             .collect()
     }
 
+    /// The `full` flag of each summary sent, in order.
+    fn fulls(sent: &[(Addr, Msg)]) -> Vec<bool> {
+        summaries(sent)
+            .into_iter()
+            .map(|m| match m {
+                MonMsg::Summary { full, .. } => *full,
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
+    /// Records what reaches it; arms one timer of its own on start.
+    #[derive(Default)]
+    struct Recorder {
+        msgs: Vec<Msg>,
+        timers: Vec<u64>,
+    }
+
+    impl Node for Recorder {
+        fn on_start(&mut self, ctx: &mut dyn NetCtx) {
+            ctx.set_timer(Nanos::from_millis(1), 7);
+        }
+        fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, msg: Msg) {
+            self.msgs.push(msg);
+        }
+        fn on_timer(&mut self, _: &mut dyn NetCtx, token: u64) {
+            self.timers.push(token);
+        }
+        fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    /// A [`Recorder`] reporting `obs` to `Addr(1)` every 10 ms, started.
+    fn started(obs: Obs) -> (Monitored, MockCtx) {
+        let node = Box::new(Recorder::default());
+        let mut m = Monitored::new(node, Addr(1), "n9", "server", obs, Nanos::from_millis(10));
+        let mut ctx = MockCtx::new();
+        m.on_start(&mut ctx);
+        (m, ctx)
+    }
+
+    fn tick(m: &mut Monitored, ctx: &mut MockCtx, n: usize) {
+        for _ in 0..n {
+            m.on_timer(ctx, MONITOR_TIMER_TOKEN);
+        }
+    }
+
     #[test]
     fn first_summary_is_full_then_deltas() {
         let obs = Obs::with_config(1, 64);
-        let mut em =
-            MonitorEmitter::new(Addr(1), "n9", "server", obs.clone(), Nanos::from_millis(10));
-        let mut ctx = MockCtx::new();
-        em.on_start(&mut ctx);
-        assert_eq!(ctx.timers, vec![(Nanos::from_millis(10), MONITOR_TIMER_TOKEN)]);
-
+        let (mut m, mut ctx) = started(obs.clone());
         obs.count("scalla_test_total", &[], 5);
-        assert!(em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN));
+        tick(&mut m, &mut ctx, 1);
         obs.count("scalla_test_total", &[], 2);
-        assert!(em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN));
-        assert!(!em.on_timer(&mut ctx, 7), "foreign token must not be consumed");
+        tick(&mut m, &mut ctx, 1);
 
         let sums = summaries(&ctx.sends);
         assert_eq!(sums.len(), 2);
@@ -318,12 +291,10 @@ mod tests {
     #[test]
     fn spans_ship_only_traced_events() {
         let obs = Obs::with_config(1, 64);
-        let mut em = MonitorEmitter::new(Addr(1), "n9", "cms", obs.clone(), Nanos::from_millis(5));
-        let mut ctx = MockCtx::new();
-        em.on_start(&mut ctx);
+        let (mut m, mut ctx) = started(obs.clone());
         obs.span(SpanEvent::new(TraceId(0xabc), 9, "cms_resolve").verdict("hit"));
         obs.span(SpanEvent::new(TraceId::NONE, 9, "window_tick"));
-        em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
+        tick(&mut m, &mut ctx, 1);
         let span_batches: Vec<_> = ctx
             .sends
             .iter()
@@ -337,84 +308,32 @@ mod tests {
         assert_eq!(span_batches[0][0].trace, 0xabc);
         assert_eq!(span_batches[0][0].stage, "cms_resolve");
         // Second tick: nothing new to ship.
-        em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
+        tick(&mut m, &mut ctx, 1);
         let batches_after: Vec<_> =
             ctx.sends.iter().filter(|(_, m)| matches!(m, Msg::Mon(MonMsg::Spans { .. }))).collect();
         assert_eq!(batches_after.len(), 1);
     }
 
+    /// A lossless stream carries one full baseline, its first, however
+    /// long it runs; a `Resync` sends nothing itself and makes exactly
+    /// the next tick full.
     #[test]
-    fn resync_replays_or_forces_full() {
-        let obs = Obs::with_config(1, 64);
-        let mut em =
-            MonitorEmitter::new(Addr(1), "n9", "client", obs.clone(), Nanos::from_millis(5));
-        let mut ctx = MockCtx::new();
-        em.on_start(&mut ctx);
-        for _ in 0..3 {
-            em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
-        }
-        ctx.take_sends();
-        // Collector saw up to seq 1; replay buffer still holds 1..=3.
-        assert!(em.on_message(&mut ctx, &Msg::Mon(MonMsg::Resync { since_seq: 1 })));
-        let replayed = summaries(&ctx.sends);
-        assert_eq!(replayed.len(), 2, "seq 2 and 3 replayed");
+    fn resync_makes_exactly_the_next_tick_full() {
+        let (mut m, mut ctx) = started(Obs::with_config(1, 64));
+        tick(&mut m, &mut ctx, 40);
+        let mut want = vec![false; 40];
+        want[0] = true;
+        assert_eq!(fulls(&ctx.take_sends()), want, "only the first summary is full");
 
-        // A gap older than the buffer (since_seq 0 after the buffer has
-        // rolled) forces a full baseline instead.
-        for _ in 0..REPLAY_CAP + 2 {
-            em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
-        }
-        ctx.take_sends();
-        assert!(em.on_message(&mut ctx, &Msg::Mon(MonMsg::Resync { since_seq: 0 })));
-        assert!(summaries(&ctx.sends).is_empty(), "gap too old to replay");
-        em.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
-        match summaries(&ctx.sends)[0] {
-            MonMsg::Summary { full, .. } => assert!(*full, "forced full baseline"),
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn non_monitor_messages_are_not_consumed() {
-        let obs = Obs::with_config(1, 64);
-        let mut em = MonitorEmitter::new(Addr(1), "n9", "proxy", obs, Nanos::from_millis(5));
-        let mut ctx = MockCtx::new();
-        assert!(!em.on_message(&mut ctx, &Msg::Cms(scalla_proto::CmsMsg::LoginOk { slot: 3 })));
-    }
-
-    /// Records what reaches it; arms one timer of its own on start.
-    #[derive(Default)]
-    struct Recorder {
-        msgs: Vec<Msg>,
-        timers: Vec<u64>,
-    }
-
-    impl Node for Recorder {
-        fn on_start(&mut self, ctx: &mut dyn NetCtx) {
-            ctx.set_timer(Nanos::from_millis(1), 7);
-        }
-        fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, msg: Msg) {
-            self.msgs.push(msg);
-        }
-        fn on_timer(&mut self, _: &mut dyn NetCtx, token: u64) {
-            self.timers.push(token);
-        }
-        fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-            Some(self)
-        }
-    }
-
-    fn monitored() -> Monitored {
-        let obs = Obs::with_config(1, 64);
-        let em = MonitorEmitter::new(Addr(1), "n9", "server", obs, Nanos::from_millis(10));
-        Monitored::new(Box::new(Recorder::default()), em)
+        m.on_message(&mut ctx, Addr(1), MonMsg::Resync.into());
+        assert!(ctx.sends.is_empty(), "a Resync is answered by the next tick");
+        tick(&mut m, &mut ctx, 3);
+        assert_eq!(fulls(&ctx.sends), [true, false, false]);
     }
 
     #[test]
     fn monitored_starts_the_node_before_the_emitter() {
-        let mut m = monitored();
-        let mut ctx = MockCtx::new();
-        m.on_start(&mut ctx);
+        let (_, ctx) = started(Obs::with_config(1, 64));
         assert_eq!(
             ctx.timers,
             vec![(Nanos::from_millis(1), 7), (Nanos::from_millis(10), MONITOR_TIMER_TOKEN)]
@@ -424,12 +343,15 @@ mod tests {
     #[test]
     fn monitored_keeps_only_its_token_and_resync() {
         use scalla_proto::{ClientMsg, CmsMsg, ServerMsg};
-        let mut m = monitored();
-        let mut ctx = MockCtx::new();
-        m.on_start(&mut ctx);
+        let (mut m, mut ctx) = started(Obs::with_config(1, 64));
         m.on_timer(&mut ctx, 7);
-        m.on_timer(&mut ctx, MONITOR_TIMER_TOKEN);
-        assert_eq!(summaries(&ctx.sends).len(), 1, "the emitter's token fired the emitter");
+        tick(&mut m, &mut ctx, 12);
+        assert_eq!(fulls(&ctx.sends)[..2], [true, false], "the reporting token fired the stream");
+        assert_eq!(
+            fulls(&ctx.take_sends()).iter().filter(|f| **f).count(),
+            1,
+            "one full, the first"
+        );
         let passed: Vec<Msg> = vec![
             CmsMsg::LoginOk { slot: 3 }.into(),
             ClientMsg::Stat { path: "/f".into() }.into(),
@@ -449,12 +371,17 @@ mod tests {
         for msg in &passed {
             m.on_message(&mut ctx, Addr(5), msg.clone());
         }
-        m.on_message(&mut ctx, Addr(1), MonMsg::Resync { since_seq: 0 }.into());
-        assert_eq!(summaries(&ctx.sends).len(), 2, "the Resync replayed seq 1");
+        m.on_message(&mut ctx, Addr(1), MonMsg::Resync.into());
+        tick(&mut m, &mut ctx, 2);
+        assert_eq!(fulls(&ctx.sends), [true, false], "the Resync made the next tick full");
 
         let inner = m.as_any_mut().and_then(|a| a.downcast_mut::<Recorder>());
         let inner = inner.expect("a downcast through the wrapper reaches the node");
-        assert_eq!(inner.timers, [7], "a foreign token reaches the node, the emitter's does not");
+        assert_eq!(
+            inner.timers,
+            [7],
+            "a foreign token reaches the node, the reporting one does not"
+        );
         assert_eq!(inner.msgs, passed, "every message but the Resync reaches the node");
     }
 }

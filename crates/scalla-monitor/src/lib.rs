@@ -6,17 +6,19 @@
 //! answers "which node melts first" at paper scale. This crate adds that
 //! missing tier on top of the per-node obs layer:
 //!
-//! * [`MonitorEmitter`] — run beside a monitored node (cmsd, server,
-//!   client driver, pcache proxy) by a [`Monitored`] wrapper, which takes
-//!   its timer and the collector's `Resync` and hands every other event
-//!   to the node. On a periodic timer it snapshots the node's
-//!   obs [`Registry`](scalla_obs::Registry), diffs against the previous
+//! * [`Monitored`] — wraps a monitored node (cmsd, server, client
+//!   driver, pcache proxy), takes its own reporting timer and the
+//!   collector's `Resync`, and hands every other event to the node. On
+//!   each tick it snapshots the node's obs
+//!   [`Registry`](scalla_obs::Registry), diffs against the previous
 //!   snapshot, and ships a compact delta record ([`MonMsg::Summary`]) plus
 //!   any new flight-recorder spans ([`MonMsg::Spans`]) to the collector
 //!   over whatever runtime the node is on (simnet message, live mailbox,
-//!   TCP frame — wire family tag `0x50`). The emitter is fire-and-forget:
-//!   a dead collector costs nothing but a bounded replay buffer, and a
-//!   collector restart is healed by a full-baseline resync.
+//!   TCP frame — wire family tag `0x50`). The stream is fire-and-forget:
+//!   a dead collector costs the node nothing, and a lost record or a
+//!   collector restart is healed one way — the collector answers every
+//!   delta past a sequence gap with `Resync`, and the next tick ships a
+//!   full baseline.
 //! * [`CollectorNode`] + [`ClusterView`] — merges per-node cumulative
 //!   counters and bucket-compatible histogram snapshots into one live
 //!   cluster view: per-role rollups, cluster-wide p50/p99/p999 for each
@@ -33,5 +35,5 @@ pub mod emitter;
 pub mod spans;
 
 pub use collector::{ClusterView, CollectorNode, NodeHealth};
-pub use emitter::{MonitorEmitter, Monitored};
+pub use emitter::Monitored;
 pub use spans::{OpClass, SpanTree};

@@ -331,12 +331,10 @@ pub enum MonMsg {
         /// Spans ring entries not yet shipped (oldest first).
         spans: Vec<MonSpan>,
     },
-    /// Collector → node: a sequence gap was detected; replay summaries
-    /// after `since_seq` or, if no longer buffered, send a full baseline.
-    Resync {
-        /// Last sequence number the collector applied.
-        since_seq: u64,
-    },
+    /// Collector → node: a delta arrived past a sequence gap and was not
+    /// applied; make the next summary a full baseline. Sent for every
+    /// such delta, so a lost `Resync` is asked again one tick later.
+    Resync,
 }
 
 /// Any Scalla message — what the runtimes actually route.

@@ -321,7 +321,7 @@ wire_enum! {
     MonMsg(buf) {
         0 => Summary { node, role, seq, full, counters, gauges, hists },
         1 => Spans { node, spans },
-        2 => Resync { since_seq },
+        2 => Resync,
     }
 }
 
@@ -476,7 +476,7 @@ mod tests {
                 }],
             }
             .into(),
-            MonMsg::Resync { since_seq: 41 }.into(),
+            MonMsg::Resync.into(),
         ];
         for msg in cases {
             roundtrip(msg);
@@ -515,7 +515,7 @@ mod tests {
     fn monitor_frames_carry_trace_envelopes_too() {
         // Monitoring traffic is normally untraced, but the envelope must
         // still compose with the 0x50 family.
-        let msg: Msg = MonMsg::Resync { since_seq: 7 }.into();
+        let msg: Msg = MonMsg::Resync.into();
         let mut buf = BytesMut::new();
         encode_msg_traced(&msg, 0x51, &mut buf);
         let mut slice = buf.freeze();

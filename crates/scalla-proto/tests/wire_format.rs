@@ -59,7 +59,7 @@ fn corpus(Vals(a, b, n, flag, s, t, list, data): &Vals) -> Vec<Msg> {
         summary(false).into(),
         summary(true).into(),
         MonMsg::Spans { node: t(), spans: vec![span] }.into(),
-        MonMsg::Resync { since_seq: b }.into(),
+        MonMsg::Resync.into(),
     ];
     use ErrCode::*;
     for code in [NotFound, NoEligibleServer, BadRequest, IoError, Retry] {
@@ -117,7 +117,7 @@ const GOLDEN: [(&str, &str); 37] = [
     ("ac0000005000050000007372762d330d0000002f73746f72652f662e726f6f7409000000000000000002000000020000002f610010000000000000030000002f6263001000000000000002000000020000002f610010000000000000030000002f62630010000000000000010000000d0000002f73746f72652f662e726f6f7401000000efbeadde09000000000000000900000000000000001000000000000001000000000000000200000000000000", "b50000004008070605040302015000050000007372762d330d0000002f73746f72652f662e726f6f7409000000000000000002000000020000002f610010000000000000030000002f6263001000000000000002000000020000002f610010000000000000030000002f62630010000000000000010000000d0000002f73746f72652f662e726f6f7401000000efbeadde09000000000000000900000000000000001000000000000001000000000000000200000000000000"),
     ("8f0000005000050000007372762d330d0000002f73746f72652f662e726f6f7409000000000000000102000000020000002f610010000000000000030000002f6263001000000000000000000000010000000d0000002f73746f72652f662e726f6f7401000000efbeadde09000000000000000900000000000000001000000000000001000000000000000200000000000000", "980000004008070605040302015000050000007372762d330d0000002f73746f72652f662e726f6f7409000000000000000102000000020000002f610010000000000000030000002f6263001000000000000000000000010000000d0000002f73746f72652f662e726f6f7401000000efbeadde09000000000000000900000000000000001000000000000001000000000000000200000000000000"),
     ("490000005001050000007372762d330100000009000000000000000d0000002f73746f72652f662e726f6f74050000007372762d33001000000000000003000000000000000400000000000000", "520000004008070605040302015001050000007372762d330100000009000000000000000d0000002f73746f72652f662e726f6f74050000007372762d33001000000000000003000000000000000400000000000000"),
-    ("0a00000050020010000000000000", "1300000040080706050403020150020010000000000000"),
+    ("020000005002", "0b0000004008070605040302015002"),
     ("0c000000200800050000007372762d33", "15000000400807060504030201200800050000007372762d33"),
     ("0c000000200801050000007372762d33", "15000000400807060504030201200801050000007372762d33"),
     ("0c000000200802050000007372762d33", "15000000400807060504030201200802050000007372762d33"),

@@ -6,7 +6,7 @@ use scalla_cache::CacheConfig;
 use scalla_client::{ClientConfig, ClientNode, ClientOp, Directory, OpResult};
 use scalla_cluster::{MembershipConfig, NodeId, NodeRole, SelectionPolicy, TreeSpec};
 use scalla_lcache::{LcacheConfig, LocationCache};
-use scalla_monitor::{ClusterView, CollectorNode, MonitorEmitter, Monitored};
+use scalla_monitor::{ClusterView, CollectorNode, Monitored};
 use scalla_node::{CmsdConfig, CmsdNode, CnsNode, ServerConfig, ServerNode};
 use scalla_obs::Obs;
 use scalla_pcache::{PcacheConfig, ProxyConfig, ProxyNode};
@@ -274,8 +274,7 @@ impl Cluster {
         if let (Some(collector), Some(interval)) = (self.collector, self.cfg.monitor) {
             let obs = Obs::enabled();
             set_obs(&mut node, obs.clone());
-            let emitter = MonitorEmitter::new(collector, name, role, obs, interval);
-            return Box::new(Monitored::new(Box::new(node), emitter));
+            return Box::new(Monitored::new(Box::new(node), collector, name, role, obs, interval));
         }
         if self.cfg.obs.is_enabled() {
             set_obs(&mut node, self.cfg.obs.clone());

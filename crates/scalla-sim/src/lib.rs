@@ -54,6 +54,6 @@ pub use chaos::{assert_poll, poll_until, ChaosProfile, Fault, SoakReport};
 pub use cluster::{downcast, Cluster, ClusterConfig, SimCluster};
 pub use live::LiveNet;
 pub use metrics::{percentile, summarize, EgressCounters, LatencySummary, NetCounters};
-pub use scalla_monitor::{ClusterView, CollectorNode, MonitorEmitter, NodeHealth, SpanTree};
+pub use scalla_monitor::{ClusterView, CollectorNode, NodeHealth, SpanTree};
 pub use tcp::TcpNet;
 pub use workload::{analysis_job, make_catalog, WorkloadConfig, ZipfSampler};

@@ -29,19 +29,17 @@ fn main() {
     // Monitoring collector: merges summary streams into the cluster view
     // served as /cluster + /cluster.json. The demo nodes share one obs
     // registry (so /metrics shows the whole cluster), hence a single
-    // emitter, the manager's, ships it — one emitter per registry, or
+    // stream, the manager's, ships it — one stream per registry, or
     // totals double. It wraps the first cmsd built, which is mgr-0: with
     // no CNS and no cluster-side monitor the builder adds managers first.
     let interval = Nanos::from_millis(200);
     let view = Arc::new(ClusterView::new(interval));
     let collector = net.add_node(Box::new(CollectorNode::new(view.clone(), interval))).unwrap();
-    let mut emitter =
-        Some(MonitorEmitter::new(collector, "mgr-0", "manager", obs.clone(), interval));
+    let mut wrapped = false;
     let mut c = Cluster::assemble(cfg, net.clock(), &mut |mut n| {
-        if n.as_any_mut().is_some_and(|any| any.is::<CmsdNode>()) {
-            if let Some(emitter) = emitter.take() {
-                n = Box::new(Monitored::new(n, emitter));
-            }
+        if !wrapped && n.as_any_mut().is_some_and(|any| any.is::<CmsdNode>()) {
+            wrapped = true;
+            n = Box::new(Monitored::new(n, collector, "mgr-0", "manager", obs.clone(), interval));
         }
         net.add_node(n).unwrap()
     });

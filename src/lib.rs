@@ -68,7 +68,7 @@ pub mod prelude {
     pub use scalla_client::{ClientOp, Directory, OpOutcome, OpResult};
     pub use scalla_cluster::{SelectionPolicy, TreeSpec};
     pub use scalla_lcache::{LcacheConfig, LcacheSnapshot, LocationCache};
-    pub use scalla_monitor::{ClusterView, CollectorNode, MonitorEmitter, Monitored, SpanTree};
+    pub use scalla_monitor::{ClusterView, CollectorNode, Monitored, SpanTree};
     pub use scalla_node::{
         CmsdConfig, CmsdNode, CnsNode, OverloadConfig, ServerConfig, ServerNode,
     };

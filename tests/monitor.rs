@@ -102,7 +102,7 @@ fn simnet_cluster_scrape_and_cold_read_span_tree() {
 }
 
 /// Collector resilience (chaos): crash/restart the collector mid-run.
-/// Emitters keep emitting with bounded replay; the restarted collector
+/// Monitored nodes keep shipping into the void; the restarted collector
 /// detects the sequence gap, requests a resync, and the view reconverges.
 /// A crashed server then goes stale in the view within the sweep bound.
 #[test]
@@ -118,15 +118,16 @@ fn collector_crash_restart_reconverges_and_marks_stale_nodes() {
     let baseline_heartbeats = view.counter_total("scalla_monitor_summaries_total");
     assert!(baseline_heartbeats >= 1);
 
-    // Crash the collector for several reporting intervals: emitters keep
-    // shipping into the void (bounded replay, no blocking, no hang).
+    // Crash the collector for several reporting intervals: monitored
+    // nodes keep shipping into the void (no buffering, no blocking, no
+    // hang).
     let collector = c.collector.expect("monitoring on");
     c.net.kill(collector);
     c.net.run_for(interval.mul(8));
 
     // Restart. on_start resets the view, so the first post-restart deltas
     // arrive over a sequence hole; the collector answers with Resync and
-    // emitters heal it (replay or forced full baseline).
+    // each node's next tick ships a full baseline.
     c.net.revive(collector);
     c.net.run_for(interval.mul(8));
 
@@ -157,6 +158,50 @@ fn collector_crash_restart_reconverges_and_marks_stale_nodes() {
     c.net.revive(c.servers[2]);
     c.net.run_for(interval.mul(2));
     assert_eq!(view.node_health("srv-2"), Some(NodeHealth::Live), "revived node reports again");
+}
+
+/// A lost `Resync` does not leave the view short: the collector applies
+/// no delta past the hole and asks again on each one, so the node's next
+/// full baseline makes its totals exact within three intervals.
+#[test]
+fn a_lost_resync_still_converges_exactly() {
+    let interval = Nanos::from_millis(500);
+    let key = "scalla_cache_lookups_total{node=\"mgr-0\"}";
+    let mut c = SimCluster::build(monitored_cfg());
+    c.seed_file(1, FILE, SIZE, true);
+    c.settle(Nanos::from_secs(3));
+    let ops = (0..4).map(|_| ClientOp::Open { path: FILE.into(), write: false }).collect();
+    let client = c.add_client(ops, Nanos::ZERO);
+    c.start_node(client);
+    c.net.run_for(Nanos::from_secs(2));
+    assert!(c.client_done(client));
+    assert!(c.client_results(client).iter().all(|r| r.outcome == OpOutcome::Ok));
+    let (collector, mgr) = (c.collector.expect("monitoring on"), c.managers[0]);
+    let lookups = c.with_cmsd(mgr, |m| m.cache().stats().snapshot().lookups);
+    assert!(lookups >= 4, "the opens were resolved at mgr-0: {lookups}");
+
+    // Down for 9.5 intervals, so the restart falls between two ticks.
+    c.net.kill(collector);
+    c.net.run_for(interval.mul(9) + Nanos::from_millis(250));
+    c.net.revive(collector);
+    let view = c.cluster_view().expect("monitoring on");
+
+    // Every node started at time zero, so mgr-0 ticks on multiples of the
+    // interval. Cut the link while its first post-restart delta is in
+    // flight: the delta lands, reads as a gap, and the Resync is dropped.
+    let tick = Nanos(interval.0 * (c.net.now().0 / interval.0 + 1));
+
+    c.net.run_until(tick + Nanos::from_micros(10));
+    c.net.partition(collector, mgr);
+    let dropped = c.net.stats().dropped;
+    c.net.run_for(Nanos::from_millis(1));
+    assert_eq!(c.net.stats().dropped, dropped + 1, "the cut took the Resync and nothing else");
+    assert_eq!(view.node_health("mgr-0"), Some(NodeHealth::Live), "the delta landed");
+    assert_eq!(view.counter_total(key), 0, "a delta past the hole is not applied");
+    c.net.heal(collector, mgr);
+
+    c.net.run_for(interval.mul(3));
+    assert_eq!(view.counter_total(key), lookups, "the view matches mgr-0's own cache stats");
 }
 
 /// The same pipeline on the live threaded runtime: real threads, real
