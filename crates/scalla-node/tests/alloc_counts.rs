@@ -4,9 +4,11 @@
 //! types force: the decoded path `String` on the way in, and the
 //! `Redirect`'s host name on the way out. A counting global allocator
 //! (per thread, so the harness's other test threads do not count) turns
-//! that into two exact assertions.
+//! that into two exact assertions. A bulk frame read off a socket should
+//! cost the storage its payload keeps and the next read's buffer, and no
+//! allocation larger than its frame.
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use scalla_node::{CmsdConfig, CmsdNode};
 use scalla_proto::{
     encode_frame, Addr, ClientMsg, CmsMsg, FrameDecoder, Msg, NodeRoleTag, ServerMsg,
@@ -15,6 +17,8 @@ use scalla_simnet::{MockCtx, Node};
 use scalla_util::{crc32, VirtualClock};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 /// The system allocator, counting the allocations (fresh or grown) made
@@ -23,11 +27,14 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The largest allocation (fresh or grown) made on this thread.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(size: usize) {
     // A thread being torn down has no counter left; nothing counts there.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -35,17 +42,17 @@ fn bump() {
 // thread-local `Cell`, which itself never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: the caller's `layout` obligations pass through.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: `ptr` came from this allocator with `layout`, as the
         // caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -132,4 +139,41 @@ fn a_cache_hit_open_allocates_only_the_redirect_host() {
         );
         assert_eq!(n, 1, "a cache hit allocates the redirect's host name only");
     }
+}
+
+/// One 64 KiB `Data` frame with a `CloseOk` behind it, read off a socket
+/// as a TCP reader does (`FrameDecoder::recv_from`, then every frame
+/// drained). Four allocations: the first read's buffer, its growth to the
+/// frame's size once the length is in (the payload then keeps that
+/// storage), the payload's `Bytes`, and the buffer the rider is read into
+/// (as large as the frame, ready for the next one). None is larger than
+/// the frame. A reader that bounced each read through an array and copied
+/// the payload out because the rider shared its buffer made five, the
+/// largest past the frame.
+#[test]
+fn a_received_bulk_frame_allocates_nothing_past_its_frame() {
+    let msg: Msg = ServerMsg::Data { data: Bytes::from(vec![0x5A; 64 << 10]) }.into();
+    let mut wire = BytesMut::new();
+    encode_frame(&msg, &mut wire);
+    let frame = wire.len();
+    encode_frame(&ServerMsg::CloseOk.into(), &mut wire);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut tx = TcpStream::connect(listener.local_addr().expect("address")).expect("connect");
+    let (rx, _) = listener.accept().expect("accept");
+    tx.write_all(&wire).expect("both frames wait in the socket"); // before any read
+    let mut dec = FrameDecoder::new();
+    let mut frames = Vec::with_capacity(2);
+    LARGEST.with(|m| m.set(0));
+    let (n, ()) = allocations(|| {
+        while frames.len() < 2 {
+            assert!(dec.recv_from(&rx).expect("recv") > 0, "the stream ended early");
+            while let Some((_, m)) = dec.next_traced().expect("valid frames") {
+                frames.push(m);
+            }
+        }
+    });
+    assert_eq!(frames, [msg, ServerMsg::CloseOk.into()]);
+    assert_eq!(n, 4, "read buffer, grown to the frame, the payload's Bytes, the rider's buffer");
+    let largest = LARGEST.with(Cell::get);
+    assert!(largest <= frame, "an allocation of {largest} bytes for a {frame}-byte frame");
 }

@@ -30,4 +30,4 @@ pub use msg::{
     ServerMsg, NO_CLIENT,
 };
 pub use pool::BufferPool;
-pub use wire::{encode_frame, encode_frame_traced, encode_msg, FrameDecoder, WireError};
+pub use wire::{encode_frame, encode_frame_traced, encode_msg, FrameDecoder, Gather, WireError};

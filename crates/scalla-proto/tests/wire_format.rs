@@ -1,13 +1,14 @@
 //! The wire format, pinned down by one corpus of every message variant,
 //! `ErrCode` and `NodeRoleTag`, both `Redirect` layouts and both `Summary`
 //! kinds: built from fixed values it must match the golden hex, built from
-//! drawn values it must decode back, and no strict prefix may decode.
+//! drawn values it must decode back, and no strict prefix may decode. A
+//! gather write of the whole corpus is its frames' bytes, back to back.
 
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use scalla_proto::{
-    encode_frame_traced, ClientMsg, CmsMsg, ErrCode, FrameDecoder, HistDelta, Lease, MonMsg,
-    MonSpan, Msg, NodeRoleTag, ServerMsg, WireError,
+    encode_frame_traced, ClientMsg, CmsMsg, ErrCode, FrameDecoder, Gather, HistDelta, Lease,
+    MonMsg, MonSpan, Msg, NodeRoleTag, ServerMsg, WireError,
 };
 
 /// The values a corpus is built from: `u64`s, a `u32`, a flag, strings, a list, a payload.
@@ -178,5 +179,32 @@ proptest! {
             bent[flip.0 % body.len()] ^= flip.1;
             let _ = decode(&bent); // may error, must not panic
         }
+    }
+
+    /// Every corpus message pushed onto one `Gather`, its payload drawn
+    /// small or 64 KiB: the gather's pieces, in order, are the frames
+    /// `encode_frame_traced` makes, back to back, and a 64 KiB payload is
+    /// a piece of its own, pointing at the payload itself, once for each
+    /// frame that carries it (the `Write` and the `Data`).
+    #[test]
+    fn a_gather_of_the_corpus_is_its_frames_back_to_back(
+        v in vals(),
+        big: bool,
+        trace in prop_oneof![Just(0u64), any::<u64>()],
+    ) {
+        let mut v = v;
+        if big {
+            v.7 = Bytes::from(vec![0xA5; 64 << 10]);
+        }
+        let mut wire = Gather::new(BytesMut::new());
+        let mut flat = Vec::new();
+        for msg in corpus(&v) {
+            wire.push(&msg, trace);
+            flat.extend_from_slice(&frame(&msg, trace));
+        }
+        let pieces: Vec<_> = wire.slices().collect();
+        prop_assert_eq!(pieces.iter().flat_map(|s| s.iter()).copied().collect::<Vec<u8>>(), flat);
+        let own = pieces.iter().filter(|s| s.as_ptr() == v.7.as_ptr()).count();
+        prop_assert_eq!(own, if big { 2 } else { 0 });
     }
 }

@@ -25,18 +25,21 @@
 //!
 //! Sends never *block* a callback, but they do write: `send` encodes onto
 //! the link's pending batch, and whoever holds the node's lock flushes
-//! each batch with one `send(2)` under `MSG_DONTWAIT` before it lets go.
+//! each batch with one `sendmsg(2)` (or `send(2)`, for one piece) under
+//! `MSG_DONTWAIT` before it lets go.
 //! Whatever that write cannot do — the connect, a short write's tail, a
 //! full socket — goes to the link's writer thread, the blocking half.
 //!
-//! Inbound, the socket reader runs the node: `reader_loop` decodes every
-//! frame of one `read`, takes the node's lock, runs `on_message` for each
-//! on its own thread, fires the timers that are due, flushes, and goes
-//! back to `read` — one thread wake-up per hop. Accepted and link-opened
-//! readers are the same loop. The bound on what a node has not heard yet
-//! is the socket; its mailbox carries control only (`Stop`, and a poke
-//! after a `revive` or an early timer), and the protocol thread is left
-//! with timers and restarts.
+//! Inbound, the socket reader runs the node: `reader_loop` reads straight
+//! into its decoder's buffer (see
+//! [`FrameDecoder::recv_from`](scalla_proto::FrameDecoder::recv_from)),
+//! decodes every frame of one read, takes the node's lock, runs
+//! `on_message` for each on its own thread, fires the timers that are due,
+//! flushes, and goes back to reading — one thread wake-up per hop.
+//! Accepted and link-opened readers are the same loop. The bound on what a
+//! node has not heard yet is the socket; its mailbox carries control only
+//! (`Stop`, and a poke after a `revive` or an early timer), and the
+//! protocol thread is left with timers and restarts.
 
 use crate::egress::{EgressLink, EgressShared, EgressTuning, OnConnect};
 use crate::metrics::NetCounters;
@@ -439,20 +442,18 @@ fn accept_loop(
     }
 }
 
-/// Per-connection inbound loop: every `read`'s frames decoded with no lock
+/// Per-connection inbound loop: every read's frames decoded with no lock
 /// held and handed to the node, as sent by `from`, in one go, in decode
 /// order — a connection's frames are heard first in, first out. Blocking
-/// reads; woken at shutdown by the registry's `shutdown` (or naturally by
-/// peer EOF).
-fn reader_loop(mut stream: &TcpStream, from: Addr, cell: &NodeCell<SocketOutbox>) {
+/// reads, each straight into the decoder's buffer; woken at shutdown by
+/// the registry's `shutdown` (or naturally by peer EOF).
+fn reader_loop(stream: &TcpStream, from: Addr, cell: &NodeCell<SocketOutbox>) {
     let mut dec = FrameDecoder::new();
-    let mut buf = [0u8; 16 * 1024];
     let mut frames = Vec::new();
     loop {
-        match stream.read(&mut buf) {
+        match dec.recv_from(stream) {
             Ok(0) => return, // peer closed
-            Ok(n) => {
-                dec.feed(&buf[..n]);
+            Ok(_) => {
                 let garbage = loop {
                     match dec.next_traced() {
                         Ok(Some(frame)) => frames.push(frame),

@@ -13,9 +13,14 @@
 //!   `Bytes`, and [`BytesMut::split_to`] of everything buffered;
 //! - one copy: a partial [`BytesMut::split_to`], `copy_to_bytes` on any
 //!   other [`Buf`], [`Bytes::to_vec`], and `From<&'static [u8]>`/`&str`
-//!   (the real crate aliases static data; safe callers cannot tell).
+//!   (the real crate aliases static data; safe callers cannot tell);
+//! - none, in place: [`BytesMut::spare_capacity_mut`] hands out the
+//!   uninitialised room past the buffered bytes, which a reader such as
+//!   `recv(2)` writes into, and [`BytesMut::set_len`] then counts what it
+//!   wrote. Nothing zero-fills that room first.
 
 use std::fmt;
+use std::mem::MaybeUninit;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
@@ -216,6 +221,25 @@ impl BytesMut {
     /// has to grow).
     pub fn reserve(&mut self, n: usize) {
         self.buf.reserve_exact(n);
+    }
+
+    /// The room past the buffered bytes, up to the capacity, uninitialised.
+    pub fn spare_capacity_mut(&mut self) -> &mut [MaybeUninit<u8>] {
+        self.buf.spare_capacity_mut()
+    }
+
+    /// Sets the number of buffered bytes to `len`.
+    ///
+    /// # Safety
+    ///
+    /// `len` must not exceed [`BytesMut::capacity`], and every byte up to
+    /// `len` must be initialised (for instance written through
+    /// [`BytesMut::spare_capacity_mut`]).
+    pub unsafe fn set_len(&mut self, len: usize) {
+        // SAFETY: the caller keeps `len` within the capacity, so
+        // `read + len` is within the vector's, and has initialised the
+        // bytes up to it.
+        unsafe { self.buf.set_len(self.read + len) }
     }
 
     /// Drops all content.
@@ -550,6 +574,35 @@ mod tests {
         // What is left is handed over in place once it is all that remains.
         assert_eq!(b.split_to(4).freeze().as_ptr(), rest_at);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn spare_capacity_is_written_in_place_and_counted_by_set_len() {
+        let mut b = BytesMut::with_capacity(16);
+        b.extend_from_slice(b"HHHH");
+        b.advance(2);
+        let at = b.as_ptr();
+        let spare = b.spare_capacity_mut();
+        assert_eq!(spare.len(), 12, "the room past the buffered bytes");
+        for (slot, &byte) in spare.iter_mut().zip(b"abc") {
+            slot.write(byte);
+        }
+        // SAFETY: three bytes of the spare room were written just above.
+        unsafe { b.set_len(5) };
+        assert_eq!(&b[..], b"HHabc");
+        assert_eq!(b.as_ptr(), at, "written where it lies, no copy");
+        assert_eq!(b.capacity(), 14);
+        assert_eq!(b.freeze().as_ptr(), at);
+    }
+
+    #[test]
+    fn set_len_can_shorten() {
+        let mut b = BytesMut::new();
+        b.extend_from_slice(b"abcdef");
+        // SAFETY: shortening leaves only initialised bytes counted.
+        unsafe { b.set_len(2) };
+        assert_eq!(&b[..], b"ab");
+        assert_eq!(b.spare_capacity_mut().len(), b.capacity() - 2);
     }
 
     #[test]
