@@ -315,13 +315,12 @@ impl ClientNode {
     /// start flowing; the disabled default costs one branch per probe.
     pub fn set_obs(&mut self, obs: Obs) {
         if obs.is_enabled() && self.cfg.lcache.is_some() {
-            // Pre-register the edge-cache families at zero so scrapers can
-            // alert on them even before the first direct open.
-            let reg = obs.registry();
-            reg.counter("scalla_client_direct_open_total", &[("outcome", "hit")]);
-            reg.counter("scalla_client_direct_open_total", &[("outcome", "stale_fallback")]);
-            reg.counter("scalla_client_redirect_rtts_avoided_total", &[]);
-            reg.counter("scalla_client_stale_served_total", &[]);
+            // Export the edge-cache families at zero so scrapers can alert
+            // on them even before the first direct open.
+            obs.count("scalla_client_direct_open_total", &[("outcome", "hit")], 0);
+            obs.count("scalla_client_direct_open_total", &[("outcome", "stale_fallback")], 0);
+            obs.count("scalla_client_redirect_rtts_avoided_total", &[], 0);
+            obs.count("scalla_client_stale_served_total", &[], 0);
         }
         self.obs = obs;
     }

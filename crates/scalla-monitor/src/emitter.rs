@@ -17,10 +17,10 @@ pub(crate) const MONITOR_TIMER_TOKEN: u64 = 1 << 50;
 const SPANS_PER_TICK: usize = 256;
 
 /// A node that reports to the collector: `inner` does its own work, and
-/// every `interval` the wrapper snapshots `inner`'s obs registry and
-/// ships a delta record to the collector. Only the reporting timer's
-/// token and the collector's `Resync` stop here; every other event
-/// reaches `inner` as the runtime delivered it.
+/// every `interval` the wrapper walks `inner`'s obs registry (the walk
+/// `/metrics` reads) and ships a delta record to the collector. Only the
+/// reporting timer's token and the collector's `Resync` stop here; every
+/// other event reaches `inner` as the runtime delivered it.
 ///
 /// Loss tolerance: records are fire-and-forget. Each summary carries a
 /// sequence number; the collector applies no delta across a gap and
@@ -37,9 +37,18 @@ pub struct Monitored {
     interval: Nanos,
     seq: u64,
     force_full: bool,
-    prev_counters: HashMap<String, u64>,
-    prev_hists: HashMap<String, Histogram>,
+    /// What the stream last carried of each series, by its key.
+    shipped: HashMap<String, Shipped>,
+    /// The series key being looked at, reused: a key is allocated only
+    /// for a series not seen before, or one that goes into the summary.
+    key: String,
     spans_mark: u64,
+}
+
+/// A series as last shipped (gauges ship absolute and are not kept).
+enum Shipped {
+    Counter(u64),
+    Histogram(Histogram),
 }
 
 impl Monitored {
@@ -63,13 +72,14 @@ impl Monitored {
             interval,
             seq: 0,
             force_full: true,
-            prev_counters: HashMap::new(),
-            prev_hists: HashMap::new(),
+            shipped: HashMap::new(),
+            key: String::new(),
             spans_mark: 0,
         }
     }
 
-    /// Snapshots, diffs, and ships one summary (plus any new spans).
+    /// Walks the registry, diffs each series against what the stream last
+    /// carried of it, and ships one summary (plus any new spans).
     fn emit(&mut self, ctx: &mut dyn NetCtx) {
         if !self.obs.is_enabled() {
             return;
@@ -83,26 +93,40 @@ impl Monitored {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut hists = Vec::new();
-        for (key, value) in self.obs.registry().export() {
-            match value {
-                ExportValue::Counter(v) => {
-                    let prev = self.prev_counters.get(&key).copied().unwrap_or(0);
-                    if full {
-                        counters.push((key.clone(), v));
-                    } else if v > prev {
-                        counters.push((key.clone(), v - prev));
+        let (shipped, key) = (&mut self.shipped, &mut self.key);
+        self.obs.registry().walk(&mut |name, labels, value| {
+            key.clear();
+            key.push_str(name);
+            key.push_str(labels);
+            if let ExportValue::Gauge(v) = value {
+                // Gauges are always shipped absolute.
+                gauges.push((key.clone(), v));
+                return;
+            }
+            if !shipped.contains_key(key.as_str()) {
+                let fresh = match value {
+                    ExportValue::Histogram(_) => Shipped::Histogram(Histogram::new()),
+                    _ => Shipped::Counter(0),
+                };
+                shipped.insert(key.clone(), fresh);
+            }
+            match (value, shipped.get_mut(key.as_str())) {
+                (ExportValue::Counter(v), Some(Shipped::Counter(last))) => {
+                    let last = std::mem::replace(last, v);
+                    if full || v > last {
+                        counters.push((key.clone(), if full { v } else { v - last }));
                     }
-                    self.prev_counters.insert(key, v);
                 }
-                ExportValue::Gauge(v) => {
-                    // Gauges are always shipped absolute.
-                    gauges.push((key, v));
-                }
-                ExportValue::Histogram(snap) => {
-                    let buckets = match self.prev_hists.get(&key).filter(|_| !full) {
-                        Some(prev) => snap.sparse_diff(prev),
-                        None => snap.sparse_diff(&Histogram::new()),
-                    };
+                (ExportValue::Histogram(h), Some(Shipped::Histogram(last))) => {
+                    if full {
+                        *last = Histogram::new();
+                    } else if h.count() == last.count() {
+                        // Nothing recorded since: no snapshot. A bucket the
+                        // last one missed (record in flight) ships next time.
+                        return;
+                    }
+                    let snap = h.snapshot();
+                    let buckets = snap.sparse_diff(last);
                     if full || !buckets.is_empty() {
                         hists.push(HistDelta {
                             key: key.clone(),
@@ -113,10 +137,11 @@ impl Monitored {
                             max: snap.max().0,
                         });
                     }
-                    self.prev_hists.insert(key, snap);
+                    *last = snap;
                 }
+                _ => {} // one key, two kinds: two sources emit one series
             }
-        }
+        });
         self.seq += 1;
         let summary = MonMsg::Summary {
             node: self.node_name.clone(),
@@ -198,8 +223,9 @@ impl Node for Monitored {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalla_obs::{SpanEvent, TraceId};
+    use scalla_obs::{SpanEvent, Stage, TraceId};
     use scalla_simnet::MockCtx;
+    use scalla_util::bucket_of;
 
     fn summaries(sent: &[(Addr, Msg)]) -> Vec<&MonMsg> {
         sent.iter()
@@ -286,6 +312,33 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    /// A histogram ships whole in a full summary, then only when it
+    /// moved, as the buckets that moved, with its cumulative totals.
+    #[test]
+    fn a_histogram_ships_only_when_it_moved() {
+        let obs = Obs::with_config(1, 64);
+        let (mut m, mut ctx) = started(obs.clone());
+        obs.record_stage(Stage::Resolve, 100);
+        tick(&mut m, &mut ctx, 2);
+        obs.record_stage(Stage::Resolve, 5_000);
+        tick(&mut m, &mut ctx, 1);
+        let hists: Vec<&Vec<HistDelta>> = summaries(&ctx.sends)
+            .into_iter()
+            .map(|m| match m {
+                MonMsg::Summary { hists, .. } => hists,
+                _ => unreachable!(),
+            })
+            .collect();
+        let resolve =
+            |i: usize| hists[i].iter().find(|h| h.key == "scalla_stage_ns{stage=\"resolve\"}");
+        assert_eq!(hists[0].len(), Stage::ALL.len(), "the full summary carries idle ones too");
+        assert_eq!(resolve(0).unwrap().buckets, [(bucket_of(100) as u32, 1)]);
+        assert!(hists[1].is_empty(), "nothing moved: {:?}", hists[1]);
+        let moved = resolve(2).unwrap();
+        assert_eq!(moved.buckets, [(bucket_of(5_000) as u32, 1)]);
+        assert_eq!((moved.count, moved.sum), (2, 5_100), "totals ride cumulative");
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! * [`Monitored`] — wraps a monitored node (cmsd, server, client
 //!   driver, pcache proxy), takes its own reporting timer and the
 //!   collector's `Resync`, and hands every other event to the node. On
-//!   each tick it snapshots the node's obs
-//!   [`Registry`](scalla_obs::Registry), diffs against the previous
-//!   snapshot, and ships a compact delta record ([`MonMsg::Summary`]) plus
-//!   any new flight-recorder spans ([`MonMsg::Spans`]) to the collector
+//!   each tick it walks the node's obs [`Registry`](scalla_obs::Registry)
+//!   (the walk `/metrics` reads), diffs each series against what it last
+//!   shipped, and ships a compact delta record
+//!   ([`MonMsg::Summary`](scalla_proto::msg::MonMsg::Summary)) plus any
+//!   new flight-recorder spans
+//!   ([`MonMsg::Spans`](scalla_proto::msg::MonMsg::Spans)) to the collector
 //!   over whatever runtime the node is on (simnet message, live mailbox,
 //!   TCP frame — wire family tag `0x50`). The stream is fire-and-forget:
 //!   a dead collector costs the node nothing, and a lost record or a

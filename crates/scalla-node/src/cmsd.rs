@@ -138,7 +138,7 @@ impl CmsdNode {
             // Deaths and reconnects export at zero, so a harness pairing
             // them reads a run without faults as 0 = 0.
             for event in ["peer_dead", "peer_reconnected"] {
-                obs.registry().counter("scalla_recovery_events_total", &[("event", event)]);
+                obs.count("scalla_recovery_events_total", &[("event", event)], 0);
             }
         }
         self.cache.set_obs(obs.clone());

@@ -80,7 +80,7 @@ pub enum Verdict {
         /// Milliseconds the requester should wait before retrying.
         hint_millis: u64,
     },
-    /// Refuse with [`ErrCode::Overloaded`](scalla_proto::ErrCode::Overloaded).
+    /// Refuse outright (the retired `Overloaded` error code, wire tag 5).
     Shed,
 }
 

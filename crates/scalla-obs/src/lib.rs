@@ -8,13 +8,16 @@
 //! `NetCounters`) with no per-request attribution and no way to scrape a
 //! running node. This crate provides the three missing pieces:
 //!
-//! * [`metrics`] — a lock-free [`Registry`] of atomic counters, gauges, and
-//!   fixed-bucket histograms (each an [`AtomicHistogram`] whose snapshot is
-//!   a plain [`scalla_util::Histogram`]), exposable as Prometheus text or a
-//!   JSON snapshot. Components that count on their own hot paths declare
-//!   their counters once with [`counter_set!`], bump them with [`bump`] and
-//!   [`add`], and [`Registry::attach`] them; the expositions read those
-//!   fields in place.
+//! * [`metrics`] — a [`Registry`] of counters, fixed-bucket histograms
+//!   (each an [`AtomicHistogram`] whose snapshot is a plain
+//!   [`scalla_util::Histogram`]) and attached sources, exposable as
+//!   Prometheus text or a JSON snapshot. There are two ways to count. A
+//!   component's own hot-path counters are fields of one [`counter_set!`]
+//!   declaration, bumped with [`bump`] and [`add`] and
+//!   [`Registry::attach`]ed under its labels; the expositions read those
+//!   fields in place. A series that several nodes share, or that is keyed
+//!   by data, is bumped by name through [`Obs::count`]. Histograms are the
+//!   only handles.
 //! * [`trace`] — request-scoped tracing: a compact [`TraceId`] minted at
 //!   the client, carried through the wire protocol across
 //!   cmsd→supervisor→server hops, with per-hop [`SpanEvent`]s recorded into
@@ -31,8 +34,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    add, bump, get, AtomicHistogram, Counter, Emit, ExportValue, Gauge, Kind, Registry, SeriesDecl,
-    Source,
+    add, bump, get, AtomicHistogram, Emit, ExportValue, Kind, Registry, SeriesDecl, Source,
 };
 pub use trace::{FlightRecorder, SpanEvent, TraceId};
 
@@ -229,11 +231,13 @@ impl Obs {
         }
     }
 
-    /// Bumps a named counter (registered on first use; the handle is not
-    /// cached, so keep this off per-request hot paths).
+    /// Adds `n` to the counter `(name, labels)`, made at 0 on first use (a
+    /// count of 0 exports the series), for series several nodes share or
+    /// keyed by data. It is found under the registry's lock: a component's
+    /// own hot-path counters belong in its [`counter_set!`].
     pub fn count(&self, name: &'static str, labels: &[(&str, &str)], n: u64) {
         if let Some(inner) = &self.inner {
-            inner.registry.counter(name, labels).add(n);
+            inner.registry.count(name, labels, n);
         }
     }
 }

@@ -1,85 +1,25 @@
-//! Lock-free metrics registry: atomic counters, gauges, and fixed-bucket
-//! histograms with labels, exposable as Prometheus text or a JSON snapshot.
+//! Metrics registry: counters by name, fixed-bucket histograms and
+//! attached sources, read by one [`Registry::walk`] behind the Prometheus
+//! text, the JSON snapshot and the monitoring stream.
 //!
-//! Registration (name → handle) takes a mutex once; recording through a
-//! handle is a relaxed atomic op. A histogram handle is an
-//! [`AtomicHistogram`], the lock-free recorder; everything that reads one
-//! (the expositions, the monitoring stream, the collector's cross-node
-//! merge) reads its `snapshot()`, a plain [`scalla_util::Histogram`] over
-//! the same `NBUCKETS` log-spaced buckets (~12 % relative resolution).
+//! There are two ways to count, and histograms are the only handles:
 //!
-//! A component that counts on its own hot path (`CacheStats`, the block
-//! store, the egress pipeline, ...) keeps inline `AtomicU64` fields and
-//! declares them once with [`counter_set!`](crate::counter_set), which
-//! derives the struct, its plain-`u64` snapshot and an [`impl
-//! Source`](Source); [`Registry::attach`] exposes the live fields in place
-//! — a scrape reads the atomics the component bumps. Adding a counter is
-//! adding its line to the declaration and bumping the field.
+//! * A component's own hot-path counters are inline `AtomicU64` fields of
+//!   one [`counter_set!`](crate::counter_set) declaration, bumped with
+//!   [`bump`] and [`add`] and [`Registry::attach`]ed under the component's
+//!   labels, where every scrape reads them in place. Adding a counter is
+//!   adding its line to the declaration and bumping the field.
+//! * A series several nodes share, or one keyed by data (the per-path
+//!   opens), is bumped by name through [`Obs::count`](crate::Obs::count):
+//!   an inline entry made on first use, so a count of 0 exports it at 0.
+//!
+//! A histogram handle is an [`AtomicHistogram`], the lock-free recorder;
+//! every reader takes its `snapshot()`, a plain [`scalla_util::Histogram`]
+//! over the same `NBUCKETS` log-spaced buckets (~12 % relative resolution).
 
 use scalla_util::{Histogram, NBUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// A monotonically increasing counter.
-#[derive(Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can move both ways.
-#[derive(Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtracts `n`, saturating at zero under concurrent underflow.
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self.0.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// The lock-free recorder behind a histogram handle; it snapshots into a
 /// plain [`scalla_util::Histogram`] over the same bucket layout.
@@ -274,19 +214,18 @@ pub fn get(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed)
 }
 
-/// One exported metric value, as returned by [`Registry::export`].
-pub enum ExportValue {
+/// One series' value, as [`Registry::walk`] visits it.
+pub enum ExportValue<'a> {
     /// A counter's current value.
     Counter(u64),
     /// A gauge's current value.
     Gauge(u64),
-    /// A histogram's point-in-time snapshot.
-    Histogram(Histogram),
+    /// A histogram, read in place: its `snapshot()` is the value.
+    Histogram(&'a AtomicHistogram),
 }
 
 enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
+    Counter(u64),
     Histogram(Arc<AtomicHistogram>),
 }
 
@@ -297,27 +236,29 @@ struct Entry {
     metric: Metric,
 }
 
-/// An attached [`Source`] and the labels every one of its series carries.
+/// An attached [`Source`] and the labels every one of its series carries,
+/// rendered once as `k="v",...`.
 struct Attached {
-    base: Vec<(String, String)>,
+    base: String,
     source: Arc<dyn Source>,
 }
 
-/// The metrics registry: named handles and attached sources, scraped as
-/// one page.
+/// The metrics registry: counters by name, histogram handles and attached
+/// sources, scraped as one page.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,
     sources: Mutex<Vec<Attached>>,
 }
 
-/// Renders `base` then `extra` as `{k="v",...}` (empty when both are),
-/// escaping `\`, `"` and newline in values as the text exposition format
-/// requires. The one place a series' label set is put together.
-fn render_labels(base: &[(&str, &str)], extra: &[(&str, &str)]) -> String {
-    let mut out = String::new();
-    for (k, v) in base.iter().chain(extra) {
-        out.push(if out.is_empty() { '{' } else { ',' });
+/// Appends `k="v"` for each pair to `out`, after a comma when `out`
+/// already ends with a pair, escaping `\`, `"` and newline in values as
+/// the text exposition format requires.
+fn push_pairs(out: &mut String, pairs: &[(&str, &str)]) {
+    for (k, v) in pairs {
+        if out.ends_with('"') {
+            out.push(',');
+        }
         out.push_str(k);
         out.push_str("=\"");
         for c in v.chars() {
@@ -330,10 +271,20 @@ fn render_labels(base: &[(&str, &str)], extra: &[(&str, &str)]) -> String {
         }
         out.push('"');
     }
-    if !out.is_empty() {
-        out.push('}');
+}
+
+/// Writes a series' label set into `out`: `{base,extra}`, or nothing when
+/// both are empty, `base` being pairs already rendered. The one place a
+/// label set is put together.
+fn render_labels(out: &mut String, base: &str, extra: &[(&str, &str)]) {
+    out.clear();
+    if base.is_empty() && extra.is_empty() {
+        return;
     }
-    out
+    out.push('{');
+    out.push_str(base);
+    push_pairs(out, extra);
+    out.push('}');
 }
 
 impl Registry {
@@ -342,62 +293,50 @@ impl Registry {
         Registry::default()
     }
 
-    fn get_or_insert<T, F: FnOnce() -> Metric, P: Fn(&Metric) -> Option<Arc<T>>>(
+    /// Runs `f` on the metric `(name, labels)`, made by `make` when new.
+    fn with_entry<R>(
         &self,
         name: &'static str,
         labels: &[(&str, &str)],
-        make: F,
-        pick: P,
-    ) -> Arc<T> {
-        let rendered = render_labels(labels, &[]);
-        let mut entries = self.entries.lock().unwrap();
-        for e in entries.iter() {
-            if e.name == name && e.labels == rendered {
-                return pick(&e.metric)
-                    .unwrap_or_else(|| panic!("metric {name} re-registered with another type"));
+        make: fn() -> Metric,
+        f: impl FnOnce(&mut Metric) -> R,
+    ) -> R {
+        let mut rendered = String::new();
+        render_labels(&mut rendered, "", labels);
+        let mut entries = self.entries.lock().expect("registry entries lock");
+        let i = match entries.iter().position(|e| e.name == name && e.labels == rendered) {
+            Some(i) => i,
+            None => {
+                entries.push(Entry { name, labels: rendered, metric: make() });
+                entries.len() - 1
             }
-        }
-        let metric = make();
-        let handle = pick(&metric).expect("freshly made metric has the right type");
-        entries.push(Entry { name, labels: rendered, metric });
-        handle
+        };
+        f(&mut entries[i].metric)
     }
 
-    /// Gets or creates a counter.
-    pub fn counter(&self, name: &'static str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.get_or_insert(
+    /// Adds `n` to the counter `(name, labels)`, made at 0 on first use.
+    /// Reached by name only, through [`Obs::count`](crate::Obs::count).
+    pub(crate) fn count(&self, name: &'static str, labels: &[(&str, &str)], n: u64) {
+        self.with_entry(
             name,
             labels,
-            || Metric::Counter(Arc::new(Counter::default())),
+            || Metric::Counter(0),
             |m| match m {
-                Metric::Counter(c) => Some(c.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// Gets or creates a gauge.
-    pub fn gauge(&self, name: &'static str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.get_or_insert(
-            name,
-            labels,
-            || Metric::Gauge(Arc::new(Gauge::default())),
-            |m| match m {
-                Metric::Gauge(g) => Some(g.clone()),
-                _ => None,
+                Metric::Counter(v) => *v += n,
+                Metric::Histogram(_) => panic!("metric {name} re-registered with another type"),
             },
         )
     }
 
     /// Gets or creates a histogram.
     pub fn histogram(&self, name: &'static str, labels: &[(&str, &str)]) -> Arc<AtomicHistogram> {
-        self.get_or_insert(
+        self.with_entry(
             name,
             labels,
-            || Metric::Histogram(Arc::new(AtomicHistogram::new())),
+            || Metric::Histogram(Arc::default()),
             |m| match m {
-                Metric::Histogram(h) => Some(h.clone()),
-                _ => None,
+                Metric::Histogram(h) => h.clone(),
+                Metric::Counter(_) => panic!("metric {name} re-registered with another type"),
             },
         )
     }
@@ -409,48 +348,40 @@ impl Registry {
     /// equal labels, puts that series on the page twice; give each source
     /// its own base labels (`node`, `proxy`, ...).
     pub fn attach(&self, base: &[(&str, &str)], source: Arc<dyn Source>) {
-        let base = base.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        self.sources.lock().expect("a Source panicked mid-scrape").push(Attached { base, source });
+        let mut rendered = String::new();
+        push_pairs(&mut rendered, base);
+        let attached = Attached { base: rendered, source };
+        self.sources.lock().expect("a Source panicked mid-scrape").push(attached);
     }
 
-    /// The one series walk behind every exposition: registered handles
-    /// first, then each attached source, as `(name, "{labels}", value)`.
-    fn walk(&self, visit: &mut dyn FnMut(&'static str, &str, ExportValue)) {
+    /// The one series walk behind every exposition and the monitoring
+    /// stream: the named counters and histograms first, then each attached
+    /// source, as `(name, "{labels}", value)`. One label buffer serves
+    /// every source series. `visit` runs under the registry's locks, so
+    /// it must not count through this registry.
+    pub fn walk(&self, visit: &mut dyn FnMut(&'static str, &str, ExportValue<'_>)) {
         for e in self.entries.lock().expect("registry entries lock").iter() {
             let value = match &e.metric {
-                Metric::Counter(c) => ExportValue::Counter(c.get()),
-                Metric::Gauge(g) => ExportValue::Gauge(g.get()),
-                Metric::Histogram(h) => ExportValue::Histogram(h.snapshot()),
+                Metric::Counter(v) => ExportValue::Counter(*v),
+                Metric::Histogram(h) => ExportValue::Histogram(h),
             };
             visit(e.name, &e.labels, value);
         }
+        let mut labels = String::new();
         for a in self.sources.lock().expect("a Source panicked mid-scrape").iter() {
-            let base: Vec<(&str, &str)> =
-                a.base.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
             a.source.series(&mut |family, extra, kind, value| {
+                render_labels(&mut labels, &a.base, extra);
                 let value = match kind {
                     Kind::Counter => ExportValue::Counter(value),
                     Kind::Gauge => ExportValue::Gauge(value),
                 };
-                visit(family, &render_labels(&base, extra), value);
+                visit(family, &labels, value);
             });
         }
     }
 
-    /// Enumerates every series as `("name{labels}", value)` pairs. This is
-    /// the summary-stream emitter's snapshot primitive: the key string is
-    /// exactly the series identity used by the expositions, so a collector
-    /// node can merge and re-expose without re-parsing labels.
-    pub fn export(&self) -> Vec<(String, ExportValue)> {
-        let mut out = Vec::new();
-        self.walk(&mut |name, labels, value| out.push((format!("{name}{labels}"), value)));
-        out
-    }
-
-    /// Prometheus text exposition. Histograms are exported in summary form
-    /// (`quantile` labels + `_sum`/`_count`) plus explicit non-empty
-    /// cumulative buckets, keeping the page compact while remaining
-    /// parseable by standard exposition-format parsers.
+    /// Prometheus text exposition. A histogram is its non-empty cumulative
+    /// buckets, `+Inf`, `_sum` and `_count`.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
         let mut typed: Vec<&'static str> = Vec::new();
@@ -468,18 +399,18 @@ impl Registry {
                 ExportValue::Counter(v) | ExportValue::Gauge(v) => {
                     out.push_str(&format!("{name}{labels} {v}\n"));
                 }
-                ExportValue::Histogram(snap) => {
-                    let base = labels.strip_prefix('{').and_then(|l| l.strip_suffix('}'));
-                    let with = |extra: String| match base {
-                        Some(base) => format!("{{{base},{extra}}}"),
-                        None => format!("{{{extra}}}"),
+                ExportValue::Histogram(h) => {
+                    let snap = h.snapshot();
+                    // Each bucket's labels: the series' own, then `le`.
+                    let open = match labels.strip_suffix('}') {
+                        Some(own) => format!("{own},"),
+                        None => "{".to_string(),
                     };
                     for (le, cum) in snap.cumulative() {
-                        let le = with(format!("le=\"{le}\""));
-                        out.push_str(&format!("{name}_bucket{le} {cum}\n"));
+                        out.push_str(&format!("{name}_bucket{open}le=\"{le}\"}} {cum}\n"));
                     }
-                    let inf = with("le=\"+Inf\"".to_string());
-                    out.push_str(&format!("{name}_bucket{inf} {}\n", snap.count()));
+                    let inf = snap.count();
+                    out.push_str(&format!("{name}_bucket{open}le=\"+Inf\"}} {inf}\n"));
                     out.push_str(&format!("{name}_sum{labels} {}\n", snap.sum()));
                     out.push_str(&format!("{name}_count{labels} {}\n", snap.count()));
                 }
@@ -499,17 +430,20 @@ impl Registry {
             match value {
                 ExportValue::Counter(v) => counters.push(format!("\"{key}\": {v}")),
                 ExportValue::Gauge(v) => gauges.push(format!("\"{key}\": {v}")),
-                ExportValue::Histogram(s) => hists.push(format!(
-                    "\"{key}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
+                ExportValue::Histogram(h) => {
+                    let h = h.snapshot();
+                    hists.push(format!(
+                        "\"{key}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
                      \"mean\": {}, \"p50\": {}, \"p99\": {}}}",
-                    s.count(),
-                    s.sum(),
-                    s.min().0,
-                    s.max().0,
-                    s.mean().0,
-                    s.quantile(0.5).0,
-                    s.quantile(0.99).0,
-                )),
+                        h.count(),
+                        h.sum(),
+                        h.min().0,
+                        h.max().0,
+                        h.mean().0,
+                        h.quantile(0.5).0,
+                        h.quantile(0.99).0,
+                    ))
+                }
             }
         });
         format!(
@@ -528,19 +462,30 @@ mod tests {
     #[test]
     fn counter_and_gauge_roundtrip() {
         let reg = Registry::new();
-        let c = reg.counter("scalla_test_total", &[("kind", "a")]);
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        // Same (name, labels) returns the same handle.
-        assert_eq!(reg.counter("scalla_test_total", &[("kind", "a")]).get(), 5);
-        let g = reg.gauge("scalla_test_gauge", &[]);
-        g.set(10);
-        g.sub(3);
-        g.add(1);
-        assert_eq!(g.get(), 8);
-        g.sub(100);
-        assert_eq!(g.get(), 0, "gauge saturates at zero");
+        reg.count("scalla_test_total", &[("kind", "a")], 1);
+        reg.count("scalla_test_total", &[("kind", "a")], 4);
+        // Same (name, labels) is the same counter; other labels are not.
+        reg.count("scalla_test_total", &[("kind", "b")], 2);
+        let text = reg.prometheus_text();
+        assert!(text.contains("scalla_test_total{kind=\"a\"} 5\n"), "{text}");
+        assert!(text.contains("scalla_test_total{kind=\"b\"} 2\n"), "{text}");
+        assert_eq!(text.matches("# TYPE scalla_test_total counter\n").count(), 1, "{text}");
+    }
+
+    /// A count of 0 makes the series, so it is on every page from then on:
+    /// a scraper can alert on a family before its first event.
+    #[test]
+    fn a_zero_count_exports_the_series_at_zero() {
+        let reg = Registry::new();
+        reg.count("scalla_pinned_total", &[("event", "none_yet")], 0);
+        reg.count("scalla_bare_total", &[], 0);
+        let text = reg.prometheus_text();
+        let want = "# TYPE scalla_pinned_total counter\n\
+                    scalla_pinned_total{event=\"none_yet\"} 0\n\
+                    # TYPE scalla_bare_total counter\n\
+                    scalla_bare_total 0\n";
+        assert_eq!(text, want);
+        assert!(reg.json_snapshot().contains(r#""scalla_pinned_total{event=\"none_yet\"}": 0"#));
     }
 
     #[test]
@@ -569,11 +514,13 @@ mod tests {
     #[test]
     fn prometheus_exposition_shape() {
         let reg = Registry::new();
-        reg.counter("scalla_ops_total", &[("op", "open")]).add(3);
-        reg.gauge("scalla_queue_depth", &[]).set(7);
+        reg.count("scalla_ops_total", &[("op", "open")], 3);
+        let depth = Arc::new(ShapeStats::default());
+        depth.level.store(7, Ordering::Relaxed);
+        reg.attach(&[], depth);
         reg.histogram("scalla_lat_ns", &[("stage", "resolve")]).record(100);
-        // Label values are escaped, on handles and on attached sources.
-        reg.counter("scalla_escaped_total", &[("node", "a\"b\\c"), ("note", "x\ny")]).inc();
+        // Label values are escaped, on named counters and on attached sources.
+        reg.count("scalla_escaped_total", &[("node", "a\"b\\c"), ("note", "x\ny")], 1);
         reg.attach(&[("node", "a\"b\\c")], Arc::new(ShapeStats::default()));
         let pin = reg.histogram("scalla_pin_ns", &[]);
         for v in [100, 100, 250, 1_000, 70_000] {
@@ -612,7 +559,8 @@ mod tests {
         }
         assert!(text.contains("# TYPE scalla_ops_total counter"), "{text}");
         assert!(text.contains("scalla_ops_total{op=\"open\"} 3"), "{text}");
-        assert!(text.contains("scalla_queue_depth 7"), "{text}");
+        // A gauge is a source's series: this one attached with no labels.
+        assert!(text.contains("# TYPE scalla_shape_level gauge\nscalla_shape_level 7\n"), "{text}");
         assert!(text.contains("# TYPE scalla_lat_ns histogram"), "{text}");
         assert!(text.contains("scalla_lat_ns_count{stage=\"resolve\"} 1"), "{text}");
         assert!(text.contains("le=\"+Inf\""), "{text}");
@@ -660,16 +608,24 @@ mod tests {
             json.contains("\"gauges\": {\"scalla_shape_level{node=\\\"n0\\\"}\": 7}"),
             "{json}"
         );
-        let exported = reg.export();
-        assert_eq!(exported.len(), ShapeSnapshot::SERIES.len());
-        assert!(matches!(&exported[1], (key, ExportValue::Counter(42)) if key == left));
-        assert!(matches!(exported[3], (_, ExportValue::Gauge(7))));
+        let mut walked = Vec::new();
+        reg.walk(&mut |name, labels, value| {
+            let value = match value {
+                ExportValue::Counter(v) => ("counter", v),
+                ExportValue::Gauge(v) => ("gauge", v),
+                ExportValue::Histogram(h) => ("histogram", h.count()),
+            };
+            walked.push((format!("{name}{labels}"), value));
+        });
+        assert_eq!(walked.len(), ShapeSnapshot::SERIES.len());
+        assert_eq!(walked[1], (left.to_string(), ("counter", 42)));
+        assert_eq!(walked[3], ("scalla_shape_level{node=\"n0\"}".to_string(), ("gauge", 7)));
     }
 
     #[test]
     fn json_snapshot_is_wellformed_enough() {
         let reg = Registry::new();
-        reg.counter("a_total", &[]).inc();
+        reg.count("a_total", &[], 1);
         reg.histogram("h_ns", &[]).record(5);
         let json = reg.json_snapshot();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -720,15 +676,14 @@ mod tests {
     #[test]
     fn concurrent_recording_is_lossless() {
         let reg = Arc::new(Registry::new());
-        let c = reg.counter("scalla_concurrent_total", &[]);
         let h = reg.histogram("scalla_concurrent_ns", &[]);
         let threads: Vec<_> = (0..4)
             .map(|_| {
-                let c = c.clone();
+                let reg = reg.clone();
                 let h = h.clone();
                 std::thread::spawn(move || {
                     for i in 0..10_000u64 {
-                        c.inc();
+                        reg.count("scalla_concurrent_total", &[], 1);
                         h.record(i);
                     }
                 })
@@ -737,7 +692,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(c.get(), 40_000);
+        assert!(reg.prometheus_text().contains("scalla_concurrent_total 40000\n"));
         assert_eq!(h.count(), 40_000);
     }
 }

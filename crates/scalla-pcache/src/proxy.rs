@@ -60,7 +60,7 @@ use crate::store::{BlockKey, BlockStore, PcacheConfig, PinOutcome};
 use bytes::Bytes;
 use scalla_client::{Directory, Resolver, Step, Walk};
 use scalla_lcache::LocationCache;
-use scalla_obs::{AtomicHistogram, Counter, Obs, SpanEvent, TraceId};
+use scalla_obs::{add, bump, AtomicHistogram, Obs, SpanEvent, TraceId};
 use scalla_proto::{Addr, ClientMsg, CmsMsg, ErrCode, Msg, NodeRoleTag, ServerMsg};
 use scalla_simnet::{NetCtx, Node};
 use scalla_util::{crc32, Nanos};
@@ -217,16 +217,26 @@ struct FileState {
     open_handles: u32,
 }
 
-struct ProxyMetrics {
-    bytes_cache: Arc<Counter>,
-    bytes_origin: Arc<Counter>,
-    fetches: Arc<Counter>,
-    fill_ns: Arc<AtomicHistogram>,
-    advertised: Arc<Counter>,
-    stale_replies: Arc<Counter>,
-    window_stalls: Arc<Counter>,
-    direct_hit: Arc<Counter>,
-    direct_fallback: Arc<Counter>,
+scalla_obs::counter_set! {
+    /// The proxy's own counters, attached under its `proxy` label.
+    struct ProxyStats;
+    struct ProxySnapshot;
+    /// Bytes served to clients from blocks already cached.
+    bytes_cache: "scalla_pcache_bytes_served_total" {source = "cache"},
+    /// Bytes served to clients that had to come from the origin.
+    bytes_origin: "scalla_pcache_bytes_served_total" {source = "origin"},
+    /// Origin fills completed.
+    fetches: "scalla_pcache_origin_fetches_total",
+    /// Files announced upward as fully cached.
+    advertised: "scalla_pcache_advertised_files_total",
+    /// Origin replies dropped as duplicates, stragglers or out of shape.
+    stale_replies: "scalla_pcache_stale_replies_total",
+    /// Origin requests queued behind one already outstanding.
+    window_stalls: "scalla_pcache_window_stalls_total",
+    /// Leased direct opens that reached the origin server.
+    direct_hit: "scalla_pcache_direct_open_total" {outcome = "hit"},
+    /// Leased direct opens that fell back to the redirector.
+    direct_fallback: "scalla_pcache_direct_open_total" {outcome = "stale_fallback"},
 }
 
 /// The block-caching proxy node.
@@ -246,7 +256,9 @@ pub struct ProxyNode {
     /// The origin redirectors, rotated on a redirector timeout.
     resolver: Resolver,
     obs: Obs,
-    m: Option<ProxyMetrics>,
+    stats: Arc<ProxyStats>,
+    /// Origin fill latency, once an enabled obs handle is attached.
+    fill_ns: Option<Arc<AtomicHistogram>>,
 }
 
 impl ProxyNode {
@@ -271,44 +283,24 @@ impl ProxyNode {
             next_gen: 0,
             resolver,
             obs: Obs::disabled(),
-            m: None,
+            stats: Arc::default(),
+            fill_ns: None,
         }
     }
 
-    /// Attaches an observability handle: registers served/filled byte
-    /// counters and the fill-latency histogram, and attaches the block
-    /// store (and the private lcache, if any) to be read in place.
+    /// Attaches an observability handle: registers the fill-latency
+    /// histogram, and attaches the proxy's counters, its block store (and
+    /// the private lcache, if any) to be read in place.
     pub fn set_obs(&mut self, obs: Obs) {
         if obs.is_enabled() {
             let reg = obs.registry();
-            let n = self.cfg.name.as_str();
-            self.m = Some(ProxyMetrics {
-                bytes_cache: reg.counter(
-                    "scalla_pcache_bytes_served_total",
-                    &[("proxy", n), ("source", "cache")],
-                ),
-                bytes_origin: reg.counter(
-                    "scalla_pcache_bytes_served_total",
-                    &[("proxy", n), ("source", "origin")],
-                ),
-                fetches: reg.counter("scalla_pcache_origin_fetches_total", &[("proxy", n)]),
-                fill_ns: reg.histogram("scalla_pcache_fill_latency_ns", &[("proxy", n)]),
-                advertised: reg.counter("scalla_pcache_advertised_files_total", &[("proxy", n)]),
-                stale_replies: reg.counter("scalla_pcache_stale_replies_total", &[("proxy", n)]),
-                window_stalls: reg.counter("scalla_pcache_window_stalls_total", &[("proxy", n)]),
-                direct_hit: reg.counter(
-                    "scalla_pcache_direct_open_total",
-                    &[("proxy", n), ("outcome", "hit")],
-                ),
-                direct_fallback: reg.counter(
-                    "scalla_pcache_direct_open_total",
-                    &[("proxy", n), ("outcome", "stale_fallback")],
-                ),
-            });
+            let proxy = [("proxy", self.cfg.name.as_str())];
+            self.fill_ns = Some(reg.histogram("scalla_pcache_fill_latency_ns", &proxy));
             if let Some(lc) = &self.cfg.lcache {
-                reg.attach(&[("node", n)], lc.stats_arc());
+                reg.attach(&[("node", self.cfg.name.as_str())], lc.stats_arc());
             }
-            reg.attach(&[("proxy", n)], self.store.clone());
+            reg.attach(&proxy, self.stats.clone());
+            reg.attach(&proxy, self.store.clone());
         }
         self.obs = obs;
     }
@@ -341,9 +333,7 @@ impl ProxyNode {
         if !link.outstanding.is_empty() {
             // One outstanding per remote: this request waits its turn.
             // Visible in metrics so window-bound latency isn't silent.
-            if let Some(m) = &self.m {
-                m.window_stalls.inc();
-            }
+            bump(&self.stats.window_stalls);
         }
         link.queue.push_back(req);
         self.pump(ctx, to);
@@ -442,9 +432,7 @@ impl ProxyNode {
         let mut key = BlockKey { path: path.clone(), index: 0 };
         match store.read(&path, size, start, end, true) {
             Ok(data) => {
-                if let Some(m) = &self.m {
-                    m.bytes_cache.add(data.len() as u64);
-                }
+                add(&self.stats.bytes_cache, data.len() as u64);
                 ctx.send(from, ServerMsg::Data { data }.into());
             }
             Err(missing) => {
@@ -518,8 +506,8 @@ impl ProxyNode {
         let step = event(file.walk.get_or_insert_with(|| Walk::new(path, false)), &self.resolver);
         file.phase = OriginPhase::Resolving;
         let sized = file.size.is_some();
-        if let (Step::Fallback(..), Some(m)) = (&step, &self.m) {
-            m.direct_fallback.inc();
+        if let Step::Fallback(..) = step {
+            bump(&self.stats.direct_fallback);
         }
         let (code, detail) = match step {
             Step::Leg(to, msg) | Step::Fallback(to, msg) => {
@@ -637,9 +625,9 @@ impl ProxyNode {
         };
         for index in landed.clone() {
             let Some(fill) = file.fills.remove(&index) else { continue };
-            if let Some(m) = &self.m {
-                m.fill_ns.record(now.since(fill.started).0);
-                m.fetches.inc();
+            bump(&self.stats.fetches);
+            if let Some(fill_ns) = &self.fill_ns {
+                fill_ns.record(now.since(fill.started).0);
             }
             if self.obs.is_enabled() {
                 // The origin-fetch leg of the span tree: the Data reply
@@ -702,10 +690,8 @@ impl ProxyNode {
         }
         for (client, data, cached, origin) in done {
             ctx.send(client, ServerMsg::Data { data }.into());
-            if let Some(m) = &self.m {
-                m.bytes_cache.add(cached);
-                m.bytes_origin.add(origin);
-            }
+            add(&self.stats.bytes_cache, cached);
+            add(&self.stats.bytes_origin, origin);
         }
         if refilled {
             match self.files.get(&**path).map(|f| f.phase) {
@@ -740,9 +726,7 @@ impl ProxyNode {
                             .into(),
                     );
                 }
-                if let Some(m) = &self.m {
-                    m.advertised.inc();
-                }
+                bump(&self.stats.advertised);
             }
             if file.fills.is_empty() && file.reads.is_empty() {
                 file.phase = OriginPhase::Idle;
@@ -817,9 +801,7 @@ impl ProxyNode {
         if drop_state {
             self.files.remove(path);
         }
-        if self.obs.is_enabled() {
-            self.obs.incident("pcache_origin_failed");
-        }
+        self.obs.incident("pcache_origin_failed");
     }
 
     fn park_retry(&mut self, ctx: &mut dyn NetCtx, req: OriginReq, millis: u64) {
@@ -862,9 +844,7 @@ impl ProxyNode {
         let Some((gen, req)) = answered else {
             // Positional correlation: with nothing outstanding this is a
             // duplicate or a post-timeout straggler. Drop it.
-            if let Some(m) = &self.m {
-                m.stale_replies.inc();
-            }
+            bump(&self.stats.stale_replies);
             return;
         };
         self.gen_to_addr.remove(&gen);
@@ -897,9 +877,7 @@ impl ProxyNode {
                     return;
                 };
                 if file.walk.as_mut().and_then(|w| w.opened(ctx.now())).is_some() {
-                    if let Some(m) = &self.m {
-                        m.direct_hit.inc();
-                    }
+                    bump(&self.stats.direct_hit);
                 }
                 file.origin = Some(from);
                 file.origin_handle = handle;
@@ -942,9 +920,7 @@ impl ProxyNode {
                 // Reply shape doesn't match the head request (e.g. a
                 // duplicated frame shifted the window). Accepting it would
                 // corrupt state; dropping costs one timeout-driven retry.
-                if let Some(m) = &self.m {
-                    m.stale_replies.inc();
-                }
+                bump(&self.stats.stale_replies);
             }
         }
         self.pump(ctx, from);

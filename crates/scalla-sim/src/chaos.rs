@@ -28,8 +28,9 @@
 //! Fault *application* is itself observable: the soak counts every
 //! fault in `scalla_chaos_faults_total{fault=...}` and marks a
 //! `partition_healed` incident when a partition closes, pairing with the
-//! `peer_dead` / `peer_reconnected` incidents the recovery machinery
-//! emits (egress writer state machine, cmsd health monitor).
+//! `peer_dead` / `peer_reconnected` incidents of the cmsd health monitor
+//! (a TCP egress writer marks its own, `egress_peer_dead` /
+//! `egress_peer_reconnected`).
 
 use crate::admin::metric;
 use crate::cluster::SimCluster;

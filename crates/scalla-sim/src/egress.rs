@@ -58,12 +58,14 @@
 //!   paper's clusters treat node restart as steady state, §II-A). The
 //!   writer drops frames instantly while a capped exponential backoff
 //!   (with ±25 % jitter, seeded per link) runs down, then spends one
-//!   connect attempt as a probe. Success rejoins the peer — backoff
-//!   resets, a `peer_reconnected` incident fires; failure doubles the
-//!   backoff. A connection adopted meanwhile rejoins it too. The first
-//!   failing transition fires `peer_dead`. Both edges count in
-//!   `scalla_recovery_events_total{event=...}` so soak tests can assert
-//!   matched dead/reconnected pairs.
+//!   connect attempt as a probe. Success rejoins the peer: the backoff
+//!   resets, `peer_reconnects` counts one and an `egress_peer_reconnected`
+//!   incident fires. Failure doubles the backoff. A connection adopted
+//!   meanwhile rejoins the peer too. The first failing transition counts
+//!   one in `peer_deaths` and fires `egress_peer_dead`. These counters,
+//!   `scalla_egress_peer_{deaths,reconnects}_total`, count a socket's
+//!   deaths; the recovery events `peer_dead` / `peer_reconnected` are the
+//!   cmsd's membership verdict on every net, which the writer never writes.
 //! * **Deterministic shutdown** — dropping the queue's sender wakes the
 //!   writer out of `recv`; the stop flag breaks any in-flight stall loop.
 //!
@@ -158,7 +160,8 @@ pub(crate) struct EgressShared {
     pub stats: EgressStats,
     /// Timeouts and probing schedule, fixed at construction.
     pub tuning: EgressTuning,
-    /// Recovery-incident sink (`peer_dead` / `peer_reconnected`).
+    /// Flight-recorder incident sink (`egress_peer_dead` /
+    /// `egress_peer_reconnected`).
     pub obs: RwLock<Obs>,
 }
 
@@ -186,12 +189,6 @@ impl EgressShared {
             peer_deaths: s.peer_deaths,
             peer_reconnects: s.peer_reconnects,
         }
-    }
-
-    fn recovery_event(&self, event: &'static str) {
-        let obs = self.obs.read().clone();
-        obs.incident(event);
-        obs.count("scalla_recovery_events_total", &[("event", event)], 1);
     }
 }
 
@@ -434,7 +431,7 @@ impl DeadPeer {
 }
 
 /// Records a failed connect/write: first failure marks the peer dead
-/// (incident + counter), later failures double the probe backoff.
+/// (counter + incident), later failures double the probe backoff.
 fn mark_dead(
     dead: &mut Option<DeadPeer>,
     tuning: &EgressTuning,
@@ -444,7 +441,7 @@ fn mark_dead(
     match dead {
         None => {
             shared.stats.peer_deaths.fetch_add(1, Ordering::Relaxed);
-            shared.recovery_event("peer_dead");
+            shared.obs.read().incident("egress_peer_dead");
             let backoff = tuning.probe_backoff_min;
             *dead = Some(DeadPeer {
                 backoff,
@@ -503,7 +500,7 @@ fn writer_loop(
                 // A probe succeeded, or the peer opened a connection the
                 // link adopted: the peer is back.
                 shared.stats.peer_reconnects.fetch_add(1, Ordering::Relaxed);
-                shared.recovery_event("peer_reconnected");
+                shared.obs.read().incident("egress_peer_reconnected");
             }
             let written = match conn.as_mut() {
                 Some(stream) => write_round(stream, &mut round, tuning, &shared),
@@ -971,6 +968,7 @@ mod tests {
         let sh = shared();
         let obs = Obs::enabled();
         *sh.obs.write() = obs.clone();
+        obs.registry().attach(&[], sh.clone());
         let mut link = EgressLink::spawn(Addr(4), peer, sh.clone(), Box::new(|_| true));
         // The peer reads the preamble, then hangs up and stops listening.
         let reader = std::thread::spawn(move || {
@@ -1002,7 +1000,12 @@ mod tests {
         assert_eq!(stat(&sh.stats.peer_deaths), 1, "failed probes double the backoff, no more");
         assert_eq!(stat(&sh.stats.peer_reconnects), 0);
         let text = obs.registry().prometheus_text();
-        assert!(text.contains("scalla_recovery_events_total{event=\"peer_dead\"} 1"), "{text}");
+        assert!(text.contains("scalla_egress_peer_deaths_total 1\n"), "{text}");
+        assert!(text.contains("scalla_egress_peer_reconnects_total 0\n"), "{text}");
+        assert_eq!(
+            obs.flight().last_incident().map(|(reason, _)| reason),
+            Some("egress_peer_dead")
+        );
     }
 
     #[test]
@@ -1021,6 +1024,7 @@ mod tests {
         let sh = Arc::new(EgressShared::new(Arc::default(), tuning));
         let obs = Obs::enabled();
         *sh.obs.write() = obs.clone();
+        obs.registry().attach(&[], sh.clone());
         let mut link = EgressLink::spawn(Addr(7), peer, sh.clone(), Box::new(|_| true));
 
         link.post_flush(&numbered(0, 4), &sh);
@@ -1049,10 +1053,35 @@ mod tests {
         assert!(got.contains(&9), "traffic resumed after rejoin");
         assert_eq!(stat(&sh.stats.peer_deaths), 1);
         let text = obs.registry().prometheus_text();
-        assert!(text.contains("scalla_recovery_events_total{event=\"peer_dead\"} 1"), "{text}");
-        assert!(
-            text.contains("scalla_recovery_events_total{event=\"peer_reconnected\"} 1"),
-            "{text}"
+        assert!(text.contains("scalla_egress_peer_deaths_total 1\n"), "{text}");
+        assert!(text.contains("scalla_egress_peer_reconnects_total 1\n"), "{text}");
+    }
+
+    /// One death, one counter: a refused connect counts in the writer's
+    /// own `peer_deaths`, and the page carries no `peer_dead` recovery
+    /// event, which is the cmsd's membership verdict alone.
+    #[test]
+    fn a_refused_connect_counts_one_egress_death_and_no_recovery_event() {
+        let peer = {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let sh = shared();
+        let obs = Obs::enabled();
+        *sh.obs.write() = obs.clone();
+        obs.registry().attach(&[], sh.clone());
+        let mut link = EgressLink::spawn(Addr(8), peer, sh.clone(), Box::new(|_| true));
+        link.post_flush(&numbered(0, 4), &sh);
+        assert_poll(PATIENCE, "the refused connect marks the peer dead", || {
+            stat(&sh.stats.peer_deaths) == 1
+        });
+        link.close(&sh);
+        let text = obs.registry().prometheus_text();
+        assert!(text.contains("scalla_egress_peer_deaths_total 1\n"), "{text}");
+        assert!(!text.contains("peer_dead"), "no recovery event from the writer: {text}");
+        assert_eq!(
+            obs.flight().last_incident().map(|(reason, _)| reason),
+            Some("egress_peer_dead")
         );
     }
 

@@ -269,8 +269,9 @@ impl TcpNet {
         })
     }
 
-    /// Attaches an observability handle: egress writers report
-    /// `peer_dead` / `peer_reconnected` recovery events through it.
+    /// Attaches an observability handle: egress writers mark
+    /// `egress_peer_dead` / `egress_peer_reconnected` flight-recorder
+    /// incidents through it.
     /// ([`TcpNet::serve_admin`] attaches its handle automatically.)
     pub fn set_obs(&self, obs: Obs) {
         *self.shared.obs.write() = obs;
