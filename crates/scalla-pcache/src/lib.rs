@@ -7,7 +7,7 @@
 //! the existing control plane:
 //!
 //! * [`BlockStore`] — a byte-accounted block cache with high/low-watermark
-//!   eviction in one exact LRU order, and single-flight fill pins.
+//!   eviction in one exact LRU order.
 //! * [`ProxyNode`] — a [`scalla_simnet::Node`] that joins a cmsd as an
 //!   ordinary data server, serves `Open`/`Read`/`Close` from the block
 //!   store, fetches misses from the owning origin server, and
@@ -24,4 +24,4 @@ mod proxy;
 mod store;
 
 pub use proxy::{tokens, ProxyConfig, ProxyNode, REQUEST_TIMEOUT};
-pub use store::{BlockKey, BlockStore, PcacheConfig, PcacheStats, PinOutcome};
+pub use store::{BlockKey, BlockStore, PcacheConfig, PcacheStats};

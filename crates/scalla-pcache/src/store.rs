@@ -6,10 +6,8 @@
 //! stays only so an obs scrape can read the store from another thread.
 //! Eviction is exact LRU over the whole store: once `used > high
 //! watermark`, least-recently-used blocks are discarded until `used <=
-//! low watermark`. Blocks whose fill is still in flight are *pinned*
-//! placeholders — they hold no bytes and are never eviction victims,
-//! which is what makes single-flight coalescing safe (the fill's ticket
-//! cannot be evicted from under the waiters).
+//! low watermark`. The store holds cached blocks only: a fill still in
+//! flight is the owning proxy's record, not a slot here.
 //!
 //! A block is a slice of the origin reply that filled it, and it keeps that
 //! whole reply alive: a run's blocks share one buffer, freed when the last
@@ -33,10 +31,6 @@ pub struct PcacheConfig {
     pub block_size: u32,
     /// Total cache capacity in bytes.
     pub capacity: u64,
-    /// Eviction trigger: permille of capacity (e.g. 900 = 90 %).
-    pub high_permille: u32,
-    /// Eviction target: permille of capacity eviction drains down to.
-    pub low_permille: u32,
     /// Sequential prefetch depth in blocks past the last requested
     /// block (0 disables prefetch).
     pub prefetch: u32,
@@ -44,26 +38,24 @@ pub struct PcacheConfig {
 
 impl Default for PcacheConfig {
     fn default() -> PcacheConfig {
-        PcacheConfig {
-            block_size: 64 << 10,
-            capacity: 256 << 20,
-            high_permille: 900,
-            low_permille: 700,
-            prefetch: 2,
-        }
+        PcacheConfig { block_size: 64 << 10, capacity: 256 << 20, prefetch: 2 }
     }
 }
+
+/// Eviction trigger: permille of capacity.
+const HIGH_PERMILLE: u64 = 900;
+/// Eviction target: permille of capacity eviction drains down to.
+const LOW_PERMILLE: u64 = 700;
 
 impl PcacheConfig {
     /// The high watermark in bytes: eviction starts above this.
     pub fn high_bytes(&self) -> u64 {
-        (self.capacity as u128 * self.high_permille.min(1000) as u128 / 1000) as u64
+        (self.capacity as u128 * HIGH_PERMILLE as u128 / 1000) as u64
     }
 
     /// The low watermark in bytes: eviction drains down to this.
     pub fn low_bytes(&self) -> u64 {
-        let low = self.low_permille.min(self.high_permille);
-        (self.capacity as u128 * low.min(1000) as u128 / 1000) as u64
+        (self.capacity as u128 * LOW_PERMILLE as u128 / 1000) as u64
     }
 
     /// Number of blocks covering a file of `size` bytes.
@@ -96,17 +88,6 @@ impl BlockKey {
     }
 }
 
-/// Outcome of a single-flight pin attempt.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PinOutcome {
-    /// The block is already cached — no fetch needed.
-    Present,
-    /// The caller now owns the (single) in-flight fill for this block.
-    Pinned,
-    /// Another fill is already in flight — coalesce onto it.
-    AlreadyPinned,
-}
-
 struct Slot {
     /// The fill reply the block is a slice of.
     reply: Bytes,
@@ -114,8 +95,6 @@ struct Slot {
     at: Range<usize>,
     /// LRU generation stamp; queue entries with stale stamps are skipped.
     gen: u64,
-    /// In-flight fill placeholder: holds no bytes, never evicted.
-    pinned: bool,
 }
 
 /// Everything the store's lock guards.
@@ -144,11 +123,10 @@ impl Slot {
 
 impl Inner {
     /// The resident block `key`, moved to the back of the LRU order; `None`
-    /// when it is absent or an in-flight pin. Every read path looks blocks
-    /// up through here.
+    /// when it is absent. Every read path looks blocks up through here.
     fn hit(&mut self, key: &BlockKey) -> Option<&Slot> {
         let gen = self.next_gen + 1;
-        self.map.get_mut(key).filter(|s| !s.pinned)?.gen = gen;
+        self.map.get_mut(key)?.gen = gen;
         self.next_gen = gen;
         self.lru.push_back((key.clone(), gen));
         self.maybe_compact();
@@ -158,7 +136,7 @@ impl Inner {
     fn maybe_compact(&mut self) {
         if self.lru.len() > 4 * self.map.len() + 64 {
             let map = &self.map;
-            self.lru.retain(|(k, g)| map.get(k).is_some_and(|s| s.gen == *g && !s.pinned));
+            self.lru.retain(|(k, g)| map.get(k).is_some_and(|s| s.gen == *g));
         }
     }
 }
@@ -226,40 +204,13 @@ impl BlockStore {
         self.inner.lock().hit(key).map(Slot::block)
     }
 
-    /// Whether the block is cached (pins don't count). No stats, no
-    /// LRU effect.
+    /// Whether the block is cached. No stats, no LRU effect.
     pub fn contains(&self, key: &BlockKey) -> bool {
-        self.inner.lock().map.get(key).is_some_and(|s| !s.pinned)
+        self.inner.lock().map.contains_key(key)
     }
 
-    /// Single-flight gate: claims the fill for an absent block. Exactly
-    /// one caller gets [`PinOutcome::Pinned`] per absent block; everyone
-    /// else coalesces.
-    pub fn try_pin(&self, key: &BlockKey) -> PinOutcome {
-        let mut inner = self.inner.lock();
-        match inner.map.get(key) {
-            Some(slot) if slot.pinned => PinOutcome::AlreadyPinned,
-            Some(_) => PinOutcome::Present,
-            None => {
-                let pin = Slot { reply: Bytes::new(), at: 0..0, gen: 0, pinned: true };
-                inner.map.insert(key.clone(), pin);
-                PinOutcome::Pinned
-            }
-        }
-    }
-
-    /// Abandons an in-flight fill (origin fetch failed) so a later
-    /// request can re-claim the block.
-    pub fn unpin(&self, key: &BlockKey) {
-        let mut inner = self.inner.lock();
-        if inner.map.get(key).is_some_and(|s| s.pinned) {
-            inner.map.remove(key);
-        }
-    }
-
-    /// Completes a fill: stores the bytes (clearing any pin), accounts
-    /// them, and evicts down to the low watermark if the high watermark
-    /// was crossed.
+    /// Completes a fill: stores the bytes, accounts them, and evicts down
+    /// to the low watermark if the high watermark was crossed.
     pub fn insert(&self, key: BlockKey, data: Bytes) {
         let at = 0..data.len();
         self.land(&mut self.inner.lock(), key, data, at);
@@ -281,16 +232,14 @@ impl BlockStore {
         }
     }
 
-    /// Stores `reply[at]` as block `key` (clearing any pin), accounts it,
-    /// and evicts down to the low watermark if the high one was crossed.
+    /// Stores `reply[at]` as block `key`, accounts it, and evicts down to
+    /// the low watermark if the high one was crossed.
     fn land(&self, inner: &mut Inner, key: BlockKey, reply: Bytes, at: Range<usize>) {
         let len = at.len() as u64;
         inner.next_gen += 1;
         let gen = inner.next_gen;
-        if let Some(prev) = inner.map.insert(key.clone(), Slot { reply, at, gen, pinned: false }) {
-            if !prev.pinned {
-                inner.used -= prev.len();
-            }
+        if let Some(prev) = inner.map.insert(key.clone(), Slot { reply, at, gen }) {
+            inner.used -= prev.len();
         }
         inner.lru.push_back((key, gen));
         inner.maybe_compact();
@@ -303,8 +252,7 @@ impl BlockStore {
     }
 
     /// Bytes `[start, end)` of `path`, a `size`-byte file, from its cached
-    /// blocks, or `Err` with the blocks of the range not cached (in-flight
-    /// pins included). A block shorter than its place in the file ends the
+    /// blocks, or `Err` with the blocks of the range not cached. A block shorter than its place in the file ends the
     /// read there, as a short origin `Read` would. The answer is one slice
     /// of a fill reply when every part is the next slice of the same reply;
     /// otherwise the parts are copied once. Blocks are looked up as
@@ -357,13 +305,12 @@ impl BlockStore {
 
     /// Pops the LRU queue front until `used <= low watermark` or the queue
     /// is empty, discarding each live block it names. Stale entries
-    /// (retouched or removed since) are skipped; pinned placeholders
-    /// never enter the queue, so they are never victims.
+    /// (retouched or removed since) are skipped.
     fn evict(&self, inner: &mut Inner) {
         let target = self.cfg.low_bytes();
         while inner.used > target {
             let Some((key, gen)) = inner.lru.pop_front() else { break };
-            if !inner.map.get(&key).is_some_and(|s| s.gen == gen && !s.pinned) {
+            if inner.map.get(&key).is_none_or(|s| s.gen != gen) {
                 continue;
             }
             let slot = inner.map.remove(&key).expect("checked live above");
@@ -374,19 +321,14 @@ impl BlockStore {
         }
     }
 
-    /// Bytes currently cached (pinned placeholders hold none).
+    /// Bytes currently cached.
     pub fn used_bytes(&self) -> u64 {
         self.inner.lock().used
     }
 
-    /// Number of cached blocks (excluding in-flight pins).
+    /// Number of cached blocks.
     pub fn block_count(&self) -> usize {
-        self.inner.lock().map.values().filter(|v| !v.pinned).count()
-    }
-
-    /// Number of in-flight pins.
-    pub fn pinned_count(&self) -> usize {
-        self.inner.lock().map.values().filter(|v| v.pinned).count()
+        self.inner.lock().map.len()
     }
 
     /// Counter snapshot.
@@ -531,44 +473,6 @@ mod tests {
         s.insert(BlockKey::new("/f", 4), block(1024));
         assert!(s.contains(&BlockKey::new("/f", 0)), "recently touched survives");
         assert!(!s.contains(&BlockKey::new("/f", 1)), "coldest evicted");
-    }
-
-    #[test]
-    fn single_flight_pin_protocol() {
-        let s = BlockStore::new(cfg(1 << 20));
-        let k = BlockKey::new("/f", 7);
-        assert_eq!(s.try_pin(&k), PinOutcome::Pinned, "first claimant owns the fill");
-        assert_eq!(s.try_pin(&k), PinOutcome::AlreadyPinned, "second coalesces");
-        assert!(s.get(&k).is_none(), "pin is not a cached block");
-        assert_eq!(s.pinned_count(), 1);
-        s.insert(k.clone(), block(512));
-        assert_eq!(s.try_pin(&k), PinOutcome::Present);
-        assert_eq!(s.pinned_count(), 0);
-    }
-
-    #[test]
-    fn unpin_releases_the_claim() {
-        let s = BlockStore::new(cfg(1 << 20));
-        let k = BlockKey::new("/f", 0);
-        assert_eq!(s.try_pin(&k), PinOutcome::Pinned);
-        s.unpin(&k);
-        assert_eq!(s.try_pin(&k), PinOutcome::Pinned, "claimable again after abort");
-        // Unpin never removes real data.
-        s.insert(k.clone(), block(10));
-        s.unpin(&k);
-        assert!(s.contains(&k));
-    }
-
-    #[test]
-    fn pinned_blocks_survive_eviction_pressure() {
-        let c = PcacheConfig { block_size: 1024, capacity: 4096, ..Default::default() };
-        let s = BlockStore::new(c);
-        let pinned = BlockKey::new("/hot", 0);
-        assert_eq!(s.try_pin(&pinned), PinOutcome::Pinned);
-        for i in 0..50u64 {
-            s.insert(BlockKey::new("/cold", i), block(1024));
-        }
-        assert_eq!(s.try_pin(&pinned), PinOutcome::AlreadyPinned, "pin survived the churn");
     }
 
     #[test]

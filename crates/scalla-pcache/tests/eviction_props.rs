@@ -1,14 +1,12 @@
 //! Property tests for the block store's eviction machinery.
 //!
-//! Whatever interleaving of fills, look-ups, single-flight pins, and
-//! aborted fills a proxy produces, the store must uphold:
+//! Whatever interleaving of fills and look-ups a proxy produces, the store
+//! must uphold, at its fixed watermarks (90 % and 70 % of capacity):
 //!
 //! * byte accounting never exceeds capacity, and settles at or below
 //!   the high watermark after every completed insert;
 //! * crossing the high watermark drains the store to the low watermark
 //!   in the same call (watermark convergence);
-//! * pinned (in-flight) placeholders are never eviction victims, no
-//!   matter how much churn passes through the other blocks;
 //! * `used_bytes` equals the byte-sum of the blocks actually resident,
 //!   and stays consistent with the insert/evict counters;
 //! * eviction is exact LRU over the whole store: each one removes the
@@ -16,16 +14,13 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use scalla_pcache::{BlockKey, BlockStore, PcacheConfig, PinOutcome};
-use std::collections::HashSet;
+use scalla_pcache::{BlockKey, BlockStore, PcacheConfig};
 
 /// The reference the store's eviction is checked against: resident blocks
-/// as `(key, bytes)` in recency order, least recent first, plus the
-/// in-flight pins.
+/// as `(key, bytes)` in recency order, least recent first.
 #[derive(Default)]
 struct LruModel {
     resident: Vec<(BlockKey, u64)>,
-    pinned: HashSet<BlockKey>,
 }
 
 impl LruModel {
@@ -47,7 +42,6 @@ impl LruModel {
     /// Stores `k` as the most recent block, then drops the least recent
     /// ones down to `low` if `used` crossed `high`.
     fn insert(&mut self, k: BlockKey, len: u64, high: u64, low: u64) {
-        self.pinned.remove(&k);
         if let Some(i) = self.position(&k) {
             self.resident.remove(i);
         }
@@ -58,12 +52,6 @@ impl LruModel {
             }
         }
     }
-
-    fn pin(&mut self, k: &BlockKey) {
-        if self.position(k).is_none() {
-            self.pinned.insert(k.clone());
-        }
-    }
 }
 
 const PATHS: u8 = 4;
@@ -71,14 +59,10 @@ const INDICES: u64 = 16;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Complete a fill of `len` bytes (clears any pin on the key).
+    /// Complete a fill of `len` bytes.
     Insert { path: u8, index: u64, len: u16 },
     /// Client look-up (refreshes LRU order).
     Get { path: u8, index: u64 },
-    /// Claim the single-flight fill ticket.
-    Pin { path: u8, index: u64 },
-    /// Abort an in-flight fill.
-    Unpin { path: u8, index: u64 },
 }
 
 fn op_strategy(block_size: u16) -> impl Strategy<Value = Op> {
@@ -86,8 +70,6 @@ fn op_strategy(block_size: u16) -> impl Strategy<Value = Op> {
         5 => (0..PATHS, 0..INDICES, 1..=block_size)
             .prop_map(|(path, index, len)| Op::Insert { path, index, len }),
         3 => (0..PATHS, 0..INDICES).prop_map(|(path, index)| Op::Get { path, index }),
-        2 => (0..PATHS, 0..INDICES).prop_map(|(path, index)| Op::Pin { path, index }),
-        1 => (0..PATHS, 0..INDICES).prop_map(|(path, index)| Op::Unpin { path, index }),
     ]
 }
 
@@ -115,15 +97,9 @@ proptest! {
     fn accounting_and_watermarks_hold_under_any_sequence(
         ops in proptest::collection::vec(op_strategy(512), 1..200),
     ) {
-        // Capacity 8 KiB, high 90 % = 7372, low 600 ‰ = 4915: a couple
+        // Capacity 8 KiB, high 90 % = 7372, low 70 % = 5734: a couple
         // dozen 512-byte blocks force repeated watermark crossings.
-        let cfg = PcacheConfig {
-            block_size: 512,
-            capacity: 8 << 10,
-            high_permille: 900,
-            low_permille: 600,
-            ..PcacheConfig::default()
-        };
+        let cfg = PcacheConfig { block_size: 512, capacity: 8 << 10, ..PcacheConfig::default() };
         let (high, low, capacity) = (cfg.high_bytes(), cfg.low_bytes(), cfg.capacity);
         let store = BlockStore::new(cfg);
         for op in &ops {
@@ -145,12 +121,6 @@ proptest! {
                 Op::Get { path, index } => {
                     store.get(&key(path, index));
                 }
-                Op::Pin { path, index } => {
-                    store.try_pin(&key(path, index));
-                }
-                Op::Unpin { path, index } => {
-                    store.unpin(&key(path, index));
-                }
             }
             prop_assert!(store.used_bytes() <= capacity, "accounting within capacity");
             prop_assert!(store.used_bytes() <= high, "settles at or below high watermark");
@@ -165,59 +135,10 @@ proptest! {
     }
 
     #[test]
-    fn pinned_blocks_are_never_evicted(
-        pins in proptest::collection::vec((0..PATHS, 0..INDICES), 1..8),
-        churn in proptest::collection::vec((0..PATHS, 0..INDICES, 1u16..=512), 20..120),
-    ) {
-        let cfg = PcacheConfig {
-            block_size: 512,
-            capacity: 4 << 10,
-            high_permille: 900,
-            low_permille: 500,
-            ..PcacheConfig::default()
-        };
-        let store = BlockStore::new(cfg);
-        let mut pinned: HashSet<BlockKey> = HashSet::new();
-        for &(p, i) in &pins {
-            if store.try_pin(&key(p, i)) == PinOutcome::Pinned {
-                pinned.insert(key(p, i));
-            }
-        }
-        prop_assert_eq!(store.pinned_count(), pinned.len());
-        for &(p, i, len) in &churn {
-            let k = key(p, i);
-            if pinned.contains(&k) {
-                continue; // keep the pins in flight throughout the churn
-            }
-            store.insert(k, Bytes::from(vec![0u8; len as usize]));
-            for k in &pinned {
-                prop_assert_eq!(
-                    store.try_pin(k),
-                    PinOutcome::AlreadyPinned,
-                    "pin lost under eviction pressure"
-                );
-            }
-        }
-        prop_assert_eq!(store.pinned_count(), pinned.len());
-        // Completing the fills converts every pin into a resident block.
-        for k in &pinned {
-            store.insert(k.clone(), Bytes::from(vec![1u8; 64]));
-            prop_assert!(store.contains(k));
-        }
-        prop_assert_eq!(store.pinned_count(), 0);
-    }
-
-    #[test]
     fn eviction_is_exact_lru_over_the_whole_store(
         ops in proptest::collection::vec(op_strategy(512), 1..200),
     ) {
-        let cfg = PcacheConfig {
-            block_size: 512,
-            capacity: 8 << 10,
-            high_permille: 900,
-            low_permille: 600,
-            ..PcacheConfig::default()
-        };
+        let cfg = PcacheConfig { block_size: 512, capacity: 8 << 10, ..PcacheConfig::default() };
         let (high, low) = (cfg.high_bytes(), cfg.low_bytes());
         let store = BlockStore::new(cfg);
         let mut model = LruModel::default();
@@ -231,14 +152,6 @@ proptest! {
                     store.get(&key(path, index));
                     model.touch(&key(path, index));
                 }
-                Op::Pin { path, index } => {
-                    store.try_pin(&key(path, index));
-                    model.pin(&key(path, index));
-                }
-                Op::Unpin { path, index } => {
-                    store.unpin(&key(path, index));
-                    model.pinned.remove(&key(path, index));
-                }
             }
             for p in 0..PATHS {
                 for i in 0..INDICES {
@@ -251,7 +164,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(store.used_bytes(), model.used());
-            prop_assert_eq!(store.pinned_count(), model.pinned.len());
         }
     }
 }
