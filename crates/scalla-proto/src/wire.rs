@@ -812,7 +812,8 @@ pub struct Gather {
 }
 
 impl Gather {
-    /// A gather that encodes into `head`, an empty buffer (a pooled one).
+    /// A gather that encodes into `head` (a pooled buffer), behind any
+    /// bytes it already holds, which go out first.
     pub fn new(head: BytesMut) -> Gather {
         Gather { head, ..Gather::default() }
     }

@@ -25,14 +25,17 @@
 //!   there, is never toggled.
 //! * **The writer is the blocking half** — whatever that one `sendmsg`
 //!   could not do is handed to the link's writer thread through a queue
-//!   that allocates only as it fills: the connect (with a timeout, then
-//!   the sender-address preamble), the unwritten tail of a short write, a
-//!   batch that met `EAGAIN` or an error. A tail keeps its payloads by
-//!   reference too; the writer's vectored writes take them where they
-//!   lie. Writes there carry a write timeout, and a peer that stays wedged
-//!   past the stall budget is declared **dead**. A writer holding
-//!   [`QUEUE_CAP`] frames makes the next batch drop with explicit
-//!   accounting (the same loss semantics a dead peer already has).
+//!   that allocates only as it fills: the connect (with a timeout; the
+//!   8-byte sender-address preamble then goes out at the head of the
+//!   round's first write), the unwritten tail of a short write, a batch
+//!   that met `EAGAIN` or an error. The writer writes through the same
+//!   gathering `sendmsg` as the inline write, without `MSG_DONTWAIT`, so a
+//!   tail's payloads, kept by reference too, go out from where they lie.
+//!   Its writes wait, each for at most the stream's write timeout, and a
+//!   peer that stays wedged past the stall budget is declared **dead**. A
+//!   writer holding [`QUEUE_CAP`] frames makes the next batch drop with
+//!   explicit accounting (the same loss semantics a dead peer already
+//!   has).
 //! * **One connection per node pair** — a connection carries both
 //!   directions, so a reply rides the connection of the request it answers
 //!   and carries that request's ACK. Whichever node sends first connects:
@@ -79,7 +82,7 @@ use parking_lot::{Mutex, RwLock};
 use scalla_obs::{Emit, Kind, Obs, Source};
 use scalla_proto::{Addr, BufferPool, Gather, Msg};
 use scalla_util::SplitMix64;
-use std::io::{ErrorKind, IoSlice, Write};
+use std::io::{ErrorKind, IoSlice};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -91,43 +94,27 @@ use std::time::{Duration, Instant};
 /// Frames a link's writer may hold before overflow drops begin.
 pub(crate) const QUEUE_CAP: usize = 4096;
 /// Most frames a link's pending batch holds before it is flushed, and most
-/// batches one vectored write of the writer will carry.
+/// batches one round of the writer carries.
 const MAX_BATCH: usize = 64;
-/// Most pieces one inline `sendmsg` gathers: a full batch whose every
-/// frame carries a payload kept by reference.
+/// Most pieces one `sendmsg` gathers: a full batch whose every frame
+/// carries a payload kept by reference.
 const MAX_IOV: usize = 2 * MAX_BATCH + 1;
-
-/// Writer-thread timeouts and the dead-peer probing schedule.
-///
-/// The defaults match production-ish settings; tests shrink them to make
-/// death detection and reconnection fast.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct EgressTuning {
-    /// Writer-side connect budget; a peer that cannot accept in this
-    /// window counts as dead for the queued batch.
-    pub connect_timeout: Duration,
-    /// Per-syscall write budget so a stalled socket cannot hold the
-    /// writer (and therefore shutdown) hostage.
-    pub write_timeout: Duration,
-    /// Consecutive write timeouts before the peer is declared dead.
-    pub max_write_stalls: u32,
-    /// First probe delay after a peer dies.
-    pub probe_backoff_min: Duration,
-    /// Probe delay ceiling (backoff doubles per failed probe up to this).
-    pub probe_backoff_max: Duration,
-}
-
-impl Default for EgressTuning {
-    fn default() -> EgressTuning {
-        EgressTuning {
-            connect_timeout: Duration::from_secs(1),
-            write_timeout: Duration::from_millis(100),
-            max_write_stalls: 50,
-            probe_backoff_min: Duration::from_millis(50),
-            probe_backoff_max: Duration::from_secs(2),
-        }
-    }
-}
+/// Writer-side connect budget; a peer that cannot accept in this window
+/// counts as dead for the round.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Per-syscall budget of the writer's writes, so a stalled socket cannot
+/// hold the writer (and therefore shutdown) hostage.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(100);
+/// Consecutive write timeouts before the peer is declared dead.
+const MAX_WRITE_STALLS: u32 = 50;
+/// First probe delay after a peer dies.
+const PROBE_BACKOFF_MIN: Duration = Duration::from_millis(50);
+/// Probe delay ceiling (the backoff doubles per failed probe up to this).
+const PROBE_BACKOFF_MAX: Duration = Duration::from_secs(2);
+/// `send(2)` flag: write what fits now rather than wait for room.
+const MSG_DONTWAIT: i32 = 0x40;
+/// `send(2)` flag: a peer that has gone is an error, not a `SIGPIPE`.
+const MSG_NOSIGNAL: i32 = 0x4000;
 
 scalla_obs::counter_set! {
     /// Cumulative egress counters, shared by every link of a net.
@@ -158,20 +145,17 @@ pub(crate) struct EgressShared {
     pub pool: BufferPool,
     /// Cumulative counters.
     pub stats: EgressStats,
-    /// Timeouts and probing schedule, fixed at construction.
-    pub tuning: EgressTuning,
     /// Flight-recorder incident sink (`egress_peer_dead` /
     /// `egress_peer_reconnected`).
     pub obs: RwLock<Obs>,
 }
 
 impl EgressShared {
-    pub fn new(stop: Arc<AtomicBool>, tuning: EgressTuning) -> EgressShared {
+    pub fn new() -> EgressShared {
         EgressShared {
-            stop,
+            stop: Arc::default(),
             pool: BufferPool::new(2 * QUEUE_CAP.min(256)),
             stats: EgressStats::default(),
-            tuning,
             obs: RwLock::new(Obs::disabled()),
         }
     }
@@ -261,14 +245,14 @@ impl EgressLink {
     /// link's own when the link has none and its writer is idle: what this
     /// node sends the peer then rides the connection the peer's frames
     /// come in on. Otherwise the link keeps what it has.
-    pub fn adopt(&mut self, stream: TcpStream, shared: &EgressShared) {
+    pub fn adopt(&mut self, stream: TcpStream) {
         // Acquire pairs with the writer's Release decrement, as in `flush`.
         if self.state.in_writer.load(Ordering::Acquire) != 0 {
             return;
         }
         let mut slot = self.state.stream.lock();
         if slot.is_none() {
-            stream.set_write_timeout(Some(shared.tuning.write_timeout)).ok();
+            stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
             *slot = Some(stream);
         }
     }
@@ -306,7 +290,7 @@ impl EgressLink {
                 // Any outcome but a complete write is the writer's to deal
                 // with: it retries on the same stream and sees for itself
                 // whatever error this call saw.
-                if let Ok(n) = send_now(stream, &batch.wire) {
+                if let Ok(n) = send_now(stream, batch.wire.slices(), MSG_DONTWAIT | MSG_NOSIGNAL) {
                     shared.stats.writes.fetch_add(1, Ordering::Relaxed);
                     batch.wire.advance(n);
                 }
@@ -347,14 +331,18 @@ impl EgressLink {
     }
 }
 
-/// Writes what `wire` has left to write (its first [`MAX_IOV`] pieces)
-/// with one syscall that does not block on a stream that does and raises
-/// no `SIGPIPE` when the peer has gone: a gathering `sendmsg(2)`, or a
-/// plain `send(2)` for a batch that is one piece (small frames only).
-/// `send` costs the kernel less than a one-entry `sendmsg`: with
+/// Writes the first [`MAX_IOV`] of `pieces` with one syscall under `flags`:
+/// a gathering `sendmsg(2)`, or a plain `send(2)` for one piece (a batch
+/// of small frames only). With [`MSG_DONTWAIT`] it does not wait on a
+/// stream that does; without it the stream's write timeout bounds the
+/// wait. `send` costs the kernel less than a one-entry `sendmsg`: with
 /// `sendmsg` for every batch, `warm_open` and `cold_open` each took
 /// about 2.5 % longer per operation (EXPERIMENTS.md).
-fn send_now(stream: &TcpStream, wire: &Gather) -> std::io::Result<usize> {
+fn send_now<'a>(
+    stream: &TcpStream,
+    mut pieces: impl Iterator<Item = IoSlice<'a>>,
+    flags: i32,
+) -> std::io::Result<usize> {
     /// glibc's `struct msghdr`.
     #[repr(C)]
     struct MsgHdr {
@@ -371,16 +359,14 @@ fn send_now(stream: &TcpStream, wire: &Gather) -> std::io::Result<usize> {
         fn send(fd: i32, buf: *const u8, len: usize, flags: i32) -> isize;
         fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
     }
-    const FLAGS: i32 = 0x40 | 0x4000; // MSG_DONTWAIT | MSG_NOSIGNAL
     let fd = stream.as_raw_fd();
-    let mut pieces = wire.slices();
     let first = pieces.next().unwrap_or(IoSlice::new(&[]));
     let sent = match pieces.next() {
         // SAFETY: `first` is a live, initialised buffer of exactly the
-        // `len` bytes passed, borrowed from `wire` for the duration of the
-        // call, which only reads it; the descriptor belongs to `stream`,
-        // which is borrowed for the call too.
-        None => unsafe { send(fd, first.as_ptr(), first.len(), FLAGS) },
+        // `len` bytes passed, borrowed for the duration of the call, which
+        // only reads it; the descriptor belongs to `stream`, which is
+        // borrowed for the call too.
+        None => unsafe { send(fd, first.as_ptr(), first.len(), flags) },
         Some(second) => {
             let mut iov = [IoSlice::new(&[]); MAX_IOV];
             let mut len = 2;
@@ -400,10 +386,10 @@ fn send_now(stream: &TcpStream, wire: &Gather) -> std::io::Result<usize> {
             };
             // SAFETY: `IoSlice` is ABI-compatible with `struct iovec` on
             // Unix, and the first `len` entries of `iov` describe live,
-            // initialised buffers borrowed from `wire` for the duration of
-            // the call, which only reads them; `msg` names no address and
-            // no control data. The descriptor is `stream`'s, as above.
-            unsafe { sendmsg(fd, &msg, FLAGS) }
+            // initialised buffers borrowed for the duration of the call,
+            // which only reads them; `msg` names no address and no
+            // control data. The descriptor is `stream`'s, as above.
+            unsafe { sendmsg(fd, &msg, flags) }
         }
     };
     usize::try_from(sent).map_err(|_| std::io::Error::last_os_error())
@@ -432,31 +418,26 @@ impl DeadPeer {
 
 /// Records a failed connect/write: first failure marks the peer dead
 /// (counter + incident), later failures double the probe backoff.
-fn mark_dead(
-    dead: &mut Option<DeadPeer>,
-    tuning: &EgressTuning,
-    rng: &mut SplitMix64,
-    shared: &EgressShared,
-) {
+fn mark_dead(dead: &mut Option<DeadPeer>, rng: &mut SplitMix64, shared: &EgressShared) {
     match dead {
         None => {
             shared.stats.peer_deaths.fetch_add(1, Ordering::Relaxed);
             shared.obs.read().incident("egress_peer_dead");
-            let backoff = tuning.probe_backoff_min;
+            let backoff = PROBE_BACKOFF_MIN;
             *dead = Some(DeadPeer {
                 backoff,
                 next_probe: Instant::now() + DeadPeer::jittered(backoff, rng),
             });
         }
         Some(d) => {
-            d.backoff = (d.backoff * 2).min(tuning.probe_backoff_max);
+            d.backoff = (d.backoff * 2).min(PROBE_BACKOFF_MAX);
             d.next_probe = Instant::now() + DeadPeer::jittered(d.backoff, rng);
         }
     }
 }
 
 /// The blocking half of a link: connects, and writes what the lock
-/// holder's one `sendmsg` could not.
+/// holder's one `sendmsg` could not, through the same routine.
 fn writer_loop(
     me: Addr,
     peer: SocketAddr,
@@ -467,7 +448,8 @@ fn writer_loop(
 ) {
     let mut dead: Option<DeadPeer> = None;
     let mut rng = SplitMix64::new(me.0 ^ ((peer.port() as u64) << 32));
-    let mut round: Vec<Batch> = Vec::with_capacity(MAX_BATCH);
+    // Room for a full round behind a preamble.
+    let mut round: Vec<Batch> = Vec::with_capacity(MAX_BATCH + 1);
     // Block for the next batch; a dropped sender ends the link.
     while let Ok(first) = rx.recv() {
         round.push(first);
@@ -484,16 +466,22 @@ fn writer_loop(
         let written = if shared.stop.load(Ordering::Relaxed) {
             0
         } else {
-            let tuning = &shared.tuning;
             // The slot holds the connection this thread opened or one the
             // link adopted. With neither, connect — unless the peer is
             // dead and not yet due for a probe: then pay no connect
             // timeout per round, just account.
             let mut conn = state.stream.lock().take();
             if conn.is_none() && dead.as_ref().is_none_or(|d| Instant::now() >= d.next_probe) {
-                conn = connect(me, peer, tuning, &shared, &mut on_connect);
-                if conn.is_none() {
-                    mark_dead(&mut dead, tuning, &mut rng, &shared);
+                conn = connect(peer, &mut on_connect);
+                match conn {
+                    // A new connection opens with the preamble naming this
+                    // node: a batch of no frames, ahead of the round.
+                    Some(_) => {
+                        let mut head = shared.pool.get();
+                        head.extend_from_slice(&me.0.to_le_bytes());
+                        round.insert(0, Batch { wire: Gather::new(head), frames: 0 });
+                    }
+                    None => mark_dead(&mut dead, &mut rng, &shared),
                 }
             }
             if conn.is_some() && dead.take().is_some() {
@@ -502,8 +490,8 @@ fn writer_loop(
                 shared.stats.peer_reconnects.fetch_add(1, Ordering::Relaxed);
                 shared.obs.read().incident("egress_peer_reconnected");
             }
-            let written = match conn.as_mut() {
-                Some(stream) => write_round(stream, &mut round, tuning, &shared),
+            let written = match &conn {
+                Some(stream) => write_round(stream, &mut round, &shared),
                 None => 0,
             };
             match conn {
@@ -511,7 +499,7 @@ fn writer_loop(
                 // so probing (not every round) pays the timeout.
                 Some(stream) if written < round.len() => {
                     abandon(stream);
-                    mark_dead(&mut dead, tuning, &mut rng, &shared);
+                    mark_dead(&mut dead, &mut rng, &shared);
                 }
                 // Back to the slot: the lock holder writes to whatever it
                 // finds there.
@@ -533,63 +521,24 @@ fn writer_loop(
     }
 }
 
-/// Connects with a timeout, hands the connection to `on_connect`, then
-/// writes the 8-byte sender-address preamble.
-fn connect(
-    me: Addr,
-    peer: SocketAddr,
-    tuning: &EgressTuning,
-    shared: &EgressShared,
-    on_connect: &mut OnConnect,
-) -> Option<TcpStream> {
-    let mut stream = TcpStream::connect_timeout(&peer, tuning.connect_timeout).ok()?;
+/// Connects with a timeout and hands the connection to `on_connect`.
+fn connect(peer: SocketAddr, on_connect: &mut OnConnect) -> Option<TcpStream> {
+    let stream = TcpStream::connect_timeout(&peer, CONNECT_TIMEOUT).ok()?;
     stream.set_nodelay(true).ok();
-    stream.set_write_timeout(Some(tuning.write_timeout)).ok();
-    if !on_connect(&stream) {
-        return None;
-    }
-    let pre = me.0.to_le_bytes();
-    let mut written = 0;
-    let mut stalls = 0u32;
-    while written < pre.len() {
-        let give_up = match stream.write(&pre[written..]) {
-            Ok(0) => true,
-            Ok(n) => {
-                written += n;
-                stalls = 0;
-                false
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                stalls += 1;
-                stalls > tuning.max_write_stalls || shared.stop.load(Ordering::Relaxed)
-            }
-            Err(e) => e.kind() != ErrorKind::Interrupted,
-        };
-        if give_up {
-            abandon(stream);
-            return None;
-        }
-    }
-    Some(stream)
+    stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
+    on_connect(&stream).then_some(stream)
 }
 
-/// Writes the round's batches with vectored syscalls, handling partial
-/// writes across batch and payload boundaries. Returns the number of
-/// batches fully written.
-fn write_round(
-    stream: &mut TcpStream,
-    round: &mut [Batch],
-    tuning: &EgressTuning,
-    shared: &EgressShared,
-) -> usize {
+/// Writes the round's batches through [`send_now`], each call waiting for
+/// room up to the write timeout, and goes on across batch and payload
+/// boundaries after a short write. Returns the number of batches fully
+/// written.
+fn write_round(stream: &TcpStream, round: &mut [Batch], shared: &EgressShared) -> usize {
     let mut idx = 0; // first batch not yet fully written
     let mut stalls = 0u32;
     while idx < round.len() {
-        let wrote = {
-            let slices: Vec<_> = round[idx..].iter().flat_map(|b| b.wire.slices()).collect();
-            stream.write_vectored(&slices)
-        };
-        match wrote {
+        let pieces = round[idx..].iter().flat_map(|b| b.wire.slices());
+        match send_now(stream, pieces, MSG_NOSIGNAL) {
             Ok(0) => return idx,
             Ok(mut n) => {
                 shared.stats.writes.fetch_add(1, Ordering::Relaxed);
@@ -606,7 +555,7 @@ fn write_round(
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 stalls += 1;
-                if stalls > tuning.max_write_stalls || shared.stop.load(Ordering::Relaxed) {
+                if stalls > MAX_WRITE_STALLS || shared.stop.load(Ordering::Relaxed) {
                     return idx;
                 }
             }
@@ -630,7 +579,7 @@ mod tests {
     const PATIENCE: Duration = Duration::from_secs(10);
 
     fn shared() -> Arc<EgressShared> {
-        Arc::new(EgressShared::new(Arc::default(), EgressTuning::default()))
+        Arc::new(EgressShared::new())
     }
 
     fn stat(counter: &std::sync::atomic::AtomicU64) -> u64 {
@@ -867,7 +816,7 @@ mod tests {
         let t0 = Instant::now();
         link.flush(&sh);
         let took = t0.elapsed();
-        assert!(took < sh.tuning.write_timeout, "the flush waited {took:?}");
+        assert!(took < WRITE_TIMEOUT, "the flush waited {took:?}");
         assert_eq!(link.in_writer(), 16, "the tail is the writer's");
         go.send(()).unwrap();
         link.close(&sh);
@@ -1016,12 +965,7 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let tuning = EgressTuning {
-            probe_backoff_min: Duration::from_millis(10),
-            probe_backoff_max: Duration::from_millis(40),
-            ..EgressTuning::default()
-        };
-        let sh = Arc::new(EgressShared::new(Arc::default(), tuning));
+        let sh = shared();
         let obs = Obs::enabled();
         *sh.obs.write() = obs.clone();
         obs.registry().attach(&[], sh.clone());
@@ -1087,20 +1031,15 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps_with_jitter_bounds() {
-        let tuning = EgressTuning {
-            probe_backoff_min: Duration::from_millis(10),
-            probe_backoff_max: Duration::from_millis(35),
-            ..EgressTuning::default()
-        };
         let sh = shared();
         let mut rng = SplitMix64::new(9);
         let mut dead = None;
-        mark_dead(&mut dead, &tuning, &mut rng, &sh);
-        assert_eq!(dead.as_ref().unwrap().backoff, Duration::from_millis(10));
-        mark_dead(&mut dead, &tuning, &mut rng, &sh);
-        assert_eq!(dead.as_ref().unwrap().backoff, Duration::from_millis(20));
-        mark_dead(&mut dead, &tuning, &mut rng, &sh);
-        assert_eq!(dead.as_ref().unwrap().backoff, Duration::from_millis(35), "capped");
+        let mut backoffs = Vec::new();
+        for _ in 0..8 {
+            mark_dead(&mut dead, &mut rng, &sh);
+            backoffs.push(dead.as_ref().unwrap().backoff.as_millis());
+        }
+        assert_eq!(backoffs, [50, 100, 200, 400, 800, 1600, 2000, 2000], "doubles, then capped");
         assert_eq!(sh.stats.peer_deaths.load(Ordering::Relaxed), 1, "death counted once");
         for _ in 0..100 {
             let j = DeadPeer::jittered(Duration::from_millis(100), &mut rng);

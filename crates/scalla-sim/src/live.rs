@@ -9,9 +9,9 @@
 //! Message latency is whatever the channel costs (microseconds), which is
 //! exactly the regime the paper's cmsd operates in on a LAN.
 
-use crate::egress::{EgressShared, EgressTuning};
+use crate::egress::EgressShared;
 use crate::metrics::NetCounters;
-use crate::runtime::{lifecycle_api, net_counters, Mailbox, Outbox, Runtime, MAILBOX_CAP};
+use crate::runtime::{lifecycle_api, net_counters, Mailbox, Outbox, Runtime};
 use scalla_obs::Obs;
 use scalla_proto::{Addr, Msg};
 use scalla_simnet::Node;
@@ -45,7 +45,7 @@ pub struct LiveNet {
 impl LiveNet {
     /// Creates an empty live network.
     pub fn new() -> LiveNet {
-        LiveNet { rt: Runtime::new(MAILBOX_CAP) }
+        LiveNet { rt: Runtime::default() }
     }
 
     /// Like [`LiveNet::serve_admin`], but additionally serves `/cluster`
@@ -57,11 +57,7 @@ impl LiveNet {
     ) -> std::io::Result<std::net::SocketAddr> {
         // No wire: an idle egress keeps the page's families the same as
         // a TcpNet's, all zero.
-        self.rt.serve_admin_with(
-            obs,
-            view,
-            Arc::new(EgressShared::new(Arc::default(), EgressTuning::default())),
-        )
+        self.rt.serve_admin_with(obs, view, Arc::new(EgressShared::new()))
     }
 
     /// Registers a node before [`LiveNet::start`].

@@ -2,17 +2,17 @@
 //! and [`TcpNet`](crate::tcp::TcpNet).
 //!
 //! Everything the two wall-clock runtimes have in common lives here once:
-//! the bounded [`Mailbox`] and its overflow accounting, the [`NetCtx`]
-//! handed to node callbacks (clock, timer heap, jitter stream, ambient
-//! trace id), the [`NodeCell`] that holds a node and its context behind
-//! one lock, the protocol-thread event loop, and the lifecycle shell
-//! ([`Runtime`]: add → start → kill/revive → admin → stop + join). A
+//! the [`Mailbox`] with its counted bound and overflow accounting, the
+//! [`NetCtx`] handed to node callbacks (clock, timer heap, jitter stream,
+//! ambient trace id), the [`NodeCell`] that holds a node and its context
+//! behind one lock, the protocol-thread event loop, and the lifecycle
+//! shell ([`Runtime`]: add → start → kill/revive → admin → stop + join). A
 //! transport contributes an [`Outbox`] — how a message leaves a callback —
-//! the capacity of its mailboxes, and how a message gets in: through the
-//! mailbox, one wake-up of the protocol thread per message (`LiveNet`: a
-//! push under the *sender's* lock must not need the receiver's), or
-//! through [`NodeCell::hear`], which runs the node on the caller's thread
-//! (`TcpNet`'s socket readers; the mailbox then carries control only).
+//! and how a message gets in: through the mailbox, one wake-up of the
+//! protocol thread per message (`LiveNet`: a push under the *sender's*
+//! lock must not need the receiver's), or through [`NodeCell::hear`],
+//! which runs the node on the caller's thread (`TcpNet`'s socket readers;
+//! the mailbox then carries control only).
 //!
 //! A node's life is one atomic state on its [`Mailbox`]: starting (an
 //! `on_start` is owed: at creation and after `revive`), running, or down
@@ -35,7 +35,7 @@
 
 use crate::admin::AdminServer;
 use crate::metrics::{EgressCounters, NetCounters};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use scalla_obs::{Emit, Kind, Obs, Source};
 use scalla_proto::{Addr, Msg};
@@ -43,13 +43,13 @@ use scalla_simnet::{NetCtx, Node};
 use scalla_util::{Clock, Nanos, SplitMix64, SystemClock};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Envelopes a mailbox that carries messages holds before overflow drops
-/// begin; also the bound on a cell's parked early frames.
+/// Messages a mailbox holds before overflow drops begin; also the bound on
+/// a cell's parked early frames.
 pub(crate) const MAILBOX_CAP: usize = 65_536;
 /// Longest a protocol thread sleeps with no message and no timer armed.
 const IDLE_WAIT: Nanos = Nanos::from_millis(50);
@@ -77,26 +77,36 @@ const RUNNING: u8 = 1;
 /// A node's life after `kill`: frames are dropped and timers do not fire.
 const DOWN: u8 = 2;
 
-/// One node's inbound side: a bounded queue, its overflow counter, and
-/// the node's life.
+/// One node's inbound side: a queue, its overflow counter, and the node's
+/// life. The queue is a channel that allocates only as it fills; its
+/// bound is `queued`, which counts the messages in it (a `Poke` or `Stop`
+/// is never refused).
 #[derive(Clone)]
 pub(crate) struct Mailbox {
     tx: Sender<Envelope>,
+    /// `Deliver` envelopes sent and not yet received, at most [`MAILBOX_CAP`].
+    queued: Arc<AtomicUsize>,
     drops: Arc<AtomicU64>,
     /// [`STARTING`], [`RUNNING`] or [`DOWN`].
     life: Arc<AtomicU8>,
 }
 
 impl Mailbox {
-    fn new(cap: usize) -> (Mailbox, Receiver<Envelope>) {
-        let (tx, rx) = bounded(cap);
-        (Mailbox { tx, drops: Arc::default(), life: Arc::new(AtomicU8::new(STARTING)) }, rx)
+    fn new() -> (Mailbox, Receiver<Envelope>) {
+        let (tx, rx) = unbounded();
+        let life = Arc::new(AtomicU8::new(STARTING));
+        (Mailbox { tx, queued: Arc::default(), drops: Arc::default(), life }, rx)
     }
 
     /// Queues a message without ever blocking. A full or disconnected
     /// mailbox models a dead peer: the message is dropped and counted.
     pub(crate) fn deliver(&self, from: Addr, msg: Msg, trace: u64) {
-        if self.tx.try_send(Envelope::Deliver { from, msg, trace }).is_err() {
+        // Taken before the check, so senders racing for the last place
+        // cannot both have it.
+        let sent = self.queued.fetch_add(1, Ordering::Relaxed) < MAILBOX_CAP
+            && self.tx.send(Envelope::Deliver { from, msg, trace }).is_ok();
+        if !sent {
+            self.queued.fetch_sub(1, Ordering::Relaxed);
             self.drops.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -169,7 +179,7 @@ impl<O: Outbox> NetCtx for Ctx<O> {
         // park is all there ever is in the mailbox.
         if self.parked_until.is_some_and(|until| at < until) {
             self.parked_until = None;
-            let _ = self.mailbox.tx.try_send(Envelope::Poke);
+            let _ = self.mailbox.tx.send(Envelope::Poke);
         }
     }
     fn rand_u64(&mut self) -> u64 {
@@ -336,7 +346,9 @@ fn run_node<O: Outbox>(cell: &NodeCell<O>, rx: Receiver<Envelope>) -> Box<dyn No
         };
         match next {
             Ok(Envelope::Deliver { from, msg, trace }) => {
-                held.as_mut().expect(MINE).hear(from, msg, trace);
+                let hosted = held.as_mut().expect(MINE);
+                hosted.ctx.mailbox.queued.fetch_sub(1, Ordering::Relaxed);
+                hosted.hear(from, msg, trace);
             }
             Ok(Envelope::Poke) | Err(RecvTimeoutError::Timeout) => {}
             Ok(Envelope::Stop) | Err(RecvTimeoutError::Disconnected) => break,
@@ -382,9 +394,6 @@ impl Source for MailboxDrops {
 #[derive(Default)]
 pub(crate) struct Runtime {
     pub(crate) clock: Arc<SystemClock>,
-    /// Envelopes a hosted node's mailbox holds: the transport's choice,
-    /// [`MAILBOX_CAP`] where messages go through it.
-    mailbox_cap: usize,
     /// Every slot's mailbox, indexed by address.
     pub(crate) mailboxes: Vec<Mailbox>,
     slots: Vec<Slot>,
@@ -395,10 +404,6 @@ pub(crate) struct Runtime {
 }
 
 impl Runtime {
-    pub(crate) fn new(mailbox_cap: usize) -> Runtime {
-        Runtime { mailbox_cap, ..Runtime::default() }
-    }
-
     /// Takes a node down; addresses the net does not have are ignored.
     pub(crate) fn kill(&self, addr: Addr) {
         if let Some(mailbox) = self.mailboxes.get(addr.0 as usize) {
@@ -407,12 +412,11 @@ impl Runtime {
     }
 
     /// Has the node's state machine restarted before it hears anything
-    /// more. The poke only wakes the protocol thread, and one that finds
-    /// the mailbox full has been overtaken by something else that will.
+    /// more. The poke only wakes the protocol thread.
     pub(crate) fn revive(&self, addr: Addr) {
         if let Some(mailbox) = self.mailboxes.get(addr.0 as usize) {
             mailbox.life.store(STARTING, Ordering::SeqCst);
-            let _ = mailbox.tx.try_send(Envelope::Poke);
+            let _ = mailbox.tx.send(Envelope::Poke);
         }
     }
 
@@ -421,7 +425,7 @@ impl Runtime {
     pub(crate) fn add_slot(&mut self, node: Option<Box<dyn Node>>) -> Addr {
         assert!(!self.started, "add nodes before start");
         let addr = Addr(self.slots.len() as u64);
-        let (mailbox, rx) = Mailbox::new(if node.is_some() { self.mailbox_cap } else { 1 });
+        let (mailbox, rx) = Mailbox::new();
         self.mailboxes.push(mailbox);
         self.slots.push(match node {
             Some(node) => Slot::Pending(node, rx),
@@ -815,7 +819,7 @@ pub(crate) mod tests {
         const QUEUED: u64 = 1000;
         let heard = Arc::new(AtomicU64::new(0));
         let asked = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut rt = Runtime::new(MAILBOX_CAP);
+        let mut rt = Runtime::default();
         let a = rt.add_slot(Some(Box::new(SendsOnce(heard.clone()))));
         // The mailbox is full of work before the thread starts and ends in
         // a Stop: the loop never finds it empty, so it never parks.
@@ -937,7 +941,7 @@ pub(crate) mod tests {
     #[test]
     fn mailbox_drops_source_sums_every_node() {
         let mailbox = |drops| {
-            let mailbox = Mailbox::new(1).0;
+            let mailbox = Mailbox::new().0;
             mailbox.drops.store(drops, Ordering::Relaxed);
             mailbox
         };
@@ -1073,7 +1077,7 @@ pub(crate) mod tests {
     fn frames_heard_while_an_on_start_is_owed_wait_for_it() {
         const CAP: u64 = MAILBOX_CAP as u64;
         let node = Restarted::default();
-        let mut rt = Runtime::new(4);
+        let mut rt = Runtime::default();
         let a = rt.add_slot(Some(Box::new(Sleepy(node.clone()))));
         let cells = rt.start(|_, _| NoOutbox);
         let cell = cells[0].as_ref().unwrap();

@@ -41,7 +41,7 @@
 //! (`Stop`, and a poke after a `revive` or an early timer), and the
 //! protocol thread is left with timers and restarts.
 
-use crate::egress::{EgressLink, EgressShared, EgressTuning, OnConnect};
+use crate::egress::{EgressLink, EgressShared, OnConnect};
 use crate::metrics::NetCounters;
 use crate::runtime::{lifecycle_api, net_counters, NodeCell, Outbox, Runtime};
 use bytes::BytesMut;
@@ -63,10 +63,6 @@ struct ExternalPeer;
 impl Node for ExternalPeer {
     fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, _: Msg) {}
 }
-
-/// Envelopes a node's mailbox holds. No message goes through it: a `Stop`,
-/// and at most one poke per park of the protocol thread or per `revive`.
-const CONTROL_CAP: usize = 32;
 
 /// The socket transport: one lazily spawned egress link per peer.
 struct SocketOutbox {
@@ -117,8 +113,8 @@ impl SocketOutbox {
 
     /// Offers the link to `from` a connection `from`'s own link opened.
     fn adopt(&mut self, from: Addr, stream: TcpStream) {
-        if let Some((link, shared)) = self.link(from) {
-            link.adopt(stream, shared);
+        if let Some((link, _)) = self.link(from) {
+            link.adopt(stream);
         }
     }
 }
@@ -260,12 +256,12 @@ impl TcpNet {
     /// Creates an empty TCP network.
     pub fn new() -> std::io::Result<TcpNet> {
         Ok(TcpNet {
-            rt: Runtime::new(CONTROL_CAP),
+            rt: Runtime::default(),
             peers: Vec::new(),
             listeners: Vec::new(),
             acceptors: Vec::new(),
             readers: Arc::default(),
-            shared: Arc::new(EgressShared::new(Arc::default(), EgressTuning::default())),
+            shared: Arc::new(EgressShared::new()),
         })
     }
 

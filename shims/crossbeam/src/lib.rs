@@ -1,33 +1,24 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! Provides the `crossbeam::channel` subset this workspace uses —
-//! [`channel::bounded`] with cloneable senders, `try_send`, and
-//! `recv_timeout` — on top of `std::sync::mpsc::sync_channel`.
+//! [`channel::unbounded`] with cloneable senders and `recv_timeout` — on
+//! top of `std::sync::mpsc::channel`, which allocates only as it fills.
 
 pub mod channel {
-    //! Bounded MPSC channels with crossbeam's error vocabulary.
+    //! Unbounded MPSC channels with crossbeam's error vocabulary.
 
     use std::sync::mpsc;
     use std::time::Duration;
 
-    /// Sending half of a bounded channel.
-    pub struct Sender<T>(mpsc::SyncSender<T>);
+    /// Sending half of an unbounded channel.
+    pub struct Sender<T>(mpsc::Sender<T>);
 
-    /// Receiving half of a bounded channel.
+    /// Receiving half of an unbounded channel.
     pub struct Receiver<T>(mpsc::Receiver<T>);
 
     /// Error returned by [`Sender::send`] when the channel disconnected.
     #[derive(Debug, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Sender::try_send`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is at capacity.
-        Full(T),
-        /// All receivers are gone.
-        Disconnected(T),
-    }
 
     /// Error returned by [`Receiver::recv`].
     #[derive(Debug, PartialEq, Eq)]
@@ -42,9 +33,9 @@ pub mod channel {
         Disconnected,
     }
 
-    /// Creates a bounded channel of the given capacity.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap);
+    /// Creates a channel of unbounded capacity.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+        let (tx, rx) = mpsc::channel();
         (Sender(tx), Receiver(rx))
     }
 
@@ -55,17 +46,10 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Blocks until the message is enqueued (or the channel dies).
+        /// Enqueues the message without blocking; fails only once every
+        /// receiver is gone.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
             self.0.send(msg).map_err(|mpsc::SendError(v)| SendError(v))
-        }
-
-        /// Enqueues without blocking; fails when full or disconnected.
-        pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            self.0.try_send(msg).map_err(|e| match e {
-                mpsc::TrySendError::Full(v) => TrySendError::Full(v),
-                mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
-            })
         }
     }
 
@@ -96,16 +80,18 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn bounded_roundtrip_and_capacity() {
-        let (tx, rx) = bounded::<u32>(1);
-        tx.try_send(1).unwrap();
-        assert!(matches!(tx.try_send(2), Err(TrySendError::Full(2))));
-        assert_eq!(rx.recv().unwrap(), 1);
+    fn unbounded_roundtrip_in_order() {
+        let (tx, rx) = unbounded::<u32>();
+        (0..1000).for_each(|i| tx.send(i).unwrap());
+        assert!((0..1000).all(|i| rx.recv().unwrap() == i));
+        assert_eq!(rx.try_recv(), None);
+        drop(rx);
+        assert_eq!(tx.send(7), Err(SendError(7)), "no receiver: the message comes back");
     }
 
     #[test]
     fn recv_timeout_vocabulary() {
-        let (tx, rx) = bounded::<u32>(1);
+        let (tx, rx) = unbounded::<u32>();
         assert_eq!(rx.recv_timeout(Duration::from_millis(1)), Err(RecvTimeoutError::Timeout));
         drop(tx);
         assert_eq!(rx.recv_timeout(Duration::from_millis(1)), Err(RecvTimeoutError::Disconnected));
@@ -113,7 +99,7 @@ mod tests {
 
     #[test]
     fn senders_clone_across_threads() {
-        let (tx, rx) = bounded::<u64>(8);
+        let (tx, rx) = unbounded::<u64>();
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let tx = tx.clone();
